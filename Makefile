@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke bench-diff bench-json dist-bench cluster-bench serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke bench-diff bench-json perf cluster-bench serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -67,10 +67,10 @@ bench-diff:
 bench-json:
 	GO="$(GO)" sh scripts/bench_json.sh
 
-# Regenerate the committed single-process vs 2-worker throughput
-# record with the batching A/B (BENCH_PR8.json).
-dist-bench:
-	GO="$(GO)" sh scripts/dist_bench.sh
+# The repo's benchmark (BENCHMARK.json): six workloads, twelve
+# end-to-end metrics and the per-layer ledger. Not part of ci.
+perf:
+	sh bench/run.sh
 
 # End-to-end serving smoke: ggserved on an ephemeral port, one PHOLD
 # job to completion, identical resubmit served from cache, clean drain.

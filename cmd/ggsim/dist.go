@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ggpdes"
-	"ggpdes/internal/dist"
 )
 
 // addrPrefix is the line both ggworker and -worker-serve print once
@@ -49,11 +48,7 @@ func distWorkerCount(workers int, addrs string) int {
 
 // runDistributed connects (or spawns) the workers and drives the
 // sharded run.
-func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrList string, attempts int, wireMode string, noBatch bool) (*ggpdes.Results, error) {
-	wire, err := dist.ParseWire(wireMode)
-	if err != nil {
-		return nil, err
-	}
+func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrList string, attempts int) (*ggpdes.Results, error) {
 	var addrs []string
 	if addrList != "" {
 		for _, a := range strings.Split(addrList, ",") {
@@ -80,8 +75,6 @@ func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrLis
 			return net.Dial("tcp", addrs[shard])
 		},
 		MaxAttempts: attempts,
-		Wire:        wire,
-		NoBatch:     noBatch,
 	}
 	return ggpdes.RunDistributed(ctx, cfg, opts)
 }

@@ -69,8 +69,6 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated ggworker addresses to shard across instead of spawning")
 		workerTries = flag.Int("worker-attempts", 3, "attempts per segment before a lost worker connection aborts the run")
 		workerServe = flag.Bool("worker-serve", false, "internal: serve one worker shard on an ephemeral port (what -workers spawns)")
-		wireMode    = flag.String("wire", "binary", "distributed hot-path frame encoding: binary or json")
-		noBatch     = flag.Bool("nobatch", false, "distributed: disable op coalescing and read caching (one JSON round trip per op; implies per-op json frames)")
 
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every N GVT rounds (0 = off)")
 		ckptDir   = flag.String("checkpoint-dir", "", "write checkpoint files to this directory")
@@ -238,7 +236,7 @@ func main() {
 			CheckpointDir: *ckptDir,
 		})
 	} else if distributed {
-		res, err = runDistributed(ctx, cfg, *workers, *workerAddrs, *workerTries, *wireMode, *noBatch)
+		res, err = runDistributed(ctx, cfg, *workers, *workerAddrs, *workerTries)
 	} else {
 		res, err = ggpdes.RunContext(ctx, cfg)
 	}

@@ -2,6 +2,8 @@ package ggpdes
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -9,9 +11,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ggpdes/internal/checkpoint"
-	"ggpdes/internal/dist"
 )
 
 // inProcWorkers returns a WorkerDialer whose "processes" are
@@ -77,23 +79,45 @@ func scrubDist(res *Results) {
 // The tentpole acceptance property: a run sharded across worker
 // processes produces Results identical to the in-process run — same
 // trajectory, same statistics, same histograms, same per-round series
-// — for multiple models and worker counts.
+// — for multiple models, worker counts, schedulers and GVT algorithms.
+// The (System, GVT) axis reaches the bridge paths GG-PDES/WaitFree
+// never takes: Barrier GVT's fused DrainLocalMin, and Baseline's
+// DrainProcess without the HasExecutableWork prefetch.
 func TestDistributedGoldenMatrix(t *testing.T) {
-	models := []Model{
-		PHOLD{LPsPerThread: 4, Imbalance: 2},
-		Traffic{LPsPerThread: 4, CenterStartEvents: 6},
+	phold := PHOLD{LPsPerThread: 4, Imbalance: 2}
+	cases := []struct {
+		model   Model
+		system  System
+		gvt     GVT
+		workers []int
+	}{
+		{phold, GGPDES, WaitFree, []int{2, 4}},
+		{Traffic{LPsPerThread: 4, CenterStartEvents: 6}, GGPDES, WaitFree, []int{2, 4}},
+		{phold, Baseline, Barrier, []int{2}},
+		{phold, Baseline, WaitFree, []int{2}},
+		{phold, DDPDES, WaitFree, []int{2}},
+		{phold, GGPDES, Barrier, []int{2}},
 	}
-	for _, model := range models {
-		golden, err := Run(distCfg(model, t.TempDir()))
+	for _, c := range cases {
+		cfg := func(dir string) Config {
+			cfg := distCfg(c.model, dir)
+			cfg.System, cfg.GVT = c.system, c.gvt
+			return cfg
+		}
+		name := c.model.Name()
+		if c.system != GGPDES || c.gvt != WaitFree {
+			name = fmt.Sprintf("%s/%v-%v", name, c.system, c.gvt)
+		}
+		golden, err := Run(cfg(t.TempDir()))
 		if err != nil {
-			t.Fatalf("%s in-process: %v", model.Name(), err)
+			t.Fatalf("%s in-process: %v", name, err)
 		}
 		if golden.FinalGVT < 30 {
-			t.Fatalf("%s in-process run incomplete: GVT %v", model.Name(), golden.FinalGVT)
+			t.Fatalf("%s in-process run incomplete: GVT %v", name, golden.FinalGVT)
 		}
-		for _, workers := range []int{2, 4} {
-			t.Run(model.Name()+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				res, err := RunDistributed(context.Background(), distCfg(model, t.TempDir()),
+		for _, workers := range c.workers {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				res, err := RunDistributed(context.Background(), cfg(t.TempDir()),
 					DistOptions{Workers: workers, Dial: inProcWorkers()})
 				if err != nil {
 					t.Fatal(err)
@@ -113,45 +137,27 @@ func TestDistributedGoldenMatrix(t *testing.T) {
 	}
 }
 
-// The coalescing acceptance property: the batched planes (binary and
-// JSON framing) and the synchronous per-op plane produce identical
-// Results — coalescing, read caching and deferred relays remove round
-// trips without reordering what any worker observes — while the batched
-// plane sends far fewer frames.
-func TestDistributedBatchingModes(t *testing.T) {
-	model := PHOLD{LPsPerThread: 4, Imbalance: 2}
-	run := func(opts DistOptions) *Results {
-		t.Helper()
-		opts.Workers = 2
-		opts.Dial = inProcWorkers()
-		res, err := RunDistributed(context.Background(), distCfg(model, t.TempDir()), opts)
-		if err != nil {
-			t.Fatal(err)
+// The data plane's shape, pinned by count: how many frames the
+// coordinator sends for one fixed configuration, how many of them are
+// coalesced batches, how many round trips coalescing saved and how many
+// reads the cache answered with no frame at all. The run is
+// deterministic, so these are exact on any machine; a change that
+// silently stops coalescing, caching or deferring relays moves them.
+func TestDistributedFrameCounts(t *testing.T) {
+	res, err := RunDistributed(context.Background(), distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, t.TempDir()),
+		DistOptions{Workers: 2, Dial: inProcWorkers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint64{
+		"dist.msgs_sent":     6510,
+		"dist.batches":       6408,
+		"dist.ops_coalesced": 12575,
+		"dist.reads_cached":  6262,
+	} {
+		if got := res.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-		return res
-	}
-	batched := run(DistOptions{})
-	jsonFramed := run(DistOptions{Wire: dist.WireJSON})
-	sync := run(DistOptions{NoBatch: true})
-
-	if batched.Counters["dist.batches"] == 0 || batched.Counters["dist.ops_coalesced"] == 0 ||
-		batched.Counters["dist.reads_cached"] == 0 {
-		t.Errorf("batched plane counters not booked: %v", batched.Counters)
-	}
-	if got := sync.Counters["dist.batches"]; got != 0 {
-		t.Errorf("nobatch run sent %v batch frames", got)
-	}
-	if b, s := batched.Counters["dist.msgs_sent"], sync.Counters["dist.msgs_sent"]; 2*b >= s {
-		t.Errorf("coalescing saved too little: %v batched frames vs %v synchronous", b, s)
-	}
-	scrubDist(batched)
-	scrubDist(jsonFramed)
-	scrubDist(sync)
-	if !reflect.DeepEqual(batched, jsonFramed) {
-		t.Errorf("json-framed batched run diverged from binary:\nbinary: %+v\njson:   %+v", batched, jsonFramed)
-	}
-	if !reflect.DeepEqual(batched, sync) {
-		t.Errorf("synchronous run diverged from batched:\nbatched: %+v\nsync:    %+v", batched, sync)
 	}
 }
 
@@ -224,6 +230,28 @@ func TestDistributedWorkerCrashRecovery(t *testing.T) {
 	}
 	if !reflect.DeepEqual(clean, crashed) {
 		t.Errorf("crash-recovered run diverged from crash-free run:\nclean:   %+v\ncrashed: %+v", clean, crashed)
+	}
+}
+
+// A deadline reports as ErrDeadline wherever in the run it lands — the
+// serving layer maps ErrDeadline to 504 and ErrCancelled to 409. Here
+// it lands in the retry backoff: every non-final attempt crashes, and
+// the backoff outlasts the context.
+func TestDistributedDeadlineDuringBackoff(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	_, err := RunDistributed(ctx, distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, t.TempDir()), DistOptions{
+		Workers:      2,
+		Dial:         inProcWorkers(),
+		MaxAttempts:  3,
+		CrashRate:    1,
+		RetryBackoff: 5 * time.Second,
+	})
+	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline during retry backoff returned %v, want ErrDeadline wrapping context.DeadlineExceeded", err)
+	}
+	if errors.Is(err, ErrCancelled) {
+		t.Fatalf("deadline during retry backoff also reports ErrCancelled: %v", err)
 	}
 }
 

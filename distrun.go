@@ -16,9 +16,6 @@ import (
 	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/core"
 	"ggpdes/internal/dist"
-	"ggpdes/internal/gvt"
-	"ggpdes/internal/machine"
-	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
 )
@@ -66,14 +63,6 @@ type DistOptions struct {
 	CrashRate float64
 	// ChaosSeed seeds crash planning (0 = Config.Seed).
 	ChaosSeed uint64
-	// Wire selects the hot-path frame encoding; the zero value is
-	// dist.WireBinary. dist.WireJSON is the debugging escape hatch.
-	Wire dist.Wire
-	// NoBatch disables op coalescing, the coordinator read cache and
-	// deferred inject relays, restoring the one-JSON-frame-per-op
-	// data plane (the batching A/B baseline). The trajectory is
-	// byte-identical either way — batching only removes round trips.
-	NoBatch bool
 }
 
 // RunDistributed executes one simulation sharded across worker
@@ -109,23 +98,23 @@ func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results
 		cfg.Seed = 1
 	}
 	d := &distRun{
-		rs:         &runState{cfg: cfg},
-		opts:       opts,
-		workers:    opts.Workers,
-		threadsPer: cfg.Threads / opts.Workers,
-		conns:      make([]io.ReadWriteCloser, opts.Workers),
-		attempt:    1,
+		rs:          &runState{cfg: cfg},
+		opts:        opts,
+		workers:     opts.Workers,
+		threadsPer:  cfg.Threads / opts.Workers,
+		conns:       make([]io.ReadWriteCloser, opts.Workers),
+		attempt:     1,
+		maxAttempts: max(opts.MaxAttempts, 1),
 	}
-	d.maxAttempts = opts.MaxAttempts
-	if d.maxAttempts < 1 {
-		d.maxAttempts = 1
-	}
+	d.rs.dist = d
 	defer d.shutdownWorkers()
 	return d.run(ctx)
 }
 
 // distRun drives one distributed run across its segments and retry
-// attempts.
+// attempts. The segment loop is runState's; distRun supplies the steps
+// runState calls on it (see runState.dist) and the retry loop around
+// each segment.
 type distRun struct {
 	rs   *runState
 	opts DistOptions
@@ -135,36 +124,28 @@ type distRun struct {
 	threadsPer int
 	conns      []io.ReadWriteCloser
 	clients    []*dist.Client
-	reg        *telemetry.Registry // current segment's registry (for the connected gauge)
 
 	attempt     int
 	maxAttempts int
 	crashes     *chaos.WorkerCrashes
 
-	// segPoints buffers the current segment attempt's series points;
-	// they commit into rs.series only when the segment completes, so a
-	// retried attempt leaves no trace.
+	// Current segment attempt.
+	reg        *telemetry.Registry // for the connected gauge
+	bridge     *remoteBridge
+	cancel     context.CancelCauseFunc // stops the machine on a transport failure
+	distRounds *telemetry.Counter
+	crashArmed bool // an injected crash is planned and has not fired
+	victim     int
+	crashAt    float64
+	// segPoints buffers the attempt's series points; they commit into
+	// rs.series only when the segment completes, so a retried attempt
+	// leaves no trace.
 	segPoints []SeriesPoint
-}
-
-// distSnap is the continuation state a retry must restore: everything a
-// failed segment attempt may have mutated before its boundary commit.
-type distSnap struct {
-	engine            *tw.EngineState
-	metrics           *telemetry.MetricsState
-	rounds            uint64
-	prevGVT, prevWall float64
 }
 
 func (d *distRun) run(ctx context.Context) (*Results, error) {
 	rs := d.rs
-	if so := rs.cfg.Series; so != nil {
-		if so.Buffer != nil {
-			rs.series = so.Buffer
-		} else {
-			rs.series = telemetry.NewSeries(so.Limit)
-		}
-	}
+	rs.attachObservers()
 	key, err := rs.cfg.CacheKey()
 	if err != nil {
 		return nil, fmt.Errorf("ggpdes: %w", err)
@@ -178,294 +159,123 @@ func (d *distRun) run(ctx context.Context) (*Results, error) {
 		d.crashes = chaos.NewWorkerCrashes(seed, d.opts.CrashRate)
 	}
 	for {
-		snap := distSnap{
-			engine:   rs.engine,
-			metrics:  rs.metrics,
-			rounds:   rs.rounds,
-			prevGVT:  rs.prevGVT,
-			prevWall: rs.prevWall,
-		}
+		// The continuation state a retry must restore: everything a
+		// failed segment attempt may have mutated before its boundary
+		// commit.
+		engine, metrics := rs.engine, rs.metrics
+		rounds, prevGVT, prevWall := rs.rounds, rs.prevGVT, rs.prevWall
 		res, err := d.segment(ctx)
-		if err != nil {
-			if !errors.Is(err, dist.ErrWorkerLost) || d.attempt >= d.maxAttempts {
-				return nil, err
-			}
-			d.attempt++
-			rs.engine, rs.metrics = snap.engine, snap.metrics
-			rs.rounds, rs.prevGVT, rs.prevWall = snap.rounds, snap.prevGVT, snap.prevWall
-			d.segPoints = d.segPoints[:0]
-			if d.opts.RetryBackoff > 0 {
-				t := time.NewTimer(d.opts.RetryBackoff)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return nil, fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))
-				}
+		if err == nil {
+			if res != nil {
+				return res, nil
 			}
 			continue
 		}
-		if res != nil {
-			return res, nil
+		if !errors.Is(err, dist.ErrWorkerLost) || d.attempt >= d.maxAttempts {
+			return nil, err
+		}
+		d.attempt++
+		rs.engine, rs.metrics = engine, metrics
+		rs.rounds, rs.prevGVT, rs.prevWall = rounds, prevGVT, prevWall
+		d.segPoints = d.segPoints[:0]
+		if d.opts.RetryBackoff > 0 {
+			t := time.NewTimer(d.opts.RetryBackoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return nil, ctxError(ctx, context.Cause(ctx))
+			}
 		}
 	}
 }
 
-// segment runs one segment attempt: nil Results and nil error means a
-// checkpoint boundary was committed and the run continues.
+// segment runs one segment attempt under a context the bridge can
+// cancel: a failed forwarded operation stops the machine and feeds the
+// engine inert results until the loop observes the failure.
 func (d *distRun) segment(ctx context.Context) (*Results, error) {
-	rs := d.rs
-	seg, b, err := d.buildSegment()
-	if err != nil {
-		return nil, err
-	}
 	ictx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	b.cancel = cancel
-	runErr := seg.m.RunContext(ictx)
-	if b.err != nil {
-		// A failed forwarded operation cancels the machine and feeds the
-		// engine inert results; whatever RunContext concluded, the
-		// attempt is void.
-		return nil, b.err
-	}
-	if runErr != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(runErr, cerr) {
-			if errors.Is(cerr, context.DeadlineExceeded) {
-				return nil, fmt.Errorf("%w: %w", ErrDeadline, runErr)
-			}
-			return nil, fmt.Errorf("%w: %w", ErrCancelled, runErr)
-		}
-		return nil, fmt.Errorf("ggpdes: %s/%s distributed run failed: %w", rs.cfg.System, rs.cfg.GVT, runErr)
-	}
-	if seg.eng.Paused() {
-		return nil, d.boundary(seg, b)
-	}
-	return d.finish(seg, b)
+	d.cancel = cancel
+	return d.rs.runSegment(ictx)
 }
 
-// buildSegment assembles the coordinator's machine, hollow engine,
-// runner and registry, and (re)initializes every worker shard for the
-// next segment.
-func (d *distRun) buildSegment() (*segment, *remoteBridge, error) {
-	rs := d.rs
-	cfg := rs.cfg
-	mcfg, err := cfg.Machine.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	mcfg.StartTick = rs.startTick
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var adaptive *gvt.Adaptive
-	if a := cfg.AdaptiveGVT; a != nil {
-		adaptive = &gvt.Adaptive{
-			MinFrequency:               a.MinFrequency,
-			MaxFrequency:               a.MaxFrequency,
-			TargetUncommittedPerThread: a.TargetUncommittedPerThread,
-		}
-	}
-	reg := telemetry.NewRegistry()
-	if rs.metrics != nil {
-		reg.Import(*rs.metrics)
-		rs.metrics = nil
-	}
+// engineBuilt runs once a segment's engine exists and before its runner
+// does: hollow the engine over a fresh bridge and (re)initialize every
+// worker shard from state (the segment's start state; nil for a fresh
+// run).
+func (d *distRun) engineBuilt(eng *tw.Engine, reg *telemetry.Registry, state *tw.EngineState) error {
 	d.reg = reg
-	m.SetTelemetry(reg)
-	model, err := cfg.Model.build(cfg.Threads, cfg.EndTime)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	segState := rs.engine
-	rs.engine = nil
-
-	// Late-bound hooks, exactly as the in-process buildSegment.
-	var eng *tw.Engine
-	var runner *core.Runner
-	var progress, sample func(tw.VT)
-	every := 0
-	if rs.checkpointing() {
-		every = rs.cfg.Checkpoint.Every
-	}
-	crashArmed, victim, crashAt := d.planCrash(cfg.EndTime)
-	segPubs := 0
-	onGVT := func(v tw.VT) {
-		rs.rounds++
-		if sample != nil {
-			sample(v)
-		}
-		if progress != nil {
-			progress(v)
-		}
-		if crashArmed && float64(v) >= crashAt {
-			crashArmed = false
-			if c := d.conns[victim]; c != nil {
-				c.Close()
-			}
-		}
-		if every > 0 && float64(v) < cfg.EndTime {
-			segPubs++
-			if segPubs >= every {
-				eng.Pause()
-			}
-		}
-	}
-	twCfg := tw.Config{
-		NumThreads:       cfg.Threads,
-		Model:            model,
-		EndTime:          cfg.EndTime,
-		Seed:             cfg.Seed,
-		BatchSize:        cfg.BatchSize,
-		LPsPerKP:         cfg.LPsPerKP,
-		QueueKind:        pq.Kind(cfg.Queue),
-		StateSaving:      tw.SavePolicy(cfg.StateSaving),
-		LazyCancellation: cfg.LazyCancellation,
-		OptimismWindow:   cfg.OptimismWindow,
-		DisablePooling:   cfg.DisablePooling,
-		Telemetry:        reg,
-		OnGVT:            onGVT,
-	}
-	if segState != nil {
-		eng, err = tw.NewEngineFromState(twCfg, segState)
-	} else {
-		eng, err = tw.NewEngine(twCfg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
+	d.planCrash()
 	b := &remoteBridge{
 		d:           d,
 		eng:         eng,
-		batch:       !d.opts.NoBatch,
-		wire:        d.opts.Wire,
-		prefetch:    core.System(cfg.System) != core.Baseline,
+		prefetch:    core.System(d.rs.cfg.System) != core.Baseline,
 		readsCached: reg.Counter(dist.MetricReadsCached),
+		pending:     make([][]tw.WireEvent, d.workers),
+		cache:       make([]readCache, d.workers),
 	}
-	if b.batch {
-		b.pending = make([][]tw.WireEvent, d.workers)
-		b.cache = make([]readCache, d.workers)
-		for i := range b.cache {
-			b.cache[i] = newReadCache(d.threadsPer)
-		}
+	for i := range b.cache {
+		b.cache[i] = newReadCache(d.threadsPer)
 	}
 	eng.HollowAll(b)
-
-	if err := d.initWorkers(reg, segState); err != nil {
-		return nil, nil, err
+	d.bridge = b
+	if err := d.initWorkers(reg, state); err != nil {
+		return err
 	}
-	b.clients = d.clients
-
-	gvtFreq := cfg.GVTFrequency
-	if rs.gvtFreq > 0 {
-		gvtFreq = rs.gvtFreq
-	}
-	distRounds := reg.Counter(dist.MetricGVTRounds)
-	runner, err = core.NewRunner(core.Config{
-		Machine:              m,
-		Engine:               eng,
-		System:               core.System(cfg.System),
-		GVTKind:              gvt.Kind(cfg.GVT),
-		GVTFrequency:         gvtFreq,
-		ZeroCounterThreshold: cfg.ZeroCounterThreshold,
-		Affinity:             core.Affinity(cfg.Affinity),
-		GVTAdaptive:          adaptive,
-		Telemetry:            reg,
-		GVTOnCut: func(cut int, round uint64) {
-			// Cut two closing is one completed Mattern round: every
-			// shard's local minimum and in-flight send minimum have been
-			// reduced through the wire.
-			if cut == 2 {
-				distRounds.Inc()
-			}
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if rs.series != nil {
-		if rs.prevGVT == 0 && float64(eng.GVT()) > 0 {
-			rs.prevGVT = float64(eng.GVT())
-			rs.prevWall = m.WallSeconds()
-		}
-		sample = func(v tw.VT) {
-			if b.err != nil {
-				return
-			}
-			pt := telemetry.SeriesPoint{
-				Round:         int(rs.rounds),
-				GVT:           float64(v),
-				WallSeconds:   m.WallSeconds(),
-				ActiveThreads: runner.NumActive(),
-			}
-			tw.FillSeriesTotals(&pt, eng.TotalStats(), eng.UncommittedEvents())
-			pt.ThreadLVTs = make([]float64, cfg.Threads)
-			var hits, misses uint64
-			queued := 0
-			for w := 0; w < d.workers; w++ {
-				resp := b.roundTrip(w, &dist.OpRequest{Op: dist.OpSeriesProbe}, nil, true)
-				if b.err != nil {
-					return
-				}
-				for i, pr := range resp.Probes {
-					pt.ThreadLVTs[w*d.threadsPer+i] = pr.LVT
-					queued += pr.Queued
-					hits += pr.PoolHits
-					misses += pr.PoolMisses
-				}
-			}
-			tw.FinishSeriesPoint(&pt, queued, hits, misses)
-			pt.AdvanceVT = pt.GVT - rs.prevGVT
-			if dt := pt.WallSeconds - rs.prevWall; dt > 0 {
-				pt.AdvanceRate = pt.AdvanceVT / dt
-			}
-			rs.prevGVT, rs.prevWall = pt.GVT, pt.WallSeconds
-			d.segPoints = append(d.segPoints, pt)
-		}
-	}
-	if p := cfg.Progress; p != nil {
-		pEvery := p.Every
-		if pEvery <= 0 {
-			pEvery = 0.1
-		}
-		step := pEvery * cfg.EndTime
-		next := step
-		progress = func(v tw.VT) {
-			g := float64(v)
-			if g < next && g < cfg.EndTime {
-				return
-			}
-			next = step * (math.Floor(g/step) + 1)
-			s := eng.TotalStats()
-			info := ProgressInfo{
-				GVT:             g,
-				EndTime:         cfg.EndTime,
-				CommittedEvents: s.Committed,
-				ProcessedEvents: s.Processed,
-				ActiveThreads:   runner.NumActive(),
-				Threads:         cfg.Threads,
-				GVTRounds:       rs.gvtRounds(runner),
-				WallSeconds:     m.WallSeconds(),
-			}
-			if info.WallSeconds > 0 {
-				info.CommittedEventRate = float64(info.CommittedEvents) / info.WallSeconds
-			}
-			if info.ProcessedEvents > 0 {
-				info.Efficiency = float64(info.CommittedEvents) / float64(info.ProcessedEvents)
-			}
-			if p.W != nil {
-				fmt.Fprintln(p.W, info)
-			}
-			if p.Func != nil {
-				p.Func(info)
-			}
-		}
-	}
-	m.SetOnCancel(eng.Cancel)
-	return &segment{mcfg: mcfg, m: m, eng: eng, runner: runner, reg: reg}, b, nil
+	d.distRounds = reg.Counter(dist.MetricGVTRounds)
+	return nil
 }
+
+// onGVT runs on every GVT publication, after sampling and progress:
+// fire the attempt's planned crash once GVT reaches its crash point.
+func (d *distRun) onGVT(v tw.VT) {
+	if d.crashArmed && float64(v) >= d.crashAt {
+		d.crashArmed = false
+		if c := d.conns[d.victim]; c != nil {
+			c.Close()
+		}
+	}
+}
+
+// onCut is the segment's core.Config.GVTOnCut. Cut two closing is one
+// completed Mattern round: every shard's local minimum and in-flight
+// send minimum have been reduced through the wire.
+func (d *distRun) onCut(cut int, round uint64) {
+	if cut == 2 {
+		d.distRounds.Inc()
+	}
+}
+
+// samplePoint completes and records a series point in place of
+// eng.FillSeriesPoint and rs.series.Append: the per-thread half comes
+// from one probe per worker, the totals from the coordinator's mirrored
+// statistics.
+func (d *distRun) samplePoint(eng *tw.Engine, pt SeriesPoint) {
+	b := d.bridge
+	tw.FillSeriesTotals(&pt, eng.TotalStats(), eng.UncommittedEvents())
+	pt.ThreadLVTs = make([]float64, d.rs.cfg.Threads)
+	var hits, misses uint64
+	queued := 0
+	for w := 0; w < d.workers; w++ {
+		resp := b.roundTrip(w, dist.OpSeriesProbe)
+		if b.err != nil {
+			return
+		}
+		for i, pr := range resp.Probes {
+			pt.ThreadLVTs[w*d.threadsPer+i] = pr.LVT
+			queued += pr.Queued
+			hits += pr.PoolHits
+			misses += pr.PoolMisses
+		}
+	}
+	tw.FinishSeriesPoint(&pt, queued, hits, misses)
+	d.segPoints = append(d.segPoints, pt)
+}
+
+// failed reports a transport failure, which voids the segment attempt
+// whatever the machine concluded.
+func (d *distRun) failed() error { return d.bridge.err }
 
 // initWorkers (re)dials lost workers and initializes every shard for
 // the coming segment. A redialed worker restores from its per-shard
@@ -521,20 +331,21 @@ func (d *distRun) initWorkers(reg *telemetry.Registry, segState *tw.EngineState)
 // where. The victim and crash point derive from the cache key and
 // attempt number, so a run is reproducible given the same options; the
 // final permitted attempt never crashes.
-func (d *distRun) planCrash(endTime float64) (armed bool, victim int, crashAt float64) {
+func (d *distRun) planCrash() {
+	d.crashArmed = false
 	if d.crashes == nil || d.attempt >= d.maxAttempts {
-		return false, 0, 0
+		return
 	}
 	crash, frac := d.crashes.Plan(d.key, d.attempt)
 	if !crash {
-		return false, 0, 0
+		return
 	}
 	h := fnv.New64a()
 	io.WriteString(h, d.key)
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(d.attempt))
 	h.Write(buf[:])
-	return true, int(h.Sum64() % uint64(d.workers)), frac * endTime
+	d.crashArmed, d.victim, d.crashAt = true, int(h.Sum64()%uint64(d.workers)), frac*d.rs.cfg.EndTime
 }
 
 // markLost closes and forgets a worker connection and downgrades the
@@ -600,78 +411,35 @@ func shardStateFor(est *tw.EngineState, lo, hi int) *tw.EngineState {
 	return &out
 }
 
-// boundary commits a paused segment: distributed quiesce and capture,
-// worker metrics folded into the coordinator registry, the standard
-// snapshot round-trip, and per-shard checkpoint files alongside the
-// full snapshot.
-func (d *distRun) boundary(seg *segment, b *remoteBridge) error {
-	rs := d.rs
-	est, err := d.captureDistributed(seg, b)
-	if err != nil {
-		return err
-	}
-	if err := d.foldWorkerMetrics(seg, b); err != nil {
-		return err
-	}
-	seg.eng.FlushPoolStats()
-	if rs.series != nil {
-		for _, pt := range d.segPoints {
-			rs.series.Append(pt)
-		}
-	}
-	d.segPoints = d.segPoints[:0]
-	if err := rs.persistAndReload(seg, est); err != nil {
-		return err
-	}
-	if dir := rs.cfg.Checkpoint.Dir; dir != "" {
-		if err := d.writeShardFiles(dir, est); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// captureDistributed reproduces the in-process quiesce/capture cycle
-// across workers: the three quiesce stages loop over workers in peer
-// order with outbox relays between passes (an interleaving identical
-// to the in-process fixpoint), then each shard's capture overlays into
-// one full-width EngineState under the coordinator's master scalars.
-func (d *distRun) captureDistributed(seg *segment, b *remoteBridge) (*tw.EngineState, error) {
-	for {
-		progress := false
-		for w := 0; w < d.workers; w++ {
-			resp := b.roundTrip(w, &dist.OpRequest{Op: dist.OpQuiescePass}, nil, true)
-			if b.err != nil {
-				return nil, b.err
-			}
-			if resp.Flag {
-				progress = true
+// capture replaces eng.Capture at a checkpoint boundary. It reproduces
+// the in-process quiesce/capture cycle across workers: the three
+// quiesce stages loop over workers in peer order with outbox relays
+// between passes (an interleaving identical to the in-process
+// fixpoint), then each shard's capture overlays into one full-width
+// EngineState under the coordinator's master scalars. The workers'
+// metrics fold into the coordinator registry before the snapshot
+// exports it.
+func (d *distRun) capture(seg *segment) (*tw.EngineState, error) {
+	b := d.bridge
+	// untilQuiet repeats a quiesce stage over every worker until a full
+	// pass makes no progress.
+	untilQuiet := func(op dist.OpCode) {
+		for progress := true; progress && b.err == nil; {
+			progress = false
+			for w := 0; w < d.workers; w++ {
+				if b.roundTrip(w, op).Flag {
+					progress = true
+				}
 			}
 		}
-		if !progress {
-			break
-		}
 	}
+	untilQuiet(dist.OpQuiescePass)
 	for w := 0; w < d.workers; w++ {
-		b.roundTrip(w, &dist.OpRequest{Op: dist.OpQuiesceDump}, nil, true)
-		if b.err != nil {
-			return nil, b.err
-		}
+		b.roundTrip(w, dist.OpQuiesceDump)
 	}
-	for {
-		progress := false
-		for w := 0; w < d.workers; w++ {
-			resp := b.roundTrip(w, &dist.OpRequest{Op: dist.OpQuiesceFlush}, nil, true)
-			if b.err != nil {
-				return nil, b.err
-			}
-			if resp.Flag {
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
+	untilQuiet(dist.OpQuiesceFlush)
+	if b.err != nil {
+		return nil, b.err
 	}
 	if n := seg.eng.UncommittedEvents(); n != 0 {
 		return nil, fmt.Errorf("ggpdes: distributed quiesce left %d uncommitted events", n)
@@ -686,11 +454,10 @@ func (d *distRun) captureDistributed(seg *segment, b *remoteBridge) (*tw.EngineS
 		PeerStats:       make([]tw.PeerStats, d.rs.cfg.Threads),
 	}
 	for w := 0; w < d.workers; w++ {
-		resp := b.roundTrip(w, &dist.OpRequest{Op: dist.OpCaptureShard}, nil, true)
+		sh := b.roundTrip(w, dist.OpCaptureShard).Shard
 		if b.err != nil {
 			return nil, b.err
 		}
-		sh := resp.Shard
 		if sh == nil {
 			return nil, fmt.Errorf("ggpdes: worker %d returned no shard capture", w)
 		}
@@ -702,31 +469,45 @@ func (d *distRun) captureDistributed(seg *segment, b *remoteBridge) (*tw.EngineS
 	for i, p := range seg.eng.Peers() {
 		est.PeerStats[i] = p.Stats
 	}
-	return est, nil
+	return est, d.foldWorkerMetrics(seg)
+}
+
+// committed runs after a boundary's snapshot round-trip: the boundary
+// is durable, so the segment's series points commit and each worker's
+// slice of the checkpoint is written next to the full snapshot.
+func (d *distRun) committed(est *tw.EngineState) error {
+	d.commitPoints()
+	if dir := d.rs.cfg.Checkpoint.Dir; dir != "" {
+		return d.writeShardFiles(dir, est)
+	}
+	return nil
+}
+
+// commitPoints moves the completed segment's buffered series points
+// into the run's series.
+func (d *distRun) commitPoints() {
+	for _, pt := range d.segPoints {
+		d.rs.series.Append(pt)
+	}
+	d.segPoints = d.segPoints[:0]
 }
 
 // foldWorkerMetrics flushes worker pools and imports every worker
 // registry into the coordinator's, in worker order, then re-asserts
 // the master peak gauge (gauge import is last-wins; only the
 // coordinator's peak is globally correct).
-func (d *distRun) foldWorkerMetrics(seg *segment, b *remoteBridge) error {
+func (d *distRun) foldWorkerMetrics(seg *segment) error {
+	b := d.bridge
 	for w := 0; w < d.workers; w++ {
-		b.roundTrip(w, &dist.OpRequest{Op: dist.OpFlushPoolStats}, nil, true)
-		if b.err != nil {
-			return b.err
-		}
+		b.roundTrip(w, dist.OpFlushPoolStats)
 	}
 	for w := 0; w < d.workers; w++ {
-		resp := b.roundTrip(w, &dist.OpRequest{Op: dist.OpMetrics}, nil, true)
-		if b.err != nil {
-			return b.err
-		}
-		if resp.Metrics != nil {
-			seg.reg.Import(*resp.Metrics)
+		if m := b.roundTrip(w, dist.OpMetrics).Metrics; m != nil {
+			seg.reg.Import(*m)
 		}
 	}
 	seg.reg.Gauge(tw.MetricUncommittedPeak).Set(float64(seg.eng.PeakUncommittedEvents()))
-	return nil
+	return b.err
 }
 
 // writeShardFiles persists each worker's slice of the just-committed
@@ -757,55 +538,43 @@ func (d *distRun) writeShardFiles(dir string, est *tw.EngineState) error {
 	return nil
 }
 
-// finish runs the end-of-run sweep — worker invariants, pool flushes,
-// metrics imports — shuts the workers down and assembles Results via
-// the shared in-process path.
-func (d *distRun) finish(seg *segment, b *remoteBridge) (*Results, error) {
-	rs := d.rs
+// finishing runs before Results are assembled: the end-of-run sweep —
+// worker invariants, pool flushes, metrics imports — after which the
+// workers are shut down and Results come from the coordinator's state
+// alone.
+func (d *distRun) finishing(seg *segment) error {
+	b := d.bridge
 	for w := 0; w < d.workers; w++ {
-		b.roundTrip(w, &dist.OpRequest{Op: dist.OpCheckInvariants}, nil, true)
-		if b.err != nil {
-			if dist.IsRemote(b.err) {
-				return nil, fmt.Errorf("ggpdes: engine invariant violated: %w", b.err)
-			}
-			return nil, b.err
-		}
+		b.roundTrip(w, dist.OpCheckInvariants)
 	}
-	if err := d.foldWorkerMetrics(seg, b); err != nil {
-		return nil, err
+	if dist.IsRemote(b.err) {
+		return fmt.Errorf("ggpdes: engine invariant violated: %w", b.err)
 	}
-	if rs.series != nil {
-		for _, pt := range d.segPoints {
-			rs.series.Append(pt)
-		}
+	if err := d.foldWorkerMetrics(seg); err != nil {
+		return err
 	}
-	d.segPoints = nil
+	d.commitPoints()
 	d.shutdownWorkers()
-	return rs.finish(seg)
+	return nil
 }
 
-// remoteBridge is the coordinator's tw.RemoteTransport. In the default
-// batched mode, consecutive operations against the same worker coalesce
-// into one frame (the fused methods), pure reads repeat from a
-// coordinator-side cache, and cross-shard relays queue until the next
-// frame to their destination — all without changing the order in which
-// the worker observes mutations, so the trajectory stays byte-identical
-// to the synchronous plane. With NoBatch every operation is one
-// synchronous JSON round trip (the PR7 wire). Either way each call
-// threads the engine-global envelope, mirrors worker peer statistics,
-// relays cross-shard traffic and charges the caller's simulated CPU;
-// a transport failure cancels the machine and feeds inert results
-// until the run loop observes the error.
+// remoteBridge is the coordinator's tw.RemoteTransport. Consecutive
+// operations against the same worker coalesce into one binary frame
+// (the fused methods), pure reads repeat from a coordinator-side cache,
+// and cross-shard relays queue until the next frame to their
+// destination — all without changing the order in which the worker
+// observes mutations, so the trajectory stays byte-identical to one
+// round trip per operation. Each frame threads the engine-global
+// envelope, mirrors worker peer statistics, queues cross-shard traffic
+// and charges the caller's simulated CPU; a transport failure cancels
+// the machine and feeds inert results until the run loop observes the
+// error.
 type remoteBridge struct {
-	d       *distRun
-	eng     *tw.Engine
-	clients []*dist.Client
-	cancel  context.CancelCauseFunc
-	err     error
+	d   *distRun
+	eng *tw.Engine
+	err error
 
-	batch    bool      // op coalescing + read cache + deferred relays
-	wire     dist.Wire // hot-path frame encoding (batched mode only)
-	prefetch bool      // piggyback HasExecutableWork on DrainProcess
+	prefetch bool // piggyback HasExecutableWork on DrainProcess
 
 	// pending holds queued cross-shard relays per destination worker;
 	// they ride at the head of the next frame to that worker, so the
@@ -820,14 +589,27 @@ type remoteBridge struct {
 	ops  []dist.OpRequest // scratch: frame ops with inject flush prepended
 }
 
-// Cache validity bits, one per cached read kind.
+// readKind indexes the cached pure per-peer reads.
+type readKind uint8
+
 const (
-	ckHasWork = 1 << iota
-	ckHasExec
-	ckInputSize
-	ckRemoteMin
-	ckPeekMinSent
+	readHasWork readKind = iota
+	readHasExec
+	readInputSize
+	readRemoteMin
+	readPeekMinSent
+	numReadKinds
 )
+
+// readOps is each cached read's wire op; the one table both directions
+// (read → op to send, op → entry to fill) go through.
+var readOps = [numReadKinds]dist.OpCode{
+	readHasWork:     dist.OpHasWork,
+	readHasExec:     dist.OpHasExecWork,
+	readInputSize:   dist.OpInputSize,
+	readRemoteMin:   dist.OpRemoteMin,
+	readPeekMinSent: dist.OpPeekMinSent,
+}
 
 // readCache memoizes one worker's pure per-peer reads between
 // mutations. Every entry is filled from an actual wire read — the
@@ -837,81 +619,89 @@ const (
 // horizon, so its entries are GVT-stamped and only served at the same
 // GVT they were read at.
 type readCache struct {
-	valid      []uint8
-	hasWork    []bool
-	hasExec    []bool
+	valid      []uint8 // per peer: bit k set means vals[k] is current
+	vals       [numReadKinds][]dist.OpResult
 	hasExecGVT []tw.VT
-	inputSize  []int
-	remoteMin  []tw.VT
-	peekMin    []tw.VT
 }
 
 func newReadCache(n int) readCache {
-	return readCache{
-		valid:      make([]uint8, n),
-		hasWork:    make([]bool, n),
-		hasExec:    make([]bool, n),
-		hasExecGVT: make([]tw.VT, n),
-		inputSize:  make([]int, n),
-		remoteMin:  make([]tw.VT, n),
-		peekMin:    make([]tw.VT, n),
+	c := readCache{valid: make([]uint8, n), hasExecGVT: make([]tw.VT, n)}
+	for k := range c.vals {
+		c.vals[k] = make([]dist.OpResult, n)
 	}
+	return c
 }
 
 // invalidate drops every cached read for worker w.
 func (b *remoteBridge) invalidate(w int) {
-	c := &b.cache[w]
-	for i := range c.valid {
-		c.valid[i] = 0
+	clear(b.cache[w].valid)
+}
+
+// fill caches op's result for worker w when op is one of the cached
+// reads; mutating ops cache nothing.
+func (b *remoteBridge) fill(w int, op *dist.OpRequest, r *dist.OpResult) {
+	for k, read := range readOps {
+		if read != op.Op {
+			continue
+		}
+		c, idx := &b.cache[w], op.Peer%b.d.threadsPer
+		c.vals[k][idx] = *r
+		c.valid[idx] |= 1 << k
+		if readKind(k) == readHasExec {
+			c.hasExecGVT[idx] = b.eng.GVT()
+		}
+		return
 	}
 }
 
-// fill caches one read result for worker w.
-func (b *remoteBridge) fill(w int, op *dist.OpRequest, r *dist.OpResult) {
-	c := &b.cache[w]
-	idx := op.Peer % b.d.threadsPer
-	switch op.Op {
-	case dist.OpHasWork:
-		c.hasWork[idx] = r.Flag
-		c.valid[idx] |= ckHasWork
-	case dist.OpHasExecWork:
-		c.hasExec[idx], c.hasExecGVT[idx] = r.Flag, b.eng.GVT()
-		c.valid[idx] |= ckHasExec
-	case dist.OpInputSize:
-		c.inputSize[idx] = r.N
-		c.valid[idx] |= ckInputSize
-	case dist.OpRemoteMin:
-		c.remoteMin[idx] = tw.VT(r.VT)
-		c.valid[idx] |= ckRemoteMin
-	case dist.OpPeekMinSent:
-		c.peekMin[idx] = tw.VT(r.VT)
-		c.valid[idx] |= ckPeekMinSent
-	case dist.OpDrain, dist.OpProcessBatch, dist.OpLocalMin,
-		dist.OpTakeMinSent, dist.OpFossilCollect, dist.OpInject,
-		dist.OpQuiescePass, dist.OpQuiesceDump, dist.OpQuiesceFlush,
-		dist.OpCaptureShard, dist.OpCheckInvariants, dist.OpFlushPoolStats,
-		dist.OpMetrics, dist.OpSeriesProbe:
-		// Mutating and unbatched ops cache nothing.
+// cached returns peer's memoized read of kind k, if still good.
+func (b *remoteBridge) cached(k readKind, peer int) (dist.OpResult, bool) {
+	c, idx := &b.cache[peer/b.d.threadsPer], peer%b.d.threadsPer
+	if c.valid[idx]&(1<<k) == 0 || (k == readHasExec && c.hasExecGVT[idx] != b.eng.GVT()) {
+		return dist.OpResult{}, false
 	}
+	return c.vals[k][idx], true
+}
+
+// read answers a pure per-peer read from the cache, or over the wire
+// (which refills the cache) on a miss.
+func (b *remoteBridge) read(k readKind, peer int) dist.OpResult {
+	if r, ok := b.cached(k, peer); ok {
+		b.readsCached.Inc()
+		return r
+	}
+	return b.frame(peer, nil, readOps[k])[0]
 }
 
 func (b *remoteBridge) fail(w int, err error) {
 	if b.err == nil {
 		b.err = err
-		if b.cancel != nil {
-			b.cancel(err)
-		}
+		b.d.cancel(err)
 	}
 	if !dist.IsRemote(err) {
 		b.d.markLost(w)
 	}
 }
 
-// inertResponse is what a failed transport hands back: zero counts,
-// false flags, and +Inf virtual times, so the GVT layer winds the run
-// down monotonically while cancellation propagates.
-func inertResponse() *dist.OpResponse {
-	return &dist.OpResponse{VT: dist.WireVT(math.Inf(1))}
+// mirror installs a reply's engine-global envelope and shard peer
+// statistics on the coordinator's engine; a reply missing either fails
+// the transport.
+func (b *remoteBridge) mirror(w int, env *tw.Envelope, stats []tw.PeerStats) bool {
+	if env == nil || len(stats) != b.d.threadsPer {
+		b.fail(w, fmt.Errorf("%w: malformed response from worker %d", dist.ErrWorkerLost, w))
+		return false
+	}
+	b.eng.ApplyEnvelope(*env)
+	lo := w * b.d.threadsPer
+	for i, s := range stats {
+		p := b.eng.Peer(lo + i)
+		// GVT accounting is coordinator-side (the gvt layer charges
+		// hollow peers directly); worker copies are stale zeros.
+		gc, gr := p.Stats.GVTCycles, p.Stats.GVTRounds
+		p.Stats = s
+		p.Stats.GVTCycles, p.Stats.GVTRounds = gc, gr
+	}
+	return true
 }
 
 // sendOps ships one coalesced frame to worker w: any queued inject
@@ -921,7 +711,9 @@ func inertResponse() *dist.OpResponse {
 // mirror onto cpu in op order, pure reads refill the cache (after any
 // mutation in the frame invalidates it), and the worker's outbox is
 // queued toward its destinations. Returns one result per op; inert
-// results after a failure.
+// results — zero counts, false flags, +Inf virtual times, so the GVT
+// layer winds the run down monotonically while cancellation propagates
+// — after a failure.
 func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.OpResult {
 	inert := func() []dist.OpResult {
 		out := make([]dist.OpResult, len(ops))
@@ -945,7 +737,7 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 		env := b.eng.EnvelopeOut()
 		m.Env = &env
 	}
-	reply, err := b.clients[w].CallBatch(b.wire, &m)
+	reply, err := b.d.clients[w].CallBatch(&m)
 	if head == 1 {
 		b.pending[w] = b.pending[w][:0]
 	}
@@ -958,21 +750,8 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 			dist.ErrWorkerLost, len(reply.Results), len(m.Ops), w))
 		return inert()
 	}
-	if m.Env != nil {
-		if reply.Env == nil || len(reply.Stats) != b.d.threadsPer {
-			b.fail(w, fmt.Errorf("%w: malformed batch response from worker %d", dist.ErrWorkerLost, w))
-			return inert()
-		}
-		b.eng.ApplyEnvelope(*reply.Env)
-		lo := w * b.d.threadsPer
-		for i, s := range reply.Stats {
-			p := b.eng.Peer(lo + i)
-			// GVT accounting is coordinator-side (the gvt layer charges
-			// hollow peers directly); worker copies are stale zeros.
-			gc, gr := p.Stats.GVTCycles, p.Stats.GVTRounds
-			p.Stats = s
-			p.Stats.GVTCycles, p.Stats.GVTRounds = gc, gr
-		}
+	if m.Env != nil && !b.mirror(w, reply.Env, reply.Stats) {
+		return inert()
 	}
 	mutated := head == 1
 	for i := range ops {
@@ -991,93 +770,44 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 		}
 		b.fill(w, &ops[i], r)
 	}
-	if len(reply.Outbox) > 0 {
-		b.relay(reply.Outbox)
-	}
+	b.relay(reply.Outbox)
 	return results
 }
 
-// flushInjects drains worker w's queued inject relays as one
-// envelope-less frame before a non-batchable round trip.
-func (b *remoteBridge) flushInjects(w int) {
+// roundTrip performs one control op (quiesce, capture, invariants,
+// metrics, probes) against worker w as a JSON KindOp frame, threading
+// the engine envelope both ways. Queued injects flush first so the
+// worker sees them in order, and mutating ops invalidate the read
+// cache. After a failure the response is empty and b.err is set.
+func (b *remoteBridge) roundTrip(w int, op dist.OpCode) *dist.OpResponse {
 	if len(b.pending[w]) > 0 {
 		b.sendOps(w, nil, nil)
 	}
-}
-
-// batchOne ships a single op as its own frame (still the batched data
-// plane: binary encoding, inject flush, cache refill).
-func (b *remoteBridge) batchOne(req dist.OpRequest, cpu tw.CPU) dist.OpResult {
-	b.reqs = append(b.reqs[:0], req)
-	return b.sendOps(req.Peer/b.d.threadsPer, b.reqs, cpu)[0]
-}
-
-// roundTrip performs one forwarded operation against worker w. With
-// envelope set, the coordinator's engine-global scalars thread through
-// the call and the worker's updated scalars and peer statistics are
-// mirrored back; OpInject is the one envelope-less operation. In
-// batched mode this is the non-batchable-op path (quiesce, capture,
-// metrics, probes): queued injects flush first so the worker sees them
-// in order, and mutating ops invalidate the read cache.
-func (b *remoteBridge) roundTrip(w int, req *dist.OpRequest, cpu tw.CPU, envelope bool) *dist.OpResponse {
 	if b.err != nil {
-		return inertResponse()
+		return &dist.OpResponse{}
 	}
-	if b.batch {
-		b.flushInjects(w)
-		if b.err != nil {
-			return inertResponse()
-		}
-		if !dist.PureRead(req.Op) {
-			b.invalidate(w)
-		}
+	if !dist.PureRead(op) {
+		b.invalidate(w)
 	}
-	if envelope {
-		env := b.eng.EnvelopeOut()
-		req.Env = &env
-	}
+	env := b.eng.EnvelopeOut()
 	var resp dist.OpResponse
-	if err := b.clients[w].Call(dist.KindOp, req, &resp); err != nil {
+	if err := b.d.clients[w].Call(dist.KindOp, &dist.OpRequest{Op: op, Env: &env}, &resp); err != nil {
 		b.fail(w, err)
-		return inertResponse()
+		return &dist.OpResponse{}
 	}
-	if envelope {
-		if resp.Env == nil || len(resp.Stats) != b.d.threadsPer {
-			b.fail(w, fmt.Errorf("%w: malformed %v response from worker %d", dist.ErrWorkerLost, req.Op, w))
-			return inertResponse()
-		}
-		b.eng.ApplyEnvelope(*resp.Env)
-		lo := w * b.d.threadsPer
-		for i, s := range resp.Stats {
-			p := b.eng.Peer(lo + i)
-			// GVT accounting is coordinator-side (the gvt layer charges
-			// hollow peers directly); worker copies are stale zeros.
-			gc, gr := p.Stats.GVTCycles, p.Stats.GVTRounds
-			p.Stats = s
-			p.Stats.GVTCycles, p.Stats.GVTRounds = gc, gr
-		}
+	if !b.mirror(w, resp.Env, resp.Stats) {
+		return &dist.OpResponse{}
 	}
-	if len(resp.Outbox) > 0 {
-		b.relay(resp.Outbox)
-		if b.err != nil {
-			return inertResponse()
-		}
-	}
-	if cpu != nil && resp.Worked {
-		cpu.Work(resp.Cycles)
-	}
+	b.relay(resp.Outbox)
 	return &resp
 }
 
-// relay forwards cross-shard wire events to their destination workers
-// in production order, batching maximal runs with the same destination
-// into one OpInject. In batched mode the run is queued and delivered at
-// the head of the next frame to that worker — since only per-
-// destination order is observable (each worker sees its own input
-// stream), deferring delivery to the moment before the worker next
-// acts is indistinguishable from immediate delivery. In synchronous
-// mode the inject is its own round trip, completing before the next
-// forwarded operation.
+// relay queues cross-shard wire events toward their destination workers
+// in production order; each run is delivered at the head of the next
+// frame to its worker. Since only per-destination order is observable
+// (each worker sees its own input stream), deferring delivery to the
+// moment before the worker next acts is indistinguishable from
+// immediate delivery.
 func (b *remoteBridge) relay(events []tw.WireEvent) {
 	lps := b.eng.LPs()
 	for i := 0; i < len(events); {
@@ -1086,131 +816,63 @@ func (b *remoteBridge) relay(events []tw.WireEvent) {
 		for j < len(events) && lps[events[j].Dst].Owner/b.d.threadsPer == w {
 			j++
 		}
-		run := events[i:j]
-		if b.batch {
-			b.pending[w] = append(b.pending[w], run...)
-			b.invalidate(w)
-		} else {
-			b.roundTrip(w, &dist.OpRequest{Op: dist.OpInject, Events: run}, nil, false)
-			if b.err != nil {
-				return
-			}
-		}
-		b.clients[w].CountRelayed(run)
+		b.pending[w] = append(b.pending[w], events[i:j]...)
+		b.invalidate(w)
+		b.d.clients[w].CountRelayed(events[i:j])
 		i = j
 	}
 }
 
-func (b *remoteBridge) opPeer(peer int, req *dist.OpRequest, cpu tw.CPU) *dist.OpResponse {
-	req.Peer = peer
-	return b.roundTrip(peer/b.d.threadsPer, req, cpu, true)
-}
-
 // InputSize implements tw.RemoteTransport.
-func (b *remoteBridge) InputSize(peer int) int {
-	if b.batch {
-		w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-		if c := &b.cache[w]; c.valid[idx]&ckInputSize != 0 {
-			b.readsCached.Inc()
-			return c.inputSize[idx]
-		}
-		return b.batchOne(dist.OpRequest{Op: dist.OpInputSize, Peer: peer}, nil).N
-	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpInputSize}, nil).N
-}
+func (b *remoteBridge) InputSize(peer int) int { return b.read(readInputSize, peer).N }
 
 // HasWork implements tw.RemoteTransport.
-func (b *remoteBridge) HasWork(peer int) bool {
-	if b.batch {
-		w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-		if c := &b.cache[w]; c.valid[idx]&ckHasWork != 0 {
-			b.readsCached.Inc()
-			return c.hasWork[idx]
-		}
-		return b.batchOne(dist.OpRequest{Op: dist.OpHasWork, Peer: peer}, nil).Flag
-	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpHasWork}, nil).Flag
-}
+func (b *remoteBridge) HasWork(peer int) bool { return b.read(readHasWork, peer).Flag }
 
 // HasExecutableWork implements tw.RemoteTransport. Cached entries are
 // only good at the GVT horizon they were read at.
-func (b *remoteBridge) HasExecutableWork(peer int) bool {
-	if b.batch {
-		w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-		if c := &b.cache[w]; c.valid[idx]&ckHasExec != 0 && c.hasExecGVT[idx] == b.eng.GVT() {
-			b.readsCached.Inc()
-			return c.hasExec[idx]
-		}
-		return b.batchOne(dist.OpRequest{Op: dist.OpHasExecWork, Peer: peer}, nil).Flag
-	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpHasExecWork}, nil).Flag
-}
+func (b *remoteBridge) HasExecutableWork(peer int) bool { return b.read(readHasExec, peer).Flag }
+
+// RemoteMin implements tw.RemoteTransport.
+func (b *remoteBridge) RemoteMin(peer int) tw.VT { return tw.VT(b.read(readRemoteMin, peer).VT) }
+
+// PeekMinSent implements tw.RemoteTransport.
+func (b *remoteBridge) PeekMinSent(peer int) tw.VT { return tw.VT(b.read(readPeekMinSent, peer).VT) }
 
 // Drain implements tw.RemoteTransport.
 func (b *remoteBridge) Drain(peer int, cpu tw.CPU) int {
-	if b.batch {
-		return b.batchOne(dist.OpRequest{Op: dist.OpDrain, Peer: peer}, cpu).N
-	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpDrain}, cpu).N
+	return b.frame(peer, cpu, dist.OpDrain)[0].N
 }
 
 // ProcessBatch implements tw.RemoteTransport.
 func (b *remoteBridge) ProcessBatch(peer int, cpu tw.CPU) int {
-	if b.batch {
-		return b.batchOne(dist.OpRequest{Op: dist.OpProcessBatch, Peer: peer}, cpu).N
-	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpProcessBatch}, cpu).N
+	return b.frame(peer, cpu, dist.OpProcessBatch)[0].N
 }
 
 // LocalMin implements tw.RemoteTransport. Never cached: it charges the
 // caller's simulated CPU, so every call must reach the worker.
 func (b *remoteBridge) LocalMin(peer int, cpu tw.CPU) tw.VT {
-	if b.batch {
-		return tw.VT(b.batchOne(dist.OpRequest{Op: dist.OpLocalMin, Peer: peer}, cpu).VT)
-	}
-	return tw.VT(b.opPeer(peer, &dist.OpRequest{Op: dist.OpLocalMin}, cpu).VT)
-}
-
-// RemoteMin implements tw.RemoteTransport.
-func (b *remoteBridge) RemoteMin(peer int) tw.VT {
-	if b.batch {
-		w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-		if c := &b.cache[w]; c.valid[idx]&ckRemoteMin != 0 {
-			b.readsCached.Inc()
-			return c.remoteMin[idx]
-		}
-		return tw.VT(b.batchOne(dist.OpRequest{Op: dist.OpRemoteMin, Peer: peer}, nil).VT)
-	}
-	return tw.VT(b.opPeer(peer, &dist.OpRequest{Op: dist.OpRemoteMin}, nil).VT)
+	return tw.VT(b.frame(peer, cpu, dist.OpLocalMin)[0].VT)
 }
 
 // TakeMinSent implements tw.RemoteTransport.
 func (b *remoteBridge) TakeMinSent(peer int) tw.VT {
-	if b.batch {
-		return tw.VT(b.batchOne(dist.OpRequest{Op: dist.OpTakeMinSent, Peer: peer}, nil).VT)
-	}
-	return tw.VT(b.opPeer(peer, &dist.OpRequest{Op: dist.OpTakeMinSent}, nil).VT)
-}
-
-// PeekMinSent implements tw.RemoteTransport.
-func (b *remoteBridge) PeekMinSent(peer int) tw.VT {
-	if b.batch {
-		w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-		if c := &b.cache[w]; c.valid[idx]&ckPeekMinSent != 0 {
-			b.readsCached.Inc()
-			return c.peekMin[idx]
-		}
-		return tw.VT(b.batchOne(dist.OpRequest{Op: dist.OpPeekMinSent, Peer: peer}, nil).VT)
-	}
-	return tw.VT(b.opPeer(peer, &dist.OpRequest{Op: dist.OpPeekMinSent}, nil).VT)
+	return tw.VT(b.frame(peer, nil, dist.OpTakeMinSent)[0].VT)
 }
 
 // FossilCollect implements tw.RemoteTransport.
 func (b *remoteBridge) FossilCollect(peer int, cpu tw.CPU, gvtAt tw.VT) int {
-	if b.batch {
-		return b.batchOne(dist.OpRequest{Op: dist.OpFossilCollect, Peer: peer, GVT: dist.WireVT(gvtAt)}, cpu).N
+	b.reqs = append(b.reqs[:0], dist.OpRequest{Op: dist.OpFossilCollect, Peer: peer, GVT: dist.WireVT(gvtAt)})
+	return b.sendOps(peer/b.d.threadsPer, b.reqs, cpu)[0].N
+}
+
+// frame ships ops against one peer as one coalesced frame.
+func (b *remoteBridge) frame(peer int, cpu tw.CPU, ops ...dist.OpCode) []dist.OpResult {
+	b.reqs = b.reqs[:0]
+	for _, op := range ops {
+		b.reqs = append(b.reqs, dist.OpRequest{Op: op, Peer: peer})
 	}
-	return b.opPeer(peer, &dist.OpRequest{Op: dist.OpFossilCollect, GVT: dist.WireVT(gvtAt)}, cpu).N
+	return b.sendOps(peer/b.d.threadsPer, b.reqs, cpu)
 }
 
 // DrainProcess implements tw.RemoteTransport: the scheduler hot loop's
@@ -1218,45 +880,26 @@ func (b *remoteBridge) FossilCollect(peer int, cpu tw.CPU, gvtAt tw.VT) int {
 // HasExecutableWork immediately after (gg/dd ReadMessageCount), a
 // prefetch of it rides along and lands in the cache.
 func (b *remoteBridge) DrainProcess(peer int, cpu tw.CPU) (int, int) {
-	if !b.batch {
-		return b.Drain(peer, cpu), b.ProcessBatch(peer, cpu)
-	}
-	b.reqs = append(b.reqs[:0],
-		dist.OpRequest{Op: dist.OpDrain, Peer: peer},
-		dist.OpRequest{Op: dist.OpProcessBatch, Peer: peer},
-	)
+	var rs []dist.OpResult
 	if b.prefetch {
-		b.reqs = append(b.reqs, dist.OpRequest{Op: dist.OpHasExecWork, Peer: peer})
+		rs = b.frame(peer, cpu, dist.OpDrain, dist.OpProcessBatch, dist.OpHasExecWork)
+	} else {
+		rs = b.frame(peer, cpu, dist.OpDrain, dist.OpProcessBatch)
 	}
-	rs := b.sendOps(peer/b.d.threadsPer, b.reqs, cpu)
 	return rs[0].N, rs[1].N
 }
 
 // DrainLocalMin implements tw.RemoteTransport: the barrier GVT's
 // Drain+LocalMin pair as one frame.
 func (b *remoteBridge) DrainLocalMin(peer int, cpu tw.CPU) (int, tw.VT) {
-	if !b.batch {
-		return b.Drain(peer, cpu), b.LocalMin(peer, cpu)
-	}
-	b.reqs = append(b.reqs[:0],
-		dist.OpRequest{Op: dist.OpDrain, Peer: peer},
-		dist.OpRequest{Op: dist.OpLocalMin, Peer: peer},
-	)
-	rs := b.sendOps(peer/b.d.threadsPer, b.reqs, cpu)
+	rs := b.frame(peer, cpu, dist.OpDrain, dist.OpLocalMin)
 	return rs[0].N, tw.VT(rs[1].VT)
 }
 
 // CutMins implements tw.RemoteTransport: the wait-free GVT send cut's
 // TakeMinSent+LocalMin pair as one frame.
 func (b *remoteBridge) CutMins(peer int, cpu tw.CPU) (tw.VT, tw.VT) {
-	if !b.batch {
-		return b.TakeMinSent(peer), b.LocalMin(peer, cpu)
-	}
-	b.reqs = append(b.reqs[:0],
-		dist.OpRequest{Op: dist.OpTakeMinSent, Peer: peer},
-		dist.OpRequest{Op: dist.OpLocalMin, Peer: peer},
-	)
-	rs := b.sendOps(peer/b.d.threadsPer, b.reqs, cpu)
+	rs := b.frame(peer, cpu, dist.OpTakeMinSent, dist.OpLocalMin)
 	return tw.VT(rs[0].VT), tw.VT(rs[1].VT)
 }
 
@@ -1265,18 +908,12 @@ func (b *remoteBridge) CutMins(peer int, cpu tw.CPU) (tw.VT, tw.VT) {
 // straight from the cache — the common case when many cutless threads
 // scan the same peers in one reduction.
 func (b *remoteBridge) ScanMins(peer int) (tw.VT, tw.VT) {
-	if !b.batch {
-		return b.RemoteMin(peer), b.PeekMinSent(peer)
-	}
-	w, idx := peer/b.d.threadsPer, peer%b.d.threadsPer
-	if c := &b.cache[w]; c.valid[idx]&ckRemoteMin != 0 && c.valid[idx]&ckPeekMinSent != 0 {
+	remote, okR := b.cached(readRemoteMin, peer)
+	sent, okS := b.cached(readPeekMinSent, peer)
+	if okR && okS {
 		b.readsCached.Add(2)
-		return c.remoteMin[idx], c.peekMin[idx]
+		return tw.VT(remote.VT), tw.VT(sent.VT)
 	}
-	b.reqs = append(b.reqs[:0],
-		dist.OpRequest{Op: dist.OpRemoteMin, Peer: peer},
-		dist.OpRequest{Op: dist.OpPeekMinSent, Peer: peer},
-	)
-	rs := b.sendOps(peer/b.d.threadsPer, b.reqs, nil)
+	rs := b.frame(peer, nil, dist.OpRemoteMin, dist.OpPeekMinSent)
 	return tw.VT(rs[0].VT), tw.VT(rs[1].VT)
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 
 	"ggpdes/internal/dist"
-	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
 )
@@ -76,24 +75,10 @@ func newWorkerShard(init *dist.InitMsg) (*workerShard, error) {
 	if init.Lo < 0 || init.Hi > cfg.Threads || init.Lo >= init.Hi {
 		return nil, fmt.Errorf("peer range [%d, %d) outside threads [0, %d)", init.Lo, init.Hi, cfg.Threads)
 	}
-	model, err := cfg.Model.build(cfg.Threads, cfg.EndTime)
+	reg := telemetry.NewRegistry()
+	twCfg, err := cfg.twConfig(reg)
 	if err != nil {
 		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	twCfg := tw.Config{
-		NumThreads:       cfg.Threads,
-		Model:            model,
-		EndTime:          cfg.EndTime,
-		Seed:             cfg.Seed,
-		BatchSize:        cfg.BatchSize,
-		LPsPerKP:         cfg.LPsPerKP,
-		QueueKind:        pq.Kind(cfg.Queue),
-		StateSaving:      tw.SavePolicy(cfg.StateSaving),
-		LazyCancellation: cfg.LazyCancellation,
-		OptimismWindow:   cfg.OptimismWindow,
-		DisablePooling:   cfg.DisablePooling,
-		Telemetry:        reg,
 	}
 	var eng *tw.Engine
 	if init.State != nil {
@@ -130,72 +115,37 @@ func (ws *workerShard) shardStats() []tw.PeerStats {
 	return out
 }
 
-// execOne executes one batchable operation, recording its result and
-// individual CPU charge. Batches call it per op; single KindOp frames
-// route their batchable codes through it too, so both paths share one
-// execution table.
+// execOne executes one hot-path operation of a batch, recording its
+// result and individual CPU charge.
 func (ws *workerShard) execOne(req *dist.OpRequest, res *dist.OpResult) error {
 	ws.cpu.reset()
+	var p *tw.Peer // every hot-path op but OpInject is peer-scoped
+	if req.Op != dist.OpInject {
+		var err error
+		if p, err = ws.peer(req.Peer); err != nil {
+			return err
+		}
+	}
 	switch req.Op {
 	case dist.OpDrain:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.N = p.Drain(&ws.cpu)
 	case dist.OpProcessBatch:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.N = p.ProcessBatch(&ws.cpu)
 	case dist.OpHasExecWork:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.Flag = p.HasExecutableWork()
 	case dist.OpHasWork:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.Flag = p.HasWork()
 	case dist.OpInputSize:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.N = p.InputSize()
 	case dist.OpLocalMin:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.VT = dist.WireVT(p.LocalMin(&ws.cpu))
 	case dist.OpRemoteMin:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.VT = dist.WireVT(p.RemoteMin())
 	case dist.OpTakeMinSent:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.VT = dist.WireVT(p.TakeMinSent())
 	case dist.OpPeekMinSent:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.VT = dist.WireVT(p.PeekMinSent())
 	case dist.OpFossilCollect:
-		p, err := ws.peer(req.Peer)
-		if err != nil {
-			return err
-		}
 		res.N = p.FossilCollect(&ws.cpu, tw.VT(req.GVT))
 	case dist.OpInject:
 		for _, w := range req.Events {
@@ -206,7 +156,7 @@ func (ws *workerShard) execOne(req *dist.OpRequest, res *dist.OpResult) error {
 	case dist.OpQuiescePass, dist.OpQuiesceDump, dist.OpQuiesceFlush,
 		dist.OpCaptureShard, dist.OpCheckInvariants, dist.OpFlushPoolStats,
 		dist.OpMetrics, dist.OpSeriesProbe:
-		return fmt.Errorf("op %v is not batchable", req.Op)
+		return fmt.Errorf("control op in a batch frame")
 	default:
 		return fmt.Errorf("unknown op code %d", uint8(req.Op))
 	}
@@ -240,27 +190,15 @@ func (ws *workerShard) executeBatch(m *dist.BatchMsg) (*dist.BatchReply, error) 
 	return reply, nil
 }
 
-// handle executes one forwarded operation. The protocol rule is that
-// the response carries Env, Stats and the CPU charge exactly when the
-// request carried an Envelope: OpInject touches no engine-global
-// scalars, and echoing a stale envelope back after it would rewind the
-// coordinator's state.
+// handle executes one control operation. The protocol rule is that the
+// response carries Env and Stats exactly when the request carried an
+// Envelope.
 func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 	if req.Env != nil {
 		ws.eng.ApplyEnvelope(*req.Env)
 	}
-	ws.cpu.reset()
 	resp := &dist.OpResponse{}
 	switch req.Op {
-	case dist.OpDrain, dist.OpProcessBatch, dist.OpHasExecWork,
-		dist.OpHasWork, dist.OpInputSize, dist.OpLocalMin,
-		dist.OpRemoteMin, dist.OpTakeMinSent, dist.OpPeekMinSent,
-		dist.OpFossilCollect, dist.OpInject:
-		var res dist.OpResult
-		if err := ws.execOne(req, &res); err != nil {
-			return nil, err
-		}
-		resp.N, resp.Flag, resp.VT = res.N, res.Flag, res.VT
 	case dist.OpQuiescePass:
 		resp.Flag = ws.eng.QuiescePassShard()
 	case dist.OpQuiesceDump:
@@ -284,6 +222,11 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 		resp.Metrics = &st
 	case dist.OpSeriesProbe:
 		resp.Probes = ws.eng.ProbeShard()
+	case dist.OpDrain, dist.OpProcessBatch, dist.OpHasExecWork,
+		dist.OpHasWork, dist.OpInputSize, dist.OpLocalMin,
+		dist.OpRemoteMin, dist.OpTakeMinSent, dist.OpPeekMinSent,
+		dist.OpFossilCollect, dist.OpInject:
+		return nil, fmt.Errorf("hot-path op outside a batch frame")
 	default:
 		return nil, fmt.Errorf("unknown op code %d", uint8(req.Op))
 	}
@@ -291,7 +234,6 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 		env := ws.eng.EnvelopeOut()
 		resp.Env = &env
 		resp.Stats = ws.shardStats()
-		resp.Cycles, resp.Worked = ws.cpu.cycles, ws.cpu.worked
 	}
 	resp.Outbox = ws.eng.TakeOutbox()
 	return resp, nil
@@ -309,33 +251,80 @@ func ServeWorkerConn(rw io.ReadWriter) error {
 	// binary reply payload and frame scratch buffers. One Write per
 	// response, no per-frame allocations on the hot path.
 	var rbuf, pbuf, fbuf []byte
+	// Every answer helper returns only the failure to write the answer.
 	fail := func(format string, args ...any) error {
 		_, err := dist.WriteMsg(rw, dist.KindError, &dist.ErrorMsg{Error: fmt.Sprintf(format, args...)})
 		return err
 	}
-	writeBinaryReply := func(reply *dist.BatchReply, ops []dist.OpRequest) error {
+	result := func(payload any) error {
+		_, err := dist.WriteMsg(rw, dist.KindResult, payload)
+		return err
+	}
+	batchResult := func(reply *dist.BatchReply, ops []dist.OpRequest) error {
 		payload, err := dist.AppendBatchReply(pbuf[:0], reply, ops)
 		if cap(payload) > cap(pbuf) {
 			pbuf = payload
 		}
 		if err != nil {
-			if werr := fail("encoding batch reply: %v", err); werr != nil {
-				return werr
-			}
-			return nil
+			return fail("encoding batch reply: %v", err)
 		}
 		frame, err := dist.AppendMsg(fbuf[:0], dist.KindResultB, payload)
 		if cap(frame) > cap(fbuf) {
 			fbuf = frame
 		}
 		if err != nil {
-			if werr := fail("framing batch reply: %v", err); werr != nil {
-				return werr
-			}
-			return nil
+			return fail("framing batch reply: %v", err)
 		}
 		_, err = rw.Write(frame)
 		return err
+	}
+	// answer serves one frame; done reports a clean shutdown.
+	answer := func(kind dist.MsgKind, body []byte) (done bool, werr error) {
+		switch kind {
+		case dist.KindInit:
+			var init dist.InitMsg
+			if err := json.Unmarshal(body, &init); err != nil {
+				return false, fail("decoding init: %v", err)
+			}
+			nws, err := newWorkerShard(&init)
+			if err != nil {
+				return false, fail("init: %v", err)
+			}
+			ws = nws
+			return false, result(nil)
+		case dist.KindOp:
+			if ws == nil {
+				return false, fail("op before init")
+			}
+			var req dist.OpRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return false, fail("decoding op: %v", err)
+			}
+			resp, err := ws.handle(&req)
+			if err != nil {
+				return false, fail("%v: %v", req.Op, err)
+			}
+			return false, result(resp)
+		case dist.KindOpsB:
+			if ws == nil {
+				return false, fail("op batch before init")
+			}
+			m, err := dist.DecodeBatch(body)
+			if err != nil {
+				return false, fail("decoding binary batch: %v", err)
+			}
+			reply, err := ws.executeBatch(m)
+			if err != nil {
+				return false, fail("batch: %v", err)
+			}
+			return false, batchResult(reply, m.Ops)
+		case dist.KindShutdown:
+			return true, result(nil)
+		case dist.KindResult, dist.KindResultB, dist.KindError:
+			return false, fail("unexpected %v frame from coordinator", kind)
+		default:
+			return false, fail("unknown frame kind %d", uint8(kind))
+		}
 	}
 	for {
 		kind, body, _, buf, err := dist.ReadMsgBuf(rw, rbuf)
@@ -343,117 +332,8 @@ func ServeWorkerConn(rw io.ReadWriter) error {
 		if err != nil {
 			return fmt.Errorf("ggpdes: worker: reading frame: %w", err)
 		}
-		switch kind {
-		case dist.KindInit:
-			var init dist.InitMsg
-			if err := json.Unmarshal(body, &init); err != nil {
-				if werr := fail("decoding init: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			nws, err := newWorkerShard(&init)
-			if err != nil {
-				if werr := fail("init: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			ws = nws
-			if _, err := dist.WriteMsg(rw, dist.KindResult, nil); err != nil {
-				return err
-			}
-		case dist.KindOp:
-			if ws == nil {
-				if werr := fail("op before init"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			var req dist.OpRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				if werr := fail("decoding op: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			resp, err := ws.handle(&req)
-			if err != nil {
-				if werr := fail("%v: %v", req.Op, err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if _, err := dist.WriteMsg(rw, dist.KindResult, resp); err != nil {
-				return err
-			}
-		case dist.KindOps:
-			if ws == nil {
-				if werr := fail("op batch before init"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			var m dist.BatchMsg
-			if err := json.Unmarshal(body, &m); err != nil {
-				if werr := fail("decoding op batch: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			reply, err := ws.executeBatch(&m)
-			if err != nil {
-				if werr := fail("batch: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if _, err := dist.WriteMsg(rw, dist.KindResult, reply); err != nil {
-				return err
-			}
-		case dist.KindOpsB:
-			if ws == nil {
-				if werr := fail("op batch before init"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			m, err := dist.DecodeBatch(body)
-			if err != nil {
-				if werr := fail("decoding binary batch: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			reply, err := ws.executeBatch(m)
-			if err != nil {
-				if werr := fail("batch: %v", err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := writeBinaryReply(reply, m.Ops); err != nil {
-				return err
-			}
-		case dist.KindShutdown:
-			_, err := dist.WriteMsg(rw, dist.KindResult, nil)
-			return err
-		case dist.KindResult:
-			if werr := fail("unexpected %v frame from coordinator", kind); werr != nil {
-				return werr
-			}
-		case dist.KindResultB:
-			if werr := fail("unexpected %v frame from coordinator", kind); werr != nil {
-				return werr
-			}
-		case dist.KindError:
-			if werr := fail("unexpected %v frame from coordinator", kind); werr != nil {
-				return werr
-			}
-		default:
-			if werr := fail("unknown frame kind %d", uint8(kind)); werr != nil {
-				return werr
-			}
+		if done, werr := answer(kind, body); done || werr != nil {
+			return werr
 		}
 	}
 }

@@ -123,62 +123,36 @@ func (c *Client) Call(kind MsgKind, payload, reply any) error {
 	return nil
 }
 
-// CallBatch ships one coalesced op batch in the selected wire encoding
-// and decodes the reply. The ops slice must outlive the call — binary
+// CallBatch ships one coalesced op batch as a binary KindOpsB frame and
+// decodes the KindResultB reply. The ops slice must outlive the call —
 // replies are decoded positionally against it.
-func (c *Client) CallBatch(wire Wire, m *BatchMsg) (*BatchReply, error) {
-	var kind MsgKind
-	var body []byte
-	var err error
-	switch wire {
-	case WireBinary:
-		kind = KindOpsB
-		body, err = AppendBatch(c.bbuf[:0], m)
-		if cap(body) > cap(c.bbuf) {
-			c.bbuf = body
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dist: encoding batch: %w", err)
-		}
-		if err := c.send(kind, body); err != nil {
-			return nil, err
-		}
-	case WireJSON:
-		kind = KindOps
-		body, err = MarshalBody(kind, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.send(kind, body); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("dist: unknown wire mode %d", uint8(wire))
+func (c *Client) CallBatch(m *BatchMsg) (*BatchReply, error) {
+	body, err := AppendBatch(c.bbuf[:0], m)
+	if cap(body) > cap(c.bbuf) {
+		c.bbuf = body
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dist: encoding batch: %w", err)
+	}
+	if err := c.send(KindOpsB, body); err != nil {
+		return nil, err
 	}
 	c.batches.Inc()
 	if len(m.Ops) > 1 {
 		c.opsCoalesced.Add(uint64(len(m.Ops) - 1))
 	}
-	rk, rbody, err := c.receive(kind)
+	rk, rbody, err := c.receive(KindOpsB)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case wire == WireBinary && rk == KindResultB:
-		reply, err := DecodeBatchReply(rbody, m.Ops)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decoding %v response: %v", ErrWorkerLost, kind, err)
-		}
-		return reply, nil
-	case wire == WireJSON && rk == KindResult:
-		reply := &BatchReply{}
-		if err := json.Unmarshal(rbody, reply); err != nil {
-			return nil, fmt.Errorf("%w: decoding %v response: %v", ErrWorkerLost, kind, err)
-		}
-		return reply, nil
-	default:
-		return nil, fmt.Errorf("%w: %v response to %v", ErrWorkerLost, rk, kind)
+	if rk != KindResultB {
+		return nil, fmt.Errorf("%w: %v response to %v", ErrWorkerLost, rk, KindOpsB)
 	}
+	reply, err := DecodeBatchReply(rbody, m.Ops)
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoding %v response: %v", ErrWorkerLost, KindOpsB, err)
+	}
+	return reply, nil
 }
 
 // CountRelayed books relayed cross-shard traffic into the wire

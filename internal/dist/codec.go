@@ -11,8 +11,8 @@ import (
 // times raw float64 bits — binary floats carry ±Inf natively, so the
 // WireVT string workaround stays a JSON-only concern. Results are
 // encoded positionally: the decoder knows each result's shape from the
-// op list it sent, so results carry no tags. Only Batchable ops have a
-// binary form; everything else travels as single JSON KindOp frames.
+// op list it sent, so results carry no tags. Only the hot-path ops have
+// a binary form; control ops travel as single JSON KindOp frames.
 
 // binVersion guards against coordinator/worker codec skew; bump on any
 // layout change.

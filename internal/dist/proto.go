@@ -6,19 +6,22 @@
 // byte-identical to an in-process run).
 //
 // Framing is a 4-byte big-endian length followed by a 1-byte message
-// kind and a JSON payload. JSON matches the rest of the repo's wire
-// surfaces (configs, checkpoints) and round-trips floats exactly;
-// virtual times that can be +Inf travel as WireVT, a string-encoded
-// float, because bare JSON numbers cannot represent infinity.
+// kind and a payload. There is one data plane. Hot-path operations —
+// drain/process, the GVT minima, fossil collection and cross-shard
+// injects — travel as coalesced binary batches (KindOpsB answered by
+// KindResultB, see codec.go). Control operations — init, quiesce,
+// capture, invariants, metrics, series probes, shutdown — are rare,
+// carry structured payloads that already have JSON codecs, and travel
+// as single JSON frames (KindInit/KindOp/KindShutdown answered by
+// KindResult). JSON round-trips floats exactly and matches the repo's
+// other wire surfaces (configs, checkpoints).
 //
 // The protocol is a strict request/response alternation on one
-// connection: the coordinator sends KindInit once, then KindOp
-// messages, and finally KindShutdown; the worker answers every message
-// with exactly one KindResult or KindError. Synchronous round trips
-// are the point, not a limitation — each forwarded operation must
-// complete before the coordinator runs the next one, or the global
-// interleaving (and with it the trajectory) would diverge from the
-// in-process run.
+// connection: the worker answers every frame with exactly one result
+// frame or KindError. Synchronous round trips are the point, not a
+// limitation — each frame's operations must complete before the
+// coordinator runs the next one, or the global interleaving (and with
+// it the trajectory) would diverge from the in-process run.
 package dist
 
 import (
@@ -27,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
@@ -68,44 +70,6 @@ const (
 	MetricWorkersConnected = "dist.workers.connected"
 )
 
-// Wire selects the encoding of hot-path op frames. Binary is the
-// default; JSON is the debugging escape hatch (ggsim -wire json).
-// Init, checkpoint, metrics and error frames are always JSON — they
-// are rare and their payloads already have JSON codecs.
-type Wire uint8
-
-const (
-	// WireBinary ships op batches as compact hand-rolled binary frames
-	// (KindOpsB/KindResultB).
-	WireBinary Wire = iota
-	// WireJSON ships op batches as JSON frames (KindOps/KindResult).
-	WireJSON
-)
-
-// String returns the wire mode's flag name.
-func (w Wire) String() string {
-	switch w {
-	case WireBinary:
-		return "binary"
-	case WireJSON:
-		return "json"
-	default:
-		return fmt.Sprintf("Wire(%d)", uint8(w))
-	}
-}
-
-// ParseWire parses a -wire flag value.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "binary":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	default:
-		return 0, fmt.Errorf("dist: unknown wire mode %q (want binary or json)", s)
-	}
-}
-
 // MsgKind tags a protocol frame.
 type MsgKind uint8
 
@@ -122,11 +86,12 @@ const (
 	// KindShutdown asks the worker to acknowledge and exit its serve
 	// loop cleanly.
 	KindShutdown
-	// KindOps carries a JSON BatchMsg: a coalesced run of ops the
-	// worker executes in order, answered with a KindResult BatchReply.
-	KindOps
-	// KindOpsB carries a binary-encoded batch (see codec.go), answered
-	// with KindResultB.
+	// Kind byte 6 is retired (it tagged a JSON-encoded op batch); the
+	// blank keeps the binary kinds' wire values where they were.
+	_
+	// KindOpsB carries a binary-encoded BatchMsg (see codec.go): a
+	// coalesced run of hot-path ops the worker executes in order,
+	// answered with KindResultB.
 	KindOpsB
 	// KindResultB carries a binary-encoded BatchReply.
 	KindResultB
@@ -145,8 +110,6 @@ func (k MsgKind) String() string {
 		return "error"
 	case KindShutdown:
 		return "shutdown"
-	case KindOps:
-		return "ops"
 	case KindOpsB:
 		return "ops_binary"
 	case KindResultB:
@@ -234,30 +197,11 @@ func (o OpCode) String() string {
 	}
 }
 
-// WireVT is a virtual time on the wire. Several engine minimum
-// operations legitimately return +Inf ("nothing pending"), which JSON
-// numbers cannot carry, so virtual times travel as strings in Go's
-// shortest round-trip float form.
+// WireVT is a virtual time on the wire. Virtual times travel only in
+// binary batch frames, as raw float64 bits — several engine minimum
+// operations legitimately return +Inf ("nothing pending"), which the
+// binary form carries natively and JSON numbers cannot.
 type WireVT float64
-
-// MarshalJSON implements json.Marshaler.
-func (v WireVT) MarshalJSON() ([]byte, error) {
-	return strconv.AppendQuote(nil, strconv.FormatFloat(float64(v), 'g', -1, 64)), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (v *WireVT) UnmarshalJSON(data []byte) error {
-	s, err := strconv.Unquote(string(data))
-	if err != nil {
-		return fmt.Errorf("dist: virtual time not a string: %w", err)
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return fmt.Errorf("dist: virtual time %q: %w", s, err)
-	}
-	*v = WireVT(f)
-	return nil
-}
 
 // InitMsg tells a worker which shard of which run it hosts. Config is
 // the run configuration in its canonical JSON wire form (the root
@@ -278,39 +222,34 @@ type InitMsg struct {
 	State *tw.EngineState `json:"state,omitempty"`
 }
 
-// OpRequest is one forwarded engine operation.
+// OpRequest is one forwarded engine operation: a control op travelling
+// alone as a JSON KindOp frame, or a hot-path op inside a BatchMsg.
 type OpRequest struct {
 	Op OpCode `json:"op"`
-	// Peer names the target of peer-scoped ops.
-	Peer int `json:"peer,omitempty"`
-	// Env threads the coordinator's engine-global scalars; nil only for
-	// OpInject, which touches none of them.
+	// Env threads the coordinator's engine-global scalars through a
+	// control op. Batched ops share their BatchMsg's envelope instead.
 	Env *tw.Envelope `json:"env,omitempty"`
-	// GVT is OpFossilCollect's collection horizon.
-	GVT WireVT `json:"gvt,omitempty"`
-	// Events carries OpInject's relayed wire events.
-	Events []tw.WireEvent `json:"events,omitempty"`
+
+	// The remaining fields belong to hot-path ops, which have a binary
+	// form only. Peer names the target of peer-scoped ops, GVT is
+	// OpFossilCollect's collection horizon, Events carries OpInject's
+	// relayed wire events.
+	Peer   int            `json:"-"`
+	GVT    WireVT         `json:"-"`
+	Events []tw.WireEvent `json:"-"`
 }
 
-// OpResponse is the result of one forwarded operation. Fields are
-// op-specific; Env and Stats ride on every enveloped op so the
-// coordinator can mirror the worker's state before the next operation.
+// OpResponse is the result of one control op. Env and Stats ride on
+// every enveloped op so the coordinator can mirror the worker's state
+// before the next operation.
 type OpResponse struct {
-	// N carries integer results (drained/processed/collected counts,
-	// input sizes); Flag boolean ones; VT virtual-time ones.
-	N    int    `json:"n,omitempty"`
-	Flag bool   `json:"flag,omitempty"`
-	VT   WireVT `json:"vt"`
+	// Flag is the quiesce passes' "made progress" result.
+	Flag bool `json:"flag,omitempty"`
 	// Env returns the engine-global scalars after the operation.
 	Env *tw.Envelope `json:"env,omitempty"`
 	// Stats returns every shard peer's cumulative counters (quiesce
-	// passes mutate peers other than the named one).
+	// passes mutate any of them).
 	Stats []tw.PeerStats `json:"stats,omitempty"`
-	// Cycles is the simulated CPU cost the operation charged; Worked
-	// reports whether it charged at all (the coordinator must mirror
-	// not just the amount but whether the CPU hook fired).
-	Cycles uint64 `json:"cycles,omitempty"`
-	Worked bool   `json:"worked,omitempty"`
 	// Outbox carries cross-shard sends the operation produced, in
 	// production order.
 	Outbox []tw.WireEvent `json:"outbox,omitempty"`
@@ -327,7 +266,7 @@ type ErrorMsg struct {
 	Error string `json:"error"`
 }
 
-// BatchMsg is a KindOps payload: a coalesced run of operations the
+// BatchMsg is a KindOpsB payload: a coalesced run of operations the
 // worker executes in order. The envelope rides once per batch and is
 // applied before the first op — nothing coordinator-side runs between
 // the batch's ops, so per-op re-application would install the same
@@ -335,19 +274,21 @@ type ErrorMsg struct {
 type BatchMsg struct {
 	// Env threads the coordinator's engine-global scalars; nil for
 	// inject-only batches, which touch none of them.
-	Env *tw.Envelope `json:"env,omitempty"`
-	Ops []OpRequest  `json:"ops"`
+	Env *tw.Envelope
+	Ops []OpRequest
 }
 
 // OpResult is one batched operation's result: the op-specific value
-// plus its individual CPU charge, so the coordinator can mirror each
-// constituent charge in execution order.
+// (N for counts and sizes, Flag for predicates, VT for minima) plus its
+// individual CPU charge — Worked reports whether it charged at all —
+// so the coordinator can mirror each constituent charge in execution
+// order.
 type OpResult struct {
-	N      int    `json:"n,omitempty"`
-	Flag   bool   `json:"flag,omitempty"`
-	VT     WireVT `json:"vt"`
-	Cycles uint64 `json:"cycles,omitempty"`
-	Worked bool   `json:"worked,omitempty"`
+	N      int
+	Flag   bool
+	VT     WireVT
+	Cycles uint64
+	Worked bool
 }
 
 // BatchReply answers a batch: per-op results in execution order, the
@@ -355,29 +296,10 @@ type OpResult struct {
 // envelope), and the combined outbox in production order across the
 // whole batch.
 type BatchReply struct {
-	Env     *tw.Envelope   `json:"env,omitempty"`
-	Stats   []tw.PeerStats `json:"stats,omitempty"`
-	Results []OpResult     `json:"results"`
-	Outbox  []tw.WireEvent `json:"outbox,omitempty"`
-}
-
-// Batchable reports whether an op may ride in a coalesced batch frame.
-// The hot path — drain/process, the GVT minima, fossil collection and
-// injects — is batchable; init/checkpoint/metrics-adjacent ops are
-// rare, carry structured payloads, and stay on single JSON KindOp
-// frames.
-func Batchable(op OpCode) bool {
-	switch op {
-	case OpDrain, OpProcessBatch, OpHasExecWork, OpHasWork, OpInputSize,
-		OpLocalMin, OpRemoteMin, OpTakeMinSent, OpPeekMinSent,
-		OpFossilCollect, OpInject:
-		return true
-	case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
-		OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
-		return false
-	default:
-		return false
-	}
+	Env     *tw.Envelope
+	Stats   []tw.PeerStats
+	Results []OpResult
+	Outbox  []tw.WireEvent
 }
 
 // PureRead reports whether an op leaves every observable value of the

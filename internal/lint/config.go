@@ -122,11 +122,9 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/gvt.Kind", modulePath + "/internal/pq.Kind",
 			modulePath + "/internal/tw.SavePolicy",
 			modulePath + "/internal/dist.MsgKind", modulePath + "/internal/dist.OpCode",
-			modulePath + "/internal/dist.Wire",
 		},
 		StrictEnumTypes: []string{
 			modulePath + "/internal/dist.MsgKind", modulePath + "/internal/dist.OpCode",
-			modulePath + "/internal/dist.Wire",
 		},
 		EnumPkg:       ".",
 		ModelIface:    modulePath + ".Model",

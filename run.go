@@ -103,6 +103,12 @@ func ResumeContext(ctx context.Context, path string, opts *ResumeOptions) (*Resu
 type runState struct {
 	cfg Config
 	rec *trace.Recorder
+	// dist is the distributed run this state belongs to, nil in-process.
+	// The segment loop below exists once; everything a distributed run
+	// does differently inside it is a call on dist: engineBuilt, onGVT,
+	// onCut and samplePoint while a segment is built, failed, capture,
+	// committed and finishing as it ends.
+	dist *distRun
 
 	// Continuation state (set between segments / loaded from snapshot).
 	engine  *tw.EngineState
@@ -135,6 +141,17 @@ func (rs *runState) checkpointing() bool {
 }
 
 func (rs *runState) run(ctx context.Context) (*Results, error) {
+	rs.attachObservers()
+	for {
+		if res, err := rs.runSegment(ctx); res != nil || err != nil {
+			return res, err
+		}
+	}
+}
+
+// attachObservers creates the run-long trace recorder and series buffer
+// the config asks for.
+func (rs *runState) attachObservers() {
 	if t := rs.cfg.Trace; t != nil {
 		if t.Ring {
 			rs.rec = trace.NewRing(t.Limit)
@@ -149,34 +166,74 @@ func (rs *runState) run(ctx context.Context) (*Results, error) {
 			rs.series = telemetry.NewSeries(so.Limit)
 		}
 	}
-	for {
-		seg, err := rs.buildSegment()
-		if err != nil {
-			return nil, err
-		}
-		if err := seg.m.RunContext(ctx); err != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-				if errors.Is(cerr, context.DeadlineExceeded) {
-					return nil, fmt.Errorf("%w: %w", ErrDeadline, err)
-				}
-				return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
-			}
-			return nil, fmt.Errorf("ggpdes: %s/%s run failed: %w", rs.cfg.System, rs.cfg.GVT, err)
-		}
-		if seg.eng.Paused() {
-			if err := rs.checkpointAndReload(seg); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		return rs.finish(seg)
+}
+
+// runSegment builds and runs one segment: nil Results and nil error
+// means a checkpoint boundary was committed and the run continues.
+func (rs *runState) runSegment(ctx context.Context) (*Results, error) {
+	seg, err := rs.buildSegment()
+	if err != nil {
+		return nil, err
 	}
+	err = seg.m.RunContext(ctx)
+	if rs.dist != nil {
+		if derr := rs.dist.failed(); derr != nil {
+			return nil, derr
+		}
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			return nil, ctxError(ctx, err)
+		}
+		return nil, fmt.Errorf("ggpdes: %s/%s run failed: %w", rs.cfg.System, rs.cfg.GVT, err)
+	}
+	if seg.eng.Paused() {
+		return nil, rs.checkpointAndReload(seg)
+	}
+	return rs.finish(seg)
+}
+
+// ctxError classifies a stop caused by ctx — which must be done — as
+// ErrDeadline when its deadline expired and ErrCancelled otherwise,
+// wrapping cause. Every place a run gives up on its context reports
+// through here, so the serving layer's 409-vs-504 mapping cannot depend
+// on where in the run the deadline landed.
+func ctxError(ctx context.Context, cause error) error {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %w", ErrDeadline, cause)
+	}
+	return fmt.Errorf("%w: %w", ErrCancelled, cause)
+}
+
+// twConfig maps the run configuration onto the engine's. Every engine
+// of a run — in-process, the coordinator's hollow one, each worker's
+// shard — is built from this one mapping, so a Config field cannot
+// reach one of them and miss another.
+func (c Config) twConfig(reg *telemetry.Registry) (twCfg tw.Config, err error) {
+	model, err := c.Model.build(c.Threads, c.EndTime)
+	if err != nil {
+		return twCfg, err
+	}
+	return tw.Config{
+		NumThreads:       c.Threads,
+		Model:            model,
+		EndTime:          c.EndTime,
+		Seed:             c.Seed,
+		BatchSize:        c.BatchSize,
+		LPsPerKP:         c.LPsPerKP,
+		QueueKind:        pq.Kind(c.Queue),
+		StateSaving:      tw.SavePolicy(c.StateSaving),
+		LazyCancellation: c.LazyCancellation,
+		OptimismWindow:   c.OptimismWindow,
+		DisablePooling:   c.DisablePooling,
+		Telemetry:        reg,
+	}, nil
 }
 
 // buildSegment assembles a machine, engine (fresh or restored), runner
 // and telemetry registry for the next segment of the run.
 func (rs *runState) buildSegment() (*segment, error) {
-	cfg := rs.cfg
+	cfg, d := rs.cfg, rs.dist
 	mcfg, err := cfg.Machine.build()
 	if err != nil {
 		return nil, err
@@ -207,7 +264,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 		rs.metrics = nil
 	}
 	m.SetTelemetry(reg)
-	model, err := cfg.Model.build(cfg.Threads, cfg.EndTime)
+	twCfg, err := cfg.twConfig(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +272,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 	// Chaos injectors are rebuilt per segment; that is deterministic
 	// because the in-process and resumed paths rebuild at the same
 	// boundaries.
-	var sendFaults tw.SendFaultInjector
 	var threadFaults core.ThreadFaultInjector
 	if ch := cfg.Chaos; ch != nil {
 		seed := ch.Seed
@@ -223,7 +279,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 			seed = cfg.Seed
 		}
 		if ch.DropSendRate > 0 || ch.DelaySendRate > 0 {
-			sendFaults = chaos.NewSendFaults(seed, ch.DropSendRate, ch.DelaySendRate, ch.DelaySendHold)
+			twCfg.SendFaults = chaos.NewSendFaults(seed, ch.DropSendRate, ch.DelaySendRate, ch.DelaySendHold)
 		}
 		if ch.StallRate > 0 || ch.KillAtIter > 0 {
 			threadFaults = chaos.NewThreadFaults(seed, cfg.Threads, ch.StallRate, ch.KillThread, ch.KillAtIter)
@@ -242,13 +298,17 @@ func (rs *runState) buildSegment() (*segment, error) {
 		every = rs.cfg.Checkpoint.Every
 	}
 	segPubs := 0
-	onGVT := func(v tw.VT) {
+	twCfg.Trace = rs.rec
+	twCfg.OnGVT = func(v tw.VT) {
 		rs.rounds++
 		if sample != nil {
 			sample(v)
 		}
 		if progress != nil {
 			progress(v)
+		}
+		if d != nil {
+			d.onGVT(v)
 		}
 		if every > 0 && float64(v) < cfg.EndTime {
 			segPubs++
@@ -257,31 +317,22 @@ func (rs *runState) buildSegment() (*segment, error) {
 			}
 		}
 	}
-	twCfg := tw.Config{
-		NumThreads:       cfg.Threads,
-		Model:            model,
-		EndTime:          cfg.EndTime,
-		Seed:             cfg.Seed,
-		BatchSize:        cfg.BatchSize,
-		LPsPerKP:         cfg.LPsPerKP,
-		QueueKind:        pq.Kind(cfg.Queue),
-		StateSaving:      tw.SavePolicy(cfg.StateSaving),
-		LazyCancellation: cfg.LazyCancellation,
-		OptimismWindow:   cfg.OptimismWindow,
-		DisablePooling:   cfg.DisablePooling,
-		SendFaults:       sendFaults,
-		Trace:            rs.rec,
-		Telemetry:        reg,
-		OnGVT:            onGVT,
-	}
-	if rs.engine != nil {
-		eng, err = tw.NewEngineFromState(twCfg, rs.engine)
-		rs.engine = nil
+	state := rs.engine
+	rs.engine = nil
+	if state != nil {
+		eng, err = tw.NewEngineFromState(twCfg, state)
 	} else {
 		eng, err = tw.NewEngine(twCfg)
 	}
 	if err != nil {
 		return nil, err
+	}
+	var onCut func(cut int, round uint64)
+	if d != nil {
+		if err := d.engineBuilt(eng, reg, state); err != nil {
+			return nil, err
+		}
+		onCut = d.onCut
 	}
 	gvtFreq := cfg.GVTFrequency
 	if rs.gvtFreq > 0 {
@@ -299,6 +350,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 		GVTAdaptive:          adaptive,
 		Telemetry:            reg,
 		Faults:               threadFaults,
+		GVTOnCut:             onCut,
 	})
 	if err != nil {
 		return nil, err
@@ -319,12 +371,16 @@ func (rs *runState) buildSegment() (*segment, error) {
 				WallSeconds:   m.WallSeconds(),
 				ActiveThreads: runner.NumActive(),
 			}
-			eng.FillSeriesPoint(&pt)
 			pt.AdvanceVT = pt.GVT - rs.prevGVT
 			if dt := pt.WallSeconds - rs.prevWall; dt > 0 {
 				pt.AdvanceRate = pt.AdvanceVT / dt
 			}
 			rs.prevGVT, rs.prevWall = pt.GVT, pt.WallSeconds
+			if d != nil {
+				d.samplePoint(eng, pt)
+				return
+			}
+			eng.FillSeriesPoint(&pt)
 			rs.series.Append(pt)
 		}
 	}
@@ -415,19 +471,28 @@ func (rs *runState) accumulate(seg *segment) {
 // config — so an in-process continuation and a process restarted via
 // Resume execute identically by construction.
 func (rs *runState) checkpointAndReload(seg *segment) error {
-	est, err := seg.eng.Capture()
+	var est *tw.EngineState
+	var err error
+	if rs.dist != nil {
+		est, err = rs.dist.capture(seg)
+	} else if est, err = seg.eng.Capture(); err != nil {
+		err = fmt.Errorf("ggpdes: checkpoint capture: %w", err)
+	}
 	if err != nil {
-		return fmt.Errorf("ggpdes: checkpoint capture: %w", err)
+		return err
 	}
 	seg.eng.FlushPoolStats()
-	return rs.persistAndReload(seg, est)
+	if err := rs.persistAndReload(seg, est); err != nil {
+		return err
+	}
+	if rs.dist != nil {
+		return rs.dist.committed(est)
+	}
+	return nil
 }
 
-// persistAndReload serializes the run around an already-captured engine
-// state and reloads the continuation from the encoded bytes. Split from
-// checkpointAndReload so the distributed runner, which assembles the
-// engine state from per-worker shard captures, shares the exact same
-// snapshot round-trip.
+// persistAndReload serializes the run around a captured engine state
+// and reloads the continuation from the encoded bytes.
 func (rs *runState) persistAndReload(seg *segment, est *tw.EngineState) error {
 	rs.accumulate(seg)
 	rs.segments++
@@ -512,6 +577,11 @@ func (rs *runState) loadSnapshot(snap *checkpoint.Snapshot) error {
 // cross-segment totals.
 func (rs *runState) finish(seg *segment) (*Results, error) {
 	cfg := rs.cfg
+	if rs.dist != nil {
+		if err := rs.dist.finishing(seg); err != nil {
+			return nil, err
+		}
+	}
 	if err := seg.eng.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("ggpdes: engine invariant violated: %w", err)
 	}

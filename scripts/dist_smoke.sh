@@ -11,10 +11,7 @@
 #     info line, which names the sharding itself, is excluded);
 #   - the coordinator wrote per-shard checkpoint files next to every
 #     full snapshot;
-#   - both workers exit cleanly after the coordinator's shutdown frame;
-#   - the batched binary data plane (the default) beats the synchronous
-#     per-op JSON plane (-nobatch -wire json) by at least 5x wall time
-#     on the same 2-worker topology — the PR8 perf tripwire.
+#   - both workers exit cleanly after the coordinator's shutdown frame.
 set -eu
 
 GO=${GO:-go}
@@ -99,20 +96,4 @@ wait "$w2" || fail "worker 2 exited non-zero" "$dir/w2.log"
 w1=
 w2=
 
-# Batching perf tripwire (self-spawned workers this time; one warm-up
-# pair amortizes the spawn path before timing).
-run warm_batched -workers 2 >/dev/null 2>&1 || fail "batched warm-up run failed"
-t0=$(date +%s%N)
-run perf_batched -workers 2 >"$dir/perf_batched.txt" 2>&1 ||
-    fail "batched perf run failed" "$dir/perf_batched.txt"
-t1=$(date +%s%N)
-run perf_sync -workers 2 -nobatch -wire json >"$dir/perf_sync.txt" 2>&1 ||
-    fail "synchronous perf run failed" "$dir/perf_sync.txt"
-t2=$(date +%s%N)
-batched_ns=$((t1 - t0))
-sync_ns=$((t2 - t1))
-speedup=$(awk -v s="$sync_ns" -v b="$batched_ns" 'BEGIN { printf "%.1f", s / b }')
-awk -v s="$sync_ns" -v b="$batched_ns" 'BEGIN { exit !(s >= 5 * b) }' ||
-    fail "batched plane only ${speedup}x faster than sync (want >= 5x): batched $((batched_ns / 1000000))ms vs sync $((sync_ns / 1000000))ms"
-
-echo "dist-smoke: OK (2 workers at $addrs, $fulls snapshots + $shards shard files, report identical to in-process, batching ${speedup}x)"
+echo "dist-smoke: OK (2 workers at $addrs, $fulls snapshots + $shards shard files, report identical to in-process)"
