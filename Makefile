@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke bench-diff bench-json perf cluster-bench serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -50,22 +50,14 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Allocation-regression tripwire: headline benchmark with pooling off
-# (GGPDES_NOPOOL=1) vs on; fails unless allocs/op still drop >= 2x
-# with ns/op inside budget. Complements TestSteadyStateAllocsPerEvent
-# (the marginal allocs/committed-event guard, part of `make test`).
+# Benchmark gate: the real benchmark entry point (bench/run.sh builds
+# and runs ggperf) at tiny scale — all six workloads, two measured
+# operations each, every operation checked by its workload's oracle;
+# any failed operation exits 1. Under a minute including the first
+# build in a fresh checkout. The numbers it prints are not evidence
+# (goldens and bounds apply at full scale: `make perf`).
 bench-smoke:
-	GO="$(GO)" sh scripts/bench_diff.sh -smoke
-
-# Benchstat-style before/after table against a base git ref:
-#   make bench-diff BASE=v0-seed
-BASE ?= HEAD
-bench-diff:
-	GO="$(GO)" sh scripts/bench_diff.sh $(BASE)
-
-# Regenerate the committed wall-clock benchmark record.
-bench-json:
-	GO="$(GO)" sh scripts/bench_json.sh
+	sh bench/run.sh -scale tiny -iters 2 -seed 1
 
 # The repo's benchmark (BENCHMARK.json): six workloads, twelve
 # end-to-end metrics and the per-layer ledger. Not part of ci.
@@ -90,11 +82,6 @@ chaos-smoke:
 # the shared keyed checkpoint directory.
 cluster-smoke:
 	GO="$(GO)" sh scripts/cluster_smoke.sh
-
-# Regenerate the committed fleet sweep-dedup record (BENCH_PR9.json):
-# the 16-member / 8-duplicate sweep against 1 vs 3 replicas.
-cluster-bench:
-	GO="$(GO)" sh scripts/cluster_bench.sh
 
 # Observability smoke: ggserved + pprof on ephemeral ports, one PHOLD
 # job, then the whole surface end to end — /metrics covers every

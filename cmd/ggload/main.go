@@ -9,25 +9,21 @@
 //	ggload -addr localhost:8347 -chaos-smoke                     # CI fault-tolerance test
 //	ggload -addrs a,b,c -cluster-smoke -pids p1,p2,p3 \
 //	       -checkpoint-root /dir                                 # CI cluster test
-//	ggload -addrs a,b,c -sweep-bench -members 16 -dups 8         # dedup benchmark
 //
 // Closed loop keeps -concurrency submissions in flight, each polled to
 // a terminal state before the next is issued — the sweep axis for the
 // EXPERIMENTS.md throughput-vs-concurrency curve. Open loop submits at
 // a fixed -rate regardless of completions, exercising the 429
 // backpressure path. All transport rides the typed /v2 client
-// (internal/serve/client); only the deprecation-header check in
-// -smoke still touches /v1 raw.
+// (internal/serve/client).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -66,9 +62,6 @@ func main() {
 		cluSmoke    = flag.Bool("cluster-smoke", false, "run the clustered-serving smoke against -addrs and exit 0/1")
 		pidsFlag    = flag.String("pids", "", "cluster-smoke: replica pids matching -addrs order (enables the kill/failover leg)")
 		ckptRoot    = flag.String("checkpoint-root", "", "cluster-smoke: the fleet's shared checkpoint root (for kill timing)")
-		sweepBench  = flag.Bool("sweep-bench", false, "submit one deduplicated sweep and print a JSON record")
-		members     = flag.Int("members", 16, "sweep-bench: total sweep members")
-		dups        = flag.Int("dups", 8, "sweep-bench: members that duplicate another member's config")
 		freePorts   = flag.Int("free-ports", 0, "print N free 127.0.0.1 host:ports and exit (for scripts wiring static -peers fleets)")
 	)
 	flag.Parse()
@@ -117,14 +110,6 @@ func main() {
 		return
 	case *cluSmoke:
 		exitOn("cluster smoke", runClusterSmoke(ctx, addrs, clients, *pidsFlag, *ckptRoot))
-		return
-	case *sweepBench:
-		// No "OK" banner here: stdout is exactly the one JSON record,
-		// so scripts can capture it with a plain redirect.
-		if err := runSweepBench(ctx, addrs, clients, *members, *dups, *endTime); err != nil {
-			fmt.Fprintf(os.Stderr, "ggload: sweep bench FAILED: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -312,7 +297,7 @@ func waitDone(ctx context.Context, c *client.Client, id string) (client.JobMeta,
 // runSmoke is the deterministic CI sequence behind `make serve-smoke`:
 // healthz, submit a small PHOLD job, poll it to done, fetch the
 // result, resubmit the identical spec and require a cache hit backed
-// by the server's hit counter — plus the /v1 deprecation headers.
+// by the server's hit counter.
 func runSmoke(ctx context.Context, c *client.Client) error {
 	h, err := c.Healthz(ctx)
 	if err != nil {
@@ -352,24 +337,6 @@ func runSmoke(ctx context.Context, c *client.Client) error {
 	}
 	if stats.Counters["serve.cache_hits"] == 0 {
 		return fmt.Errorf("server reports zero cache hits after a hit: %v", stats.Counters)
-	}
-
-	// The /v1 shim must announce its deprecation (RFC 8594-style).
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base()+"/v1/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("v1 healthz: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("v1 healthz: HTTP %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "successor-version") {
-		return fmt.Errorf("v1 shim missing deprecation headers: Deprecation=%q Link=%q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
 	}
 	return nil
 }
@@ -664,75 +631,4 @@ func pathSafe(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// runSweepBench submits one sweep with duplicated members and prints
-// a JSON record of the fleet's dedup behaviour: wall time, fleet
-// simulations, and the fleet hit rate (members answered without a
-// simulation). cluster_bench.sh embeds the line in BENCH_PR9.json.
-func runSweepBench(ctx context.Context, addrs []string, clients []*client.Client, total, dup int, end float64) error {
-	if dup >= total {
-		return fmt.Errorf("-dups %d must be below -members %d", dup, total)
-	}
-	unique := total - dup
-	seeds := make([]uint64, 0, total)
-	for i := 0; i < total; i++ {
-		// The first `unique` seeds are distinct; duplicates cycle
-		// through them again.
-		seeds = append(seeds, uint64(505000+i%unique))
-	}
-	before, err := fleetSimulations(ctx, clients)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	st, err := clients[0].Sweep(ctx, client.SweepSpec{Defaults: pholdSpec(0, end), Seeds: seeds})
-	if err != nil {
-		return fmt.Errorf("sweep submit: %w", err)
-	}
-	finalSt, err := clients[0].SweepEvents(ctx, st.ID, nil)
-	if err != nil {
-		return fmt.Errorf("sweep events: %w", err)
-	}
-	wall := time.Since(start)
-	if finalSt.State != "done" || finalSt.Done != total {
-		return fmt.Errorf("sweep finished %s (%d/%d done)", finalSt.State, finalSt.Done, total)
-	}
-	after, err := fleetSimulations(ctx, clients)
-	if err != nil {
-		return err
-	}
-	sims := after - before
-	// Sum the cluster.* routing counters across the fleet so the bench
-	// record shows *how* the dedup happened, not just that it did.
-	// Unclustered replicas never register them, so the sums stay 0 in
-	// the 1-replica arm.
-	clusterCounters := map[string]uint64{}
-	for _, c := range clients {
-		stats, err := c.Stats(ctx)
-		if err != nil {
-			return err
-		}
-		for name, v := range stats.Counters {
-			if strings.HasPrefix(name, "cluster.") {
-				clusterCounters[name] += v
-			}
-		}
-	}
-	rec := map[string]any{
-		"replicas":       len(addrs),
-		"members":        total,
-		"duplicates":     dup,
-		"unique":         unique,
-		"wall_ns":        wall.Nanoseconds(),
-		"simulations":    sims,
-		"fleet_hit_rate": float64(total-int(sims)) / float64(total),
-		"cluster":        clusterCounters,
-	}
-	out, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
 }

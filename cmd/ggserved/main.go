@@ -4,12 +4,12 @@
 // crashed or stalled runs.
 //
 //	ggserved -addr :8347
-//	curl -s localhost:8347/v1/jobs -d '{"config":{"model":{"name":"phold"},"threads":8,"end_time":30}}'
-//	curl -s localhost:8347/v1/jobs/job-00000001
+//	curl -s localhost:8347/v2/jobs -d '{"config":{"model":{"name":"phold"},"threads":8,"end_time":30}}'
+//	curl -s localhost:8347/v2/jobs/job-00000001
 //
 // Observability: GET /metrics serves the OpenMetrics exposition of
 // the serve.* plane plus the engine metrics of every completed job;
-// GET /v1/jobs/{id}/series streams a job's per-GVT-round time series;
+// GET /v2/jobs/{id}/series streams a job's per-GVT-round time series;
 // -pprof-addr opens net/http/pprof on a separate listener so profiling
 // never shares a port with the public API.
 //
@@ -43,6 +43,11 @@ import (
 	"ggpdes/internal/serve/cluster"
 	"ggpdes/internal/telemetry"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections
+// open forever. Bodies are bounded separately, by size, in the handlers.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	var (
@@ -138,9 +143,7 @@ func main() {
 	}))
 
 	mux := http.NewServeMux()
-	api := mgr.Handler()
-	mux.Handle("/v1/", api)
-	mux.Handle("/v2/", api)
+	mux.Handle("/v2/", mgr.Handler())
 	mux.Handle("/metrics", mgr.MetricsHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 
@@ -165,7 +168,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ggserved: listening on %s (%d workers, queue %d, cache %d)\n",
 		ln.Addr(), mgr.Workers(), mgr.QueueDepth(), *cacheSize)
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 

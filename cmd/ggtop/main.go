@@ -1,6 +1,6 @@
 // Command ggtop is a live terminal dashboard for a ggserved instance.
 // It polls GET /metrics (OpenMetrics text) and, when following a job,
-// GET /v1/jobs/{id}/series, and redraws a one-screen view: service
+// GET /v2/jobs/{id}/series, and redraws a one-screen view: service
 // counters, per-thread GVT lag bars, and sparklines of the job's
 // horizon width, roughness, rollback rate, and GVT advance rate.
 //
@@ -15,7 +15,7 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"ggpdes/internal/serve/client"
 	"ggpdes/internal/stats"
 	"ggpdes/internal/telemetry"
 )
@@ -47,10 +48,11 @@ func main() {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	client := &http.Client{Timeout: 10 * time.Second}
+	ctx := context.Background()
+	hc := &http.Client{Timeout: 10 * time.Second}
 
 	if *once {
-		frame, err := render(client, base, *jobID, *width)
+		frame, err := render(ctx, hc, base, *jobID, *width)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -63,7 +65,7 @@ func main() {
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	for {
-		frame, err := render(client, base, *jobID, *width)
+		frame, err := render(ctx, hc, base, *jobID, *width)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -80,8 +82,8 @@ func main() {
 }
 
 // render fetches one round of data and returns the full frame.
-func render(client *http.Client, base, jobID string, width int) (string, error) {
-	exp, err := fetchMetrics(client, base+"/metrics")
+func render(ctx context.Context, hc *http.Client, base, jobID string, width int) (string, error) {
+	exp, err := fetchMetrics(hc, base+"/metrics")
 	if err != nil {
 		return "", fmt.Errorf("metrics: %w", err)
 	}
@@ -89,12 +91,12 @@ func render(client *http.Client, base, jobID string, width int) (string, error) 
 	fmt.Fprintf(&b, "ggtop — %s — %s\n\n", base, time.Now().Format("15:04:05"))
 	renderService(&b, exp)
 	if jobID != "" {
-		sr, err := fetchSeries(client, base+"/v1/jobs/"+jobID+"/series")
+		job, pts, total, err := client.New(base, hc).Series(ctx, jobID)
 		if err != nil {
 			return "", fmt.Errorf("series %s: %w", jobID, err)
 		}
 		b.WriteByte('\n')
-		renderJob(&b, sr, width)
+		renderJob(&b, job, pts, total, width)
 	}
 	return b.String(), nil
 }
@@ -148,25 +150,25 @@ func renderService(b *strings.Builder, exp *exposition) {
 }
 
 // renderJob prints the followed job's time-resolved view.
-func renderJob(b *strings.Builder, sr *seriesResp, width int) {
-	fmt.Fprintf(b, "job %s  state=%s  rounds=%d", sr.ID, sr.State, sr.Total)
-	if len(sr.Points) == 0 {
+func renderJob(b *strings.Builder, job client.JobMeta, pts []telemetry.SeriesPoint, total, width int) {
+	fmt.Fprintf(b, "job %s  state=%s  rounds=%d", job.ID, job.State, total)
+	if len(pts) == 0 {
 		b.WriteString("  (no series points yet)\n")
 		return
 	}
-	last := sr.Points[len(sr.Points)-1]
+	last := pts[len(pts)-1]
 	fmt.Fprintf(b, "  gvt=%.4g  advance=%.3g vt/s  active=%d  queue=%d\n",
 		last.GVT, last.AdvanceRate, last.ActiveThreads, last.QueueDepth)
 	fmt.Fprintf(b, "events  committed %s  rolled back %s  rollbacks %s  commit ratio %.1f%%  pool hit %.1f%%\n",
 		stats.Count(last.Committed), stats.Count(last.RolledBack),
 		stats.Count(last.Rollbacks), last.CommitRatio*100, last.PoolHitRate*100)
 
-	widthS := make([]float64, len(sr.Points))
-	roughS := make([]float64, len(sr.Points))
-	rateS := make([]float64, len(sr.Points))
-	rollS := make([]float64, len(sr.Points))
+	widthS := make([]float64, len(pts))
+	roughS := make([]float64, len(pts))
+	rateS := make([]float64, len(pts))
+	rollS := make([]float64, len(pts))
 	prevRoll := 0.0
-	for i, pt := range sr.Points {
+	for i, pt := range pts {
 		widthS[i] = pt.HorizonWidth
 		roughS[i] = pt.HorizonRoughness
 		rateS[i] = pt.AdvanceRate
@@ -195,39 +197,14 @@ func renderJob(b *strings.Builder, sr *seriesResp, width int) {
 	}
 }
 
-// seriesResp mirrors the /v1/jobs/{id}/series payload.
-type seriesResp struct {
-	ID     string                  `json:"id"`
-	State  string                  `json:"state"`
-	Total  int                     `json:"total_points"`
-	Points []telemetry.SeriesPoint `json:"points"`
-}
-
-func fetchSeries(client *http.Client, url string) (*seriesResp, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var sr seriesResp
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, err
-	}
-	return &sr, nil
-}
-
 // exposition is a parsed OpenMetrics scrape.
 type exposition struct {
 	samples map[string]float64 // bare name (no labels) -> value
 	types   map[string]string  // family -> counter|gauge|histogram
 }
 
-func fetchMetrics(client *http.Client, url string) (*exposition, error) {
-	resp, err := client.Get(url)
+func fetchMetrics(hc *http.Client, url string) (*exposition, error) {
+	resp, err := hc.Get(url)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"ggpdes"
+	"ggpdes/internal/serve"
 	"ggpdes/internal/telemetry"
 )
 
@@ -97,5 +103,54 @@ func TestRenderServiceFleetLine(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet line missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// The job pane end to end: one PHOLD job on a real Manager mounted the
+// way ggserved mounts it, then render must show that job's GVT,
+// rollback and horizon lines — and name the job it cannot find.
+func TestRenderFollowsJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	mgr := serve.New(serve.Options{Workers: 1})
+	mux := http.NewServeMux()
+	mux.Handle("/v2/", mgr.Handler())
+	mux.Handle("/metrics", mgr.MetricsHandler())
+	srv := httptest.NewServer(mux)
+	defer func() {
+		srv.Close()
+		if err := mgr.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+
+	st, err := mgr.Submit(serve.JobSpec{Config: ggpdes.Config{
+		Model:   ggpdes.PHOLD{LPsPerThread: 2},
+		Threads: 2,
+		System:  ggpdes.GGPDES,
+		GVT:     ggpdes.WaitFree,
+		Machine: ggpdes.Machine{Cores: 4, SMTWidth: 2},
+		EndTime: 10,
+		Seed:    1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := mgr.Wait(ctx, st.ID); err != nil || final.State != serve.StateDone {
+		t.Fatalf("job finished %+v, %v", final, err)
+	}
+
+	frame, err := render(ctx, srv.Client(), srv.URL, st.ID, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"job " + st.ID + "  state=done", "gvt=", "rollbacks / round", "horizon width"} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame missing %q:\n%s", want, frame)
+		}
+	}
+
+	if _, err := render(ctx, srv.Client(), srv.URL, "job-missing", 40); err == nil || !strings.Contains(err.Error(), "job-missing") {
+		t.Errorf("unknown job: error %v, want one naming job-missing", err)
 	}
 }

@@ -376,3 +376,48 @@ func TestNUMAMachineThroughAPI(t *testing.T) {
 		t.Fatal("SNC4 preset wrong")
 	}
 }
+
+// TestSteadyStateAllocsPerEvent is the allocation regression guard for
+// the pooled hot path: the *marginal* heap allocations per additional
+// committed event — measured by differencing two runs of the same
+// configuration at different end times, so engine construction and
+// pool warm-up cancel out — must stay below a small budget. Before
+// event/snapshot pooling this figure was ~15 allocs/event; with the
+// freelists warm it is ~0.3 (pool-capacity growth as the uncommitted
+// watermark wanders). The budget leaves slack for toolchain noise
+// while still catching any reintroduced per-event allocation.
+func TestSteadyStateAllocsPerEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const budget = 2.0
+	cfg := Config{
+		Model: PHOLD{LPsPerThread: 4, Imbalance: 1}, Threads: 16,
+		System: GGPDES, GVT: WaitFree, Affinity: ConstantAffinity,
+		Machine:      Machine{Cores: 8, SMTWidth: 2, FreqHz: 1.3e9},
+		GVTFrequency: 40, ZeroCounterThreshold: 400,
+		OptimismWindow: 10, Seed: 1,
+	}
+	probe := func(end float64) (allocs float64, committed uint64) {
+		cfg.EndTime = end
+		allocs = testing.AllocsPerRun(2, func() {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed = res.CommittedEvents
+		})
+		return allocs, committed
+	}
+	shortAllocs, shortEvents := probe(20)
+	longAllocs, longEvents := probe(120)
+	if longEvents <= shortEvents {
+		t.Fatalf("longer run committed fewer events: %d vs %d", longEvents, shortEvents)
+	}
+	perEvent := (longAllocs - shortAllocs) / float64(longEvents-shortEvents)
+	t.Logf("steady-state allocations: %.3f allocs/committed event (budget %.1f)", perEvent, budget)
+	if perEvent > budget {
+		t.Fatalf("steady-state allocations regressed: %.3f allocs/event exceeds budget %.1f "+
+			"(pooled hot path should be allocation-free; see internal/tw/pool.go)", perEvent, budget)
+	}
+}

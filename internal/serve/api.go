@@ -13,15 +13,15 @@ import (
 	"ggpdes/internal/serve/cluster"
 )
 
-// This file is the /v2 wire vocabulary (API revision 4): one typed
-// error envelope for every failure, one JobMeta shape shared by job,
-// sweep, and SSE payloads, and the mapping between the repo's typed
-// sentinel errors and envelope codes. /v1 keeps its string-error
-// bodies through the compatibility shim; everything new speaks this.
+// This file is the wire vocabulary: one typed error envelope for every
+// failure, one JobMeta shape shared by job, sweep, and SSE payloads,
+// and the mapping between the repo's typed sentinel errors and
+// envelope codes.
 
-// Error codes carried in the /v2 envelope. Each code corresponds to
-// exactly one sentinel (or terminal condition) and one HTTP status,
-// so clients can switch on code instead of parsing message strings.
+// Error codes carried in the envelope. Each code corresponds to
+// exactly one sentinel (or terminal condition) and one HTTP status
+// (codeHTTPStatus), so clients can switch on code instead of parsing
+// message strings.
 const (
 	CodeInvalidConfig     = "invalid_config"     // 400 ggpdes.ErrInvalidConfig
 	CodeNotFound          = "not_found"          // 404 unknown job or sweep
@@ -37,7 +37,7 @@ const (
 	CodeInternal          = "internal"           // 500 anything else
 )
 
-// ErrorInfo is the typed error payload: the single shape every /v2
+// ErrorInfo is the typed error payload: the single shape every
 // failure wears, whether it rejects a request or describes a job's
 // terminal state inside JobMeta.
 type ErrorInfo struct {
@@ -49,46 +49,45 @@ type ErrorInfo struct {
 	Retryable bool `json:"retryable"`
 }
 
-// errorEnvelope is the body of every non-2xx /v2 response.
+// errorEnvelope is the body of every non-2xx response.
 type errorEnvelope struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// classify maps an error to its HTTP status and envelope payload via
-// the typed sentinels. Unrecognized errors fall back to the given
-// code and status (submissions default to internal/500, terminal job
-// causes to failed/409 — set by the call sites).
-func classify(err error, fbCode string, fbStatus int) (int, ErrorInfo) {
+// classify maps an error to its envelope payload via the typed
+// sentinels. Unrecognized errors get the given fallback code
+// (submissions pass internal, terminal job causes failed).
+func classify(err error, fbCode string) ErrorInfo {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
-	info := func(code int, c string, retry bool) (int, ErrorInfo) {
-		return code, ErrorInfo{Code: c, Message: msg, Retryable: retry}
+	info := func(code string, retry bool) ErrorInfo {
+		return ErrorInfo{Code: code, Message: msg, Retryable: retry}
 	}
 	switch {
 	case errors.Is(err, ggpdes.ErrInvalidConfig):
-		return info(http.StatusBadRequest, CodeInvalidConfig, false)
+		return info(CodeInvalidConfig, false)
 	case errors.Is(err, ErrQueueFull):
-		return info(http.StatusTooManyRequests, CodeQueueFull, true)
+		return info(CodeQueueFull, true)
 	case errors.Is(err, ErrDraining):
-		return info(http.StatusServiceUnavailable, CodeDraining, true)
+		return info(CodeDraining, true)
 	case errors.Is(err, ggpdes.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		return info(http.StatusGatewayTimeout, CodeDeadline, false)
+		return info(CodeDeadline, false)
 	case errors.Is(err, ggpdes.ErrCheckpointCorrupt):
-		return info(http.StatusGone, CodeCheckpointCorrupt, false)
+		return info(CodeCheckpointCorrupt, false)
 	case errors.Is(err, ggpdes.ErrCancelled), errors.Is(err, context.Canceled):
-		return info(http.StatusConflict, CodeCancelled, false)
+		return info(CodeCancelled, false)
 	case errors.Is(err, ErrStalled):
-		return info(http.StatusGatewayTimeout, CodeStalled, true)
+		return info(CodeStalled, true)
 	case errors.Is(err, dist.ErrWorkerLost):
-		return info(http.StatusBadGateway, CodeWorkerLost, true)
+		return info(CodeWorkerLost, true)
 	case errors.Is(err, cluster.ErrPeerLost):
-		return info(http.StatusBadGateway, CodePeerLost, true)
+		return info(CodePeerLost, true)
 	case errors.Is(err, chaos.ErrInjectedCrash):
-		return info(http.StatusConflict, CodeFailed, true)
+		return info(CodeFailed, true)
 	default:
-		return info(fbStatus, fbCode, false)
+		return info(fbCode, false)
 	}
 }
 
@@ -125,11 +124,10 @@ const (
 	SourceRemote   = "remote"   // delegated to and run by the owning peer
 )
 
-// JobMeta is the one job-identity shape every /v2 payload shares:
-// job status, result and series wrappers, sweep members, and SSE
-// events all embed it. It is Status re-cut for revision 4 — the
-// terminal error becomes the typed ErrorInfo instead of a bare
-// string, and Source says where the results came from.
+// JobMeta is the one job-identity shape on the wire: job status,
+// result and series wrappers, sweep members, and SSE events all embed
+// it. It is a Status snapshot with the terminal error as the typed
+// ErrorInfo instead of a bare string.
 type JobMeta struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
@@ -156,7 +154,7 @@ type JobMeta struct {
 	RunSeconds   float64   `json:"run_seconds"`
 }
 
-// Meta re-cuts a Status snapshot into the /v2 shape.
+// Meta re-cuts a Status snapshot into the wire shape.
 func (st Status) Meta() JobMeta {
 	m := JobMeta{
 		ID:           st.ID,
@@ -178,7 +176,7 @@ func (st Status) Meta() JobMeta {
 		if cause == nil {
 			cause = errors.New(st.Error)
 		}
-		_, info := classify(cause, CodeFailed, http.StatusConflict)
+		info := classify(cause, CodeFailed)
 		if st.Error != "" {
 			info.Message = st.Error
 		}
@@ -196,8 +194,8 @@ func metaStatus(m JobMeta) int {
 	return codeHTTPStatus(m.Error.Code)
 }
 
-// codeHTTPStatus is the inverse of classify for envelope codes: the
-// HTTP status each code is defined to ride on.
+// codeHTTPStatus is the one error → HTTP status table: the status each
+// envelope code is defined to ride on.
 func codeHTTPStatus(code string) int {
 	switch code {
 	case CodeInvalidConfig:

@@ -1,5 +1,5 @@
 // Package client is the typed Go client for the ggserved /v2 API
-// (API revision 4). It speaks the typed error envelope — every
+// (API revision 5). It speaks the typed error envelope — every
 // non-2xx answer surfaces as an *Error carrying the server's code,
 // message, and retryability — and mirrors the /v2 wire shapes with
 // plain structs so callers never touch raw JSON.

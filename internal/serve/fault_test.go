@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"ggpdes"
+	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
+	"ggpdes/internal/dist"
+	"ggpdes/internal/serve/cluster"
 )
 
 // chaosSpec is a checkpointed job long enough to cross several GVT
@@ -128,32 +131,47 @@ func TestStallWatchdogKillsAndRetries(t *testing.T) {
 	}
 }
 
-// The typed error sentinels map to documented HTTP statuses.
+// The typed error sentinels map to documented HTTP statuses: classify
+// picks the code, codeHTTPStatus — the one status table — the status.
+// An unclassified error takes the call site's fallback code: internal
+// for a rejected submit, failed for a terminal job.
 func TestErrorStatusMapping(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("outer: %w", err) }
 	for _, tc := range []struct {
-		name string
-		code int
-		got  int
+		name      string
+		err       error
+		fbCode    string
+		code      string
+		status    int
+		retryable bool
 	}{
-		{"submit invalid config", http.StatusBadRequest, submitStatus(wrap(ggpdes.ErrInvalidConfig))},
-		{"submit queue full", http.StatusTooManyRequests, submitStatus(ErrQueueFull)},
-		{"submit draining", http.StatusServiceUnavailable, submitStatus(ErrDraining)},
-		{"submit unclassified", http.StatusBadRequest, submitStatus(errors.New("other"))},
-		{"result deadline", http.StatusGatewayTimeout, failureStatus(wrap(ggpdes.ErrDeadline))},
-		{"result corrupt checkpoint", http.StatusGone, failureStatus(wrap(ggpdes.ErrCheckpointCorrupt))},
-		{"result invalid config", http.StatusBadRequest, failureStatus(wrap(ggpdes.ErrInvalidConfig))},
-		{"result cancelled", http.StatusConflict, failureStatus(wrap(ggpdes.ErrCancelled))},
-		{"result unclassified", http.StatusConflict, failureStatus(errors.New("other"))},
+		{"invalid config", wrap(ggpdes.ErrInvalidConfig), CodeInternal, CodeInvalidConfig, http.StatusBadRequest, false},
+		{"queue full", ErrQueueFull, CodeInternal, CodeQueueFull, http.StatusTooManyRequests, true},
+		{"draining", ErrDraining, CodeInternal, CodeDraining, http.StatusServiceUnavailable, true},
+		{"submit unclassified", errors.New("other"), CodeInternal, CodeInternal, http.StatusInternalServerError, false},
+		{"malformed body", errors.New("other"), CodeInvalidConfig, CodeInvalidConfig, http.StatusBadRequest, false},
+		{"deadline", wrap(ggpdes.ErrDeadline), CodeFailed, CodeDeadline, http.StatusGatewayTimeout, false},
+		{"corrupt checkpoint", wrap(ggpdes.ErrCheckpointCorrupt), CodeFailed, CodeCheckpointCorrupt, http.StatusGone, false},
+		{"cancelled", wrap(ggpdes.ErrCancelled), CodeFailed, CodeCancelled, http.StatusConflict, false},
+		{"stalled", wrap(ErrStalled), CodeFailed, CodeStalled, http.StatusGatewayTimeout, true},
+		{"worker lost", wrap(dist.ErrWorkerLost), CodeFailed, CodeWorkerLost, http.StatusBadGateway, true},
+		{"peer lost", wrap(cluster.ErrPeerLost), CodeFailed, CodePeerLost, http.StatusBadGateway, true},
+		{"injected crash", wrap(chaos.ErrInjectedCrash), CodeFailed, CodeFailed, http.StatusConflict, true},
+		{"result unclassified", errors.New("other"), CodeFailed, CodeFailed, http.StatusConflict, false},
 	} {
-		if tc.got != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.name, tc.got, tc.code)
+		info := classify(tc.err, tc.fbCode)
+		if info.Code != tc.code || info.Retryable != tc.retryable || codeHTTPStatus(info.Code) != tc.status {
+			t.Errorf("%s: code %s retryable %t status %d, want %s %t %d", tc.name,
+				info.Code, info.Retryable, codeHTTPStatus(info.Code), tc.code, tc.retryable, tc.status)
 		}
+	}
+	if got := codeHTTPStatus(CodeNotFound); got != http.StatusNotFound {
+		t.Errorf("not_found: status %d, want 404", got)
 	}
 }
 
 // End to end over the wire: a deadline failure answers 504 on the
-// result endpoint, and /v1/version reports the contract.
+// result endpoint, and /v2/version reports the contract.
 func TestHTTPDeadline504AndVersion(t *testing.T) {
 	m, srv := startServer(t, Options{Workers: 1, QueueDepth: 1})
 
@@ -161,7 +179,7 @@ func TestHTTPDeadline504AndVersion(t *testing.T) {
 	spec.TimeoutSeconds = 0.2
 	_, st := postJob(t, srv, spec)
 	waitState(t, m, st.ID, StateFailed)
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/result", nil); code != http.StatusGatewayTimeout {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID+"/result", nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline result status %d, want 504", code)
 	}
 
@@ -170,10 +188,10 @@ func TestHTTPDeadline504AndVersion(t *testing.T) {
 		APIRevision      int    `json:"api_revision"`
 		CheckpointFormat int    `json:"checkpoint_format"`
 	}
-	if code := getJSON(t, srv.URL+"/v1/version", &v); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/version", &v); code != http.StatusOK {
 		t.Fatalf("version status %d", code)
 	}
-	if v.API != "v1" || v.APIRevision != apiRevision || v.CheckpointFormat != checkpoint.Version {
+	if v.API != "v2" || v.APIRevision != 5 || v.CheckpointFormat != checkpoint.Version {
 		t.Fatalf("version body: %+v", v)
 	}
 }

@@ -2,32 +2,25 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"runtime"
 	"strings"
 
-	"ggpdes"
-	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/telemetry"
 )
 
 // apiRevision identifies the service wire contract. Revision 2
 // replaced the flat job spec with an embedded ggpdes.Config
 // ("config":{...}) and added attempts/last_error/resumed_from to job
-// status. Revision 3 added GET /v1/jobs/{id}/series, changed
-// /v1/stats gauges from bare numbers to {value,set} objects, and
-// added the OpenMetrics exposition (mounted by ggserved at /metrics).
-// Revision 4 introduces /v2 — the typed error envelope
-// {"error":{"code","message","retryable"}}, JobMeta-shaped payloads,
-// sweeps with SSE streaming, the cluster fill/delegate endpoints —
-// and demotes /v1 to a frozen compatibility shim served with a
-// Deprecation header; /v1 bodies are unchanged from revision 3
-// (additive fields only).
-const apiRevision = 4
+// status. Revision 3 added the per-job series endpoint, {value,set}
+// gauge objects in the stats payload, and the OpenMetrics exposition
+// (mounted by ggserved at /metrics). Revision 4 introduced /v2 — the
+// typed error envelope {"error":{"code","message","retryable"}},
+// JobMeta-shaped payloads, sweeps with SSE streaming, the cluster
+// fill/delegate endpoints. Revision 5 removes the v1 routes: /v2 is
+// the only API version.
+const apiRevision = 5
 
-// Handler returns the service's HTTP API — the current /v2 surface
-// plus the deprecated /v1 shim:
+// Handler returns the service's HTTP API:
 //
 //	POST   /v2/jobs              submit a JobSpec; 202 queued, 200 cache
 //	                             hit; errors wear the typed envelope
@@ -52,30 +45,8 @@ const apiRevision = 4
 //	GET    /v2/cluster/ping      cluster-internal liveness probe
 //	GET    /v2/cluster/result/{key}  cluster-internal cache fill
 //	POST   /v2/cluster/jobs      cluster-internal delegated run
-//
-// The /v1 routes keep their revision-3 request/response shapes
-// (string error bodies included) and answer with `Deprecation: true`
-// plus a successor-version Link header.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// The deprecated /v1 shim: same handlers, same bodies, plus the
-	// deprecation headers (RFC 8594-style) pointing clients at /v2.
-	v1 := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v2>; rel="successor-version"`)
-			h(w, r)
-		}
-	}
-	mux.HandleFunc("POST /v1/jobs", v1(m.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs/{id}", v1(m.handleStatus))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", v1(m.handleResult))
-	mux.HandleFunc("GET /v1/jobs/{id}/series", v1(m.handleSeries))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", v1(m.handleCancel))
-	mux.HandleFunc("GET /v1/version", v1(m.handleVersion))
-	mux.HandleFunc("GET /v1/healthz", v1(m.handleHealthz))
-	mux.HandleFunc("GET /v1/stats", v1(m.handleStats))
-
 	mux.HandleFunc("POST /v2/jobs", m.v2Submit)
 	mux.HandleFunc("GET /v2/jobs/{id}", m.v2Status)
 	mux.HandleFunc("GET /v2/jobs/{id}/result", m.v2Result)
@@ -96,17 +67,14 @@ func (m *Manager) Handler() http.Handler {
 
 // MetricsHandler returns the OpenMetrics/Prometheus text exposition of
 // the serving registry: the serve.* plane plus the engine metrics of
-// every completed job, merged. ggserved mounts it at /metrics; it is
-// not under /v1 so generic scrapers find it at the conventional path.
+// every completed job, merged. ggserved mounts it at /metrics, outside
+// the versioned API, so generic scrapers find it at the conventional
+// path.
 func (m *Manager) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = telemetry.WriteOpenMetrics(w, m.reg.Snapshot())
 	})
-}
-
-type errorBody struct {
-	Error string `json:"error"`
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -117,130 +85,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// submitStatus maps a Submit error to its HTTP status via the typed
-// sentinels.
-func submitStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ggpdes.ErrInvalidConfig):
-		return http.StatusBadRequest
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// failureStatus maps a terminal job's cause to the result endpoint's
-// HTTP status.
-func failureStatus(cause error) int {
-	switch {
-	case errors.Is(cause, ggpdes.ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(cause, ggpdes.ErrCheckpointCorrupt):
-		return http.StatusGone
-	case errors.Is(cause, ggpdes.ErrInvalidConfig):
-		return http.StatusBadRequest
-	default:
-		// Cancellations and unclassified failures.
-		return http.StatusConflict
-	}
-}
-
-func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body: " + err.Error()})
-		return
-	}
-	st, err := m.Submit(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		// Deterministic backoff hint: derived from queue occupancy,
-		// not the wall clock (see retryAfterSeconds).
-		m.setRetryAfter(w)
-		writeJSON(w, submitStatus(err), errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, submitStatus(err), errorBody{Error: err.Error()})
-	case st.Cached:
-		writeJSON(w, http.StatusOK, st)
-	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := m.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// resultBody wraps a completed job's results with its identity, so a
-// client can tell which submission (and whether the cache) produced
-// them.
-type resultBody struct {
-	Status
-	Results any `json:"results"`
-}
-
-func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, st, ok := m.Result(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	switch st.State {
-	case StateDone:
-		writeJSON(w, http.StatusOK, resultBody{Status: st, Results: res})
-	case StateFailed, StateCancelled:
-		writeJSON(w, failureStatus(st.failCause), st)
-	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-// seriesBody wraps a job's per-round series with its identity. Points
-// arrive oldest-first; Total counts every point ever recorded, so
-// total > len(points) tells the client the ring has wrapped.
-type seriesBody struct {
-	Status
-	Total  int                     `json:"total_points"`
-	Points []telemetry.SeriesPoint `json:"points"`
-}
-
-func (m *Manager) handleSeries(w http.ResponseWriter, r *http.Request) {
-	pts, total, st, ok := m.Series(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	if pts == nil {
-		pts = []telemetry.SeriesPoint{}
-	}
-	writeJSON(w, http.StatusOK, seriesBody{Status: st, Total: total, Points: pts})
-}
-
-func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := m.Cancel(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// versionBody is the /v1/version payload: what a client needs to know
+// versionBody is the /v2/version payload: what a client needs to know
 // before speaking to this server.
 type versionBody struct {
 	Service string `json:"service"`
 	API     string `json:"api"`
-	// APIRevision bumps when the /v1 wire shapes change; see the
+	// APIRevision bumps when the wire shapes change; see the
 	// compatibility note in the README.
 	APIRevision int `json:"api_revision"`
 	// CheckpointFormat is the snapshot file version this server reads
@@ -250,40 +100,10 @@ type versionBody struct {
 	MaxAttempts      int    `json:"max_attempts"`
 }
 
-func (m *Manager) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, versionBody{
-		Service:          "ggserved",
-		API:              "v1",
-		APIRevision:      apiRevision,
-		CheckpointFormat: checkpoint.Version,
-		GoVersion:        runtime.Version(),
-		MaxAttempts:      m.opts.MaxAttempts,
-	})
-}
-
-// healthBody is the /v1 name for the healthz payload; revision 4
-// upgraded it to the shared Health shape (additively — revision-3
-// clients keep parsing it).
-type healthBody = Health
-
-// handleHealthz serves the same upgraded Health payload as /v2: the
-// revision-3 fields (status, workers, queue_depth, queued, running)
-// are all still present, with queue occupancy and peer connectivity
-// added — additive, so revision-3 clients keep parsing it.
-func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := m.Health(r.Context())
-	code := http.StatusOK
-	if h.Draining {
-		h.Status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-// statsBody is the /v1/stats payload: a full registry snapshot.
-// Gauges carry their set flag (revision 3): a gauge that was
-// registered but never recorded reports {"set":false} instead of a
-// value indistinguishable from a real 0.
+// statsBody is the /v2/stats payload: a full registry snapshot.
+// Gauges carry their set flag: a gauge that was registered but never
+// recorded reports {"set":false} instead of a value indistinguishable
+// from a real 0.
 type statsBody struct {
 	Counters   map[string]uint64               `json:"counters"`
 	Gauges     map[string]telemetry.GaugeState `json:"gauges"`

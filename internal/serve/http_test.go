@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,24 +22,43 @@ func startServer(t *testing.T, opts Options) (*Manager, *httptest.Server) {
 	return m, srv
 }
 
-func postJob(t *testing.T, srv *httptest.Server, spec JobSpec) (*http.Response, Status) {
+// wireBody is whichever of the job payload or the error envelope a
+// POST answered with.
+type wireBody struct {
+	Job   JobMeta    `json:"job"`
+	Error *ErrorInfo `json:"error"`
+}
+
+func post(t *testing.T, url string, body io.Reader) (*http.Response, wireBody) {
 	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Status
-	if resp.StatusCode < 300 {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
+	var b wireBody
+	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+		t.Fatalf("POST %s: status %d with an undecodable body: %v", url, resp.StatusCode, err)
 	}
-	return resp, st
+	if (resp.StatusCode >= 300) != (b.Error != nil) {
+		t.Fatalf("POST %s: status %d, error envelope %+v", url, resp.StatusCode, b.Error)
+	}
+	return resp, b
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func postJob(t *testing.T, srv *httptest.Server, spec JobSpec) (*http.Response, JobMeta) {
+	t.Helper()
+	resp, b := post(t, srv.URL+"/v2/jobs", bytes.NewReader(mustJSON(t, spec)))
+	return resp, b.Job
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -70,11 +90,13 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(60 * time.Second)
-	var polled Status
+	var polled JobMeta
 	for {
-		if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID, &polled); code != http.StatusOK {
+		var body jobBody
+		if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID, &body); code != http.StatusOK {
 			t.Fatalf("poll status %d", code)
 		}
+		polled = body.Job
 		if polled.State.Terminal() {
 			break
 		}
@@ -84,20 +106,20 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if polled.State != StateDone {
-		t.Fatalf("job finished %s (%s)", polled.State, polled.Error)
+		t.Fatalf("job finished %s (%+v)", polled.State, polled.Error)
 	}
 
 	var result struct {
-		Status
+		Job     JobMeta `json:"job"`
 		Results struct {
 			CommittedEvents uint64
 		} `json:"results"`
 	}
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/result", &result); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID+"/result", &result); code != http.StatusOK {
 		t.Fatalf("result status %d", code)
 	}
-	if result.Results.CommittedEvents == 0 {
-		t.Fatal("result payload has zero committed events")
+	if result.Job.ID != st.ID || result.Results.CommittedEvents == 0 {
+		t.Fatalf("result payload: job %+v, %d committed events", result.Job, result.Results.CommittedEvents)
 	}
 
 	resp2, st2 := postJob(t, srv, quickSpec(1))
@@ -112,37 +134,61 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 func TestHTTPBadRequests(t *testing.T) {
 	_, srv := startServer(t, Options{Workers: 1})
 
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
-	}
-
-	// A revision-1 flat spec is an unknown-field error now — the config
-	// lives under "config".
-	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"model":"phold","threads":2,"end_time":10}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("revision-1 spec: status %d, want 400", resp.StatusCode)
-	}
-
 	invalid := quickSpec(1)
 	invalid.Config.EndTime = 0
-	if resp, _ := postJob(t, srv, invalid); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid spec: status %d, want 400", resp.StatusCode)
+	for _, tc := range []struct{ name, body string }{
+		{"malformed JSON", "{not json"},
+		// A revision-1 flat spec is an unknown-field error now — the
+		// config lives under "config".
+		{"revision-1 spec", `{"model":"phold","threads":2,"end_time":10}`},
+		{"invalid spec", string(mustJSON(t, invalid))},
+	} {
+		resp, b := post(t, srv.URL+"/v2/jobs", strings.NewReader(tc.body))
+		if resp.StatusCode != http.StatusBadRequest || b.Error.Code != CodeInvalidConfig {
+			t.Fatalf("%s: status %d envelope %+v, want 400 invalid_config", tc.name, resp.StatusCode, b.Error)
+		}
 	}
 
-	for _, url := range []string{"/v1/jobs/job-nope", "/v1/jobs/job-nope/result"} {
+	for _, url := range []string{"/v2/jobs/job-nope", "/v2/jobs/job-nope/result"} {
 		if code := getJSON(t, srv.URL+url, nil); code != http.StatusNotFound {
 			t.Fatalf("GET %s: status %d, want 404", url, code)
 		}
+	}
+}
+
+// Every POST endpoint reads its body through the one bounded decoder:
+// a body over maxBodyBytes (here a valid spec behind that much leading
+// whitespace) and anything after the first JSON value are both 400
+// invalid_config, and neither admits a job.
+func TestHTTPBodyLimits(t *testing.T) {
+	m, srv := startServer(t, Options{Workers: 1, QueueDepth: 4})
+
+	job := mustJSON(t, quickSpec(1))
+	sweep := mustJSON(t, SweepSpec{Defaults: quickSpec(1), Seeds: []uint64{1, 2}})
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, ep := range []struct {
+		path  string
+		valid []byte
+	}{
+		{"/v2/jobs", job},
+		{"/v2/sweeps", sweep},
+		{"/v2/cluster/jobs", job},
+	} {
+		for _, tc := range []struct {
+			name string
+			body io.Reader
+		}{
+			{"oversized", io.MultiReader(strings.NewReader(pad), bytes.NewReader(ep.valid))},
+			{"trailing value", io.MultiReader(bytes.NewReader(ep.valid), strings.NewReader(` {"second":"value"} garbage`))},
+		} {
+			resp, b := post(t, srv.URL+ep.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest || b.Error.Code != CodeInvalidConfig {
+				t.Errorf("%s %s: status %d envelope %+v, want 400 invalid_config", ep.path, tc.name, resp.StatusCode, b.Error)
+			}
+		}
+	}
+	if n := m.Registry().Counters()[MetricJobsSubmitted]; n != 0 {
+		t.Errorf("%d jobs admitted from rejected bodies", n)
 	}
 }
 
@@ -168,7 +214,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	}
 
 	for _, id := range []string{queued.ID, running.ID} {
-		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+id, nil)
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+id, nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +228,7 @@ func TestHTTPQueueFull429(t *testing.T) {
 	waitState(t, m, queued.ID, StateCancelled)
 
 	// A cancelled job's result endpoint reports the conflict.
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+running.ID+"/result", nil); code != http.StatusConflict {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+running.ID+"/result", nil); code != http.StatusConflict {
 		t.Fatalf("cancelled result status %d, want 409", code)
 	}
 }
@@ -190,8 +236,8 @@ func TestHTTPQueueFull429(t *testing.T) {
 func TestHTTPHealthzAndStats(t *testing.T) {
 	m, srv := startServer(t, Options{Workers: 2, QueueDepth: 4})
 
-	var health healthBody
-	if code := getJSON(t, srv.URL+"/v1/healthz", &health); code != http.StatusOK {
+	var health Health
+	if code := getJSON(t, srv.URL+"/v2/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz status %d", code)
 	}
 	if health.Status != "ok" || health.Workers != 2 || health.QueueDepth != 4 {
@@ -202,14 +248,14 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 	waitState(t, m, st.ID, StateDone)
 
 	var stats statsBody
-	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
 	if stats.Counters["serve.jobs_completed"] != 1 {
 		t.Fatalf("stats counters: %v", stats.Counters)
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/stats", nil)
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v2/stats", nil)
 	req.Header.Set("Accept", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -233,12 +279,12 @@ func TestHTTPDraining503(t *testing.T) {
 	defer srv.Close()
 
 	drain(t, m)
-	resp, _ := postJob(t, srv, quickSpec(1))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining submit status %d, want 503", resp.StatusCode)
+	resp, b := post(t, srv.URL+"/v2/jobs", bytes.NewReader(mustJSON(t, quickSpec(1))))
+	if resp.StatusCode != http.StatusServiceUnavailable || b.Error.Code != CodeDraining || !b.Error.Retryable {
+		t.Fatalf("draining submit: status %d envelope %+v, want 503 draining retryable", resp.StatusCode, b.Error)
 	}
-	var health healthBody
-	if code := getJSON(t, srv.URL+"/v1/healthz", &health); code != http.StatusServiceUnavailable {
+	var health Health
+	if code := getJSON(t, srv.URL+"/v2/healthz", &health); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz status %d, want 503", code)
 	}
 	if health.Status != "draining" {
@@ -252,10 +298,10 @@ func TestHTTPResultInFlight(t *testing.T) {
 
 	_, st := postJob(t, srv, longSpec())
 	waitRunning(t, m, st.ID)
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/result", nil); code != http.StatusAccepted {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID+"/result", nil); code != http.StatusAccepted {
 		t.Fatalf("in-flight result status %d, want 202", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+st.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

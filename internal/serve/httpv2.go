@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -11,16 +12,40 @@ import (
 	"ggpdes/internal/checkpoint"
 )
 
-// This file is the /v2 HTTP surface (API revision 4): the typed error
-// envelope everywhere, JobMeta-shaped payloads, sweeps with SSE
-// streaming, the richer healthz, and the cluster-internal fill/
-// delegate endpoints. The /v1 handlers in http.go stay as the
-// compatibility shim.
+// This file is the HTTP handlers behind Manager.Handler: the typed
+// error envelope everywhere, JobMeta-shaped payloads, sweeps with SSE
+// streaming, healthz, and the cluster-internal fill/delegate endpoints.
 
-// writeError writes the /v2 envelope for err via classify.
-func writeError(w http.ResponseWriter, err error, fbCode string, fbStatus int) {
-	code, info := classify(err, fbCode, fbStatus)
-	writeJSON(w, code, errorEnvelope{Error: info})
+// maxBodyBytes bounds every POST body. The largest legal request is a
+// 4096-member sweep, and a config with every field spelled out is
+// well under 2 KiB of JSON, so 4096 of them fit in 8 MiB.
+const maxBodyBytes = 8 << 20
+
+// writeError writes the envelope for err via classify, at the status
+// its code rides on.
+func writeError(w http.ResponseWriter, err error, fbCode string) {
+	info := classify(err, fbCode)
+	writeJSON(w, codeHTTPStatus(info.Code), errorEnvelope{Error: info})
+}
+
+// decodeBody decodes a POST body into v, the one place request JSON is
+// read: at most maxBodyBytes, no unknown fields, and nothing but
+// whitespace after the first value. Any violation answers the
+// invalid_config envelope and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
+		writeError(w, fmt.Errorf("invalid JSON body: %w", err), CodeInvalidConfig)
+		return false
+	}
+	return true
 }
 
 // writeNotFound writes the envelope for an unknown job or sweep id.
@@ -50,10 +75,13 @@ func retryAfterSeconds(queueLen, workers int) int {
 	return s
 }
 
-// setRetryAfter stamps the deterministic Retry-After header for a
-// queue-full rejection.
-func (m *Manager) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(len(m.queue), m.opts.Workers)))
+// writeSubmitError answers a rejected Submit; a queue-full rejection
+// also carries the deterministic Retry-After header.
+func (m *Manager) writeSubmitError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrQueueFull) {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(len(m.queue), m.opts.Workers)))
+	}
+	writeError(w, err, CodeInternal)
 }
 
 // jobBody is the /v2 job payload: JobMeta alone for status, plus
@@ -86,19 +114,13 @@ func writeJobError(w http.ResponseWriter, meta JobMeta) {
 
 func (m *Manager) v2Submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("invalid JSON body: %w", err), CodeInvalidConfig, http.StatusBadRequest)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	st, err := m.Submit(spec)
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		m.setRetryAfter(w)
-		writeError(w, err, CodeInternal, http.StatusInternalServerError)
 	case err != nil:
-		writeError(w, err, CodeInternal, http.StatusInternalServerError)
+		m.writeSubmitError(w, err)
 	case st.Cached:
 		writeJSON(w, http.StatusOK, jobBody{Job: st.Meta()})
 	default:
@@ -132,7 +154,9 @@ func (m *Manager) v2Result(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jobSeriesBody mirrors /v1's series payload in the /v2 shape.
+// jobSeriesBody wraps a job's per-round series with its identity.
+// Points arrive oldest-first; Total counts every point ever recorded,
+// so total > len(points) tells the client the ring has wrapped.
 type jobSeriesBody struct {
 	Job    JobMeta `json:"job"`
 	Total  int     `json:"total_points"`
@@ -167,15 +191,12 @@ type sweepBody struct {
 
 func (m *Manager) v2SubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("invalid JSON body: %w", err), CodeInvalidConfig, http.StatusBadRequest)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	st, err := m.SubmitSweep(spec)
 	if err != nil {
-		writeError(w, err, CodeInternal, http.StatusInternalServerError)
+		writeError(w, err, CodeInternal)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, sweepBody{Sweep: st})
@@ -335,10 +356,7 @@ func (m *Manager) v2ClusterResult(w http.ResponseWriter, r *http.Request) {
 // is forced so a stale peer list cannot create routing loops.
 func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("invalid JSON body: %w", err), CodeInvalidConfig, http.StatusBadRequest)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	spec.NoForward = true
@@ -347,10 +365,7 @@ func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := m.Submit(spec)
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			m.setRetryAfter(w)
-		}
-		writeError(w, err, CodeInternal, http.StatusInternalServerError)
+		m.writeSubmitError(w, err)
 		return
 	}
 	final, err := m.Wait(r.Context(), st.ID)

@@ -157,40 +157,41 @@ type Job struct {
 	followers []*Job
 }
 
-// Status is an immutable snapshot of a job, shaped for JSON.
+// Status is an immutable snapshot of a job. It is the Go-side shape;
+// Meta re-cuts it into JobMeta, the only job shape on the wire.
 type Status struct {
-	ID    string `json:"id"`
-	State State  `json:"state"`
+	ID    string
+	State State
 	// Key is the config's content-addressed cache key.
-	Key string `json:"key"`
+	Key string
 	// Cached is true when the result was served from the cache without
 	// a run.
-	Cached bool `json:"cached,omitempty"`
+	Cached bool
 	// Source qualifies Cached: "cache" (local hit), "inflight"
 	// (coalesced onto an identical in-flight job), "peer" (filled from
 	// the owning replica's cache), "remote" (delegated to and run by
 	// the owning replica); empty for local runs.
-	Source string `json:"source,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Source string
+	Error  string
 
 	// Attempts counts run attempts so far (0 for cache hits).
-	Attempts int `json:"attempts,omitempty"`
+	Attempts int
 	// LastError is the most recent attempt failure that was retried.
-	LastError string `json:"last_error,omitempty"`
+	LastError string
 	// ResumedFrom names the checkpoint file the latest attempt resumed
 	// from, when it did not start from scratch.
-	ResumedFrom string `json:"resumed_from,omitempty"`
+	ResumedFrom string
 
-	SubmittedAt time.Time `json:"submitted_at"`
-	StartedAt   time.Time `json:"started_at,omitempty"`
-	FinishedAt  time.Time `json:"finished_at,omitempty"`
+	SubmittedAt time.Time
+	StartedAt   time.Time
+	FinishedAt  time.Time
 	// QueueSeconds and RunSeconds break down where the job spent its
 	// wall-clock time so far.
-	QueueSeconds float64 `json:"queue_seconds"`
-	RunSeconds   float64 `json:"run_seconds"`
+	QueueSeconds float64
+	RunSeconds   float64
 
-	// failCause carries the terminal error for HTTP status mapping;
-	// not serialized.
+	// failCause carries the terminal error Meta classifies into the
+	// typed ErrorInfo.
 	failCause error
 }
 

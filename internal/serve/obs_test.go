@@ -13,12 +13,12 @@ import (
 )
 
 // startObsServer mounts the full observability surface the way
-// ggserved does: the /v1 API plus /metrics.
+// ggserved does: the /v2 API plus /metrics.
 func startObsServer(t *testing.T, opts Options) (*Manager, *httptest.Server) {
 	t.Helper()
 	m := New(opts)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", m.Handler())
+	mux.Handle("/v2/", m.Handler())
 	mux.Handle("/metrics", m.MetricsHandler())
 	srv := httptest.NewServer(mux)
 	t.Cleanup(func() {
@@ -82,15 +82,15 @@ func TestSeriesEndpoint(t *testing.T) {
 	waitState(t, m, st.ID, StateDone)
 
 	var body struct {
-		Status
+		Job    JobMeta                 `json:"job"`
 		Total  int                     `json:"total_points"`
 		Points []telemetry.SeriesPoint `json:"points"`
 	}
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/series", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID+"/series", &body); code != http.StatusOK {
 		t.Fatalf("series status %d", code)
 	}
-	if body.ID != st.ID || body.State != StateDone {
-		t.Fatalf("series identity: %+v", body.Status)
+	if body.Job.ID != st.ID || body.Job.State != StateDone {
+		t.Fatalf("series identity: %+v", body.Job)
 	}
 	if len(body.Points) == 0 || body.Total < len(body.Points) {
 		t.Fatalf("series shape: %d points, total %d", len(body.Points), body.Total)
@@ -100,7 +100,7 @@ func TestSeriesEndpoint(t *testing.T) {
 		t.Fatalf("last point malformed: %+v", last)
 	}
 
-	if code := getJSON(t, srv.URL+"/v1/jobs/nope/series", nil); code != http.StatusNotFound {
+	if code := getJSON(t, srv.URL+"/v2/jobs/nope/series", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job series status %d, want 404", code)
 	}
 
@@ -109,7 +109,7 @@ func TestSeriesEndpoint(t *testing.T) {
 	if !st2.Cached {
 		t.Fatalf("resubmit was not a cache hit: %+v", st2)
 	}
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st2.ID+"/series", &body); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st2.ID+"/series", &body); code != http.StatusOK {
 		t.Fatalf("cached series status %d", code)
 	}
 	if len(body.Points) == 0 {
@@ -130,18 +130,18 @@ func TestSeriesDisabled(t *testing.T) {
 	if len(pts) != 0 {
 		t.Fatalf("series disabled but %d points recorded", len(pts))
 	}
-	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/series", nil); code != http.StatusOK {
+	if code := getJSON(t, srv.URL+"/v2/jobs/"+st.ID+"/series", nil); code != http.StatusOK {
 		t.Fatalf("series status %d (disabled should still 200 with empty points)", code)
 	}
 }
 
-// TestScrapeMidRun hammers /metrics and /v1/stats while 8 jobs record
+// TestScrapeMidRun hammers /metrics and /v2/stats while 8 jobs record
 // through shard handles — the contention pattern the sharded registry
 // exists for. Run with -race it doubles as the data-race audit.
 func TestScrapeMidRun(t *testing.T) {
 	m, srv := startObsServer(t, Options{Workers: 4, QueueDepth: 16})
 
-	specs := make([]Status, 0, 8)
+	specs := make([]JobMeta, 0, 8)
 	for i := 0; i < 8; i++ {
 		spec := quickSpec(uint64(i + 1))
 		spec.Config.EndTime = 40
@@ -163,7 +163,7 @@ func TestScrapeMidRun(t *testing.T) {
 					if body, _ := scrape(t, srv.URL+"/metrics"); strings.Contains(body, "\x00") {
 						t.Error("NUL in exposition")
 					}
-					_ = getJSON(t, srv.URL+"/v1/stats", nil)
+					_ = getJSON(t, srv.URL+"/v2/stats", nil)
 					time.Sleep(time.Millisecond)
 				}
 			}

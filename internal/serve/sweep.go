@@ -97,6 +97,9 @@ type sweepJob struct {
 	terminal  int // members that reached a terminal state
 	submitted time.Time
 	finished  time.Time
+	// cancelled is set by CancelSweep so members the fan-out has not
+	// submitted yet are cancelled as they arrive.
+	cancelled bool
 	// wake is closed and renewed whenever an event is appended (or the
 	// sweep finishes), so SSE streams block without polling.
 	wake chan struct{}
@@ -157,16 +160,20 @@ func (m *Manager) runSweep(s *sweepJob) {
 			// The member never became a job (draining, process exit);
 			// record the failure as its terminal event.
 			meta := JobMeta{State: StateFailed, SubmittedAt: time.Now(), FinishedAt: time.Now()}
-			_, info := classify(err, CodeInternal, 0)
+			info := classify(err, CodeInternal)
 			meta.Error = &info
 			m.settleSweepMember(s, i, meta, nil)
 			continue
 		}
 		m.mu.Lock()
 		s.metas[i] = st.Meta()
+		cancelled := s.cancelled
 		m.mu.Unlock()
 		m.wg.Add(1)
 		go m.watchSweepMember(s, i, st.ID)
+		if cancelled {
+			m.Cancel(st.ID)
+		}
 	}
 }
 
@@ -270,8 +277,9 @@ func (m *Manager) GetSweep(id string) (SweepStatus, bool) {
 	return m.sweepStatusLocked(s), true
 }
 
-// CancelSweep cancels every non-terminal member. Already-finished
-// members keep their results.
+// CancelSweep cancels every non-terminal member, including those the
+// fan-out has yet to submit. Already-finished members keep their
+// results.
 func (m *Manager) CancelSweep(id string) (SweepStatus, bool) {
 	m.mu.Lock()
 	s, ok := m.sweeps[id]
@@ -279,6 +287,7 @@ func (m *Manager) CancelSweep(id string) (SweepStatus, bool) {
 		m.mu.Unlock()
 		return SweepStatus{}, false
 	}
+	s.cancelled = true
 	var ids []string
 	for _, meta := range s.metas {
 		if meta.ID != "" && !meta.State.Terminal() {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -279,32 +278,33 @@ func TestV2HealthzCluster(t *testing.T) {
 	}
 }
 
-// Every /v1 response carries the deprecation headers pointing at /v2;
-// /v2 responses carry neither.
-func TestV1DeprecationHeaders(t *testing.T) {
+// API revision 5 removed the v1 routes: each former method+path pair is
+// an ordinary mux 404 now, with no shim behind it.
+func TestFormerV1Routes404(t *testing.T) {
 	_, srv := startServer(t, Options{Workers: 1})
 
-	for _, path := range []string{"/v1/healthz", "/v1/version", "/v1/stats"} {
-		resp, err := http.Get(srv.URL + path)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs/job-00000001"},
+		{http.MethodGet, "/v1/jobs/job-00000001/result"},
+		{http.MethodGet, "/v1/jobs/job-00000001/series"},
+		{http.MethodDelete, "/v1/jobs/job-00000001"},
+		{http.MethodGet, "/v1/version"},
+		{http.MethodGet, "/v1/healthz"},
+		{http.MethodGet, "/v1/stats"},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("%s missing Deprecation header", path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, `</v2>; rel="successor-version"`) {
-			t.Fatalf("%s Link header %q", path, link)
-		}
-	}
-
-	resp, err := http.Get(srv.URL + "/v2/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v2 response carries a Deprecation header")
 	}
 }
 
@@ -364,31 +364,41 @@ func TestV2SweepSingleNode(t *testing.T) {
 	}
 }
 
-// The v1 JSON bodies are unchanged by the revision bump: Status still
-// serializes with its string error, and the new Source field stays
-// out of v1 payloads when empty.
-func TestV1BodiesStable(t *testing.T) {
-	_, srv := startServer(t, Options{Workers: 1, QueueDepth: 4})
+// Cancelling a sweep while its fan-out is still blocked on a full
+// queue must also settle the members submitted afterwards; they used
+// to start after the cancel and run to their own end.
+func TestCancelSweepDuringFanOut(t *testing.T) {
+	m, _ := startServer(t, Options{Workers: 1, QueueDepth: 1})
 
-	resp, st := postJob(t, srv, quickSpec(4950))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	raw, err := json.Marshal(st)
+	spec := SweepSpec{Defaults: longSpec(), Seeds: []uint64{9201, 9202, 9203, 9204}}
+	spec.Defaults.NoCache = true
+	st, err := m.SubmitSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"id", "state", "key", "submitted_at"} {
-		if _, ok := fields[want]; !ok {
-			t.Fatalf("v1 status body lost field %q: %s", want, raw)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		sw, _ := m.GetSweep(st.ID)
+		if sw.Members[0].State == StateRunning {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatal("member 0 never started")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, ok := fields["source"]; ok {
-		t.Fatalf("v1 status body grew a source field for a fresh run: %s", raw)
+	if _, ok := m.CancelSweep(st.ID); !ok {
+		t.Fatal("sweep unknown")
+	}
+	for {
+		sw, _ := m.GetSweep(st.ID)
+		if sw.State == StateCancelled && sw.Cancelled == 4 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never settled after cancel: %+v", sw)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -146,8 +146,8 @@ func TestConcurrentShardsAndScrapes(t *testing.T) {
 }
 
 // benchmarkRegistry drives every parallel worker through its own (or
-// the shared) cell set — the contention A/B behind BENCH_PR6.json's
-// telemetry_sharded/telemetry_shared entries.
+// the shared) cell set — the contention A/B the benchmark reports as
+// telemetry.counter_inc_ns_sharded / _shared.
 func benchmarkRegistry(b *testing.B, sharded bool) {
 	r := NewRegistry()
 	r.SetSharding(sharded)

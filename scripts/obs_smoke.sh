@@ -11,7 +11,7 @@
 #   - the page covers every metric name in the checked-in inventory
 #     (internal/telemetry/inventory.txt), both the serve.* plane and
 #     the engine metrics folded in from the completed job;
-#   - GET /v1/jobs/{id}/series returns the per-GVT-round time series
+#   - GET /v2/jobs/{id}/series returns the per-GVT-round time series
 #     with the horizon statistics;
 #   - ggtop -once renders GVT, rollback, and horizon lines for the job;
 #   - the pprof listener answers on its own port.
@@ -45,7 +45,7 @@ done
 addr=$(cat "$dir/addr")
 
 # Submit one PHOLD job and poll it to completion.
-curl -sf "http://$addr/v1/jobs" \
+curl -sf "http://$addr/v2/jobs" \
     -d '{"config":{"model":{"name":"phold"},"threads":8,"end_time":30,"seed":7}}' \
     >"$dir/submit.json" || fail "submit failed"
 id=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$dir/submit.json" | head -n 1)
@@ -56,7 +56,7 @@ state=
 while [ "$state" != "done" ]; do
     i=$((i + 1))
     [ "$i" -le 300 ] || fail "job $id stuck in state '$state'"
-    state=$(curl -sf "http://$addr/v1/jobs/$id" |
+    state=$(curl -sf "http://$addr/v2/jobs/$id" |
         sed -n 's/.*"state": "\([^"]*\)".*/\1/p' | head -n 1)
     case "$state" in
     failed | cancelled) fail "job $id finished $state" ;;
@@ -99,7 +99,7 @@ if grep -q 'ggpdes_cluster_' "$dir/metrics"; then
 fi
 
 # Per-round series with the horizon statistics.
-curl -sf "http://$addr/v1/jobs/$id/series" >"$dir/series.json" || fail "series fetch failed"
+curl -sf "http://$addr/v2/jobs/$id/series" >"$dir/series.json" || fail "series fetch failed"
 grep -q '"horizon_width"' "$dir/series.json" || fail "series has no horizon_width"
 grep -q '"thread_lvts"' "$dir/series.json" || fail "series has no thread_lvts"
 
