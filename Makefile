@@ -32,9 +32,11 @@ lint-fixtures:
 test:
 	$(GO) test ./...
 
-# The race detector cannot see the simulated machine's cooperative
-# scheduling (goroutines hand off via channels, one runnable at a
-# time), but it guards the harness, CLIs, and test plumbing.
+# The simulated machine's threads are coroutines that run strictly one
+# at a time (iter.Pull orders every switch for the race detector), so
+# there is nothing for it to find there by construction; what it guards
+# is the harness, the serving and distributed layers, the CLIs and the
+# test plumbing.
 test-race:
 	$(GO) test -race ./...
 

@@ -282,9 +282,10 @@ func main() {
 			cfg.Model.Name(), cfg.System, cfg.GVT, cfg.Affinity, cfg.Threads, *cores, *smt)
 	}
 	if distributed {
-		fmt.Printf("distributed          : %d workers, %s relayed cross-shard\n",
+		fmt.Printf("distributed          : %d workers, %s relayed cross-shard, %s polls elided\n",
 			distWorkerCount(*workers, *workerAddrs),
-			stats.Count(res.Counters["dist.events_relayed"]+res.Counters["dist.antis_relayed"]))
+			stats.Count(res.Counters["dist.events_relayed"]+res.Counters["dist.antis_relayed"]),
+			stats.Count(res.Counters["dist.polls_elided"]))
 	}
 	fmt.Printf("committed event rate : %s\n", stats.Rate(res.CommittedEventRate))
 	fmt.Printf("committed events     : %s\n", stats.Count(res.CommittedEvents))

@@ -130,10 +130,11 @@ func renderService(b *strings.Builder, exp *exposition) {
 			stats.Count(uint64(get("dist_events_relayed_total")+get("dist_antis_relayed_total"))),
 			stats.Count(uint64(get("dist_bytes_sent_total"))),
 			stats.Count(uint64(get("dist_bytes_received_total"))))
-		fmt.Fprintf(b, "        batches %-8s coalesced %s  cached reads %s\n",
+		fmt.Fprintf(b, "        batches %-8s coalesced %s  cached reads %s  elided polls %s\n",
 			stats.Count(uint64(get("dist_batches_total"))),
 			stats.Count(uint64(get("dist_ops_coalesced_total"))),
-			stats.Count(uint64(get("dist_reads_cached_total"))))
+			stats.Count(uint64(get("dist_reads_cached_total"))),
+			stats.Count(uint64(get("dist_polls_elided_total"))))
 	}
 	// The cluster.* counters are registered only on clustered replicas
 	// (cluster.New), so their presence — again, not value — keys the

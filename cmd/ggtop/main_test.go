@@ -54,12 +54,13 @@ func TestRenderServiceDistLine(t *testing.T) {
 	reg.Counter("dist.batches").Add(1200)
 	reg.Counter("dist.ops_coalesced").Add(3400)
 	reg.Counter("dist.reads_cached").Add(5600)
+	reg.Counter("dist.polls_elided").Add(7800)
 	var b strings.Builder
 	renderService(&b, scrape(t, reg))
 	out := b.String()
 	for _, want := range []string{
 		"dist    workers 4", "relayed 2.0K", "1.05M sent", "2.10M received",
-		"batches 1.2K", "coalesced 3.4K", "cached reads 5.6K",
+		"batches 1.2K", "coalesced 3.4K", "cached reads 5.6K", "elided polls 7.8K",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dist line missing %q:\n%s", want, out)

@@ -82,37 +82,62 @@ func scrubDist(res *Results) {
 // — for multiple models, worker counts, schedulers and GVT algorithms.
 // The (System, GVT) axis reaches the bridge paths GG-PDES/WaitFree
 // never takes: Barrier GVT's fused DrainLocalMin, and Baseline's
-// DrainProcess without the HasExecutableWork prefetch.
+// DrainProcess without the HasExecutableWork prefetch. The variants
+// are what the quiet set has to survive: an optimism window (a peer is
+// quiet because its head lies beyond the horizon, until GVT advances),
+// lazy cancellation (rollbacks leave cancelled heads and deferred
+// anti-messages behind), a third model, and a shard of more than 64
+// peers (the set is not one machine word).
 func TestDistributedGoldenMatrix(t *testing.T) {
 	phold := PHOLD{LPsPerThread: 4, Imbalance: 2}
+	traffic := Traffic{LPsPerThread: 4, CenterStartEvents: 6}
 	cases := []struct {
 		model   Model
 		system  System
 		gvt     GVT
 		workers []int
+		variant string
+		mutate  func(*Config)
 	}{
-		{phold, GGPDES, WaitFree, []int{2, 4}},
-		{Traffic{LPsPerThread: 4, CenterStartEvents: 6}, GGPDES, WaitFree, []int{2, 4}},
-		{phold, Baseline, Barrier, []int{2}},
-		{phold, Baseline, WaitFree, []int{2}},
-		{phold, DDPDES, WaitFree, []int{2}},
-		{phold, GGPDES, Barrier, []int{2}},
+		{model: phold, system: GGPDES, gvt: WaitFree, workers: []int{2, 4}},
+		{model: traffic, system: GGPDES, gvt: WaitFree, workers: []int{2, 4}},
+		{model: phold, system: Baseline, gvt: Barrier, workers: []int{2}},
+		{model: phold, system: Baseline, gvt: WaitFree, workers: []int{2}},
+		{model: phold, system: DDPDES, gvt: WaitFree, workers: []int{2}},
+		{model: phold, system: GGPDES, gvt: Barrier, workers: []int{2}},
+		{model: phold, system: GGPDES, gvt: WaitFree, workers: []int{2}, variant: "window",
+			mutate: func(c *Config) { c.OptimismWindow = 2 }},
+		{model: phold, system: Baseline, gvt: WaitFree, workers: []int{2}, variant: "window",
+			mutate: func(c *Config) { c.OptimismWindow = 2 }},
+		{model: traffic, system: GGPDES, gvt: WaitFree, workers: []int{2}, variant: "lazy",
+			mutate: func(c *Config) { c.LazyCancellation = true }},
+		{model: traffic, system: Baseline, gvt: WaitFree, workers: []int{2}, variant: "lazy-window",
+			mutate: func(c *Config) { c.LazyCancellation, c.OptimismWindow = true, 1 }},
+		{model: Epidemics{LPsPerThread: 8}, system: GGPDES, gvt: WaitFree, workers: []int{2}},
+		{model: PHOLD{LPsPerThread: 1, Imbalance: 2}, system: Baseline, gvt: WaitFree, workers: []int{1}, variant: "72-threads",
+			mutate: func(c *Config) { c.Threads, c.EndTime = 72, 10 }},
 	}
 	for _, c := range cases {
 		cfg := func(dir string) Config {
 			cfg := distCfg(c.model, dir)
 			cfg.System, cfg.GVT = c.system, c.gvt
+			if c.mutate != nil {
+				c.mutate(&cfg)
+			}
 			return cfg
 		}
 		name := c.model.Name()
 		if c.system != GGPDES || c.gvt != WaitFree {
 			name = fmt.Sprintf("%s/%v-%v", name, c.system, c.gvt)
 		}
+		if c.variant != "" {
+			name += "/" + c.variant
+		}
 		golden, err := Run(cfg(t.TempDir()))
 		if err != nil {
 			t.Fatalf("%s in-process: %v", name, err)
 		}
-		if golden.FinalGVT < 30 {
+		if end := cfg("").EndTime; golden.FinalGVT < end {
 			t.Fatalf("%s in-process run incomplete: GVT %v", name, golden.FinalGVT)
 		}
 		for _, workers := range c.workers {
@@ -128,6 +153,9 @@ func TestDistributedGoldenMatrix(t *testing.T) {
 				if res.Counters["dist.msgs_sent"] == 0 || res.Counters["dist.gvt_rounds"] == 0 {
 					t.Errorf("wire counters not booked: %v", res.Counters)
 				}
+				if res.Counters["dist.polls_elided"] == 0 {
+					t.Errorf("no poll was elided: %v", res.Counters)
+				}
 				scrubDist(res)
 				if !reflect.DeepEqual(golden, res) {
 					t.Errorf("distributed run diverged from in-process:\nin-proc: %+v\ndist:    %+v", golden, res)
@@ -139,10 +167,11 @@ func TestDistributedGoldenMatrix(t *testing.T) {
 
 // The data plane's shape, pinned by count: how many frames the
 // coordinator sends for one fixed configuration, how many of them are
-// coalesced batches, how many round trips coalescing saved and how many
-// reads the cache answered with no frame at all. The run is
-// deterministic, so these are exact on any machine; a change that
-// silently stops coalescing, caching or deferring relays moves them.
+// coalesced batches, how many round trips coalescing saved, how many
+// reads the cache answered and how many polls the quiet set answered
+// with no frame at all. The run is deterministic, so these are exact on
+// any machine; a change that silently stops coalescing, caching,
+// eliding or deferring relays moves them.
 func TestDistributedFrameCounts(t *testing.T) {
 	res, err := RunDistributed(context.Background(), distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, t.TempDir()),
 		DistOptions{Workers: 2, Dial: inProcWorkers()})
@@ -150,10 +179,11 @@ func TestDistributedFrameCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]uint64{
-		"dist.msgs_sent":     6510,
-		"dist.batches":       6408,
-		"dist.ops_coalesced": 12575,
-		"dist.reads_cached":  6262,
+		"dist.msgs_sent":     442,
+		"dist.batches":       340,
+		"dist.ops_coalesced": 465,
+		"dist.reads_cached":  6275,
+		"dist.polls_elided":  6055,
 	} {
 		if got := res.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -211,9 +211,12 @@ func (d *distRun) engineBuilt(eng *tw.Engine, reg *telemetry.Registry, state *tw
 		d:           d,
 		eng:         eng,
 		prefetch:    core.System(d.rs.cfg.System) != core.Baseline,
+		drainBase:   eng.Config().Costs.DrainBaseCycles,
 		readsCached: reg.Counter(dist.MetricReadsCached),
+		pollsElided: reg.Counter(dist.MetricPollsElided),
 		pending:     make([][]tw.WireEvent, d.workers),
 		cache:       make([]readCache, d.workers),
+		quiet:       make([]quietSet, d.workers),
 	}
 	for i := range b.cache {
 		b.cache[i] = newReadCache(d.threadsPer)
@@ -561,7 +564,8 @@ func (d *distRun) finishing(seg *segment) error {
 // remoteBridge is the coordinator's tw.RemoteTransport. Consecutive
 // operations against the same worker coalesce into one binary frame
 // (the fused methods), pure reads repeat from a coordinator-side cache,
-// and cross-shard relays queue until the next frame to their
+// polls of peers the worker reported quiet are answered without a
+// frame, and cross-shard relays queue until the next frame to their
 // destination — all without changing the order in which the worker
 // observes mutations, so the trajectory stays byte-identical to one
 // round trip per operation. Each frame threads the engine-global
@@ -574,7 +578,8 @@ type remoteBridge struct {
 	eng *tw.Engine
 	err error
 
-	prefetch bool // piggyback HasExecutableWork on DrainProcess
+	prefetch  bool   // piggyback HasExecutableWork on DrainProcess
+	drainBase uint64 // what a poll that finds nothing charges
 
 	// pending holds queued cross-shard relays per destination worker;
 	// they ride at the head of the next frame to that worker, so the
@@ -584,9 +589,28 @@ type remoteBridge struct {
 	// worker (op or queued inject) invalidates that worker wholesale.
 	cache       []readCache
 	readsCached *telemetry.Counter
+	// quiet is each worker's last reported quiet set; it lives exactly
+	// as long as the read cache's entries do.
+	quiet       []quietSet
+	pollsElided *telemetry.Counter
 
 	reqs []dist.OpRequest // scratch: op list under construction
 	ops  []dist.OpRequest // scratch: frame ops with inject flush prepended
+	msg  dist.BatchMsg    // scratch: the frame being sent
+	env  tw.Envelope      // scratch: its envelope
+}
+
+// quietSet is one worker's quiet set (tw.Peer.Quiet per shard peer) as
+// of its last enveloped reply. The worker computes it over its whole
+// shard after the batch's last op, so whatever an op did to same-shard
+// peers is already in it; the coordinator only has to notice what the
+// worker cannot see coming: a relay queued toward it or a control op
+// (invalidate drops the set) and a GVT advance, which moves the
+// optimism horizon (the set is stamped with the GVT it was computed at
+// and ignored at any other).
+type quietSet struct {
+	bits []byte // empty: no current set
+	gvt  tw.VT
 }
 
 // readKind indexes the cached pure per-peer reads.
@@ -632,9 +656,17 @@ func newReadCache(n int) readCache {
 	return c
 }
 
-// invalidate drops every cached read for worker w.
+// invalidate drops every cached read, and the quiet set, for worker w.
 func (b *remoteBridge) invalidate(w int) {
 	clear(b.cache[w].valid)
+	b.quiet[w].bits = b.quiet[w].bits[:0]
+}
+
+// isQuiet reports whether peer is in its worker's quiet set and the set
+// is current.
+func (b *remoteBridge) isQuiet(peer int) bool {
+	q, idx := &b.quiet[peer/b.d.threadsPer], peer%b.d.threadsPer
+	return len(q.bits) > 0 && q.gvt == b.eng.GVT() && tw.QuietSetHas(q.bits, idx)
 }
 
 // fill caches op's result for worker w when op is one of the cached
@@ -709,11 +741,12 @@ func (b *remoteBridge) mirror(w int, env *tw.Envelope, stats []tw.PeerStats) boo
 // iff a non-inject op is present (an inject-only flush must not echo a
 // stale envelope back). Results come back positionally: charged cycles
 // mirror onto cpu in op order, pure reads refill the cache (after any
-// mutation in the frame invalidates it), and the worker's outbox is
-// queued toward its destinations. Returns one result per op; inert
-// results — zero counts, false flags, +Inf virtual times, so the GVT
-// layer winds the run down monotonically while cancellation propagates
-// — after a failure.
+// mutation in the frame invalidates it), an enveloped reply's quiet set
+// replaces the worker's previous one, and the worker's outbox is
+// queued toward its destinations. Returns one result per op, valid
+// until the next frame to w; inert results — zero counts, false flags,
+// +Inf virtual times, so the GVT layer winds the run down monotonically
+// while cancellation propagates — after a failure.
 func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.OpResult {
 	inert := func() []dist.OpResult {
 		out := make([]dist.OpResult, len(ops))
@@ -725,7 +758,8 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 	if b.err != nil {
 		return inert()
 	}
-	m := dist.BatchMsg{Ops: ops}
+	m := &b.msg
+	m.Ops, m.Env = ops, nil
 	head := 0
 	if evs := b.pending[w]; len(evs) > 0 {
 		head = 1
@@ -734,10 +768,10 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 		m.Ops = b.ops
 	}
 	if len(ops) > 0 {
-		env := b.eng.EnvelopeOut()
-		m.Env = &env
+		b.env = b.eng.EnvelopeOut()
+		m.Env = &b.env
 	}
-	reply, err := b.d.clients[w].CallBatch(&m)
+	reply, err := b.d.clients[w].CallBatch(m)
 	if head == 1 {
 		b.pending[w] = b.pending[w][:0]
 	}
@@ -761,6 +795,10 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 	}
 	if mutated {
 		b.invalidate(w)
+	}
+	if m.Env != nil {
+		q := &b.quiet[w]
+		q.bits, q.gvt = append(q.bits[:0], reply.Quiet...), reply.Env.GVT
 	}
 	results := reply.Results[head:]
 	for i := range results {
@@ -830,8 +868,15 @@ func (b *remoteBridge) InputSize(peer int) int { return b.read(readInputSize, pe
 func (b *remoteBridge) HasWork(peer int) bool { return b.read(readHasWork, peer).Flag }
 
 // HasExecutableWork implements tw.RemoteTransport. Cached entries are
-// only good at the GVT horizon they were read at.
-func (b *remoteBridge) HasExecutableWork(peer int) bool { return b.read(readHasExec, peer).Flag }
+// only good at the GVT horizon they were read at; a quiet peer has
+// none, which is as good as a cached answer.
+func (b *remoteBridge) HasExecutableWork(peer int) bool {
+	if b.isQuiet(peer) {
+		b.readsCached.Inc()
+		return false
+	}
+	return b.read(readHasExec, peer).Flag
+}
 
 // RemoteMin implements tw.RemoteTransport.
 func (b *remoteBridge) RemoteMin(peer int) tw.VT { return tw.VT(b.read(readRemoteMin, peer).VT) }
@@ -878,8 +923,16 @@ func (b *remoteBridge) frame(peer int, cpu tw.CPU, ops ...dist.OpCode) []dist.Op
 // DrainProcess implements tw.RemoteTransport: the scheduler hot loop's
 // Drain+ProcessBatch pair as one frame. For schedulers that poll
 // HasExecutableWork immediately after (gg/dd ReadMessageCount), a
-// prefetch of it rides along and lands in the cache.
+// prefetch of it rides along and lands in the cache. Polling a quiet
+// peer needs no frame: its Drain finds nothing and charges the base
+// cost, its ProcessBatch finds nothing and charges nothing, and neither
+// changes anything on the worker.
 func (b *remoteBridge) DrainProcess(peer int, cpu tw.CPU) (int, int) {
+	if b.isQuiet(peer) {
+		b.pollsElided.Inc()
+		cpu.Work(b.drainBase)
+		return 0, 0
+	}
 	var rs []dist.OpResult
 	if b.prefetch {
 		rs = b.frame(peer, cpu, dist.OpDrain, dist.OpProcessBatch, dist.OpHasExecWork)

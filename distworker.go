@@ -1,10 +1,12 @@
 package ggpdes
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 
 	"ggpdes/internal/dist"
 	"ggpdes/internal/telemetry"
@@ -46,6 +48,9 @@ type workerShard struct {
 	reg    *telemetry.Registry
 	lo, hi int
 	cpu    recordCPU
+	// reply and env are the storage every batch reply is built in.
+	reply dist.BatchReply
+	env   tw.Envelope
 }
 
 // newWorkerShard decodes an InitMsg into a live shard engine. The
@@ -104,15 +109,14 @@ func (ws *workerShard) peer(i int) (*tw.Peer, error) {
 	return ws.eng.Peer(i), nil
 }
 
-// shardStats snapshots every shard peer's cumulative counters. All of
-// them ride on every enveloped response: quiesce and inject traffic
+// shardStats appends every shard peer's cumulative counters to dst. All
+// of them ride on every enveloped response: quiesce and inject traffic
 // can mutate peers other than the request's target.
-func (ws *workerShard) shardStats() []tw.PeerStats {
-	out := make([]tw.PeerStats, ws.hi-ws.lo)
+func (ws *workerShard) shardStats(dst []tw.PeerStats) []tw.PeerStats {
 	for i := ws.lo; i < ws.hi; i++ {
-		out[i-ws.lo] = ws.eng.Peer(i).Stats
+		dst = append(dst, ws.eng.Peer(i).Stats)
 	}
-	return out
+	return dst
 }
 
 // execOne executes one hot-path operation of a batch, recording its
@@ -167,24 +171,31 @@ func (ws *workerShard) execOne(req *dist.OpRequest, res *dist.OpResult) error {
 // executeBatch runs a coalesced op run in order. The envelope applies
 // once before the first op — nothing coordinator-side runs between the
 // batch's operations, so there is nothing to re-apply — and the reply
-// carries the final envelope and statistics exactly when the request
-// carried one. The outbox is taken once at the end: it accrues across
-// the batch in production order, which is the relay order the
-// coordinator must preserve.
+// carries the final envelope, statistics and quiet set exactly when the
+// request carried an envelope. The quiet set is computed over the whole
+// shard after the last op, because any op may dirty any same-shard
+// peer. The outbox is taken once at the end: it accrues across the
+// batch in production order, which is the relay order the coordinator
+// must preserve. The reply is the shard's own storage, valid until the
+// next batch.
 func (ws *workerShard) executeBatch(m *dist.BatchMsg) (*dist.BatchReply, error) {
 	if m.Env != nil {
 		ws.eng.ApplyEnvelope(*m.Env)
 	}
-	reply := &dist.BatchReply{Results: make([]dist.OpResult, len(m.Ops))}
+	reply := &ws.reply
+	reply.Results = slices.Grow(reply.Results[:0], len(m.Ops))[:len(m.Ops)]
+	clear(reply.Results)
 	for i := range m.Ops {
 		if err := ws.execOne(&m.Ops[i], &reply.Results[i]); err != nil {
 			return nil, fmt.Errorf("%v: %w", m.Ops[i].Op, err)
 		}
 	}
+	reply.Env, reply.Stats, reply.Quiet = nil, reply.Stats[:0], reply.Quiet[:0]
 	if m.Env != nil {
-		env := ws.eng.EnvelopeOut()
-		reply.Env = &env
-		reply.Stats = ws.shardStats()
+		ws.env = ws.eng.EnvelopeOut()
+		reply.Env = &ws.env
+		reply.Stats = ws.shardStats(reply.Stats)
+		reply.Quiet = ws.eng.AppendQuietSet(reply.Quiet)
 	}
 	reply.Outbox = ws.eng.TakeOutbox()
 	return reply, nil
@@ -233,7 +244,7 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 	if req.Env != nil {
 		env := ws.eng.EnvelopeOut()
 		resp.Env = &env
-		resp.Stats = ws.shardStats()
+		resp.Stats = ws.shardStats(nil)
 	}
 	resp.Outbox = ws.eng.TakeOutbox()
 	return resp, nil
@@ -247,10 +258,17 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 // whether they are fatal.
 func ServeWorkerConn(rw io.ReadWriter) error {
 	var ws *workerShard
-	// rbuf is the reusable frame read buffer; pbuf and fbuf are the
-	// binary reply payload and frame scratch buffers. One Write per
-	// response, no per-frame allocations on the hot path.
+	// br buffers the connection so a request frame, header and payload,
+	// arrives in one read; the strict request/response alternation means
+	// it never holds bytes past the frame being read. rbuf is the
+	// reusable frame read buffer, msg and msgEnv the storage batch
+	// requests decode into, pbuf and fbuf the binary reply payload and
+	// frame scratch buffers. One Write per response, no per-frame
+	// allocations on the hot path.
+	br := bufio.NewReader(rw)
 	var rbuf, pbuf, fbuf []byte
+	var msg dist.BatchMsg
+	var msgEnv tw.Envelope
 	// Every answer helper returns only the failure to write the answer.
 	fail := func(format string, args ...any) error {
 		_, err := dist.WriteMsg(rw, dist.KindError, &dist.ErrorMsg{Error: fmt.Sprintf(format, args...)})
@@ -309,15 +327,14 @@ func ServeWorkerConn(rw io.ReadWriter) error {
 			if ws == nil {
 				return false, fail("op batch before init")
 			}
-			m, err := dist.DecodeBatch(body)
-			if err != nil {
+			if err := dist.DecodeBatchInto(&msg, &msgEnv, body); err != nil {
 				return false, fail("decoding binary batch: %v", err)
 			}
-			reply, err := ws.executeBatch(m)
+			reply, err := ws.executeBatch(&msg)
 			if err != nil {
 				return false, fail("batch: %v", err)
 			}
-			return false, batchResult(reply, m.Ops)
+			return false, batchResult(reply, msg.Ops)
 		case dist.KindShutdown:
 			return true, result(nil)
 		case dist.KindResult, dist.KindResultB, dist.KindError:
@@ -327,7 +344,7 @@ func ServeWorkerConn(rw io.ReadWriter) error {
 		}
 	}
 	for {
-		kind, body, _, buf, err := dist.ReadMsgBuf(rw, rbuf)
+		kind, body, _, buf, err := dist.ReadMsgBuf(br, rbuf)
 		rbuf = buf
 		if err != nil {
 			return fmt.Errorf("ggpdes: worker: reading frame: %w", err)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,12 +16,19 @@ import (
 // goroutine-safe — the machine serializes all engine operations, which
 // is exactly what keeps the distributed trajectory deterministic.
 type Client struct {
-	rw io.ReadWriter
+	w io.Writer
+	// r buffers the connection so a response frame, header and payload,
+	// arrives in one read. The strict request/response alternation means
+	// it never holds bytes past the frame being read.
+	r *bufio.Reader
 
 	// wbuf and rbuf are reusable frame scratch buffers: one assembled
 	// Write per request, zero per-frame read allocations. bbuf holds
-	// binary batch payloads before framing.
+	// binary batch payloads before framing; reply and env are the storage
+	// every CallBatch decodes into.
 	wbuf, rbuf, bbuf []byte
+	reply            BatchReply
+	env              tw.Envelope
 
 	msgsSent      *telemetry.Counter
 	msgsReceived  *telemetry.Counter
@@ -36,7 +44,8 @@ type Client struct {
 // (nil-safe, like all telemetry).
 func NewClient(rw io.ReadWriter, reg *telemetry.Registry) *Client {
 	return &Client{
-		rw:            rw,
+		w:             rw,
+		r:             bufio.NewReader(rw),
 		msgsSent:      reg.Counter(MetricMsgsSent),
 		msgsReceived:  reg.Counter(MetricMsgsReceived),
 		bytesSent:     reg.Counter(MetricBytesSent),
@@ -66,7 +75,7 @@ func (c *Client) send(kind MsgKind, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w: framing %v: %v", ErrWorkerLost, kind, err)
 	}
-	n, err := c.rw.Write(frame)
+	n, err := c.w.Write(frame)
 	c.bytesSent.Add(uint64(n))
 	if err != nil {
 		return fmt.Errorf("%w: sending %v: %v", ErrWorkerLost, kind, err)
@@ -78,7 +87,7 @@ func (c *Client) send(kind MsgKind, body []byte) error {
 // receive reads one response frame into the read scratch buffer. The
 // returned payload is valid until the next receive.
 func (c *Client) receive(kind MsgKind) (MsgKind, []byte, error) {
-	rk, body, rn, buf, err := ReadMsgBuf(c.rw, c.rbuf)
+	rk, body, rn, buf, err := ReadMsgBuf(c.r, c.rbuf)
 	c.rbuf = buf
 	c.bytesReceived.Add(uint64(rn))
 	if err != nil {
@@ -125,7 +134,8 @@ func (c *Client) Call(kind MsgKind, payload, reply any) error {
 
 // CallBatch ships one coalesced op batch as a binary KindOpsB frame and
 // decodes the KindResultB reply. The ops slice must outlive the call —
-// replies are decoded positionally against it.
+// replies are decoded positionally against it. The reply is the
+// client's own storage, valid until the next CallBatch.
 func (c *Client) CallBatch(m *BatchMsg) (*BatchReply, error) {
 	body, err := AppendBatch(c.bbuf[:0], m)
 	if cap(body) > cap(c.bbuf) {
@@ -148,11 +158,10 @@ func (c *Client) CallBatch(m *BatchMsg) (*BatchReply, error) {
 	if rk != KindResultB {
 		return nil, fmt.Errorf("%w: %v response to %v", ErrWorkerLost, rk, KindOpsB)
 	}
-	reply, err := DecodeBatchReply(rbody, m.Ops)
-	if err != nil {
+	if err := decodeBatchReplyInto(&c.reply, &c.env, rbody, m.Ops); err != nil {
 		return nil, fmt.Errorf("%w: decoding %v response: %v", ErrWorkerLost, KindOpsB, err)
 	}
-	return reply, nil
+	return &c.reply, nil
 }
 
 // CountRelayed books relayed cross-shard traffic into the wire

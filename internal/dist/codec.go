@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"ggpdes/internal/tw"
 )
@@ -15,8 +16,8 @@ import (
 // a binary form; control ops travel as single JSON KindOp frames.
 
 // binVersion guards against coordinator/worker codec skew; bump on any
-// layout change.
-const binVersion = 1
+// layout change. Version 2 added the quiet set to enveloped replies.
+const binVersion = 2
 
 const (
 	flagEnv = 1 << 0
@@ -64,77 +65,111 @@ func AppendBatch(dst []byte, m *BatchMsg) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeBatch decodes a binary batch request.
+// DecodeBatch decodes a binary batch request into a fresh BatchMsg.
 func DecodeBatch(b []byte) (*BatchMsg, error) {
+	m := &BatchMsg{}
+	if err := DecodeBatchInto(m, nil, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeBatchInto decodes a binary batch request into m, reusing the
+// storage m already holds — the Ops array, and the Events array of each
+// op slot, which is why an op without events may come back with an
+// empty, non-nil Events — and pointing m.Env at env (a fresh Envelope
+// when env is nil) when the frame carries one. On error m's contents
+// are unspecified.
+func DecodeBatchInto(m *BatchMsg, env *tw.Envelope, b []byte) error {
 	if len(b) < 2 {
-		return nil, corrupt("short batch header")
+		return corrupt("short batch header")
 	}
 	if b[0] != binVersion {
-		return nil, fmt.Errorf("dist: binary codec version %d, want %d", b[0], binVersion)
+		return fmt.Errorf("dist: binary codec version %d, want %d", b[0], binVersion)
 	}
 	flags := b[1]
 	b = b[2:]
-	m := &BatchMsg{}
-	if flags&flagEnv != 0 {
-		env, rest, ok := tw.ConsumeWireEnvelope(b)
-		if !ok {
-			return nil, corrupt("batch envelope")
+	var ok bool
+	if m.Env = nil; flags&flagEnv != 0 {
+		if m.Env, b, ok = consumeEnvelope(env, b); !ok {
+			return corrupt("batch envelope")
 		}
-		m.Env, b = &env, rest
 	}
 	nops, b, ok := tw.ConsumeWireUint(b)
 	if !ok || nops > uint64(len(b))+1 {
-		return nil, corrupt("batch op count")
+		return corrupt("batch op count")
 	}
-	m.Ops = make([]OpRequest, nops)
+	m.Ops = slices.Grow(m.Ops[:0], int(nops))[:nops]
 	for i := range m.Ops {
 		if len(b) < 1 {
-			return nil, corrupt("batch op code")
+			return corrupt("batch op code")
 		}
 		op := &m.Ops[i]
-		op.Op, b = OpCode(b[0]), b[1:]
+		*op = OpRequest{Op: OpCode(b[0]), Events: op.Events[:0]}
+		b = b[1:]
 		switch op.Op {
 		case OpDrain, OpProcessBatch, OpHasExecWork, OpHasWork,
 			OpInputSize, OpLocalMin, OpRemoteMin, OpTakeMinSent,
 			OpPeekMinSent:
 			peer, rest, ok := tw.ConsumeWireUint(b)
 			if !ok {
-				return nil, corrupt("op peer")
+				return corrupt("op peer")
 			}
 			op.Peer, b = int(peer), rest
 		case OpFossilCollect:
 			peer, rest, ok := tw.ConsumeWireUint(b)
 			if !ok {
-				return nil, corrupt("op peer")
+				return corrupt("op peer")
 			}
 			op.Peer, b = int(peer), rest
 			gvt, rest, ok := tw.ConsumeWireF64(b)
 			if !ok {
-				return nil, corrupt("fossil horizon")
+				return corrupt("fossil horizon")
 			}
 			op.GVT, b = WireVT(gvt), rest
 		case OpInject:
 			var n uint64
 			if n, b, ok = tw.ConsumeWireUint(b); !ok || n > uint64(len(b))+1 {
-				return nil, corrupt("inject count")
+				return corrupt("inject count")
 			}
-			op.Events = make([]tw.WireEvent, n)
-			for j := range op.Events {
-				if op.Events[j], b, ok = tw.ConsumeWireEvent(b); !ok {
-					return nil, corrupt("inject event")
-				}
+			if op.Events, b, ok = consumeEvents(op.Events, b, int(n)); !ok {
+				return corrupt("inject event")
 			}
 		case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
 			OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
-			return nil, fmt.Errorf("dist: op %v has no binary form", op.Op)
+			return fmt.Errorf("dist: op %v has no binary form", op.Op)
 		default:
-			return nil, fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
+			return fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
 		}
 	}
 	if len(b) != 0 {
-		return nil, corrupt("trailing batch bytes")
+		return corrupt("trailing batch bytes")
 	}
-	return m, nil
+	return nil
+}
+
+// consumeEnvelope decodes an envelope from the front of b into env (a
+// fresh Envelope when env is nil) and returns it.
+func consumeEnvelope(env *tw.Envelope, b []byte) (*tw.Envelope, []byte, bool) {
+	if env == nil {
+		env = new(tw.Envelope)
+	}
+	var ok bool
+	*env, b, ok = tw.ConsumeWireEnvelope(b)
+	return env, b, ok
+}
+
+// consumeEvents decodes n wire events from the front of b into dst's
+// storage.
+func consumeEvents(dst []tw.WireEvent, b []byte, n int) ([]tw.WireEvent, []byte, bool) {
+	dst = slices.Grow(dst[:0], n)[:n]
+	var ok bool
+	for i := range dst {
+		if dst[i], b, ok = tw.ConsumeWireEvent(b); !ok {
+			return dst, b, false
+		}
+	}
+	return dst, b, true
 }
 
 // appendResult encodes one op's result; the shape is the op's.
@@ -236,11 +271,15 @@ func AppendBatchReply(dst []byte, r *BatchReply, ops []OpRequest) ([]byte, error
 	}
 	dst = append(dst, flags)
 	if r.Env != nil {
+		if len(r.Quiet) != tw.QuietSetLen(len(r.Stats)) {
+			return dst, fmt.Errorf("dist: quiet set of %d bytes for %d peers", len(r.Quiet), len(r.Stats))
+		}
 		dst = tw.AppendWireEnvelope(dst, *r.Env)
 		dst = tw.AppendWireUint(dst, uint64(len(r.Stats)))
 		for _, s := range r.Stats {
 			dst = tw.AppendWirePeerStats(dst, s)
 		}
+		dst = append(dst, r.Quiet...)
 	}
 	var err error
 	for i := range r.Results {
@@ -256,55 +295,67 @@ func AppendBatchReply(dst []byte, r *BatchReply, ops []OpRequest) ([]byte, error
 }
 
 // DecodeBatchReply decodes a binary batch reply against the op list
-// that produced it.
+// that produced it, into a fresh BatchReply.
 func DecodeBatchReply(b []byte, ops []OpRequest) (*BatchReply, error) {
+	r := &BatchReply{}
+	if err := decodeBatchReplyInto(r, nil, b, ops); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeBatchReplyInto decodes into r, reusing the storage of every
+// slice r already holds and pointing r.Env at env, as DecodeBatchInto
+// does. On error r's contents are unspecified.
+func decodeBatchReplyInto(r *BatchReply, env *tw.Envelope, b []byte, ops []OpRequest) error {
 	if len(b) < 2 {
-		return nil, corrupt("short reply header")
+		return corrupt("short reply header")
 	}
 	if b[0] != binVersion {
-		return nil, fmt.Errorf("dist: binary codec version %d, want %d", b[0], binVersion)
+		return fmt.Errorf("dist: binary codec version %d, want %d", b[0], binVersion)
 	}
 	flags := b[1]
 	b = b[2:]
-	r := &BatchReply{}
+	var ok bool
+	r.Env, r.Stats, r.Quiet = nil, r.Stats[:0], r.Quiet[:0]
 	if flags&flagEnv != 0 {
-		env, rest, ok := tw.ConsumeWireEnvelope(b)
-		if !ok {
-			return nil, corrupt("reply envelope")
+		if r.Env, b, ok = consumeEnvelope(env, b); !ok {
+			return corrupt("reply envelope")
 		}
-		r.Env, b = &env, rest
 		var n uint64
 		if n, b, ok = tw.ConsumeWireUint(b); !ok || n > uint64(len(b))+1 {
-			return nil, corrupt("stats count")
+			return corrupt("stats count")
 		}
-		r.Stats = make([]tw.PeerStats, n)
+		r.Stats = slices.Grow(r.Stats[:0], int(n))[:n]
 		for i := range r.Stats {
 			if r.Stats[i], b, ok = tw.ConsumeWirePeerStats(b); !ok {
-				return nil, corrupt("peer stats")
+				return corrupt("peer stats")
 			}
 		}
+		q := tw.QuietSetLen(int(n))
+		if len(b) < q {
+			return corrupt("quiet set")
+		}
+		r.Quiet = append(r.Quiet, b[:q]...)
+		b = b[q:]
 	}
-	r.Results = make([]OpResult, len(ops))
+	r.Results = slices.Grow(r.Results[:0], len(ops))[:len(ops)]
+	clear(r.Results)
 	var err error
 	for i := range r.Results {
 		if b, err = consumeResult(b, ops[i].Op, &r.Results[i]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n, b, ok := tw.ConsumeWireUint(b)
 	if !ok || n > uint64(len(b))+1 {
-		return nil, corrupt("outbox count")
+		return corrupt("outbox count")
 	}
-	if n > 0 {
-		r.Outbox = make([]tw.WireEvent, n)
-		for i := range r.Outbox {
-			if r.Outbox[i], b, ok = tw.ConsumeWireEvent(b); !ok {
-				return nil, corrupt("outbox event")
-			}
-		}
+	if r.Outbox, b, ok = consumeEvents(r.Outbox, b, int(n)); !ok {
+		return corrupt("outbox event")
 	}
 	if len(b) != 0 {
-		return nil, corrupt("trailing reply bytes")
+		return corrupt("trailing reply bytes")
 	}
-	return r, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ggpdes/internal/tw"
@@ -135,13 +136,19 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			OpSeriesProbe:
 		}
 	}
-	// The protocol couples reply envelope and stats to the request
-	// envelope; the codec encodes stats only under the env flag.
+	// The protocol couples reply envelope, stats and quiet set to the
+	// request envelope; the codec encodes them only under the env flag.
+	// The quiet set is sized by the stats, and shards of more than 64
+	// peers make it longer than a machine word.
 	if m.Env != nil {
 		env := *m.Env
 		env.Seq++
 		r.Env = &env
-		r.Stats = make([]tw.PeerStats, 1+int(s.next()%2))
+		r.Stats = make([]tw.PeerStats, 1+int(s.next()%80))
+		r.Quiet = make([]byte, tw.QuietSetLen(len(r.Stats)))
+		for i := range r.Quiet {
+			r.Quiet[i] = s.next()
+		}
 		for i := range r.Stats {
 			r.Stats[i] = tw.PeerStats{
 				Processed: s.u64(), RolledBack: s.u64(), Committed: s.u64(),
@@ -165,6 +172,14 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{1, 0, 3})
 	f.Add([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("batched binary protocol"))
+	// Enveloped replies carrying a quiet set: one drain over a 3-peer
+	// shard (one byte, bits 0 and 2), then over a 72-peer shard (nine
+	// bytes). Layout: op count, op pick, peer, env flag, 19 envelope
+	// bytes, result (n, cycles, worked), stats count, the set.
+	envelope := []byte{1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 9, 0, 1, 2, 3}
+	result := []byte{0, 40, 1}
+	f.Add(slices.Concat([]byte{0, 0, 1}, envelope, result, []byte{2, 0b101}))
+	f.Add(slices.Concat([]byte{0, 0, 5}, envelope, result, []byte{71, 0xff, 0, 0xff, 0, 0xff, 0, 0xff, 0, 0x80}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, r := genBatch(&byteStream{b: data})
 

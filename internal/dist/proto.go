@@ -65,6 +65,9 @@ const (
 	// MetricReadsCached counts pure queries answered from the
 	// coordinator's per-shard read cache without any frame at all.
 	MetricReadsCached = "dist.reads_cached"
+	// MetricPollsElided counts drain+process polls of peers the worker
+	// reported quiet, answered by the coordinator without any frame.
+	MetricPollsElided = "dist.polls_elided"
 	// MetricWorkersConnected gauges the worker processes currently
 	// attached to the coordinator.
 	MetricWorkersConnected = "dist.workers.connected"
@@ -292,12 +295,17 @@ type OpResult struct {
 }
 
 // BatchReply answers a batch: per-op results in execution order, the
-// final envelope and statistics (exactly when the request carried an
-// envelope), and the combined outbox in production order across the
-// whole batch.
+// final envelope, statistics and quiet set (exactly when the request
+// carried an envelope), and the combined outbox in production order
+// across the whole batch.
 type BatchReply struct {
-	Env     *tw.Envelope
-	Stats   []tw.PeerStats
+	Env   *tw.Envelope
+	Stats []tw.PeerStats
+	// Quiet is the shard's quiet set after the batch, one bit per entry
+	// of Stats (tw.Engine.AppendQuietSet): the peers whose polls the
+	// coordinator may answer itself until it next hears from, or queues
+	// anything toward, this worker.
+	Quiet   []byte
 	Results []OpResult
 	Outbox  []tw.WireEvent
 }
@@ -383,13 +391,21 @@ func ReadMsg(r io.Reader) (MsgKind, []byte, int, error) {
 // returns the kind, the payload slice aliasing buf, the total wire
 // size, and the possibly-grown buffer for the caller to reuse. The
 // payload is valid until the next ReadMsgBuf call with the same
-// buffer.
+// buffer. The header and the payload are read separately, so hand it a
+// buffered reader to get one read of the connection per frame.
 func ReadMsgBuf(r io.Reader, buf []byte) (MsgKind, []byte, int, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is parsed out of buf before the payload overwrites it:
+	// an array of its own would escape through r and cost an allocation
+	// per frame.
+	const hdrLen = 5
+	if cap(buf) < hdrLen {
+		buf = make([]byte, hdrLen)
+	}
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, 0, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n, kind := binary.BigEndian.Uint32(hdr[:4]), MsgKind(hdr[4])
 	if n < 1 || n > maxFrame {
 		return 0, nil, 0, buf, fmt.Errorf("dist: frame length %d out of range", n)
 	}
@@ -400,5 +416,5 @@ func ReadMsgBuf(r io.Reader, buf []byte) (MsgKind, []byte, int, []byte, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, 0, buf, err
 	}
-	return MsgKind(hdr[4]), body, len(hdr) + len(body), buf, nil
+	return kind, body, hdrLen + len(body), buf, nil
 }

@@ -7,17 +7,21 @@
 //
 // # Execution model
 //
-// Simulated threads are goroutines driven cooperatively, exactly one at
-// a time, by the machine's tick loop; runs are therefore deterministic
-// and shared PDES state needs no Go-level synchronization. A thread's
-// program calls Proc methods (Work, SemWait, SemPost, BarrierWait,
-// Lock, Unlock, SetAffinity, Yield); each call yields a costed segment.
-// The machine advances in ticks: every tick, each core runs its
-// selected SMT contexts, granting each a share of the tick's cycles
+// Simulated threads are coroutines (iter.Pull) driven cooperatively,
+// exactly one at a time, by the machine's tick loop; runs are therefore
+// deterministic and shared PDES state needs no Go-level synchronization.
+// A thread's program calls Proc methods (Work, SemWait, SemPost,
+// BarrierWait, Lock, Unlock, SetAffinity, Yield); each call is a costed
+// segment. The machine advances in ticks: every tick, each core runs
+// its selected SMT contexts, granting each a share of the tick's cycles
 // that depends on how many contexts are active (the SMT aggregate
-// throughput curve). Go-level code between two Proc calls executes
-// atomically when the later call's segment is fetched, i.e. when the
-// thread is actually scheduled.
+// throughput curve), and switches to each thread's coroutine with that
+// grant. A work segment that ends strictly inside the grant is charged
+// where it is issued and the program goes on; a segment that reaches
+// or crosses the grant, and every call that can affect another thread,
+// switches back to the scheduler. Go-level code between two Proc calls
+// therefore executes atomically, in the tick in which the earlier
+// call's cycles were fully paid and cycles of the grant remained.
 //
 // Blocking calls (SemWait on an empty semaphore, BarrierWait, Lock on a
 // held mutex) de-schedule the thread: it consumes no cycles until

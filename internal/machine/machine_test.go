@@ -722,20 +722,6 @@ func BenchmarkMachineTicks(b *testing.B) {
 	}
 }
 
-func BenchmarkSegmentHandshake(b *testing.B) {
-	m, _ := New(testCfg(1, 1))
-	n := b.N
-	m.Spawn("w", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Op()
-		}
-	})
-	b.ResetTimer()
-	if err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // Property: CFS keeps cycle allocation fair — for arbitrary small
 // thread mixes on one core, no two equal-work threads finish with
 // wildly different consumed cycles at any point (checked at the end:

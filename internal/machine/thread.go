@@ -1,8 +1,68 @@
 package machine
 
+// Where the host time of a polling run goes, and why a thread's body is
+// a coroutine that charges its own work. Baseline-Async on the
+// phold-imbalanced-async benchmark config (16 threads, 15 of them with
+// nothing to do most of the time; one P; go tool pprof -top), first
+// with every Proc call a goroutine round trip over a resume/yield
+// channel pair, 374,589 of them to commit 10,247 events (190 ms a run):
+//
+//	     flat  flat%   sum%        cum   cum%
+//	    870ms 11.66% 11.66%      870ms 11.66%  runtime.nanotime (inline)
+//	    640ms  8.58% 20.24%      830ms 11.13%  runtime.casgstatus
+//	    470ms  6.30% 26.54%      470ms  6.30%  runtime.lock2
+//	    430ms  5.76% 32.31%      470ms  6.30%  runtime.unlock2
+//	    410ms  5.50% 37.80%     1100ms 14.75%  runtime.chanrecv
+//	    230ms  3.08% 40.88%      230ms  3.08%  runtime.(*guintptr).cas (inline)
+//	    190ms  2.55% 43.43%     2770ms 37.13%  core.(*Runner).threadBody
+//	    180ms  2.41% 45.84%     1630ms 21.85%  machine.(*Acc).Flush (inline)
+//	    180ms  2.41% 48.26%      350ms  4.69%  runtime.chanparkcommit
+//	    170ms  2.28% 50.54%     1980ms 26.54%  machine.(*Machine).fetchNext
+//	    160ms  2.14% 52.68%      220ms  2.95%  tw.(*Peer).peekLive
+//	    140ms  1.88% 54.56%      140ms  1.88%  internal/runtime/atomic.(*Int32).Add (inline)
+//	    130ms  1.74% 56.30%      130ms  1.74%  runtime.duffcopy
+//	    130ms  1.74% 58.04%      190ms  2.55%  runtime.releaseSudog
+//	    120ms  1.61% 59.65%      770ms 10.32%  runtime.chanrecv1
+//	    110ms  1.47% 61.13%     2150ms 28.82%  machine.(*Machine).advanceThread
+//	    110ms  1.47% 62.60%     1450ms 19.44%  machine.(*Proc).Work
+//
+// (runtime.chansend 22 %, runtime.schedule 21 %, runtime.ready 15 % and
+// runtime.findRunnable 14 % cumulative: about 70 % of the run is the Go
+// scheduler passing control back and forth.) And with work charged
+// inside the grant and one coroutine switch for what is left, 11,867
+// switches for the same events and the same trajectory (26 ms a run):
+//
+//	     flat  flat%   sum%        cum   cum%
+//	    0.69s 13.48% 13.48%      4.35s 84.96%  core.(*Runner).threadBody
+//	    0.53s 10.35% 23.83%      0.99s 19.34%  gvt.(*waitFree).Step
+//	    0.33s  6.45% 30.27%      0.43s  8.40%  tw.(*Peer).Drain
+//	    0.33s  6.45% 36.72%      1.33s 25.98%  tw.(*Peer).ProcessBatch
+//	    0.26s  5.08% 41.80%      0.36s  7.03%  tw.(*Peer).peekLive
+//	    0.22s  4.30% 46.09%      0.36s  7.03%  machine.(*Proc).work
+//	    0.19s  3.71% 49.80%      0.34s  6.64%  pq.(*SplayTree).splay
+//	    0.18s  3.52% 53.32%      0.18s  3.52%  machine.(*Acc).Work (partial-inline)
+//	    0.16s  3.12% 56.45%      0.52s 10.16%  machine.(*Proc).Work (inline)
+//	    0.15s  2.93% 59.38%      0.15s  2.93%  tw.(*Engine).Peer (inline)
+//	    0.11s  2.15% 61.52%      0.11s  2.15%  gvt.(*waitFree).Rounds
+//	    0.11s  2.15% 63.67%      0.11s  2.15%  tw.(*Engine).Done (inline)
+//	    0.11s  2.15% 65.82%      0.11s  2.15%  tw.(*Event).before (inline)
+//	    0.08s  1.56% 67.38%      0.10s  1.95%  gvt.(*waitFree).stepSend
+//	    0.08s  1.56% 68.95%      1.84s 35.94%  tw.(*Peer).DrainProcess
+//	    0.07s  1.37% 75.00%      0.07s  1.37%  iter.Pull.func2
+//
+// What is left of the gap to the synchronous run (about 4x, from 17x)
+// is no longer the machine: 85 % of the run is inside core.threadBody,
+// which still executes every one of the 746,580 polling loop iterations
+// (73 per committed event; Baseline-Sync needs 21,120) — an empty
+// Drain, an empty ProcessBatch, a GVT step that finds no round in
+// progress — only to add the same constants to the same accumulator.
+// The next lever is to skip ahead arithmetically: let a thread whose
+// peer and GVT state cannot change before some event declare "n more
+// iterations of this cost", which touches core, tw and gvt together.
+
 import (
 	"fmt"
-	"runtime"
+	"iter"
 )
 
 // ThreadState is the scheduling state of a simulated thread.
@@ -52,8 +112,6 @@ const (
 	segUnlock
 	segSetAffinity
 	segYield
-	segExit
-	segPanic
 )
 
 type segment struct {
@@ -63,10 +121,8 @@ type segment struct {
 	bar  *Barrier
 	mu   *Mutex
 	// SetAffinity operands.
-	target  *Thread
-	newPin  int
-	panicV  any
-	panicST []byte
+	target *Thread
+	newPin int
 }
 
 // Thread is a simulated OS thread.
@@ -87,8 +143,18 @@ type Thread struct {
 	needsFetch bool
 	everRan    bool
 
-	resume chan struct{}
-	yieldc chan segment
+	// grant is what is left of the thread's tick share while its body
+	// runs; work that ends strictly inside it is charged in place.
+	grant uint64
+
+	// body runs as a coroutine: next resumes it until its next machine
+	// call and reports false once it has returned, stop unwinds it.
+	// Both are nil until the thread is first scheduled. panicV holds
+	// what a panicking body raised.
+	body   func(*Proc)
+	next   func() (struct{}, bool)
+	stop   func()
+	panicV any
 
 	blockReason   string
 	waitSeq       uint64 // FIFO ordering among waiters
@@ -112,20 +178,55 @@ func (t *Thread) Cycles() uint64 { return t.cycles }
 func (t *Thread) Pinned() int { return t.pinned }
 
 // Proc is the machine interface handed to a thread's body. All methods
-// must be called from the thread's own goroutine.
+// must be called from the thread's own coroutine.
 type Proc struct {
-	t *Thread
+	t     *Thread
+	yield func(struct{}) bool
 }
 
-// call yields a segment to the scheduler and blocks until the machine
-// completes it and schedules the thread again.
+// aborted is what a machine call panics with, inside the body's
+// coroutine, when the machine stopped the run underneath it; start
+// recovers it. A body must not swallow panics it did not raise.
+type aborted struct{}
+
+// start creates t's coroutine. It runs nothing until the first next.
+func (t *Thread) start() {
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != (aborted{}) {
+				t.panicV = r
+			}
+		}()
+		t.body(&Proc{t: t, yield: yield})
+	})
+}
+
+// call hands a segment to the scheduler and switches to it; control
+// comes back once the machine has completed the segment and scheduled
+// the thread again.
 func (p *Proc) call(seg segment) {
-	t := p.t
-	t.yieldc <- seg
-	if _, ok := <-t.resume; !ok {
-		// The machine aborted; unwind this goroutine.
-		runtime.Goexit()
+	p.t.seg = seg
+	if !p.yield(struct{}{}) {
+		panic(aborted{})
 	}
+}
+
+// work consumes cost cycles. A segment that ends strictly inside the
+// thread's grant cannot affect anyone else — no other thread runs
+// before the grant is spent — so it is charged in place, exactly as
+// fetchNext and advanceThread would, without switching to the
+// scheduler. One that reaches or crosses the grant goes to the
+// scheduler: on an exact fit the body's next side effect belongs to
+// the next tick.
+func (p *Proc) work(cost uint64) {
+	t := p.t
+	if total := cost + t.penalty; total < t.grant {
+		t.grant -= total
+		t.penalty = 0
+		t.m.charge(&t.m.cores[t.core], t, total)
+		return
+	}
+	p.call(segment{kind: segWork, cost: cost})
 }
 
 // ID returns the calling thread's id.
@@ -148,15 +249,11 @@ func (p *Proc) NowSeconds() float64 {
 func (p *Proc) CPUCycles() uint64 { return p.t.cycles }
 
 // Work consumes the given number of CPU cycles.
-func (p *Proc) Work(cycles uint64) {
-	p.call(segment{kind: segWork, cost: cycles + p.t.m.cfg.OpCycles})
-}
+func (p *Proc) Work(cycles uint64) { p.work(cycles + p.t.m.cfg.OpCycles) }
 
 // Op consumes the baseline per-operation cost, modelling a cheap shared
 // memory or atomic operation.
-func (p *Proc) Op() {
-	p.call(segment{kind: segWork, cost: p.t.m.cfg.OpCycles})
-}
+func (p *Proc) Op() { p.work(p.t.m.cfg.OpCycles) }
 
 // SemWait decrements the semaphore, blocking (de-scheduled, zero
 // cycles) while its value is zero.

@@ -182,6 +182,27 @@ func (p *Peer) HasExecutableWork() bool {
 	return ev != nil && ev.Ts <= p.eng.horizon()
 }
 
+// Quiet reports whether polling the peer is certain to find nothing to
+// do and to change nothing: the input queue is empty, no send or
+// rollback cycles wait to be charged, and the pending head is absent,
+// or live and beyond the optimism horizon or at/after the end time.
+// For a quiet peer DrainProcess returns (0, 0) having charged exactly
+// Costs.DrainBaseCycles and HasExecutableWork is false. Quiet itself
+// has no side effects: a cancelled head, which the next poll would pop
+// and recycle, simply counts as not quiet. A distributed worker reports
+// its shard's quiet peers with every reply (AppendQuietSet) so the
+// coordinator can answer their polls without a round trip.
+func (p *Peer) Quiet() bool {
+	if len(p.inq) > 0 || p.acc != 0 {
+		return false
+	}
+	ev, ok := p.pending.Peek()
+	if !ok {
+		return true
+	}
+	return ev.state != StateCancelled && (ev.Ts >= p.eng.cfg.EndTime || ev.Ts > p.eng.horizon())
+}
+
 // peekLive returns the first pending event that is neither cancelled
 // nor at/after the simulation end time, lazily dropping (and
 // recycling) cancelled entries; nil if none.

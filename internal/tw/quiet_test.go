@@ -1,0 +1,186 @@
+package tw
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ggpdes/internal/pq"
+)
+
+// peerPrint is everything a poll could change on a peer, short of the
+// internal shape of its pending queue (a Peek may restructure a splay
+// tree, which no result depends on: events are totally ordered).
+type peerPrint struct {
+	stats    PeerStats
+	inq      int
+	pending  int
+	head     *Event
+	acc      uint64
+	minSent  VT
+	free     int
+	pool     poolStats
+	history  int
+	lvts     []VT
+	headKind EventState
+}
+
+// enginePrint is the state a distributed worker captures or reports:
+// every peer's print plus the engine-global scalars and the outbox.
+type enginePrint struct {
+	peers       []peerPrint
+	seq         uint64
+	gvt         VT
+	uncommitted int
+	peak        int
+	outbox      int
+}
+
+func printEngine(eng *Engine) enginePrint {
+	pr := enginePrint{seq: eng.seq, gvt: eng.gvt, uncommitted: eng.uncommitted,
+		peak: eng.peakUncommitted, outbox: len(eng.outbox)}
+	for _, p := range eng.peers {
+		pp := peerPrint{stats: p.Stats, inq: len(p.inq), pending: p.pending.Len(), acc: p.acc,
+			minSent: p.minSent, free: len(p.freeEvents), pool: p.pool}
+		if ev, ok := p.pending.Peek(); ok {
+			pp.head, pp.headKind = ev, ev.state
+		}
+		for _, kp := range p.kps {
+			pp.history += len(kp.processed)
+		}
+		for _, lp := range p.lps {
+			pp.lvts = append(pp.lvts, lp.lvt)
+		}
+		pr.peers = append(pr.peers, pp)
+	}
+	return pr
+}
+
+// TestQuietPeerPollsAreNoOps walks seeded random interleavings of the
+// engine's operations — peers out of step, so stragglers, rollbacks,
+// anti-messages and cancelled queue heads all occur — and after every
+// operation checks, for every peer, what the distributed coordinator
+// relies on when it answers a quiet peer's poll without asking the
+// worker: Quiet() implies that DrainProcess returns (0, 0) having
+// charged exactly DrainBaseCycles, that HasExecutableWork is false, and
+// that neither changes any statistic or any state; and Quiet() itself
+// changes nothing, pool counters included.
+func TestQuietPeerPollsAreNoOps(t *testing.T) {
+	type variant struct {
+		window VT
+		lazy   bool
+		queue  pq.Kind
+	}
+	var variants []variant
+	for _, w := range []VT{0, 3} {
+		for _, lazy := range []bool{false, true} {
+			for _, q := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
+				variants = append(variants, variant{w, lazy, q})
+			}
+		}
+	}
+	var quietEmpty, quietHorizon, quietEnd, cancelledBeyond int
+	for _, v := range variants {
+		t.Run(fmt.Sprintf("window=%v/lazy=%v/%v", v.window, v.lazy, v.queue), func(t *testing.T) {
+			eng, err := NewEngine(Config{
+				NumThreads: 4, Model: &ringModel{lpsPerThread: 2, startPerLP: 1}, EndTime: 12, Seed: 99,
+				OptimismWindow: v.window, LazyCancellation: v.lazy, QueueKind: v.queue, BatchSize: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := eng.cfg.Costs.DrainBaseCycles
+			check := func(step int, what string) {
+				for _, p := range eng.peers {
+					before := printEngine(eng)
+					quiet := p.Quiet()
+					if after := printEngine(eng); !reflect.DeepEqual(before, after) {
+						t.Fatalf("step %d (%s): Quiet() on peer %d changed state:\n%+v\n%+v", step, what, p.ID, before, after)
+					}
+					head := before.peers[p.ID]
+					if !quiet {
+						// Not quiet only because its head is cancelled: the
+						// next poll would pop and recycle it.
+						if head.inq == 0 && head.acc == 0 && head.head != nil && head.headKind == StateCancelled &&
+							(head.head.Ts > eng.horizon() || head.head.Ts >= eng.cfg.EndTime) {
+							cancelledBeyond++
+						}
+						continue
+					}
+					switch {
+					case head.head == nil:
+						quietEmpty++
+					case head.head.Ts >= eng.cfg.EndTime:
+						quietEnd++
+					default:
+						quietHorizon++
+					}
+					if p.HasExecutableWork() {
+						t.Fatalf("step %d (%s): quiet peer %d has executable work", step, what, p.ID)
+					}
+					cpu := &fakeCPU{}
+					if d, n := p.DrainProcess(cpu); d != 0 || n != 0 {
+						t.Fatalf("step %d (%s): DrainProcess on quiet peer %d = (%d, %d)", step, what, p.ID, d, n)
+					}
+					if cpu.cycles != base {
+						t.Fatalf("step %d (%s): poll of quiet peer %d charged %d cycles, want %d", step, what, p.ID, cpu.cycles, base)
+					}
+					if after := printEngine(eng); !reflect.DeepEqual(before, after) {
+						t.Fatalf("step %d (%s): polling quiet peer %d changed state:\n%+v\n%+v", step, what, p.ID, before, after)
+					}
+				}
+			}
+			rnd := rand.New(rand.NewSource(int64(7)))
+			cpu := &fakeCPU{}
+			check(0, "start")
+			// Peers act in bursts, so that some run well ahead of others
+			// and get rolled back when the laggards catch up.
+			p, burst := eng.peers[0], 0
+			for step := 1; step <= 50000 && !eng.Done(); step++ {
+				if burst--; burst < 0 {
+					p, burst = eng.peers[rnd.Intn(len(eng.peers))], rnd.Intn(24)
+				}
+				var what string
+				switch k := rnd.Intn(20); {
+				case k < 8:
+					what = "drain"
+					p.Drain(cpu)
+				case k < 16:
+					what = "process"
+					p.ProcessBatch(cpu)
+				case k < 17:
+					what = "local-min"
+					p.LocalMin(cpu)
+				case k < 18:
+					what = "fossil"
+					p.FossilCollect(cpu, eng.GVT())
+				default:
+					// A stop-the-world GVT: nothing is in flight between
+					// operations here, so the minimum over every peer's
+					// local minimum is exact.
+					what = "gvt"
+					min := eng.EndTime()
+					for _, q := range eng.peers {
+						min = math.Min(min, q.LocalMin(cpu))
+						q.TakeMinSent()
+					}
+					eng.SetGVT(min)
+				}
+				check(step, what)
+			}
+			if !eng.Done() {
+				t.Fatal("the walk did not finish the simulation")
+			}
+			if err := eng.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The walk must actually visit the cases the predicate distinguishes.
+	if quietEmpty == 0 || quietHorizon == 0 || quietEnd == 0 || cancelledBeyond == 0 {
+		t.Fatalf("vacuous walk: quiet with empty queue %d, beyond horizon %d, beyond end %d; cancelled heads beyond either %d",
+			quietEmpty, quietHorizon, quietEnd, cancelledBeyond)
+	}
+}

@@ -172,15 +172,38 @@ func (p *Peer) dropEvents() {
 // TakeOutbox returns and clears the wire events produced by operations
 // since the last call, in production order. The caller must relay them
 // to their destination shards before running the next operation, so
-// destination input-queue order matches the in-process run.
+// destination input-queue order matches the in-process run — and
+// because the next operation reuses the returned slice's storage.
 func (e *Engine) TakeOutbox() []WireEvent {
 	if len(e.outbox) == 0 {
 		return nil
 	}
 	out := e.outbox
-	e.outbox = nil
+	e.outbox = e.outbox[:0]
 	return out
 }
+
+// AppendQuietSet appends the local shard's quiet set to dst: one bit
+// per shard peer in peer order, least significant bit first, set when
+// Peer.Quiet holds; QuietSetLen bytes for a shard of that many peers.
+func (e *Engine) AppendQuietSet(dst []byte) []byte {
+	base := len(dst)
+	for i, p := range e.peers[e.shardLo:e.shardHi] {
+		if i&7 == 0 {
+			dst = append(dst, 0)
+		}
+		if p.Quiet() {
+			dst[base+i>>3] |= 1 << (i & 7)
+		}
+	}
+	return dst
+}
+
+// QuietSetLen is the byte length of a quiet set over n peers.
+func QuietSetLen(n int) int { return (n + 7) / 8 }
+
+// QuietSetHas reports whether the i-th shard peer is in the quiet set.
+func QuietSetHas(set []byte, i int) bool { return set[i>>3]>>(i&7)&1 != 0 }
 
 // InjectRemote materializes a relayed wire event into the owning local
 // peer's input queue. Positive events build a twin of the sender-side
