@@ -41,13 +41,14 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the external inputs — the trace CSV reader, the
-# Config JSON wire codec and the distributed binary batch codec; extend
-# FUZZTIME locally.
+# Config JSON wire codec, the distributed binary batch codec and the
+# checkpoint file decoder; extend FUZZTIME locally.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
+	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

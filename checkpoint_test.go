@@ -2,12 +2,15 @@ package ggpdes
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"ggpdes/internal/checkpoint"
 )
@@ -45,43 +48,85 @@ func listCheckpoints(t *testing.T, dir string) []string {
 
 // The acceptance property: killing a run at ANY checkpoint boundary and
 // resuming from the snapshot produces Results identical to the run
-// having finished uninterrupted — for every model and GVT algorithm.
-// (A process killed between boundaries restarts from the latest
-// snapshot and replays the partial segment, which is the same
-// trajectory: segments always start from serialized state.)
+// having finished uninterrupted — for every model and GVT algorithm,
+// and for every engine and scheduler feature that has state to carry
+// across a boundary. (A process killed between boundaries restarts from
+// the latest snapshot and replays the partial segment, which is the
+// same trajectory.) The uninterrupted run continues each segment from
+// the captured engine state and the resumed one from the decoded file,
+// so this is also the proof that the two are the same continuation.
 func TestCheckpointResumeMatrix(t *testing.T) {
 	models := []Model{
 		PHOLD{LPsPerThread: 4, Imbalance: 2},
 		Epidemics{LPsPerThread: 8, LockdownGroups: 4, ContactRate: 3, TransmissionProb: 0.5},
 		Traffic{LPsPerThread: 4, CenterStartEvents: 6},
 	}
+	variants := []struct {
+		name string
+		vary func(*Config)
+	}{
+		{"", func(*Config) {}},
+		{"/dd", func(c *Config) { c.System = DDPDES }},
+		{"/adaptive", func(c *Config) {
+			c.AdaptiveGVT = &AdaptiveGVT{MinFrequency: 10, MaxFrequency: 80, TargetUncommittedPerThread: 8}
+		}},
+		{"/window", func(c *Config) { c.OptimismWindow = 5 }},
+		{"/lazy", func(c *Config) { c.LazyCancellation = true }},
+		{"/reverse", func(c *Config) { c.StateSaving = ReverseComputation }},
+		{"/unpooled", func(c *Config) { c.DisablePooling = true }},
+		{"/observed", func(c *Config) {
+			c.Series = &SeriesOptions{}
+			c.Telemetry = NewRegistry()
+		}},
+	}
 	for _, model := range models {
 		for _, g := range []GVT{Barrier, WaitFree} {
-			name := model.Name() + "/" + g.String()
-			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				full, err := Run(ckptCfg(model, g, dir))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full.FinalGVT < 40 {
-					t.Fatalf("incomplete run: GVT %v", full.FinalGVT)
-				}
-				paths := listCheckpoints(t, dir)
-				if len(paths) < 2 {
-					t.Fatalf("want >= 2 checkpoints, got %d (rounds %d)", len(paths), full.GVTRounds)
-				}
-				for _, path := range paths {
-					resumed, err := Resume(path)
+			for _, v := range variants {
+				name := model.Name() + "/" + g.String() + v.name
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					dir := t.TempDir()
+					cfg := ckptCfg(model, g, dir)
+					v.vary(&cfg)
+					full, err := Run(cfg)
 					if err != nil {
-						t.Fatalf("resume %s: %v", filepath.Base(path), err)
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(full, resumed) {
-						t.Errorf("resume from %s diverged:\nfull:    %+v\nresumed: %+v",
-							filepath.Base(path), full, resumed)
+					if full.FinalGVT < 40 {
+						t.Fatalf("incomplete run: GVT %v", full.FinalGVT)
 					}
-				}
-			})
+					paths := listCheckpoints(t, dir)
+					if len(paths) < 2 {
+						t.Fatalf("want >= 2 checkpoints, got %d (rounds %d)", len(paths), full.GVTRounds)
+					}
+					for _, path := range paths {
+						// Observers are not in the file; a resumed run gets
+						// fresh ones of the same kind.
+						var opts *ResumeOptions
+						if cfg.Series != nil {
+							opts = &ResumeOptions{Series: &SeriesOptions{}, Telemetry: NewRegistry()}
+						}
+						resumed, err := ResumeContext(context.Background(), path, opts)
+						if err != nil {
+							t.Fatalf("resume %s: %v", filepath.Base(path), err)
+						}
+						want := *full
+						if cfg.Series != nil {
+							// The resumed run saw only the rounds after its
+							// snapshot: its series is the full one's tail.
+							n := len(resumed.Series)
+							if n == 0 || n >= len(full.Series) {
+								t.Fatalf("resume %s recorded %d of %d series points", filepath.Base(path), n, len(full.Series))
+							}
+							want.Series = full.Series[len(full.Series)-n:]
+						}
+						if !reflect.DeepEqual(&want, resumed) {
+							t.Errorf("resume from %s diverged:\nfull:    %+v\nresumed: %+v",
+								filepath.Base(path), &want, resumed)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -182,7 +227,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	// Flip a byte inside the payload: the CRC must catch it.
 	mut := append([]byte(nil), data...)
 	mut[len(mut)/2] ^= 0x40
-	bad := filepath.Join(dir, "bad.json")
+	bad := filepath.Join(dir, "bad"+checkpoint.Ext)
 	if err := os.WriteFile(bad, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -199,19 +244,183 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 }
 
 // Without a directory, checkpointing still segments the run (and stays
-// deterministic) — nothing is persisted.
+// deterministic) — nothing is persisted, and nothing is encoded either:
+// no snapshot is ever handed to the writer.
 func TestCheckpointWithoutDir(t *testing.T) {
 	cfg := ckptCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, WaitFree, "")
+	cfg.Seed = 1
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	rs := &runState{cfg: cfg}
+	b, err := rs.run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("dir-less checkpointed runs diverged")
+	}
+	if rs.segments < 2 {
+		t.Fatalf("run crossed %d boundaries, want >= 2", rs.segments)
+	}
+	if rs.written != 0 || rs.writing != nil || rs.cfgJSON != nil {
+		t.Fatalf("dir-less run reached the snapshot writer: %d files, config encoded: %v", rs.written, rs.cfgJSON != nil)
+	}
+	// The same run with a directory hands over one file per boundary.
+	rs = &runState{cfg: ckptCfg(cfg.Model, cfg.GVT, t.TempDir())}
+	rs.cfg.Seed = 1
+	if _, err := rs.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rs.written != rs.segments || rs.writing != nil {
+		t.Fatalf("%d files for %d boundaries, write still in flight: %v", rs.written, rs.segments, rs.writing != nil)
+	}
+}
+
+// expiringContext is a context whose deadline expires when the test
+// says so, not when a clock does.
+type expiringContext struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c *expiringContext) Done() <-chan struct{} { return c.done }
+
+func (c *expiringContext) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// However a checkpointed run ends, when RunContext returns the snapshot
+// writer is gone with it: no goroutine is left, no staging file, every
+// snapshot in the directory is whole, and resuming from the latest one
+// finishes the run as if nothing had happened. A run that cannot write
+// fails with the cause wrapped and returns no Results.
+func TestCheckpointWriterLifecycle(t *testing.T) {
+	model := PHOLD{LPsPerThread: 4, Imbalance: 2}
+	full, err := Run(ckptCfg(model, WaitFree, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stopAt arms cfg to call stop at its n-th GVT publication that
+	// moved GVT; boundaries fall on every second publication.
+	stopAt := func(cfg *Config, n int, stop func()) {
+		cfg.Progress = &ProgressOptions{Every: 1e-9, Func: func(ProgressInfo) {
+			if n--; n == 0 {
+				stop()
+			}
+		}}
+	}
+	cases := []struct {
+		name string
+		// arm prepares the run and returns its context.
+		arm func(t *testing.T, cfg *Config) context.Context
+		// check inspects what RunContext returned.
+		check func(t *testing.T, res *Results, err error)
+		// snapshots is whether the directory must hold one to resume from.
+		snapshots bool
+	}{
+		{"completed", func(*testing.T, *Config) context.Context { return context.Background() },
+			func(t *testing.T, res *Results, err error) {
+				if err != nil || !reflect.DeepEqual(full, res) {
+					t.Fatalf("run returned %+v, %v", res, err)
+				}
+			}, true},
+		{"cancelled", func(t *testing.T, cfg *Config) context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			stopAt(cfg, 7, cancel)
+			return ctx
+		}, func(t *testing.T, res *Results, err error) {
+			if res != nil || !errors.Is(err, ErrCancelled) {
+				t.Fatalf("run returned %+v, %v; want ErrCancelled", res, err)
+			}
+		}, true},
+		{"deadline", func(t *testing.T, cfg *Config) context.Context {
+			ctx := &expiringContext{context.Background(), make(chan struct{})}
+			stopAt(cfg, 7, func() { close(ctx.done) })
+			return ctx
+		}, func(t *testing.T, res *Results, err error) {
+			if res != nil || !errors.Is(err, ErrDeadline) {
+				t.Fatalf("run returned %+v, %v; want ErrDeadline", res, err)
+			}
+		}, true},
+		{"write-fails", func(t *testing.T, cfg *Config) context.Context {
+			// A directory squats on the second snapshot's name, so its
+			// rename fails after the bytes were staged.
+			if err := os.Mkdir(filepath.Join(cfg.Checkpoint.Dir, checkpoint.FileName(2)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return context.Background()
+		}, func(t *testing.T, res *Results, err error) {
+			var cause *os.LinkError
+			if res != nil || !errors.As(err, &cause) {
+				t.Fatalf("run returned %+v, %v; want a wrapped rename error", res, err)
+			}
+		}, true},
+		{"dir-is-a-file", func(t *testing.T, cfg *Config) context.Context {
+			cfg.Checkpoint.Dir = filepath.Join(cfg.Checkpoint.Dir, "file")
+			if err := os.WriteFile(cfg.Checkpoint.Dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return context.Background()
+		}, func(t *testing.T, res *Results, err error) {
+			var cause *os.PathError
+			if res != nil || !errors.As(err, &cause) {
+				t.Fatalf("run returned %+v, %v; want a wrapped mkdir error", res, err)
+			}
+		}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := ckptCfg(model, WaitFree, dir)
+			ctx := c.arm(t, &cfg)
+			baseline := runtime.NumGoroutine()
+			res, err := RunContext(ctx, cfg)
+			c.check(t, res, err)
+			// The writer sends its result and then exits; give the
+			// scheduler the moment that takes.
+			for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+				if time.Now().After(wait) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), baseline)
+				}
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) > 0 {
+				t.Fatalf("staging files left behind: %v", left)
+			}
+			if !c.snapshots {
+				return
+			}
+			files, err := filepath.Glob(filepath.Join(dir, checkpoint.Glob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range files {
+				if fi, err := os.Stat(path); err != nil || fi.IsDir() {
+					continue // the squatter
+				}
+				if _, err := checkpoint.Read(path); err != nil {
+					t.Fatalf("%s: %v", filepath.Base(path), err)
+				}
+			}
+			latest, err := checkpoint.Latest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := ResumeContext(context.Background(), latest, &ResumeOptions{CheckpointDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("resume %s: %v", filepath.Base(latest), err)
+			}
+			if !reflect.DeepEqual(full, resumed) {
+				t.Fatalf("resume from %s diverged:\nfull:    %+v\nresumed: %+v", filepath.Base(latest), full, resumed)
+			}
+		})
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"ggpdes"
+	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/serve/client"
 	"ggpdes/internal/serve/cluster"
 )
@@ -589,7 +590,7 @@ func runFailover(ctx context.Context, addrs []string, clients []*client.Client, 
 	dir := filepath.Join(ckptRoot, "key-"+pathSafe(key))
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		if names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.json")); err == nil && len(names) > 0 {
+		if names, err := filepath.Glob(filepath.Join(dir, checkpoint.Glob)); err == nil && len(names) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

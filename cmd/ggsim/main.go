@@ -7,7 +7,7 @@
 //	ggsim -model epidemics -lockdown 8 -threads 32 -system baseline
 //	ggsim -model traffic -gradient 0.5 -threads 16 -affinity dynamic
 //	ggsim -model phold -checkpoint-every 4 -checkpoint-dir /tmp/ck
-//	ggsim -resume /tmp/ck/ckpt-00000004.json
+//	ggsim -resume /tmp/ck/ckpt-00000004.ckpt
 //	ggsim -model phold -threads 16 -workers 4
 //	ggsim -model phold -threads 16 -worker-addrs 10.0.0.2:7000,10.0.0.3:7000
 package main
@@ -71,8 +71,8 @@ func main() {
 		workerServe = flag.Bool("worker-serve", false, "internal: serve one worker shard on an ephemeral port (what -workers spawns)")
 
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every N GVT rounds (0 = off)")
-		ckptDir   = flag.String("checkpoint-dir", "", "write checkpoint files to this directory")
-		resume    = flag.String("resume", "", "resume from this checkpoint file instead of starting a run (model/config flags are ignored)")
+		ckptDir   = flag.String("checkpoint-dir", "", "write checkpoint files (ckpt-NNNNNNNN.ckpt) to this directory")
+		resume    = flag.String("resume", "", "resume from this checkpoint file (ckpt-NNNNNNNN.ckpt) instead of starting a run (model/config flags are ignored)")
 
 		chaosSeed  = flag.Uint64("chaos-seed", 0, "fault injection seed (0 = run seed); any -chaos-* flag enables injection")
 		chaosDrop  = flag.Float64("chaos-drop", 0, "probability a cross-thread send is lost")

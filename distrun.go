@@ -3,7 +3,6 @@ package ggpdes
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -118,7 +117,6 @@ func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results
 type distRun struct {
 	rs   *runState
 	opts DistOptions
-	key  string
 
 	workers    int
 	threadsPer int
@@ -145,12 +143,9 @@ type distRun struct {
 
 func (d *distRun) run(ctx context.Context) (*Results, error) {
 	rs := d.rs
-	rs.attachObservers()
-	key, err := rs.cfg.CacheKey()
-	if err != nil {
-		return nil, fmt.Errorf("ggpdes: %w", err)
+	if err := rs.prepare(); err != nil {
+		return nil, err
 	}
-	d.key = key
 	if d.opts.CrashRate > 0 {
 		seed := d.opts.ChaosSeed
 		if seed == 0 {
@@ -158,6 +153,13 @@ func (d *distRun) run(ctx context.Context) (*Results, error) {
 		}
 		d.crashes = chaos.NewWorkerCrashes(seed, d.opts.CrashRate)
 	}
+	return rs.finishWrites(d.attempts(ctx))
+}
+
+// attempts is the segment loop with the worker-loss retry around each
+// segment.
+func (d *distRun) attempts(ctx context.Context) (*Results, error) {
+	rs := d.rs
 	for {
 		// The continuation state a retry must restore: everything a
 		// failed segment attempt may have mutated before its boundary
@@ -287,10 +289,6 @@ func (d *distRun) failed() error { return d.bridge.err }
 // projection, persisted vs. not).
 func (d *distRun) initWorkers(reg *telemetry.Registry, segState *tw.EngineState) error {
 	rs := d.rs
-	cfgJSON, err := json.Marshal(rs.cfg)
-	if err != nil {
-		return fmt.Errorf("ggpdes: encoding config for workers: %w", err)
-	}
 	d.clients = make([]*dist.Client, d.workers)
 	for w := 0; w < d.workers; w++ {
 		lo, hi := w*d.threadsPer, (w+1)*d.threadsPer
@@ -304,15 +302,15 @@ func (d *distRun) initWorkers(reg *telemetry.Registry, segState *tw.EngineState)
 		}
 		d.clients[w] = dist.NewClient(d.conns[w], reg)
 		st := shardStateFor(segState, lo, hi)
-		if redialed && rs.checkpointing() && rs.cfg.Checkpoint.Dir != "" && rs.segments > 0 {
-			st, err = d.readShardFile(w)
-			if err != nil {
+		if redialed && rs.persisting() && rs.segments > 0 {
+			var err error
+			if st, err = d.readShardFile(w); err != nil {
 				return err
 			}
 		}
 		init := &dist.InitMsg{
-			Config:   cfgJSON,
-			CacheKey: d.key,
+			Config:   rs.cfgJSON,
+			CacheKey: rs.key,
 			Shard:    w,
 			Workers:  d.workers,
 			Lo:       lo,
@@ -339,12 +337,12 @@ func (d *distRun) planCrash() {
 	if d.crashes == nil || d.attempt >= d.maxAttempts {
 		return
 	}
-	crash, frac := d.crashes.Plan(d.key, d.attempt)
+	crash, frac := d.crashes.Plan(d.rs.key, d.attempt)
 	if !crash {
 		return
 	}
 	h := fnv.New64a()
-	io.WriteString(h, d.key)
+	io.WriteString(h, d.rs.key)
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(d.attempt))
 	h.Write(buf[:])
@@ -384,16 +382,20 @@ func (d *distRun) shutdownWorkers() {
 }
 
 // readShardFile restores one worker's slice of the last committed
-// checkpoint from its per-shard file.
+// checkpoint from its per-shard file, which the writer may still be
+// working on.
 func (d *distRun) readShardFile(w int) (*tw.EngineState, error) {
+	if err := d.rs.waitWriter(); err != nil {
+		return nil, err
+	}
 	path := filepath.Join(d.rs.cfg.Checkpoint.Dir, checkpoint.ShardFileName(d.rs.segments, w))
 	snap, err := checkpoint.Read(path)
 	if err != nil {
 		return nil, err
 	}
-	if snap.CacheKey != d.key {
+	if snap.CacheKey != d.rs.key {
 		return nil, fmt.Errorf("%w: shard checkpoint %s recorded cache key %s, run has %s",
-			ErrCheckpointCorrupt, path, snap.CacheKey, d.key)
+			ErrCheckpointCorrupt, path, snap.CacheKey, d.rs.key)
 	}
 	return snap.Engine, nil
 }
@@ -475,19 +477,8 @@ func (d *distRun) capture(seg *segment) (*tw.EngineState, error) {
 	return est, d.foldWorkerMetrics(seg)
 }
 
-// committed runs after a boundary's snapshot round-trip: the boundary
-// is durable, so the segment's series points commit and each worker's
-// slice of the checkpoint is written next to the full snapshot.
-func (d *distRun) committed(est *tw.EngineState) error {
-	d.commitPoints()
-	if dir := d.rs.cfg.Checkpoint.Dir; dir != "" {
-		return d.writeShardFiles(dir, est)
-	}
-	return nil
-}
-
 // commitPoints moves the completed segment's buffered series points
-// into the run's series.
+// into the run's series, at its boundary or at the end of the run.
 func (d *distRun) commitPoints() {
 	for _, pt := range d.segPoints {
 		d.rs.series.Append(pt)
@@ -513,32 +504,21 @@ func (d *distRun) foldWorkerMetrics(seg *segment) error {
 	return b.err
 }
 
-// writeShardFiles persists each worker's slice of the just-committed
-// checkpoint next to the full snapshot, so a redialed worker can
+// appendShardFiles appends each worker's slice of the boundary's
+// snapshot, written next to the full one so a redialed worker can
 // restore without the coordinator resending its state in memory.
-func (d *distRun) writeShardFiles(dir string, est *tw.EngineState) error {
+func (d *distRun) appendShardFiles(files []snapshotFile, est *tw.EngineState) []snapshotFile {
 	rs := d.rs
-	cfgJSON, err := json.Marshal(rs.cfg)
-	if err != nil {
-		return fmt.Errorf("ggpdes: %w", err)
-	}
 	for w := 0; w < d.workers; w++ {
 		lo, hi := w*d.threadsPer, (w+1)*d.threadsPer
-		snap := &checkpoint.Snapshot{
-			Config:   cfgJSON,
-			CacheKey: d.key,
+		files = append(files, snapshotFile{checkpoint.ShardFileName(rs.segments, w), &checkpoint.Snapshot{
+			Config:   rs.cfgJSON,
+			CacheKey: rs.key,
 			Segments: rs.segments,
 			Engine:   shardStateFor(est, lo, hi),
-		}
-		data, err := checkpoint.Encode(snap)
-		if err != nil {
-			return fmt.Errorf("ggpdes: %w", err)
-		}
-		if _, err := checkpoint.WriteNamed(dir, checkpoint.ShardFileName(rs.segments, w), data); err != nil {
-			return fmt.Errorf("ggpdes: %w", err)
-		}
+		}})
 	}
-	return nil
+	return files
 }
 
 // finishing runs before Results are assembled: the end-of-run sweep —

@@ -263,9 +263,11 @@ type Config struct {
 	// Checkpoint, when non-nil, makes the run checkpointable: the
 	// engine quiesces onto its committed state every Every GVT rounds
 	// and a versioned snapshot is written to Dir. A checkpointed run
-	// executes as a chain of segments rebuilt from each snapshot —
-	// whether or not the process dies in between — so Resume from any
-	// snapshot reproduces the uninterrupted run's Results exactly.
+	// executes as a chain of segments, each on a fresh machine and
+	// engine started from the previous one's committed cut — whether
+	// or not the process dies in between — and Resume from any
+	// snapshot rebuilds the same chain from the file, reproducing the
+	// uninterrupted run's Results exactly.
 	// Segmentation perturbs speculation, so Checkpoint.Every is part of
 	// CacheKey; Checkpoint.Dir is not.
 	Checkpoint *CheckpointOptions
@@ -280,9 +282,15 @@ type Config struct {
 type CheckpointOptions struct {
 	// Every is the number of GVT rounds between checkpoints (>= 1).
 	Every int `json:"every"`
-	// Dir receives the numbered snapshot files ("ckpt-NNNNNNNN.json").
-	// Empty runs the segmented trajectory without persisting it —
-	// useful for testing; Resume obviously needs a directory.
+	// Dir receives the numbered snapshot files ("ckpt-NNNNNNNN.ckpt",
+	// binary, format version 2; a distributed run adds
+	// "ckpt-NNNNNNNN.shardSS.ckpt" per worker). It is created if
+	// missing, and a run that cannot create it fails before its first
+	// event. Files are written while the next segment runs and are all
+	// complete when the run returns; a failed write fails the run.
+	// Empty runs the segmented trajectory without encoding or
+	// persisting anything — useful for testing; Resume obviously needs
+	// a directory.
 	Dir string `json:"dir,omitempty"`
 }
 

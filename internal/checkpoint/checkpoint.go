@@ -5,15 +5,33 @@
 // the remaining segments reproduces the uninterrupted run's Results
 // byte for byte.
 //
-// The file layout is a JSON envelope {magic, version, crc32, data}
-// where data is the Snapshot JSON and the CRC covers its exact bytes.
-// JSON is deliberate: floats round-trip exactly (shortest-form
-// encoding), uint64s are full-precision decimals, and a corrupt or
-// truncated file fails loudly. Every decode error is wrapped in
-// ErrCorrupt so callers can classify it.
+// File layout, format version 2:
+//
+//	magic    "ggpdes-checkpoint"
+//	version  one byte
+//	crc32    IEEE, little-endian, over every byte after it
+//	header   uvarint length, then that many bytes of JSON: every
+//	         Snapshot field except Engine (about 2.5 KB)
+//	engine   tw.AppendEngineState, to the end of the file
+//
+// The header stays JSON because the root package owns the Config codec
+// and telemetry names are open-ended; the engine state — LP states and
+// pending events, nearly all of the bytes — uses the binary event codec
+// the wire plane already has (internal/tw/wire_binary.go), so there is
+// one event codec in the tree. Both halves are exact: the binary half
+// stores virtual times as raw IEEE-754 bits and integers as
+// varints/zigzags or raw words, and encoding/json writes floats in
+// shortest round-trip form and uint64s as full-precision decimals.
+// Decode checks every count against the bytes that remain before it
+// allocates, and wraps every failure — wrong magic, version or CRC,
+// truncation, trailing bytes, a malformed header or engine body — in
+// ErrCorrupt so callers can classify it. Version 1 (a JSON payload in a
+// JSON envelope, files named *.json) is no longer read; Latest does not
+// see its files.
 package checkpoint
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"ggpdes/internal/core"
 	"ggpdes/internal/machine"
@@ -32,7 +51,14 @@ const (
 	// Magic identifies a ggpdes checkpoint file.
 	Magic = "ggpdes-checkpoint"
 	// Version is the snapshot format revision; readers reject others.
-	Version = 1
+	Version = 2
+	// Ext is the snapshot file extension, and Glob matches every
+	// snapshot file of a directory, full or per-shard.
+	Ext  = ".ckpt"
+	Glob = "ckpt-*" + Ext
+
+	// bodyOff is where the checksummed body starts.
+	bodyOff = len(Magic) + 1 + 4
 )
 
 // ErrCorrupt reports an unreadable, truncated, checksum-mismatched or
@@ -66,107 +92,138 @@ type Snapshot struct {
 	// GVTFrequency is the (possibly adaptively tuned) round frequency
 	// the next segment starts from; 0 means the configured value.
 	GVTFrequency int `json:"gvt_frequency"`
-	// Engine is the quiesced Time Warp state.
-	Engine *tw.EngineState `json:"engine"`
+	// Engine is the quiesced Time Warp state. It is not part of the
+	// JSON header: it follows it in tw's binary form.
+	Engine *tw.EngineState `json:"-"`
 	// Metrics is the raw telemetry registry export.
 	Metrics telemetry.MetricsState `json:"metrics"`
 }
 
-// envelope is the on-disk wrapper around a Snapshot.
-type envelope struct {
-	Magic   string          `json:"magic"`
-	Version int             `json:"version"`
-	CRC     uint32          `json:"crc32"`
-	Data    json.RawMessage `json:"data"`
-}
-
 // Encode serializes a snapshot into its on-disk byte form.
 func Encode(s *Snapshot) ([]byte, error) {
-	data, err := json.Marshal(s)
+	if s.Engine == nil {
+		return nil, errors.New("checkpoint: encoding snapshot: no engine state")
+	}
+	header, err := json.Marshal(s)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	env := envelope{
-		Magic:   Magic,
-		Version: Version,
-		CRC:     crc32.ChecksumIEEE(data),
-		Data:    data,
-	}
-	out, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding envelope: %w", err)
-	}
+	out := make([]byte, 0, bodyOff+binary.MaxVarintLen64+len(header)+engineSizeHint(s.Engine))
+	out = append(out, Magic...)
+	out = append(out, Version, 0, 0, 0, 0)
+	out = tw.AppendWireUint(out, uint64(len(header)))
+	out = append(out, header...)
+	out = tw.AppendEngineState(out, s.Engine)
+	binary.LittleEndian.PutUint32(out[bodyOff-4:], crc32.ChecksumIEEE(out[bodyOff:]))
 	return out, nil
 }
 
-// Decode parses and verifies Encode's output.
+// engineSizeHint estimates the encoded size of st from above for
+// typical states, so Encode appends into one allocation.
+func engineSizeHint(st *tw.EngineState) int {
+	n := 64 + 100*len(st.PeerStats)
+	for i := range st.LPs {
+		n += 32 + len(st.LPs[i].State)
+	}
+	for _, evs := range st.Pending {
+		n += 4 + 40*len(evs)
+	}
+	return n
+}
+
+// Decode parses and verifies Encode's output. The returned snapshot's
+// LP state bytes alias data.
 func Decode(data []byte) (*Snapshot, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if len(data) < bodyOff {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the file header", ErrCorrupt, len(data))
 	}
-	if env.Magic != Magic {
-		return nil, fmt.Errorf("%w: magic %q, want %q", ErrCorrupt, env.Magic, Magic)
+	if string(data[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("%w: magic %q, want %q", ErrCorrupt, data[:len(Magic)], Magic)
 	}
-	if env.Version != Version {
-		return nil, fmt.Errorf("%w: format version %d, reader supports %d", ErrCorrupt, env.Version, Version)
+	if v := data[len(Magic)]; v != Version {
+		return nil, fmt.Errorf("%w: format version %d, reader supports %d", ErrCorrupt, v, Version)
 	}
-	if got := crc32.ChecksumIEEE(env.Data); got != env.CRC {
-		return nil, fmt.Errorf("%w: crc32 %08x, want %08x", ErrCorrupt, got, env.CRC)
+	body := data[bodyOff:]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(data[bodyOff-4:]); got != want {
+		return nil, fmt.Errorf("%w: crc32 %08x, want %08x", ErrCorrupt, got, want)
+	}
+	n, rest, ok := tw.ConsumeWireUint(body)
+	if !ok || n > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: header length overruns the file", ErrCorrupt)
 	}
 	var s Snapshot
-	if err := json.Unmarshal(env.Data, &s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := json.Unmarshal(rest[:n], &s); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
 	}
-	if s.Engine == nil {
-		return nil, fmt.Errorf("%w: snapshot has no engine state", ErrCorrupt)
+	engine, rest, ok := tw.ConsumeEngineState(rest[n:])
+	if !ok {
+		return nil, fmt.Errorf("%w: malformed engine state", ErrCorrupt)
 	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the engine state", ErrCorrupt, len(rest))
+	}
+	s.Engine = engine
 	return &s, nil
 }
 
 // FileName returns the canonical file name of checkpoint n; zero
 // padding keeps lexicographic and numeric order identical, which is
 // what Latest relies on.
-func FileName(n int) string { return fmt.Sprintf("ckpt-%08d.json", n) }
+func FileName(n int) string { return fmt.Sprintf("ckpt-%08d%s", n, Ext) }
 
 // ShardFileName returns the file name of worker shard's slice of
 // checkpoint n in a distributed run. The name is deliberately longer
 // than FileName's, so Latest — which matches exact-length full-run
 // snapshots only — never resumes from a partial shard file.
 func ShardFileName(n, shard int) string {
-	return fmt.Sprintf("ckpt-%08d.shard%02d.json", n, shard)
+	return fmt.Sprintf("ckpt-%08d.shard%02d%s", n, shard, Ext)
 }
 
-// Write atomically persists a snapshot as file number s.Segments under
-// dir, creating the directory as needed.
+// Write encodes a snapshot and atomically persists it as file number
+// s.Segments under dir, creating the directory as needed.
 func Write(dir string, s *Snapshot) (string, error) {
 	data, err := Encode(s)
 	if err != nil {
 		return "", err
 	}
-	return WriteBytes(dir, s.Segments, data)
-}
-
-// WriteBytes atomically persists pre-encoded snapshot bytes as
-// checkpoint number n under dir.
-func WriteBytes(dir string, n int, data []byte) (string, error) {
-	return WriteNamed(dir, FileName(n), data)
-}
-
-// WriteNamed atomically persists pre-encoded snapshot bytes under dir
-// with an explicit file name — how distributed runs place per-shard
-// files (ShardFileName) next to the full snapshot.
-func WriteNamed(dir, name string, data []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	path := filepath.Join(dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return WriteNamed(dir, FileName(s.Segments), data)
+}
+
+// WriteNamed atomically persists encoded snapshot bytes as name under
+// dir, which must exist. The bytes are staged in a temporary file of
+// their own and renamed into place, so a reader sees either no file or
+// a complete one, and any number of writers of the same name — a
+// failover replica overlapping a slow but live owner writes the same
+// keyed directory — each land a complete file; they write identical
+// bytes, so which rename comes last does not matter. No temporary file
+// outlives the call.
+func WriteNamed(dir, name string, data []byte) (path string, err error) {
+	tmp, err := os.CreateTemp(dir, name+".*.tmp")
+	if err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(data); err != nil {
+		tmp.Close()
+		return "", fmt.Errorf("checkpoint: %w", err)
+	}
+	if err = tmp.Close(); err != nil {
+		return "", fmt.Errorf("checkpoint: %w", err)
+	}
+	// CreateTemp makes the file 0600; snapshots are shared between the
+	// replicas of a fleet, which need not run as one user.
+	if err = os.Chmod(tmp.Name(), 0o644); err != nil {
+		return "", fmt.Errorf("checkpoint: %w", err)
+	}
+	path = filepath.Join(dir, name)
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	return path, nil
@@ -193,7 +250,7 @@ func Latest(dir string) (string, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.Type().IsRegular() && len(name) == len(FileName(0)) &&
-			name[:5] == "ckpt-" && filepath.Ext(name) == ".json" {
+			strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, Ext) {
 			names = append(names, name)
 		}
 	}

@@ -4,7 +4,8 @@ package models
 // with a fixed-layout little-endian encoding of its LP state. The
 // layouts are deliberately dumb — exported fields in declaration order
 // — because checkpoint portability matters more than compactness and
-// the envelope above this layer is versioned.
+// the file format above this layer is versioned. Encoders append to the
+// caller's buffer, so a capture encodes every LP into one arena.
 
 import (
 	"encoding/binary"
@@ -13,9 +14,8 @@ import (
 	"ggpdes/internal/tw"
 )
 
-func putI64(buf []byte, off int, v int64) int {
-	binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-	return off + 8
+func appendI64(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
 func getI64(data []byte, off int) (int64, int) {
@@ -23,14 +23,12 @@ func getI64(data []byte, off int) (int64, int) {
 }
 
 // EncodeState implements tw.CheckpointModel.
-func (m *PHOLD) EncodeState(s tw.State) ([]byte, error) {
+func (m *PHOLD) EncodeState(dst []byte, s tw.State) ([]byte, error) {
 	st, ok := s.(*PHOLDState)
 	if !ok {
 		return nil, fmt.Errorf("models: phold cannot encode %T", s)
 	}
-	buf := make([]byte, 8)
-	putI64(buf, 0, st.Processed)
-	return buf, nil
+	return appendI64(dst, st.Processed), nil
 }
 
 // DecodeState implements tw.CheckpointModel.
@@ -43,19 +41,17 @@ func (m *PHOLD) DecodeState(data []byte) (tw.State, error) {
 }
 
 // EncodeState implements tw.CheckpointModel.
-func (m *Epidemics) EncodeState(s tw.State) ([]byte, error) {
+func (m *Epidemics) EncodeState(dst []byte, s tw.State) ([]byte, error) {
 	st, ok := s.(*HouseholdState)
 	if !ok {
 		return nil, fmt.Errorf("models: epidemics cannot encode %T", s)
 	}
-	buf := make([]byte, 8+len(st.Agents)+4*8)
-	binary.LittleEndian.PutUint64(buf, uint64(len(st.Agents)))
-	off := 8 + copy(buf[8:], st.Agents)
-	off = putI64(buf, off, st.Exposures)
-	off = putI64(buf, off, st.Infections)
-	off = putI64(buf, off, st.Recoveries)
-	putI64(buf, off, st.ContactsSeen)
-	return buf, nil
+	dst = appendI64(dst, int64(len(st.Agents)))
+	dst = append(dst, st.Agents...)
+	dst = appendI64(dst, st.Exposures)
+	dst = appendI64(dst, st.Infections)
+	dst = appendI64(dst, st.Recoveries)
+	return appendI64(dst, st.ContactsSeen), nil
 }
 
 // DecodeState implements tw.CheckpointModel.
@@ -77,16 +73,14 @@ func (m *Epidemics) DecodeState(data []byte) (tw.State, error) {
 }
 
 // EncodeState implements tw.CheckpointModel.
-func (m *Traffic) EncodeState(s tw.State) ([]byte, error) {
+func (m *Traffic) EncodeState(dst []byte, s tw.State) ([]byte, error) {
 	st, ok := s.(*IntersectionState)
 	if !ok {
 		return nil, fmt.Errorf("models: traffic cannot encode %T", s)
 	}
-	buf := make([]byte, 3*8)
-	off := putI64(buf, 0, st.Queued)
-	off = putI64(buf, off, st.Arrivals)
-	putI64(buf, off, st.Departures)
-	return buf, nil
+	dst = appendI64(dst, st.Queued)
+	dst = appendI64(dst, st.Arrivals)
+	return appendI64(dst, st.Departures), nil
 }
 
 // DecodeState implements tw.CheckpointModel.

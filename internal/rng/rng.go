@@ -21,12 +21,19 @@ const pcgMult = 6364136223846793005
 // New returns a Stream seeded from seed with the given stream selector.
 // Distinct (seed, sel) pairs produce statistically independent streams.
 func New(seed, sel uint64) *Stream {
-	s := &Stream{inc: sel<<1 | 1}
+	s := &Stream{}
+	s.Seed(seed, sel)
+	return s
+}
+
+// Seed makes s the stream New(seed, sel) returns, in place: for streams
+// that live inside their owner instead of on the heap.
+func (s *Stream) Seed(seed, sel uint64) {
+	s.inc = sel<<1 | 1
 	s.state = 0
 	s.next()
 	s.state += splitmix(seed)
 	s.next()
-	return s
 }
 
 // Split derives an independent child stream. The parent advances once,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/serve/client"
 	"ggpdes/internal/serve/cluster"
 	"ggpdes/internal/telemetry"
@@ -329,7 +330,7 @@ func TestClusterFailoverResume(t *testing.T) {
 	dir := filepath.Join(f.root, "key-"+pathSafe(key))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if names, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.json")); len(names) > 0 {
+		if names, _ := filepath.Glob(filepath.Join(dir, checkpoint.Glob)); len(names) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ggpdes/internal/rng"
@@ -22,10 +23,12 @@ import (
 // path, rolls back all speculation (Quiesce), and captures exactly the
 // committed state: LP states and RNG positions, the pending events at
 // or above GVT, and the cumulative statistics. A fresh engine built
-// from the capture continues the run; because the driver performs the
-// same quiesce/capture/rebuild cycle whether or not the process is
-// actually killed at the boundary, a resumed run is byte-identical to
-// an uninterrupted one by construction.
+// from the capture continues the run. The driver performs the same
+// quiesce/capture/rebuild cycle whether or not the process is actually
+// killed at the boundary; what differs is where the rebuild reads the
+// capture from — the EngineState itself in a run that lives on, its
+// encoding (wire_binary.go) in one that was killed and resumed — and
+// TestCaptureContinuation holds the two to the same next capture.
 
 // errNotCheckpointModel is shared by Capture, CaptureShard and
 // NewEngineFromState.
@@ -36,9 +39,11 @@ var errNotCheckpointModel = errors.New("tw: model does not implement CheckpointM
 // state is opaque to the engine.
 type CheckpointModel interface {
 	Model
-	// EncodeState serializes an LP state this model created.
-	EncodeState(s State) ([]byte, error)
-	// DecodeState rebuilds an LP state from EncodeState's output.
+	// EncodeState appends the serialized form of an LP state this model
+	// created to dst and returns the extended buffer.
+	EncodeState(dst []byte, s State) ([]byte, error)
+	// DecodeState rebuilds an LP state from the bytes EncodeState
+	// appended; it must not keep a reference to data.
 	DecodeState(data []byte) (State, error)
 }
 
@@ -78,6 +83,12 @@ type EngineState struct {
 	Pending [][]EventRecord `json:"pending"`
 	// PeerStats carries each peer's cumulative counters.
 	PeerStats []PeerStats `json:"peer_stats"`
+
+	// spare is memory the captured engine no longer needs, for the first
+	// engine built from this state to reuse (see spare.go). It is not
+	// part of the state: no codec carries it and nothing may depend on
+	// its presence.
+	spare *spareMemory
 }
 
 // Pause makes Done report true so every simulation thread exits its
@@ -120,7 +131,9 @@ func (e *Engine) Capture() (*EngineState, error) {
 		return nil, err
 	}
 	st.LPs = lps
+	captured := make([][]*Event, len(e.peers))
 	for i, p := range e.peers {
+		captured[i] = p.quiesced
 		recs, err := e.drainQuiesced(p)
 		if err != nil {
 			return nil, err
@@ -128,19 +141,33 @@ func (e *Engine) Capture() (*EngineState, error) {
 		st.Pending[i] = recs
 		st.PeerStats[i] = p.Stats
 	}
+	st.spare = e.harvestSpare(captured)
 	return st, nil
 }
 
 // encodeLPs serializes a run of LPs; Capture uses it over all LPs,
-// CaptureShard over one shard's.
+// CaptureShard over one shard's. The states are encoded back to back
+// into one arena, sized from the first, and each record's State is its
+// slice of it.
 func (e *Engine) encodeLPs(cm CheckpointModel, lps []*LP) ([]LPRecord, error) {
 	recs := make([]LPRecord, len(lps))
+	ends := make([]int, len(lps))
+	var arena []byte
 	for i, lp := range lps {
-		data, err := cm.EncodeState(lp.state)
-		if err != nil {
+		var err error
+		if arena, err = cm.EncodeState(arena, lp.state); err != nil {
 			return nil, fmt.Errorf("tw: encoding LP %d state: %w", lp.ID, err)
 		}
-		recs[i] = LPRecord{State: data, Rng: lp.rand.Save(), LVT: lp.lvt}
+		if i == 0 {
+			arena = append(make([]byte, 0, len(arena)*len(lps)), arena...)
+		}
+		ends[i] = len(arena)
+		recs[i] = LPRecord{Rng: lp.rand.Save(), LVT: lp.lvt}
+	}
+	start := 0
+	for i, end := range ends {
+		recs[i].State = arena[start:end:end]
+		start = end
 	}
 	return recs, nil
 }
@@ -225,7 +252,7 @@ func (e *Engine) quiescePassRange(lo, hi int) bool {
 // the capture serializes.
 func (e *Engine) quiesceDumpRange(lo, hi int) {
 	for _, p := range e.peers[lo:hi] {
-		p.quiesced = p.quiesced[:0]
+		p.quiesced = slices.Grow(p.quiesced[:0], p.pending.Len())
 		for {
 			ev, ok := p.pending.Pop()
 			if !ok {
@@ -269,14 +296,16 @@ func (e *Engine) quiesceResetRange(lo, hi int) {
 // same configuration the capturing engine ran with (the driver
 // guarantees this by storing the config alongside the capture); the
 // model is constructed fresh but its InitLP is skipped — LP states come
-// from the capture.
+// from the capture. The state itself is only read, and may be read by
+// others meanwhile; its spare memory, if it still has any, goes to the
+// new engine.
 func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	cm, ok := cfg.Model.(CheckpointModel)
 	if !ok {
-		return nil, errors.New("tw: model does not implement CheckpointModel")
+		return nil, errNotCheckpointModel
 	}
 	eng, err := newEngineShell(cfg)
 	if err != nil {
@@ -293,7 +322,7 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	eng.gvt = st.GVT
 	eng.peakUncommitted = st.PeakUncommitted
 	for i, lp := range eng.lps {
-		rec := st.LPs[i]
+		rec := &st.LPs[i]
 		state, err := cm.DecodeState(rec.State)
 		if err != nil {
 			return nil, fmt.Errorf("tw: decoding LP %d state: %w", lp.ID, err)
@@ -302,14 +331,25 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 		lp.rand.Restore(rec.Rng)
 		lp.lvt = rec.LVT
 	}
+	eng.adoptSpare(st.spare)
+	st.spare = nil
 	for i, p := range eng.peers {
 		p.Stats = st.PeerStats[i]
+		// Pending events are neither pool hits nor misses — they never
+		// were — and come from the spare set while it lasts, then from
+		// one slab.
+		var slab []Event
+		if n := len(st.Pending[i]) - len(p.spareEvents); n > 0 {
+			slab = make([]Event, n)
+		}
 		for _, r := range st.Pending[i] {
-			ev := &Event{
-				Ts: r.Ts, Seq: r.Seq, Src: r.Src, Dst: r.Dst,
-				Kind: r.Kind, A: r.A, B: r.B,
-				state: StatePending,
+			ev := p.takeSpareEvent()
+			if ev == nil {
+				ev, slab = &slab[0], slab[1:]
 			}
+			ev.Ts, ev.Seq, ev.Src, ev.Dst = r.Ts, r.Seq, r.Src, r.Dst
+			ev.Kind, ev.A, ev.B = r.Kind, r.A, r.B
+			ev.state = StatePending
 			if r.Ts < st.GVT {
 				return nil, fmt.Errorf("tw: capture holds pending event %v below GVT %.6f", ev, st.GVT)
 			}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"ggpdes/internal/pq"
-	"ggpdes/internal/rng"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 )
@@ -271,29 +270,34 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	nLPs := perThread * cfg.NumThreads
 	eng.shardLo, eng.shardHi = 0, cfg.NumThreads
 	eng.peers = make([]*Peer, cfg.NumThreads)
-	for i := range eng.peers {
-		eng.peers[i] = newPeer(i, eng)
-	}
+	// LPs and KPs come out of one slab each: a checkpointed run builds
+	// an engine per segment, and a heap object per LP was most of what
+	// that cost.
+	kpsPerThread := (perThread + cfg.LPsPerKP - 1) / cfg.LPsPerKP
+	lps := make([]LP, nLPs)
+	kps := make([]KP, kpsPerThread*cfg.NumThreads)
 	eng.lps = make([]*LP, nLPs)
-	for id := 0; id < nLPs; id++ {
+	for i := range eng.peers {
+		p := newPeer(i, eng)
+		p.lps = eng.lps[i*perThread : (i+1)*perThread : (i+1)*perThread]
+		p.kps = make([]*KP, kpsPerThread)
+		for k := range p.kps {
+			kp := &kps[i*kpsPerThread+k]
+			kp.ID, kp.Owner = k, i
+			p.kps[k] = kp
+		}
+		eng.peers[i] = p
+	}
+	for id := range lps {
 		// Block mapping: thread i serves LPs [i*perThread, (i+1)*perThread),
 		// so "the first half of threads" also means the first half of LPs,
-		// matching the paper's imbalanced models.
-		owner := id / perThread
-		lp := &LP{
-			ID:    id,
-			Owner: owner,
-			rand:  rng.New(cfg.Seed, uint64(id)+1),
-		}
+		// matching the paper's imbalanced models. KP assignment:
+		// consecutive runs of LPsPerKP LPs per thread.
+		lp := &lps[id]
+		lp.ID, lp.Owner = id, id/perThread
+		lp.rand.Seed(cfg.Seed, uint64(id)+1)
+		lp.kp = eng.peers[lp.Owner].kps[id%perThread/cfg.LPsPerKP]
 		eng.lps[id] = lp
-		p := eng.peers[owner]
-		// KP assignment: consecutive runs of LPsPerKP LPs per thread.
-		kpIdx := len(p.lps) / cfg.LPsPerKP
-		if kpIdx == len(p.kps) {
-			p.kps = append(p.kps, &KP{ID: kpIdx, Owner: owner})
-		}
-		lp.kp = p.kps[kpIdx]
-		p.lps = append(p.lps, lp)
 	}
 	return eng, nil
 }
@@ -581,6 +585,11 @@ func (e *Engine) CheckInvariants() error {
 			}
 			if ev.state != statePooled {
 				return fmt.Errorf("peer %d freelist holds live event %v", p.ID, ev)
+			}
+		}
+		for _, ev := range p.spareEvents {
+			if ev == nil || ev.state != statePooled {
+				return fmt.Errorf("peer %d spare set holds live event %v", p.ID, ev)
 			}
 		}
 		for _, ev := range p.inq {

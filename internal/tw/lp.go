@@ -39,13 +39,16 @@ type LP struct {
 	Owner int
 
 	state State
-	rand  *rng.Stream
+	rand  rng.Stream
 	lvt   VT
 	kp    *KP
 	// statePool recycles copy-state snapshots released by fossil
 	// collection and rollback (see pool.go); only populated when the
-	// model's state implements StateCopier.
-	statePool []State
+	// model's state implements StateCopier. spareStates is what the
+	// LP's predecessor in a checkpointed run left in its pool (see
+	// spare.go).
+	statePool   []State
+	spareStates []State
 }
 
 // State returns the LP's current model state. Models must treat it as
@@ -60,7 +63,7 @@ func (lp *LP) SetState(s State) { lp.state = s }
 func (lp *LP) LVT() VT { return lp.lvt }
 
 // Rand returns the LP's random stream (valid after engine init).
-func (lp *LP) Rand() *rng.Stream { return lp.rand }
+func (lp *LP) Rand() *rng.Stream { return &lp.rand }
 
 // KP returns the kernel process this LP belongs to.
 func (lp *LP) KP() *KP { return lp.kp }

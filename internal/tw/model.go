@@ -127,7 +127,7 @@ func (c *EventCtx) Now() VT { return c.ev.Ts }
 
 // Rand returns the LP's random stream. Its position is part of the
 // LP snapshot, so rolled-back draws are replayed identically.
-func (c *EventCtx) Rand() *rng.Stream { return c.lp.rand }
+func (c *EventCtx) Rand() *rng.Stream { return &c.lp.rand }
 
 // Send schedules an event for dstLP at absolute time ts, which must be
 // strictly in the future of the current event. The send is recorded so

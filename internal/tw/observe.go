@@ -3,10 +3,12 @@ package tw
 import "ggpdes/internal/telemetry"
 
 // PeerProbe is one thread's contribution to a per-GVT-round series
-// point: its local virtual time, queue depth and cumulative event-pool
-// traffic. In-process series recording folds probes straight into the
-// point; a distributed coordinator fetches each shard's probes over
-// the wire and assembles the same point (see FillSeriesTotals /
+// point: its local virtual time, queue depth and the event-pool traffic
+// of its engine so far — counted on the peer, not read back from the
+// telemetry registry, whose cells outlive an engine when the registry
+// is the caller's. In-process series recording folds probes straight
+// into the point; a distributed coordinator fetches each shard's probes
+// over the wire and assembles the same point (see FillSeriesTotals /
 // FinishSeriesPoint).
 type PeerProbe struct {
 	LVT        float64 `json:"lvt"`
@@ -27,8 +29,8 @@ func (p *Peer) Probe() PeerProbe {
 	return PeerProbe{
 		LVT:        lvt,
 		Queued:     p.pending.Len() + len(p.inq),
-		PoolHits:   p.tel.poolEventHit.Value() + p.pool.eventHit,
-		PoolMisses: p.tel.poolEventMiss.Value() + p.pool.eventMiss,
+		PoolHits:   p.poolFlushed.eventHit + p.pool.eventHit,
+		PoolMisses: p.poolFlushed.eventMiss + p.pool.eventMiss,
 	}
 }
 

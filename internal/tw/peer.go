@@ -50,9 +50,15 @@ type Peer struct {
 	pending pq.Queue[*Event]
 
 	// freeEvents is the peer's event freelist (see pool.go); pool
-	// accumulates its traffic counters between telemetry flushes.
-	freeEvents []*Event
-	pool       poolStats
+	// accumulates its traffic counters between telemetry flushes and
+	// poolFlushed keeps the event hits and misses already flushed, for
+	// Probe.
+	freeEvents  []*Event
+	pool        poolStats
+	poolFlushed poolStats
+	// spareEvents is the dead events a predecessor engine left behind,
+	// taken on a freelist miss (spare.go).
+	spareEvents []*Event
 
 	// evCtx and rbCtx are the reusable model-callback contexts for
 	// forward execution and reverse computation. They are distinct

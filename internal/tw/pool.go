@@ -69,6 +69,9 @@ func (p *Peer) allocEvent() *Event {
 	n := len(p.freeEvents)
 	if n == 0 {
 		p.pool.eventMiss++
+		if ev := p.takeSpareEvent(); ev != nil {
+			return ev
+		}
 		return &Event{}
 	}
 	ev := p.freeEvents[n-1]
@@ -99,20 +102,23 @@ func (p *Peer) freeEvent(ev *Event) {
 	if ev.state == statePooled {
 		panic("tw: double free of event " + ev.String())
 	}
-	for i := range ev.sent {
-		ev.sent[i] = nil
-	}
-	for i := range ev.tentative {
-		ev.tentative[i] = nil
-	}
+	ev.poison()
+	p.pool.eventRecycled++
+	p.freeEvents = append(p.freeEvents, ev)
+}
+
+// poison resets every field of a dead event, keeping only the emptied
+// sent/tentative backing arrays, and marks it pooled with an ordering
+// key that sorts nowhere valid and matches no re-adoption.
+func (ev *Event) poison() {
+	clear(ev.sent)
+	clear(ev.tentative)
 	*ev = Event{
-		Ts:        math.Inf(-1), // poison: sorts nowhere valid, matches no re-adoption
+		Ts:        math.Inf(-1),
 		sent:      ev.sent[:0],
 		tentative: ev.tentative[:0],
 		state:     statePooled,
 	}
-	p.pool.eventRecycled++
-	p.freeEvents = append(p.freeEvents, ev)
 }
 
 // acquireSnapshot returns a deep copy of lp's current state for the
@@ -123,6 +129,10 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 	n := len(lp.statePool)
 	if n == 0 {
 		p.pool.stateMiss++
+		if dst := lp.takeSpareState(); dst != nil {
+			dst.(StateCopier).CopyFrom(lp.state)
+			return dst
+		}
 		return lp.state.Clone()
 	}
 	dst := lp.statePool[n-1]
@@ -165,6 +175,8 @@ func (p *Peer) flushPoolStats() {
 	t.poolStateHit.Add(s.stateHit)
 	t.poolStateMiss.Add(s.stateMiss)
 	t.poolStateRecycled.Add(s.stateRecycled)
+	p.poolFlushed.eventHit += s.eventHit
+	p.poolFlushed.eventMiss += s.eventMiss
 	*s = poolStats{}
 }
 

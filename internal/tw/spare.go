@@ -1,0 +1,157 @@
+package tw
+
+import (
+	"reflect"
+	"slices"
+
+	"ggpdes/internal/pq"
+)
+
+// Spare memory. A checkpointed run builds a fresh engine at every
+// boundary, and a fresh engine starts with cold pools: for the first
+// rounds of every segment each send, snapshot and queue insert is a
+// heap allocation, while everything the previous engine had pooled
+// becomes garbage. Capture therefore harvests what the quiesced engine
+// no longer needs — its events (freelisted or just converted into
+// records), the snapshots in its LP pools, the emptied pending queues
+// with their nodes, the backing arrays of its histories — into a spare
+// set that rides on the returned EngineState, and an engine built from
+// that state adopts it. Only memory the engine itself used is passed
+// on: spare memory it adopted and never took is dropped, so a thread
+// whose load has moved elsewhere keeps its high-water mark for one
+// segment, not for the rest of the run (carrying everything read +2 MB
+// of live heap on the epidemics benchmark, whose active region shifts
+// from thread group to thread group).
+//
+// pool.go's rule stands: recycling reuses memory, never logic. The
+// successor is a fresh Engine with fresh Peers, LPs and KPs, and the
+// spare sits behind the pools' miss path, not in the pools: allocEvent
+// and acquireSnapshot find their freelist empty, count the miss exactly
+// as they would have, and only then take spare memory where they used
+// to call the allocator. So the pool counters, and with them Results,
+// cannot tell an engine that adopted a spare set from one that did not
+// — which they must not, because Resume builds the same segment from a
+// file and has none (TestCaptureContinuation). Spare events are
+// poisoned like freelisted ones while they wait and reset the same way
+// when taken; CheckInvariants sweeps them. The set is unexported, never
+// serialized, taken by the first engine built from the state, and
+// ignored unless that engine's topology and state type match the
+// harvested one's.
+type spareMemory struct {
+	peers []sparePeer
+	lps   []spareLP
+	// states backs every spareLP.states.
+	states []State
+}
+
+type sparePeer struct {
+	events    []*Event              // poisoned
+	nodes     *pq.SplayTree[*Event] // the emptied pending queue, for its nodes; nil for other kinds
+	processed [][]*Event            // per KP: the history's backing array, emptied
+}
+
+type spareLP struct {
+	states []State // dead snapshots, all of the LP's own state type
+	pool   []State // the pool's backing array, emptied
+}
+
+// harvestSpare collects the quiesced, captured engine's reusable
+// memory; captured holds, per peer, the quiesced events the capture has
+// just converted into records. The engine must not be used afterwards.
+func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
+	if e.cfg.DisablePooling {
+		return nil
+	}
+	sp := &spareMemory{peers: make([]sparePeer, len(e.peers)), lps: make([]spareLP, len(e.lps))}
+	for i, p := range e.peers {
+		events := slices.Grow(p.freeEvents, len(captured[i]))
+		for _, ev := range captured[i] {
+			ev.poison()
+			events = append(events, ev)
+		}
+		processed := make([][]*Event, len(p.kps))
+		for k, kp := range p.kps {
+			processed[k] = kp.processed[:0]
+		}
+		nodes, _ := p.pending.(*pq.SplayTree[*Event])
+		sp.peers[i] = sparePeer{events: events, nodes: nodes, processed: processed}
+		p.spareEvents, p.freeEvents = nil, nil
+	}
+	total := 0
+	for _, lp := range e.lps {
+		total += len(lp.statePool)
+	}
+	sp.states = make([]State, 0, total)
+	for i, lp := range e.lps {
+		lo := len(sp.states)
+		sp.states = append(sp.states, lp.statePool...)
+		clear(lp.statePool)
+		sp.lps[i] = spareLP{states: sp.states[lo:len(sp.states):len(sp.states)], pool: lp.statePool[:0]}
+		lp.spareStates, lp.statePool = nil, nil
+	}
+	return sp
+}
+
+// adoptSpare hands a predecessor's spare memory to a freshly restored
+// engine, whose LP states are already in place.
+func (e *Engine) adoptSpare(sp *spareMemory) {
+	if sp == nil || e.cfg.DisablePooling || len(sp.peers) != len(e.peers) || len(sp.lps) != len(e.lps) {
+		return
+	}
+	for i, p := range e.peers {
+		if len(sp.peers[i].processed) != len(p.kps) {
+			return
+		}
+	}
+	for i, lp := range e.lps {
+		// CopyFrom asserts its source's type; a spare snapshot of any
+		// other type than the LP's state is of no use.
+		if s := sp.lps[i].states; len(s) > 0 && reflect.TypeOf(s[0]) != reflect.TypeOf(lp.state) {
+			return
+		}
+	}
+	for i, p := range e.peers {
+		s := &sp.peers[i]
+		p.spareEvents = s.events
+		for k, kp := range p.kps {
+			kp.processed = s.processed[k]
+		}
+		if dst, ok := p.pending.(*pq.SplayTree[*Event]); ok && s.nodes != nil {
+			dst.AdoptNodes(s.nodes)
+		}
+	}
+	for i, lp := range e.lps {
+		lp.spareStates, lp.statePool = sp.lps[i].states, sp.lps[i].pool
+	}
+}
+
+// takeSpareEvent returns a zeroed event from the spare set, nil when it
+// is used up. The caller has already counted whatever it counts.
+func (p *Peer) takeSpareEvent() *Event {
+	n := len(p.spareEvents)
+	if n == 0 {
+		return nil
+	}
+	ev := p.spareEvents[n-1]
+	p.spareEvents[n-1] = nil
+	p.spareEvents = p.spareEvents[:n-1]
+	if ev.state != statePooled {
+		panic("tw: corrupted spare event set: " + ev.String())
+	}
+	ev.state = StateInQueue
+	ev.Ts = 0
+	return ev
+}
+
+// takeSpareState returns a dead snapshot for CopyFrom to overwrite, nil
+// when the LP's spare set is used up.
+func (lp *LP) takeSpareState() State {
+	n := len(lp.spareStates)
+	if n == 0 {
+		return nil
+	}
+	st := lp.spareStates[n-1]
+	lp.spareStates[n-1] = nil
+	lp.spareStates = lp.spareStates[:n-1]
+	return st
+}

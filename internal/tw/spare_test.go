@@ -1,0 +1,217 @@
+package tw
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+
+	"ggpdes/internal/pq"
+)
+
+// EncodeState and DecodeState make the toy ring model checkpointable.
+func (m *ringModel) EncodeState(dst []byte, s State) ([]byte, error) {
+	st := s.(*ringState)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(st.Count))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(st.Sum)), nil
+}
+
+func (m *ringModel) DecodeState(data []byte) (State, error) {
+	if len(data) != 16 {
+		return nil, errors.New("ring state is 16 bytes")
+	}
+	return &ringState{
+		Count: int(binary.LittleEndian.Uint64(data)),
+		Sum:   math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+	}, nil
+}
+
+// driveRounds runs a skewed schedule — peer 0 gets five turns per pass,
+// so the others keep sending it stragglers — and publishes GVT after
+// every pass, for the given number of rounds.
+func driveRounds(eng *Engine, rounds int) {
+	cpu := &fakeCPU{}
+	for r := 0; r < rounds && !eng.Done(); r++ {
+		for _, id := range []int{0, 0, 0, 0, 0, 1, 3, 2} {
+			eng.Peer(id).DrainProcess(cpu)
+		}
+		min := eng.EndTime()
+		for _, p := range eng.Peers() {
+			sent, local := p.CutMins(cpu)
+			min = math.Min(min, math.Min(sent, local))
+		}
+		eng.SetGVT(min)
+		for _, p := range eng.Peers() {
+			p.FossilCollect(cpu, min)
+		}
+	}
+}
+
+func spareCfg() Config {
+	return Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 3}, EndTime: 1e6, Seed: 99}
+}
+
+// What a captured engine leaves behind is dead, poisoned memory; the
+// first engine built from the capture takes all of it and allocates
+// less for it, without a counter moving; the second finds nothing and
+// works as before.
+func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
+	first, err := NewEngine(spareCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRounds(first, 200)
+	st, err := first.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := st.spare
+	if sp == nil {
+		t.Fatal("capture harvested no spare memory")
+	}
+	events, states, pending := 0, len(sp.states), 0
+	for i, p := range sp.peers {
+		for _, ev := range p.events {
+			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent)+len(ev.tentative) != 0 || ev.saved != (Snapshot{}) {
+				t.Fatalf("spare event %v of peer %d is not poisoned and empty", ev, i)
+			}
+		}
+		events += len(p.events)
+		pending += len(st.Pending[i])
+	}
+	if events < pending || states == 0 {
+		t.Fatalf("spare set holds %d events for %d pending, %d snapshots", events, pending, states)
+	}
+
+	warm, err := NewEngineFromState(spareCfg(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.spare != nil {
+		t.Fatal("the spare set stayed on the state after an engine took it")
+	}
+	cold, err := NewEngineFromState(spareCfg(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := 0
+	for i := range warm.peers {
+		left += len(warm.peers[i].spareEvents)
+		if len(cold.peers[i].spareEvents) != 0 {
+			t.Fatal("a second engine found spare memory")
+		}
+	}
+	if left != events-pending {
+		t.Fatalf("%d spare events left after restoring %d pending from %d", left, pending, events)
+	}
+	for _, eng := range []*Engine{warm, cold} {
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Not testing.AllocsPerRun: its warm-up call is the one that counts.
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// The first rounds, where a cold engine fills its pools.
+	warmAllocs := mallocs(func() { driveRounds(warm, 10) })
+	coldAllocs := mallocs(func() { driveRounds(cold, 10) })
+	if warmAllocs*2 > coldAllocs {
+		t.Errorf("engine with spare memory allocated %v objects, without %v: want under half", warmAllocs, coldAllocs)
+	}
+	driveRounds(warm, 90)
+	driveRounds(cold, 90)
+	for _, eng := range []*Engine{warm, cold} {
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if warm.TotalStats() != cold.TotalStats() || warm.seq != cold.seq {
+		t.Fatalf("trajectories differ:\nwarm %+v\ncold %+v", warm.TotalStats(), cold.TotalStats())
+	}
+	for i := range warm.peers {
+		w, c := warm.peers[i], cold.peers[i]
+		if w.pool != c.pool || w.poolFlushed != c.poolFlushed || len(w.freeEvents) != len(c.freeEvents) {
+			t.Fatalf("peer %d pool accounting differs: warm %+v+%+v free %d, cold %+v+%+v free %d",
+				i, w.pool, w.poolFlushed, len(w.freeEvents), c.pool, c.poolFlushed, len(c.freeEvents))
+		}
+	}
+
+	// Spare memory a whole segment did not need is not passed on again:
+	// more than the engine can take sits at the bottom of peer 0's set.
+	unneeded := map[*Event]bool{}
+	bottom := make([]*Event, 10_000)
+	for i := range bottom {
+		bottom[i] = &Event{}
+		bottom[i].poison()
+		unneeded[bottom[i]] = true
+	}
+	warm.peers[0].spareEvents = append(bottom, warm.peers[0].spareEvents...)
+	next, err := warm.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range next.spare.peers {
+		for _, ev := range p.events {
+			if unneeded[ev] {
+				t.Fatal("an event the engine never took was harvested again")
+			}
+		}
+	}
+}
+
+// A spare set is only memory of the right shapes: an engine with
+// another topology, or with pooling off, leaves it alone, and a capture
+// with pooling off harvests none.
+func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
+	capture := func() *EngineState {
+		eng, err := NewEngine(spareCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveRounds(eng, 50)
+		st, err := eng.Capture()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for name, vary := range map[string]func(*Config){
+		"kp-size":  func(c *Config) { c.LPsPerKP = 2 },
+		"unpooled": func(c *Config) { c.DisablePooling = true },
+		"heap":     func(c *Config) { c.QueueKind = pq.Heap }, // adopts all but the splay nodes
+	} {
+		cfg := spareCfg()
+		vary(&cfg)
+		eng, err := NewEngineFromState(cfg, capture())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		spare := 0
+		for _, p := range eng.peers {
+			spare += len(p.spareEvents)
+		}
+		if (spare != 0) != (name == "heap") {
+			t.Errorf("%s: engine holds %d spare events", name, spare)
+		}
+		driveRounds(eng, 50)
+		if err := eng.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	cfg := spareCfg()
+	cfg.DisablePooling = true
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRounds(eng, 50)
+	if st, err := eng.Capture(); err != nil || st.spare != nil {
+		t.Fatalf("unpooled capture: spare %v, err %v", st.spare, err)
+	}
+}

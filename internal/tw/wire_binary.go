@@ -194,3 +194,174 @@ func ConsumeWirePeerStats(b []byte) (PeerStats, []byte, bool) {
 	}
 	return s, b, true
 }
+
+// Snapshot bodies. A checkpoint file carries the quiesced engine in the
+// same conventions as the wire frames above — the snapshot format is
+// this codec's second user, and where it lives on if the wire plane
+// goes — with two additions a file needs and a frame does not. Every
+// slice is prefixed with its length plus one, zero meaning nil, so
+// ConsumeEngineState(AppendEngineState(st)) reproduces st exactly: a
+// hollow shard's nil pending lists stay nil, which they must, because
+// the state travels on to workers whose byte counters tell nil from
+// empty. And every count is checked against the bytes that remain
+// before anything is allocated, so a hostile length cannot reserve more
+// memory than the input is long.
+
+// Minimum encoded sizes, the divisors of those checks.
+const (
+	minWireLP        = 1 + 8 + 1 + 8                     // empty state, rng state and increment, LVT
+	minWireEvent     = 8 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 // Ts, then one byte per remaining field
+	minWirePeerStats = 12                                // twelve uvarints
+)
+
+// appendWireLen appends a slice length as n+1, or 0 for a nil slice.
+func appendWireLen(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return AppendWireUint(b, uint64(n)+1)
+}
+
+// consumeWireLen decodes appendWireLen's output, refusing any length
+// whose elements, at min bytes each, could not fit in what remains.
+func consumeWireLen(b []byte, min int) (n int, isNil bool, rest []byte, ok bool) {
+	v, rest, ok := ConsumeWireUint(b)
+	if !ok {
+		return 0, false, b, false
+	}
+	if v == 0 {
+		return 0, true, rest, true
+	}
+	if v-1 > uint64(len(rest)/min) {
+		return 0, false, b, false
+	}
+	return int(v - 1), false, rest, true
+}
+
+// appendWireU64 appends v as 8 raw little-endian bytes: an RNG state
+// word is uniformly random, so a varint would cost ten bytes, not save
+// any. (The increment is the stream selector, small for every stream
+// the engine seeds, and is a varint.)
+func appendWireU64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
+}
+
+func consumeWireU64(b []byte) (uint64, []byte, bool) {
+	if len(b) < 8 {
+		return 0, b, false
+	}
+	return binary.LittleEndian.Uint64(b[:8]), b[8:], true
+}
+
+// AppendEngineState appends a quiesced engine state. Pending events go
+// through AppendWireEvent with the anti-message fields clear.
+func AppendEngineState(b []byte, st *EngineState) []byte {
+	b = AppendWireUint(b, st.Seq)
+	b = AppendWireF64(b, st.GVT)
+	b = AppendWireInt(b, int64(st.PeakUncommitted))
+	b = appendWireLen(b, len(st.LPs), st.LPs == nil)
+	for i := range st.LPs {
+		lp := &st.LPs[i]
+		b = appendWireLen(b, len(lp.State), lp.State == nil)
+		b = append(b, lp.State...)
+		b = appendWireU64(b, lp.Rng.State)
+		b = AppendWireUint(b, lp.Rng.Inc)
+		b = AppendWireF64(b, lp.LVT)
+	}
+	b = appendWireLen(b, len(st.Pending), st.Pending == nil)
+	for _, evs := range st.Pending {
+		b = appendWireLen(b, len(evs), evs == nil)
+		for i := range evs {
+			r := &evs[i]
+			b = AppendWireEvent(b, WireEvent{Ts: r.Ts, Seq: r.Seq, Src: r.Src, Dst: r.Dst, Kind: r.Kind, A: r.A, B: r.B})
+		}
+	}
+	b = appendWireLen(b, len(st.PeerStats), st.PeerStats == nil)
+	for _, s := range st.PeerStats {
+		b = AppendWirePeerStats(b, s)
+	}
+	return b
+}
+
+// ConsumeEngineState decodes an EngineState from the front of b. The LP
+// state bytes alias b; everything else is copied out. A pending event
+// that claims to be an anti-message is a failure: none survives a
+// quiesce, so none can have been written.
+func ConsumeEngineState(b []byte) (*EngineState, []byte, bool) {
+	st := &EngineState{}
+	var ok, isNil bool
+	var n int
+	var v int64
+	if st.Seq, b, ok = ConsumeWireUint(b); !ok {
+		return nil, b, false
+	}
+	if st.GVT, b, ok = ConsumeWireF64(b); !ok {
+		return nil, b, false
+	}
+	if v, b, ok = ConsumeWireInt(b); !ok {
+		return nil, b, false
+	}
+	st.PeakUncommitted = int(v)
+
+	if n, isNil, b, ok = consumeWireLen(b, minWireLP); !ok {
+		return nil, b, false
+	}
+	if !isNil {
+		st.LPs = make([]LPRecord, n)
+	}
+	for i := range st.LPs {
+		lp := &st.LPs[i]
+		if n, isNil, b, ok = consumeWireLen(b, 1); !ok {
+			return nil, b, false
+		}
+		if !isNil {
+			lp.State, b = b[:n:n], b[n:]
+		}
+		if lp.Rng.State, b, ok = consumeWireU64(b); !ok {
+			return nil, b, false
+		}
+		if lp.Rng.Inc, b, ok = ConsumeWireUint(b); !ok {
+			return nil, b, false
+		}
+		if lp.LVT, b, ok = ConsumeWireF64(b); !ok {
+			return nil, b, false
+		}
+	}
+
+	if n, isNil, b, ok = consumeWireLen(b, 1); !ok {
+		return nil, b, false
+	}
+	if !isNil {
+		st.Pending = make([][]EventRecord, n)
+	}
+	for i := range st.Pending {
+		if n, isNil, b, ok = consumeWireLen(b, minWireEvent); !ok {
+			return nil, b, false
+		}
+		if isNil {
+			continue
+		}
+		evs := make([]EventRecord, n)
+		for j := range evs {
+			var w WireEvent
+			if w, b, ok = ConsumeWireEvent(b); !ok || w.Anti || w.TargetSeq != 0 {
+				return nil, b, false
+			}
+			evs[j] = EventRecord{Ts: w.Ts, Seq: w.Seq, Src: w.Src, Dst: w.Dst, Kind: w.Kind, A: w.A, B: w.B}
+		}
+		st.Pending[i] = evs
+	}
+
+	if n, isNil, b, ok = consumeWireLen(b, minWirePeerStats); !ok {
+		return nil, b, false
+	}
+	if !isNil {
+		st.PeerStats = make([]PeerStats, n)
+	}
+	for i := range st.PeerStats {
+		if st.PeerStats[i], b, ok = ConsumeWirePeerStats(b); !ok {
+			return nil, b, false
+		}
+	}
+	return st, b, true
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
@@ -31,11 +32,15 @@ func Run(cfg Config) (*Results, error) { return RunContext(context.Background(),
 //
 // When cfg.Checkpoint is set the run executes as a chain of segments:
 // every Checkpoint.Every GVT rounds the engine is paused, quiesced onto
-// its committed state, serialized into a snapshot (written to
-// Checkpoint.Dir when non-empty), and rebuilt from that snapshot — even
-// in-process. Because the continuation always passes through the
-// serialized form, killing the process at any checkpoint and calling
-// Resume yields byte-identical Results.
+// its committed state and captured, and a fresh machine, engine and
+// runner continue from the capture. With a Checkpoint.Dir the capture
+// is also encoded and written as a snapshot file, off the critical
+// path; Resume from any of those files rebuilds the same continuation
+// from the decoded bytes and yields Results identical to the
+// uninterrupted run's. That equivalence is tested, not structural (see
+// the checkpoint section below). When RunContext returns — completed,
+// failed or cancelled — every snapshot file it will ever write is
+// complete under its final name.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -106,13 +111,20 @@ type runState struct {
 	// dist is the distributed run this state belongs to, nil in-process.
 	// The segment loop below exists once; everything a distributed run
 	// does differently inside it is a call on dist: engineBuilt, onGVT,
-	// onCut and samplePoint while a segment is built, failed, capture,
-	// committed and finishing as it ends.
+	// onCut and samplePoint while a segment is built; failed, capture,
+	// appendShardFiles, commitPoints and finishing as it ends.
 	dist *distRun
 
 	// Continuation state (set between segments / loaded from snapshot).
 	engine  *tw.EngineState
 	metrics *telemetry.MetricsState
+	// cfgJSON and key are the run's config in wire form and its cache
+	// key (see prepare). writing is the snapshot write in flight,
+	// nil when there is none; written counts the files handed to it.
+	cfgJSON []byte
+	key     string
+	writing chan error
+	written int
 	// Cumulative totals.
 	startTick uint64
 	rounds    uint64 // GVT publications across all segments
@@ -141,12 +153,43 @@ func (rs *runState) checkpointing() bool {
 }
 
 func (rs *runState) run(ctx context.Context) (*Results, error) {
-	rs.attachObservers()
+	if err := rs.prepare(); err != nil {
+		return nil, err
+	}
+	return rs.finishWrites(rs.segmentLoop(ctx))
+}
+
+func (rs *runState) segmentLoop(ctx context.Context) (*Results, error) {
 	for {
 		if res, err := rs.runSegment(ctx); res != nil || err != nil {
 			return res, err
 		}
 	}
+}
+
+// prepare does what a run does once, before its first segment: attach
+// the observers, create the snapshot directory — so a directory that
+// cannot exist fails the run before its first event — and encode the
+// config for the runs that embed it (one that persists, one that is
+// distributed). Nothing that enters the config's wire form or its
+// cache key changes while a run is under way.
+func (rs *runState) prepare() error {
+	rs.attachObservers()
+	if rs.persisting() {
+		if err := os.MkdirAll(rs.cfg.Checkpoint.Dir, 0o755); err != nil {
+			return fmt.Errorf("ggpdes: checkpoint: %w", err)
+		}
+	}
+	if rs.persisting() || rs.dist != nil {
+		var err error
+		if rs.key, err = rs.cfg.CacheKey(); err != nil {
+			return fmt.Errorf("ggpdes: %w", err)
+		}
+		if rs.cfgJSON, err = json.Marshal(rs.cfg); err != nil {
+			return fmt.Errorf("ggpdes: encoding config: %w", err)
+		}
+	}
+	return nil
 }
 
 // attachObservers creates the run-long trace recorder and series buffer
@@ -188,7 +231,7 @@ func (rs *runState) runSegment(ctx context.Context) (*Results, error) {
 		return nil, fmt.Errorf("ggpdes: %s/%s run failed: %w", rs.cfg.System, rs.cfg.GVT, err)
 	}
 	if seg.eng.Paused() {
-		return nil, rs.checkpointAndReload(seg)
+		return nil, rs.checkpoint(seg)
 	}
 	return rs.finish(seg)
 }
@@ -356,13 +399,13 @@ func (rs *runState) buildSegment() (*segment, error) {
 		return nil, err
 	}
 	if rs.series != nil {
-		// A segment restored mid-run starts its deltas from the
-		// restored position, not from zero. All sampling reads machine
-		// or engine state and charges no simulated cycles, so a run
+		// A segment that continues a run — from a capture or from a
+		// snapshot file, it must not matter which — starts its deltas
+		// from the restored position. All sampling reads machine or
+		// engine state and charges no simulated cycles, so a run
 		// records the same trajectory with or without a series.
-		if rs.prevGVT == 0 && float64(eng.GVT()) > 0 {
-			rs.prevGVT = float64(eng.GVT())
-			rs.prevWall = m.WallSeconds()
+		if state != nil {
+			rs.prevGVT, rs.prevWall = float64(eng.GVT()), m.WallSeconds()
 		}
 		sample = func(v tw.VT) {
 			pt := telemetry.SeriesPoint{
@@ -464,49 +507,159 @@ func (rs *runState) accumulate(seg *segment) {
 	rs.startTick = ms.Ticks
 }
 
-// checkpointAndReload quiesces the paused segment, serializes the run
-// into a snapshot, persists it when a directory is configured, and
-// reloads the continuation state from the serialized bytes. The reload
-// always round-trips through the encoded form — including the embedded
-// config — so an in-process continuation and a process restarted via
-// Resume execute identically by construction.
-func (rs *runState) checkpointAndReload(seg *segment) error {
-	var est *tw.EngineState
-	var err error
-	if rs.dist != nil {
-		est, err = rs.dist.capture(seg)
-	} else if est, err = seg.eng.Capture(); err != nil {
-		err = fmt.Errorf("ggpdes: checkpoint capture: %w", err)
-	}
+// Checkpointing. A boundary is semantic: quiesce rolls speculation back
+// and the next segment starts on a fresh machine, engine and runner, so
+// a checkpointed run's trajectory depends on the cadence (which is why
+// Checkpoint.Every is in the cache key) and Resume must reset at the
+// same points the uninterrupted run did. What a boundary costs beyond
+// that is kept off the critical path: the next segment starts from the
+// captured EngineState itself, and the snapshot file is encoded and
+// written by one goroutine while it runs. The decoder is Resume's (and
+// the worker-loss retry's) alone. That a capture-continued run and a
+// decode-continued one are the same run used to hold by construction —
+// every boundary went through the bytes — and is now what
+// TestCheckpointResumeMatrix, TestCheckpointBytesDeterministic and
+// internal/tw's TestCaptureContinuation prove.
+//
+// Where a checkpointed run's host time went, and goes. The benchmark's
+// epidemics-ckpt-resume config (BenchmarkCheckpointedRun: 16 threads,
+// 1,024 LPs, Every 2, eight segments, seven snapshot files of 75-97
+// KB), 60 runs, 2 vCPUs, go1.24; go tool pprof -top -cum, the frames
+// that matter. With every boundary encoding the cut as JSON inside a
+// JSON envelope (about 240 KB), writing it, decoding the bytes it had just
+// encoded and rebuilding from the decoded copy (112 ms a run against
+// 21.5 ms for the same config without checkpoints, 219k allocations):
+//
+//	     flat  flat%        cum   cum%
+//	        0     0%      3.50s 44.87%  ggpdes.(*runState).persistAndReload
+//	        0     0%      2.14s 27.44%  checkpoint.Decode
+//	    0.04s  0.51%      1.89s 24.23%  core.(*Runner).threadBody
+//	        0     0%      1.01s 12.95%  checkpoint.Encode
+//	    0.04s  0.51%      0.82s 10.51%  runtime.mallocgc
+//	        0     0%      0.72s  9.23%  runtime.gcBgMarkWorker
+//	        0     0%      0.58s  7.44%  tw.(*Engine).Capture
+//	        0     0%      0.27s  3.46%  checkpoint.WriteNamed
+//	        0     0%      0.22s  2.82%  ggpdes.(*runState).buildSegment
+//
+// And continuing from the capture, with the binary snapshot written by
+// the goroutine below and each engine starting on its predecessor's
+// spare memory (52 ms a run, 85k allocations; a plain run makes 59k):
+//
+//	     flat  flat%        cum   cum%
+//	    0.04s     1%      1.83s 45.64%  core.(*Runner).threadBody
+//	        0     0%      0.62s 15.46%  tw.(*Engine).Capture
+//	        0     0%      0.50s 12.47%  runtime.gcBgMarkWorker
+//	    0.02s   0.5%      0.48s 11.97%  runtime.mallocgc
+//	        0     0%      0.33s  8.23%  tw.(*Engine).quiesce
+//	        0     0%      0.29s  7.23%  ggpdes.(*runState).buildSegment
+//	    0.01s  0.25%      0.23s  5.74%  tw.NewEngineFromState
+//	        0     0%      0.19s  4.74%  ggpdes.writeSnapshots (off the critical path)
+//	    0.03s  0.75%      0.17s  4.24%  tw.(*Engine).harvestSpare
+//	        0     0%      0.03s  0.75%  checkpoint.Encode
+//
+// Objects allocated per run, by site (-memprofilerate 1,
+// -sample_index=alloc_objects; 202,745 in all before, 75,623 after).
+// Dropping the round trip alone removed only the JSON decoder's 7,210;
+// the rest went with internal/tw's slabs, encode arena and spare memory
+// (spare.go):
+//
+//	                              before     after
+//	HouseholdState.Clone          34,838    13,781
+//	tw.(*Peer).allocEvent         28,198     9,851
+//	pq.(*SplayTree).Push          23,215     7,291
+//	tw.(*Engine).send             18,823    14,716
+//	tw.newEngineShell             18,200       168
+//	tw.(*Peer).ProcessBatch       12,585     4,128
+//	tw.(*Peer).releaseSnapshot    12,585     4,128
+//	Epidemics.DecodeState         10,753    10,753
+//	rng.New                        8,192         0
+//	tw.NewEngineFromState          7,714         0
+//	json literalStore              7,210         0
+//	Epidemics.EncodeState          7,168         0
+//
+// What is left is the boundary itself, and it is the trajectory: the
+// simulation alone (threadBody) is 30 ms of the 52 against 21.5 ms for
+// the whole plain run, because every quiesce rolls the speculation in
+// flight back and the next segment executes it again (26,295 events
+// executed to commit 12,891; the plain run executes 14,653); the
+// quiesce is another 5.5 ms a run, the rest of the capture 5 ms,
+// building eight machines, engines and runners 5 ms. A checkpointed run
+// at Every 2 therefore costs about 2.4 plain runs on this config, and
+// getting under 2 means checkpointing less often or capturing
+// incrementally, not encoding faster.
+
+// persisting reports whether the run writes snapshot files.
+func (rs *runState) persisting() bool {
+	return rs.checkpointing() && rs.cfg.Checkpoint.Dir != ""
+}
+
+// checkpoint ends a paused segment: capture, then commit.
+func (rs *runState) checkpoint(seg *segment) error {
+	est, err := rs.capture(seg)
 	if err != nil {
 		return err
 	}
+	return rs.commit(seg, est)
+}
+
+// capture quiesces the paused segment's engine onto its committed cut
+// and captures it. The engine is consumed.
+func (rs *runState) capture(seg *segment) (*tw.EngineState, error) {
+	if rs.dist != nil {
+		return rs.dist.capture(seg)
+	}
+	est, err := seg.eng.Capture()
+	if err != nil {
+		return nil, fmt.Errorf("ggpdes: checkpoint capture: %w", err)
+	}
+	return est, nil
+}
+
+// commit folds the captured segment's totals into the run's, hands the
+// snapshot to the writer when the run persists, and installs the
+// capture itself as the next segment's start state.
+func (rs *runState) commit(seg *segment, est *tw.EngineState) error {
 	seg.eng.FlushPoolStats()
-	if err := rs.persistAndReload(seg, est); err != nil {
-		return err
+	rs.accumulate(seg)
+	rs.segments++
+	// Exported here, not by the writer: with Config.Telemetry the next
+	// segment records into this same registry.
+	metrics := seg.reg.Export()
+	if rs.persisting() {
+		if err := rs.persist(est, metrics); err != nil {
+			return err
+		}
+	}
+	rs.engine = est
+	if rs.cfg.Telemetry == nil {
+		// A registry of the caller's survives the boundary with its state
+		// intact; only a per-segment one starts from the export.
+		rs.metrics = &metrics
 	}
 	if rs.dist != nil {
-		return rs.dist.committed(est)
+		rs.dist.commitPoints()
 	}
 	return nil
 }
 
-// persistAndReload serializes the run around a captured engine state
-// and reloads the continuation from the encoded bytes.
-func (rs *runState) persistAndReload(seg *segment, est *tw.EngineState) error {
-	rs.accumulate(seg)
-	rs.segments++
-	key, err := rs.cfg.CacheKey()
-	if err != nil {
-		return fmt.Errorf("ggpdes: checkpoint: %w", err)
+// snapshotFile is one file of a boundary: the full snapshot, or in a
+// distributed run one worker's slice of it.
+type snapshotFile struct {
+	name string
+	snap *checkpoint.Snapshot
+}
+
+// persist starts writing the boundary's files. At most one boundary is
+// in flight: the previous one is joined first, which is also where its
+// error, if any, fails the run. The snapshot shares the capture and the
+// metrics export with the next segment; both sides only read them.
+func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState) error {
+	if err := rs.waitWriter(); err != nil {
+		return err
 	}
-	cfgJSON, err := json.Marshal(rs.cfg)
-	if err != nil {
-		return fmt.Errorf("ggpdes: checkpoint: %w", err)
-	}
-	snap := &checkpoint.Snapshot{
-		Config:       cfgJSON,
-		CacheKey:     key,
+	files := []snapshotFile{{checkpoint.FileName(rs.segments), &checkpoint.Snapshot{
+		Config:       rs.cfgJSON,
+		CacheKey:     rs.key,
 		Segments:     rs.segments,
 		Rounds:       rs.rounds,
 		MachineTicks: rs.machCum.Ticks,
@@ -515,33 +668,56 @@ func (rs *runState) persistAndReload(seg *segment, est *tw.EngineState) error {
 		TotalCycles:  rs.cyclesCum,
 		GVTFrequency: rs.gvtFreq,
 		Engine:       est,
-		Metrics:      seg.reg.Export(),
+		Metrics:      metrics,
+	}}}
+	if rs.dist != nil {
+		files = rs.dist.appendShardFiles(files, est)
 	}
-	data, err := checkpoint.Encode(snap)
-	if err != nil {
-		return fmt.Errorf("ggpdes: %w", err)
-	}
-	if dir := rs.cfg.Checkpoint.Dir; dir != "" {
-		if _, err := checkpoint.WriteBytes(dir, rs.segments, data); err != nil {
-			return fmt.Errorf("ggpdes: %w", err)
+	dir, done := rs.cfg.Checkpoint.Dir, make(chan error, 1)
+	rs.writing = done
+	rs.written += len(files)
+	go func() { done <- writeSnapshots(dir, files) }()
+	return nil
+}
+
+// writeSnapshots encodes and writes files in order, stopping at the
+// first failure.
+func writeSnapshots(dir string, files []snapshotFile) error {
+	for _, f := range files {
+		data, err := checkpoint.Encode(f.snap)
+		if err != nil {
+			return err
+		}
+		if _, err := checkpoint.WriteNamed(dir, f.name, data); err != nil {
+			return err
 		}
 	}
-	decoded, err := checkpoint.Decode(data)
+	return nil
+}
+
+// waitWriter joins the write in flight, if any, and returns its error.
+func (rs *runState) waitWriter() error {
+	if rs.writing == nil {
+		return nil
+	}
+	err := <-rs.writing
+	rs.writing = nil
 	if err != nil {
 		return fmt.Errorf("ggpdes: %w", err)
 	}
-	trc, prog, ser, ext := rs.cfg.Trace, rs.cfg.Progress, rs.cfg.Series, rs.cfg.Telemetry
-	if err := rs.loadSnapshot(decoded); err != nil {
-		return err
-	}
-	rs.cfg.Trace, rs.cfg.Progress, rs.cfg.Series, rs.cfg.Telemetry = trc, prog, ser, ext
-	if ext != nil {
-		// An external registry survived the segment boundary with its
-		// state intact; importing the snapshot's metrics into it again
-		// would double-count.
-		rs.metrics = nil
-	}
 	return nil
+}
+
+// finishWrites is the join every return path of a run goes through:
+// when Run or Resume returns, no write is in flight and every file is
+// complete under its final name — a caller may stat, read or resume
+// from them at once. A failed write fails a run that otherwise
+// succeeded; a run that failed anyway keeps its own error.
+func (rs *runState) finishWrites(res *Results, err error) (*Results, error) {
+	if werr := rs.waitWriter(); werr != nil && err == nil {
+		return nil, werr
+	}
+	return res, err
 }
 
 // loadSnapshot installs a decoded snapshot as the continuation state.
