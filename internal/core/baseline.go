@@ -10,6 +10,7 @@ import "ggpdes/internal/machine"
 type baselineSched struct{}
 
 func (baselineSched) ReadMessageCount(int)                             {}
+func (baselineSched) SkipIdle(int, int)                                {}
 func (baselineSched) SemOf(int) *machine.Sem                           { return nil }
 func (baselineSched) IsActive(int) bool                                { return true }
 func (baselineSched) OnAware(*machine.Proc, *machine.Acc, int)         {}

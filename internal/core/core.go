@@ -197,6 +197,13 @@ type Runner struct {
 	aff   affinity
 	tel   coreTelemetry
 
+	// pollCycles is what an iteration that finds nothing costs before
+	// its GVT step: the loop overhead and an empty input-queue poll.
+	pollCycles uint64
+	// executed and skipped count main-loop iterations over all threads:
+	// the ones that ran and the ones skipIdle booked instead.
+	executed, skipped uint64
+
 	shutdownDone bool
 }
 
@@ -216,6 +223,9 @@ type scheduler interface {
 	gvt.Hooks
 	// ReadMessageCount is Algorithm 1's per-iteration activity probe.
 	ReadMessageCount(tid int)
+	// SkipIdle books n ReadMessageCount probes of a thread whose peer is
+	// quiet, each of which would have found nothing executable.
+	SkipIdle(tid, n int)
 	// SemOf returns the thread's de-scheduling semaphore, nil if the
 	// system never de-schedules.
 	SemOf(tid int) *machine.Sem
@@ -247,7 +257,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Affinity == AffinityDynamic && cfg.System != GGPDES {
 		return nil, errors.New("core: AffinityDynamic requires the GGPDES system")
 	}
-	r := &Runner{cfg: cfg}
+	r := &Runner{cfg: cfg, pollCycles: cfg.Costs.LoopCycles + cfg.Engine.Config().Costs.DrainBaseCycles}
 
 	n := len(cfg.Engine.Peers())
 	r.tel = coreTelemetry{
@@ -379,6 +389,13 @@ func (r *Runner) NumActive() int {
 	return len(r.cfg.Engine.Peers())
 }
 
+// LoopIterations returns how many main-loop iterations the simulation
+// threads executed and how many more they booked arithmetically (see
+// skipIdle); the sum is what the run would have executed without the
+// skip. Host-side bookkeeping for tests and benchmarks: nothing
+// simulated depends on the split, so it is no part of any result.
+func (r *Runner) LoopIterations() (executed, skipped uint64) { return r.executed, r.skipped }
+
 // idleFlushEvery batches the cycle charges of consecutive do-nothing
 // loop iterations into one machine interaction; idle iterations have no
 // cross-thread effects, so batching them does not change semantics.
@@ -392,8 +409,15 @@ func (r *Runner) threadBody(p *machine.Proc, tid int) {
 	acc := machine.NewAcc(p)
 	r.aff.Setup(p, acc, tid)
 	idle := 0
+	// polled: the previous iteration found nothing to drain or process.
+	// A busy thread never gets past it to skipIdle's probe.
+	polled := false
 	var iter uint64
 	for !eng.Done() {
+		if polled && idle == 0 && r.cfg.Faults == nil {
+			r.skipIdle(p, acc, peer, tid)
+		}
+		r.executed++
 		acc.Work(r.cfg.Costs.LoopCycles)
 		if f := r.cfg.Faults; f != nil {
 			iter++
@@ -409,10 +433,11 @@ func (r *Runner) threadBody(p *machine.Proc, tid int) {
 			}
 		}
 		drained, processed := peer.DrainProcess(acc)
+		polled = drained == 0 && processed == 0
 		r.sched.ReadMessageCount(tid)
 		before := r.alg.Rounds()
 		r.alg.Step(p, acc, tid)
-		if drained > 0 || processed > 0 || r.alg.Rounds() != before || acc.Pending() > 4*r.cfg.Costs.LoopCycles {
+		if !polled || r.alg.Rounds() != before || acc.Pending() > 4*r.cfg.Costs.LoopCycles {
 			acc.Flush()
 			idle = 0
 			continue
@@ -427,6 +452,46 @@ func (r *Runner) threadBody(p *machine.Proc, tid int) {
 	peer.FossilCollect(acc, eng.GVT())
 	acc.Flush()
 	r.shutdownWake(p, tid)
+}
+
+// skipIdle is the arithmetic skip-ahead for a polling thread: the
+// iterations that are certain to do nothing are charged, not executed.
+// It runs at the top of an iteration, with the idle-flush counter at
+// zero. When nothing waits in the accumulator, the peer is Quiet — its
+// poll finds nothing, costs DrainBaseCycles and changes nothing, and
+// the scheduler's probe finds nothing executable — and the GVT
+// algorithm says its next k Steps only pay the phase check, then every
+// one of the next k iterations adds the same c cycles to the
+// accumulator and the loop above flushes it every m of them: after
+// idleFlushEvery, or sooner once it holds more than 4·LoopCycles. Those
+// flushes are back-to-back Work(m·c) calls, and Proc.WorkN charges as
+// many of them as end strictly inside the tick grant, which is also
+// what makes the k iterations certain: until the grant is spent no
+// other thread runs, so no message arrives, no round moves and the run
+// cannot end. Each booked flush stands for m whole iterations, which
+// the GVT algorithm and the scheduler count as they would have; the
+// iteration that reaches or crosses the grant is left to the loop.
+//
+// Two kinds of run execute every iteration instead. One with a fault
+// injector, which is consulted (and may draw) once per iteration; the
+// caller checks that. And the coordinator of a distributed run, whose
+// hollow peers are never Quiet (see tw.Peer.Quiet): what it polls
+// lives in another process.
+func (r *Runner) skipIdle(p *machine.Proc, acc *machine.Acc, peer *tw.Peer, tid int) {
+	if acc.Pending() != 0 || !peer.Quiet() {
+		return
+	}
+	k, stepCycles := r.alg.IdleSteps(tid)
+	c := r.pollCycles + stepCycles
+	if c == 0 {
+		return // free iterations never flush: there is no rhythm to reproduce
+	}
+	m := int(min(idleFlushEvery, 4*r.cfg.Costs.LoopCycles/c+1))
+	if g := p.WorkN(uint64(m)*c, k/m); g > 0 {
+		r.alg.SkipIdle(tid, g*m)
+		r.sched.SkipIdle(tid, g*m)
+		r.skipped += uint64(g * m)
+	}
 }
 
 // shutdownWake releases every de-scheduled thread once the simulation

@@ -67,7 +67,12 @@ func (d *ddSched) ReadMessageCount(tid int) {
 		d.wantDeactivate[tid] = false
 		return
 	}
-	d.zeroCounter[tid]++
+	d.SkipIdle(tid, 1)
+}
+
+// SkipIdle implements scheduler: n probes that found nothing.
+func (d *ddSched) SkipIdle(tid, n int) {
+	d.zeroCounter[tid] += n
 	if d.zeroCounter[tid] > d.r.cfg.ZeroCounterThreshold {
 		d.wantDeactivate[tid] = true
 	}

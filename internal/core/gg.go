@@ -71,7 +71,12 @@ func (g *ggSched) ReadMessageCount(tid int) {
 		g.wantDeactivate[tid] = false
 		return
 	}
-	g.zeroCounter[tid]++
+	g.SkipIdle(tid, 1)
+}
+
+// SkipIdle implements scheduler: n probes that found nothing.
+func (g *ggSched) SkipIdle(tid, n int) {
+	g.zeroCounter[tid] += n
 	if g.zeroCounter[tid] > g.r.cfg.ZeroCounterThreshold {
 		g.wantDeactivate[tid] = true
 	}

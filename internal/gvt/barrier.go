@@ -182,6 +182,26 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 	b.cfg.Hooks.OnEnd(p, acc, tid)
 }
 
+// IdleSteps implements Algorithm. A subscribed thread only polls until
+// its iteration count reaches the frequency (the Step that reaches it
+// stops the world); a reactivated one only polls until its join is
+// applied, at a round completion it takes no part in.
+func (b *barrierGVT) IdleSteps(tid int) (int, uint64) {
+	k := math.MaxInt
+	if b.subscribed[tid] {
+		k = max(0, b.freq-b.iters[tid]-1)
+	}
+	return k, b.costs.PhaseCheckCycles
+}
+
+// SkipIdle implements Algorithm.
+func (b *barrierGVT) SkipIdle(tid, n int) {
+	b.eng.Peer(tid).Stats.GVTCycles += uint64(n) * b.costs.PhaseCheckCycles
+	if b.subscribed[tid] {
+		b.iters[tid] += n
+	}
+}
+
 func (b *barrierGVT) resizeAll() {
 	b.bar1.Resize(b.participants)
 	b.bar2.Resize(b.participants)

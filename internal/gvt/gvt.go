@@ -127,6 +127,19 @@ type Algorithm interface {
 	// main-loop iteration; non-blocking costs go through acc, blocking
 	// calls flush first. Step also drives the scheduling hooks.
 	Step(p *machine.Proc, acc *machine.Acc, tid int)
+	// IdleSteps reports how many of tid's next Step calls are certain to
+	// only poll: each charges cycles (the phase check) through acc and
+	// to the thread's GVT CPU time, counts one iteration where Step
+	// counts them, and touches nothing else — no cut, no hook, no
+	// machine call. The answer holds as long as no other thread runs,
+	// that is, for the rest of the caller's tick grant; a wait that only
+	// another thread can end is math.MaxInt steps long.
+	IdleSteps(tid int) (k int, cycles uint64)
+	// SkipIdle books n of those Step calls, n <= IdleSteps(tid), without
+	// making them. It leaves the algorithm and the thread's GVT CPU time
+	// exactly as n Step calls would; charging n × cycles to the thread
+	// is the caller's job.
+	SkipIdle(tid, n int)
 	// Leave unsubscribes tid from GVT participation. It must only be
 	// called from the Phase End extension point (inside Hooks.OnEnd),
 	// where the thread's pending events are already incorporated in the

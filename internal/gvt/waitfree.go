@@ -158,6 +158,41 @@ func (w *waitFree) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 	}
 }
 
+// IdleSteps implements Algorithm. Between rounds a thread only polls
+// until its iteration count reaches the frequency — the Step that
+// reaches it records cut A — or, when it has already finished the open
+// round, until somebody else closes that round. Inside a round it only
+// polls until the last participant records the cut it waits for, and
+// that participant is never the waiting thread itself.
+func (w *waitFree) IdleSteps(tid int) (int, uint64) {
+	k := 0
+	switch w.phase[tid] {
+	case wfIdle:
+		if w.allowedRound[tid] > w.round {
+			k = math.MaxInt
+		} else {
+			k = max(0, w.freq-w.iters[tid]-1)
+		}
+	case wfSend:
+		if w.countA < w.roundParticipants {
+			k = math.MaxInt
+		}
+	case wfWaitB:
+		if w.countB < w.roundParticipants {
+			k = math.MaxInt
+		}
+	}
+	return k, w.costs.PhaseCheckCycles
+}
+
+// SkipIdle implements Algorithm.
+func (w *waitFree) SkipIdle(tid, n int) {
+	w.eng.Peer(tid).Stats.GVTCycles += uint64(n) * w.costs.PhaseCheckCycles
+	if w.phase[tid] == wfIdle {
+		w.iters[tid] += n
+	}
+}
+
 // stepSend advances A -> B when every participant has recorded cut A.
 func (w *waitFree) stepSend(p *machine.Proc, acc *machine.Acc, tid int, peer *tw.Peer) {
 	if w.countA < w.roundParticipants {

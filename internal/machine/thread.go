@@ -50,15 +50,59 @@ package machine
 //	    0.08s  1.56% 68.95%      1.84s 35.94%  tw.(*Peer).DrainProcess
 //	    0.07s  1.37% 75.00%      0.07s  1.37%  iter.Pull.func2
 //
-// What is left of the gap to the synchronous run (about 4x, from 17x)
-// is no longer the machine: 85 % of the run is inside core.threadBody,
-// which still executes every one of the 746,580 polling loop iterations
-// (73 per committed event; Baseline-Sync needs 21,120) — an empty
-// Drain, an empty ProcessBatch, a GVT step that finds no round in
-// progress — only to add the same constants to the same accumulator.
-// The next lever is to skip ahead arithmetically: let a thread whose
-// peer and GVT state cannot change before some event declare "n more
-// iterations of this cost", which touches core, tw and gvt together.
+// What was left of the gap to the synchronous run then (about 4x, from
+// 17x) was no longer the machine: 85 % of the run was inside
+// core.threadBody, which still executed every one of the 746,580
+// polling loop iterations (73 per committed event; Baseline-Sync needs
+// 21,120) — an empty Drain, an empty ProcessBatch, a GVT step that
+// finds no round in progress — only to add the same constants to the
+// same accumulator. Those iterations are now booked, not executed:
+// inside a grant nobody else can run, so a thread whose peer is quiet
+// and whose GVT algorithm has nothing for it charges whole flush
+// groups of them in one Proc.WorkN (core.Runner.skipIdle has the
+// argument). Main-loop iterations of the four arms of the benchmark
+// config at seed 12345, executed and booked; each sum is what the arm
+// executed before:
+//
+//	                 executed    booked      before
+//	Baseline-Sync       2,432    18,688      21,120
+//	Baseline-Async     25,880   720,700     746,580
+//	DD-PDES-Async       3,878    71,172      75,050
+//	GG-PDES-Async       3,004    51,418      54,422
+//
+// And the third profile, same config, same events, same trajectory
+// (11.5 ms a run in this sample and 8.9 in the next, on a box where the
+// code of the profile above takes 28 ms and Baseline-Sync 5.1-5.9; go
+// tool pprof -top -cum, the frames that matter):
+//
+//	     flat  flat%        cum   cum%
+//	    0.11s  1.95%      3.62s 64.30%  core.(*Runner).threadBody
+//	    0.18s  3.20%      2.17s 38.54%  tw.(*Peer).ProcessBatch
+//	    0.06s  1.07%      1.53s 27.18%  models.(*PHOLD).OnEvent
+//	    0.03s  0.53%      1.20s 21.31%  tw.(*Engine).send
+//	    0.04s  0.71%      0.75s 13.32%  runtime.mallocgc
+//	    0.04s  0.71%      0.71s 12.61%  pq.(*SplayTree).Push
+//	    0.02s  0.36%      0.62s 11.01%  machine.(*Machine).RunContext
+//	    0.17s  3.02%      0.55s  9.77%  machine.(*Machine).advanceTick
+//	    0.04s  0.71%      0.52s  9.24%  gvt.(*waitFree).Step
+//	    0.09s  1.60%      0.50s  8.88%  runtime.coroswitch_m
+//	        0     0%      0.45s  7.99%  runtime.gcBgMarkWorker
+//	    0.04s  0.71%      0.43s  7.64%  tw.(*Peer).FossilCollect
+//	    0.07s  1.24%      0.34s  6.04%  machine.(*Acc).Flush
+//	    0.07s  1.24%      0.07s  1.24%  machine.(*Proc).WorkN
+//
+// The asynchronous run is now mostly the event work the synchronous one
+// does too (ProcessBatch with what it calls: 3.5 ms of that run's 5.9,
+// 4.4 ms of this one's 11.5, which rolls more back) plus what a poller
+// still costs per tick: the probe, the flush group that
+// crosses the grant (executed, so that the scheduler sees the call it
+// always saw) and one coroutine switch each way — iter.Pull, cas and
+// coroswitch together about a fifth of the run, advanceTick a tenth.
+// The lever after this one is to park a poller across grants: a thread
+// in that state would be charged its tick share by advanceTick without
+// being switched to, until a send into its queue, a round start or the
+// end of the run un-parks it. That needs the machine to know what a
+// poller is waiting for, which it does not today.
 
 import (
 	"fmt"
@@ -221,12 +265,18 @@ func (p *Proc) call(seg segment) {
 func (p *Proc) work(cost uint64) {
 	t := p.t
 	if total := cost + t.penalty; total < t.grant {
-		t.grant -= total
-		t.penalty = 0
-		t.m.charge(&t.m.cores[t.core], t, total)
+		t.spend(total)
 		return
 	}
 	p.call(segment{kind: segWork, cost: cost})
+}
+
+// spend charges total cycles, pending penalty included, inside the
+// grant.
+func (t *Thread) spend(total uint64) {
+	t.grant -= total
+	t.penalty = 0
+	t.m.charge(&t.m.cores[t.core], t, total)
 }
 
 // ID returns the calling thread's id.
@@ -250,6 +300,27 @@ func (p *Proc) CPUCycles() uint64 { return p.t.cycles }
 
 // Work consumes the given number of CPU cycles.
 func (p *Proc) Work(cycles uint64) { p.work(cycles + p.t.m.cfg.OpCycles) }
+
+// WorkN charges up to n back-to-back Work(cycles) calls as one and
+// returns how many it charged: as many as end strictly inside the
+// thread's grant, the pending wake/switch/migration penalty riding on
+// the first as it would. Every one of those Work calls would have been
+// charged in place, and charging is linear in cycles, vruntime and core
+// busy time, so the scheduler cannot tell k of them from one charge of
+// their sum. A call that would reach or cross the grant is never
+// included: it belongs to Work, which hands it to the scheduler.
+func (p *Proc) WorkN(cycles uint64, n int) int {
+	t := p.t
+	if n <= 0 || t.grant <= t.penalty {
+		return 0
+	}
+	cost := cycles + t.m.cfg.OpCycles
+	k := min((t.grant-t.penalty-1)/cost, uint64(n))
+	if k > 0 {
+		t.spend(k*cost + t.penalty)
+	}
+	return int(k)
+}
 
 // Op consumes the baseline per-operation cost, modelling a cheap shared
 // memory or atomic operation.

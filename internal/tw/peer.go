@@ -198,8 +198,14 @@ func (p *Peer) HasExecutableWork() bool {
 // and recycle, simply counts as not quiet. A distributed worker reports
 // its shard's quiet peers with every reply (AppendQuietSet) so the
 // coordinator can answer their polls without a round trip.
+//
+// Quiet reads the peer's own queues, so on the coordinator's hollow
+// peers, which are empty by construction whatever the shard behind them
+// is doing, it answers false: what is known there about a remote peer
+// is the transport's business (the bridge's quiet sets), and a caller
+// that skips polls on Quiet's word must keep polling.
 func (p *Peer) Quiet() bool {
-	if len(p.inq) > 0 || p.acc != 0 {
+	if p.eng.remote != nil || len(p.inq) > 0 || p.acc != 0 {
 		return false
 	}
 	ev, ok := p.pending.Peek()

@@ -184,3 +184,47 @@ func TestQuietPeerPollsAreNoOps(t *testing.T) {
 			quietEmpty, quietHorizon, quietEnd, cancelledBeyond)
 	}
 }
+
+// TestQuietUnderSharding pins the predicate on the two engines of a
+// distributed run. The coordinator's hollow peers hold no events, so
+// their own queues would call every one of them quiet while the shards
+// behind them are busy: there Quiet answers false, and never asks the
+// transport. A worker's engine has no transport, and its quiet set is
+// Peer.Quiet of each shard peer, as before.
+func TestQuietUnderSharding(t *testing.T) {
+	newEng := func() *Engine {
+		eng, err := NewEngine(Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 1, startPerLP: 1}, EndTime: 12, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	hollow := newEng()
+	// The nil transport panics if anything is forwarded to it.
+	hollow.HollowAll(struct{ RemoteTransport }{})
+	for _, p := range hollow.peers {
+		if len(p.inq) != 0 || p.pending.Len() != 0 || p.acc != 0 {
+			t.Fatalf("hollow peer %d holds state", p.ID)
+		}
+		if p.Quiet() {
+			t.Errorf("hollow peer %d is quiet", p.ID)
+		}
+	}
+
+	worker := newEng()
+	if err := worker.Shardify(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Peer 1 executes its start event, which sends to peer 2's LP: peer
+	// 1 is left with nothing, peer 2 with input to drain.
+	if d, n := worker.peers[1].DrainProcess(&fakeCPU{}); d != 0 || n != 1 {
+		t.Fatalf("DrainProcess = (%d, %d), want (0, 1)", d, n)
+	}
+	if !worker.peers[1].Quiet() || worker.peers[2].Quiet() {
+		t.Fatalf("shard peers quiet = %v, %v; want true, false", worker.peers[1].Quiet(), worker.peers[2].Quiet())
+	}
+	if got := worker.AppendQuietSet([]byte{0xff}); !reflect.DeepEqual(got, []byte{0xff, 0b01}) {
+		t.Fatalf("quiet set = %08b, want [11111111 00000001]", got)
+	}
+}

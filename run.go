@@ -133,6 +133,9 @@ type runState struct {
 	schedCum  core.SchedulingStats
 	cyclesCum uint64
 	gvtFreq   int // next segment's base GVT frequency (0 = configured)
+	// Main-loop iterations executed, and booked without executing (see
+	// core.Runner.LoopIterations). Host-side: no part of Results.
+	loopExecuted, loopSkipped uint64
 
 	// Per-GVT-round sampling state (set when cfg.Series is non-nil).
 	series            *telemetry.Series
@@ -503,6 +506,9 @@ func (rs *runState) accumulate(seg *segment) {
 	rs.schedCum.LockContention += ss.LockContention
 	rs.schedCum.Repins += ss.Repins
 	rs.cyclesCum += seg.m.TotalCycles()
+	executed, skipped := seg.runner.LoopIterations()
+	rs.loopExecuted += executed
+	rs.loopSkipped += skipped
 	rs.gvtFreq = seg.runner.Algorithm().Frequency()
 	rs.startTick = ms.Ticks
 }

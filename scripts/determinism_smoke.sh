@@ -16,6 +16,14 @@
 # data split forwards operations without reordering them, so process
 # boundaries must not move the trajectory. Only the "distributed" info
 # line, which names the sharding itself, is excluded from the diff.
+#
+# Last, an imbalanced leg: 1-16 PHOLD behind an optimism window, under
+# Baseline and under GG-PDES with the wait-free GVT, where 15 of 16
+# threads poll at any time. In process those polling iterations are
+# booked arithmetically (core's skip-ahead); the coordinator of a
+# 2-worker run executes every one of them, because its peers live in
+# other processes. Report and series CSV byte-identical is therefore
+# the binary-level proof that skipping equals executing.
 set -eu
 
 GO=${GO:-go}
@@ -24,42 +32,53 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 
 $GO build -o "$dir/ggsim" ./cmd/ggsim
 
-# run <subdir> [extra flags...] — the series CSV is written under the
-# subdir as a relative path so the "series written to" report line is
-# identical across runs.
+# run <subdir> [extra flags...] — the report goes to <subdir>.txt; the
+# series CSV is written under the subdir as a relative path so the
+# "series written to" report line is identical across runs.
 run() {
     sub=$1
     shift
     mkdir -p "$dir/$sub"
     (cd "$dir/$sub" && "$dir/ggsim" -model phold -threads 16 -end 40 -seed 1337 \
-        -v -hist -series series.csv "$@")
+        -v -hist -series series.csv "$@") >"$dir/$sub.txt" 2>&1
 }
 
-run a >"$dir/run1.txt" 2>&1
-run b >"$dir/run2.txt" 2>&1
-
-if ! diff -u "$dir/run1.txt" "$dir/run2.txt" >"$dir/diff.txt"; then
-    echo "determinism-smoke: identical seeded runs diverged:" >&2
-    cat "$dir/diff.txt" >&2
-    exit 1
-fi
-
-run dist -workers 2 >"$dir/run_dist_raw.txt" 2>&1
-grep -q '^distributed' "$dir/run_dist_raw.txt" || {
-    echo "determinism-smoke: -workers 2 run did not report its sharding:" >&2
-    cat "$dir/run_dist_raw.txt" >&2
-    exit 1
+# same <what> <subdir a> <subdir b> — reports and series CSVs identical.
+same() {
+    for f in .txt /series.csv; do
+        if ! diff -u "$dir/$2$f" "$dir/$3$f" >"$dir/diff.txt"; then
+            echo "determinism-smoke: $1 (${f#[./]}):" >&2
+            cat "$dir/diff.txt" >&2
+            exit 1
+        fi
+    done
 }
-grep -v '^distributed' "$dir/run_dist_raw.txt" >"$dir/run_dist.txt"
 
-if ! diff -u "$dir/run1.txt" "$dir/run_dist.txt" >"$dir/diff.txt"; then
-    echo "determinism-smoke: 2-worker run diverged from in-process:" >&2
-    cat "$dir/diff.txt" >&2
-    exit 1
-fi
-if ! diff -u "$dir/a/series.csv" "$dir/dist/series.csv" >"$dir/diff.txt"; then
-    echo "determinism-smoke: 2-worker series CSV diverged from in-process:" >&2
-    cat "$dir/diff.txt" >&2
-    exit 1
-fi
-echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/run1.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows)"
+# sharded <in-process subdir> <subdir> [flags...] — the same flags
+# across 2 workers must reproduce the in-process run already made.
+sharded() {
+    a=$1 b=$2
+    shift 2
+    run "$b.raw" "$@" -workers 2
+    grep -q '^distributed' "$dir/$b.raw.txt" || {
+        echo "determinism-smoke: -workers 2 run did not report its sharding:" >&2
+        cat "$dir/$b.raw.txt" >&2
+        exit 1
+    }
+    grep -v '^distributed' "$dir/$b.raw.txt" >"$dir/$b.txt"
+    mv "$dir/$b.raw" "$dir/$b"
+    same "2-worker run ($*) diverged from in-process" "$a" "$b"
+}
+
+run a
+run b
+same "identical seeded runs diverged" a b
+sharded a dist
+
+imbalanced="-imbalance 16 -lps 4 -optimism 10 -gvt async"
+run skip_base $imbalanced -system baseline
+sharded skip_base exec_base $imbalanced -system baseline
+run skip_gg $imbalanced -system gg
+sharded skip_gg exec_gg $imbalanced -system gg
+
+echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
