@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -66,6 +66,15 @@ bench-smoke:
 # end-to-end metrics and the per-layer ledger. Not part of ci.
 perf:
 	sh bench/run.sh
+
+# The paired before/after a performance claim rests on: PAIRS
+# alternating runs of one benchmark workload at PARENT (any git ref,
+# checked out into a temporary worktree) and in this tree, then the
+# -compare table over both sets. Not part of ci.
+#   make perf-ab PARENT=HEAD~1 WORKLOAD=traffic-oversub-rollback
+PAIRS ?= 10
+perf-ab:
+	sh scripts/bench_ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # End-to-end serving smoke: ggserved on an ephemeral port, one PHOLD
 # job to completion, identical resubmit served from cache, clean drain.

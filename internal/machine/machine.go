@@ -649,7 +649,7 @@ func (m *Machine) perform(c *coreState, t *Thread) {
 	case segSemWait:
 		m.stats.SemWaits++
 		if seg.sem.wait(t) {
-			m.block(t, "sem "+seg.sem.name)
+			m.block(t, seg.sem.reason)
 			m.removeRunning(c, t)
 		}
 	case segSemPost:
@@ -658,12 +658,12 @@ func (m *Machine) perform(c *coreState, t *Thread) {
 	case segBarrier:
 		m.stats.BarrierWaits++
 		if seg.bar.arrive(t) {
-			m.block(t, "barrier "+seg.bar.name)
+			m.block(t, seg.bar.reason)
 			m.removeRunning(c, t)
 		}
 	case segLock:
 		if seg.mu.lock(t) {
-			m.block(t, "mutex "+seg.mu.name)
+			m.block(t, seg.mu.reason)
 			m.removeRunning(c, t)
 		}
 	case segUnlock:

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -382,6 +383,57 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(dl.Blocked) != 2 {
 		t.Fatalf("blocked = %v", dl.Blocked)
+	}
+}
+
+// What a blocked thread waits on is built once per primitive, not once
+// per wait; the text the deadlock report prints is what it always was.
+func TestBlockReasonText(t *testing.T) {
+	m := mustNew(t, testCfg(2, 2))
+	s := m.NewSem("never", 0)
+	bar := m.NewBarrier("gate", 5)
+	mu := m.NewMutex("mu")
+	m.Spawn("holder", func(p *Proc) { p.Lock(mu); p.SemWait(s) })
+	m.Spawn("locker", func(p *Proc) { p.Work(50000); p.Lock(mu) })
+	m.Spawn("arriver", func(p *Proc) { p.BarrierWait(bar) })
+	err := m.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	want := []string{"holder(sem never)", "locker(mutex mu)", "arriver(barrier gate)"}
+	if !reflect.DeepEqual(dl.Blocked, want) {
+		t.Fatalf("blocked = %q, want %q", dl.Blocked, want)
+	}
+}
+
+// A thread blocking on a barrier and being released allocates nothing:
+// under DD- and GG-PDES that is every deactivation.
+func TestBarrierRoundTripAllocatesNothing(t *testing.T) {
+	const rounds = 100
+	m := mustNew(t, testCfg(2, 1))
+	bar := m.NewBarrier("gate", 2)
+	var allocs float64
+	m.Spawn("measured", func(p *Proc) {
+		// One warm-up call, then rounds measured ones.
+		allocs = testing.AllocsPerRun(rounds, func() { p.BarrierWait(bar) })
+	})
+	m.Spawn("partner", func(p *Proc) {
+		for i := 0; i <= rounds; i++ {
+			// Arrive late, so that the measured thread is the one that
+			// blocks.
+			p.Work(20000)
+			p.BarrierWait(bar)
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().BarrierWaits != 2*(rounds+1) {
+		t.Fatalf("barrier waits = %d", m.Stats().BarrierWaits)
+	}
+	if allocs != 0 {
+		t.Fatalf("a barrier round trip allocates %.2f times", allocs)
 	}
 }
 

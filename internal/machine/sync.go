@@ -5,8 +5,10 @@ package machine
 // counting semaphore, the primitive DD- and GG-PDES use to de-schedule
 // inactive simulation threads.
 type Sem struct {
-	m       *Machine
-	name    string
+	m *Machine
+	// reason is what a thread blocked here reports ("sem <name>"),
+	// built once: threads block on every deactivation.
+	reason  string
 	count   int
 	waiters []*Thread
 }
@@ -16,7 +18,7 @@ func (m *Machine) NewSem(name string, initial int) *Sem {
 	if initial < 0 {
 		panic("machine: negative semaphore count")
 	}
-	return &Sem{m: m, name: name, count: initial}
+	return &Sem{m: m, reason: "sem " + name, count: initial}
 }
 
 // Value returns the semaphore's current count (waiters imply zero).
@@ -54,7 +56,7 @@ func (s *Sem) post() {
 // participant set as threads deactivate).
 type Barrier struct {
 	m       *Machine
-	name    string
+	reason  string // "barrier <name>", as Sem.reason
 	parties int
 	waiters []*Thread
 }
@@ -64,7 +66,7 @@ func (m *Machine) NewBarrier(name string, parties int) *Barrier {
 	if parties <= 0 {
 		panic("machine: barrier needs at least one party")
 	}
-	return &Barrier{m: m, name: name, parties: parties}
+	return &Barrier{m: m, reason: "barrier " + name, parties: parties}
 }
 
 // Parties returns the number of threads the barrier waits for.
@@ -118,6 +120,7 @@ func (b *Barrier) release(serial *Thread) {
 type Mutex struct {
 	m       *Machine
 	name    string
+	reason  string // "mutex <name>", as Sem.reason
 	owner   *Thread
 	waiters []*Thread
 	// Contended counts Lock operations that had to block, a measure of
@@ -129,7 +132,7 @@ type Mutex struct {
 
 // NewMutex creates an unlocked mutex.
 func (m *Machine) NewMutex(name string) *Mutex {
-	return &Mutex{m: m, name: name}
+	return &Mutex{m: m, name: name, reason: "mutex " + name}
 }
 
 // Held reports whether the mutex is currently owned.

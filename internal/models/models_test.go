@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -591,4 +592,55 @@ func driveOrder(t *testing.T, eng *tw.Engine, order []int) {
 		}
 	}
 	t.Fatal("model did not quiesce")
+}
+
+// tw.StateCopier promises that a zero value is a valid CopyFrom
+// receiver: the engine carves snapshot memory from chunks of the
+// state's element type, and what it carves is a zero value no
+// constructor has seen. For all three models, on states taken mid-run,
+// CopyFrom into a zero value must equal Clone and share nothing with
+// its source.
+func TestCopyFromIntoZeroValueMatchesClone(t *testing.T) {
+	phold, _ := NewPHOLD(PHOLDConfig{Threads: 4, LPsPerThread: 4, EndTime: 25, Imbalance: 2})
+	epidemics, _ := NewEpidemics(EpidemicsConfig{
+		Threads: 4, LPsPerThread: 8, EndTime: 25, LockdownGroups: 4,
+		ContactRate: 3, TransmissionProb: 0.5, SeedsPerWindow: 3,
+	})
+	traffic, _ := NewTraffic(TrafficConfig{Threads: 4, LPsPerThread: 4, CenterStartEvents: 8})
+	for name, model := range map[string]tw.Model{"phold": phold, "epidemics": epidemics, "traffic": traffic} {
+		t.Run(name, func(t *testing.T) {
+			eng := newEngine(t, model, 4, 25, 31)
+			cpu := &accCPU{}
+			for pass := 0; pass < 20; pass++ {
+				for _, p := range eng.Peers() {
+					p.Drain(cpu)
+					p.ProcessBatch(cpu)
+				}
+			}
+			if eng.TotalStats().Processed == 0 {
+				t.Fatal("vacuous: nothing processed")
+			}
+			touched := 0
+			for _, lp := range eng.LPs() {
+				src := lp.State()
+				typ := reflect.TypeOf(src)
+				fresh := reflect.New(typ.Elem())
+				if !reflect.DeepEqual(src, fresh.Interface()) {
+					touched++
+				}
+				dst := fresh.Interface().(tw.StateCopier)
+				dst.CopyFrom(src)
+				if clone := src.Clone(); !reflect.DeepEqual(dst, clone) {
+					t.Fatalf("LP %d: CopyFrom into a zero value gave %+v, Clone %+v", lp.ID, dst, clone)
+				}
+				if h, ok := src.(*HouseholdState); ok && len(h.Agents) > 0 &&
+					&h.Agents[0] == &dst.(*HouseholdState).Agents[0] {
+					t.Fatalf("LP %d: the copy shares its source's Agents", lp.ID)
+				}
+			}
+			if touched == 0 {
+				t.Fatal("vacuous: every state is still a zero value")
+			}
+		})
+	}
 }

@@ -189,23 +189,29 @@ func (m *Traffic) neighbor(lp int, dir int64) int {
 func (m *Traffic) towardCenter(lp int, r interface{ Intn(int) int }) int64 {
 	x, y := m.coords(lp)
 	cx, cy := (m.grid-1)/2, (m.grid-1)/2
-	var opts []int64
+	// At most one option per axis.
+	var opts [2]int64
+	n := 0
 	if x < cx {
-		opts = append(opts, East)
+		opts[n] = East
+		n++
 	}
 	if x > cx {
-		opts = append(opts, West)
+		opts[n] = West
+		n++
 	}
 	if y < cy {
-		opts = append(opts, South)
+		opts[n] = South
+		n++
 	}
 	if y > cy {
-		opts = append(opts, North)
+		opts[n] = North
+		n++
 	}
-	if len(opts) == 0 {
+	if n == 0 {
 		return int64(r.Intn(4))
 	}
-	return opts[r.Intn(len(opts))]
+	return opts[r.Intn(n)]
 }
 
 // OnEvent implements tw.Model.

@@ -10,7 +10,7 @@ import "math"
 type CalendarQueue[T any] struct {
 	less    Less[T]
 	prio    func(T) float64
-	buckets [][]T
+	buckets [][]entry[T]
 	width   float64
 	// cur is the bucket the next Pop search starts from; curYearEnd is
 	// the priority bound of that bucket within the current year.
@@ -34,15 +34,15 @@ func (cq *CalendarQueue[T]) Len() int { return cq.size }
 
 func (cq *CalendarQueue[T]) resize(nbuckets int, width float64) {
 	old := cq.buckets
-	cq.buckets = make([][]T, nbuckets)
+	cq.buckets = make([][]entry[T], nbuckets)
 	cq.width = width
 	cq.size = 0
 	start := cq.lastPopped
 	cq.cur = cq.bucketOf(start)
 	cq.curYearEnd = (math.Floor(start/width) + 1) * width
 	for _, b := range old {
-		for _, item := range b {
-			cq.insert(item)
+		for _, e := range b {
+			cq.insert(e)
 		}
 	}
 }
@@ -55,18 +55,29 @@ func (cq *CalendarQueue[T]) bucketOf(p float64) int {
 	return i
 }
 
-// insert places an item into its bucket keeping the bucket sorted.
-func (cq *CalendarQueue[T]) insert(item T) {
-	idx := cq.bucketOf(cq.prio(item))
+// insert places an entry into its bucket. A bucket is sorted with its
+// minimum last, so that Pop shortens the slice instead of moving it,
+// and the place is found by binary search over keys that lie side by
+// side: a bucket is short when the width fits the workload, and when it
+// does not (a queue whose size never changes never re-estimates its
+// width) one bucket holds everything and insert decides what an
+// operation costs.
+func (cq *CalendarQueue[T]) insert(e entry[T]) {
+	idx := cq.bucketOf(e.p)
 	b := cq.buckets[idx]
-	// Insertion sort from the back; buckets are short by construction.
-	pos := len(b)
-	b = append(b, item)
-	for pos > 0 && cq.less(item, b[pos-1]) {
-		b[pos] = b[pos-1]
-		pos--
+	// The first entry e is not before: it and what follows pop first.
+	lo, hi := 0, len(b)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.before(&b[mid], cq.less) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	b[pos] = item
+	b = append(b, e)
+	copy(b[lo+1:], b[lo:])
+	b[lo] = e
 	cq.buckets[idx] = b
 	cq.size++
 }
@@ -81,7 +92,7 @@ func (cq *CalendarQueue[T]) Push(item T) {
 		cq.cur = cq.bucketOf(p)
 		cq.curYearEnd = (math.Floor(p/cq.width) + 1) * cq.width
 	}
-	cq.insert(item)
+	cq.insert(entry[T]{p, item})
 	if cq.size > 2*len(cq.buckets) {
 		cq.resize(2*len(cq.buckets), cq.newWidth())
 	}
@@ -94,8 +105,8 @@ func (cq *CalendarQueue[T]) newWidth() float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	n := 0
 	for _, b := range cq.buckets {
-		for _, item := range b {
-			p := cq.prio(item)
+		for i := range b {
+			p := b[i].p
 			if p < lo {
 				lo = p
 			}
@@ -121,8 +132,8 @@ func (cq *CalendarQueue[T]) Peek() (T, bool) {
 	if cq.size == 0 {
 		return zero, false
 	}
-	idx, pos := cq.findMin()
-	return cq.buckets[idx][pos], true
+	b := cq.buckets[cq.findMin()]
+	return b[len(b)-1].item, true
 }
 
 // Pop removes and returns the minimum item.
@@ -131,46 +142,46 @@ func (cq *CalendarQueue[T]) Pop() (T, bool) {
 	if cq.size == 0 {
 		return zero, false
 	}
-	idx, pos := cq.findMin()
+	idx := cq.findMin()
 	b := cq.buckets[idx]
-	item := b[pos]
-	copy(b[pos:], b[pos+1:])
-	b[len(b)-1] = zero
+	e := b[len(b)-1]
+	b[len(b)-1] = entry[T]{}
 	cq.buckets[idx] = b[:len(b)-1]
 	cq.size--
-	cq.lastPopped = cq.prio(item)
+	cq.lastPopped = e.p
 	cq.cur = idx
 	cq.curYearEnd = (math.Floor(cq.lastPopped/cq.width) + 1) * cq.width
 	if cq.size > 4 && cq.size < len(cq.buckets)/2 {
 		cq.resize(len(cq.buckets)/2, cq.newWidth())
 	}
-	return item, true
+	return e.item, true
 }
 
-// findMin locates the minimum item, scanning calendar-style from the
-// current bucket and falling back to a direct search after a full
-// fruitless year.
-func (cq *CalendarQueue[T]) findMin() (bucket, pos int) {
+// findMin locates the bucket whose last entry is the minimum item,
+// scanning calendar-style from the current bucket and falling back to a
+// direct search after a full fruitless year.
+func (cq *CalendarQueue[T]) findMin() int {
 	n := len(cq.buckets)
 	idx := cq.cur
 	yearEnd := cq.curYearEnd
 	for i := 0; i < n; i++ {
 		b := cq.buckets[idx]
-		if len(b) > 0 && cq.prio(b[0]) < yearEnd {
-			return idx, 0
+		if len(b) > 0 && b[len(b)-1].p < yearEnd {
+			return idx
 		}
 		idx = (idx + 1) % n
 		yearEnd += cq.width
 	}
-	// Direct search: find the globally minimal head.
+	// Direct search: find the globally minimal bucket minimum.
 	best := -1
+	var min *entry[T]
 	for i, b := range cq.buckets {
 		if len(b) == 0 {
 			continue
 		}
-		if best == -1 || cq.less(b[0], cq.buckets[best][0]) {
-			best = i
+		if m := &b[len(b)-1]; best == -1 || m.before(min, cq.less) {
+			best, min = i, m
 		}
 	}
-	return best, 0
+	return best
 }

@@ -4,13 +4,15 @@ package pq
 // pending-event structure the splay tree and calendar queue are
 // benchmarked against.
 type BinHeap[T any] struct {
-	items []T
+	items []entry[T]
 	less  Less[T]
+	prio  func(T) float64
 }
 
-// NewHeap returns an empty binary heap ordered by less.
-func NewHeap[T any](less Less[T]) *BinHeap[T] {
-	return &BinHeap[T]{less: less}
+// NewHeap returns an empty binary heap ordered by prio, then less;
+// prio may be nil.
+func NewHeap[T any](less Less[T], prio func(T) float64) *BinHeap[T] {
+	return &BinHeap[T]{less: less, prio: prio}
 }
 
 // Len reports the number of items in the heap.
@@ -18,7 +20,7 @@ func (h *BinHeap[T]) Len() int { return len(h.items) }
 
 // Push inserts an item.
 func (h *BinHeap[T]) Push(item T) {
-	h.items = append(h.items, item)
+	h.items = append(h.items, entry[T]{priority(h.prio, item), item})
 	h.up(len(h.items) - 1)
 }
 
@@ -28,7 +30,7 @@ func (h *BinHeap[T]) Peek() (T, bool) {
 	if len(h.items) == 0 {
 		return zero, false
 	}
-	return h.items[0], true
+	return h.items[0].item, true
 }
 
 // Pop removes and returns the minimum item.
@@ -38,9 +40,9 @@ func (h *BinHeap[T]) Pop() (T, bool) {
 	if n == 0 {
 		return zero, false
 	}
-	min := h.items[0]
+	min := h.items[0].item
 	h.items[0] = h.items[n-1]
-	h.items[n-1] = zero // allow GC of popped item
+	h.items[n-1] = entry[T]{} // allow GC of popped item
 	h.items = h.items[:n-1]
 	if len(h.items) > 0 {
 		h.down(0)
@@ -51,7 +53,7 @@ func (h *BinHeap[T]) Pop() (T, bool) {
 func (h *BinHeap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.items[i].before(&h.items[parent], h.less) {
 			return
 		}
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
@@ -64,10 +66,10 @@ func (h *BinHeap[T]) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && h.less(h.items[l], h.items[smallest]) {
+		if l < n && h.items[l].before(&h.items[smallest], h.less) {
 			smallest = l
 		}
-		if r < n && h.less(h.items[r], h.items[smallest]) {
+		if r < n && h.items[r].before(&h.items[smallest], h.less) {
 			smallest = r
 		}
 		if smallest == i {

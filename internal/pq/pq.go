@@ -7,6 +7,16 @@
 // deliberately do not support arbitrary removal: Time Warp annihilates
 // unprocessed events lazily by marking them cancelled and skipping them
 // at pop time, which keeps every implementation simple and fast.
+//
+// Every kind stores an item's numeric priority beside the item — in the
+// splay node, the heap slot, the calendar bucket entry — and orders by
+// one rule (entry.before): the smaller priority first, and only on an
+// exact tie, or a NaN, the caller's comparison. With continuous
+// timestamps a comparison therefore reads two floats the structure
+// already holds and never follows the item, which in the engine is a
+// pointer to an event somewhere else in memory. Without a priority
+// function every priority is zero and the same code orders by the
+// comparison alone.
 package pq
 
 // Queue is a min-priority queue over items of type T.
@@ -25,6 +35,31 @@ type Queue[T any] interface {
 
 // Less orders items; it must be a strict weak ordering.
 type Less[T any] func(a, b T) bool
+
+// entry is an item with the priority it was pushed at.
+type entry[T any] struct {
+	p    float64
+	item T
+}
+
+// before is the ordering rule all three kinds share.
+func (a *entry[T]) before(b *entry[T], less Less[T]) bool {
+	if a.p < b.p {
+		return true
+	}
+	if a.p > b.p {
+		return false
+	}
+	return less(a.item, b.item)
+}
+
+// priority returns item's priority: zero without a priority function.
+func priority[T any](prio func(T) float64, item T) float64 {
+	if prio == nil {
+		return 0
+	}
+	return prio(item)
+}
 
 // Kind selects a Queue implementation.
 type Kind int
@@ -53,15 +88,16 @@ func (k Kind) String() string {
 	}
 }
 
-// New constructs a queue of the given kind. For Calendar, prio maps an
-// item to its numeric priority and must agree with less; prio may be
-// nil for Splay and Heap.
+// New constructs a queue of the given kind. prio maps an item to its
+// numeric priority and must agree with less (less(a, b) implies
+// prio(a) <= prio(b)); it is read once, when the item is pushed. prio
+// may be nil for Splay and Heap, which then order by less alone.
 func New[T any](kind Kind, less Less[T], prio func(T) float64) Queue[T] {
 	switch kind {
 	case Splay:
-		return NewSplay(less)
+		return NewSplay(less, prio)
 	case Heap:
-		return NewHeap(less)
+		return NewHeap(less, prio)
 	case Calendar:
 		if prio == nil {
 			panic("pq: Calendar queue requires a priority function")

@@ -8,29 +8,43 @@ package pq
 type SplayTree[T any] struct {
 	root *splayNode[T]
 	less Less[T]
+	prio func(T) float64
 	size int
 	// free is a singly linked node freelist (threaded through right
 	// pointers): Pop recycles its node here and Push takes from it, so
 	// a tree in steady state allocates no nodes.
 	free *splayNode[T]
+	// chunk is what Push carves a node from when the freelist is empty:
+	// a tree still growing toward its working size pays the allocator
+	// once per chunk, not once per node. Chunks double from
+	// splayChunkMin to splayChunkMax, so a small tree stays small;
+	// chunkLen is the length the current one was made with.
+	chunk    []splayNode[T]
+	chunkLen int
 }
 
+const (
+	splayChunkMin = 8
+	splayChunkMax = 64
+)
+
 type splayNode[T any] struct {
-	item        T
+	entry[T]
 	left, right *splayNode[T]
 }
 
-// NewSplay returns an empty splay tree ordered by less.
-func NewSplay[T any](less Less[T]) *SplayTree[T] {
-	return &SplayTree[T]{less: less}
+// NewSplay returns an empty splay tree ordered by prio, then less; prio
+// may be nil.
+func NewSplay[T any](less Less[T], prio func(T) float64) *SplayTree[T] {
+	return &SplayTree[T]{less: less, prio: prio}
 }
 
 // Len reports the number of items in the tree.
 func (t *SplayTree[T]) Len() int { return t.size }
 
-// splay performs a top-down splay of the tree around item, leaving the
+// splay performs a top-down splay of the tree around e, leaving the
 // closest node at the root.
-func (t *SplayTree[T]) splay(item T) {
+func (t *SplayTree[T]) splay(e *entry[T]) {
 	if t.root == nil {
 		return
 	}
@@ -38,11 +52,11 @@ func (t *SplayTree[T]) splay(item T) {
 	l, r := &header, &header
 	cur := t.root
 	for {
-		if t.less(item, cur.item) {
+		if e.before(&cur.entry, t.less) {
 			if cur.left == nil {
 				break
 			}
-			if t.less(item, cur.left.item) {
+			if e.before(&cur.left.entry, t.less) {
 				// Rotate right.
 				y := cur.left
 				cur.left = y.right
@@ -56,11 +70,11 @@ func (t *SplayTree[T]) splay(item T) {
 			r.left = cur
 			r = cur
 			cur = cur.left
-		} else if t.less(cur.item, item) {
+		} else if cur.before(e, t.less) {
 			if cur.right == nil {
 				break
 			}
-			if t.less(cur.right.item, item) {
+			if cur.right.before(e, t.less) {
 				// Rotate left.
 				y := cur.right
 				cur.right = y.left
@@ -90,18 +104,22 @@ func (t *SplayTree[T]) Push(item T) {
 	n := t.free
 	if n != nil {
 		t.free = n.right
-		n.item = item
 		n.right = nil
 	} else {
-		n = &splayNode[T]{item: item}
+		if len(t.chunk) == 0 {
+			t.chunkLen = min(max(2*t.chunkLen, splayChunkMin), splayChunkMax)
+			t.chunk = make([]splayNode[T], t.chunkLen)
+		}
+		n, t.chunk = &t.chunk[0], t.chunk[1:]
 	}
+	n.entry = entry[T]{priority(t.prio, item), item}
 	t.size++
 	if t.root == nil {
 		t.root = n
 		return
 	}
-	t.splay(item)
-	if t.less(item, t.root.item) {
+	t.splay(&n.entry)
+	if n.before(&t.root.entry, t.less) {
 		n.left = t.root.left
 		n.right = t.root
 		t.root.left = nil
@@ -165,8 +183,7 @@ func (t *SplayTree[T]) Pop() (T, bool) {
 	item := n.item
 	// Recycle the node: clear the item so the tree does not retain the
 	// popped value, and thread it onto the freelist via right.
-	var zeroItem T
-	n.item = zeroItem
+	n.entry = entry[T]{}
 	n.left = nil
 	n.right = t.free
 	t.free = n

@@ -65,6 +65,11 @@ func (s EventState) String() string {
 
 // Event is a time-stamped message between LPs. Anti-messages are Events
 // with Anti set, pointing at the positive event they cancel.
+//
+// The fields every queue walk, drain and commit reads — the ordering
+// key, the destination, the lifecycle state, an anti-message's target —
+// come first and share the event's first cache line (TestEventLayout
+// pins it); the rollback bookkeeping only execution touches follows.
 type Event struct {
 	// Ts is the virtual time at which the event takes effect.
 	Ts VT
@@ -77,11 +82,11 @@ type Event struct {
 	Kind uint8
 	// Anti marks an anti-message; Target is the event it annihilates.
 	Anti   bool
+	state  EventState
 	Target *Event
 	// A and B are model payload words.
 	A, B int64
 
-	state EventState
 	// undo is the model's reverse-computation word (EventCtx.SetUndo).
 	undo int64
 	// saved holds the destination LP state from just before this event
@@ -92,6 +97,14 @@ type Event struct {
 	// tentative holds sends kept alive across a lazy-cancellation
 	// rollback, awaiting re-adoption or deferred annihilation.
 	tentative []*Event
+	// inline is what a chunk-carved event's sent list starts out
+	// aliasing (pool.go), so an event's first send does not reach the
+	// allocator; a list that outgrows it moves to the heap like any
+	// other slice and the slot goes unused. One slot, not two: PHOLD's
+	// and Traffic's handlers send one event each, and with the state
+	// byte in the padding after Anti the event is the 168 bytes it was
+	// before it had an inline slot at all.
+	inline [1]*Event
 }
 
 // State returns the event's lifecycle state.

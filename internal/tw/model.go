@@ -16,6 +16,12 @@ type State interface {
 // Clone's result (a deep copy of src); it may reuse the receiver's own
 // backing storage (slices, maps) when capacities allow. src is always
 // the same concrete type as the receiver — snapshots never cross LPs.
+//
+// A zero value of the state type must be a valid receiver: when an LP's
+// freelist is empty the engine does not Clone a StateCopier whose
+// dynamic type is a pointer, it carves a zero value of the pointed-to
+// type from a per-thread chunk and fills it with CopyFrom (pool.go), so
+// CopyFrom may not rely on anything a constructor would have set up.
 // Models that implement only Clone still work; they just allocate.
 type StateCopier interface {
 	State

@@ -1,5 +1,130 @@
 package tw
 
+// Where the host time of an event-bound run goes, and what was done
+// about it. Since the machine charges work inside the grant and idle
+// polling is booked arithmetically (internal/machine/thread.go has
+// those tables), a run is tw, pq and the model. The benchmark's
+// traffic-oversub-rollback config at seed 1 — Traffic, 128 threads on
+// 8x2 contexts, GG-PDES, EndTime 16: nine GVT rounds, 77,028 events
+// uncommitted at peak, so 89,489 of 260,220 event allocations and
+// 81,370 of 182,568 snapshots miss the pools — looped 60 times in one
+// process on one P (go tool pprof -top -cum, the frames that matter),
+// first with every pool miss a heap object and every queue comparison
+// a closure call that follows two event pointers: 160.5 ms, 319,929
+// mallocs and 27.9 MB a run,
+//
+//	     flat  flat%        cum   cum%
+//	    0.49s  5.04%      4.44s 45.68%  tw.(*Peer).ProcessBatch
+//	    0.04s  0.41%      2.53s 26.03%  models.(*Traffic).OnEvent
+//	    0.20s  2.06%      2.17s 22.33%  tw.(*Peer).Drain
+//	    0.09s  0.93%      1.75s 18.00%  pq.(*SplayTree).Push
+//	    0.16s  1.65%      1.72s 17.70%  tw.(*Engine).send
+//	    0.56s  5.76%      1.49s 15.33%  pq.(*SplayTree).splay
+//	    0.05s  0.51%      1.35s 13.89%  runtime.mallocgc
+//	        0     0%      1.14s 11.73%  runtime.gcBgMarkWorker
+//	    0.09s  0.93%      0.77s  7.92%  gcWriteBarrier
+//	    0.24s  2.47%      0.77s  7.92%  tw.(*Peer).FossilCollect
+//	    0.73s  7.51%      0.73s  7.51%  tw.(*Event).before (inline)
+//	    0.20s  2.06%      0.71s  7.30%  tw.(*Peer).peekLive
+//	    0.13s  1.34%      0.68s  7.00%  tw.(*Peer).allocEvent
+//	    0.17s  1.75%      0.68s  7.00%  tw.(*Peer).freeEvent
+//	    0.09s  0.93%      0.62s  6.38%  tw.newPendingQueue.func1
+//	    0.07s  0.72%      0.45s  4.63%  tw.(*Event).poison (inline)
+//	    0.01s  0.10%      0.45s  4.63%  runtime.growslice
+//
+// (mallocgc + gcBgMarkWorker + gcWriteBarrier 33.5 % of 9.72 s — 30.8 %
+// in a second sample: a third of the run is memory management) and then
+// with a miss carved from a per-peer chunk (pool.go), the ordering key
+// in the queue node (internal/pq), and an event that is reset field by
+// field with its hot fields in one cache line (event.go) — the same
+// events, the same trajectory, the same pool counters: 108.8 ms, 18,720
+// mallocs and 27.6 MB a run,
+//
+//	     flat  flat%        cum   cum%
+//	    0.44s  6.60%      3.30s 49.48%  tw.(*Peer).ProcessBatch
+//	    0.05s  0.75%      1.61s 24.14%  models.(*Traffic).OnEvent
+//	    0.16s  2.40%      1.13s 16.94%  tw.(*Peer).Drain
+//	    0.12s  1.80%      0.93s 13.94%  tw.(*Engine).send
+//	    0.08s  1.20%      0.86s 12.89%  pq.(*SplayTree).Push
+//	    0.30s  4.50%      0.73s 10.94%  tw.(*Peer).FossilCollect
+//	    0.26s  3.90%      0.67s 10.04%  pq.(*SplayTree).splay
+//	    0.39s  5.85%      0.65s  9.75%  tw.(*Peer).peekLive
+//	        0     0%      0.53s  7.95%  runtime.mallocgc
+//	    0.07s  1.05%      0.49s  7.35%  tw.(*Peer).freeEvent
+//	        0     0%      0.48s  7.20%  runtime.gcBgMarkWorker
+//	    0.05s  0.75%      0.44s  6.60%  gcWriteBarrier
+//	    0.10s  1.50%      0.39s  5.85%  tw.(*Peer).allocEvent
+//	    0.17s  2.55%      0.34s  5.10%  tw.(*Event).poison
+//	    0.28s  4.20%      0.30s  4.50%  pq.(*entry).before (inline)
+//	    0.03s  0.45%      0.29s  4.35%  tw.(*Peer).carveEvent (inline)
+//	    0.02s  0.30%      0.22s  3.30%  tw.(*Peer).carveSnapshot
+//	        0     0%      0.22s  3.30%  runtime.growslice
+//	    0.20s  3.00%      0.20s  3.00%  tw.(*Event).before (inline)
+//
+// (the three memory frames 21.7 % of 6.67 s, 21.5 % in the second
+// sample: 3.26 s of them became 1.45 s). The phold-sync config — PHOLD,
+// 16 threads x 16 LPs, barrier GVT, EndTime 400: 55 rounds, a small
+// in-flight set, 5,162 and 4,425 misses — looped 250 times, the frames
+// that moved, 35.9 ms and 23,046 mallocs a run before, 25.5 ms and
+// 4,962 after:
+//
+//	                                    before            after
+//	pq.(*SplayTree).Push                1.49s 16.78%      0.97s 15.28%
+//	pq.(*SplayTree).splay               1.23s 13.85%      0.72s 11.34%
+//	tw.(*Event).before (flat)           0.55s  6.19%      0.22s  3.46%   (what is left is Drain's and peekLive's own comparisons)
+//	tw.newPendingQueue.func1, the less  0.48s  5.41%          —          (runs on exact ties only)
+//	pq.(*entry).before (flat)               —             0.34s  5.35%
+//	tw.(*Peer).FossilCollect            1.04s 11.71%      0.61s  9.61%
+//	tw.(*Peer).freeEvent                0.79s  8.90%      0.26s  4.09%
+//	tw.(*Event).poison                  0.70s  7.88%      0.14s  2.20%   (a 168-byte literal built and copied over the event, then field by field)
+//	runtime.mallocgc                    0.33s  3.72%      0.12s  1.89%
+//
+// Piece by piece, each added to the one before (host ms a run, median
+// [quartiles] of 14 alternations of the four binaries, 2-vCPU box, one
+// P):
+//
+//	                                    traffic-oversub-rollback    phold-sync
+//	parent                              160.7 [154.7, 168.0]        34.0 [32.4, 42.1]
+//	+ chunks behind the miss path       130.4 [122.8, 143.5]        36.8 [33.6, 40.6]
+//	+ the key in the queue node         127.2 [122.4, 132.5]        32.4 [31.8, 36.3]
+//	+ poison by field, hot-field layout 120.7 [117.3, 123.7]        32.5 [30.7, 35.5]
+//
+// The chunks are the traffic run's gain (it is all misses) and nothing
+// on phold-sync, which hardly misses; the key in the node is
+// phold-sync's (a deeper tree, more comparisons per event) and little
+// on traffic; the event's own reset and layout show on traffic, where
+// every rolled-back event is freed and taken again. Each reads better
+// on one of the two, so all three stayed. The layers on their own, go
+// test -bench, same box, parent -> change, medians of three
+// alternations:
+//
+//	BenchmarkPoolMiss/chunks            160 ns, 4 allocs -> 107 ns, 0 allocs   (an event, its first send, a snapshot, cold)
+//	BenchmarkPoolMiss/DisablePooling    141 ns, 4 allocs -> 132 ns, 4 allocs   (the reference arm: one object per allocation, then and now)
+//	BenchmarkPoolRecycle                 94 ns -> 65 ns                        (free + realloc over 32k events: poison)
+//	BenchmarkHold/splay/prio/n32        114 -> 90 ns    n256 162 -> 133    n4096 283 -> 219
+//	BenchmarkHold/heap/prio/n32          73 -> 66       n256 109 -> 80     n4096 166 -> 131
+//	BenchmarkHold/calendar/prio/n32      69 -> 66       n256  71 -> 69     n4096  82 -> 84
+//	BenchmarkHold/splay/nil/n256        166 -> 176      heap/nil/n256 109 -> 138
+//
+// (without a priority function a comparison now checks two zero
+// priorities before it calls less: the engine always passes one, and
+// the nil rows are there so that this cost is a number). The per-layer
+// ledger's own hold driver keeps its queue at one size while the items
+// close in on each other, which leaves a calendar queue with a stale
+// width and a few crowded buckets; with 16-byte entries the sorted
+// insert and the pop's copy read 306 -> 333 ns there, so buckets are now
+// kept minimum-last (a pop shortens the slice) and searched by
+// bisection: 104 ns, 276 -> 105 in the ledger's own
+// pq.calendar.hold_ns_op_n256, the well-tuned rows above unchanged.
+//
+// What is left, in this profile's order: the splay tree is still a
+// pointer-linked structure of heap nodes (two thirds of the remaining
+// write-barrier time is its link stores, and the collector still marks
+// every event and node it can reach), Drain still splays once per
+// event where it could insert a sorted run, peekLive and FossilCollect
+// walk what they could index. Index-addressed slabs, per-LP time
+// buckets and per-KP fossil collection are ROADMAP item 3's open half.
+
 import (
 	"fmt"
 	"math"
@@ -59,6 +184,12 @@ type Peer struct {
 	// spareEvents is the dead events a predecessor engine left behind,
 	// taken on a freelist miss (spare.go).
 	spareEvents []*Event
+	// eventChunk and stateChunk are what a miss that finds no spare
+	// memory carves from (pool.go); eventChunkLen is the length the
+	// current event chunk was made with.
+	eventChunk    []Event
+	eventChunkLen int
+	stateChunk    stateChunk
 
 	// evCtx and rbCtx are the reusable model-callback contexts for
 	// forward execution and reverse computation. They are distinct
@@ -591,7 +722,6 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 			if ev.saved.state != nil {
 				p.releaseSnapshot(p.eng.lps[ev.Dst], ev.saved.state)
 			}
-			ev.saved = Snapshot{}
 			// The event's own sent list and struct are recycled whole;
 			// a cause still holding a pointer to ev sits below GVT too
 			// and will only ever clear, never dereference, it.

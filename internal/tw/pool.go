@@ -1,16 +1,45 @@
 package tw
 
-import "math"
+import (
+	"math"
+	"reflect"
+)
 
-// Event and snapshot recycling. Every event send, anti-message and
-// copy-state snapshot used to heap-allocate, which made the engine's
-// steady-state throughput GC-bound. PARSIR-style per-thread event
-// recycling removes that: each Peer keeps a freelist of Events whose
-// lifecycle has ended (fossil collected, or annihilated and lazily
-// dropped from a queue), and each LP keeps a freelist of state
-// snapshots returned by fossil collection and rollback. In steady
-// state the hot loop allocates nothing; the pools are populated by the
-// first GVT rounds and then cycle.
+// Event and snapshot memory. Every event send, anti-message and
+// copy-state snapshot needs an object; where it comes from is decided
+// in three steps, cheapest first.
+//
+// Hit path: the freelists. PARSIR-style per-thread recycling: each Peer
+// keeps a freelist of Events whose lifecycle has ended (fossil
+// collected, or annihilated and lazily dropped from a queue), and each
+// LP a freelist of state snapshots returned by fossil collection and
+// rollback. A hit pops one, resets it and allocates nothing.
+//
+// Miss path: the freelist is empty. A pool only hands back what fossil
+// collection has already fed it, so a run misses until its in-flight
+// set — pending, processed-but-uncommitted, in transit — has been built
+// once, and short runs are all warm-up. The benchmark's
+// traffic-oversub-rollback config at seed 1 completes 9 GVT rounds with
+// 77,028 events uncommitted at peak: 89,489 of its 260,220 event
+// allocations and 81,370 of its 182,568 snapshots miss (phold-sync, a
+// small in-flight set: 5,162 of 150,011 and 4,425 of 126,114). A miss
+// is counted, then served from spare memory a predecessor engine left
+// behind if there is any (spare.go), and only then from the third step.
+//
+// Chunk: where a miss used to be one heap object — a 168-byte
+// pointer-laden Event, a Clone, and then the first append to the new
+// event's sent list — it now carves a slot from a per-peer chunk (see
+// carveEvent, carveSnapshot), and the event's first send lands in a
+// slot of the event itself. What a miss costs the allocator is a chunk
+// every chunkMax objects: whole-run mallocs per committed event on that
+// traffic config went 2.96 → 0.17, and the collector has a few hundred
+// large typed arrays to mark where it had a quarter of a million small
+// objects. The counters cannot tell: they count the miss, not the
+// memory behind it, and TestPoolCountersUnchanged pins all six to what
+// they read before there were chunks. DisablePooling switches off
+// recycling and chunks alike — one object per allocation, nothing ever
+// reused — which keeps it the plain-allocator reference every pooling
+// test compares against.
 //
 // Recycling is safe at exactly the points used here because of the
 // engine's reference discipline:
@@ -42,12 +71,13 @@ import "math"
 // engine's other metrics).
 const (
 	// MetricPoolEventHit / Miss count event allocations served from a
-	// peer freelist vs. the heap; Recycled counts events returned.
+	// peer freelist vs. not (spare memory, a chunk, or with pooling
+	// disabled the heap); Recycled counts events returned.
 	MetricPoolEventHit      = "tw.pool.event_hit"
 	MetricPoolEventMiss     = "tw.pool.event_miss"
 	MetricPoolEventRecycled = "tw.pool.event_recycled"
 	// MetricPoolStateHit / Miss count copy-state snapshots served from
-	// an LP freelist vs. Clone; Recycled counts snapshots returned.
+	// an LP freelist vs. not; Recycled counts snapshots returned.
 	MetricPoolStateHit      = "tw.pool.state_hit"
 	MetricPoolStateMiss     = "tw.pool.state_miss"
 	MetricPoolStateRecycled = "tw.pool.state_recycled"
@@ -72,7 +102,10 @@ func (p *Peer) allocEvent() *Event {
 		if ev := p.takeSpareEvent(); ev != nil {
 			return ev
 		}
-		return &Event{}
+		if p.eng.cfg.DisablePooling || p.eng.sharded() {
+			return &Event{}
+		}
+		return p.carveEvent()
 	}
 	ev := p.freeEvents[n-1]
 	p.freeEvents[n-1] = nil
@@ -113,12 +146,84 @@ func (p *Peer) freeEvent(ev *Event) {
 func (ev *Event) poison() {
 	clear(ev.sent)
 	clear(ev.tentative)
-	*ev = Event{
-		Ts:        math.Inf(-1),
-		sent:      ev.sent[:0],
-		tentative: ev.tentative[:0],
-		state:     statePooled,
+	ev.sent, ev.tentative = ev.sent[:0], ev.tentative[:0]
+	ev.inline[0] = nil // stale once sent has outgrown it
+	ev.Ts, ev.state = math.Inf(-1), statePooled
+	ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.Anti, ev.Target = 0, 0, 0, 0, false, nil
+	ev.A, ev.B, ev.undo = 0, 0, 0
+	ev.saved = Snapshot{}
+}
+
+// Chunks. A miss that finds no spare memory either is served from a
+// per-peer chunk, so that a peer still growing toward its working set
+// pays the allocator once per chunk instead of once per object. Chunk
+// lengths double from chunkMin to chunkMax: a peer that needs a dozen
+// events holds a dozen-odd, not sixty-four (a coordinator and two
+// worker engines of idle peers each holding fixed 64-slot chunks read
+// +15 % peak RSS on the distributed benchmark).
+//
+// A chunk lives as long as any object carved from it, which is why a
+// sharded worker engine carves no events: the shadow of a cross-shard
+// send and the local copy of a wire anti-message are never freed
+// (shard.go) — the collector takes them one by one once their cause
+// lets go — and inside a chunk whose other events cycle through the
+// freelist for the rest of the run each would be a slot lost for good,
+// 168 bytes per cross-shard send. Snapshots and queue nodes never
+// leave their peer, so workers carve those like anyone else.
+const (
+	chunkMin = 8
+	chunkMax = 64
+)
+
+func nextChunkLen(prev int) int { return min(max(2*prev, chunkMin), chunkMax) }
+
+// carveEvent returns a zero event from the peer's chunk, its sent list
+// aliasing its own inline array.
+func (p *Peer) carveEvent() *Event {
+	if len(p.eventChunk) == 0 {
+		p.eventChunkLen = nextChunkLen(p.eventChunkLen)
+		p.eventChunk = make([]Event, p.eventChunkLen)
 	}
+	ev := &p.eventChunk[0]
+	p.eventChunk = p.eventChunk[1:]
+	ev.sent = ev.inline[:0]
+	return ev
+}
+
+// stateChunk is a peer's snapshot chunk: a slice of the element type
+// of the first StateCopier pointer state the peer had to copy, built by
+// reflection so that models need no allocation hook. Its elements start
+// out as zero values, which StateCopier promises CopyFrom can fill.
+type stateChunk struct {
+	typ       reflect.Type  // the pointer type the chunk serves; nil until the first miss
+	vals      reflect.Value // the current chunk, a []typ.Elem() of length len
+	next, len int           // next is the first uncarved element
+}
+
+// carveSnapshot returns a deep copy of lp's state in memory no one has
+// used: from the peer's chunk when the state is a StateCopier of the
+// chunk's type, from Clone otherwise (a state that cannot be
+// overwritten in place, a second state type on one peer, pooling
+// disabled).
+func (p *Peer) carveSnapshot(lp *LP) State {
+	c := &p.stateChunk
+	t := reflect.TypeOf(lp.state)
+	if c.typ == nil && !p.eng.cfg.DisablePooling && t.Kind() == reflect.Pointer {
+		if _, ok := lp.state.(StateCopier); ok {
+			c.typ = t
+		}
+	}
+	if c.typ != t {
+		return lp.state.Clone()
+	}
+	if c.next == c.len {
+		c.len = nextChunkLen(c.len)
+		c.vals, c.next = reflect.MakeSlice(reflect.SliceOf(t.Elem()), c.len, c.len), 0
+	}
+	dst := c.vals.Index(c.next).Addr().Interface().(StateCopier)
+	c.next++
+	dst.CopyFrom(lp.state)
+	return dst
 }
 
 // acquireSnapshot returns a deep copy of lp's current state for the
@@ -133,7 +238,7 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 			dst.(StateCopier).CopyFrom(lp.state)
 			return dst
 		}
-		return lp.state.Clone()
+		return p.carveSnapshot(lp)
 	}
 	dst := lp.statePool[n-1]
 	lp.statePool[n-1] = nil

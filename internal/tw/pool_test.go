@@ -3,7 +3,9 @@ package tw
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
@@ -135,6 +137,17 @@ func TestDisablePoolingDisables(t *testing.T) {
 		if len(p.freeEvents) != 0 {
 			t.Fatalf("peer %d freelist non-empty with pooling disabled", p.ID)
 		}
+		// No chunks either: one object per allocation, so the unpooled
+		// arm of every A/B is the plain allocator.
+		if p.eventChunk != nil || p.eventChunkLen != 0 || p.stateChunk.typ != nil || p.stateChunk.len != 0 {
+			t.Fatalf("peer %d carved from a chunk with pooling disabled", p.ID)
+		}
+		if ev := p.allocEvent(); cap(ev.sent) != 0 {
+			t.Fatalf("peer %d: unpooled event came with a send list", p.ID)
+		}
+	}
+	if c[MetricPoolEventMiss] == 0 || c[MetricPoolStateMiss] == 0 {
+		t.Fatalf("vacuous: no misses counted: %v", c)
 	}
 }
 
@@ -216,5 +229,284 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 	}
 	if cap(got.sent) == 0 || cap(got.tentative) == 0 {
 		t.Fatal("recycling dropped the send-list backing arrays")
+	}
+}
+
+// poison resets an event field by field, so a field added to Event and
+// forgotten there would leak across lifetimes. Every field of a dirty
+// event must be set here (the loop over the type insists), and after
+// poison every one must read as a freed event's: the two sentinels, the
+// send lists emptied in place with their arrays kept and cleared, and
+// zero everywhere else.
+func TestPoisonResetsEveryField(t *testing.T) {
+	other := &Event{}
+	ev := &Event{
+		Ts: 3.5, Seq: 99, Src: 1, Dst: 2, Kind: 7, Anti: true, state: StateProcessed,
+		Target: other, A: 11, B: 22, undo: 33,
+		saved:     Snapshot{state: &ringState{Count: 1}, lvt: 2},
+		sent:      []*Event{other, other},
+		tentative: []*Event{other},
+		inline:    [1]*Event{other},
+	}
+	v := reflect.ValueOf(ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("the dirty event leaves Event.%s zero: set it here, and reset it in poison", v.Type().Field(i).Name)
+		}
+	}
+	sent, tentative := ev.sent, ev.tentative
+	ev.poison()
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "Ts", "state", "sent", "tentative":
+		default:
+			if !v.Field(i).IsZero() {
+				t.Errorf("poison left Event.%s = %v", name, v.Field(i))
+			}
+		}
+	}
+	if !math.IsInf(ev.Ts, -1) || ev.state != statePooled {
+		t.Errorf("poisoned event has Ts %v, state %v", ev.Ts, ev.state)
+	}
+	if len(ev.sent) != 0 || cap(ev.sent) != 2 || len(ev.tentative) != 0 || cap(ev.tentative) != 1 ||
+		sent[0] != nil || sent[1] != nil || tentative[0] != nil {
+		t.Errorf("send lists not emptied in place: sent %v (cap %d), tentative %v (cap %d)",
+			sent, cap(ev.sent), tentative, cap(ev.tentative))
+	}
+}
+
+// A miss carves from the peer's chunk, and what it carves is an event
+// like any other: counted as a miss, poisoned when freed, swept by
+// CheckInvariants in both directions, handed back as a hit with its
+// send-list capacity, and caught when freed twice.
+func TestChunkCarvedEventIsOrdinary(t *testing.T) {
+	eng := newTestEngine(t, 1, 1, 1, 10)
+	p := eng.Peer(0)
+	misses := p.pool.eventMiss
+	a, b := p.allocEvent(), p.allocEvent()
+	if p.pool.eventMiss != misses+2 || p.pool.eventHit != 0 {
+		t.Fatalf("two cold allocations counted %d misses, %d hits", p.pool.eventMiss-misses, p.pool.eventHit)
+	}
+	if uintptr(unsafe.Pointer(b))-uintptr(unsafe.Pointer(a)) != unsafe.Sizeof(Event{}) {
+		t.Fatal("consecutive misses are not neighbours in one chunk")
+	}
+	if len(a.sent) != 0 || cap(a.sent) != len(a.inline) || &a.sent[:1][0] != &a.inline[0] {
+		t.Fatal("a carved event's sent list does not alias its inline array")
+	}
+	if a.state != StateInQueue || a.Ts != 0 || a.Seq != 0 || a.Target != nil || a.saved != (Snapshot{}) {
+		t.Fatalf("carved event is not zero: %+v", a)
+	}
+	// The first send stays inline; a second moves the list to the heap.
+	a.sent = append(a.sent, b)
+	if &a.sent[0] != &a.inline[0] {
+		t.Fatal("the first send left the inline array")
+	}
+	a.sent = append(a.sent, b)
+	p.freeEvent(a)
+	if a.state != statePooled || !math.IsInf(a.Ts, -1) || len(a.sent) != 0 || cap(a.sent) < 2 || a.inline[0] != nil {
+		t.Fatalf("freed carved event not poisoned: %+v", a)
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	p.inq = append(p.inq, a)
+	if err := eng.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants missed a recycled carved event in the input queue")
+	}
+	p.inq = p.inq[:0]
+	if got := p.allocEvent(); got != a || p.pool.eventHit != 1 {
+		t.Fatalf("freelist did not hand the carved event back as a hit (%d hits)", p.pool.eventHit)
+	}
+	p.freeEvent(a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double free of a carved event did not panic")
+		}
+	}()
+	p.freeEvent(a)
+}
+
+// Chunk lengths double from chunkMin to chunkMax, for events and for
+// snapshots, so an idle peer holds a handful of slots and a busy one
+// pays the allocator once per chunkMax objects.
+func TestChunksGrowGeometrically(t *testing.T) {
+	eng := newTestEngine(t, 1, 1, 1, 10)
+	p, lp := eng.Peer(0), eng.LPs()[0]
+	p.eventChunk, p.eventChunkLen = nil, 0 // forget the chunk the initial event came from
+	var eventLens, stateLens []int
+	for i := 0; i < chunkMin+2*chunkMin+4*chunkMin+2*chunkMax+1; i++ {
+		p.allocEvent()
+		if n := p.eventChunkLen; len(eventLens) == 0 || len(p.eventChunk) == n-1 {
+			eventLens = append(eventLens, n)
+		}
+		lp.state.(*ringState).Count = i
+		snap := p.acquireSnapshot(lp).(*ringState)
+		if snap == lp.state || snap.Count != i {
+			t.Fatalf("snapshot %d is %+v", i, snap)
+		}
+		if c := &p.stateChunk; c.next == 1 {
+			stateLens = append(stateLens, c.len)
+		}
+	}
+	want := []int{chunkMin, 2 * chunkMin, 4 * chunkMin, chunkMax, chunkMax, chunkMax}
+	if fmt.Sprint(eventLens) != fmt.Sprint(want) || fmt.Sprint(stateLens) != fmt.Sprint(want) {
+		t.Fatalf("chunk lengths: events %v, snapshots %v, want %v", eventLens, stateLens, want)
+	}
+	if allocs := testing.AllocsPerRun(chunkMax-2, func() { p.allocEvent(); p.acquireSnapshot(lp) }); allocs != 0 {
+		t.Fatalf("a miss inside a chunk allocates %.2f times", allocs)
+	}
+}
+
+// A sharded worker engine carves no events: the shadows of its
+// cross-shard sends are never freed, and a chunk would keep every one
+// of them for as long as any neighbour cycles through the freelist.
+// Its snapshots never leave their peer and are carved as usual.
+func TestShardedEngineCarvesNoEvents(t *testing.T) {
+	eng := newTestEngine(t, 2, 1, 1, 10)
+	if err := eng.Shardify(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	p, lp := eng.Peer(0), eng.LPs()[0]
+	chunk := len(p.eventChunk)
+	a, b := p.allocEvent(), p.allocEvent()
+	if len(p.eventChunk) != chunk || cap(a.sent) != 0 || cap(b.sent) != 0 {
+		t.Fatal("a sharded engine carved an event from a chunk")
+	}
+	if p.pool.eventMiss < 2 {
+		t.Fatalf("misses not counted: %+v", p.pool)
+	}
+	first, second := p.acquireSnapshot(lp).(*ringState), p.acquireSnapshot(lp).(*ringState)
+	if uintptr(unsafe.Pointer(second))-uintptr(unsafe.Pointer(first)) != unsafe.Sizeof(ringState{}) {
+		t.Fatal("a sharded engine's snapshots are not carved from a chunk")
+	}
+}
+
+// cloneOnly is a state that cannot be overwritten in place.
+type cloneOnly struct{ n int }
+
+func (s *cloneOnly) Clone() State { c := *s; return &c }
+
+// otherCopier is a second StateCopier type on the same peer.
+type otherCopier struct{ n int }
+
+func (s *otherCopier) Clone() State       { c := *s; return &c }
+func (s *otherCopier) CopyFrom(src State) { *s = *src.(*otherCopier) }
+
+// The snapshot chunk serves the one pointer StateCopier type it first
+// saw; a state that only Clones, or one of a second type, gets what it
+// always got.
+func TestSnapshotChunkFallsBackToClone(t *testing.T) {
+	eng := newTestEngine(t, 1, 2, 1, 10)
+	p, lp0, lp1 := eng.Peer(0), eng.LPs()[0], eng.LPs()[1]
+	lp0.state = &cloneOnly{n: 7}
+	if got := p.acquireSnapshot(lp0).(*cloneOnly); got == lp0.state || got.n != 7 {
+		t.Fatalf("clone-only snapshot is %+v", got)
+	}
+	if p.stateChunk.typ != nil {
+		t.Fatal("a clone-only state claimed the snapshot chunk")
+	}
+	first := p.acquireSnapshot(lp1).(*ringState)
+	lp0.state = &otherCopier{n: 9}
+	other := p.acquireSnapshot(lp0)
+	second := p.acquireSnapshot(lp1).(*ringState)
+	if o, ok := other.(*otherCopier); !ok || o == lp0.state || o.n != 9 || p.stateChunk.typ != reflect.TypeOf(first) {
+		t.Fatalf("second state type: got %T, chunk serves %v", other, p.stateChunk.typ)
+	}
+	if uintptr(unsafe.Pointer(second))-uintptr(unsafe.Pointer(first)) != unsafe.Sizeof(ringState{}) {
+		t.Fatal("the second type's snapshot was carved from the first type's chunk")
+	}
+	if p.pool.stateMiss != 4 {
+		t.Fatalf("four cold snapshots counted %d misses", p.pool.stateMiss)
+	}
+}
+
+// The fields every queue walk, drain and commit reads sit in the
+// event's first 64 bytes, and the event is as large as it is on
+// purpose: 64 events and the allocator's 8-byte header fill a 10,880
+// byte size class to within 1 %, where 176-byte events would round
+// 11,272 up to 12,288.
+func TestEventLayout(t *testing.T) {
+	var ev Event
+	if got := unsafe.Sizeof(ev); got != 168 {
+		t.Errorf("Event is %d bytes, want 168", got)
+	}
+	for name, end := range map[string]uintptr{
+		"Ts":     unsafe.Offsetof(ev.Ts) + unsafe.Sizeof(ev.Ts),
+		"Seq":    unsafe.Offsetof(ev.Seq) + unsafe.Sizeof(ev.Seq),
+		"Dst":    unsafe.Offsetof(ev.Dst) + unsafe.Sizeof(ev.Dst),
+		"Kind":   unsafe.Offsetof(ev.Kind) + unsafe.Sizeof(ev.Kind),
+		"Anti":   unsafe.Offsetof(ev.Anti) + unsafe.Sizeof(ev.Anti),
+		"state":  unsafe.Offsetof(ev.state) + unsafe.Sizeof(ev.state),
+		"Target": unsafe.Offsetof(ev.Target) + unsafe.Sizeof(ev.Target),
+	} {
+		if end > 64 {
+			t.Errorf("Event.%s ends at byte %d, outside the first cache line", name, end)
+		}
+	}
+}
+
+// BenchmarkPoolMiss is what one executed event costs a peer whose pools
+// are empty — the event it sends, that send's slot in its sent list,
+// and the snapshot taken before it ran — from chunks, and from the
+// plain allocator DisablePooling keeps as the reference. As in a run,
+// what is allocated stays live: each engine serves a few thousand
+// misses, a benchmark-scale peer's working set, and is then dropped.
+func BenchmarkPoolMiss(b *testing.B) {
+	const perEngine = 4096
+	for _, arm := range []struct {
+		name    string
+		disable bool
+	}{{"chunks", false}, {"DisablePooling", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var p *Peer
+			var lp *LP
+			live := make([]*Event, perEngine)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%perEngine == 0 {
+					b.StopTimer()
+					eng, err := NewEngine(Config{
+						NumThreads: 1, Model: &ringModel{lpsPerThread: 1, startPerLP: 1},
+						EndTime: 10, Seed: 1, DisablePooling: arm.disable,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					p, lp = eng.Peer(0), eng.LPs()[0]
+					b.StartTimer()
+				}
+				cause, sent := p.allocEvent(), p.allocEvent()
+				cause.sent = append(cause.sent, sent)
+				cause.saved.state = p.acquireSnapshot(lp)
+				live[i%perEngine] = cause
+			}
+		})
+	}
+}
+
+// BenchmarkPoolRecycle is the hit path: free an event and take one
+// back, over a working set of events that does not fit the cache — what
+// fossil collection and the next send do once the pools are warm, and
+// where poison's cost shows.
+func BenchmarkPoolRecycle(b *testing.B) {
+	eng, err := NewEngine(Config{NumThreads: 1, Model: &ringModel{lpsPerThread: 1, startPerLP: 1}, EndTime: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := eng.Peer(0)
+	const n = 1 << 15
+	evs := make([]*Event, n)
+	for i := range evs {
+		evs[i] = p.allocEvent()
+		evs[i].sent = append(evs[i].sent, evs[0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := (i * 7919) & (n - 1)
+		p.freeEvent(evs[k])
+		ev := p.allocEvent()
+		ev.sent = append(ev.sent, evs[0])
+		evs[k] = ev
 	}
 }

@@ -155,6 +155,10 @@ func (e *Engine) HollowAll(rt RemoteTransport) {
 // Shardify narrowed it.
 func (e *Engine) ShardRange() (lo, hi int) { return e.shardLo, e.shardHi }
 
+// sharded reports whether Shardify has handed some of the engine's
+// peers to other processes.
+func (e *Engine) sharded() bool { return e.shardHi-e.shardLo < len(e.peers) }
+
 // dropEvents discards a peer's event state without recycling anything:
 // the authoritative copies live in another process, so freeing here
 // would corrupt the pool accounting that the sharded engines keep in

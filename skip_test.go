@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -53,25 +52,16 @@ func benchAsyncArm(system System, gvt GVT) Config {
 // every counter, histogram percentile and series row — and the same
 // Perfetto export, byte for byte.
 func TestSkipAheadInvisibleThroughAPI(t *testing.T) {
-	benchMachine := Machine{Cores: 8, SMTWidth: 2, FreqHz: 1.3e9}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"phold-sync", Config{
-			Model: PHOLD{LPsPerThread: 16}, Threads: 16, System: Baseline, GVT: Barrier,
-			Affinity: ConstantAffinity, Machine: benchMachine, EndTime: 400,
-			GVTFrequency: 40, ZeroCounterThreshold: 400, OptimismWindow: 10,
-		}},
+		{"phold-sync", benchPholdSyncCfg()},
 		{"phold-imbalanced-async/baseline-sync", benchAsyncArm(Baseline, Barrier)},
 		{"phold-imbalanced-async/baseline-async", benchAsyncArm(Baseline, WaitFree)},
 		{"phold-imbalanced-async/dd-async", benchAsyncArm(DDPDES, WaitFree)},
 		{"phold-imbalanced-async/gg-async", benchAsyncArm(GGPDES, WaitFree)},
-		{"traffic-oversub-rollback", Config{
-			Model: Traffic{LPsPerThread: 2}, Threads: 128, System: GGPDES, GVT: WaitFree,
-			Affinity: DynamicAffinity, Machine: benchMachine, EndTime: 16,
-			GVTFrequency: 40, ZeroCounterThreshold: 400,
-		}},
+		{"traffic-oversub-rollback", benchTrafficCfg()},
 		{"phold-dist-2w/in-process", Config{
 			Model: PHOLD{LPsPerThread: 8}, Threads: 16, System: GGPDES, GVT: WaitFree,
 			Affinity: ConstantAffinity, Machine: Machine{Cores: 16, SMTWidth: 2}, EndTime: 60,
@@ -82,10 +72,7 @@ func TestSkipAheadInvisibleThroughAPI(t *testing.T) {
 			Threads: 8, System: GGPDES, GVT: WaitFree, EndTime: 30, GVTFrequency: 20, ZeroCounterThreshold: 100,
 			AdaptiveGVT: &AdaptiveGVT{MinFrequency: 5, MaxFrequency: 80, TargetUncommittedPerThread: 8},
 		}},
-		{"traffic-lazy", Config{
-			Model: Traffic{LPsPerThread: 4, CenterStartEvents: 6}, Threads: 4, System: DDPDES, GVT: Barrier,
-			EndTime: 12, GVTFrequency: 20, ZeroCounterThreshold: 100, LazyCancellation: true,
-		}},
+		{"traffic-lazy", lazyTrafficCfg()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,15 +91,7 @@ func TestSkipAheadInvisibleThroughAPI(t *testing.T) {
 				t.Fatalf("vacuous comparison: %d series rows, %d counters, %d trace bytes",
 					len(skipRes.Series), len(skipRes.Counters), len(skipTrace))
 			}
-			if !reflect.DeepEqual(skipRes, execRes) {
-				sv, ev := reflect.ValueOf(*skipRes), reflect.ValueOf(*execRes)
-				for i := 0; i < sv.NumField(); i++ {
-					if !reflect.DeepEqual(sv.Field(i).Interface(), ev.Field(i).Interface()) {
-						t.Errorf("Results.%s differs:\nskipping:  %+v\nexecuting: %+v",
-							sv.Type().Field(i).Name, sv.Field(i).Interface(), ev.Field(i).Interface())
-					}
-				}
-			}
+			diffResults(t, "skipping", "executing", skipRes, execRes)
 			if !bytes.Equal(skipTrace, execTrace) {
 				t.Errorf("Perfetto exports differ (%d and %d bytes)", len(skipTrace), len(execTrace))
 			}
