@@ -69,12 +69,14 @@ perf:
 
 # The paired before/after a performance claim rests on: PAIRS
 # alternating runs of one benchmark workload at PARENT (any git ref,
-# checked out into a temporary worktree) and in this tree, then the
-# -compare table over both sets. Not part of ci.
-#   make perf-ab PARENT=HEAD~1 WORKLOAD=traffic-oversub-rollback
+# checked out into a temporary worktree, or a directory holding that
+# tree) and in this tree, then the -compare table over both sets and,
+# with METRIC, that metric pair by pair with "change ahead in N of M
+# pairs". Not part of ci.
+#   make perf-ab PARENT=HEAD~1 WORKLOAD=traffic-oversub-rollback METRIC=committed_ev_per_host_s
 PAIRS ?= 10
 perf-ab:
-	sh scripts/bench_ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+	METRIC="$(METRIC)" sh scripts/bench_ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # End-to-end serving smoke: ggserved on an ephemeral port, one PHOLD
 # job to completion, identical resubmit served from cache, clean drain.

@@ -24,16 +24,22 @@ func ckptBenchCfg(dir string) Config {
 	}
 }
 
-// BenchmarkCheckpointedRun is one checkpointed run, stepped through the
-// same four calls runSegment and checkpoint make so each can be timed:
-// what a segment costs to build, to run, to capture, and what the
-// critical path still waits for the snapshot writer (joining the
-// previous boundary's write, building the snapshot, and the final join).
-func BenchmarkCheckpointedRun(b *testing.B) {
-	cfg := ckptBenchCfg(b.TempDir())
+// segmentLedger steps runs through the same four calls runSegment and
+// checkpoint make, so that each can be timed — what a segment costs to
+// build, to run, to capture, and what the critical path still waits for
+// the snapshot writer (joining the previous boundary's write, building
+// the snapshot, and the final join) — and counts what a boundary is
+// there to avoid: heap objects, and LP states that were decoded into new
+// objects where the quiesced engine's own could have been installed.
+type segmentLedger struct {
+	build, run, capture, write time.Duration
+	segments, decoded          int
+	mallocs                    uint64
+}
+
+// step runs rs, prepared or loaded from a snapshot, to completion.
+func (l *segmentLedger) step(b *testing.B, rs *runState) {
 	ctx := context.Background()
-	var build, run, capture, write time.Duration
-	segments := 0
 	timed := func(into *time.Duration, f func() error) {
 		start := time.Now()
 		if err := f(); err != nil {
@@ -41,37 +47,86 @@ func BenchmarkCheckpointedRun(b *testing.B) {
 		}
 		*into += time.Since(start)
 	}
+	timed(&l.write, rs.prepare)
+	// Only now, with the config encoded: the counter has no wire form.
+	rs.cfg.Model = decodeCounter{rs.cfg.Model, &l.decoded}
+	for {
+		l.segments++
+		var seg *segment
+		timed(&l.build, func() (err error) { seg, err = rs.buildSegment(); return })
+		timed(&l.run, func() error { return seg.m.RunContext(ctx) })
+		if !seg.eng.Paused() {
+			timed(&l.write, func() error { _, err := rs.finishWrites(rs.finish(seg)); return err })
+			return
+		}
+		var est *tw.EngineState
+		timed(&l.capture, func() (err error) { est, err = rs.capture(seg); return })
+		timed(&l.write, func() error { return rs.commit(seg, est) })
+	}
+}
+
+// decodeCounter is a Model whose engine model counts the LP states it
+// is asked to decode.
+type decodeCounter struct {
+	Model
+	n *int
+}
+
+func (c decodeCounter) build(threads int, endTime float64) (tw.Model, error) {
+	m, err := c.Model.build(threads, endTime)
+	if err != nil {
+		return nil, err
+	}
+	return countedModel{m.(bundledModel), c.n}, nil
+}
+
+// bundledModel is what the three bundled engine models implement.
+type bundledModel interface {
+	tw.CheckpointModel
+	tw.ReverseModel
+}
+
+type countedModel struct {
+	bundledModel
+	n *int
+}
+
+func (m countedModel) DecodeState(data []byte) (tw.State, error) {
+	*m.n++
+	return m.bundledModel.DecodeState(data)
+}
+
+// measure runs the benchmark loop around one, which steps one run per
+// iteration, and reports the ledger per segment.
+func (l *segmentLedger) measure(b *testing.B, one func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := &runState{cfg: cfg}
-		if err := rs.prepare(); err != nil {
-			b.Fatal(err)
+	l.mallocs = mallocsDuring(func() {
+		for i := 0; i < b.N; i++ {
+			one()
 		}
-		for {
-			segments++
-			var seg *segment
-			timed(&build, func() (err error) { seg, err = rs.buildSegment(); return })
-			timed(&run, func() error { return seg.m.RunContext(ctx) })
-			if !seg.eng.Paused() {
-				timed(&write, func() error { _, err := rs.finishWrites(rs.finish(seg)); return err })
-				break
-			}
-			var est *tw.EngineState
-			timed(&capture, func() (err error) { est, err = rs.capture(seg); return })
-			timed(&write, func() error { return rs.commit(seg, est) })
-		}
-	}
-	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(segments) }
-	b.ReportMetric(per(build), "build-ns/segment")
-	b.ReportMetric(per(run), "run-ns/segment")
-	b.ReportMetric(per(capture), "capture-ns/segment")
-	b.ReportMetric(per(write), "write-wait-ns/segment")
-	b.ReportMetric(float64(segments)/float64(b.N), "segments/op")
+	})
+	per := func(n float64) float64 { return n / float64(l.segments) }
+	b.ReportMetric(per(float64(l.build.Nanoseconds())), "build-ns/segment")
+	b.ReportMetric(per(float64(l.run.Nanoseconds())), "run-ns/segment")
+	b.ReportMetric(per(float64(l.capture.Nanoseconds())), "capture-ns/segment")
+	b.ReportMetric(per(float64(l.write.Nanoseconds())), "write-wait-ns/segment")
+	b.ReportMetric(per(float64(l.mallocs)), "allocs/segment")
+	b.ReportMetric(per(float64(l.decoded)), "decode_states/segment")
+	b.ReportMetric(float64(l.segments)/float64(b.N), "segments/op")
+}
+
+// BenchmarkCheckpointedRun is one checkpointed run of the benchmark's
+// config: eight segments, none of which decodes a state.
+func BenchmarkCheckpointedRun(b *testing.B) {
+	cfg := ckptBenchCfg(b.TempDir())
+	var l segmentLedger
+	l.measure(b, func() { l.step(b, &runState{cfg: cfg}) })
 }
 
 // BenchmarkResumeMiddle is the benchmark's other timed call: Resume
-// from the middle snapshot of the run above.
+// from the middle snapshot of the run above, whose first segment decodes
+// every state from the file and whose others decode none.
 func BenchmarkResumeMiddle(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := Run(ckptBenchCfg(dir)); err != nil {
@@ -87,11 +142,12 @@ func BenchmarkResumeMiddle(b *testing.B) {
 	}
 	middle := filepath.Join(dir, checkpoint.FileName((snap.Segments+1)/2))
 	opts := &ResumeOptions{CheckpointDir: b.TempDir()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ResumeContext(context.Background(), middle, opts); err != nil {
+	var l segmentLedger
+	l.measure(b, func() {
+		rs, err := resumeState(middle, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		l.step(b, rs)
+	})
 }

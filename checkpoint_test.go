@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,6 +184,58 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	for p, want := range orig {
 		if got := read(p); !bytes.Equal(got, want) {
 			t.Fatalf("resume re-wrote %s with different bytes", filepath.Base(p))
+		}
+	}
+}
+
+// The benchmark's Epidemics shape across the line where a household's
+// agents stop fitting inside its state (4, the paper's, and 9), at four
+// cadences: the uninterrupted run adopts its predecessor's LP states at
+// every boundary, Resume decodes them from the file, and from every
+// boundary the two must be the same run — whole Results, and every later
+// snapshot re-written byte for byte.
+func TestResumeFromEveryEpidemicsBoundary(t *testing.T) {
+	for _, agents := range []int{4, 9} {
+		for _, every := range []int{1, 2, 3, 5} {
+			t.Run(fmt.Sprintf("agents=%d/every=%d", agents, every), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				cfg := ckptBenchCfg(dir)
+				cfg.Model = Epidemics{LPsPerThread: 64, SeedsPerWindow: 24, AgentsPerHousehold: agents}
+				cfg.Checkpoint.Every = every
+				if every == 1 {
+					// A boundary after every round rolls back so much that the
+					// full length takes 278 of them, and each is a Resume here.
+					cfg.EndTime = 6
+				}
+				full, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				paths := listCheckpoints(t, dir)
+				if len(paths) < 2 {
+					t.Fatalf("want >= 2 checkpoints, got %d (rounds %d)", len(paths), full.GVTRounds)
+				}
+				files := make([][]byte, len(paths))
+				for i, p := range paths {
+					if files[i], err = os.ReadFile(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, path := range paths {
+					resumed, err := Resume(path)
+					if err != nil {
+						t.Fatalf("resume %s: %v", filepath.Base(path), err)
+					}
+					diffResults(t, "uninterrupted", "resumed from "+filepath.Base(path), full, resumed)
+					for k := i + 1; k < len(paths); k++ {
+						if got, err := os.ReadFile(paths[k]); err != nil || !bytes.Equal(got, files[k]) {
+							t.Fatalf("resume from %s re-wrote %s with different bytes (err %v)",
+								filepath.Base(path), filepath.Base(paths[k]), err)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -177,7 +177,11 @@ func (d *distRun) attempts(ctx context.Context) (*Results, error) {
 			return nil, err
 		}
 		d.attempt++
-		rs.engine, rs.metrics = engine, metrics
+		// The run's own registry has the failed attempt in it (reusing it
+		// read gvt.rounds 7 for 5 and core.deactivations 10 for 8 in
+		// TestDistributedWorkerCrashRecovery): the retry builds another
+		// from the boundary's export.
+		rs.engine, rs.metrics, rs.reg = engine, metrics, nil
 		rs.rounds, rs.prevGVT, rs.prevWall = rounds, prevGVT, prevWall
 		d.segPoints = d.segPoints[:0]
 		if d.opts.RetryBackoff > 0 {

@@ -1,9 +1,12 @@
 package ggpdes
 
 import (
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"ggpdes/internal/checkpoint"
 )
 
 // The two benchmark configs (bench/ggperf/w_sim.go) the engine's memory
@@ -150,18 +153,81 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := Run(cfg)
-		runtime.ReadMemStats(&after)
+		var res *Results
+		var err error
+		mallocs := mallocsDuring(func() { res, err = Run(cfg) })
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.CommittedEvents)
+		perEvent := float64(mallocs) / float64(res.CommittedEvents)
 		t.Logf("%s: %.3f allocations per committed event (ceiling %.1f)", tc.name, perEvent, tc.ceiling)
 		if perEvent > tc.ceiling {
 			t.Errorf("%s: %.3f allocations per committed event exceeds %.1f: a pool miss reaches the allocator again (internal/tw/pool.go)",
 				tc.name, perEvent, tc.ceiling)
 		}
+	}
+}
+
+// mallocsDuring is the number of heap objects the process allocated
+// while f ran.
+func mallocsDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCheckpointedRunAllocsPerCommittedEvent is the same tripwire for
+// the benchmark's epidemics-ckpt-resume workload, by the benchmark's
+// definition: the mallocs of a checkpointed Run and of Resume from its
+// middle snapshot, over the committed events of both. A boundary that
+// rebuilds what the quiesced engine still holds shows here first. With
+// every segment decoding its LP states into fresh objects and building
+// its own telemetry registry, a heap array per household snapshot and
+// every multi-send list grown by the allocator, this read 3.13 (3.22 in
+// the benchmark, whose loop allocates a little itself) and the same
+// config without checkpoints 2.17; with the states riding the spare set
+// and one registry per run 2.15, with the household's agents inside its
+// state 1.55 and 1.37, with send windows carved from a per-peer chunk
+// 1.07 and 0.96. The ceilings are about 1.25 times that.
+func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const ckptCeiling, plainCeiling = 1.35, 1.2
+	dir := t.TempDir()
+	cfg := ckptBenchCfg(dir)
+	var committed uint64
+	mallocs := mallocsDuring(func() {
+		full, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := Resume(filepath.Join(dir, checkpoint.FileName((len(listCheckpoints(t, dir))+1)/2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed = full.CommittedEvents + resumed.CommittedEvents
+	})
+	perEvent := float64(mallocs) / float64(committed)
+	t.Logf("checkpointed run + resume: %.3f allocations per committed event (ceiling %.2f)", perEvent, ckptCeiling)
+	if perEvent > ckptCeiling {
+		t.Errorf("checkpointed run + resume: %.3f allocations per committed event exceeds %.2f: a boundary rebuilds what the engine it quiesced still holds (internal/tw/spare.go, the registry in run.go)",
+			perEvent, ckptCeiling)
+	}
+	cfg.Checkpoint = nil
+	var plain *Results
+	mallocs = mallocsDuring(func() {
+		var err error
+		if plain, err = Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perEvent = float64(mallocs) / float64(plain.CommittedEvents)
+	t.Logf("plain epidemics run: %.3f allocations per committed event (ceiling %.1f)", perEvent, plainCeiling)
+	if perEvent > plainCeiling {
+		t.Errorf("plain epidemics run: %.3f allocations per committed event exceeds %.1f: a household snapshot or a send list reaches the allocator again (internal/models/epidemics.go, appendSent in internal/tw/pool.go)",
+			perEvent, plainCeiling)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -503,23 +504,25 @@ func TestFailedRunsLeakNoGoroutines(t *testing.T) {
 // TestSteadyStateRunAllocatesNothing is the over-subscribed steady
 // state: 128 threads on 16 contexts, every tick re-queueing preempted
 // threads. Once the run queues have grown to size, neither enqueue nor
-// anything else in the machine may allocate.
+// anything else in the machine may allocate. MemStats.Mallocs is
+// process-wide and the runtime's own goroutines allocate now and then
+// (one window in ten read 6 under -race), but they only ever add: the
+// steady state is cut into consecutive windows of the same run and the
+// quietest must read 0, which an allocation per enqueue, in every
+// window, still fails.
 func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	cfg := KNL7230()
 	cfg.Cores, cfg.SMTWidth = 8, 2
 	m := mustNew(t, cfg)
-	const warm, total = 200, 1200
-	var before, after runtime.MemStats
+	const warm, window, windows = 200, 200, 5
+	var marks [windows + 1]runtime.MemStats
 	for i := 0; i < 128; i++ {
 		m.Spawn("w", func(p *Proc) {
-			for k := 0; k < total; k++ {
+			for k := 0; k <= warm+window*windows; k++ {
 				p.Work(5000)
-				if p.ID() == 0 && k == warm {
-					runtime.ReadMemStats(&before)
+				if p.ID() == 0 && k >= warm && (k-warm)%window == 0 {
+					runtime.ReadMemStats(&marks[(k-warm)/window])
 				}
-			}
-			if p.ID() == 0 {
-				runtime.ReadMemStats(&after)
 			}
 		})
 	}
@@ -529,8 +532,12 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 	if m.Stats().Preempts == 0 {
 		t.Fatal("no preemptions: the run queues were never exercised")
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("%d allocations in the steady state of an over-subscribed run, want 0", n)
+	var perWindow [windows]uint64
+	for i := range perWindow {
+		perWindow[i] = marks[i+1].Mallocs - marks[i].Mallocs
+	}
+	if n := slices.Min(perWindow[:]); n != 0 {
+		t.Fatalf("allocations per steady-state window of an over-subscribed run %v, want a window with 0", perWindow)
 	}
 }
 

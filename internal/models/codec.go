@@ -60,10 +60,12 @@ func (m *Epidemics) DecodeState(data []byte) (tw.State, error) {
 		return nil, fmt.Errorf("models: epidemics state is %d bytes, want >= 8", len(data))
 	}
 	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) != 8+n+4*8 {
+	if n > uint64(len(data)) || uint64(len(data)) != 8+n+4*8 {
 		return nil, fmt.Errorf("models: epidemics state is %d bytes, want %d for %d agents", len(data), 8+n+4*8, n)
 	}
-	st := &HouseholdState{Agents: append([]uint8(nil), data[8:8+n]...)}
+	st := &HouseholdState{}
+	st.sizeAgents(int(n))
+	copy(st.Agents, data[8:8+n])
 	off := int(8 + n)
 	st.Exposures, off = getI64(data, off)
 	st.Infections, off = getI64(data, off)

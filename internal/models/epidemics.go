@@ -40,26 +40,43 @@ type HouseholdState struct {
 	Exposures, Infections, Recoveries int64
 	// ContactsSeen counts contact events received.
 	ContactsSeen int64
+	// inline is what Agents points at in a household of up to
+	// len(inline) agents (the paper's have 4), so that a state, a
+	// snapshot of it and a decoded copy are one object each, not a struct
+	// and a 4-byte array. A HouseholdState must not be copied by value:
+	// the copy's Agents would be the original's.
+	inline [8]uint8
+}
+
+// sizeAgents points Agents at room for n agents of the receiver's own:
+// its inline array when they fit, else the heap array it already has
+// if that is large enough, else a new one. A zero value is a valid
+// receiver, and what it gets is zeroed.
+func (s *HouseholdState) sizeAgents(n int) {
+	switch {
+	case n <= len(s.inline):
+		s.Agents = s.inline[:n:n]
+	case n <= cap(s.Agents):
+		s.Agents = s.Agents[:n]
+	default:
+		s.Agents = make([]uint8, n)
+	}
 }
 
 // Clone implements tw.State.
 func (s *HouseholdState) Clone() tw.State {
-	c := &HouseholdState{
-		Agents:       append([]uint8(nil), s.Agents...),
-		Exposures:    s.Exposures,
-		Infections:   s.Infections,
-		Recoveries:   s.Recoveries,
-		ContactsSeen: s.ContactsSeen,
-	}
+	c := &HouseholdState{}
+	c.CopyFrom(s)
 	return c
 }
 
-// CopyFrom implements tw.StateCopier, reusing the receiver's Agents
-// backing array when its capacity suffices (household sizes are fixed,
-// so after the first copy it always does).
+// CopyFrom implements tw.StateCopier, reusing the receiver's own room
+// for Agents (household sizes are fixed, so after the first copy a
+// large household's heap array always suffices).
 func (s *HouseholdState) CopyFrom(src tw.State) {
 	o := src.(*HouseholdState)
-	s.Agents = append(s.Agents[:0], o.Agents...)
+	s.sizeAgents(len(o.Agents))
+	copy(s.Agents, o.Agents)
 	s.Exposures = o.Exposures
 	s.Infections = o.Infections
 	s.Recoveries = o.Recoveries
@@ -184,7 +201,8 @@ func (m *Epidemics) Unlocked(lp int, ts tw.VT) bool {
 // InitLP implements tw.Model: all agents susceptible; window-boundary
 // seed events target each window's unlocked group.
 func (m *Epidemics) InitLP(ic *tw.InitCtx, lp *tw.LP) {
-	st := &HouseholdState{Agents: make([]uint8, m.cfg.AgentsPerHousehold)}
+	st := &HouseholdState{}
+	st.sizeAgents(m.cfg.AgentsPerHousehold)
 	lp.SetState(st)
 	if lp.ID != 0 {
 		return

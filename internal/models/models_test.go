@@ -1,6 +1,7 @@
 package models
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -642,5 +643,107 @@ func TestCopyFromIntoZeroValueMatchesClone(t *testing.T) {
 				t.Fatal("vacuous: every state is still a zero value")
 			}
 		})
+	}
+}
+
+// A household's agents live inside its state up to eight of them (the
+// paper's households have four) and on the heap above that, and nothing
+// outside the state can tell: for sizes on both sides of the line, states
+// taken from a finished run encode to the bytes they always did — count,
+// agents, four counters — and Clone, CopyFrom (into a zero value, a
+// recycled small state and a recycled large one) and DecodeState give
+// equal Agents that share no memory with their source. What the flat
+// state buys is counted: a copy, a clone and a decode allocate one object
+// less each, and CopyFrom nothing at all once the receiver has room.
+func TestHouseholdAgentsStayWithTheState(t *testing.T) {
+	for _, agents := range []int{1, 4, 8, 9, 33} {
+		m, err := NewEpidemics(EpidemicsConfig{
+			Threads: 2, LPsPerThread: 8, AgentsPerHousehold: agents, EndTime: 20, LockdownGroups: 2,
+			ContactRate: 3, TransmissionProb: 0.5, SeedsPerWindow: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := newEngine(t, m, 2, 20, 11)
+		drive(t, eng)
+		infected := 0
+		for _, lp := range eng.LPs() {
+			src := lp.State().(*HouseholdState)
+			if len(src.Agents) != agents {
+				t.Fatalf("%d agents: LP %d has %d", agents, lp.ID, len(src.Agents))
+			}
+			if src.Infections > 0 {
+				infected++
+			}
+			want := appendI64(nil, int64(agents))
+			want = append(want, src.Agents...)
+			for _, v := range []int64{src.Exposures, src.Infections, src.Recoveries, src.ContactsSeen} {
+				want = appendI64(want, v)
+			}
+			enc, err := m.EncodeState(nil, src)
+			if err != nil || !reflect.DeepEqual(enc, want) {
+				t.Fatalf("%d agents: LP %d encodes to %x (err %v), want %x", agents, lp.ID, enc, err, want)
+			}
+			decoded, err := m.DecodeState(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copyInto := func(had int) tw.State {
+				dst := &HouseholdState{}
+				if had > 0 {
+					dst.sizeAgents(had)
+				}
+				dst.CopyFrom(src)
+				return dst
+			}
+			for name, dst := range map[string]tw.State{
+				"Clone": src.Clone(), "DecodeState": decoded,
+				"CopyFrom into a zero value": copyInto(0), "CopyFrom into a small state": copyInto(2), "CopyFrom into a large state": copyInto(40),
+			} {
+				got := dst.(*HouseholdState)
+				if !reflect.DeepEqual(got.Agents, src.Agents) || got.Exposures != src.Exposures || got.Infections != src.Infections ||
+					got.Recoveries != src.Recoveries || got.ContactsSeen != src.ContactsSeen {
+					t.Fatalf("%d agents: LP %d: %s gave %+v, want %+v", agents, lp.ID, name, got, src)
+				}
+				if &got.Agents[0] == &src.Agents[0] {
+					t.Fatalf("%d agents: LP %d: %s shares its source's Agents", agents, lp.ID, name)
+				}
+				if again, err := m.EncodeState(nil, got); err != nil || !reflect.DeepEqual(again, want) {
+					t.Fatalf("%d agents: LP %d: %s re-encodes to %x (err %v), want %x", agents, lp.ID, name, again, err, want)
+				}
+			}
+		}
+		if infected == 0 {
+			t.Fatalf("%d agents: vacuous, no household was infected", agents)
+		}
+
+		src := eng.LPs()[0].State().(*HouseholdState)
+		enc, _ := m.EncodeState(nil, src)
+		objects := 1 // the state; above eight agents, their array too
+		if agents > 8 {
+			objects = 2
+		}
+		var sink tw.State
+		if n := testing.AllocsPerRun(100, func() { sink = src.Clone() }); n != float64(objects) {
+			t.Errorf("%d agents: Clone allocates %v objects, want %d", agents, n, objects)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink, _ = m.DecodeState(enc) }); n != float64(objects) {
+			t.Errorf("%d agents: DecodeState allocates %v objects, want %d", agents, n, objects)
+		}
+		recycled := sink.(*HouseholdState)
+		if n := testing.AllocsPerRun(100, func() { recycled.CopyFrom(src) }); n != 0 {
+			t.Errorf("%d agents: CopyFrom into a recycled state allocates %v objects, want 0", agents, n)
+		}
+	}
+}
+
+// An agent count no state of that length can hold is an error, not an
+// index out of range.
+func TestEpidemicsDecodeRejectsWrappedAgentCount(t *testing.T) {
+	m, _ := NewEpidemics(EpidemicsConfig{Threads: 1, LPsPerThread: 1, EndTime: 1})
+	data := make([]byte, 16)
+	binary.LittleEndian.PutUint64(data, math.MaxUint64-23) // 8 + n + 32 wraps to 16
+	if st, err := m.DecodeState(data); err == nil {
+		t.Fatalf("decoded %+v from a 16-byte state", st)
 	}
 }

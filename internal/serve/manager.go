@@ -224,6 +224,11 @@ type Manager struct {
 	// key; identical submissions arriving while it runs coalesce onto
 	// it as followers instead of simulating again.
 	inflight map[string]*Job
+	// queued and running count the registered jobs in those two states;
+	// setStateLocked and register keep them, and the in-flight gauge,
+	// in step with every j.state change, so that nothing walks jobs —
+	// up to RetainJobs terminal ones — to learn them.
+	queued, running int
 
 	sweeps        map[string]*sweepJob
 	sweepTerminal []string // terminal sweep IDs, oldest first
@@ -392,7 +397,6 @@ func (m *Manager) Submit(spec JobSpec) (Status, error) {
 			m.mu.Unlock()
 			m.submitted.Inc()
 			m.dedupInflight.Inc()
-			m.inFlight.Set(float64(m.countInFlight()))
 			return st, nil
 		}
 	}
@@ -410,7 +414,6 @@ func (m *Manager) Submit(spec JobSpec) (Status, error) {
 	st := j.status()
 	m.mu.Unlock()
 	m.submitted.Inc()
-	m.inFlight.Set(float64(m.countInFlight()))
 	return st, nil
 }
 
@@ -446,7 +449,31 @@ func (m *Manager) register(j *Job) {
 	m.jobs[j.id] = j
 	if j.state.Terminal() {
 		m.retainLocked(j.id)
+		return
 	}
+	m.tallyLocked(j.state, +1)
+	m.inFlight.Set(float64(m.queued + m.running))
+}
+
+// tallyLocked adds d to the count of registered jobs in state s, if it
+// is one that is counted.
+func (m *Manager) tallyLocked(s State, d int) {
+	switch s {
+	case StateQueued:
+		m.queued += d
+	case StateRunning:
+		m.running += d
+	}
+}
+
+// setStateLocked moves a registered job to state s and publishes the
+// new sum — here, under m.mu, so that two transitions cannot publish
+// theirs in the wrong order. Caller holds m.mu.
+func (m *Manager) setStateLocked(j *Job, s State) {
+	m.tallyLocked(j.state, -1)
+	j.state = s
+	m.tallyLocked(s, +1)
+	m.inFlight.Set(float64(m.queued + m.running))
 }
 
 // retainLocked appends a terminal job and forgets the oldest past the
@@ -532,7 +559,7 @@ func (m *Manager) Cancel(id string) (Status, bool) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
+		m.setStateLocked(j, StateCancelled)
 		j.err = "cancelled"
 		j.finished = time.Now()
 		close(j.done)
@@ -566,7 +593,7 @@ func (m *Manager) finalizeLocked(j *Job) {
 			// its done channel is already closed.
 			continue
 		}
-		f.state = j.state
+		m.setStateLocked(f, j.state)
 		f.err = j.err
 		f.failCause = j.failCause
 		f.finished = time.Now()
@@ -616,20 +643,7 @@ func (m *Manager) Draining() bool {
 func (m *Manager) Counts() (queued, running int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
-	}
-	return queued, running
-}
-
-func (m *Manager) countInFlight() int {
-	q, r := m.Counts()
-	return q + r
+	return m.queued, m.running
 }
 
 // Drain stops admission (Submit returns ErrDraining), lets already
@@ -681,7 +695,7 @@ func (m *Manager) run(j *Job) {
 		m.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
+	m.setStateLocked(j, StateRunning)
 	j.started = time.Now()
 	timeout := m.opts.DefaultTimeout
 	if j.spec.TimeoutSeconds > 0 {
@@ -729,7 +743,6 @@ func (m *Manager) run(j *Job) {
 	}
 
 	m.queueWait.Observe(float64(j.started.Sub(j.submitted).Milliseconds()))
-	m.inFlight.Set(float64(m.countInFlight()))
 
 	// Clustered routing: if a peer owns this key, fill from its cache,
 	// else delegate the run to it. A delegation blocks for as long as
@@ -807,7 +820,7 @@ func (m *Manager) finish(j *Job, res *ggpdes.Results, source string, err error, 
 	j.finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = StateDone
+		m.setStateLocked(j, StateDone)
 		j.result = res
 		j.source = source
 		j.cached = source != ""
@@ -821,17 +834,17 @@ func (m *Manager) finish(j *Job, res *ggpdes.Results, source string, err error, 
 		// fleet-wide — on the replica that ran it.
 		m.reg.Import(res.Metrics)
 	case errors.Is(err, ggpdes.ErrDeadline) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateFailed
+		m.setStateLocked(j, StateFailed)
 		j.err = fmt.Sprintf("deadline exceeded after %s", timeout)
 		j.failCause = err
 		m.failed.Inc()
 	case errors.Is(err, ggpdes.ErrCancelled) || errors.Is(err, context.Canceled):
-		j.state = StateCancelled
+		m.setStateLocked(j, StateCancelled)
 		j.err = "cancelled"
 		j.failCause = err
 		m.cancelled.Inc()
 	default:
-		j.state = StateFailed
+		m.setStateLocked(j, StateFailed)
 		j.err = err.Error()
 		j.failCause = err
 		m.failed.Inc()
@@ -846,7 +859,6 @@ func (m *Manager) finish(j *Job, res *ggpdes.Results, source string, err error, 
 		_ = os.RemoveAll(ckptDir) // completed jobs don't need their snapshots
 	}
 	m.runWall.Observe(runMS)
-	m.inFlight.Set(float64(m.countInFlight()))
 }
 
 // runRemote routes a peer-owned job through the cluster: fill from

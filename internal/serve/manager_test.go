@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -506,5 +507,150 @@ func TestCancelQueuedFollower(t *testing.T) {
 	}
 	if got := m.Registry().Counters()[MetricJobsCancelled]; got != 2 {
 		t.Fatalf("jobs_cancelled = %d, want 2 (each job settled exactly once)", got)
+	}
+}
+
+// longSpecSeed is longSpec under another cache key.
+func longSpecSeed(seed uint64) JobSpec {
+	s := longSpec()
+	s.Config.Seed = seed
+	return s
+}
+
+// fillRetention leaves n terminal jobs in the manager's retention list:
+// one run, then cache hits of it.
+func fillRetention(tb testing.TB, m *Manager, n int) {
+	tb.Helper()
+	st, err := m.Submit(quickSpec(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := m.Wait(ctx, st.ID); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if st, err := m.Submit(quickSpec(1)); err != nil || !st.Cached {
+			tb.Fatalf("retained job %d: cached=%t err=%v", i, st.Cached, err)
+		}
+	}
+}
+
+// The queued and running counts are kept where j.state changes, and the
+// in-flight gauge is set there, under the manager lock: at any moment a
+// recount of the job table, the counters and the gauge agree — after a
+// queued job is cancelled too, which used to leave the gauge stale until
+// the next job, and whatever order two workers finish in. A seeded mix
+// of submissions, in-flight duplicates, cancellations and completions
+// over a full retention list checks it after every step.
+func TestInFlightGaugeMatchesCounts(t *testing.T) {
+	m := New(Options{Workers: 2, QueueDepth: 16})
+	fillRetention(t, m, 4096)
+	check := func(when string) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		queued, running := 0, 0
+		for _, j := range m.jobs {
+			switch j.state {
+			case StateQueued:
+				queued++
+			case StateRunning:
+				running++
+			}
+		}
+		if queued != m.queued || running != m.running || m.inFlight.Value() != float64(queued+running) {
+			t.Fatalf("%s: recount %d queued + %d running, counters %d + %d, gauge %v",
+				when, queued, running, m.queued, m.running, m.inFlight.Value())
+		}
+	}
+	check("retention filled")
+	if len(m.terminal) != 4096 {
+		t.Fatalf("%d retained jobs, want 4096", len(m.terminal))
+	}
+
+	rnd := rand.New(rand.NewPCG(7, 7))
+	var live []string // submitted here and not known to be terminal
+	seed := uint64(100)
+	sawQueued, sawFollower := false, false
+	for step := 0; step < 400; step++ {
+		switch op := rnd.IntN(10); {
+		case op < 3: // a job that runs until cancelled
+			seed++
+			if st, err := m.Submit(longSpecSeed(seed)); err == nil {
+				live = append(live, st.ID)
+			} else if !errors.Is(err, ErrQueueFull) {
+				t.Fatal(err)
+			}
+		case op < 5: // a duplicate of a job in flight, or a cache hit
+			spec := quickSpec(1)
+			if len(live) > 0 {
+				spec = longSpecSeed(seed)
+			}
+			if st, err := m.Submit(spec); err == nil && !st.Cached {
+				live = append(live, st.ID)
+				sawFollower = true
+			} else if err != nil && !errors.Is(err, ErrQueueFull) {
+				t.Fatal(err)
+			}
+		case op < 6: // a job that finishes by itself
+			seed++
+			if st, err := m.Submit(quickSpec(seed)); err == nil {
+				live = append(live, st.ID)
+			} else if !errors.Is(err, ErrQueueFull) {
+				t.Fatal(err)
+			}
+		case len(live) > 0: // cancel: queued, running, follower or already done
+			i := rnd.IntN(len(live))
+			if st, ok := m.Get(live[i]); ok && st.State == StateQueued {
+				sawQueued = true
+			}
+			m.Cancel(live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		check(fmt.Sprintf("step %d", step))
+	}
+	if !sawQueued || !sawFollower {
+		t.Fatalf("vacuous mix: cancelled a queued job %t, coalesced a duplicate %t", sawQueued, sawFollower)
+	}
+	for _, id := range live {
+		m.Cancel(id)
+	}
+	drain(t, m)
+	check("drained")
+	if q, r := m.Counts(); q != 0 || r != 0 || m.inFlight.Value() != 0 {
+		t.Fatalf("after Drain: %d queued, %d running, gauge %v", q, r, m.inFlight.Value())
+	}
+}
+
+// Submit's cost must not depend on how many terminal jobs the manager
+// retains: each iteration coalesces a duplicate onto a running job and
+// cancels it, so the retention list stays full and the queue empty.
+func BenchmarkSubmitWithRetainedJobs(b *testing.B) {
+	for _, retain := range []int{1, 4096} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			m := New(Options{Workers: 1, QueueDepth: 4, RetainJobs: retain})
+			fillRetention(b, m, retain)
+			lead, err := m.Submit(longSpec())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := m.Submit(longSpec())
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Cancel(st.ID)
+			}
+			b.StopTimer()
+			m.Cancel(lead.ID)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := m.Drain(ctx); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

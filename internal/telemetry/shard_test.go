@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -169,3 +170,40 @@ func benchmarkRegistry(b *testing.B, sharded bool) {
 
 func BenchmarkRegistrySharded(b *testing.B) { benchmarkRegistry(b, true) }
 func BenchmarkRegistryShared(b *testing.B)  { benchmarkRegistry(b, false) }
+
+// A checkpointed run records every segment into one registry, while a
+// run resumed from a boundary starts a fresh one from that boundary's
+// export; Resume ≡ uninterrupted needs the two to read the same ever
+// after. They do for what a run records — sharded counters and
+// histograms, gauges set on the registry itself — which this holds
+// across three boundaries; a gauge *lowered* on a shard would not be
+// (merged gauges take the maximum, and the restart has forgotten which
+// shard held it), and no producer does that.
+func TestRecordingOnEqualsRestartingFromTheExport(t *testing.T) {
+	segment := func(r *Registry, k int) {
+		for tid := 0; tid < 4; tid++ {
+			sh := r.Shard(tid)
+			sh.Counter("tw.rollbacks").Add(uint64(k*10 + tid))
+			for v := 1; v <= 3+tid; v++ {
+				sh.Histogram("tw.rollback_depth").Observe(float64(v * (k + 1) * (tid + 2)))
+			}
+		}
+		r.Counter("gvt.rounds").Add(2)
+		r.Gauge("tw.uncommitted_peak").Set(float64(100 + 7*k))
+		r.Gauge("dist.workers_connected").Set(float64(3 - k%2)) // goes down too
+	}
+	kept := NewRegistry()
+	segment(kept, 0)
+	for k := 1; k <= 3; k++ {
+		restarted := NewRegistry()
+		restarted.Import(kept.Export())
+		segment(kept, k)
+		segment(restarted, k)
+		if want, got := kept.Export(), restarted.Export(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("after segment %d the kept registry and the one restarted from the boundary differ:\nkept      %+v\nrestarted %+v", k, want, got)
+		}
+		if want, got := kept.Histograms(), restarted.Histograms(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("after segment %d histogram summaries differ:\nkept      %+v\nrestarted %+v", k, want, got)
+		}
+	}
+}

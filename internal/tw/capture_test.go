@@ -49,6 +49,25 @@ func driveTo(t *testing.T, eng *tw.Engine, target tw.VT) {
 	t.Fatalf("GVT never reached %v", target)
 }
 
+// The engines of the continuation tests: four threads of each bundled
+// model to virtual time 24, boundaries at a third and two thirds of it.
+const (
+	contThreads = 4
+	contEnd     = 24.0
+)
+
+var continuationModels = map[string]func() (tw.Model, error){
+	"phold": func() (tw.Model, error) {
+		return models.NewPHOLD(models.PHOLDConfig{Threads: contThreads, LPsPerThread: 4, Imbalance: 2, EndTime: contEnd})
+	},
+	"epidemics": func() (tw.Model, error) {
+		return models.NewEpidemics(models.EpidemicsConfig{Threads: contThreads, LPsPerThread: 8, LockdownGroups: 2, ContactRate: 3, TransmissionProb: 0.5, EndTime: contEnd})
+	},
+	"traffic": func() (tw.Model, error) {
+		return models.NewTraffic(models.TrafficConfig{Threads: contThreads, LPsPerThread: 4, CenterStartEvents: 6})
+	},
+}
+
 // A run that continues from a capture and one that continues from the
 // capture's bytes are the same run. This is what lets a checkpointed
 // Run start its next segment from the captured EngineState while
@@ -59,18 +78,8 @@ func driveTo(t *testing.T, eng *tw.Engine, target tw.VT) {
 // predecessor left behind, the second from the heap, and neither may
 // be able to tell.
 func TestCaptureContinuation(t *testing.T) {
-	const threads, end = 4, 24.0
-	builders := map[string]func() (tw.Model, error){
-		"phold": func() (tw.Model, error) {
-			return models.NewPHOLD(models.PHOLDConfig{Threads: threads, LPsPerThread: 4, Imbalance: 2, EndTime: end})
-		},
-		"epidemics": func() (tw.Model, error) {
-			return models.NewEpidemics(models.EpidemicsConfig{Threads: threads, LPsPerThread: 8, LockdownGroups: 2, ContactRate: 3, TransmissionProb: 0.5, EndTime: end})
-		},
-		"traffic": func() (tw.Model, error) {
-			return models.NewTraffic(models.TrafficConfig{Threads: threads, LPsPerThread: 4, CenterStartEvents: 6})
-		},
-	}
+	const threads, end = contThreads, contEnd
+	builders := continuationModels
 	variants := map[string]func(*tw.Config){
 		"copy":     func(*tw.Config) {},
 		"reverse":  func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
@@ -147,6 +156,127 @@ func TestCaptureContinuation(t *testing.T) {
 				}
 				if statsA.Committed == 0 || statsA.RolledBack == 0 {
 					t.Errorf("degenerate continuation: %+v", statsA)
+				}
+			})
+		}
+	}
+}
+
+// bundledModel is what every model in continuationModels implements.
+type bundledModel interface {
+	tw.CheckpointModel
+	tw.ReverseModel
+}
+
+// countingModel counts DecodeState calls on the way to the model.
+type countingModel struct {
+	bundledModel
+	decodes *int
+}
+
+func (m countingModel) DecodeState(data []byte) (tw.State, error) {
+	*m.decodes++
+	return m.bundledModel.DecodeState(data)
+}
+
+// The LP states of a captured engine ride its spare set to the engine
+// that continues from the capture, which installs them and decodes
+// nothing; an engine that cannot take the set — the capture came over
+// the wire, or it does not pool — decodes every one. The three are the
+// same run: the same next capture byte for byte and the same
+// statistics, and between the two that pool the same pool counters.
+func TestStatesRideTheSpareSet(t *testing.T) {
+	variants := map[string]func(*tw.Config){
+		"copy":    func(*tw.Config) {},
+		"reverse": func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
+		"lazy":    func(c *tw.Config) { c.LazyCancellation = true },
+		"window":  func(c *tw.Config) { c.OptimismWindow = 2 },
+		"kp4":     func(c *tw.Config) { c.LPsPerKP = 4 },
+	}
+	type outcome struct {
+		capture []byte
+		stats   tw.PeerStats
+		pool    map[string]uint64
+		decodes int
+	}
+	for name, build := range continuationModels {
+		for vname, vary := range variants {
+			t.Run(name+"/"+vname, func(t *testing.T) {
+				// continueFrom runs the first segment to its boundary, hands
+				// the capture to via, and continues what comes back in a
+				// second engine — unpooled if asked — to the next boundary.
+				continueFrom := func(via func(*tw.EngineState) *tw.EngineState, unpooled bool) (out outcome) {
+					config := func() (tw.Config, *telemetry.Registry) {
+						model, err := build()
+						if err != nil {
+							t.Fatal(err)
+						}
+						reg := telemetry.NewRegistry()
+						cfg := tw.Config{NumThreads: contThreads, EndTime: contEnd, Seed: 7, Telemetry: reg}
+						cfg.Model = countingModel{model.(bundledModel), &out.decodes}
+						vary(&cfg)
+						return cfg, reg
+					}
+					cfg, _ := config()
+					first, err := tw.NewEngine(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					driveTo(t, first, contEnd/3)
+					st, err := first.Capture()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg, reg := config()
+					cfg.DisablePooling = unpooled
+					eng, err := tw.NewEngineFromState(cfg, via(st))
+					if err != nil {
+						t.Fatal(err)
+					}
+					driveTo(t, eng, 2*contEnd/3)
+					next, err := eng.Capture()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					eng.FlushPoolStats()
+					out.capture, out.stats, out.pool = tw.AppendEngineState(nil, next), eng.TotalStats(), reg.Counters()
+					return out
+				}
+				asIs := func(st *tw.EngineState) *tw.EngineState { return st }
+				overTheWire := func(st *tw.EngineState) *tw.EngineState {
+					decoded, rest, ok := tw.ConsumeEngineState(tw.AppendEngineState(nil, st))
+					if !ok || len(rest) != 0 {
+						t.Fatalf("capture does not decode (ok %v, %d bytes left)", ok, len(rest))
+					}
+					return decoded
+				}
+				rode := continueFrom(asIs, false)
+				wired := continueFrom(overTheWire, false)
+				unpooled := continueFrom(asIs, true)
+				lps := contThreads * 4
+				if name == "epidemics" {
+					lps = contThreads * 8
+				}
+				if rode.decodes != 0 || wired.decodes != lps || unpooled.decodes != lps {
+					t.Errorf("DecodeState calls: %d with the spare set, %d over the wire, %d unpooled; want 0, %d, %d",
+						rode.decodes, wired.decodes, unpooled.decodes, lps, lps)
+				}
+				for arm, got := range map[string]outcome{"over the wire": wired, "unpooled": unpooled} {
+					if !bytes.Equal(rode.capture, got.capture) {
+						t.Errorf("%s: next capture differs from the one reached on adopted states", arm)
+					}
+					if rode.stats != got.stats {
+						t.Errorf("%s: statistics differ:\nadopted %+v\ndecoded %+v", arm, rode.stats, got.stats)
+					}
+				}
+				if !reflect.DeepEqual(rode.pool, wired.pool) {
+					t.Errorf("telemetry counters differ:\nadopted %v\ndecoded %v", rode.pool, wired.pool)
+				}
+				if rode.stats.Committed == 0 || rode.stats.RolledBack == 0 {
+					t.Errorf("degenerate continuation: %+v", rode.stats)
 				}
 			})
 		}

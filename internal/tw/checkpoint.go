@@ -296,9 +296,11 @@ func (e *Engine) quiesceResetRange(lo, hi int) {
 // same configuration the capturing engine ran with (the driver
 // guarantees this by storing the config alongside the capture); the
 // model is constructed fresh but its InitLP is skipped — LP states come
-// from the capture. The state itself is only read, and may be read by
-// others meanwhile; its spare memory, if it still has any, goes to the
-// new engine.
+// from the capture: decoded from its records, or, when the capture
+// still carries the spare memory of the engine it was taken from and
+// that fits the new one (spare.go), that engine's own state objects.
+// The state itself is only read, and may be read by others meanwhile;
+// its spare memory, if it still has any, is taken off it.
 func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -321,18 +323,27 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	eng.seq = st.Seq
 	eng.gvt = st.GVT
 	eng.peakUncommitted = st.PeakUncommitted
+	// The one fork between an in-process boundary and every other way to
+	// start a segment: spare memory that fits brings the LP states with
+	// it, and without it they are decoded.
+	sp := st.spare
+	st.spare = nil
+	adopted := sp.fits(eng)
+	if adopted {
+		eng.adoptSpare(sp)
+	}
 	for i, lp := range eng.lps {
 		rec := &st.LPs[i]
-		state, err := cm.DecodeState(rec.State)
-		if err != nil {
-			return nil, fmt.Errorf("tw: decoding LP %d state: %w", lp.ID, err)
+		if !adopted {
+			state, err := cm.DecodeState(rec.State)
+			if err != nil {
+				return nil, fmt.Errorf("tw: decoding LP %d state: %w", lp.ID, err)
+			}
+			lp.state = state
 		}
-		lp.state = state
 		lp.rand.Restore(rec.Rng)
 		lp.lvt = rec.LVT
 	}
-	eng.adoptSpare(st.spare)
-	st.spare = nil
 	for i, p := range eng.peers {
 		p.Stats = st.PeerStats[i]
 		// Pending events are neither pool hits nor misses — they never

@@ -439,7 +439,7 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 			if old.Dst == dst && old.Ts == ts && old.Kind == kind &&
 				old.A == a && old.B == b && old.state != StateCancelled {
 				cause.tentative[i] = nil
-				cause.sent = append(cause.sent, old)
+				cause.sent = from.appendSent(cause.sent, old)
 				from.Stats.LazyReused++
 				return
 			}
@@ -453,7 +453,7 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 	ev.Kind = kind
 	ev.A = a
 	ev.B = b
-	cause.sent = append(cause.sent, ev)
+	cause.sent = from.appendSent(cause.sent, ev)
 	dstPeer := e.peers[e.lps[dst].Owner]
 	if dstPeer == from {
 		// Same-thread delivery goes straight to the pending set, as in

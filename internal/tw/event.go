@@ -99,11 +99,11 @@ type Event struct {
 	tentative []*Event
 	// inline is what a chunk-carved event's sent list starts out
 	// aliasing (pool.go), so an event's first send does not reach the
-	// allocator; a list that outgrows it moves to the heap like any
-	// other slice and the slot goes unused. One slot, not two: PHOLD's
-	// and Traffic's handlers send one event each, and with the state
-	// byte in the padding after Anti the event is the 168 bytes it was
-	// before it had an inline slot at all.
+	// allocator; a list that outgrows it moves to a window of the
+	// peer's chunk (appendSent) and the slot goes unused. One slot, not
+	// two: PHOLD's and Traffic's handlers send one event each, and with
+	// the state byte in the padding after Anti the event is the 168
+	// bytes it was before it had an inline slot at all.
 	inline [1]*Event
 }
 

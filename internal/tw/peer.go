@@ -186,10 +186,12 @@ type Peer struct {
 	spareEvents []*Event
 	// eventChunk and stateChunk are what a miss that finds no spare
 	// memory carves from (pool.go); eventChunkLen is the length the
-	// current event chunk was made with.
+	// current event chunk was made with. sentChunk is what a sent list
+	// that has outgrown its event's inline slot takes its window from.
 	eventChunk    []Event
 	eventChunkLen int
 	stateChunk    stateChunk
+	sentChunk     []*Event
 
 	// evCtx and rbCtx are the reusable model-callback contexts for
 	// forward execution and reverse computation. They are distinct

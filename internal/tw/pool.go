@@ -29,10 +29,14 @@ import (
 // Chunk: where a miss used to be one heap object — a 168-byte
 // pointer-laden Event, a Clone, and then the first append to the new
 // event's sent list — it now carves a slot from a per-peer chunk (see
-// carveEvent, carveSnapshot), and the event's first send lands in a
-// slot of the event itself. What a miss costs the allocator is a chunk
-// every chunkMax objects: whole-run mallocs per committed event on that
-// traffic config went 2.96 → 0.17, and the collector has a few hundred
+// carveEvent, carveSnapshot), the event's first send lands in a slot
+// of the event itself, and a sent list that outgrows that slot takes
+// its windows from a chunk too (appendSent: Epidemics' infectious
+// course sends a recovery and several contacts per handler, and
+// growslice under send was a third of what its runs still allocated).
+// What a miss costs the allocator is a chunk every chunkMax objects:
+// whole-run mallocs per committed event on that traffic config went
+// 2.96 → 0.17, and the collector has a few hundred
 // large typed arrays to mark where it had a quarter of a million small
 // objects. The counters cannot tell: they count the miss, not the
 // memory behind it, and TestPoolCountersUnchanged pins all six to what
@@ -188,6 +192,34 @@ func (p *Peer) carveEvent() *Event {
 	p.eventChunk = p.eventChunk[1:]
 	ev.sent = ev.inline[:0]
 	return ev
+}
+
+// sentWindowMin is the capacity a sent list gets when it outgrows the
+// event's inline slot; sentChunkLen is how many list slots a peer asks
+// the allocator for at a time.
+const (
+	sentWindowMin = 4
+	sentChunkLen  = 256
+)
+
+// appendSent appends ev to a cause's sent list. A full list takes its
+// next window — sentWindowMin slots, then double what it had — from the
+// peer's chunk rather than from the allocator, and keeps it across
+// recycling like any other backing array. Handlers that send once never
+// get here with a full list (the inline slot holds their send).
+func (p *Peer) appendSent(list []*Event, ev *Event) []*Event {
+	if len(list) < cap(list) || p.eng.cfg.DisablePooling || p.eng.sharded() {
+		return append(list, ev)
+	}
+	n := max(sentWindowMin, 2*cap(list))
+	if len(p.sentChunk) < n {
+		p.sentChunk = make([]*Event, max(n, sentChunkLen))
+	}
+	window := p.sentChunk[:len(list):n]
+	p.sentChunk = p.sentChunk[n:]
+	copy(window, list)
+	clear(list)
+	return append(window, ev)
 }
 
 // stateChunk is a peer's snapshot chunk: a slice of the element type

@@ -14,30 +14,40 @@ import (
 // becomes garbage. Capture therefore harvests what the quiesced engine
 // no longer needs — its events (freelisted or just converted into
 // records), the snapshots in its LP pools, the emptied pending queues
-// with their nodes, the backing arrays of its histories — into a spare
-// set that rides on the returned EngineState, and an engine built from
-// that state adopts it. Only memory the engine itself used is passed
-// on: spare memory it adopted and never took is dropped, so a thread
-// whose load has moved elsewhere keeps its high-water mark for one
-// segment, not for the rest of the run (carrying everything read +2 MB
-// of live heap on the epidemics benchmark, whose active region shifts
-// from thread group to thread group).
+// with their nodes, the backing arrays of its histories, and the live
+// LP states themselves — into a spare set that rides on the returned
+// EngineState, and an engine built from that state adopts it. The
+// states are the very objects encodeLPs has just serialized: the
+// successor installs them where it would otherwise decode the bytes
+// back into copies of them (two objects per Epidemics household, a
+// quarter of what a checkpointed run allocated). Only memory the engine
+// itself used is passed on: spare memory it adopted and never took is
+// dropped, so a thread whose load has moved elsewhere keeps its
+// high-water mark for one segment, not for the rest of the run
+// (carrying everything read +2 MB of live heap on the epidemics
+// benchmark, whose active region shifts from thread group to thread
+// group).
 //
-// pool.go's rule stands: recycling reuses memory, never logic. The
-// successor is a fresh Engine with fresh Peers, LPs and KPs, and the
-// spare sits behind the pools' miss path, not in the pools: allocEvent
-// and acquireSnapshot find their freelist empty, count the miss exactly
-// as they would have, and only then take spare memory where they used
-// to call the allocator. So the pool counters, and with them Results,
-// cannot tell an engine that adopted a spare set from one that did not
-// — which they must not, because Resume builds the same segment from a
-// file and has none (TestCaptureContinuation). Spare events are
-// poisoned like freelisted ones while they wait and reset the same way
-// when taken; CheckInvariants sweeps them. The set is unexported, never
-// serialized, taken by the first engine built from the state, and
-// ignored unless that engine's topology and state type match the
-// harvested one's.
+// pool.go's rule stands: recycling reuses memory, never logic — and the
+// committed cut's state is data, not logic. The successor is a fresh
+// Engine with fresh Peers, LPs and KPs, and everything in the set but
+// the states sits behind the pools' miss path, not in the pools:
+// allocEvent and acquireSnapshot find their freelist empty, count the
+// miss exactly as they would have, and only then take spare memory
+// where they used to call the allocator. So the pool counters, and with
+// them Results, cannot tell an engine that adopted a spare set from one
+// that did not — which they must not, because Resume builds the same
+// segment from a file and has none (TestCaptureContinuation,
+// TestStatesRideTheSpareSet). Spare events are poisoned like freelisted
+// ones while they wait and reset the same way when taken;
+// CheckInvariants sweeps them. The set is unexported, never serialized,
+// taken by the first engine built from the state, and ignored whole —
+// so that engine decodes its states — unless the engine pools and its
+// model type and topology are the harvested one's (fits).
 type spareMemory struct {
+	// model is the harvested engine's model type: states a model of
+	// another type did not create are of no use to it, live or dead.
+	model reflect.Type
 	peers []sparePeer
 	lps   []spareLP
 	// states backs every spareLP.states.
@@ -51,6 +61,7 @@ type sparePeer struct {
 }
 
 type spareLP struct {
+	live   State   // the LP's state at the committed cut
 	states []State // dead snapshots, all of the LP's own state type
 	pool   []State // the pool's backing array, emptied
 }
@@ -62,7 +73,11 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 	if e.cfg.DisablePooling {
 		return nil
 	}
-	sp := &spareMemory{peers: make([]sparePeer, len(e.peers)), lps: make([]spareLP, len(e.lps))}
+	sp := &spareMemory{
+		model: reflect.TypeOf(e.cfg.Model),
+		peers: make([]sparePeer, len(e.peers)),
+		lps:   make([]spareLP, len(e.lps)),
+	}
 	for i, p := range e.peers {
 		events := slices.Grow(p.freeEvents, len(captured[i]))
 		for _, ev := range captured[i] {
@@ -86,30 +101,33 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 		lo := len(sp.states)
 		sp.states = append(sp.states, lp.statePool...)
 		clear(lp.statePool)
-		sp.lps[i] = spareLP{states: sp.states[lo:len(sp.states):len(sp.states)], pool: lp.statePool[:0]}
-		lp.spareStates, lp.statePool = nil, nil
+		sp.lps[i] = spareLP{live: lp.state, states: sp.states[lo:len(sp.states):len(sp.states)], pool: lp.statePool[:0]}
+		lp.state, lp.spareStates, lp.statePool = nil, nil, nil
 	}
 	return sp
 }
 
-// adoptSpare hands a predecessor's spare memory to a freshly restored
-// engine, whose LP states are already in place.
-func (e *Engine) adoptSpare(sp *spareMemory) {
-	if sp == nil || e.cfg.DisablePooling || len(sp.peers) != len(e.peers) || len(sp.lps) != len(e.lps) {
-		return
+// fits reports whether the set was harvested from an engine of e's
+// shape — the same model type, so every state in it is one e's model
+// could have created, and the same thread, LP and KP topology — and e
+// recycles at all. A nil set fits nothing.
+func (sp *spareMemory) fits(e *Engine) bool {
+	if sp == nil || e.cfg.DisablePooling || sp.model != reflect.TypeOf(e.cfg.Model) ||
+		len(sp.peers) != len(e.peers) || len(sp.lps) != len(e.lps) {
+		return false
 	}
 	for i, p := range e.peers {
 		if len(sp.peers[i].processed) != len(p.kps) {
-			return
+			return false
 		}
 	}
-	for i, lp := range e.lps {
-		// CopyFrom asserts its source's type; a spare snapshot of any
-		// other type than the LP's state is of no use.
-		if s := sp.lps[i].states; len(s) > 0 && reflect.TypeOf(s[0]) != reflect.TypeOf(lp.state) {
-			return
-		}
-	}
+	return true
+}
+
+// adoptSpare hands a predecessor's spare memory, which fits, to a
+// freshly built engine: the LP states as they are, the rest behind the
+// pools' miss path.
+func (e *Engine) adoptSpare(sp *spareMemory) {
 	for i, p := range e.peers {
 		s := &sp.peers[i]
 		p.spareEvents = s.events
@@ -121,7 +139,8 @@ func (e *Engine) adoptSpare(sp *spareMemory) {
 		}
 	}
 	for i, lp := range e.lps {
-		lp.spareStates, lp.statePool = sp.lps[i].states, sp.lps[i].pool
+		s := &sp.lps[i]
+		lp.state, lp.spareStates, lp.statePool = s.live, s.states, s.pool
 	}
 }
 

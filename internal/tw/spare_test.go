@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -166,8 +167,9 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 }
 
 // A spare set is only memory of the right shapes: an engine with
-// another topology, or with pooling off, leaves it alone, and a capture
-// with pooling off harvests none.
+// another topology or another type of model, or with pooling off,
+// leaves all of it alone — the LP states too, which it decodes from the
+// records instead — and a capture with pooling off harvests none.
 func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 	capture := func() *EngineState {
 		eng, err := NewEngine(spareCfg())
@@ -182,22 +184,35 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		return st
 	}
 	for name, vary := range map[string]func(*Config){
+		"same":     func(*Config) {},
 		"kp-size":  func(c *Config) { c.LPsPerKP = 2 },
 		"unpooled": func(c *Config) { c.DisablePooling = true },
+		"model":    func(c *Config) { c.Model = &reversibleRing{*c.Model.(*ringModel)} },
 		"heap":     func(c *Config) { c.QueueKind = pq.Heap }, // adopts all but the splay nodes
 	} {
 		cfg := spareCfg()
 		vary(&cfg)
-		eng, err := NewEngineFromState(cfg, capture())
+		st := capture()
+		harvested := st.spare
+		eng, err := NewEngineFromState(cfg, st)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		fits := name == "same" || name == "heap"
 		spare := 0
 		for _, p := range eng.peers {
 			spare += len(p.spareEvents)
 		}
-		if (spare != 0) != (name == "heap") {
+		if (spare != 0) != fits {
 			t.Errorf("%s: engine holds %d spare events", name, spare)
+		}
+		for i, lp := range eng.lps {
+			if rode := lp.state == harvested.lps[i].live; rode != fits {
+				t.Fatalf("%s: LP %d state taken from the spare set: %t", name, i, rode)
+			}
+			if !reflect.DeepEqual(lp.state, harvested.lps[i].live) {
+				t.Fatalf("%s: LP %d starts from %+v, the captured engine held %+v", name, i, lp.state, harvested.lps[i].live)
+			}
 		}
 		driveRounds(eng, 50)
 		if err := eng.CheckInvariants(); err != nil {

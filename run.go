@@ -78,6 +78,16 @@ func Resume(path string) (*Results, error) {
 // re-attachment. Unreadable or corrupt snapshots return an error
 // wrapping ErrCheckpointCorrupt.
 func ResumeContext(ctx context.Context, path string, opts *ResumeOptions) (*Results, error) {
+	rs, err := resumeState(path, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs.run(ctx)
+}
+
+// resumeState reads the snapshot at path into the state of a run about
+// to continue from it.
+func resumeState(path string, opts *ResumeOptions) (*runState, error) {
 	snap, err := checkpoint.Read(path)
 	if err != nil {
 		return nil, err
@@ -98,7 +108,7 @@ func ResumeContext(ctx context.Context, path string, opts *ResumeOptions) (*Resu
 	if err := rs.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: snapshot config: %v", ErrCheckpointCorrupt, err)
 	}
-	return rs.run(ctx)
+	return rs, nil
 }
 
 // runState carries a run across its segments: the serialized engine
@@ -116,8 +126,13 @@ type runState struct {
 	dist *distRun
 
 	// Continuation state (set between segments / loaded from snapshot).
+	// metrics is the registry export of the boundary engine was captured
+	// at, for a registry that has to start there (see buildSegment).
 	engine  *tw.EngineState
 	metrics *telemetry.MetricsState
+	// reg is the registry the run built for itself because the caller
+	// gave none: one per run, every segment records into it.
+	reg *telemetry.Registry
 	// cfgJSON and key are the run's config in wire form and its cache
 	// key (see prepare). writing is the snapshot write in flight,
 	// nil when there is none; written counts the files handed to it.
@@ -301,9 +316,20 @@ func (rs *runState) buildSegment() (*segment, error) {
 		rs.rec.Clock = m.NowCycles
 		m.SetTrace(rs.rec)
 	}
+	// A run has one registry — the caller's, or one it builds here and
+	// keeps — and a segment that continues the run records into it on top
+	// of everything before. A segment that restarts from a boundary
+	// starts a registry from that boundary's export instead: Resume's
+	// first, and the retry after a lost worker, which has dropped rs.reg
+	// because the failed attempt's rounds are counted in it.
 	reg := cfg.Telemetry
-	if reg == nil {
+	switch {
+	case reg != nil:
+	case rs.reg != nil:
+		reg, rs.metrics = rs.reg, nil // it recorded what the export holds
+	default:
 		reg = telemetry.NewRegistry()
+		rs.reg = reg
 	}
 	if rs.metrics != nil {
 		reg.Import(*rs.metrics)
@@ -521,11 +547,14 @@ func (rs *runState) accumulate(seg *segment) {
 // that is kept off the critical path: the next segment starts from the
 // captured EngineState itself, and the snapshot file is encoded and
 // written by one goroutine while it runs. The decoder is Resume's (and
-// the worker-loss retry's) alone. That a capture-continued run and a
-// decode-continued one are the same run used to hold by construction —
-// every boundary went through the bytes — and is now what
-// TestCheckpointResumeMatrix, TestCheckpointBytesDeterministic and
-// internal/tw's TestCaptureContinuation prove.
+// the worker-loss retry's) alone, and so is decoding LP states: the
+// capture brings the quiesced engine's own along. That a
+// capture-continued run and a decode-continued one are the same run
+// used to hold by construction — every boundary went through the bytes
+// — and is now what TestCheckpointResumeMatrix,
+// TestResumeFromEveryEpidemicsBoundary, TestCheckpointBytesDeterministic
+// and internal/tw's TestCaptureContinuation and
+// TestStatesRideTheSpareSet prove.
 //
 // Where a checkpointed run's host time went, and goes. The benchmark's
 // epidemics-ckpt-resume config (BenchmarkCheckpointedRun: 16 threads,
@@ -563,25 +592,13 @@ func (rs *runState) accumulate(seg *segment) {
 //	    0.03s  0.75%      0.17s  4.24%  tw.(*Engine).harvestSpare
 //	        0     0%      0.03s  0.75%  checkpoint.Encode
 //
-// Objects allocated per run, by site (-memprofilerate 1,
-// -sample_index=alloc_objects; 202,745 in all before, 75,623 after).
-// Dropping the round trip alone removed only the JSON decoder's 7,210;
-// the rest went with internal/tw's slabs, encode arena and spare memory
-// (spare.go):
-//
-//	                              before     after
-//	HouseholdState.Clone          34,838    13,781
-//	tw.(*Peer).allocEvent         28,198     9,851
-//	pq.(*SplayTree).Push          23,215     7,291
-//	tw.(*Engine).send             18,823    14,716
-//	tw.newEngineShell             18,200       168
-//	tw.(*Peer).ProcessBatch       12,585     4,128
-//	tw.(*Peer).releaseSnapshot    12,585     4,128
-//	Epidemics.DecodeState         10,753    10,753
-//	rng.New                        8,192         0
-//	tw.NewEngineFromState          7,714         0
-//	json literalStore              7,210         0
-//	Epidemics.EncodeState          7,168         0
+// Objects allocated, by site, are DESIGN.md §12's table ("The measured
+// floor"): 202,745 a run with the round trip, 75,623 after it went, and
+// of the 66,462 a run and a Resume then made a quarter were LP states
+// decoded from bytes the quiesced engine had just encoded from states it
+// was still holding. Those now ride the capture's spare set to the next
+// engine (internal/tw/spare.go), every segment records into the run's
+// one registry, and 27,028 are left.
 //
 // What is left is the boundary itself, and it is the trajectory: the
 // simulation alone (threadBody) is 30 ms of the 52 against 21.5 ms for
@@ -628,8 +645,8 @@ func (rs *runState) commit(seg *segment, est *tw.EngineState) error {
 	seg.eng.FlushPoolStats()
 	rs.accumulate(seg)
 	rs.segments++
-	// Exported here, not by the writer: with Config.Telemetry the next
-	// segment records into this same registry.
+	// Exported here, not by the writer: the next segment records into
+	// this same registry.
 	metrics := seg.reg.Export()
 	if rs.persisting() {
 		if err := rs.persist(est, metrics); err != nil {
@@ -638,8 +655,8 @@ func (rs *runState) commit(seg *segment, est *tw.EngineState) error {
 	}
 	rs.engine = est
 	if rs.cfg.Telemetry == nil {
-		// A registry of the caller's survives the boundary with its state
-		// intact; only a per-segment one starts from the export.
+		// Where a registry built for a retry of the next segment starts;
+		// a registry of the caller's is never rebuilt.
 		rs.metrics = &metrics
 	}
 	if rs.dist != nil {

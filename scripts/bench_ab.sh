@@ -4,9 +4,12 @@
 #
 #   sh scripts/bench_ab.sh <parent-ref> <workload> [pairs] [ggperf flags...]
 #
-# Checks <parent-ref> out into a temporary git worktree, then runs the
-# repository's benchmark (bench/run.sh) on one workload <pairs> times
-# (default 10) in that tree and in this one, alternating, and swapping
+# Checks <parent-ref> out into a temporary git worktree — or, if it
+# names a directory that holds the parent's tree (a `git archive` or a
+# clone, for boxes where worktrees are not to be made), uses that as it
+# is — then runs the repository's benchmark (bench/run.sh) on one
+# workload <pairs> times (default 10) in that tree and in this one,
+# alternating, and swapping
 # which side goes first from pair to pair so that neither always runs
 # on the warmer machine. Each tree builds its own ggperf from its own
 # source, before the first pair, so no timed run shares the box with a
@@ -22,6 +25,14 @@
 # traced run, whose per-layer metrics -compare prints too. OUT=<dir>
 # keeps the result files (a<i>.json parent, b<i>.json change); without
 # it they are deleted with the worktree on exit.
+#
+# METRIC=<name> adds, after the table, the two lines a claim is judged
+# by: that metric's value in every pair, parent and change side by side,
+# "change ahead in N of M pairs" (by BENCHMARK.json's direction; a tie
+# counts for neither), and both sides' median and quartiles with the
+# change in percent — or, for a metric whose quartiles read the same to
+# four digits on either side, "exact count", since a count that repeats
+# has no spread to compare against.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -38,6 +49,16 @@ if [ $# -gt 0 ]; then
 fi
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+if [ -n "${METRIC:-}" ]; then
+    better=$(awk -v m="\"$METRIC\"," '
+        $1 == "\"name\":" && $2 == m { hit = 1 }
+        hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }
+    ' "$root/BENCHMARK.json")
+    if [ -z "$better" ]; then
+        echo "bench-ab: BENCHMARK.json declares no metric $METRIC" >&2
+        exit 2
+    fi
+fi
 tmp=$(mktemp -d)
 cleanup() {
     git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
@@ -46,7 +67,12 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
+if [ -f "$parent/bench/run.sh" ]; then
+    ptree=$(cd "$parent" && pwd)
+else
+    git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
+    ptree=$tmp/parent
+fi
 out=${OUT:-$tmp/results}
 mkdir -p "$out"
 
@@ -58,18 +84,18 @@ run() {
 }
 
 echo "bench-ab: building $parent and the working tree" >&2
-run "$tmp/parent" "$tmp/warm.json" -scale tiny -iters 1
+run "$ptree" "$tmp/warm.json" -scale tiny -iters 1
 run "$root" "$tmp/warm.json" -scale tiny -iters 1
 
 a= b=
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then
-        run "$tmp/parent" "$out/a$i.json" "$@"
+        run "$ptree" "$out/a$i.json" "$@"
         run "$root" "$out/b$i.json" "$@"
     else
         run "$root" "$out/b$i.json" "$@"
-        run "$tmp/parent" "$out/a$i.json" "$@"
+        run "$ptree" "$out/a$i.json" "$@"
     fi
     echo "bench-ab: $workload pair $i/$pairs" >&2
     a="$a${a:+,}$out/a$i.json"
@@ -77,4 +103,51 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-sh "$root/bench/run.sh" -compare "$a" "$b"
+# -compare exits non-zero on a "worse" verdict; METRIC's lines follow
+# either way and the script ends with that status.
+status=0
+sh "$root/bench/run.sh" -compare "$a" "$b" || status=$?
+
+[ -n "${METRIC:-}" ] || exit "$status"
+
+# value_of <result file>: METRIC's value in it, end to end or per layer.
+value_of() {
+    awk -v m="\"$METRIC\":" '
+        $1 == m && $2 == "{" { inside = 1; next }
+        $1 == m || (inside && $1 == "\"value\":") { sub(/,$/, "", $2); print $2; exit }
+    ' "$1"
+}
+i=1
+while [ "$i" -le "$pairs" ]; do
+    echo "$i $(value_of "$out/a$i.json") $(value_of "$out/b$i.json")"
+    i=$((i + 1))
+done | awk -v metric="$METRIC" -v better="$better" '
+    # quartile q (1, 2 or 3) of the n values of v, sorted in place.
+    function quartile(v, n, q,    i, j, t, pos, lo) {
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        pos = 1 + (n - 1) * q / 4
+        lo = int(pos)
+        return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+    }
+    NF != 3 { printf "bench-ab: pair %s has no value for %s\n", $1, metric; bad = 1; exit }
+    NR == 1 { printf "\n%s (%s is better), parent and change pair by pair:\n", metric, better }
+    {
+        printf "  pair %-3d %14.6g %14.6g\n", $1, $2, $3
+        n++; a[n] = $2; b[n] = $3
+        if ($2 == $3) ties++
+        else if ((better == "lower") == ($3 < $2)) ahead++
+    }
+    END {
+        if (bad || n == 0) exit 1
+        printf "change ahead in %d of %d pairs (%d tied)\n", ahead, n, ties
+        a1 = quartile(a, n, 1); am = quartile(a, n, 2); a3 = quartile(a, n, 3)
+        b1 = quartile(b, n, 1); bm = quartile(b, n, 2); b3 = quartile(b, n, 3)
+        if (sprintf("%.4g", a1) == sprintf("%.4g", a3) && sprintf("%.4g", b1) == sprintf("%.4g", b3))
+            printf "exact count: parent %.4g, change %.4g, the same across runs of either side\n", am, bm
+        else
+            printf "median [quartiles]: parent %.6g [%.6g, %.6g], change %.6g [%.6g, %.6g], %+.2f%%\n",
+                am, a1, a3, bm, b1, b3, am == 0 ? 0 : 100 * (bm - am) / am
+    }
+'
+exit "$status"
