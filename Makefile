@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -18,7 +18,7 @@ vet:
 # determinism of the simulation core, event-pool hygiene, enum/codec
 # exhaustiveness, telemetry naming, context plumbing, and the serving
 # layer's concurrency discipline (lock order, channel-close ownership,
-# goroutine tracking, stream termination).
+# goroutine tracking) and wire frame-kind coverage.
 lint:
 	GO="$(GO)" sh scripts/lint.sh
 
@@ -77,6 +77,15 @@ perf:
 PAIRS ?= 10
 perf-ab:
 	METRIC="$(METRIC)" sh scripts/bench_ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# Code size, the number the "line count goes down" leg is read from:
+# non-blank, non-comment Go lines per package — non-test files, tests
+# and testdata apart — here, and with PARENT=<ref> against that commit
+# with the delta (only the packages that moved, above the totals). The
+# output is a markdown table, ready for CHANGES.md. Not part of ci.
+#   make loc PARENT=HEAD~1
+loc:
+	@sh scripts/loc.sh $(PARENT)
 
 # End-to-end serving smoke: ggserved on an ephemeral port, one PHOLD
 # job to completion, identical resubmit served from cache, clean drain.

@@ -2,8 +2,8 @@
 // determinism of the simulation core, event-pool hygiene, enum/codec
 // exhaustiveness, telemetry naming, context plumbing, and the
 // concurrency/lifecycle passes (lock order, channel-close ownership,
-// goroutine tracking, stream termination). See internal/lint for the
-// nine passes.
+// goroutine tracking, wire frame-kind coverage). See internal/lint for
+// the nine passes.
 //
 // Usage:
 //

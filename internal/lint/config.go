@@ -83,18 +83,6 @@ type Config struct {
 	// stop channel the launcher can reach.
 	GoroTrackPkgs []string
 
-	// StreamPkgs are the module-relative packages whose SSE/stream
-	// handlers (functions that set Content-Type: text/event-stream)
-	// must emit exactly one terminal frame on every return path.
-	StreamPkgs []string
-	// StreamWriteFunc names the frame-writing helper the handlers use;
-	// a call passing one of StreamTerminalEvents as a string literal is
-	// a terminal frame ("" = "writeSSE").
-	StreamWriteFunc string
-	// StreamTerminalEvents are the event names that terminate a stream
-	// (nil = ["done", "error"]).
-	StreamTerminalEvents []string
-
 	// FrameKindTypes are fully qualified frame-kind enums (wire message
 	// tags): every declared constant must have at least one send/encode
 	// site and one receive/dispatch site outside String/Parse tables —
@@ -147,7 +135,6 @@ func DefaultConfig(modulePath string) Config {
 		GoroTrackPkgs: []string{
 			".", "cmd/...", "internal/serve/...", "internal/dist",
 		},
-		StreamPkgs: []string{"internal/serve"},
 		FrameKindTypes: []string{
 			modulePath + "/internal/dist.MsgKind",
 			modulePath + "/internal/dist.OpCode",

@@ -4,7 +4,7 @@
 // enum/codec exhaustiveness, telemetry naming, context plumbing, and
 // (since PR 10) the serving layer's concurrency discipline: lock
 // acquisition order, channel-close ownership, goroutine tracking, and
-// stream termination. The passes are deliberately repo-shaped: they
+// wire frame-kind coverage. The passes are deliberately repo-shaped: they
 // know which packages form the deterministic core, which types are
 // pool-recycled, and which struct fields are mutexes worth ordering,
 // so a future change that silently breaks byte-identical trajectories

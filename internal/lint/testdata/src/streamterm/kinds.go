@@ -1,4 +1,4 @@
-// Fixture for the streamterm pass, frame-kind half: every constant of
+// Fixture for the streamterm pass: every constant of
 // a frame-kind enum needs a producer (send/encode) and a consumer
 // (case label or ==/!= dispatch) outside String/Parse name tables.
 package streamfx

@@ -124,10 +124,9 @@ const (
 	SourceRemote   = "remote"   // delegated to and run by the owning peer
 )
 
-// JobMeta is the one job-identity shape on the wire: job status,
-// result and series wrappers, sweep members, and SSE events all embed
-// it. It is a Status snapshot with the terminal error as the typed
-// ErrorInfo instead of a bare string.
+// JobMeta is the one shape a job is read in, in Go and on the wire: a
+// consistent, immutable snapshot that job status, result and series
+// wrappers, sweep members and SSE events all embed.
 type JobMeta struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
@@ -136,54 +135,35 @@ type JobMeta struct {
 	// Cached is true when the job produced no local simulation: its
 	// results came from the cache, an in-flight duplicate, or a peer.
 	Cached bool `json:"cached,omitempty"`
-	// Source qualifies Cached: "cache", "inflight", "peer", "remote",
-	// or empty for a locally simulated run.
+	// Source qualifies Cached: "cache" (local hit), "inflight"
+	// (coalesced onto an identical in-flight job), "peer" (filled from
+	// the owning replica's cache), "remote" (delegated to and run by
+	// the owning replica); empty for a locally simulated run.
 	Source string `json:"source,omitempty"`
 	// Error is the typed terminal failure, present only for failed or
 	// cancelled jobs.
 	Error *ErrorInfo `json:"error,omitempty"`
 
-	Attempts    int    `json:"attempts,omitempty"`
-	LastError   string `json:"last_error,omitempty"`
+	// Attempts counts run attempts so far (0 for cache hits).
+	Attempts int `json:"attempts,omitempty"`
+	// LastError is the most recent attempt failure that was retried.
+	LastError string `json:"last_error,omitempty"`
+	// ResumedFrom names the checkpoint file the latest attempt resumed
+	// from, when it did not start from scratch.
 	ResumedFrom string `json:"resumed_from,omitempty"`
 
-	SubmittedAt  time.Time `json:"submitted_at"`
-	StartedAt    time.Time `json:"started_at,omitempty"`
-	FinishedAt   time.Time `json:"finished_at,omitempty"`
-	QueueSeconds float64   `json:"queue_seconds"`
-	RunSeconds   float64   `json:"run_seconds"`
+	SubmittedAt time.Time `json:"submitted_at"`
+	StartedAt   time.Time `json:"started_at,omitempty"`
+	FinishedAt  time.Time `json:"finished_at,omitempty"`
+	// QueueSeconds and RunSeconds break down where the job spent its
+	// wall-clock time so far.
+	QueueSeconds float64 `json:"queue_seconds"`
+	RunSeconds   float64 `json:"run_seconds"`
 }
 
-// Meta re-cuts a Status snapshot into the wire shape.
-func (st Status) Meta() JobMeta {
-	m := JobMeta{
-		ID:           st.ID,
-		State:        st.State,
-		Key:          st.Key,
-		Cached:       st.Cached,
-		Source:       st.Source,
-		Attempts:     st.Attempts,
-		LastError:    st.LastError,
-		ResumedFrom:  st.ResumedFrom,
-		SubmittedAt:  st.SubmittedAt,
-		StartedAt:    st.StartedAt,
-		FinishedAt:   st.FinishedAt,
-		QueueSeconds: st.QueueSeconds,
-		RunSeconds:   st.RunSeconds,
-	}
-	if st.State == StateFailed || st.State == StateCancelled {
-		cause := st.failCause
-		if cause == nil {
-			cause = errors.New(st.Error)
-		}
-		info := classify(cause, CodeFailed)
-		if st.Error != "" {
-			info.Message = st.Error
-		}
-		m.Error = &info
-	}
-	return m
-}
+// Status is JobMeta under the name the Go API first gave a job's
+// snapshot.
+type Status = JobMeta
 
 // metaStatus maps a terminal job's meta back to the HTTP status its
 // error code rides on (200 for done).

@@ -119,8 +119,8 @@ func TestStallWatchdogKillsAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitState(t, m, st.ID, StateFailed)
-	if !errors.Is(final.failCause, ErrStalled) {
-		t.Fatalf("fail cause %v, want ErrStalled", final.failCause)
+	if final.Error == nil || final.Error.Code != CodeStalled {
+		t.Fatalf("terminal error %+v, want code %s", final.Error, CodeStalled)
 	}
 	if final.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", final.Attempts)

@@ -8,16 +8,10 @@ import (
 	"ggpdes/internal/telemetry"
 )
 
-// apiRevision identifies the service wire contract. Revision 2
-// replaced the flat job spec with an embedded ggpdes.Config
-// ("config":{...}) and added attempts/last_error/resumed_from to job
-// status. Revision 3 added the per-job series endpoint, {value,set}
-// gauge objects in the stats payload, and the OpenMetrics exposition
-// (mounted by ggserved at /metrics). Revision 4 introduced /v2 — the
-// typed error envelope {"error":{"code","message","retryable"}},
-// JobMeta-shaped payloads, sweeps with SSE streaming, the cluster
-// fill/delegate endpoints. Revision 5 removes the v1 routes: /v2 is
-// the only API version.
+// apiRevision identifies the service wire contract, reported by
+// /v2/version and bumped whenever a route or a wire shape changes:
+// /v2 is the only API version, every failure wears the typed envelope
+// {"error":{"code","message","retryable"}}, and every job is a JobMeta.
 const apiRevision = 5
 
 // Handler returns the service's HTTP API:

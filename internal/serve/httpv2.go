@@ -122,9 +122,9 @@ func (m *Manager) v2Submit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		m.writeSubmitError(w, err)
 	case st.Cached:
-		writeJSON(w, http.StatusOK, jobBody{Job: st.Meta()})
+		writeJSON(w, http.StatusOK, jobBody{Job: st})
 	default:
-		writeJSON(w, http.StatusAccepted, jobBody{Job: st.Meta()})
+		writeJSON(w, http.StatusAccepted, jobBody{Job: st})
 	}
 }
 
@@ -134,7 +134,7 @@ func (m *Manager) v2Status(w http.ResponseWriter, r *http.Request) {
 		writeNotFound(w, "job")
 		return
 	}
-	writeJSON(w, http.StatusOK, jobBody{Job: st.Meta()})
+	writeJSON(w, http.StatusOK, jobBody{Job: st})
 }
 
 func (m *Manager) v2Result(w http.ResponseWriter, r *http.Request) {
@@ -143,14 +143,13 @@ func (m *Manager) v2Result(w http.ResponseWriter, r *http.Request) {
 		writeNotFound(w, "job")
 		return
 	}
-	meta := st.Meta()
 	switch st.State {
 	case StateDone:
-		writeJSON(w, http.StatusOK, jobResultBody{Job: meta, Results: res})
+		writeJSON(w, http.StatusOK, jobResultBody{Job: st, Results: res})
 	case StateFailed, StateCancelled:
-		writeJobError(w, meta)
+		writeJobError(w, st)
 	default:
-		writeJSON(w, http.StatusAccepted, jobBody{Job: meta})
+		writeJSON(w, http.StatusAccepted, jobBody{Job: st})
 	}
 }
 
@@ -169,7 +168,7 @@ func (m *Manager) v2Series(w http.ResponseWriter, r *http.Request) {
 		writeNotFound(w, "job")
 		return
 	}
-	body := jobSeriesBody{Job: st.Meta(), Total: total, Points: pts}
+	body := jobSeriesBody{Job: st, Total: total, Points: pts}
 	if pts == nil {
 		body.Points = []struct{}{}
 	}
@@ -182,7 +181,7 @@ func (m *Manager) v2Cancel(w http.ResponseWriter, r *http.Request) {
 		writeNotFound(w, "job")
 		return
 	}
-	writeJSON(w, http.StatusOK, jobBody{Job: st.Meta()})
+	writeJSON(w, http.StatusOK, jobBody{Job: st})
 }
 
 type sweepBody struct {
@@ -223,66 +222,50 @@ func (m *Manager) v2CancelSweep(w http.ResponseWriter, r *http.Request) {
 // v2SweepEvents streams the sweep's completions as Server-Sent
 // Events: one `event: result` per member in completion order (already
 // settled members replay immediately, so a late subscriber misses
-// nothing), then one `event: done` carrying the final SweepStatus. A
-// sweep evicted from retention mid-stream ends with one `event: error`
-// carrying the /v2 envelope instead of a done. The stream also ends
-// when the client goes away.
+// nothing), then exactly one terminal frame — `event: done` carrying
+// the final SweepStatus, or, for a sweep evicted from retention while
+// the stream was open, `event: error` carrying the /v2 envelope, so the
+// client sees a typed failure instead of a silent close it can't tell
+// from success. Only a client that went away gets no terminal frame.
 func (m *Manager) v2SweepEvents(w http.ResponseWriter, r *http.Request) {
-	if _, ok := m.GetSweep(r.PathValue("id")); !ok {
+	id := r.PathValue("id")
+	if _, ok := m.GetSweep(id); !ok {
 		writeNotFound(w, "sweep")
 		return
 	}
 	fl, canFlush := w.(http.Flusher)
+	flush := func() {
+		if canFlush {
+			fl.Flush()
+		}
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	id := r.PathValue("id")
 	next := 0
 	for {
-		evs, finished, wake, ok := m.sweepEventsSince(id, next)
-		if !ok {
-			// Evicted from retention mid-stream. End the stream with a
-			// terminal error event so the client sees a typed failure
-			// instead of a silent close it can't tell from success.
-			_ = writeSSE(w, "error", next, errorEnvelope{Error: ErrorInfo{
-				Code:    CodeNotFound,
-				Message: "sweep evicted from retention before the stream finished",
-			}})
-			if canFlush {
-				fl.Flush()
-			}
-			return
-		}
+		evs, final, wake, ok := m.sweepEventsSince(id, next)
 		for _, ev := range evs {
 			if err := writeSSE(w, "result", ev.Seq, ev); err != nil {
 				return
 			}
 		}
 		next += len(evs)
-		if canFlush && len(evs) > 0 {
-			fl.Flush()
+		if len(evs) > 0 {
+			flush()
 		}
-		if finished {
-			final, ok := m.GetSweep(id)
-			if !ok {
-				// Evicted between the last sweepEventsSince and here: a
-				// zero-value done frame would tell the client the sweep
-				// succeeded with no members. Terminate with the same typed
-				// error the mid-stream eviction path uses.
-				_ = writeSSE(w, "error", next, errorEnvelope{Error: ErrorInfo{
-					Code:    CodeNotFound,
-					Message: "sweep evicted from retention before the stream finished",
-				}})
-				if canFlush {
-					fl.Flush()
-				}
-				return
+		if !ok || final != nil {
+			// The one terminal write site (TestSweepStreamTerminatesOnce).
+			event, body := "error", any(errorEnvelope{Error: ErrorInfo{
+				Code:    CodeNotFound,
+				Message: "sweep evicted from retention before the stream finished",
+			}})
+			if ok {
+				event, body = "done", sweepBody{Sweep: *final}
 			}
-			_ = writeSSE(w, "done", next, sweepBody{Sweep: final})
-			if canFlush {
-				fl.Flush()
-			}
+			_ = writeSSE(w, event, next, body)
+			flush()
 			return
 		}
 		select {
@@ -368,17 +351,15 @@ func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
 		m.writeSubmitError(w, err)
 		return
 	}
-	final, err := m.Wait(r.Context(), st.ID)
+	res, final, err := m.wait(r.Context(), st.ID)
 	if err != nil {
 		// The requester hung up (or died); the job keeps running here
 		// and lands in the cache for its retry.
 		return
 	}
-	meta := final.Meta()
 	if final.State != StateDone {
-		writeJobError(w, meta)
+		writeJobError(w, final)
 		return
 	}
-	res, _, _ := m.Result(st.ID)
-	writeJSON(w, http.StatusOK, jobResultBody{Job: meta, Results: res})
+	writeJSON(w, http.StatusOK, jobResultBody{Job: final, Results: res})
 }

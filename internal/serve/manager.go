@@ -124,20 +124,26 @@ type Options struct {
 	ChaosSeed uint64
 }
 
-// Job is one submitted simulation. All mutable fields are guarded by
-// the owning Manager's mutex; handlers read consistent snapshots via
-// Status.
+// Job is one submitted simulation, and the only record of it: the wire
+// sees it through meta, a sweep it belongs to holds it by pointer. All
+// mutable fields are guarded by the owning Manager's mutex, and state
+// is assigned in exactly one place, transitionLocked.
 type Job struct {
 	id          string
 	spec        JobSpec
 	cfg         ggpdes.Config
 	key         string
-	cached      bool
 	maxAttempts int
 
-	state       State
-	err         string
-	failCause   error
+	// state is stateNew from newJob until admission registers the job.
+	state State
+	// source says where a done job's result came from when it was not
+	// simulated here ("cache", "inflight", "peer", "remote").
+	source string
+	// errInfo is the typed terminal failure, classified once by the
+	// transition that ended the job and never written again, so every
+	// snapshot may share it.
+	errInfo     *ErrorInfo
 	attempts    int
 	lastErr     string
 	resumedFrom string
@@ -149,50 +155,15 @@ type Job struct {
 	cancel      context.CancelFunc
 	done        chan struct{}
 
-	// source says where a non-simulated result came from ("cache",
-	// "inflight", "peer", "remote"); empty for local runs.
-	source string
 	// followers are identical-key jobs coalesced onto this in-flight
 	// leader; they settle with the leader's terminal outcome.
 	followers []*Job
-}
-
-// Status is an immutable snapshot of a job. It is the Go-side shape;
-// Meta re-cuts it into JobMeta, the only job shape on the wire.
-type Status struct {
-	ID    string
-	State State
-	// Key is the config's content-addressed cache key.
-	Key string
-	// Cached is true when the result was served from the cache without
-	// a run.
-	Cached bool
-	// Source qualifies Cached: "cache" (local hit), "inflight"
-	// (coalesced onto an identical in-flight job), "peer" (filled from
-	// the owning replica's cache), "remote" (delegated to and run by
-	// the owning replica); empty for local runs.
-	Source string
-	Error  string
-
-	// Attempts counts run attempts so far (0 for cache hits).
-	Attempts int
-	// LastError is the most recent attempt failure that was retried.
-	LastError string
-	// ResumedFrom names the checkpoint file the latest attempt resumed
-	// from, when it did not start from scratch.
-	ResumedFrom string
-
-	SubmittedAt time.Time
-	StartedAt   time.Time
-	FinishedAt  time.Time
-	// QueueSeconds and RunSeconds break down where the job spent its
-	// wall-clock time so far.
-	QueueSeconds float64
-	RunSeconds   float64
-
-	// failCause carries the terminal error Meta classifies into the
-	// typed ErrorInfo.
-	failCause error
+	// sweep and index make sweep membership data on the job (nil for a
+	// plain submission): the terminal edge itself appends the member's
+	// event, so nothing waits on the job or looks it up again to learn
+	// how it ended.
+	sweep *sweepJob
+	index int
 }
 
 // Manager owns the admission queue, the worker pool, the job table and
@@ -225,9 +196,9 @@ type Manager struct {
 	// it as followers instead of simulating again.
 	inflight map[string]*Job
 	// queued and running count the registered jobs in those two states;
-	// setStateLocked and register keep them, and the in-flight gauge,
-	// in step with every j.state change, so that nothing walks jobs —
-	// up to RetainJobs terminal ones — to learn them.
+	// transitionLocked keeps them, and the in-flight gauge, in step with
+	// every j.state change, so that nothing walks jobs — up to RetainJobs
+	// terminal ones — to learn them.
 	queued, running int
 
 	sweeps        map[string]*sweepJob
@@ -334,6 +305,27 @@ func (m *Manager) Workers() int { return m.opts.Workers }
 // QueueDepth reports the admission queue bound.
 func (m *Manager) QueueDepth() int { return m.opts.QueueDepth }
 
+// newJob validates the spec and keys it: everything a job is before it
+// is admitted. Spec errors wrap ggpdes.ErrInvalidConfig.
+func (m *Manager) newJob(spec JobSpec) (*Job, error) {
+	cfg, err := spec.config(m.opts)
+	if err != nil {
+		return nil, err
+	}
+	key, err := cfg.CacheKey()
+	if err != nil {
+		return nil, err
+	}
+	return &Job{
+		spec:        spec,
+		cfg:         cfg,
+		key:         key,
+		maxAttempts: spec.maxAttempts(m.opts),
+		submitted:   time.Now(),
+		done:        make(chan struct{}),
+	}, nil
+}
+
 // Submit validates the spec and answers it the cheapest way it can:
 // from the result cache (job born StateDone, Cached=true), by
 // coalescing onto an identical job already in flight (the follower
@@ -342,117 +334,196 @@ func (m *Manager) QueueDepth() int { return m.opts.QueueDepth }
 // to the queue. It fails fast with ErrQueueFull when the queue is at
 // bound and ErrDraining after Drain has begun; spec errors wrap
 // ggpdes.ErrInvalidConfig.
-func (m *Manager) Submit(spec JobSpec) (Status, error) {
-	cfg, err := spec.config(m.opts)
+func (m *Manager) Submit(spec JobSpec) (JobMeta, error) {
+	j, err := m.newJob(spec)
 	if err != nil {
-		return Status{}, err
+		return JobMeta{}, err
 	}
-	key, err := cfg.CacheKey()
-	if err != nil {
-		return Status{}, err
-	}
+	return m.admit(j)
+}
 
-	j := &Job{
-		spec:        spec,
-		cfg:         cfg,
-		key:         key,
-		maxAttempts: spec.maxAttempts(m.opts),
-		submitted:   time.Now(),
-		done:        make(chan struct{}),
-	}
-
-	// Fast path: a cache hit needs no queue slot. The lookup repeats
-	// under the lock below, so a completion racing this unlocked miss
-	// still dedups.
-	if !spec.NoCache {
-		if res, ok := m.cache.get(key); ok {
-			return m.submitCached(j, res)
-		}
+// admit is Submit for a job already built; a refusal leaves j as it
+// was, so a sweep's fan-out may offer the same member again.
+func (m *Manager) admit(j *Job) (JobMeta, error) {
+	cacheable := !j.spec.NoCache
+	var hit *ggpdes.Results
+	if cacheable {
+		// Looked up before the lock, where it also counts the hit or miss.
+		hit, _ = m.cache.get(j.key)
 	} else {
 		// Count the bypass as a miss so hit-rate math stays honest.
 		m.cache.misses.Inc()
 	}
-
-	j.state = StateQueued
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.draining {
-		m.mu.Unlock()
-		return Status{}, ErrDraining
+		return JobMeta{}, ErrDraining
 	}
-	if !spec.NoCache {
-		// Re-check the cache under the lock: completions publish their
-		// result while holding m.mu, so this closes the race between
-		// the unlocked miss above and a concurrent completion. peek, not
-		// get — the lookup was already counted once.
-		if res, ok := m.cache.peek(key); ok {
-			m.mu.Unlock()
-			return m.submitCached(j, res)
+	if cacheable && hit == nil {
+		// Completions publish their result while holding m.mu, so this
+		// closes the race between the unlocked miss above and a
+		// concurrent completion. peek, not get — the lookup was already
+		// counted once.
+		hit, _ = m.cache.peek(j.key)
+	}
+	if hit != nil {
+		m.moveLocked(j, StateDone, outcome{res: hit, source: SourceCache})
+		return j.meta(), nil
+	}
+	if leader := m.inflight[j.key]; leader != nil && cacheable {
+		// Single-flight: an identical job already executing absorbs this
+		// one as a follower instead of simulating again.
+		leader.followers = append(leader.followers, j)
+		m.dedupInflight.Inc()
+	} else {
+		select {
+		case m.queue <- j:
+		default:
+			m.rejected.Inc()
+			return JobMeta{}, ErrQueueFull
 		}
-		// Single-flight: an identical job already executing absorbs
-		// this one as a follower instead of simulating again.
-		if leader, ok := m.inflight[key]; ok && !leader.state.Terminal() {
-			leader.followers = append(leader.followers, j)
-			m.register(j)
-			st := j.status()
-			m.mu.Unlock()
-			m.submitted.Inc()
-			m.dedupInflight.Inc()
-			return st, nil
+		if cacheable {
+			m.inflight[j.key] = j
 		}
 	}
-	select {
-	case m.queue <- j:
-	default:
-		m.mu.Unlock()
-		m.rejected.Inc()
-		return Status{}, ErrQueueFull
+	m.moveLocked(j, StateQueued, outcome{})
+	if j.sweep != nil && j.sweep.cancelled {
+		// CancelSweep also covers the members its fan-out had yet to
+		// admit.
+		m.cancelLocked(j)
 	}
-	m.register(j)
-	if !spec.NoCache {
-		m.inflight[key] = j
-	}
-	st := j.status()
-	m.mu.Unlock()
-	m.submitted.Inc()
-	return st, nil
+	return j.meta(), nil
 }
 
-// submitCached finishes a Submit answered from the result cache.
-func (m *Manager) submitCached(j *Job, res *ggpdes.Results) (Status, error) {
-	j.cached = true
-	j.source = SourceCache
-	j.result = res
-	j.state = StateDone
-	j.finished = j.submitted
-	// This close precedes publication: j was built by Submit and is not
-	// yet registered, so no other code can reach j.done. finish owns
-	// the post-publication close; Cancel and finalizeLocked close only
-	// behind terminal-state guards.
-	//ggvet:allow(pre-publication close: j is unregistered and exclusively owned here; finish is the post-publication owner)
-	close(j.done)
-	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		return Status{}, ErrDraining
-	}
-	m.register(j)
-	m.mu.Unlock()
-	m.submitted.Inc()
-	m.completed.Inc()
-	return j.status(), nil
+// stateNew is a job newJob has built and admission has not registered:
+// no ID, in no table, reachable only by its builder (and, for a sweep
+// member, by its sweep, which reports it as queued). It never appears
+// on the wire.
+const stateNew State = ""
+
+// edgeKind says whether the lifecycle has an edge, and for whom.
+type edgeKind int
+
+const (
+	edgeIllegal edgeKind = iota
+	edgeLegal
+	// edgeFollower is legal only for a coalesced follower settling with
+	// its leader (outcome.source == SourceInflight): a queued job that
+	// owns its execution reaches done or failed through running.
+	edgeFollower
+)
+
+// edges is the job lifecycle (DESIGN.md §10): every legal (from, to)
+// pair. Terminal states have no row — nothing leaves them — and
+// new → failed is a sweep member its fan-out could not admit (the
+// server began draining, or stopped, after accepting the sweep).
+var edges = map[State]map[State]edgeKind{
+	stateNew:     {StateQueued: edgeLegal, StateDone: edgeLegal, StateFailed: edgeLegal},
+	StateQueued:  {StateRunning: edgeLegal, StateCancelled: edgeLegal, StateDone: edgeFollower, StateFailed: edgeFollower},
+	StateRunning: {StateDone: edgeLegal, StateFailed: edgeLegal, StateCancelled: edgeLegal},
 }
 
-// register assigns an ID and records the job. Caller holds m.mu.
-func (m *Manager) register(j *Job) {
-	m.seq++
-	j.id = fmt.Sprintf("job-%08x", m.seq)
-	m.jobs[j.id] = j
-	if j.state.Terminal() {
-		m.retainLocked(j.id)
-		return
+// outcome is what a terminal edge carries: the result and where it came
+// from for done, the cause for failed and cancelled.
+type outcome struct {
+	res    *ggpdes.Results
+	source string
+	err    error
+	// msg, when set, replaces err's text as the ErrorInfo message.
+	msg string
+}
+
+// transitionLocked moves j along one edge of the lifecycle and is the
+// only code that does: an edge not in the table is refused with j, the
+// counters, the gauge, done and retention untouched. The edge out of
+// stateNew registers the job; a terminal edge does, once and in this
+// order, everything ending a job means — outcome and typed error,
+// counters, the one close of done, retention, the in-flight index, the
+// followers (this function again, as SourceInflight) and the sweep's
+// event. Caller holds m.mu, which is also what keeps two transitions
+// from publishing the in-flight gauge in the wrong order.
+func (m *Manager) transitionLocked(j *Job, to State, out outcome) error {
+	from := j.state
+	if kind := edges[from][to]; kind == edgeIllegal || kind == edgeFollower && out.source != SourceInflight {
+		return fmt.Errorf("serve: job %q: no transition %q → %q", j.id, from, to)
 	}
-	m.tallyLocked(j.state, +1)
+	now := time.Now()
+	if from == stateNew {
+		m.seq++
+		j.id = fmt.Sprintf("job-%08x", m.seq)
+		// Admission starts the queue clock, not construction: a sweep
+		// member may have waited in the fan-out for a queue slot.
+		j.submitted = now
+		m.jobs[j.id] = j
+		m.submitted.Inc()
+	}
+	m.tallyLocked(from, -1)
+	j.state = to
+	m.tallyLocked(to, +1)
 	m.inFlight.Set(float64(m.queued + m.running))
+	switch to {
+	case StateQueued:
+		return nil
+	case StateRunning:
+		j.started = now
+		m.queueWait.Observe(float64(now.Sub(j.submitted).Milliseconds()))
+		return nil
+	case StateDone:
+		j.result, j.source = out.res, out.source
+		m.completed.Inc()
+		if from == StateRunning {
+			m.cache.put(j.key, out.res)
+			// Fold the run's engine metrics into the serving registry so
+			// /metrics covers both planes. Cache hits and followers never
+			// ran, and peer-produced results carry no Metrics over the
+			// wire (the field is json:"-", so it arrives zero and imports
+			// nothing), so each simulation's metrics import exactly once
+			// fleet-wide — on the replica that ran it.
+			m.reg.Import(out.res.Metrics)
+		}
+	default:
+		info := classify(out.err, CodeFailed)
+		if out.msg != "" {
+			info.Message = out.msg
+		}
+		j.errInfo = &info
+		if to == StateCancelled {
+			m.cancelled.Inc()
+		} else {
+			m.failed.Inc()
+		}
+	}
+	j.finished = now
+	if from == StateRunning {
+		m.runWall.Observe(float64(now.Sub(j.started).Milliseconds()))
+	}
+	close(j.done)
+	retain(m.opts.RetainJobs, &m.terminal, m.jobs, j.id)
+	if m.inflight[j.key] == j {
+		delete(m.inflight, j.key)
+	}
+	// Duplicates coalesced onto this job share its fate — it was the only
+	// execution they were waiting on (DESIGN.md §10): a done leader hands
+	// them its result, a failed or cancelled one fails them identically.
+	out.source = SourceInflight
+	for _, f := range j.followers {
+		// A follower Cancel settled while it waited refuses the edge and
+		// keeps its own outcome.
+		_ = m.transitionLocked(f, to, out)
+	}
+	j.followers = nil
+	if j.sweep != nil {
+		m.sweepSettledLocked(j)
+	}
+	return nil
+}
+
+// moveLocked is transitionLocked on an edge the caller has made sure
+// exists, where a refusal can only be a bug in this package.
+func (m *Manager) moveLocked(j *Job, to State, out outcome) {
+	if err := m.transitionLocked(j, to, out); err != nil {
+		panic(err)
+	}
 }
 
 // tallyLocked adds d to the count of registered jobs in state s, if it
@@ -466,50 +537,33 @@ func (m *Manager) tallyLocked(s State, d int) {
 	}
 }
 
-// setStateLocked moves a registered job to state s and publishes the
-// new sum — here, under m.mu, so that two transitions cannot publish
-// theirs in the wrong order. Caller holds m.mu.
-func (m *Manager) setStateLocked(j *Job, s State) {
-	m.tallyLocked(j.state, -1)
-	j.state = s
-	m.tallyLocked(s, +1)
-	m.inFlight.Set(float64(m.queued + m.running))
-}
-
-// retainLocked appends a terminal job and forgets the oldest past the
-// retention bound. Caller holds m.mu.
-func (m *Manager) retainLocked(id string) {
-	m.terminal = append(m.terminal, id)
-	if m.opts.RetainJobs < 0 {
-		return
-	}
-	for len(m.terminal) > m.opts.RetainJobs {
-		delete(m.jobs, m.terminal[0])
-		m.terminal = m.terminal[1:]
+// retain records id as table's newest terminal entry and forgets the
+// oldest past bound (negative = unlimited); jobs and sweeps are retained
+// alike. Caller holds m.mu.
+func retain[T any](bound int, order *[]string, table map[string]T, id string) {
+	*order = append(*order, id)
+	for bound >= 0 && len(*order) > bound {
+		delete(table, (*order)[0])
+		*order = (*order)[1:]
 	}
 }
 
 // Get returns a snapshot of the job.
-func (m *Manager) Get(id string) (Status, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return Status{}, false
-	}
-	return j.status(), true
+func (m *Manager) Get(id string) (JobMeta, bool) {
+	_, meta, ok := m.Result(id)
+	return meta, ok
 }
 
 // Result returns the job's results if it finished successfully. The
 // returned Results is shared and must not be mutated.
-func (m *Manager) Result(id string) (*ggpdes.Results, Status, bool) {
+func (m *Manager) Result(id string) (*ggpdes.Results, JobMeta, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return nil, Status{}, false
+		return nil, JobMeta{}, false
 	}
-	return j.result, j.status(), true
+	return j.result, j.meta(), true
 }
 
 // Series returns the job's per-GVT-round time series: the live ring
@@ -518,14 +572,14 @@ func (m *Manager) Result(id string) (*ggpdes.Results, Status, bool) {
 // returned slice is a copy and safe to retain; total counts every
 // point ever recorded, so total > len(points) means the ring wrapped
 // and the oldest rounds were dropped.
-func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st Status, ok bool) {
+func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st JobMeta, ok bool) {
 	m.mu.Lock()
 	j, found := m.jobs[id]
 	if !found {
 		m.mu.Unlock()
-		return nil, 0, Status{}, false
+		return nil, 0, JobMeta{}, false
 	}
-	st = j.status()
+	st = j.meta()
 	ser := j.series
 	res := j.result
 	m.mu.Unlock()
@@ -549,87 +603,54 @@ func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st 
 // skipped by its worker; a running job has its context cancelled,
 // which the engine observes within one GVT round. Cancellation covers
 // all attempts — a cancelled job is never retried. Terminal jobs are
-// left as-is. The returned Status reflects the state after the call.
-func (m *Manager) Cancel(id string) (Status, bool) {
+// left as-is. The returned snapshot reflects the state after the call.
+func (m *Manager) Cancel(id string) (JobMeta, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return Status{}, false
+		return JobMeta{}, false
 	}
-	switch j.state {
-	case StateQueued:
-		m.setStateLocked(j, StateCancelled)
-		j.err = "cancelled"
-		j.finished = time.Now()
-		close(j.done)
-		m.retainLocked(j.id)
-		m.cancelled.Inc()
-		// Duplicates coalesced onto this job share its fate: the leader
-		// was the only execution they were waiting on (DESIGN.md §10).
-		m.finalizeLocked(j)
-	case StateRunning:
-		// The worker observes the context and finishes the lifecycle.
-		j.cancel()
-	}
-	return j.status(), true
+	m.cancelLocked(j)
+	return j.meta(), true
 }
 
-// finalizeLocked drops the job's in-flight index entry and settles
-// any coalesced duplicates with its terminal outcome: a done leader
-// hands followers its result (Cached, Source "inflight"); a failed or
-// cancelled leader fails them identically. Caller holds m.mu; j must
-// be terminal.
-func (m *Manager) finalizeLocked(j *Job) {
-	if m.inflight[j.key] == j {
-		delete(m.inflight, j.key)
-	}
-	followers := j.followers
-	j.followers = nil
-	for _, f := range followers {
-		if f.state.Terminal() {
-			// Cancel already settled this follower while it waited on
-			// the leader; its outcome and retention entry stand, and
-			// its done channel is already closed.
-			continue
-		}
-		m.setStateLocked(f, j.state)
-		f.err = j.err
-		f.failCause = j.failCause
-		f.finished = time.Now()
-		switch j.state {
-		case StateDone:
-			f.result = j.result
-			f.cached = true
-			f.source = SourceInflight
-			m.completed.Inc()
-		case StateCancelled:
-			m.cancelled.Inc()
-		default:
-			m.failed.Inc()
-		}
-		close(f.done)
-		m.retainLocked(f.id)
+// cancelLocked is Cancel on a job in hand. Caller holds m.mu.
+func (m *Manager) cancelLocked(j *Job) {
+	switch j.state {
+	case StateQueued:
+		m.moveLocked(j, StateCancelled, outcome{err: ggpdes.ErrCancelled, msg: "cancelled"})
+	case StateRunning:
+		// The run observes the context and settle ends the lifecycle.
+		j.cancel()
 	}
 }
 
 // Wait blocks until the job reaches a terminal state or the context
 // expires.
-func (m *Manager) Wait(ctx context.Context, id string) (Status, error) {
+func (m *Manager) Wait(ctx context.Context, id string) (JobMeta, error) {
+	_, meta, err := m.wait(ctx, id)
+	return meta, err
+}
+
+// wait is Wait that also hands back the results, read with the snapshot
+// under one lock: by the time a caller looked the job up again,
+// retention may have let it go.
+func (m *Manager) wait(ctx context.Context, id string) (*ggpdes.Results, JobMeta, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return Status{}, fmt.Errorf("serve: unknown job %q", id)
+		return nil, JobMeta{}, fmt.Errorf("serve: unknown job %q", id)
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return Status{}, ctx.Err()
+		return nil, JobMeta{}, ctx.Err()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return j.status(), nil
+	return j.result, j.meta(), nil
 }
 
 // Draining reports whether Drain has begun.
@@ -651,16 +672,13 @@ func (m *Manager) Counts() (queued, running int) {
 // context to expire. It is idempotent; concurrent calls all wait.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
-	first := !m.draining
-	m.draining = true
-	m.mu.Unlock()
-	if first {
-		// Safe: Submit checks draining under m.mu before sending, so no
-		// send can race this close.
-		m.mu.Lock()
+	if !m.draining {
+		// One critical section: admit checks draining under m.mu before
+		// it sends, so no send can meet this close.
+		m.draining = true
 		close(m.queue)
-		m.mu.Unlock()
 	}
+	m.mu.Unlock()
 	idle := make(chan struct{})
 	go func() {
 		m.wg.Wait()
@@ -687,16 +705,15 @@ func (m *Manager) worker() {
 
 // run starts one dequeued job. Peer-owned jobs hand the remote
 // conversation to a goroutine and return the worker to the queue;
-// everything else simulates on this worker via simulate and settles
-// via finish.
+// everything else simulates on this worker via simulate and ends via
+// settle.
 func (m *Manager) run(j *Job) {
 	m.mu.Lock()
-	if j.state != StateQueued { // cancelled while waiting
+	if err := m.transitionLocked(j, StateRunning, outcome{}); err != nil {
+		// Cancelled while it waited: nothing leaves a terminal state.
 		m.mu.Unlock()
 		return
 	}
-	m.setStateLocked(j, StateRunning)
-	j.started = time.Now()
 	timeout := m.opts.DefaultTimeout
 	if j.spec.TimeoutSeconds > 0 {
 		timeout = time.Duration(j.spec.TimeoutSeconds * float64(time.Second))
@@ -742,8 +759,6 @@ func (m *Manager) run(j *Job) {
 		cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: cfg.Checkpoint.Every, Dir: ckptDir}
 	}
 
-	m.queueWait.Observe(float64(j.started.Sub(j.submitted).Milliseconds()))
-
 	// Clustered routing: if a peer owns this key, fill from its cache,
 	// else delegate the run to it. A delegation blocks for as long as
 	// the remote simulation runs, and a worker parked on a peer is
@@ -767,14 +782,14 @@ func (m *Manager) run(j *Job) {
 					res, err = m.simulate(jobCtx, j, cfg, ckptDir, keyed)
 					source = ""
 				}
-				m.finish(j, res, source, err, timeout, ckptDir, keyed)
+				m.settle(j, res, source, err, timeout, ckptDir, keyed)
 			}()
 			return
 		}
 	}
 	defer cancel()
 	res, err := m.simulate(jobCtx, j, cfg, ckptDir, keyed)
-	m.finish(j, res, "", err, timeout, ckptDir, keyed)
+	m.settle(j, res, "", err, timeout, ckptDir, keyed)
 }
 
 // simulate executes the job locally: a bounded sequence of attempts,
@@ -803,7 +818,7 @@ func (m *Manager) simulate(jobCtx context.Context, j *Job, cfg ggpdes.Config, ck
 		m.mu.Unlock()
 		if !sleepCtx(jobCtx, backoff(m.opts.RetryBackoff, j.key, attempt)) {
 			// The job deadline or a client cancel ended the backoff;
-			// finish classifies it like any other attempt outcome.
+			// settle classifies it like any other attempt outcome.
 			err = fmt.Errorf("retry backoff interrupted: %w", context.Cause(jobCtx))
 			break
 		}
@@ -811,54 +826,25 @@ func (m *Manager) simulate(jobCtx context.Context, j *Job, cfg ggpdes.Config, ck
 	return res, err
 }
 
-// finish settles a started job: classify the outcome, publish the
-// result, settle coalesced followers, and emit the terminal metrics.
-// It runs on the worker for local jobs and on the delegation
-// goroutine for peer-owned ones.
-func (m *Manager) finish(j *Job, res *ggpdes.Results, source string, err error, timeout time.Duration, ckptDir string, keyed bool) {
-	m.mu.Lock()
-	j.finished = time.Now()
+// settle ends a started job: the run's error picks the terminal edge,
+// transitionLocked does the rest. It runs on the worker for local jobs
+// and on the delegation goroutine for peer-owned ones.
+func (m *Manager) settle(j *Job, res *ggpdes.Results, source string, err error, timeout time.Duration, ckptDir string, keyed bool) {
+	to, out := StateFailed, outcome{err: err}
 	switch {
 	case err == nil:
-		m.setStateLocked(j, StateDone)
-		j.result = res
-		j.source = source
-		j.cached = source != ""
-		m.completed.Inc()
-		m.cache.put(j.key, res)
-		// Fold the run's engine metrics into the serving registry so
-		// /metrics covers both planes. Cache hits never reach run(),
-		// and peer-produced results carry no Metrics over the wire
-		// (the field is json:"-", so it arrives zero and imports
-		// nothing), so each simulation's metrics import exactly once
-		// fleet-wide — on the replica that ran it.
-		m.reg.Import(res.Metrics)
+		to, out = StateDone, outcome{res: res, source: source}
 	case errors.Is(err, ggpdes.ErrDeadline) || errors.Is(err, context.DeadlineExceeded):
-		m.setStateLocked(j, StateFailed)
-		j.err = fmt.Sprintf("deadline exceeded after %s", timeout)
-		j.failCause = err
-		m.failed.Inc()
+		out.msg = fmt.Sprintf("deadline exceeded after %s", timeout)
 	case errors.Is(err, ggpdes.ErrCancelled) || errors.Is(err, context.Canceled):
-		m.setStateLocked(j, StateCancelled)
-		j.err = "cancelled"
-		j.failCause = err
-		m.cancelled.Inc()
-	default:
-		m.setStateLocked(j, StateFailed)
-		j.err = err.Error()
-		j.failCause = err
-		m.failed.Inc()
+		to, out.msg = StateCancelled, "cancelled"
 	}
-	close(j.done)
-	m.retainLocked(j.id)
-	m.finalizeLocked(j)
-	runMS := float64(j.finished.Sub(j.started).Milliseconds())
+	m.mu.Lock()
+	m.moveLocked(j, to, out)
 	m.mu.Unlock()
-
 	if err == nil && ckptDir != "" && !keyed {
 		_ = os.RemoveAll(ckptDir) // completed jobs don't need their snapshots
 	}
-	m.runWall.Observe(runMS)
 }
 
 // runRemote routes a peer-owned job through the cluster: fill from
@@ -1112,24 +1098,26 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// status builds a snapshot. Caller holds m.mu (or exclusively owns j).
-func (j *Job) status() Status {
-	st := Status{
+// meta builds the job's snapshot, the one shape it is read in. Caller
+// holds m.mu (or exclusively owns j).
+func (j *Job) meta() JobMeta {
+	st := JobMeta{
 		ID:          j.id,
 		State:       j.state,
 		Key:         j.key,
-		Cached:      j.cached,
+		Cached:      j.source != "",
 		Source:      j.source,
-		Error:       j.err,
+		Error:       j.errInfo,
 		Attempts:    j.attempts,
 		LastError:   j.lastErr,
 		ResumedFrom: j.resumedFrom,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		failCause:   j.failCause,
 	}
 	switch {
+	case j.state == stateNew:
+		st.State = StateQueued
 	case j.state == StateQueued:
 		st.QueueSeconds = time.Since(j.submitted).Seconds()
 	case !j.started.IsZero():

@@ -55,7 +55,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Status {
 		t.Fatalf("wait %s: %v", id, err)
 	}
 	if st.State != want {
-		t.Fatalf("job %s finished %s (err %q), want %s", id, st.State, st.Error, want)
+		t.Fatalf("job %s finished %s (error %+v), want %s", id, st.State, st.Error, want)
 	}
 	return st
 }
@@ -249,8 +249,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if _, _, ok := m.Result(st.ID); !ok {
 		t.Fatal("cancelled job not queryable")
 	}
-	if final.Error == "" {
-		t.Fatal("cancelled job has no error string")
+	if final.Error == nil || final.Error.Code != CodeCancelled {
+		t.Fatalf("cancelled job's error is %+v, want code %s", final.Error, CodeCancelled)
 	}
 	if got := m.Registry().Counters()["serve.jobs_cancelled"]; got != 1 {
 		t.Fatalf("jobs_cancelled = %d, want 1", got)
@@ -269,8 +269,8 @@ func TestJobDeadlineFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitState(t, m, st.ID, StateFailed)
-	if final.Error == "" {
-		t.Fatal("deadline failure has no error string")
+	if final.Error == nil || final.Error.Code != CodeDeadline {
+		t.Fatalf("deadline failure's error is %+v, want code %s", final.Error, CodeDeadline)
 	}
 	if got := m.Registry().Counters()["serve.jobs_failed"]; got != 1 {
 		t.Fatalf("jobs_failed = %d, want 1", got)
@@ -495,8 +495,8 @@ func TestCancelQueuedFollower(t *testing.T) {
 		t.Fatalf("follower cancel: ok=%t state=%s", ok, st.State)
 	}
 
-	// Cancel the leader too; its worker settles the lifecycle and runs
-	// finalizeLocked over the followers list.
+	// Cancel the leader too; its worker settles the lifecycle and offers
+	// the same edge to every follower on its list.
 	if _, ok := m.Cancel(lead.ID); !ok {
 		t.Fatal("leader cancel failed")
 	}

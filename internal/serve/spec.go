@@ -17,9 +17,7 @@ import (
 // JobSpec is the wire-format description of one simulation job — the
 // JSON body of POST /v2/jobs. The simulation itself is described by
 // the embedded ggpdes.Config in its native JSON codec; the remaining
-// fields are serving policy. This is API revision 2: revision 1 spread
-// the config's fields across the top level with its own decoder, and
-// was removed when the Config codec became the single wire format.
+// fields are serving policy.
 type JobSpec struct {
 	// Config is the simulation to run, in the ggpdes.Config wire
 	// format: enums by name ("system":"gg", "gvt":"async"), the model

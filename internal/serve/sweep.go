@@ -28,11 +28,11 @@ type SweepSpec struct {
 	Configs []ggpdes.Config `json:"configs,omitempty"`
 }
 
-// members expands the spec into concrete JobSpecs, validating each
-// one so a sweep is accepted or rejected atomically — no partially
-// submitted fan-out on a bad member.
-func (s SweepSpec) members(defaults Options) ([]JobSpec, error) {
-	n := len(s.Seeds) + len(s.Configs)
+// newSweep expands the spec into its member jobs, validating and keying
+// each one once, so a sweep is accepted or rejected atomically — no
+// partially submitted fan-out on a bad member.
+func (m *Manager) newSweep(spec SweepSpec) (*sweepJob, error) {
+	n := len(spec.Seeds) + len(spec.Configs)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: sweep has no members (need seeds or configs)", ggpdes.ErrInvalidConfig)
 	}
@@ -40,22 +40,26 @@ func (s SweepSpec) members(defaults Options) ([]JobSpec, error) {
 		return nil, fmt.Errorf("%w: sweep has %d members (max 4096)", ggpdes.ErrInvalidConfig, n)
 	}
 	specs := make([]JobSpec, 0, n)
-	for _, seed := range s.Seeds {
-		spec := s.Defaults
-		spec.Config.Seed = seed
-		specs = append(specs, spec)
+	for _, seed := range spec.Seeds {
+		member := spec.Defaults
+		member.Config.Seed = seed
+		specs = append(specs, member)
 	}
-	for _, cfg := range s.Configs {
-		spec := s.Defaults
-		spec.Config = cfg
-		specs = append(specs, spec)
+	for _, cfg := range spec.Configs {
+		member := spec.Defaults
+		member.Config = cfg
+		specs = append(specs, member)
 	}
-	for i, spec := range specs {
-		if _, err := spec.config(defaults); err != nil {
+	s := &sweepJob{jobs: make([]*Job, n), submitted: time.Now(), wake: make(chan struct{})}
+	for i, member := range specs {
+		j, err := m.newJob(member)
+		if err != nil {
 			return nil, fmt.Errorf("sweep member %d: %w", i, err)
 		}
+		j.sweep, j.index = s, i
+		s.jobs[i] = j
 	}
-	return specs, nil
+	return s, nil
 }
 
 // SweepEvent is one completion in a sweep's event log, streamed over
@@ -90,39 +94,33 @@ type SweepStatus struct {
 // sweepJob is the server-side sweep record. All fields are guarded by
 // the owning Manager's mutex.
 type sweepJob struct {
-	id        string
-	specs     []JobSpec
-	metas     []JobMeta // last known meta per member, spec order
+	id string
+	// jobs are the members in spec order, held by pointer: job retention
+	// bounds what the job table answers for, not what a sweep knows
+	// about its own members.
+	jobs []*Job
+	// events has one entry per settled member, in the order they settled.
 	events    []SweepEvent
-	terminal  int // members that reached a terminal state
 	submitted time.Time
-	finished  time.Time
+	// finished is set by the last member to settle; zero until then.
+	finished time.Time
 	// cancelled is set by CancelSweep so members the fan-out has not
-	// submitted yet are cancelled as they arrive.
+	// admitted yet are cancelled as they arrive.
 	cancelled bool
-	// wake is closed and renewed whenever an event is appended (or the
-	// sweep finishes), so SSE streams block without polling.
+	// wake is closed and renewed whenever an event is appended, so SSE
+	// streams block without polling.
 	wake chan struct{}
 }
 
 // SubmitSweep validates every member, registers the sweep, and starts
-// the fan-out in the background: members are submitted in order, with
+// the fan-out in the background: members are admitted in order, with
 // a brief pause-and-retry whenever the admission queue is full, so a
 // sweep larger than the queue still completes without the client
 // managing backpressure.
 func (m *Manager) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
-	specs, err := spec.members(m.opts)
+	s, err := m.newSweep(spec)
 	if err != nil {
 		return SweepStatus{}, err
-	}
-	s := &sweepJob{
-		specs:     specs,
-		metas:     make([]JobMeta, len(specs)),
-		submitted: time.Now(),
-		wake:      make(chan struct{}),
-	}
-	for i := range s.metas {
-		s.metas[i] = JobMeta{State: StateQueued, SubmittedAt: s.submitted}
 	}
 	m.mu.Lock()
 	if m.draining {
@@ -139,112 +137,57 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
 	return st, nil
 }
 
-// runSweep is the fan-out goroutine: one Submit per member, then one
-// watcher per submitted member.
+// runSweep is the fan-out goroutine, and exists for queue-full backoff
+// only: how a member ends reaches the sweep through the member's own
+// terminal edge (sweepSettledLocked).
 func (m *Manager) runSweep(s *sweepJob) {
 	defer m.wg.Done()
-	for i, spec := range s.specs {
-		var st Status
-		var err error
-		for {
-			st, err = m.Submit(spec)
-			if err == nil || !errors.Is(err, ErrQueueFull) {
-				break
-			}
+	for _, j := range s.jobs {
+		_, err := m.admit(j)
+		for errors.Is(err, ErrQueueFull) {
 			if !sleepCtx(m.baseCtx, 5*time.Millisecond) {
 				err = m.baseCtx.Err()
 				break
 			}
+			_, err = m.admit(j)
 		}
 		if err != nil {
-			// The member never became a job (draining, process exit);
-			// record the failure as its terminal event.
-			meta := JobMeta{State: StateFailed, SubmittedAt: time.Now(), FinishedAt: time.Now()}
-			info := classify(err, CodeInternal)
-			meta.Error = &info
-			m.settleSweepMember(s, i, meta, nil)
-			continue
-		}
-		m.mu.Lock()
-		s.metas[i] = st.Meta()
-		cancelled := s.cancelled
-		m.mu.Unlock()
-		m.wg.Add(1)
-		go m.watchSweepMember(s, i, st.ID)
-		if cancelled {
-			m.Cancel(st.ID)
+			// The server began draining, or stopped, after it accepted the
+			// sweep: the member fails unrun, typed with that cause.
+			m.mu.Lock()
+			m.moveLocked(j, StateFailed, outcome{err: err})
+			m.mu.Unlock()
 		}
 	}
 }
 
-// watchSweepMember waits for one member job and appends its
-// completion event.
-func (m *Manager) watchSweepMember(s *sweepJob, i int, id string) {
-	defer m.wg.Done()
-	_, _ = m.Wait(m.baseCtx, id)
-	res, st, ok := m.Result(id)
-	if !ok {
-		st = Status{ID: id, State: StateFailed, Error: "member job evicted before the sweep finished"}
-	}
-	if !st.State.Terminal() {
-		// Only a base-context hard-stop gets here (Drain lets members
-		// finish); record the interruption as a cancellation.
-		st.State = StateCancelled
-		st.Error = "server stopped before the member finished"
-	}
-	meta := st.Meta()
-	if st.State != StateDone {
-		res = nil
-	}
-	m.settleSweepMember(s, i, meta, res)
-}
-
-// settleSweepMember records a member's terminal outcome and wakes the
-// sweep's SSE streams.
-func (m *Manager) settleSweepMember(s *sweepJob, i int, meta JobMeta, res *ggpdes.Results) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s.metas[i] = meta
-	s.events = append(s.events, SweepEvent{Seq: len(s.events), Index: i, Job: meta, Results: res})
-	s.terminal++
-	if s.terminal == len(s.specs) {
-		s.finished = time.Now()
-		m.retainSweepLocked(s.id)
+// sweepSettledLocked is the sweep's share of a member's terminal edge:
+// append the completion event, finish the sweep with its last member,
+// and wake the SSE streams. Caller holds m.mu.
+func (m *Manager) sweepSettledLocked(j *Job) {
+	s := j.sweep
+	s.events = append(s.events, SweepEvent{Seq: len(s.events), Index: j.index, Job: j.meta(), Results: j.result})
+	if len(s.events) == len(s.jobs) {
+		s.finished = time.Now() // every member has settled
+		retain(m.opts.RetainJobs, &m.sweepTerminal, m.sweeps, s.id)
 	}
 	close(s.wake)
 	s.wake = make(chan struct{})
 }
 
-// retainSweepLocked bounds terminal sweep retention like job
-// retention. Caller holds m.mu.
-func (m *Manager) retainSweepLocked(id string) {
-	m.sweepTerminal = append(m.sweepTerminal, id)
-	if m.opts.RetainJobs < 0 {
-		return
-	}
-	for len(m.sweepTerminal) > m.opts.RetainJobs {
-		delete(m.sweeps, m.sweepTerminal[0])
-		m.sweepTerminal = m.sweepTerminal[1:]
-	}
-}
-
-// sweepStatusLocked builds the status snapshot, refreshing member
-// metas from the live job table. Caller holds m.mu.
+// sweepStatusLocked builds the status snapshot. Caller holds m.mu.
 func (m *Manager) sweepStatusLocked(s *sweepJob) SweepStatus {
 	st := SweepStatus{
 		ID:          s.id,
 		State:       StateRunning,
-		Total:       len(s.specs),
+		Total:       len(s.jobs),
 		SubmittedAt: s.submitted,
 		FinishedAt:  s.finished,
-		Members:     make([]JobMeta, len(s.metas)),
+		Members:     make([]JobMeta, len(s.jobs)),
 	}
-	for i, meta := range s.metas {
-		if j, ok := m.jobs[meta.ID]; ok && meta.ID != "" {
-			meta = j.status().Meta()
-		}
-		st.Members[i] = meta
-		switch meta.State {
+	for i, j := range s.jobs {
+		st.Members[i] = j.meta()
+		switch j.state {
 		case StateDone:
 			st.Done++
 		case StateFailed:
@@ -253,7 +196,7 @@ func (m *Manager) sweepStatusLocked(s *sweepJob) SweepStatus {
 			st.Cancelled++
 		}
 	}
-	if s.terminal == len(s.specs) {
+	if !s.finished.IsZero() {
 		switch {
 		case st.Failed > 0:
 			st.State = StateFailed
@@ -278,46 +221,41 @@ func (m *Manager) GetSweep(id string) (SweepStatus, bool) {
 }
 
 // CancelSweep cancels every non-terminal member, including those the
-// fan-out has yet to submit. Already-finished members keep their
+// fan-out has yet to admit. Already-finished members keep their
 // results.
 func (m *Manager) CancelSweep(id string) (SweepStatus, bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	s, ok := m.sweeps[id]
 	if !ok {
-		m.mu.Unlock()
 		return SweepStatus{}, false
 	}
 	s.cancelled = true
-	var ids []string
-	for _, meta := range s.metas {
-		if meta.ID != "" && !meta.State.Terminal() {
-			ids = append(ids, meta.ID)
-		}
+	for _, j := range s.jobs {
+		m.cancelLocked(j)
 	}
-	m.mu.Unlock()
-	for _, jid := range ids {
-		// Cancel re-checks state under the lock, so racing completions
-		// are left as-is.
-		m.Cancel(jid)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.sweepStatusLocked(s), true
 }
 
 // sweepEventsSince returns the event log from seq onward plus a wake
 // channel that closes on the next append — the SSE handler's blocking
-// primitive. finished reports whether every member has settled.
-func (m *Manager) sweepEventsSince(id string, seq int) (evs []SweepEvent, finished bool, wake <-chan struct{}, ok bool) {
+// primitive. final is the finished sweep's status, nil until every
+// member has settled; it is read under the same lock as the events, so
+// a stream never has to find the sweep a second time to end.
+func (m *Manager) sweepEventsSince(id string, seq int) (evs []SweepEvent, final *SweepStatus, wake <-chan struct{}, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, found := m.sweeps[id]
 	if !found {
-		return nil, false, nil, false
+		return nil, nil, nil, false
 	}
 	if seq < len(s.events) {
 		evs = make([]SweepEvent, len(s.events)-seq)
 		copy(evs, s.events[seq:])
 	}
-	return evs, s.terminal == len(s.specs), s.wake, true
+	if !s.finished.IsZero() {
+		st := m.sweepStatusLocked(s)
+		final = &st
+	}
+	return evs, final, s.wake, true
 }

@@ -549,67 +549,12 @@ func (rs *runState) accumulate(seg *segment) {
 // written by one goroutine while it runs. The decoder is Resume's (and
 // the worker-loss retry's) alone, and so is decoding LP states: the
 // capture brings the quiesced engine's own along. That a
-// capture-continued run and a decode-continued one are the same run
-// used to hold by construction — every boundary went through the bytes
-// — and is now what TestCheckpointResumeMatrix,
-// TestResumeFromEveryEpidemicsBoundary, TestCheckpointBytesDeterministic
-// and internal/tw's TestCaptureContinuation and
-// TestStatesRideTheSpareSet prove.
-//
-// Where a checkpointed run's host time went, and goes. The benchmark's
-// epidemics-ckpt-resume config (BenchmarkCheckpointedRun: 16 threads,
-// 1,024 LPs, Every 2, eight segments, seven snapshot files of 75-97
-// KB), 60 runs, 2 vCPUs, go1.24; go tool pprof -top -cum, the frames
-// that matter. With every boundary encoding the cut as JSON inside a
-// JSON envelope (about 240 KB), writing it, decoding the bytes it had just
-// encoded and rebuilding from the decoded copy (112 ms a run against
-// 21.5 ms for the same config without checkpoints, 219k allocations):
-//
-//	     flat  flat%        cum   cum%
-//	        0     0%      3.50s 44.87%  ggpdes.(*runState).persistAndReload
-//	        0     0%      2.14s 27.44%  checkpoint.Decode
-//	    0.04s  0.51%      1.89s 24.23%  core.(*Runner).threadBody
-//	        0     0%      1.01s 12.95%  checkpoint.Encode
-//	    0.04s  0.51%      0.82s 10.51%  runtime.mallocgc
-//	        0     0%      0.72s  9.23%  runtime.gcBgMarkWorker
-//	        0     0%      0.58s  7.44%  tw.(*Engine).Capture
-//	        0     0%      0.27s  3.46%  checkpoint.WriteNamed
-//	        0     0%      0.22s  2.82%  ggpdes.(*runState).buildSegment
-//
-// And continuing from the capture, with the binary snapshot written by
-// the goroutine below and each engine starting on its predecessor's
-// spare memory (52 ms a run, 85k allocations; a plain run makes 59k):
-//
-//	     flat  flat%        cum   cum%
-//	    0.04s     1%      1.83s 45.64%  core.(*Runner).threadBody
-//	        0     0%      0.62s 15.46%  tw.(*Engine).Capture
-//	        0     0%      0.50s 12.47%  runtime.gcBgMarkWorker
-//	    0.02s   0.5%      0.48s 11.97%  runtime.mallocgc
-//	        0     0%      0.33s  8.23%  tw.(*Engine).quiesce
-//	        0     0%      0.29s  7.23%  ggpdes.(*runState).buildSegment
-//	    0.01s  0.25%      0.23s  5.74%  tw.NewEngineFromState
-//	        0     0%      0.19s  4.74%  ggpdes.writeSnapshots (off the critical path)
-//	    0.03s  0.75%      0.17s  4.24%  tw.(*Engine).harvestSpare
-//	        0     0%      0.03s  0.75%  checkpoint.Encode
-//
-// Objects allocated, by site, are DESIGN.md §12's table ("The measured
-// floor"): 202,745 a run with the round trip, 75,623 after it went, and
-// of the 66,462 a run and a Resume then made a quarter were LP states
-// decoded from bytes the quiesced engine had just encoded from states it
-// was still holding. Those now ride the capture's spare set to the next
-// engine (internal/tw/spare.go), every segment records into the run's
-// one registry, and 27,028 are left.
-//
-// What is left is the boundary itself, and it is the trajectory: the
-// simulation alone (threadBody) is 30 ms of the 52 against 21.5 ms for
-// the whole plain run, because every quiesce rolls the speculation in
-// flight back and the next segment executes it again (26,295 events
-// executed to commit 12,891; the plain run executes 14,653); the
-// quiesce is another 5.5 ms a run, the rest of the capture 5 ms,
-// building eight machines, engines and runners 5 ms. A checkpointed run
-// at Every 2 therefore costs about 2.4 plain runs on this config, and
-// getting under 2 means checkpointing less often or capturing
-// incrementally, not encoding faster.
+// capture-continued run and a decode-continued one are the same run is
+// what TestCheckpointResumeMatrix, TestResumeFromEveryEpidemicsBoundary,
+// TestCheckpointBytesDeterministic and internal/tw's
+// TestCaptureContinuation and TestStatesRideTheSpareSet prove; where a
+// checkpointed run's host time goes, and what is left of it, is
+// DESIGN.md §12 ("The measured floor").
 
 // persisting reports whether the run writes snapshot files.
 func (rs *runState) persisting() bool {
