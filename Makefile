@@ -127,9 +127,9 @@ determinism-smoke:
 	GO="$(GO)" sh scripts/determinism_smoke.sh
 
 # Distributed smoke: two real ggworker processes on ephemeral TCP
-# ports, a checkpointing ggsim coordinator against them, and the same
-# run in-process; reports, series, and shard checkpoint layout must
-# all line up.
+# ports, a ggsim coordinator against them, and the same run
+# in-process; reports and series must line up, and both workers must
+# exit cleanly.
 dist-smoke:
 	GO="$(GO)" sh scripts/dist_smoke.sh
 

@@ -48,7 +48,7 @@ func distWorkerCount(workers int, addrs string) int {
 
 // runDistributed connects (or spawns) the workers and drives the
 // sharded run.
-func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrList string, attempts int) (*ggpdes.Results, error) {
+func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrList string) (*ggpdes.Results, error) {
 	var addrs []string
 	if addrList != "" {
 		for _, a := range strings.Split(addrList, ",") {
@@ -74,7 +74,6 @@ func runDistributed(ctx context.Context, cfg ggpdes.Config, workers int, addrLis
 		Dial: func(shard int) (io.ReadWriteCloser, error) {
 			return net.Dial("tcp", addrs[shard])
 		},
-		MaxAttempts: attempts,
 	}
 	return ggpdes.RunDistributed(ctx, cfg, opts)
 }

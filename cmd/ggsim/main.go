@@ -67,7 +67,6 @@ func main() {
 
 		workers     = flag.Int("workers", 0, "shard the run across N worker processes (0 = in-process); spawns local workers unless -worker-addrs is set")
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated ggworker addresses to shard across instead of spawning")
-		workerTries = flag.Int("worker-attempts", 3, "attempts per segment before a lost worker connection aborts the run")
 		workerServe = flag.Bool("worker-serve", false, "internal: serve one worker shard on an ephemeral port (what -workers spawns)")
 
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every N GVT rounds (0 = off)")
@@ -94,7 +93,7 @@ func main() {
 
 	resuming := *resume != ""
 	if resuming && distributed {
-		fatalf("-resume is in-process only; restart the distributed run from its checkpoint directory instead")
+		fatalf("-resume is in-process only")
 	}
 	var cfg ggpdes.Config
 	if !resuming {
@@ -236,7 +235,7 @@ func main() {
 			CheckpointDir: *ckptDir,
 		})
 	} else if distributed {
-		res, err = runDistributed(ctx, cfg, *workers, *workerAddrs, *workerTries)
+		res, err = runDistributed(ctx, cfg, *workers, *workerAddrs)
 	} else {
 		res, err = ggpdes.RunContext(ctx, cfg)
 	}

@@ -5,8 +5,7 @@
 // order, and exits after a clean shutdown frame.
 //
 // A dropped connection does not end the process: the listener keeps
-// accepting, so a coordinator recovering from a fault can redial and
-// re-initialize the shard from its last per-shard checkpoint.
+// accepting, and the next coordinator initializes the shard afresh.
 //
 // Usage:
 //

@@ -2,17 +2,10 @@ package ggpdes
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
-	"path/filepath"
-	"time"
 
-	"ggpdes/internal/chaos"
-	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/core"
 	"ggpdes/internal/dist"
 	"ggpdes/internal/telemetry"
@@ -45,29 +38,16 @@ type DistOptions struct {
 	// divide evenly across them (the block LP-to-thread mapping shards
 	// peers in contiguous ranges).
 	Workers int
-	// Dial connects to a worker shard, and is re-invoked to replace a
-	// lost connection.
+	// Dial connects to a worker shard.
 	Dial WorkerDialer
-	// MaxAttempts bounds run attempts when a worker connection is lost:
-	// each retry re-dials lost workers and resumes the current segment
-	// from its start state (the victim from its per-shard checkpoint
-	// when Config.Checkpoint has a directory). 0 or 1 means no retries.
-	MaxAttempts int
-	// RetryBackoff is the pause before a retry attempt.
-	RetryBackoff time.Duration
-	// CrashRate is the per-attempt probability of one injected worker
-	// crash (seeded fault injection for recovery testing); the crash
-	// point and victim derive deterministically from the config cache
-	// key and attempt number, and the final attempt never crashes.
-	CrashRate float64
-	// ChaosSeed seeds crash planning (0 = Config.Seed).
-	ChaosSeed uint64
 }
 
 // RunDistributed executes one simulation sharded across worker
-// processes. The Config is the in-process one; chaos injection,
-// tracing and external telemetry registries are in-process-only
-// features and are rejected.
+// processes. The Config is the in-process one; checkpointing, chaos
+// injection, tracing and external telemetry registries are
+// in-process-only features and are rejected. The run is one attempt: a
+// lost worker connection fails it with an error wrapping
+// dist.ErrWorkerLost.
 func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,8 +64,11 @@ func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results
 	if cfg.Threads%opts.Workers != 0 {
 		return nil, dfail("%d threads do not shard evenly across %d workers", cfg.Threads, opts.Workers)
 	}
+	if cfg.Checkpoint != nil {
+		return nil, dfail("checkpointing is in-process only")
+	}
 	if cfg.Chaos != nil {
-		return nil, dfail("chaos injection is in-process only (use DistOptions.CrashRate for worker faults)")
+		return nil, dfail("chaos injection is in-process only")
 	}
 	if cfg.Trace != nil {
 		return nil, dfail("tracing is in-process only")
@@ -97,122 +80,50 @@ func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results
 		cfg.Seed = 1
 	}
 	d := &distRun{
-		rs:          &runState{cfg: cfg},
-		opts:        opts,
-		workers:     opts.Workers,
-		threadsPer:  cfg.Threads / opts.Workers,
-		conns:       make([]io.ReadWriteCloser, opts.Workers),
-		attempt:     1,
-		maxAttempts: max(opts.MaxAttempts, 1),
+		rs:         &runState{cfg: cfg},
+		dial:       opts.Dial,
+		workers:    opts.Workers,
+		threadsPer: cfg.Threads / opts.Workers,
+		conns:      make([]io.ReadWriteCloser, opts.Workers),
 	}
 	d.rs.dist = d
 	defer d.shutdownWorkers()
 	return d.run(ctx)
 }
 
-// distRun drives one distributed run across its segments and retry
-// attempts. The segment loop is runState's; distRun supplies the steps
-// runState calls on it (see runState.dist) and the retry loop around
-// each segment.
+// distRun drives one distributed run. The segment loop is runState's;
+// distRun supplies the steps runState calls on it (see runState.dist).
 type distRun struct {
 	rs   *runState
-	opts DistOptions
+	dial WorkerDialer
 
 	workers    int
 	threadsPer int
 	conns      []io.ReadWriteCloser
 	clients    []*dist.Client
 
-	attempt     int
-	maxAttempts int
-	crashes     *chaos.WorkerCrashes
-
-	// Current segment attempt.
-	reg        *telemetry.Registry // for the connected gauge
 	bridge     *remoteBridge
 	cancel     context.CancelCauseFunc // stops the machine on a transport failure
 	distRounds *telemetry.Counter
-	crashArmed bool // an injected crash is planned and has not fired
-	victim     int
-	crashAt    float64
-	// segPoints buffers the attempt's series points; they commit into
-	// rs.series only when the segment completes, so a retried attempt
-	// leaves no trace.
-	segPoints []SeriesPoint
 }
 
+// run is the segment loop under a context the bridge can cancel: a
+// failed forwarded operation stops the machine and feeds the engine
+// inert results until the loop observes the failure.
 func (d *distRun) run(ctx context.Context) (*Results, error) {
-	rs := d.rs
-	if err := rs.prepare(); err != nil {
+	if err := d.rs.prepare(); err != nil {
 		return nil, err
 	}
-	if d.opts.CrashRate > 0 {
-		seed := d.opts.ChaosSeed
-		if seed == 0 {
-			seed = rs.cfg.Seed
-		}
-		d.crashes = chaos.NewWorkerCrashes(seed, d.opts.CrashRate)
-	}
-	return rs.finishWrites(d.attempts(ctx))
-}
-
-// attempts is the segment loop with the worker-loss retry around each
-// segment.
-func (d *distRun) attempts(ctx context.Context) (*Results, error) {
-	rs := d.rs
-	for {
-		// The continuation state a retry must restore: everything a
-		// failed segment attempt may have mutated before its boundary
-		// commit.
-		engine, metrics := rs.engine, rs.metrics
-		rounds, prevGVT, prevWall := rs.rounds, rs.prevGVT, rs.prevWall
-		res, err := d.segment(ctx)
-		if err == nil {
-			if res != nil {
-				return res, nil
-			}
-			continue
-		}
-		if !errors.Is(err, dist.ErrWorkerLost) || d.attempt >= d.maxAttempts {
-			return nil, err
-		}
-		d.attempt++
-		// The run's own registry has the failed attempt in it (reusing it
-		// read gvt.rounds 7 for 5 and core.deactivations 10 for 8 in
-		// TestDistributedWorkerCrashRecovery): the retry builds another
-		// from the boundary's export.
-		rs.engine, rs.metrics, rs.reg = engine, metrics, nil
-		rs.rounds, rs.prevGVT, rs.prevWall = rounds, prevGVT, prevWall
-		d.segPoints = d.segPoints[:0]
-		if d.opts.RetryBackoff > 0 {
-			t := time.NewTimer(d.opts.RetryBackoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctxError(ctx, context.Cause(ctx))
-			}
-		}
-	}
-}
-
-// segment runs one segment attempt under a context the bridge can
-// cancel: a failed forwarded operation stops the machine and feeds the
-// engine inert results until the loop observes the failure.
-func (d *distRun) segment(ctx context.Context) (*Results, error) {
 	ictx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	d.cancel = cancel
-	return d.rs.runSegment(ictx)
+	return d.rs.segmentLoop(ictx)
 }
 
-// engineBuilt runs once a segment's engine exists and before its runner
-// does: hollow the engine over a fresh bridge and (re)initialize every
-// worker shard from state (the segment's start state; nil for a fresh
-// run).
-func (d *distRun) engineBuilt(eng *tw.Engine, reg *telemetry.Registry, state *tw.EngineState) error {
-	d.reg = reg
-	d.planCrash()
+// engineBuilt runs once the run's engine exists and before its runner
+// does: hollow the engine over a fresh bridge and initialize every
+// worker shard.
+func (d *distRun) engineBuilt(eng *tw.Engine, reg *telemetry.Registry) error {
 	b := &remoteBridge{
 		d:           d,
 		eng:         eng,
@@ -229,22 +140,11 @@ func (d *distRun) engineBuilt(eng *tw.Engine, reg *telemetry.Registry, state *tw
 	}
 	eng.HollowAll(b)
 	d.bridge = b
-	if err := d.initWorkers(reg, state); err != nil {
+	if err := d.initWorkers(reg); err != nil {
 		return err
 	}
 	d.distRounds = reg.Counter(dist.MetricGVTRounds)
 	return nil
-}
-
-// onGVT runs on every GVT publication, after sampling and progress:
-// fire the attempt's planned crash once GVT reaches its crash point.
-func (d *distRun) onGVT(v tw.VT) {
-	if d.crashArmed && float64(v) >= d.crashAt {
-		d.crashArmed = false
-		if c := d.conns[d.victim]; c != nil {
-			c.Close()
-		}
-	}
 }
 
 // onCut is the segment's core.Config.GVTOnCut. Cut two closing is one
@@ -279,47 +179,31 @@ func (d *distRun) samplePoint(eng *tw.Engine, pt SeriesPoint) {
 		}
 	}
 	tw.FinishSeriesPoint(&pt, queued, hits, misses)
-	d.segPoints = append(d.segPoints, pt)
+	d.rs.series.Append(pt)
 }
 
-// failed reports a transport failure, which voids the segment attempt
-// whatever the machine concluded.
+// failed reports a transport failure, which fails the run whatever the
+// machine concluded.
 func (d *distRun) failed() error { return d.bridge.err }
 
-// initWorkers (re)dials lost workers and initializes every shard for
-// the coming segment. A redialed worker restores from its per-shard
-// checkpoint file when one exists; everyone else restores from the
-// coordinator's in-memory segment-start state (the two are the same
-// projection, persisted vs. not).
-func (d *distRun) initWorkers(reg *telemetry.Registry, segState *tw.EngineState) error {
+// initWorkers dials every worker and initializes its shard of the run.
+func (d *distRun) initWorkers(reg *telemetry.Registry) error {
 	rs := d.rs
 	d.clients = make([]*dist.Client, d.workers)
 	for w := 0; w < d.workers; w++ {
-		lo, hi := w*d.threadsPer, (w+1)*d.threadsPer
-		redialed := d.conns[w] == nil
-		if redialed {
-			c, err := d.opts.Dial(w)
-			if err != nil {
-				return fmt.Errorf("%w: dialing worker %d: %v", dist.ErrWorkerLost, w, err)
-			}
-			d.conns[w] = c
+		c, err := d.dial(w)
+		if err != nil {
+			return fmt.Errorf("%w: dialing worker %d: %v", dist.ErrWorkerLost, w, err)
 		}
-		d.clients[w] = dist.NewClient(d.conns[w], reg)
-		st := shardStateFor(segState, lo, hi)
-		if redialed && rs.persisting() && rs.segments > 0 {
-			var err error
-			if st, err = d.readShardFile(w); err != nil {
-				return err
-			}
-		}
+		d.conns[w] = c
+		d.clients[w] = dist.NewClient(c, reg)
 		init := &dist.InitMsg{
 			Config:   rs.cfgJSON,
 			CacheKey: rs.key,
 			Shard:    w,
 			Workers:  d.workers,
-			Lo:       lo,
-			Hi:       hi,
-			State:    st,
+			Lo:       w * d.threadsPer,
+			Hi:       (w + 1) * d.threadsPer,
 		}
 		if err := d.clients[w].Call(dist.KindInit, init, nil); err != nil {
 			if !dist.IsRemote(err) {
@@ -332,41 +216,13 @@ func (d *distRun) initWorkers(reg *telemetry.Registry, segState *tw.EngineState)
 	return nil
 }
 
-// planCrash decides whether this attempt injects a worker crash, and
-// where. The victim and crash point derive from the cache key and
-// attempt number, so a run is reproducible given the same options; the
-// final permitted attempt never crashes.
-func (d *distRun) planCrash() {
-	d.crashArmed = false
-	if d.crashes == nil || d.attempt >= d.maxAttempts {
-		return
-	}
-	crash, frac := d.crashes.Plan(d.rs.key, d.attempt)
-	if !crash {
-		return
-	}
-	h := fnv.New64a()
-	io.WriteString(h, d.rs.key)
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(d.attempt))
-	h.Write(buf[:])
-	d.crashArmed, d.victim, d.crashAt = true, int(h.Sum64()%uint64(d.workers)), frac*d.rs.cfg.EndTime
-}
-
-// markLost closes and forgets a worker connection and downgrades the
-// connected gauge; the next buildSegment redials.
+// markLost closes and forgets a lost worker connection, so shutdown
+// does not talk to it.
 func (d *distRun) markLost(w int) {
 	if c := d.conns[w]; c != nil {
 		c.Close()
 		d.conns[w] = nil
 	}
-	connected := 0
-	for _, c := range d.conns {
-		if c != nil {
-			connected++
-		}
-	}
-	d.reg.Gauge(dist.MetricWorkersConnected).Set(float64(connected))
 }
 
 // shutdownWorkers asks every still-connected worker to exit cleanly
@@ -385,117 +241,20 @@ func (d *distRun) shutdownWorkers() {
 	}
 }
 
-// readShardFile restores one worker's slice of the last committed
-// checkpoint from its per-shard file, which the writer may still be
-// working on.
-func (d *distRun) readShardFile(w int) (*tw.EngineState, error) {
-	if err := d.rs.waitWriter(); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(d.rs.cfg.Checkpoint.Dir, checkpoint.ShardFileName(d.rs.segments, w))
-	snap, err := checkpoint.Read(path)
-	if err != nil {
-		return nil, err
-	}
-	if snap.CacheKey != d.rs.key {
-		return nil, fmt.Errorf("%w: shard checkpoint %s recorded cache key %s, run has %s",
-			ErrCheckpointCorrupt, path, snap.CacheKey, d.rs.key)
-	}
-	return snap.Engine, nil
-}
-
-// shardStateFor projects a full engine state onto one shard: pending
-// events outside [lo, hi) are zeroed (their owning workers hold them),
-// everything else — LP records, sequence counter, statistics — rides
-// along whole, keeping worker engines in exact global correspondence.
-func shardStateFor(est *tw.EngineState, lo, hi int) *tw.EngineState {
-	if est == nil {
-		return nil
-	}
-	out := *est
-	out.Pending = make([][]tw.EventRecord, len(est.Pending))
-	for i := lo; i < hi && i < len(est.Pending); i++ {
-		out.Pending[i] = est.Pending[i]
-	}
-	return &out
-}
-
-// capture replaces eng.Capture at a checkpoint boundary. It reproduces
-// the in-process quiesce/capture cycle across workers: the three
-// quiesce stages loop over workers in peer order with outbox relays
-// between passes (an interleaving identical to the in-process
-// fixpoint), then each shard's capture overlays into one full-width
-// EngineState under the coordinator's master scalars. The workers'
-// metrics fold into the coordinator registry before the snapshot
-// exports it.
-func (d *distRun) capture(seg *segment) (*tw.EngineState, error) {
+// finishing runs before Results are assembled: the end-of-run sweep —
+// worker invariants, pool flushes, then every worker registry imported
+// into the coordinator's in worker order and the master peak gauge
+// re-asserted (gauge import is last-wins; only the coordinator's peak is
+// globally correct) — after which the workers are shut down and Results
+// come from the coordinator's state alone.
+func (d *distRun) finishing(seg *segment) error {
 	b := d.bridge
-	// untilQuiet repeats a quiesce stage over every worker until a full
-	// pass makes no progress.
-	untilQuiet := func(op dist.OpCode) {
-		for progress := true; progress && b.err == nil; {
-			progress = false
-			for w := 0; w < d.workers; w++ {
-				if b.roundTrip(w, op).Flag {
-					progress = true
-				}
-			}
-		}
-	}
-	untilQuiet(dist.OpQuiescePass)
 	for w := 0; w < d.workers; w++ {
-		b.roundTrip(w, dist.OpQuiesceDump)
+		b.roundTrip(w, dist.OpCheckInvariants)
 	}
-	untilQuiet(dist.OpQuiesceFlush)
-	if b.err != nil {
-		return nil, b.err
+	if dist.IsRemote(b.err) {
+		return fmt.Errorf("ggpdes: engine invariant violated: %w", b.err)
 	}
-	if n := seg.eng.UncommittedEvents(); n != 0 {
-		return nil, fmt.Errorf("ggpdes: distributed quiesce left %d uncommitted events", n)
-	}
-	env := seg.eng.EnvelopeOut()
-	est := &tw.EngineState{
-		Seq:             env.Seq,
-		GVT:             seg.eng.GVT(),
-		PeakUncommitted: seg.eng.PeakUncommittedEvents(),
-		LPs:             make([]tw.LPRecord, seg.eng.NumLPs()),
-		Pending:         make([][]tw.EventRecord, d.rs.cfg.Threads),
-		PeerStats:       make([]tw.PeerStats, d.rs.cfg.Threads),
-	}
-	for w := 0; w < d.workers; w++ {
-		sh := b.roundTrip(w, dist.OpCaptureShard).Shard
-		if b.err != nil {
-			return nil, b.err
-		}
-		if sh == nil {
-			return nil, fmt.Errorf("ggpdes: worker %d returned no shard capture", w)
-		}
-		copy(est.LPs[sh.LPLo:], sh.LPs)
-		for i, pend := range sh.Pending {
-			est.Pending[sh.PeerLo+i] = pend
-		}
-	}
-	for i, p := range seg.eng.Peers() {
-		est.PeerStats[i] = p.Stats
-	}
-	return est, d.foldWorkerMetrics(seg)
-}
-
-// commitPoints moves the completed segment's buffered series points
-// into the run's series, at its boundary or at the end of the run.
-func (d *distRun) commitPoints() {
-	for _, pt := range d.segPoints {
-		d.rs.series.Append(pt)
-	}
-	d.segPoints = d.segPoints[:0]
-}
-
-// foldWorkerMetrics flushes worker pools and imports every worker
-// registry into the coordinator's, in worker order, then re-asserts
-// the master peak gauge (gauge import is last-wins; only the
-// coordinator's peak is globally correct).
-func (d *distRun) foldWorkerMetrics(seg *segment) error {
-	b := d.bridge
 	for w := 0; w < d.workers; w++ {
 		b.roundTrip(w, dist.OpFlushPoolStats)
 	}
@@ -505,42 +264,9 @@ func (d *distRun) foldWorkerMetrics(seg *segment) error {
 		}
 	}
 	seg.reg.Gauge(tw.MetricUncommittedPeak).Set(float64(seg.eng.PeakUncommittedEvents()))
-	return b.err
-}
-
-// appendShardFiles appends each worker's slice of the boundary's
-// snapshot, written next to the full one so a redialed worker can
-// restore without the coordinator resending its state in memory.
-func (d *distRun) appendShardFiles(files []snapshotFile, est *tw.EngineState) []snapshotFile {
-	rs := d.rs
-	for w := 0; w < d.workers; w++ {
-		lo, hi := w*d.threadsPer, (w+1)*d.threadsPer
-		files = append(files, snapshotFile{checkpoint.ShardFileName(rs.segments, w), &checkpoint.Snapshot{
-			Config:   rs.cfgJSON,
-			CacheKey: rs.key,
-			Segments: rs.segments,
-			Engine:   shardStateFor(est, lo, hi),
-		}})
+	if b.err != nil {
+		return b.err
 	}
-	return files
-}
-
-// finishing runs before Results are assembled: the end-of-run sweep —
-// worker invariants, pool flushes, metrics imports — after which the
-// workers are shut down and Results come from the coordinator's state
-// alone.
-func (d *distRun) finishing(seg *segment) error {
-	b := d.bridge
-	for w := 0; w < d.workers; w++ {
-		b.roundTrip(w, dist.OpCheckInvariants)
-	}
-	if dist.IsRemote(b.err) {
-		return fmt.Errorf("ggpdes: engine invariant violated: %w", b.err)
-	}
-	if err := d.foldWorkerMetrics(seg); err != nil {
-		return err
-	}
-	d.commitPoints()
 	d.shutdownWorkers()
 	return nil
 }
@@ -796,8 +522,8 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 	return results
 }
 
-// roundTrip performs one control op (quiesce, capture, invariants,
-// metrics, probes) against worker w as a JSON KindOp frame, threading
+// roundTrip performs one control op (invariants, pool flush, metrics,
+// probes) against worker w as a JSON KindOp frame, threading
 // the engine envelope both ways. Queued injects flush first so the
 // worker sees them in order, and mutating ops invalidate the read
 // cache. After a failure the response is empty and b.err is set.

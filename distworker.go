@@ -85,12 +85,7 @@ func newWorkerShard(init *dist.InitMsg) (*workerShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	var eng *tw.Engine
-	if init.State != nil {
-		eng, err = tw.NewEngineFromState(twCfg, init.State)
-	} else {
-		eng, err = tw.NewEngine(twCfg)
-	}
+	eng, err := tw.NewEngine(twCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +105,8 @@ func (ws *workerShard) peer(i int) (*tw.Peer, error) {
 }
 
 // shardStats appends every shard peer's cumulative counters to dst. All
-// of them ride on every enveloped response: quiesce and inject traffic
-// can mutate peers other than the request's target.
+// of them ride on every enveloped response: inject traffic can mutate
+// peers other than the request's target.
 func (ws *workerShard) shardStats(dst []tw.PeerStats) []tw.PeerStats {
 	for i := ws.lo; i < ws.hi; i++ {
 		dst = append(dst, ws.eng.Peer(i).Stats)
@@ -157,9 +152,8 @@ func (ws *workerShard) execOne(req *dist.OpRequest, res *dist.OpResult) error {
 				return err
 			}
 		}
-	case dist.OpQuiescePass, dist.OpQuiesceDump, dist.OpQuiesceFlush,
-		dist.OpCaptureShard, dist.OpCheckInvariants, dist.OpFlushPoolStats,
-		dist.OpMetrics, dist.OpSeriesProbe:
+	case dist.OpCheckInvariants, dist.OpFlushPoolStats, dist.OpMetrics,
+		dist.OpSeriesProbe:
 		return fmt.Errorf("control op in a batch frame")
 	default:
 		return fmt.Errorf("unknown op code %d", uint8(req.Op))
@@ -210,18 +204,6 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 	}
 	resp := &dist.OpResponse{}
 	switch req.Op {
-	case dist.OpQuiescePass:
-		resp.Flag = ws.eng.QuiescePassShard()
-	case dist.OpQuiesceDump:
-		ws.eng.QuiesceDumpShard()
-	case dist.OpQuiesceFlush:
-		resp.Flag = ws.eng.QuiesceFlushShard()
-	case dist.OpCaptureShard:
-		sh, err := ws.eng.CaptureShard()
-		if err != nil {
-			return nil, err
-		}
-		resp.Shard = sh
 	case dist.OpCheckInvariants:
 		if err := ws.eng.CheckInvariants(); err != nil {
 			return nil, err
@@ -252,8 +234,8 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 
 // ServeWorkerConn serves one coordinator connection until a clean
 // shutdown (returns nil) or a transport failure (returns the error;
-// the listener keeps accepting so a redialing coordinator can resume
-// the shard). Worker-side operation failures are answered with
+// the listener keeps accepting for the next coordinator). Worker-side
+// operation failures are answered with
 // KindError and do not end the connection — the coordinator decides
 // whether they are fatal.
 func ServeWorkerConn(rw io.ReadWriter) error {
@@ -357,9 +339,8 @@ func ServeWorkerConn(rw io.ReadWriter) error {
 
 // ListenAndServeWorker accepts coordinator connections one at a time
 // until a coordinator asks for a clean shutdown. A dropped connection
-// (coordinator crash, injected fault) keeps the listener alive: the
-// coordinator redials and re-initializes the shard from its last
-// per-shard checkpoint.
+// (a coordinator that failed or was killed) keeps the listener alive
+// for the next coordinator, which initializes the shard afresh.
 func ListenAndServeWorker(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()

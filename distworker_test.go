@@ -14,7 +14,7 @@ import (
 // answered with exactly one KindError frame and the connection keeps
 // serving — the coordinator, not the worker, decides what is fatal.
 func TestServeWorkerConnProtocolErrors(t *testing.T) {
-	cfg := distCfg(PHOLD{LPsPerThread: 4}, "")
+	cfg := distCfg(PHOLD{LPsPerThread: 4})
 	cfg.Seed = 1
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestServeWorkerConnProtocolErrors(t *testing.T) {
 		body      []byte
 		wantErr   string
 	}{
-		{"op before init", false, dist.KindOp, opBody(dist.OpQuiescePass), "op before init"},
+		{"op before init", false, dist.KindOp, opBody(dist.OpCheckInvariants), "op before init"},
 		{"op batch before init", false, dist.KindOpsB, batchBody, "op batch before init"},
 		{"undecodable init", false, dist.KindInit, []byte(`{"config":`), "decoding init"},
 		{"init with a foreign cache key", false, dist.KindInit,
@@ -102,7 +102,7 @@ func TestServeWorkerConnProtocolErrors(t *testing.T) {
 			// Exactly one frame answered it: the very next frame read is
 			// the answer to the next request, and the worker still serves.
 			mustAck(dist.KindInit, initBody)
-			mustAck(dist.KindOp, opBody(dist.OpQuiescePass))
+			mustAck(dist.KindOp, opBody(dist.OpMetrics))
 			mustAck(dist.KindShutdown, nil)
 			if err := <-served; err != nil {
 				t.Fatalf("ServeWorkerConn returned %v after a clean shutdown", err)
@@ -118,7 +118,7 @@ func TestServeWorkerConnProtocolErrors(t *testing.T) {
 // over a net.Pipe; AllocsPerRun counts every goroutine's allocations,
 // the worker's included.
 func TestBatchRoundTripAllocatesNothing(t *testing.T) {
-	cfg := distCfg(PHOLD{LPsPerThread: 4}, "")
+	cfg := distCfg(PHOLD{LPsPerThread: 4})
 	cfg.Seed = 1
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {

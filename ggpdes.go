@@ -283,8 +283,7 @@ type CheckpointOptions struct {
 	// Every is the number of GVT rounds between checkpoints (>= 1).
 	Every int `json:"every"`
 	// Dir receives the numbered snapshot files ("ckpt-NNNNNNNN.ckpt",
-	// binary, format version 2; a distributed run adds
-	// "ckpt-NNNNNNNN.shardSS.ckpt" per worker). It is created if
+	// binary, format version 2). It is created if
 	// missing, and a run that cannot create it fails before its first
 	// event. Files are written while the next segment runs and are all
 	// complete when the run returns; a failed write fails the run.

@@ -53,7 +53,7 @@ const (
 	// Version is the snapshot format revision; readers reject others.
 	Version = 2
 	// Ext is the snapshot file extension, and Glob matches every
-	// snapshot file of a directory, full or per-shard.
+	// snapshot file of a directory.
 	Ext  = ".ckpt"
 	Glob = "ckpt-*" + Ext
 
@@ -170,14 +170,6 @@ func Decode(data []byte) (*Snapshot, error) {
 // padding keeps lexicographic and numeric order identical, which is
 // what Latest relies on.
 func FileName(n int) string { return fmt.Sprintf("ckpt-%08d%s", n, Ext) }
-
-// ShardFileName returns the file name of worker shard's slice of
-// checkpoint n in a distributed run. The name is deliberately longer
-// than FileName's, so Latest — which matches exact-length full-run
-// snapshots only — never resumes from a partial shard file.
-func ShardFileName(n, shard int) string {
-	return fmt.Sprintf("ckpt-%08d.shard%02d%s", n, shard, Ext)
-}
 
 // Write encodes a snapshot and atomically persists it as file number
 // s.Segments under dir, creating the directory as needed.

@@ -327,7 +327,8 @@ func TestConcurrentWritersSameName(t *testing.T) {
 }
 
 // A failed write leaves nothing behind, and Latest sees neither staging
-// files, nor shard files, nor files of format version 1.
+// files, nor longer names (the per-shard files distributed runs once
+// wrote), nor files of format version 1.
 func TestWriteFailureAndLatest(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := WriteNamed(filepath.Join(dir, "missing"), FileName(1), []byte("x")); err == nil {
@@ -341,7 +342,7 @@ func TestWriteFailureAndLatest(t *testing.T) {
 	if _, err := WriteNamed(dir, FileName(2), []byte("x")); err == nil {
 		t.Fatal("renamed a file over a directory")
 	}
-	for _, name := range []string{"ckpt-00000009.json", ShardFileName(9, 0), FileName(9) + ".123.tmp"} {
+	for _, name := range []string{"ckpt-00000009.json", "ckpt-00000009.shard00" + Ext, FileName(9) + ".123.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}

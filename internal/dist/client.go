@@ -58,8 +58,8 @@ func NewClient(rw io.ReadWriter, reg *telemetry.Registry) *Client {
 }
 
 // RemoteError is a failure the worker reported in answer to a request:
-// the connection is intact and the error is not retryable (redialing
-// would deterministically hit it again).
+// the connection is intact, and repeating the request would
+// deterministically hit the same error.
 type RemoteError struct{ Msg string }
 
 // Error implements error.

@@ -55,8 +55,7 @@ func AppendBatch(dst []byte, m *BatchMsg) ([]byte, error) {
 			for _, ev := range op.Events {
 				dst = tw.AppendWireEvent(dst, ev)
 			}
-		case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
-			OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+		case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
 			return dst, fmt.Errorf("dist: op %v has no binary form", op.Op)
 		default:
 			return dst, fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
@@ -135,8 +134,7 @@ func DecodeBatchInto(m *BatchMsg, env *tw.Envelope, b []byte) error {
 			if op.Events, b, ok = consumeEvents(op.Events, b, int(n)); !ok {
 				return corrupt("inject event")
 			}
-		case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
-			OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+		case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
 			return fmt.Errorf("dist: op %v has no binary form", op.Op)
 		default:
 			return fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
@@ -191,8 +189,7 @@ func appendResult(dst []byte, op OpCode, r *OpResult) ([]byte, error) {
 		return tw.AppendWireF64(dst, float64(r.VT)), nil
 	case OpInject:
 		return dst, nil
-	case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
-		OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+	case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
 		return dst, fmt.Errorf("dist: op %v has no binary form", op)
 	default:
 		return dst, fmt.Errorf("dist: unknown op code %d", uint8(op))
@@ -250,8 +247,7 @@ func consumeResult(b []byte, op OpCode, r *OpResult) ([]byte, error) {
 		return b, nil
 	case OpInject:
 		return b, nil
-	case OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
-		OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+	case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
 		return b, fmt.Errorf("dist: op %v has no binary form", op)
 	default:
 		return b, fmt.Errorf("dist: unknown op code %d", uint8(op))

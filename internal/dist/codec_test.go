@@ -99,7 +99,6 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			op.GVT = WireVT(s.vt())
 		case OpDrain, OpProcessBatch, OpHasExecWork, OpHasWork, OpInputSize,
 			OpLocalMin, OpRemoteMin, OpTakeMinSent, OpPeekMinSent,
-			OpQuiescePass, OpQuiesceDump, OpQuiesceFlush, OpCaptureShard,
 			OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
 			op.Peer = int(s.next() % 16)
 		}
@@ -131,8 +130,7 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			res.Flag = s.next()%2 == 1
 		case OpRemoteMin, OpTakeMinSent, OpPeekMinSent:
 			res.VT = WireVT(s.vt())
-		case OpInject, OpQuiescePass, OpQuiesceDump, OpQuiesceFlush,
-			OpCaptureShard, OpCheckInvariants, OpFlushPoolStats, OpMetrics,
+		case OpInject, OpCheckInvariants, OpFlushPoolStats, OpMetrics,
 			OpSeriesProbe:
 		}
 	}
@@ -215,4 +213,28 @@ func FuzzBinaryFrame(f *testing.F) {
 			t.Fatal("DecodeBatchReply returned nil, nil")
 		}
 	})
+}
+
+// Retiring an op or a kind leaves a blank in its place: every surviving
+// one keeps the wire byte a coordinator or worker of another build
+// sends for it.
+func TestWireValuesPinned(t *testing.T) {
+	for op, want := range map[OpCode]uint8{
+		OpDrain: 1, OpProcessBatch: 2, OpHasExecWork: 3, OpHasWork: 4,
+		OpInputSize: 5, OpLocalMin: 6, OpRemoteMin: 7, OpTakeMinSent: 8,
+		OpPeekMinSent: 9, OpFossilCollect: 10, OpInject: 11,
+		OpCheckInvariants: 16, OpFlushPoolStats: 17, OpMetrics: 18, OpSeriesProbe: 19,
+	} {
+		if uint8(op) != want {
+			t.Errorf("%v = %d, want %d", op, uint8(op), want)
+		}
+	}
+	for kind, want := range map[MsgKind]uint8{
+		KindInit: 1, KindOp: 2, KindResult: 3, KindError: 4, KindShutdown: 5,
+		KindOpsB: 7, KindResultB: 8,
+	} {
+		if uint8(kind) != want {
+			t.Errorf("%v = %d, want %d", kind, uint8(kind), want)
+		}
+	}
 }

@@ -9,8 +9,8 @@
 // kind and a payload. There is one data plane. Hot-path operations —
 // drain/process, the GVT minima, fossil collection and cross-shard
 // injects — travel as coalesced binary batches (KindOpsB answered by
-// KindResultB, see codec.go). Control operations — init, quiesce,
-// capture, invariants, metrics, series probes, shutdown — are rare,
+// KindResultB, see codec.go). Control operations — init, invariants,
+// pool flushes, metrics, series probes, shutdown — are rare,
 // carry structured payloads that already have JSON codecs, and travel
 // as single JSON frames (KindInit/KindOp/KindShutdown answered by
 // KindResult). JSON round-trips floats exactly and matches the repo's
@@ -36,9 +36,7 @@ import (
 )
 
 // ErrWorkerLost marks a coordinator-side transport failure: the worker
-// connection broke mid-run. The serve layer classifies it as retryable
-// — the coordinator redials the worker and resumes its shard from the
-// last per-shard checkpoint.
+// connection broke mid-run, which fails the distributed run.
 var ErrWorkerLost = errors.New("dist: worker connection lost")
 
 // Metric names the distributed layer registers.
@@ -140,14 +138,16 @@ const (
 	OpFossilCollect
 	// Worker-scoped operations act on the whole shard. OpInject relays
 	// cross-shard wire events (no envelope — injection touches no
-	// engine-global scalars); the quiesce trio and OpCaptureShard drive
-	// the distributed checkpoint fixpoint; the rest are the segment
-	// boundary's invariant/metrics sweep and series sampling.
+	// engine-global scalars); the rest are the end of the run's
+	// invariant/metrics sweep and series sampling.
 	OpInject
-	OpQuiescePass
-	OpQuiesceDump
-	OpQuiesceFlush
-	OpCaptureShard
+	// Op bytes 12 to 15 are retired (they drove the distributed
+	// checkpoint's quiesce and capture); the blanks keep the surviving
+	// ops' wire values where they were.
+	_
+	_
+	_
+	_
 	OpCheckInvariants
 	OpFlushPoolStats
 	OpMetrics
@@ -179,14 +179,6 @@ func (o OpCode) String() string {
 		return "fossil_collect"
 	case OpInject:
 		return "inject"
-	case OpQuiescePass:
-		return "quiesce_pass"
-	case OpQuiesceDump:
-		return "quiesce_dump"
-	case OpQuiesceFlush:
-		return "quiesce_flush"
-	case OpCaptureShard:
-		return "capture_shard"
 	case OpCheckInvariants:
 		return "check_invariants"
 	case OpFlushPoolStats:
@@ -219,10 +211,6 @@ type InitMsg struct {
 	// Lo and Hi bound the worker's peer range [Lo, Hi).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// State, when non-nil, restores the shard from a quiesced engine
-	// state (pending events outside the shard zeroed) instead of
-	// building segment zero fresh.
-	State *tw.EngineState `json:"state,omitempty"`
 }
 
 // OpRequest is one forwarded engine operation: a control op travelling
@@ -246,20 +234,15 @@ type OpRequest struct {
 // every enveloped op so the coordinator can mirror the worker's state
 // before the next operation.
 type OpResponse struct {
-	// Flag is the quiesce passes' "made progress" result.
-	Flag bool `json:"flag,omitempty"`
 	// Env returns the engine-global scalars after the operation.
 	Env *tw.Envelope `json:"env,omitempty"`
-	// Stats returns every shard peer's cumulative counters (quiesce
-	// passes mutate any of them).
+	// Stats returns every shard peer's cumulative counters.
 	Stats []tw.PeerStats `json:"stats,omitempty"`
 	// Outbox carries cross-shard sends the operation produced, in
 	// production order.
 	Outbox []tw.WireEvent `json:"outbox,omitempty"`
 	// Probes is OpSeriesProbe's per-peer series contribution.
 	Probes []tw.PeerProbe `json:"probes,omitempty"`
-	// Shard is OpCaptureShard's serialized slice of the engine.
-	Shard *tw.ShardState `json:"shard,omitempty"`
 	// Metrics is OpMetrics' worker registry export.
 	Metrics *telemetry.MetricsState `json:"metrics,omitempty"`
 }
@@ -322,9 +305,8 @@ func PureRead(op OpCode) bool {
 		OpPeekMinSent, OpSeriesProbe:
 		return true
 	case OpDrain, OpProcessBatch, OpLocalMin, OpTakeMinSent,
-		OpFossilCollect, OpInject, OpQuiescePass, OpQuiesceDump,
-		OpQuiesceFlush, OpCaptureShard, OpCheckInvariants,
-		OpFlushPoolStats, OpMetrics:
+		OpFossilCollect, OpInject, OpCheckInvariants, OpFlushPoolStats,
+		OpMetrics:
 		return false
 	default:
 		return false

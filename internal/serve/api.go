@@ -9,7 +9,6 @@ import (
 
 	"ggpdes"
 	"ggpdes/internal/chaos"
-	"ggpdes/internal/dist"
 	"ggpdes/internal/serve/cluster"
 )
 
@@ -29,7 +28,6 @@ const (
 	CodeFailed            = "failed"             // 409 unclassified terminal failure
 	CodeCheckpointCorrupt = "checkpoint_corrupt" // 410 ggpdes.ErrCheckpointCorrupt
 	CodeQueueFull         = "queue_full"         // 429 ErrQueueFull (retryable)
-	CodeWorkerLost        = "worker_lost"        // 502 dist.ErrWorkerLost (retryable)
 	CodePeerLost          = "peer_lost"          // 502 cluster.ErrPeerLost (retryable)
 	CodeDraining          = "draining"           // 503 ErrDraining (retryable)
 	CodeDeadline          = "deadline"           // 504 ggpdes.ErrDeadline
@@ -45,7 +43,7 @@ type ErrorInfo struct {
 	Message string `json:"message"`
 	// Retryable means the same request may succeed if repeated —
 	// against this replica later (queue_full, draining) or was caused
-	// by a recoverable environmental fault (stall, lost worker/peer).
+	// by a recoverable environmental fault (stall, lost peer).
 	Retryable bool `json:"retryable"`
 }
 
@@ -80,8 +78,6 @@ func classify(err error, fbCode string) ErrorInfo {
 		return info(CodeCancelled, false)
 	case errors.Is(err, ErrStalled):
 		return info(CodeStalled, true)
-	case errors.Is(err, dist.ErrWorkerLost):
-		return info(CodeWorkerLost, true)
 	case errors.Is(err, cluster.ErrPeerLost):
 		return info(CodePeerLost, true)
 	case errors.Is(err, chaos.ErrInjectedCrash):
@@ -107,8 +103,6 @@ func remoteFailure(p string, re *cluster.RemoteError) error {
 		sentinel = ggpdes.ErrCancelled
 	case CodeStalled:
 		sentinel = ErrStalled
-	case CodeWorkerLost:
-		sentinel = dist.ErrWorkerLost
 	default:
 		return fmt.Errorf("peer %s: %s: %s", p, re.Code, re.Message)
 	}
@@ -186,7 +180,7 @@ func codeHTTPStatus(code string) int {
 		return http.StatusGone
 	case CodeQueueFull:
 		return http.StatusTooManyRequests
-	case CodeWorkerLost, CodePeerLost:
+	case CodePeerLost:
 		return http.StatusBadGateway
 	case CodeDraining:
 		return http.StatusServiceUnavailable

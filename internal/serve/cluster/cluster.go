@@ -32,8 +32,8 @@ import (
 
 // ErrPeerLost marks a peer that could not be reached or died mid-
 // request: connection refused, reset, or EOF before a response. The
-// serving layer treats it like dist.ErrWorkerLost — an environmental
-// failure worth failing over from, not a job failure.
+// serving layer treats it as an environmental failure worth failing
+// over from, not a job failure.
 var ErrPeerLost = errors.New("cluster: peer unreachable")
 
 // ErrNotCached is returned by FetchResult when the peer is healthy

@@ -10,7 +10,6 @@ import (
 	"ggpdes"
 	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
-	"ggpdes/internal/dist"
 	"ggpdes/internal/serve/cluster"
 )
 
@@ -154,7 +153,6 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"corrupt checkpoint", wrap(ggpdes.ErrCheckpointCorrupt), CodeFailed, CodeCheckpointCorrupt, http.StatusGone, false},
 		{"cancelled", wrap(ggpdes.ErrCancelled), CodeFailed, CodeCancelled, http.StatusConflict, false},
 		{"stalled", wrap(ErrStalled), CodeFailed, CodeStalled, http.StatusGatewayTimeout, true},
-		{"worker lost", wrap(dist.ErrWorkerLost), CodeFailed, CodeWorkerLost, http.StatusBadGateway, true},
 		{"peer lost", wrap(cluster.ErrPeerLost), CodeFailed, CodePeerLost, http.StatusBadGateway, true},
 		{"injected crash", wrap(chaos.ErrInjectedCrash), CodeFailed, CodeFailed, http.StatusConflict, true},
 		{"result unclassified", errors.New("other"), CodeFailed, CodeFailed, http.StatusConflict, false},

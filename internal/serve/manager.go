@@ -17,7 +17,6 @@ import (
 	"ggpdes"
 	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
-	"ggpdes/internal/dist"
 	"ggpdes/internal/rng"
 	"ggpdes/internal/serve/cluster"
 	"ggpdes/internal/telemetry"
@@ -1061,12 +1060,10 @@ func (m *Manager) attempt(jobCtx context.Context, j *Job, cfg ggpdes.Config, ckp
 }
 
 // retryable reports whether an attempt failure was injected by the
-// harness (crash or stall) or was a lost distributed-worker connection
-// — environmental failures — rather than requested by the client or
-// inherent to the config.
+// harness (crash or stall) — an environmental failure — rather than
+// requested by the client or inherent to the config.
 func retryable(err error) bool {
-	return errors.Is(err, chaos.ErrInjectedCrash) || errors.Is(err, ErrStalled) ||
-		errors.Is(err, dist.ErrWorkerLost)
+	return errors.Is(err, chaos.ErrInjectedCrash) || errors.Is(err, ErrStalled)
 }
 
 // backoff is the delay before retry number `attempt`: base doubled per

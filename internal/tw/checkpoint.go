@@ -30,8 +30,7 @@ import (
 // encoding (wire_binary.go) in one that was killed and resumed — and
 // TestCaptureContinuation holds the two to the same next capture.
 
-// errNotCheckpointModel is shared by Capture, CaptureShard and
-// NewEngineFromState.
+// errNotCheckpointModel is shared by Capture and NewEngineFromState.
 var errNotCheckpointModel = errors.New("tw: model does not implement CheckpointModel")
 
 // CheckpointModel is a Model whose LP states can be serialized. All
@@ -126,7 +125,7 @@ func (e *Engine) Capture() (*EngineState, error) {
 		Pending:         make([][]EventRecord, len(e.peers)),
 		PeerStats:       make([]PeerStats, len(e.peers)),
 	}
-	lps, err := e.encodeLPs(cm, e.lps)
+	lps, err := e.encodeLPs(cm)
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +144,11 @@ func (e *Engine) Capture() (*EngineState, error) {
 	return st, nil
 }
 
-// encodeLPs serializes a run of LPs; Capture uses it over all LPs,
-// CaptureShard over one shard's. The states are encoded back to back
+// encodeLPs serializes every LP. The states are encoded back to back
 // into one arena, sized from the first, and each record's State is its
 // slice of it.
-func (e *Engine) encodeLPs(cm CheckpointModel, lps []*LP) ([]LPRecord, error) {
+func (e *Engine) encodeLPs(cm CheckpointModel) ([]LPRecord, error) {
+	lps := e.lps
 	recs := make([]LPRecord, len(lps))
 	ends := make([]int, len(lps))
 	var arena []byte
@@ -206,52 +205,29 @@ func (e *Engine) drainQuiesced(p *Peer) ([]EventRecord, error) {
 // resulting anti-message traffic is drained to a fixpoint, deferred
 // lazy-cancellation sends are flushed, and each peer's pending set is
 // emptied (in pop order) into its quiesced scratch slice.
-// The three stages are factored into peer-range passes so a worker
-// engine can run each stage over just its shard under coordinator
-// control (see shard.go): looping the ranged passes over the full
-// range below is exactly the historical whole-engine quiesce.
 func (e *Engine) quiesce() {
+	cpu := nopCPU{}
 	// Roll back all speculation. Rollbacks unsend (anti-messages into
 	// other peers' input queues) and drains can trigger further
 	// rollbacks, so iterate to a fixpoint.
-	for e.quiescePassRange(0, len(e.peers)) {
-	}
-	e.quiesceDumpRange(0, len(e.peers))
-	// Under lazy cancellation rolled-back events still hold tentative
-	// sends awaiting re-adoption; they cannot survive a checkpoint, so
-	// annihilate them now. The antis only ever target events already in
-	// the quiesced slices (everything pending is there), so the flush
-	// stage's drains just mark targets cancelled.
-	for e.quiesceFlushRange(0, len(e.peers)) {
-	}
-	e.quiesceResetRange(0, len(e.peers))
-}
-
-// quiescePassRange runs one drain-and-rollback round over peers
-// [lo, hi), reporting whether anything made progress.
-func (e *Engine) quiescePassRange(lo, hi int) bool {
-	cpu := nopCPU{}
-	progress := false
-	for _, p := range e.peers[lo:hi] {
-		if len(p.inq) > 0 {
-			p.Drain(cpu)
-			progress = true
-		}
-		for _, kp := range p.kps {
-			if len(kp.processed) > 0 {
-				p.rollback(kp, kp.processed[0])
+	for progress := true; progress; {
+		progress = false
+		for _, p := range e.peers {
+			if len(p.inq) > 0 {
+				p.Drain(cpu)
 				progress = true
+			}
+			for _, kp := range p.kps {
+				if len(kp.processed) > 0 {
+					p.rollback(kp, kp.processed[0])
+					progress = true
+				}
 			}
 		}
 	}
-	return progress
-}
-
-// quiesceDumpRange empties the pending sets of peers [lo, hi) into
-// their quiesced slices. Pop order is (Ts, Seq) — the canonical order
-// the capture serializes.
-func (e *Engine) quiesceDumpRange(lo, hi int) {
-	for _, p := range e.peers[lo:hi] {
+	// Pop order is (Ts, Seq) — the canonical order the capture
+	// serializes.
+	for _, p := range e.peers {
 		p.quiesced = slices.Grow(p.quiesced[:0], p.pending.Len())
 		for {
 			ev, ok := p.pending.Pop()
@@ -261,32 +237,28 @@ func (e *Engine) quiesceDumpRange(lo, hi int) {
 			p.quiesced = append(p.quiesced, ev)
 		}
 	}
-}
-
-// quiesceFlushRange runs one lazy-cancellation flush-and-drain round
-// over peers [lo, hi), reporting whether anything made progress.
-func (e *Engine) quiesceFlushRange(lo, hi int) bool {
-	cpu := nopCPU{}
-	progress := false
-	for _, p := range e.peers[lo:hi] {
-		for _, ev := range p.quiesced {
-			if ev.state != StateCancelled && len(ev.tentative) > 0 {
-				p.flushTentative(ev)
+	// Under lazy cancellation rolled-back events still hold tentative
+	// sends awaiting re-adoption; they cannot survive a checkpoint, so
+	// annihilate them now. The antis only ever target events already in
+	// the quiesced slices (everything pending is there), so the flush
+	// stage's drains just mark targets cancelled.
+	for progress := true; progress; {
+		progress = false
+		for _, p := range e.peers {
+			for _, ev := range p.quiesced {
+				if ev.state != StateCancelled && len(ev.tentative) > 0 {
+					p.flushTentative(ev)
+					progress = true
+				}
+			}
+			if len(p.inq) > 0 {
+				p.Drain(cpu)
 				progress = true
 			}
 		}
-		if len(p.inq) > 0 {
-			p.Drain(cpu)
-			progress = true
-		}
 	}
-	return progress
-}
-
-// quiesceResetRange clears the per-round send windows and cycle
-// accumulators of peers [lo, hi) after a completed quiesce.
-func (e *Engine) quiesceResetRange(lo, hi int) {
-	for _, p := range e.peers[lo:hi] {
+	// Clear the per-round send windows and cycle accumulators.
+	for _, p := range e.peers {
 		p.minSent = math.Inf(1)
 		p.acc = 0
 	}

@@ -240,82 +240,3 @@ func (e *Engine) InjectRemote(w WireEvent) error {
 	dst.inq = append(dst.inq, ev)
 	return nil
 }
-
-// Distributed quiesce. The coordinator reproduces checkpoint.go's
-// three-stage fixpoint across workers by looping the exported
-// shard-scoped passes in worker order — which is peer order, because
-// shards partition peers in blocks — and relaying each pass's outbox
-// before the next worker runs. The interleaving of drains, rollbacks
-// and anti-message deliveries this produces is identical to the
-// in-process quiesce, so the captured cut (including anti-message
-// sequence numbers) is byte-identical.
-
-// QuiescePassShard runs one drain-and-rollback round over the local
-// shard's peers (stage one of quiesce) and reports whether any peer
-// made progress. The coordinator loops rounds across all workers until
-// a full round reports no progress anywhere.
-func (e *Engine) QuiescePassShard() bool {
-	return e.quiescePassRange(e.shardLo, e.shardHi)
-}
-
-// QuiesceDumpShard empties the local shard's pending sets into the
-// peers' quiesced slices in pop order (stage two of quiesce). Run it
-// only after the global stage-one fixpoint.
-func (e *Engine) QuiesceDumpShard() {
-	e.quiesceDumpRange(e.shardLo, e.shardHi)
-}
-
-// QuiesceFlushShard runs one lazy-cancellation flush-and-drain round
-// over the local shard (stage three of quiesce) and reports progress;
-// the coordinator loops it across workers like stage one.
-func (e *Engine) QuiesceFlushShard() bool {
-	return e.quiesceFlushRange(e.shardLo, e.shardHi)
-}
-
-// ShardState is the locally authoritative slice of a quiesced engine:
-// the shard's LP records and its peers' pending events. The
-// coordinator overlays shard states from all workers (plus its own
-// master scalars and peer statistics) into one standard EngineState.
-type ShardState struct {
-	// LPLo is the global id of LPs[0]; the shard's LPs are contiguous
-	// because the block LP-to-thread mapping keeps each peer's LPs
-	// contiguous.
-	LPLo int        `json:"lp_lo"`
-	LPs  []LPRecord `json:"lps"`
-	// PeerLo is the global index of Pending[0]'s peer.
-	PeerLo  int             `json:"peer_lo"`
-	Pending [][]EventRecord `json:"pending"`
-}
-
-// CaptureShard serializes the local shard after a completed
-// distributed quiesce, validating and consuming the quiesced slices
-// exactly as Capture does. The global uncommitted==0 check is the
-// coordinator's job — only it holds the master count.
-func (e *Engine) CaptureShard() (*ShardState, error) {
-	cm, ok := e.cfg.Model.(CheckpointModel)
-	if !ok {
-		return nil, errNotCheckpointModel
-	}
-	lo, hi := e.shardLo, e.shardHi
-	st := &ShardState{
-		PeerLo:  lo,
-		Pending: make([][]EventRecord, 0, hi-lo),
-	}
-	for _, p := range e.peers[lo:hi] {
-		if st.LPs == nil && len(p.lps) > 0 {
-			st.LPLo = p.lps[0].ID
-		}
-		recs, err := e.encodeLPs(cm, p.lps)
-		if err != nil {
-			return nil, err
-		}
-		st.LPs = append(st.LPs, recs...)
-		pend, err := e.drainQuiesced(p)
-		if err != nil {
-			return nil, err
-		}
-		st.Pending = append(st.Pending, pend)
-	}
-	e.quiesceResetRange(lo, hi)
-	return st, nil
-}

@@ -120,14 +120,14 @@ type runState struct {
 	rec *trace.Recorder
 	// dist is the distributed run this state belongs to, nil in-process.
 	// The segment loop below exists once; everything a distributed run
-	// does differently inside it is a call on dist: engineBuilt, onGVT,
-	// onCut and samplePoint while a segment is built; failed, capture,
-	// appendShardFiles, commitPoints and finishing as it ends.
+	// does differently inside it is a call on dist: engineBuilt, onCut
+	// and samplePoint while its one segment is built; failed and
+	// finishing as it ends.
 	dist *distRun
 
 	// Continuation state (set between segments / loaded from snapshot).
-	// metrics is the registry export of the boundary engine was captured
-	// at, for a registry that has to start there (see buildSegment).
+	// metrics is the registry export a snapshot carries, which Resume's
+	// first segment starts its registry from (see buildSegment).
 	engine  *tw.EngineState
 	metrics *telemetry.MetricsState
 	// reg is the registry the run built for itself because the caller
@@ -318,18 +318,14 @@ func (rs *runState) buildSegment() (*segment, error) {
 	}
 	// A run has one registry — the caller's, or one it builds here and
 	// keeps — and a segment that continues the run records into it on top
-	// of everything before. A segment that restarts from a boundary
-	// starts a registry from that boundary's export instead: Resume's
-	// first, and the retry after a lost worker, which has dropped rs.reg
-	// because the failed attempt's rounds are counted in it.
+	// of everything before. Resume's first segment starts it from the
+	// snapshot's export.
 	reg := cfg.Telemetry
-	switch {
-	case reg != nil:
-	case rs.reg != nil:
-		reg, rs.metrics = rs.reg, nil // it recorded what the export holds
-	default:
-		reg = telemetry.NewRegistry()
-		rs.reg = reg
+	if reg == nil {
+		if rs.reg == nil {
+			rs.reg = telemetry.NewRegistry()
+		}
+		reg = rs.reg
 	}
 	if rs.metrics != nil {
 		reg.Import(*rs.metrics)
@@ -379,9 +375,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 		if progress != nil {
 			progress(v)
 		}
-		if d != nil {
-			d.onGVT(v)
-		}
 		if every > 0 && float64(v) < cfg.EndTime {
 			segPubs++
 			if segPubs >= every {
@@ -401,7 +394,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 	}
 	var onCut func(cut int, round uint64)
 	if d != nil {
-		if err := d.engineBuilt(eng, reg, state); err != nil {
+		if err := d.engineBuilt(eng, reg); err != nil {
 			return nil, err
 		}
 		onCut = d.onCut
@@ -546,8 +539,8 @@ func (rs *runState) accumulate(seg *segment) {
 // same points the uninterrupted run did. What a boundary costs beyond
 // that is kept off the critical path: the next segment starts from the
 // captured EngineState itself, and the snapshot file is encoded and
-// written by one goroutine while it runs. The decoder is Resume's (and
-// the worker-loss retry's) alone, and so is decoding LP states: the
+// written by one goroutine while it runs. The decoder is Resume's
+// alone, and so is decoding LP states: the
 // capture brings the quiesced engine's own along. That a
 // capture-continued run and a decode-continued one are the same run is
 // what TestCheckpointResumeMatrix, TestResumeFromEveryEpidemicsBoundary,
@@ -573,9 +566,6 @@ func (rs *runState) checkpoint(seg *segment) error {
 // capture quiesces the paused segment's engine onto its committed cut
 // and captures it. The engine is consumed.
 func (rs *runState) capture(seg *segment) (*tw.EngineState, error) {
-	if rs.dist != nil {
-		return rs.dist.capture(seg)
-	}
 	est, err := seg.eng.Capture()
 	if err != nil {
 		return nil, fmt.Errorf("ggpdes: checkpoint capture: %w", err)
@@ -590,42 +580,26 @@ func (rs *runState) commit(seg *segment, est *tw.EngineState) error {
 	seg.eng.FlushPoolStats()
 	rs.accumulate(seg)
 	rs.segments++
-	// Exported here, not by the writer: the next segment records into
-	// this same registry.
-	metrics := seg.reg.Export()
 	if rs.persisting() {
-		if err := rs.persist(est, metrics); err != nil {
+		// Exported here, not by the writer: the next segment records into
+		// this same registry.
+		if err := rs.persist(est, seg.reg.Export()); err != nil {
 			return err
 		}
 	}
 	rs.engine = est
-	if rs.cfg.Telemetry == nil {
-		// Where a registry built for a retry of the next segment starts;
-		// a registry of the caller's is never rebuilt.
-		rs.metrics = &metrics
-	}
-	if rs.dist != nil {
-		rs.dist.commitPoints()
-	}
 	return nil
 }
 
-// snapshotFile is one file of a boundary: the full snapshot, or in a
-// distributed run one worker's slice of it.
-type snapshotFile struct {
-	name string
-	snap *checkpoint.Snapshot
-}
-
-// persist starts writing the boundary's files. At most one boundary is
+// persist starts writing the boundary's file. At most one boundary is
 // in flight: the previous one is joined first, which is also where its
-// error, if any, fails the run. The snapshot shares the capture and the
-// metrics export with the next segment; both sides only read them.
+// error, if any, fails the run. The snapshot shares the capture with
+// the next segment; both sides only read it.
 func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState) error {
 	if err := rs.waitWriter(); err != nil {
 		return err
 	}
-	files := []snapshotFile{{checkpoint.FileName(rs.segments), &checkpoint.Snapshot{
+	snap := &checkpoint.Snapshot{
 		Config:       rs.cfgJSON,
 		CacheKey:     rs.key,
 		Segments:     rs.segments,
@@ -637,29 +611,14 @@ func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState)
 		GVTFrequency: rs.gvtFreq,
 		Engine:       est,
 		Metrics:      metrics,
-	}}}
-	if rs.dist != nil {
-		files = rs.dist.appendShardFiles(files, est)
 	}
 	dir, done := rs.cfg.Checkpoint.Dir, make(chan error, 1)
 	rs.writing = done
-	rs.written += len(files)
-	go func() { done <- writeSnapshots(dir, files) }()
-	return nil
-}
-
-// writeSnapshots encodes and writes files in order, stopping at the
-// first failure.
-func writeSnapshots(dir string, files []snapshotFile) error {
-	for _, f := range files {
-		data, err := checkpoint.Encode(f.snap)
-		if err != nil {
-			return err
-		}
-		if _, err := checkpoint.WriteNamed(dir, f.name, data); err != nil {
-			return err
-		}
-	}
+	rs.written++
+	go func() {
+		_, err := checkpoint.Write(dir, snap)
+		done <- err
+	}()
 	return nil
 }
 

@@ -2,15 +2,13 @@
 # dist_smoke.sh — distributed-run smoke test behind `make dist-smoke`.
 #
 # The full multi-process topology, end to end: two ggworker processes
-# on ephemeral ports, a checkpointing ggsim coordinator connecting to
-# them with -worker-addrs, and an in-process golden run of the same
-# seeded configuration. Asserts:
+# on ephemeral ports, a ggsim coordinator connecting to them with
+# -worker-addrs, and an in-process golden run of the same seeded
+# configuration. Asserts:
 #
 #   - the distributed report and the per-GVT-round series CSV are
 #     byte-identical to the in-process golden (only the "distributed"
 #     info line, which names the sharding itself, is excluded);
-#   - the coordinator wrote per-shard checkpoint files next to every
-#     full snapshot;
 #   - both workers exit cleanly after the coordinator's shutdown frame.
 set -eu
 
@@ -32,16 +30,16 @@ fail() {
 $GO build -o "$dir/ggsim" ./cmd/ggsim
 $GO build -o "$dir/ggworker" ./cmd/ggworker
 
-# run <subdir> [extra flags...] — checkpoint dir and series CSV are
-# relative paths under the subdir so the report lines naming them are
-# identical across runs.
+# run <subdir> [extra flags...] — the series CSV is a relative path
+# under the subdir so the report line naming it is identical across
+# runs.
 run() {
     sub=$1
     shift
     mkdir -p "$dir/$sub"
     (cd "$dir/$sub" && "$dir/ggsim" -model phold -threads 8 -end 40 -seed 42 \
         -gvt-freq 10 -zero-threshold 60 \
-        -v -hist -checkpoint-every 2 -checkpoint-dir ck -series series.csv "$@")
+        -v -hist -series series.csv "$@")
 }
 
 run golden >"$dir/golden.txt" 2>&1 || fail "in-process golden run failed" "$dir/golden.txt"
@@ -78,12 +76,6 @@ if ! diff -u "$dir/golden/series.csv" "$dir/dist/series.csv" >"$dir/diff.txt"; t
     exit 1
 fi
 
-shards=$(ls "$dir/dist/ck" | grep -c 'shard' || true)
-fulls=$(ls "$dir/dist/ck" | grep -cv 'shard' || true)
-[ "$fulls" -ge 1 ] || fail "no full snapshots in the distributed checkpoint dir"
-[ "$shards" -eq $((2 * fulls)) ] ||
-    fail "want 2 shard files per full snapshot, got $shards shard / $fulls full"
-
 # The coordinator's shutdown frames must let both workers exit 0.
 i=0
 while kill -0 "$w1" 2>/dev/null || kill -0 "$w2" 2>/dev/null; do
@@ -96,4 +88,4 @@ wait "$w2" || fail "worker 2 exited non-zero" "$dir/w2.log"
 w1=
 w2=
 
-echo "dist-smoke: OK (2 workers at $addrs, $fulls snapshots + $shards shard files, report identical to in-process)"
+echo "dist-smoke: OK (2 workers at $addrs, report and series identical to in-process)"
