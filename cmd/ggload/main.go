@@ -10,7 +10,7 @@
 //	ggload -addrs a,b,c -cluster-smoke -pids p1,p2,p3 \
 //	       -checkpoint-root /dir                                 # CI cluster test
 //
-// Closed loop keeps -concurrency submissions in flight, each polled to
+// Closed loop keeps -concurrency submissions in flight, each waited to
 // a terminal state before the next is issued — the sweep axis for the
 // EXPERIMENTS.md throughput-vs-concurrency curve. Open loop submits at
 // a fixed -rate regardless of completions, exercising the 429
@@ -57,7 +57,7 @@ func main() {
 		seedBase    = flag.Uint64("seed-base", 1, "first seed; each job gets seed-base+i unless -same-config")
 		sameConfig  = flag.Bool("same-config", false, "submit identical configs (measures the cache path)")
 		jobTimeout  = flag.Float64("job-timeout", 120, "timeout_seconds sent with each job")
-		pollEvery   = flag.Duration("poll", 20*time.Millisecond, "status poll interval")
+		pollEvery   = flag.Duration("poll", 20*time.Millisecond, "pause after a non-terminal status answer before asking again (the server holds each status request until the job ends, up to 30s)")
 		smoke       = flag.Bool("smoke", false, "run the deterministic smoke sequence and exit 0/1")
 		chaosSmoke  = flag.Bool("chaos-smoke", false, "run the fault-tolerance smoke sequence against a crash-injecting server and exit 0/1")
 		cluSmoke    = flag.Bool("cluster-smoke", false, "run the clustered-serving smoke against -addrs and exit 0/1")
@@ -277,7 +277,7 @@ func pholdSpec(seed uint64, end float64) client.JobSpec {
 	}
 }
 
-// waitDone polls the job to a terminal state and requires done.
+// waitDone waits the job to a terminal state and requires done.
 func waitDone(ctx context.Context, c *client.Client, id string) (client.JobMeta, error) {
 	wctx, cancel := context.WithTimeout(ctx, 10*time.Minute)
 	defer cancel()
@@ -296,7 +296,7 @@ func waitDone(ctx context.Context, c *client.Client, id string) (client.JobMeta,
 }
 
 // runSmoke is the deterministic CI sequence behind `make serve-smoke`:
-// healthz, submit a small PHOLD job, poll it to done, fetch the
+// healthz, submit a small PHOLD job, wait it to done, fetch the
 // result, resubmit the identical spec and require a cache hit backed
 // by the server's hit counter.
 func runSmoke(ctx context.Context, c *client.Client) error {

@@ -55,8 +55,8 @@ func main() {
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
 		workers    = flag.Int("workers", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 64, "jobs admitted but not yet running before 429s")
-		cacheSize  = flag.Int("cache-entries", 256, "result cache bound (negative disables)")
-		retainJobs = flag.Int("retain-jobs", 4096, "finished jobs kept queryable (negative = unlimited)")
+		cacheSize  = flag.Int("cache-entries", 256, "result cache bound, and so how many finished jobs' results stay readable (at least 1)")
+		retainJobs = flag.Int("retain-jobs", 4096, "finished jobs whose status stays queryable (negative = unlimited)")
 		defTimeout = flag.Duration("default-timeout", 0, "per-job real-time deadline unless the spec sets one (0 = none)")
 		drainGrace = flag.Duration("drain-timeout", 5*time.Minute, "how long to wait for in-flight jobs on shutdown")
 		maxTries   = flag.Int("max-attempts", 1, "runs per job before it fails (retries resume from the latest checkpoint)")
@@ -72,6 +72,12 @@ func main() {
 		advertise  = flag.String("advertise", "", "address peers reach this replica at (default: the bound listen address)")
 	)
 	flag.Parse()
+	if *cacheSize < 1 {
+		// The cache is where finished jobs' results live: there is no
+		// running without one.
+		fmt.Fprintf(os.Stderr, "ggserved: -cache-entries %d: must be at least 1\nusage: ggserved [-cache-entries N] (N >= 1 results kept; see -h)\n", *cacheSize)
+		os.Exit(2)
+	}
 
 	peersSpec := *peersFlag
 	if peersSpec == "" {

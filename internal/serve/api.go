@@ -27,6 +27,7 @@ const (
 	CodeCancelled         = "cancelled"          // 409 ggpdes.ErrCancelled / client cancel
 	CodeFailed            = "failed"             // 409 unclassified terminal failure
 	CodeCheckpointCorrupt = "checkpoint_corrupt" // 410 ggpdes.ErrCheckpointCorrupt
+	CodeResultEvicted     = "result_evicted"     // 410 ErrResultEvicted (resubmit re-simulates)
 	CodeQueueFull         = "queue_full"         // 429 ErrQueueFull (retryable)
 	CodePeerLost          = "peer_lost"          // 502 cluster.ErrPeerLost (retryable)
 	CodeDraining          = "draining"           // 503 ErrDraining (retryable)
@@ -74,6 +75,8 @@ func classify(err error, fbCode string) ErrorInfo {
 		return info(CodeDeadline, false)
 	case errors.Is(err, ggpdes.ErrCheckpointCorrupt):
 		return info(CodeCheckpointCorrupt, false)
+	case errors.Is(err, ErrResultEvicted):
+		return info(CodeResultEvicted, false)
 	case errors.Is(err, ggpdes.ErrCancelled), errors.Is(err, context.Canceled):
 		return info(CodeCancelled, false)
 	case errors.Is(err, ErrStalled):
@@ -176,7 +179,7 @@ func codeHTTPStatus(code string) int {
 		return http.StatusBadRequest
 	case CodeNotFound:
 		return http.StatusNotFound
-	case CodeCheckpointCorrupt:
+	case CodeCheckpointCorrupt, CodeResultEvicted:
 		return http.StatusGone
 	case CodeQueueFull:
 		return http.StatusTooManyRequests

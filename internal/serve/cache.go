@@ -9,7 +9,9 @@ import (
 )
 
 // resultCache is a bounded LRU mapping Config.CacheKey values to
-// completed Results. Runs are deterministic functions of the canonical
+// completed Results, and the only place a result lives: a done job holds
+// its key and resolves the result here, so this bound is the one bound
+// on result memory. Runs are deterministic functions of the canonical
 // config, so a hit is exactly the result a fresh run would produce.
 // Entries are immutable once inserted: readers share the *Results
 // pointer and must not mutate it.
@@ -30,8 +32,7 @@ type cacheEntry struct {
 	res *ggpdes.Results
 }
 
-// newResultCache builds a cache holding at most max entries. max <= 0
-// disables caching: every lookup misses and puts are dropped.
+// newResultCache builds a cache holding at most max (≥ 1) entries.
 func newResultCache(max int, reg *telemetry.Registry) *resultCache {
 	return &resultCache{
 		max:       max,
@@ -46,28 +47,19 @@ func newResultCache(max int, reg *telemetry.Registry) *resultCache {
 
 // get returns the cached result for key, recording a hit or miss.
 func (c *resultCache) get(key string) (*ggpdes.Results, bool) {
-	if c.max <= 0 {
+	res, ok := c.peek(key)
+	if ok {
+		c.hits.Inc()
+	} else {
 		c.misses.Inc()
-		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses.Inc()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*cacheEntry).res, true
+	return res, ok
 }
 
-// peek is get without the hit/miss accounting, for re-checks that
-// already recorded the lookup (Submit's under-lock race close).
+// peek is get without the hit/miss accounting: for re-checks that
+// already recorded the lookup (Submit's under-lock race close) and for
+// reading a done job's result, which is no lookup at all.
 func (c *resultCache) peek(key string) (*ggpdes.Results, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -81,9 +73,6 @@ func (c *resultCache) peek(key string) (*ggpdes.Results, bool) {
 // put stores a completed result, evicting the least recently used
 // entry past the bound.
 func (c *resultCache) put(key string, res *ggpdes.Results) {
-	if c.max <= 0 || res == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -1,5 +1,5 @@
 // Package client is the typed Go client for the ggserved /v2 API
-// (API revision 5). It speaks the typed error envelope — every
+// (API revision 6). It speaks the typed error envelope — every
 // non-2xx answer surfaces as an *Error carrying the server's code,
 // message, and retryability — and mirrors the /v2 wire shapes with
 // plain structs so callers never touch raw JSON.
@@ -168,7 +168,10 @@ type Stats struct {
 type Client struct {
 	base string
 	http *http.Client
-	// Poll is the status-polling cadence Wait uses (default 25ms).
+	// Poll is how long Wait pauses after a non-terminal status answer
+	// before asking again (default 25ms). A server that holds status
+	// requests until the job ends answers non-terminal only at its wait
+	// cap; one that answers at once is polled at this cadence.
 	Poll time.Duration
 }
 
@@ -297,28 +300,41 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobMeta, error) {
 	return out.Job, err
 }
 
-// Wait polls a job's status until it reaches a terminal state or ctx
-// expires. The terminal meta is returned even for failed jobs — the
-// error is the context's when polling was cut short.
+// maxWait is the longest Wait asks the server to hold one status
+// request: the server's own cap.
+const maxWait = 30 * time.Second
+
+// Wait blocks until the job reaches a terminal state or ctx expires.
+// The terminal meta is returned even for failed jobs — the error is the
+// context's when the wait was cut short. Each round is one status
+// request with ?wait=, which the server holds until the job ends (up to
+// 30 s, or half the http.Client's Timeout); only after a non-terminal
+// answer does Wait pause Poll before asking again. A server that
+// ignores ?wait= answers at once, and is then polled every Poll.
 func (c *Client) Wait(ctx context.Context, id string) (JobMeta, error) {
 	poll := c.Poll
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
+	hold := maxWait
+	if t := c.http.Timeout; t > 0 && t/2 < hold {
+		hold = t / 2
+	}
+	path := "/v2/jobs/" + url.PathEscape(id) + "?wait=" + strconv.FormatFloat(hold.Seconds(), 'f', -1, 64)
 	for {
-		meta, err := c.Status(ctx, id)
-		if err != nil {
-			return meta, err
+		var out jobBody
+		if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
+			return out.Job, err
 		}
-		if meta.Terminal() {
-			return meta, nil
+		if out.Job.Terminal() {
+			return out.Job, nil
 		}
+		t := time.NewTimer(poll)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
-			return meta, context.Cause(ctx)
+			t.Stop()
+			return out.Job, context.Cause(ctx)
 		}
 	}
 }

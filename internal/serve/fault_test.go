@@ -189,7 +189,7 @@ func TestHTTPDeadline504AndVersion(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v2/version", &v); code != http.StatusOK {
 		t.Fatalf("version status %d", code)
 	}
-	if v.API != "v2" || v.APIRevision != 5 || v.CheckpointFormat != checkpoint.Version {
+	if v.API != "v2" || v.APIRevision != 6 || v.CheckpointFormat != checkpoint.Version {
 		t.Fatalf("version body: %+v", v)
 	}
 }

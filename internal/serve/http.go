@@ -12,7 +12,8 @@ import (
 // /v2/version and bumped whenever a route or a wire shape changes:
 // /v2 is the only API version, every failure wears the typed envelope
 // {"error":{"code","message","retryable"}}, and every job is a JobMeta.
-const apiRevision = 5
+// Revision 6 added the status request's ?wait= and result_evicted.
+const apiRevision = 6
 
 // Handler returns the service's HTTP API:
 //
@@ -21,11 +22,15 @@ const apiRevision = 5
 //	                             (400 invalid_config, 429 queue_full
 //	                             with deterministic Retry-After, 503
 //	                             draining)
-//	GET    /v2/jobs/{id}         job status as {"job": JobMeta}
+//	GET    /v2/jobs/{id}         job status as {"job": JobMeta};
+//	                             ?wait=<seconds> holds the answer until
+//	                             the job is terminal (at most 30 s)
 //	GET    /v2/jobs/{id}/result  200 job+results when done, 202 in
-//	                             flight; terminal failures map the
-//	                             error code's status
-//	GET    /v2/jobs/{id}/series  per-GVT-round time series
+//	                             flight, 410 result_evicted once the
+//	                             cache let the result go; terminal
+//	                             failures map the error code's status
+//	GET    /v2/jobs/{id}/series  per-GVT-round time series (410
+//	                             result_evicted as for the result)
 //	DELETE /v2/jobs/{id}         cancel; 200 with post-cancel meta
 //	POST   /v2/sweeps            fan one SweepSpec into K member jobs
 //	GET    /v2/sweeps/{id}       aggregate + per-member status

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"time"
 
 	"ggpdes/internal/checkpoint"
 )
@@ -112,6 +113,35 @@ func writeJobError(w http.ResponseWriter, meta JobMeta) {
 	writeJSON(w, metaStatus(meta), jobErrorBody{Error: info, Job: meta})
 }
 
+// writeEvicted answers the result of a done job whose cache entry is
+// gone: 410 result_evicted, with the job's meta alongside.
+func writeEvicted(w http.ResponseWriter, meta JobMeta) {
+	writeJSON(w, http.StatusGone, jobErrorBody{Error: classify(ErrResultEvicted, CodeInternal), Job: meta})
+}
+
+// maxStatusWait caps how long a status request's ?wait= may hold it:
+// long enough that a client waiting on a job asks about once per job,
+// short enough that no proxy idle timeout cuts the request first.
+const maxStatusWait = 30 * time.Second
+
+// statusWait parses a status request's ?wait=<seconds>: absent or 0
+// answers at once, anything past maxStatusWait waits that long, and a
+// value that does not parse or is negative is an error.
+func statusWait(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query().Get("wait")
+	if q == "" {
+		return 0, nil
+	}
+	s, err := strconv.ParseFloat(q, 64)
+	if err != nil || !(s >= 0) { // NaN is not >= 0 either
+		return 0, fmt.Errorf("wait=%q: want a non-negative number of seconds", q)
+	}
+	if s >= maxStatusWait.Seconds() {
+		return maxStatusWait, nil
+	}
+	return time.Duration(s * float64(time.Second)), nil
+}
+
 func (m *Manager) v2Submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	if !decodeBody(w, r, &spec) {
@@ -128,13 +158,31 @@ func (m *Manager) v2Submit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// v2Status answers a job's meta. With ?wait=<seconds> it first blocks
+// on the job's done channel — until the job is terminal, the client
+// hangs up, or min(wait, maxStatusWait) passes — so a waiting client
+// costs one request instead of a poll loop.
 func (m *Manager) v2Status(w http.ResponseWriter, r *http.Request) {
-	st, ok := m.Get(r.PathValue("id"))
+	wait, err := statusWait(r)
+	if err != nil {
+		writeError(w, err, CodeInvalidConfig)
+		return
+	}
+	j, ok := m.job(r.PathValue("id"))
 	if !ok {
 		writeNotFound(w, "job")
 		return
 	}
-	writeJSON(w, http.StatusOK, jobBody{Job: st})
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.done:
+		case <-r.Context().Done():
+		case <-t.C:
+		}
+		t.Stop()
+	}
+	writeJSON(w, http.StatusOK, jobBody{Job: m.snapshot(j)})
 }
 
 func (m *Manager) v2Result(w http.ResponseWriter, r *http.Request) {
@@ -145,6 +193,10 @@ func (m *Manager) v2Result(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.State {
 	case StateDone:
+		if res == nil {
+			writeEvicted(w, st)
+			return
+		}
 		writeJSON(w, http.StatusOK, jobResultBody{Job: st, Results: res})
 	case StateFailed, StateCancelled:
 		writeJobError(w, st)
@@ -163,9 +215,13 @@ type jobSeriesBody struct {
 }
 
 func (m *Manager) v2Series(w http.ResponseWriter, r *http.Request) {
-	pts, total, st, ok := m.Series(r.PathValue("id"))
-	if !ok {
+	pts, total, st, err := m.Series(r.PathValue("id"))
+	switch {
+	case errors.Is(err, errUnknownJob):
 		writeNotFound(w, "job")
+		return
+	case err != nil:
+		writeEvicted(w, st)
 		return
 	}
 	body := jobSeriesBody{Job: st, Total: total, Points: pts}
@@ -357,9 +413,12 @@ func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
 		// and lands in the cache for its retry.
 		return
 	}
-	if final.State != StateDone {
+	switch {
+	case final.State != StateDone:
 		writeJobError(w, final)
-		return
+	case res == nil:
+		writeEvicted(w, final)
+	default:
+		writeJSON(w, http.StatusOK, jobResultBody{Job: final, Results: res})
 	}
-	writeJSON(w, http.StatusOK, jobResultBody{Job: final, Results: res})
 }

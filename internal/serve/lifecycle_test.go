@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,6 +81,9 @@ func jobIn(t *testing.T, m *Manager, s State, seed uint64) *Job {
 	return j
 }
 
+// engineMetrics stands for the engine telemetry a run's Results carry.
+var engineMetrics = ggpdes.MetricsState{Counters: map[string]uint64{"tw.committed_events": 1}}
+
 // The lifecycle, written out independently of the edges table: each
 // (from, to) pair, as a job that owns its execution and as a coalesced
 // follower, lands if and only if it is listed here — and a refused edge
@@ -130,7 +134,7 @@ func TestTransitionTable(t *testing.T) {
 			for _, follower := range []bool{false, true} {
 				seed++
 				j := jobIn(t, m, from, seed)
-				out := outcome{res: &ggpdes.Results{}, err: ErrStalled}
+				out := outcome{res: &ggpdes.Results{CommittedEvents: seed, Metrics: engineMetrics}, err: ErrStalled}
 				if follower {
 					out.source = SourceInflight
 				}
@@ -188,8 +192,16 @@ func TestTransitionTable(t *testing.T) {
 					failed && j.errInfo.Code != CodeStalled {
 					t.Errorf("%s: typed error %+v", name, j.errInfo)
 				}
-				if to == StateDone && (j.result != out.res || j.source != out.source) {
-					t.Errorf("%s: result %p from %q, want %p from %q", name, j.result, j.source, out.res, out.source)
+				if to == StateDone {
+					// The cache is where a done job's result lives, and a run's
+					// is kept without the Metrics its edge imported.
+					want := *out.res
+					if from == StateRunning {
+						want.Metrics = ggpdes.MetricsState{}
+					}
+					if got, ok := m.cache.peek(j.key); !ok || !reflect.DeepEqual(*got, want) || j.source != out.source {
+						t.Errorf("%s: cached %+v (%t) from %q, want %+v from %q", name, got, ok, j.source, want, out.source)
+					}
 				}
 			}
 		}
@@ -404,8 +416,8 @@ func TestLifecycleRandomInterleaving(t *testing.T) {
 		t.Errorf("%d terminal transitions for %d jobs", len(m.terminal), len(m.jobs))
 	}
 	for _, id := range sweepIDs {
-		if s := m.sweeps[id]; len(s.events) != len(s.jobs) || s.finished.IsZero() {
-			t.Errorf("sweep %s: %d events for %d members after Drain", id, len(s.events), len(s.jobs))
+		if s := m.sweeps[id]; len(s.settled) != len(s.jobs) || s.finished.IsZero() {
+			t.Errorf("sweep %s: %d events for %d members after Drain", id, len(s.settled), len(s.jobs))
 		}
 	}
 	if q, r := m.queued, m.running; q != 0 || r != 0 || len(m.inflight) != 0 {

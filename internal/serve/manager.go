@@ -51,6 +51,11 @@ var (
 	ErrDraining  = errors.New("serve: server is draining")
 )
 
+// ErrResultEvicted answers the result of a done job whose cache entry
+// has been evicted: its meta is still served, and resubmitting the same
+// spec re-simulates the same trajectory.
+var ErrResultEvicted = errors.New("serve: result evicted from the cache; resubmit to recompute it")
+
 // ErrStalled marks an attempt killed by the GVT-stall watchdog: no GVT
 // progress for Options.StallTimeout of real time. Stalled attempts are
 // retried like injected crashes.
@@ -66,16 +71,19 @@ type Options struct {
 	// QueueDepth bounds jobs admitted but not yet running; a submit
 	// past the bound is rejected with ErrQueueFull (0 = 64).
 	QueueDepth int
-	// CacheEntries bounds the result cache (0 = 256, negative =
-	// disabled).
+	// CacheEntries bounds the result cache (below 1 = 256). The cache is
+	// where done jobs' results live, so this is also how many of them
+	// stay readable: a done job whose key has been evicted keeps its
+	// meta, and its result answers ErrResultEvicted.
 	CacheEntries int
 	// DefaultTimeout bounds each job's real-time execution — across
 	// all its attempts — unless the spec sets its own; 0 means no
 	// default deadline.
 	DefaultTimeout time.Duration
-	// RetainJobs bounds how many terminal jobs stay queryable; the
-	// oldest are forgotten past the bound (0 = 4096, negative =
-	// unlimited).
+	// RetainJobs bounds how many terminal jobs' metadata stays
+	// queryable; the oldest are forgotten past the bound (0 = 4096,
+	// negative = unlimited). It pins no results: those live in the
+	// cache, under CacheEntries.
 	RetainJobs int
 	// Registry receives the serve.* metrics (nil = a fresh registry).
 	// Engine metrics from completed jobs are folded into the same
@@ -124,9 +132,11 @@ type Options struct {
 }
 
 // Job is one submitted simulation, and the only record of it: the wire
-// sees it through meta, a sweep it belongs to holds it by pointer. All
-// mutable fields are guarded by the owning Manager's mutex, and state
-// is assigned in exactly one place, transitionLocked.
+// sees it through meta, a sweep it belongs to holds it by pointer. A
+// done job's result is not on it: the job holds key, and the result
+// lives in the manager's cache under that key. All mutable fields are
+// guarded by the owning Manager's mutex, and state is assigned in
+// exactly one place, transitionLocked.
 type Job struct {
 	id          string
 	spec        JobSpec
@@ -146,13 +156,14 @@ type Job struct {
 	attempts    int
 	lastErr     string
 	resumedFrom string
-	result      *ggpdes.Results
-	series      *telemetry.Series
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-	cancel      context.CancelFunc
-	done        chan struct{}
+	// series is the live per-round ring while the job runs; a done job
+	// drops it, because its cached Results.Series is the recorded copy.
+	series    *telemetry.Series
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	cancel    context.CancelFunc
+	done      chan struct{}
 
 	// followers are identical-key jobs coalesced onto this in-flight
 	// leader; they settle with the leader's terminal outcome.
@@ -237,7 +248,7 @@ func NewContext(ctx context.Context, opts Options) *Manager {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.CacheEntries == 0 {
+	if opts.CacheEntries < 1 {
 		opts.CacheEntries = 256
 	}
 	if opts.RetainJobs == 0 {
@@ -468,18 +479,28 @@ func (m *Manager) transitionLocked(j *Job, to State, out outcome) error {
 		m.queueWait.Observe(float64(now.Sub(j.submitted).Milliseconds()))
 		return nil
 	case StateDone:
-		j.result, j.source = out.res, out.source
+		j.source = out.source
 		m.completed.Inc()
 		if from == StateRunning {
-			m.cache.put(j.key, out.res)
 			// Fold the run's engine metrics into the serving registry so
 			// /metrics covers both planes. Cache hits and followers never
 			// ran, and peer-produced results carry no Metrics over the
 			// wire (the field is json:"-", so it arrives zero and imports
 			// nothing), so each simulation's metrics import exactly once
-			// fleet-wide — on the replica that ran it.
+			// fleet-wide — on the replica that ran it. After the import
+			// nothing reads them, so the cache keeps a copy without; and
+			// the live ring goes, Results.Series being the recorded copy.
 			m.reg.Import(out.res.Metrics)
+			kept := *out.res
+			kept.Metrics = ggpdes.MetricsState{}
+			out.res = &kept
+			j.series = nil
 		}
+		// Every done edge leaves its result in the cache, the one place
+		// it is read from. For a run this put stores it; for a hit or a
+		// follower it refreshes the entry the get or the leader's edge
+		// left, and stores it again if another put evicted it since.
+		m.cache.put(j.key, out.res)
 	default:
 		info := classify(out.err, CodeFailed)
 		if out.msg != "" {
@@ -549,53 +570,91 @@ func retain[T any](bound int, order *[]string, table map[string]T, id string) {
 
 // Get returns a snapshot of the job.
 func (m *Manager) Get(id string) (JobMeta, bool) {
-	_, meta, ok := m.Result(id)
-	return meta, ok
+	j, ok := m.job(id)
+	if !ok {
+		return JobMeta{}, false
+	}
+	return m.snapshot(j), true
 }
 
-// Result returns the job's results if it finished successfully. The
+// Result returns the job's results if it finished successfully and the
+// cache still holds them: a done job whose key has been evicted since
+// answers nil results with its meta (ErrResultEvicted on the wire). The
 // returned Results is shared and must not be mutated.
 func (m *Manager) Result(id string) (*ggpdes.Results, JobMeta, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.job(id)
 	if !ok {
 		return nil, JobMeta{}, false
 	}
-	return j.result, j.meta(), true
+	res, meta := m.read(j)
+	return res, meta, true
+}
+
+// errUnknownJob is the lookup failure of an ID the job table does not
+// hold (never issued, or forgotten past RetainJobs).
+var errUnknownJob = errors.New("serve: unknown job")
+
+// job looks a registered job up by ID.
+func (m *Manager) job(id string) (*Job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return j, ok
+}
+
+// snapshot is j's meta, read under the manager lock.
+func (m *Manager) snapshot(j *Job) JobMeta {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return j.meta()
+}
+
+// read snapshots j and, when it is done, resolves its result through
+// the cache by key: nil once the key has been evicted. peek, not get —
+// reading a finished job is not a lookup the hit rate counts.
+func (m *Manager) read(j *Job) (*ggpdes.Results, JobMeta) {
+	meta := m.snapshot(j)
+	if meta.State != StateDone {
+		return nil, meta
+	}
+	res, _ := m.cache.peek(j.key)
+	return res, meta
 }
 
 // Series returns the job's per-GVT-round time series: the live ring
-// while the job runs, or the recorded series once it finished. Jobs
-// answered from the result cache return the cached run's series. The
-// returned slice is a copy and safe to retain; total counts every
-// point ever recorded, so total > len(points) means the ring wrapped
-// and the oldest rounds were dropped.
-func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st JobMeta, ok bool) {
+// while the job runs (and, as their only record, once it failed or was
+// cancelled), or the recorded series of its cached result once it is
+// done — for a cache hit, the cached run's. A done job whose result
+// has been evicted answers ErrResultEvicted with its meta; an unknown
+// job errUnknownJob. The returned slice is a copy and safe to retain;
+// total counts every point ever recorded, so total > len(points) means
+// the ring wrapped and the oldest rounds were dropped.
+func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st JobMeta, err error) {
+	j, ok := m.job(id)
+	if !ok {
+		return nil, 0, JobMeta{}, fmt.Errorf("%w %q", errUnknownJob, id)
+	}
 	m.mu.Lock()
-	j, found := m.jobs[id]
-	if !found {
-		m.mu.Unlock()
-		return nil, 0, JobMeta{}, false
-	}
-	st = j.meta()
-	ser := j.series
-	res := j.result
+	st, ser := j.meta(), j.series
 	m.mu.Unlock()
-	if res != nil && res.Series != nil {
-		pts = make([]telemetry.SeriesPoint, len(res.Series))
-		copy(pts, res.Series)
-		total = len(pts)
-		if n := len(pts); n > 0 {
-			// Rounds are 1-based and contiguous; the last round number
-			// is the true count even when the recording ring wrapped.
-			if r := pts[n-1].Round; r > total {
-				total = r
-			}
-		}
-		return pts, total, st, true
+	if st.State != StateDone {
+		return ser.Points(), ser.Total(), st, nil
 	}
-	return ser.Points(), ser.Total(), st, true
+	res, ok := m.cache.peek(j.key)
+	if !ok {
+		return nil, 0, st, ErrResultEvicted
+	}
+	pts = make([]telemetry.SeriesPoint, len(res.Series))
+	copy(pts, res.Series)
+	total = len(pts)
+	if n := len(pts); n > 0 {
+		// Rounds are 1-based and contiguous; the last round number is
+		// the true count even when the recording ring wrapped.
+		if r := pts[n-1].Round; r > total {
+			total = r
+		}
+	}
+	return pts, total, st, nil
 }
 
 // Cancel stops a job: a queued job is marked cancelled immediately and
@@ -632,24 +691,21 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobMeta, error) {
 	return meta, err
 }
 
-// wait is Wait that also hands back the results, read with the snapshot
-// under one lock: by the time a caller looked the job up again,
+// wait is Wait that also hands back the results, read through the job
+// it looked up: by the time a caller looked the job up again by ID,
 // retention may have let it go.
 func (m *Manager) wait(ctx context.Context, id string) (*ggpdes.Results, JobMeta, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.job(id)
 	if !ok {
-		return nil, JobMeta{}, fmt.Errorf("serve: unknown job %q", id)
+		return nil, JobMeta{}, fmt.Errorf("%w %q", errUnknownJob, id)
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
 		return nil, JobMeta{}, ctx.Err()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return j.result, j.meta(), nil
+	res, meta := m.read(j)
+	return res, meta, nil
 }
 
 // Draining reports whether Drain has begun.

@@ -390,7 +390,7 @@ func TestDrainStopsAdmission(t *testing.T) {
 // Terminal jobs past the retention bound are forgotten oldest-first;
 // live jobs are never evicted.
 func TestRetentionBound(t *testing.T) {
-	m := New(Options{Workers: 2, QueueDepth: 8, RetainJobs: 2, CacheEntries: -1})
+	m := New(Options{Workers: 2, QueueDepth: 8, RetainJobs: 2})
 	defer drain(t, m)
 
 	var ids []string

@@ -121,9 +121,9 @@ func TestSeriesDisabled(t *testing.T) {
 	m, srv := startObsServer(t, Options{Workers: 1, SeriesLimit: -1})
 	_, st := postJob(t, srv, quickSpec(1))
 	waitState(t, m, st.ID, StateDone)
-	pts, _, _, ok := m.Series(st.ID)
-	if !ok {
-		t.Fatal("job unknown")
+	pts, _, _, err := m.Series(st.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// SeriesLimit < 0 disables the live ring; the recorded result also
 	// has none because no SeriesOptions was attached.

@@ -64,7 +64,9 @@ func (m *Manager) newSweep(spec SweepSpec) (*sweepJob, error) {
 
 // SweepEvent is one completion in a sweep's event log, streamed over
 // SSE in the order members finished (Seq is that order; Index is the
-// member's position in the spec). Results is set for done members.
+// member's position in the spec). Results is set for done members whose
+// result the cache still holds; it is resolved by key when the event is
+// sent, so a replay after eviction sends the member's meta alone.
 type SweepEvent struct {
 	Seq     int             `json:"seq"`
 	Index   int             `json:"index"`
@@ -99,8 +101,10 @@ type sweepJob struct {
 	// bounds what the job table answers for, not what a sweep knows
 	// about its own members.
 	jobs []*Job
-	// events has one entry per settled member, in the order they settled.
-	events    []SweepEvent
+	// settled is the event log: the members in the order they settled.
+	// A terminal member's meta no longer changes and its result lives in
+	// the cache, so the members themselves are the log.
+	settled   []*Job
 	submitted time.Time
 	// finished is set by the last member to settle; zero until then.
 	finished time.Time
@@ -166,8 +170,8 @@ func (m *Manager) runSweep(s *sweepJob) {
 // and wake the SSE streams. Caller holds m.mu.
 func (m *Manager) sweepSettledLocked(j *Job) {
 	s := j.sweep
-	s.events = append(s.events, SweepEvent{Seq: len(s.events), Index: j.index, Job: j.meta(), Results: j.result})
-	if len(s.events) == len(s.jobs) {
+	s.settled = append(s.settled, j)
+	if len(s.settled) == len(s.jobs) {
 		s.finished = time.Now() // every member has settled
 		retain(m.opts.RetainJobs, &m.sweepTerminal, m.sweeps, s.id)
 	}
@@ -237,11 +241,12 @@ func (m *Manager) CancelSweep(id string) (SweepStatus, bool) {
 	return m.sweepStatusLocked(s), true
 }
 
-// sweepEventsSince returns the event log from seq onward plus a wake
-// channel that closes on the next append — the SSE handler's blocking
-// primitive. final is the finished sweep's status, nil until every
-// member has settled; it is read under the same lock as the events, so
-// a stream never has to find the sweep a second time to end.
+// sweepEventsSince returns the event log from seq onward, each done
+// member's result resolved through the cache, plus a wake channel that
+// closes on the next append — the SSE handler's blocking primitive.
+// final is the finished sweep's status, nil until every member has
+// settled; it is read under the same lock as the events, so a stream
+// never has to find the sweep a second time to end.
 func (m *Manager) sweepEventsSince(id string, seq int) (evs []SweepEvent, final *SweepStatus, wake <-chan struct{}, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -249,9 +254,13 @@ func (m *Manager) sweepEventsSince(id string, seq int) (evs []SweepEvent, final 
 	if !found {
 		return nil, nil, nil, false
 	}
-	if seq < len(s.events) {
-		evs = make([]SweepEvent, len(s.events)-seq)
-		copy(evs, s.events[seq:])
+	for i := seq; i < len(s.settled); i++ {
+		j := s.settled[i]
+		ev := SweepEvent{Seq: i, Index: j.index, Job: j.meta()}
+		if j.state == StateDone {
+			ev.Results, _ = m.cache.peek(j.key)
+		}
+		evs = append(evs, ev)
 	}
 	if !s.finished.IsZero() {
 		st := m.sweepStatusLocked(s)
