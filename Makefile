@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -77,6 +77,20 @@ perf:
 PAIRS ?= 10
 perf-ab:
 	METRIC="$(METRIC)" sh scripts/bench_ab.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# The paper-scale point engine host-time claims are read at: 1,024
+# threads on 64x4 contexts, 1-4 PHOLD with 128 LPs per thread, Baseline
+# with the wait-free GVT, one OS thread. The -v report ends with the
+# "host" line on stderr (wall time, user CPU, peak RSS). GGSIM runs a
+# prebuilt binary instead of this tree's, e.g. a parent's for an A/B.
+# About 20 s and 1 GB of RSS. Not part of ci.
+#   make paper-point GGSIM=/path/to/parent/ggsim
+GGSIM ?=
+paper-point:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; bin="$(GGSIM)"; \
+	if [ -z "$$bin" ]; then bin="$$dir/ggsim"; $(GO) build -o "$$bin" ./cmd/ggsim || exit 1; fi; \
+	GOMAXPROCS=1 "$$bin" -cores 64 -smt 4 -threads 1024 -imbalance 4 -lps 128 \
+		-gvt-freq 200 -optimism 10 -system baseline -gvt async -end 30 -v
 
 # Code size, the number the "line count goes down" leg is read from:
 # non-blank, non-comment Go lines per package — non-test files, tests

@@ -20,6 +20,8 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
+	"time"
 
 	"ggpdes"
 	"ggpdes/internal/profiling"
@@ -63,7 +65,7 @@ func main() {
 		nopool     = flag.Bool("nopool", false, "disable event/snapshot recycling (A/B allocation measurements)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = flag.String("memprofile", "", "write a heap profile after the run to this file (go tool pprof)")
-		verbose    = flag.Bool("v", false, "print the full metric set")
+		verbose    = flag.Bool("v", false, "print the full metric set, and this process's host wall time, user CPU and peak RSS to stderr")
 
 		workers     = flag.Int("workers", 0, "shard the run across N worker processes (0 = in-process); spawns local workers unless -worker-addrs is set")
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated ggworker addresses to shard across instead of spawning")
@@ -82,6 +84,7 @@ func main() {
 		chaosIter  = flag.Uint64("chaos-kill-iter", 0, "main-loop iteration at which the thread dies (0 = never)")
 	)
 	flag.Parse()
+	start := time.Now()
 
 	if *workerServe {
 		if err := serveWorkerShard(); err != nil {
@@ -316,6 +319,25 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.HistogramsText())
 	}
+	if *verbose {
+		printHostUsage(time.Since(start))
+	}
+}
+
+// printHostUsage reports what the run cost this process on the host —
+// wall time, user CPU and peak resident set (getrusage) — to stderr,
+// so that the report on stdout stays a pure function of the config.
+// The line starts with "host" for scripts that diff stderr too.
+func printHostUsage(wall time.Duration) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		fmt.Fprintf(os.Stderr, "host                 : %.2f s wall (getrusage: %v)\n", wall.Seconds(), err)
+		return
+	}
+	user := time.Duration(ru.Utime.Nano())
+	// Linux reports ru_maxrss in KiB.
+	fmt.Fprintf(os.Stderr, "host                 : %.2f s wall, %.2f s user CPU, %.1f MB peak RSS\n",
+		wall.Seconds(), user.Seconds(), float64(ru.Maxrss)/1024)
 }
 
 // publishExpvar starts an HTTP server exposing run progress under

@@ -218,8 +218,8 @@ func (e *Engine) quiesce() {
 				progress = true
 			}
 			for _, kp := range p.kps {
-				if len(kp.processed) > 0 {
-					p.rollback(kp, kp.processed[0])
+				if kp.head != nil {
+					p.rollback(kp, kp.head)
 					progress = true
 				}
 			}
@@ -317,6 +317,7 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 		lp.lvt = rec.LVT
 	}
 	for i, p := range eng.peers {
+		p.fixStateType()
 		p.Stats = st.PeerStats[i]
 		// Pending events are neither pool hits nor misses — they never
 		// were — and come from the spare set while it lasts, then from

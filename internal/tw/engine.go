@@ -252,6 +252,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("tw: model left LP %d without state", lp.ID)
 		}
 	}
+	for _, p := range eng.peers {
+		p.fixStateType()
+	}
 	return eng, nil
 }
 
@@ -461,7 +464,7 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 		// A send below the destination LP's local virtual time is a
 		// straggler handled immediately.
 		lp := e.lps[dst]
-		if last := lp.kp.lastProcessed(); last != nil && ev.before(last) {
+		if lp.kp.straggles(ev) {
 			from.Stats.Stragglers++
 			from.rollback(lp.kp, ev)
 		}
@@ -544,51 +547,23 @@ func (e *Engine) TotalStats() PeerStats {
 func (e *Engine) CheckInvariants() error {
 	for _, p := range e.peers {
 		for _, kp := range p.kps {
-			for i := 1; i < len(kp.processed); i++ {
-				if !kp.processed[i-1].before(kp.processed[i]) {
-					return fmt.Errorf("kp %d/%d processed order violated at %d: %v !< %v",
-						kp.Owner, kp.ID, i, kp.processed[i-1], kp.processed[i])
-				}
-			}
-			for _, ev := range kp.processed {
-				if ev.state != StateProcessed {
-					return fmt.Errorf("kp %d/%d history holds %v (state %s)", kp.Owner, kp.ID, ev, ev.state)
-				}
-				if e.lps[ev.Dst].kp != kp {
-					return fmt.Errorf("kp %d/%d history holds foreign event %v", kp.Owner, kp.ID, ev)
-				}
-				// Sent/tentative entries of events that can still roll
-				// back (at or above GVT) must be live: a rollback would
-				// dereference them. Below GVT a dangling pointer to an
-				// already-recycled event is benign — the reference
-				// discipline guarantees it is only ever cleared.
-				if ev.Ts >= e.gvt {
-					for _, s := range ev.sent {
-						if s != nil && s.state == statePooled {
-							return fmt.Errorf("kp %d/%d event %v sent list holds recycled %v", kp.Owner, kp.ID, ev, s)
-						}
-					}
-					for _, t := range ev.tentative {
-						if t != nil && t.state == statePooled {
-							return fmt.Errorf("kp %d/%d event %v tentative list holds recycled %v", kp.Owner, kp.ID, ev, t)
-						}
-					}
-				}
+			if err := e.checkHistory(kp); err != nil {
+				return fmt.Errorf("kp %d/%d %w", kp.Owner, kp.ID, err)
 			}
 		}
-		// Pool sweep: the freelist must hold only recycled events, and no
-		// live container may hold one (use-after-recycle in either
-		// direction).
+		// Pool sweep: the freelist must hold only recycled, unlinked
+		// events, and no live container may hold one (use-after-recycle
+		// in either direction).
 		for i, ev := range p.freeEvents {
 			if ev == nil {
 				return fmt.Errorf("peer %d freelist entry %d is nil", p.ID, i)
 			}
-			if ev.state != statePooled {
+			if ev.state != statePooled || ev.prev != nil || ev.next != nil {
 				return fmt.Errorf("peer %d freelist holds live event %v", p.ID, ev)
 			}
 		}
 		for _, ev := range p.spareEvents {
-			if ev == nil || ev.state != statePooled {
+			if ev == nil || ev.state != statePooled || ev.prev != nil || ev.next != nil {
 				return fmt.Errorf("peer %d spare set holds live event %v", p.ID, ev)
 			}
 		}
@@ -604,6 +579,57 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("peer %d pending event %v below GVT %.6f", p.ID, ev, e.gvt)
 			}
 		}
+	}
+	return nil
+}
+
+// checkHistory validates a KP's history in both directions: walked
+// from head along next it holds kp.n events and ends at last, and every
+// event's prev is the one the walk came from, so walking back from last
+// visits the same events; they are the KP's own, processed, in
+// ascending order; and the inline key is last's.
+func (e *Engine) checkHistory(kp *KP) error {
+	n := 0
+	var prev *Event
+	for ev := kp.head; ev != nil; prev, ev = ev, ev.next {
+		if n++; n > kp.n {
+			return fmt.Errorf("history is longer than its count %d", kp.n)
+		}
+		if ev.prev != prev {
+			return fmt.Errorf("history links disagree at %v", ev)
+		}
+		if prev != nil && !prev.before(ev) {
+			return fmt.Errorf("history order violated at %d: %v !< %v", n-1, prev, ev)
+		}
+		if ev.state != StateProcessed {
+			return fmt.Errorf("history holds %v (state %s)", ev, ev.state)
+		}
+		if e.lps[ev.Dst].kp != kp {
+			return fmt.Errorf("history holds foreign event %v", ev)
+		}
+		// Sent/tentative entries of events that can still roll back (at
+		// or above GVT) must be live: a rollback would dereference them.
+		// Below GVT a dangling pointer to an already-recycled event is
+		// benign — the reference discipline guarantees it is only ever
+		// cleared.
+		if ev.Ts >= e.gvt {
+			for _, s := range ev.sent {
+				if s != nil && s.state == statePooled {
+					return fmt.Errorf("event %v sent list holds recycled %v", ev, s)
+				}
+			}
+			for _, t := range ev.tentative {
+				if t != nil && t.state == statePooled {
+					return fmt.Errorf("event %v tentative list holds recycled %v", ev, t)
+				}
+			}
+		}
+	}
+	if n != kp.n || prev != kp.last {
+		return fmt.Errorf("history of %d events ends at %v, count %d and last %v", n, prev, kp.n, kp.last)
+	}
+	if l := kp.last; l != nil && (kp.lastTs != l.Ts || kp.lastSeq != l.Seq) {
+		return fmt.Errorf("inline key (%v, %d) is not last's %v", kp.lastTs, kp.lastSeq, l)
 	}
 	return nil
 }

@@ -69,7 +69,8 @@ func (s EventState) String() string {
 // The fields every queue walk, drain and commit reads — the ordering
 // key, the destination, the lifecycle state, an anti-message's target —
 // come first and share the event's first cache line (TestEventLayout
-// pins it); the rollback bookkeeping only execution touches follows.
+// pins it); the history links and the rollback bookkeeping only
+// execution touches follow.
 type Event struct {
 	// Ts is the virtual time at which the event takes effect.
 	Ts VT
@@ -87,6 +88,9 @@ type Event struct {
 	// A and B are model payload words.
 	A, B int64
 
+	// prev and next link a processed event into its KP's history (see
+	// KP); both are nil everywhere else.
+	prev, next *Event
 	// undo is the model's reverse-computation word (EventCtx.SetUndo).
 	undo int64
 	// saved holds the destination LP state from just before this event
@@ -101,9 +105,7 @@ type Event struct {
 	// aliasing (pool.go), so an event's first send does not reach the
 	// allocator; a list that outgrows it moves to a window of the
 	// peer's chunk (appendSent) and the slot goes unused. One slot, not
-	// two: PHOLD's and Traffic's handlers send one event each, and with
-	// the state byte in the padding after Anti the event is the 168
-	// bytes it was before it had an inline slot at all.
+	// two: PHOLD's and Traffic's handlers send one event each.
 	inline [1]*Event
 }
 

@@ -11,14 +11,16 @@ type State interface {
 
 // StateCopier is an optional extension of State that lets the engine
 // recycle snapshot memory: instead of Clone allocating a fresh copy per
-// event, a dead snapshot from the LP's freelist is overwritten in
+// event, a dead snapshot from the thread's store is overwritten in
 // place. CopyFrom must leave the receiver semantically identical to
 // Clone's result (a deep copy of src); it may reuse the receiver's own
 // backing storage (slices, maps) when capacities allow. src is always
-// the same concrete type as the receiver — snapshots never cross LPs.
+// the same concrete type as the receiver, but not always the same LP's:
+// a thread's LPs share its store, so a receiver last held another LP's
+// state.
 //
-// A zero value of the state type must be a valid receiver: when an LP's
-// freelist is empty the engine does not Clone a StateCopier whose
+// A zero value of the state type must be a valid receiver: when the
+// store is empty the engine does not Clone a StateCopier whose
 // dynamic type is a pointer, it carves a zero value of the pointed-to
 // type from a per-thread chunk and fills it with CopyFrom (pool.go), so
 // CopyFrom may not rely on anything a constructor would have set up.

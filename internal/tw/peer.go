@@ -184,6 +184,12 @@ type Peer struct {
 	// spareEvents is the dead events a predecessor engine left behind,
 	// taken on a freelist miss (spare.go).
 	spareEvents []*Event
+	// statePool is the peer's snapshot store: dead snapshots of its
+	// pooled state type, whichever of its LPs released them (pool.go).
+	// Its bottom spareStates entries are what a predecessor engine's
+	// store held and this one has not taken yet (spare.go).
+	statePool   []StateCopier
+	spareStates int
 	// eventChunk and stateChunk are what a miss that finds no spare
 	// memory carves from (pool.go); eventChunkLen is the length the
 	// current event chunk was made with. sentChunk is what a sent list
@@ -401,10 +407,9 @@ func (p *Peer) Drain(cpu CPU) int {
 			// counted when the anti-message cancelled it) and recycle.
 			p.freeEvent(ev)
 		default:
-			lp := p.eng.lps[ev.Dst]
-			if last := lp.kp.lastProcessed(); last != nil && ev.before(last) {
+			if kp := p.eng.lps[ev.Dst].kp; kp.straggles(ev) {
 				p.Stats.Stragglers++
-				p.rollback(lp.kp, ev)
+				p.rollback(kp, ev)
 			}
 			ev.state = StatePending
 			p.pending.Push(ev)
@@ -456,13 +461,8 @@ func (p *Peer) handleAnti(anti *Event) {
 func (p *Peer) rollback(kp *KP, upto *Event) int {
 	costs := &p.eng.cfg.Costs
 	count := 0
-	for {
-		last := kp.lastProcessed()
-		if last == nil || last.before(upto) {
-			break
-		}
-		kp.processed[len(kp.processed)-1] = nil
-		kp.processed = kp.processed[:len(kp.processed)-1]
+	for kp.last != nil && !kp.last.before(upto) {
+		last := kp.pop()
 		lp := p.eng.lps[last.Dst]
 		if p.eng.cfg.LazyCancellation {
 			p.deferUnsend(last)
@@ -475,7 +475,7 @@ func (p *Peer) rollback(kp *KP, upto *Event) int {
 			rm.OnReverseEvent(&p.rbCtx)
 		} else {
 			// The snapshot becomes the live state; the displaced live
-			// state is dead and feeds the LP's snapshot freelist.
+			// state is dead and feeds the snapshot pool.
 			p.releaseSnapshot(lp, lp.state)
 			lp.state = last.saved.state
 		}
@@ -593,8 +593,8 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 		if eng.gvt > ev.Ts {
 			panic(fmt.Sprintf("tw: event %v below GVT %.4f", ev, eng.gvt))
 		}
-		if last := lp.kp.lastProcessed(); last != nil && ev.before(last) {
-			panic(fmt.Sprintf("tw: out-of-order execution of %v after %v", ev, last))
+		if lp.kp.straggles(ev) {
+			panic(fmt.Sprintf("tw: out-of-order execution of %v after %v", ev, lp.kp.last))
 		}
 		if eng.cfg.StateSaving == SaveReverse {
 			ev.saved = Snapshot{rng: lp.rand.Save(), lvt: lp.lvt}
@@ -604,7 +604,7 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 			cycles += costs.EventCycles + costs.StateSaveCycles
 		}
 		ev.state = StateProcessed
-		lp.kp.processed = append(lp.kp.processed, ev)
+		lp.kp.push(ev)
 		lp.lvt = ev.Ts
 		eng.noteProcessed(1)
 		p.evCtx = EventCtx{eng: eng, peer: p, lp: lp, ev: ev}
@@ -717,9 +717,8 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 	cycles := costs.FossilBaseCycles
 	total := 0
 	for _, kp := range p.kps {
-		k := 0
-		for k < len(kp.processed) && kp.processed[k].Ts < gvt {
-			ev := kp.processed[k]
+		for kp.head != nil && kp.head.Ts < gvt {
+			ev := kp.shift()
 			ev.state = StateCommitted
 			if ev.saved.state != nil {
 				p.releaseSnapshot(p.eng.lps[ev.Dst], ev.saved.state)
@@ -728,21 +727,11 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 			// a cause still holding a pointer to ev sits below GVT too
 			// and will only ever clear, never dereference, it.
 			p.freeEvent(ev)
-			k++
+			total++
 		}
-		if k == 0 {
-			continue
-		}
-		total += k
-		p.eng.uncommitted -= k
-		cycles += uint64(k) * costs.FossilPerEventCycles
-		rest := len(kp.processed) - k
-		copy(kp.processed, kp.processed[k:])
-		for i := rest; i < len(kp.processed); i++ {
-			kp.processed[i] = nil
-		}
-		kp.processed = kp.processed[:rest]
 	}
+	p.eng.uncommitted -= total
+	cycles += uint64(total) * costs.FossilPerEventCycles
 	p.flushPoolStats()
 	p.Stats.Committed += uint64(total)
 	if total > 0 {

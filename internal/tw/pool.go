@@ -11,11 +11,17 @@ import (
 //
 // Hit path: the freelists. PARSIR-style per-thread recycling: each Peer
 // keeps a freelist of Events whose lifecycle has ended (fossil
-// collected, or annihilated and lazily dropped from a queue), and each
-// LP a freelist of state snapshots returned by fossil collection and
-// rollback. A hit pops one, resets it and allocates nothing.
+// collected, or annihilated and lazily dropped from a queue), and one
+// store of the state snapshots its LPs' fossil collections and
+// rollbacks returned. A hit pops one, resets it and allocates nothing.
+// Whether a snapshot is a hit is still decided per LP — each LP counts
+// what it has released and not taken back (LP.pooled), exactly as when
+// each LP kept a freelist of its own — because the counters, and with
+// them Results, record it; only the memory is shared. Counting per peer
+// instead moves tw.pool.state_hit/miss and every bench/golden digest.
 //
-// Miss path: the freelist is empty. A pool only hands back what fossil
+// Miss path: the freelist is empty (for a snapshot: the LP's count is
+// zero). A pool only hands back what fossil
 // collection has already fed it, so a run misses until its in-flight
 // set — pending, processed-but-uncommitted, in transit — has been built
 // once, and short runs are all warm-up. The benchmark's
@@ -80,8 +86,9 @@ const (
 	MetricPoolEventHit      = "tw.pool.event_hit"
 	MetricPoolEventMiss     = "tw.pool.event_miss"
 	MetricPoolEventRecycled = "tw.pool.event_recycled"
-	// MetricPoolStateHit / Miss count copy-state snapshots served from
-	// an LP freelist vs. not; Recycled counts snapshots returned.
+	// MetricPoolStateHit / Miss count copy-state snapshots taken by an
+	// LP with released snapshots to its count vs. not (LP.pooled);
+	// Recycled counts snapshots returned.
 	MetricPoolStateHit      = "tw.pool.state_hit"
 	MetricPoolStateMiss     = "tw.pool.state_miss"
 	MetricPoolStateRecycled = "tw.pool.state_recycled"
@@ -155,6 +162,7 @@ func (ev *Event) poison() {
 	ev.Ts, ev.state = math.Inf(-1), statePooled
 	ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.Anti, ev.Target = 0, 0, 0, 0, false, nil
 	ev.A, ev.B, ev.undo = 0, 0, 0
+	ev.prev, ev.next = nil, nil
 	ev.saved = Snapshot{}
 }
 
@@ -223,77 +231,96 @@ func (p *Peer) appendSent(list []*Event, ev *Event) []*Event {
 }
 
 // stateChunk is a peer's snapshot chunk: a slice of the element type
-// of the first StateCopier pointer state the peer had to copy, built by
-// reflection so that models need no allocation hook. Its elements start
-// out as zero values, which StateCopier promises CopyFrom can fill.
+// of the peer's pooled state type, built by reflection so that models
+// need no allocation hook. Its elements start out as zero values, which
+// StateCopier promises CopyFrom can fill.
 type stateChunk struct {
-	typ       reflect.Type  // the pointer type the chunk serves; nil until the first miss
+	typ       reflect.Type  // the pooled state type (fixStateType); nil when nothing is pooled
 	vals      reflect.Value // the current chunk, a []typ.Elem() of length len
 	next, len int           // next is the first uncarved element
 }
 
-// carveSnapshot returns a deep copy of lp's state in memory no one has
-// used: from the peer's chunk when the state is a StateCopier of the
-// chunk's type, from Clone otherwise (a state that cannot be
-// overwritten in place, a second state type on one peer, pooling
-// disabled).
-func (p *Peer) carveSnapshot(lp *LP) State {
-	c := &p.stateChunk
-	t := reflect.TypeOf(lp.state)
-	if c.typ == nil && !p.eng.cfg.DisablePooling && t.Kind() == reflect.Pointer {
-		if _, ok := lp.state.(StateCopier); ok {
-			c.typ = t
+// fixStateType fixes the peer's pooled state type: the type of its
+// first LP whose state is a pointer StateCopier, none with pooling
+// disabled. Both engine constructors call it once the LP states are in
+// place, before anything is acquired or released, so an engine built
+// by InitLP, from a capture's spare memory, or from decoded records
+// pools the same type from its first event on.
+func (p *Peer) fixStateType() {
+	if p.eng.cfg.DisablePooling {
+		return
+	}
+	for _, lp := range p.lps {
+		t := reflect.TypeOf(lp.state)
+		if _, ok := lp.state.(StateCopier); ok && t.Kind() == reflect.Pointer {
+			p.stateChunk.typ = t
+			return
 		}
 	}
-	if c.typ != t {
-		return lp.state.Clone()
-	}
+}
+
+// carveSnapshot returns a zero value of the pooled state type from the
+// peer's chunk.
+func (p *Peer) carveSnapshot() StateCopier {
+	c := &p.stateChunk
 	if c.next == c.len {
 		c.len = nextChunkLen(c.len)
-		c.vals, c.next = reflect.MakeSlice(reflect.SliceOf(t.Elem()), c.len, c.len), 0
+		c.vals, c.next = reflect.MakeSlice(reflect.SliceOf(c.typ.Elem()), c.len, c.len), 0
 	}
 	dst := c.vals.Index(c.next).Addr().Interface().(StateCopier)
 	c.next++
-	dst.CopyFrom(lp.state)
 	return dst
 }
 
 // acquireSnapshot returns a deep copy of lp's current state for the
-// pre-execution snapshot, overwriting a recycled instance when the LP
-// freelist has one. The freelist only ever holds states previously
-// released by this same LP, so the StateCopier assertion cannot fail.
+// pre-execution snapshot. Whether it is a hit or a miss is the LP's
+// own count (lp.pooled), but the memory is the peer's: a state of the
+// pooled type overwrites the newest dead snapshot in the peer's store —
+// one this engine released, else one a predecessor engine left behind
+// (spare.go) — else a slot carved from the chunk. A state of another
+// type, one that only Clones, or any state with pooling disabled is
+// Cloned.
 func (p *Peer) acquireSnapshot(lp *LP) State {
-	n := len(lp.statePool)
-	if n == 0 {
+	if lp.pooled > 0 {
+		lp.pooled--
+		p.pool.stateHit++
+	} else {
 		p.pool.stateMiss++
-		if dst := lp.takeSpareState(); dst != nil {
-			dst.(StateCopier).CopyFrom(lp.state)
-			return dst
-		}
-		return p.carveSnapshot(lp)
 	}
-	dst := lp.statePool[n-1]
-	lp.statePool[n-1] = nil
-	lp.statePool = lp.statePool[:n-1]
-	dst.(StateCopier).CopyFrom(lp.state)
-	p.pool.stateHit++
+	if reflect.TypeOf(lp.state) != p.stateChunk.typ {
+		return lp.state.Clone()
+	}
+	var dst StateCopier
+	if n := len(p.statePool); n > 0 {
+		dst = p.statePool[n-1]
+		p.statePool[n-1] = nil
+		p.statePool = p.statePool[:n-1]
+		p.spareStates = min(p.spareStates, n-1)
+	} else {
+		dst = p.carveSnapshot()
+	}
+	dst.CopyFrom(lp.state)
 	return dst
 }
 
-// releaseSnapshot returns a dead state copy (fossil-collected
-// snapshot, or the pre-rollback live state a restore displaced) to its
-// LP's freelist. States that cannot overwrite themselves in place are
-// left for the GC, which keeps pooling transparent for models that
-// implement only Clone.
+// releaseSnapshot takes back a dead state copy (fossil-collected
+// snapshot, or the pre-rollback live state a restore displaced). Any
+// StateCopier counts as recycled and as a future hit for its LP; only
+// one of the pooled type goes into the peer's store, and the rest —
+// Clone-only states too — is left for the GC.
 func (p *Peer) releaseSnapshot(lp *LP, st State) {
 	if st == nil || p.eng.cfg.DisablePooling {
 		return
 	}
-	if _, ok := st.(StateCopier); !ok {
+	c, ok := st.(StateCopier)
+	if !ok {
 		return
 	}
-	lp.statePool = append(lp.statePool, st)
+	lp.pooled++
 	p.pool.stateRecycled++
+	if reflect.TypeOf(st) == p.stateChunk.typ {
+		p.statePool = append(p.statePool, c)
+	}
 }
 
 // flushPoolStats folds the accumulated pool traffic into the engine's

@@ -242,7 +242,7 @@ func TestPoisonResetsEveryField(t *testing.T) {
 	other := &Event{}
 	ev := &Event{
 		Ts: 3.5, Seq: 99, Src: 1, Dst: 2, Kind: 7, Anti: true, state: StateProcessed,
-		Target: other, A: 11, B: 22, undo: 33,
+		Target: other, A: 11, B: 22, undo: 33, prev: other, next: other,
 		saved:     Snapshot{state: &ringState{Count: 1}, lvt: 2},
 		sent:      []*Event{other, other},
 		tentative: []*Event{other},
@@ -392,9 +392,9 @@ type otherCopier struct{ n int }
 func (s *otherCopier) Clone() State       { c := *s; return &c }
 func (s *otherCopier) CopyFrom(src State) { *s = *src.(*otherCopier) }
 
-// The snapshot chunk serves the one pointer StateCopier type it first
-// saw; a state that only Clones, or one of a second type, gets what it
-// always got.
+// The snapshot chunk serves the peer's pooled state type, fixed when
+// the engine is built; a state that only Clones, or one of a second
+// type, gets what it always got.
 func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 	eng := newTestEngine(t, 1, 2, 1, 10)
 	p, lp0, lp1 := eng.Peer(0), eng.LPs()[0], eng.LPs()[1]
@@ -402,8 +402,8 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 	if got := p.acquireSnapshot(lp0).(*cloneOnly); got == lp0.state || got.n != 7 {
 		t.Fatalf("clone-only snapshot is %+v", got)
 	}
-	if p.stateChunk.typ != nil {
-		t.Fatal("a clone-only state claimed the snapshot chunk")
+	if p.stateChunk.typ != reflect.TypeOf(lp1.state) || p.stateChunk.next != 0 {
+		t.Fatal("a clone-only state was carved from the snapshot chunk")
 	}
 	first := p.acquireSnapshot(lp1).(*ringState)
 	lp0.state = &otherCopier{n: 9}
@@ -421,14 +421,16 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 }
 
 // The fields every queue walk, drain and commit reads sit in the
-// event's first 64 bytes, and the event is as large as it is on
-// purpose: 64 events and the allocator's 8-byte header fill a 10,880
-// byte size class to within 1 %, where 176-byte events would round
-// 11,272 up to 12,288.
+// event's first 64 bytes, ahead of the history links, and the event is
+// as large as it is on purpose: the links took it from 168 to 184
+// bytes, and 64 of them fill a 12,288 byte size class to within 5 %.
 func TestEventLayout(t *testing.T) {
 	var ev Event
-	if got := unsafe.Sizeof(ev); got != 168 {
-		t.Errorf("Event is %d bytes, want 168", got)
+	if got := unsafe.Sizeof(ev); got != 184 {
+		t.Errorf("Event is %d bytes, want 184", got)
+	}
+	if unsafe.Offsetof(ev.prev) < 64 {
+		t.Errorf("Event.prev starts at byte %d, inside the first cache line", unsafe.Offsetof(ev.prev))
 	}
 	for name, end := range map[string]uintptr{
 		"Ts":     unsafe.Offsetof(ev.Ts) + unsafe.Sizeof(ev.Ts),

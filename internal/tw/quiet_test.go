@@ -48,7 +48,7 @@ func printEngine(eng *Engine) enginePrint {
 			pp.head, pp.headKind = ev, ev.state
 		}
 		for _, kp := range p.kps {
-			pp.history += len(kp.processed)
+			pp.history += kp.UncommittedEvents()
 		}
 		for _, lp := range p.lps {
 			pp.lvts = append(pp.lvts, lp.lvt)

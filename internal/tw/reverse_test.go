@@ -109,7 +109,7 @@ func TestReverseUndoWordRoundTrip(t *testing.T) {
 	if probe.sawForward != 1 {
 		t.Fatalf("forward executions = %d", probe.sawForward)
 	}
-	p.rollback(lp.KP(), lp.KP().processed[0])
+	p.rollback(lp.KP(), lp.KP().head)
 	if probe.sawUndo != 42 {
 		t.Fatalf("reverse saw undo %d, want 42", probe.sawUndo)
 	}

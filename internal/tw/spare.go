@@ -13,57 +13,53 @@ import (
 // heap allocation, while everything the previous engine had pooled
 // becomes garbage. Capture therefore harvests what the quiesced engine
 // no longer needs — its events (freelisted or just converted into
-// records), the snapshots in its LP pools, the emptied pending queues
-// with their nodes, the backing arrays of its histories, and the live
-// LP states themselves — into a spare set that rides on the returned
-// EngineState, and an engine built from that state adopts it. The
-// states are the very objects encodeLPs has just serialized: the
-// successor installs them where it would otherwise decode the bytes
-// back into copies of them (two objects per Epidemics household, a
-// quarter of what a checkpointed run allocated). Only memory the engine
-// itself used is passed on: spare memory it adopted and never took is
-// dropped, so a thread whose load has moved elsewhere keeps its
-// high-water mark for one segment, not for the rest of the run
-// (carrying everything read +2 MB of live heap on the epidemics
-// benchmark, whose active region shifts from thread group to thread
-// group).
+// records), the snapshots in its peers' stores, the emptied pending
+// queues with their nodes, and the live LP states themselves — into a
+// spare set that rides on the returned EngineState, and an engine built
+// from that state adopts it. The states are the very objects encodeLPs
+// has just serialized: the successor installs them where it would
+// otherwise decode the bytes back into copies of them (two objects per
+// Epidemics household, a quarter of what a checkpointed run
+// allocated). Only memory the engine itself used is passed on: spare
+// memory it adopted and never took is dropped, so a thread whose load
+// has moved elsewhere keeps its high-water mark for one segment, not
+// for the rest of the run (carrying everything read +2 MB of live heap
+// on the epidemics benchmark, whose active region shifts from thread
+// group to thread group). Everything in the set is per peer but the
+// live states, one per LP: the histories are linked through their
+// events and the snapshot stores are the peers', so no KP or LP has an
+// array to hand on.
 //
 // pool.go's rule stands: recycling reuses memory, never logic — and the
 // committed cut's state is data, not logic. The successor is a fresh
 // Engine with fresh Peers, LPs and KPs, and everything in the set but
-// the states sits behind the pools' miss path, not in the pools:
-// allocEvent and acquireSnapshot find their freelist empty, count the
-// miss exactly as they would have, and only then take spare memory
-// where they used to call the allocator. So the pool counters, and with
-// them Results, cannot tell an engine that adopted a spare set from one
-// that did not — which they must not, because Resume builds the same
-// segment from a file and has none (TestCaptureContinuation,
-// TestStatesRideTheSpareSet). Spare events are poisoned like freelisted
-// ones while they wait and reset the same way when taken;
-// CheckInvariants sweeps them. The set is unexported, never serialized,
-// taken by the first engine built from the state, and ignored whole —
-// so that engine decodes its states — unless the engine pools and its
-// model type and topology are the harvested one's (fits).
+// the live states sits behind the pools' miss path, not in the pools:
+// allocEvent finds its freelist empty and acquireSnapshot its LP's
+// count at zero, each counts the miss exactly as it would have, and
+// only then takes spare memory where it used to call the allocator. So
+// the pool counters, and with them Results, cannot tell an engine that
+// adopted a spare set from one that did not — which they must not,
+// because Resume builds the same segment from a file and has none
+// (TestCaptureContinuation, TestStatesRideTheSpareSet). Spare events
+// are poisoned like freelisted ones while they wait and reset the same
+// way when taken; CheckInvariants sweeps them. The set is unexported,
+// never serialized, taken by the first engine built from the state, and
+// ignored whole — so that engine decodes its states — unless the engine
+// pools and its model type, thread count and LP count are the harvested
+// one's (fits).
 type spareMemory struct {
 	// model is the harvested engine's model type: states a model of
 	// another type did not create are of no use to it, live or dead.
 	model reflect.Type
 	peers []sparePeer
-	lps   []spareLP
-	// states backs every spareLP.states.
-	states []State
+	// live holds the LP states at the committed cut, by LP id.
+	live []State
 }
 
 type sparePeer struct {
-	events    []*Event              // poisoned
-	nodes     *pq.SplayTree[*Event] // the emptied pending queue, for its nodes; nil for other kinds
-	processed [][]*Event            // per KP: the history's backing array, emptied
-}
-
-type spareLP struct {
-	live   State   // the LP's state at the committed cut
-	states []State // dead snapshots, all of the LP's own state type
-	pool   []State // the pool's backing array, emptied
+	events []*Event              // poisoned
+	nodes  *pq.SplayTree[*Event] // the emptied pending queue, for its nodes; nil for other kinds
+	states []StateCopier         // the peer's snapshot store: dead, of its pooled state type
 }
 
 // harvestSpare collects the quiesced, captured engine's reusable
@@ -76,7 +72,7 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 	sp := &spareMemory{
 		model: reflect.TypeOf(e.cfg.Model),
 		peers: make([]sparePeer, len(e.peers)),
-		lps:   make([]spareLP, len(e.lps)),
+		live:  make([]State, len(e.lps)),
 	}
 	for i, p := range e.peers {
 		events := slices.Grow(p.freeEvents, len(captured[i]))
@@ -84,44 +80,29 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 			ev.poison()
 			events = append(events, ev)
 		}
-		processed := make([][]*Event, len(p.kps))
-		for k, kp := range p.kps {
-			processed[k] = kp.processed[:0]
-		}
+		// The snapshots this engine released move down over the spare
+		// ones it never took, in the same array, which the successor
+		// grows its store in.
+		kept := copy(p.statePool, p.statePool[p.spareStates:])
+		clear(p.statePool[kept:])
 		nodes, _ := p.pending.(*pq.SplayTree[*Event])
-		sp.peers[i] = sparePeer{events: events, nodes: nodes, processed: processed}
+		sp.peers[i] = sparePeer{events: events, nodes: nodes, states: p.statePool[:kept]}
 		p.spareEvents, p.freeEvents = nil, nil
+		p.statePool, p.spareStates = nil, 0
 	}
-	total := 0
-	for _, lp := range e.lps {
-		total += len(lp.statePool)
-	}
-	sp.states = make([]State, 0, total)
 	for i, lp := range e.lps {
-		lo := len(sp.states)
-		sp.states = append(sp.states, lp.statePool...)
-		clear(lp.statePool)
-		sp.lps[i] = spareLP{live: lp.state, states: sp.states[lo:len(sp.states):len(sp.states)], pool: lp.statePool[:0]}
-		lp.state, lp.spareStates, lp.statePool = nil, nil, nil
+		sp.live[i], lp.state = lp.state, nil
 	}
 	return sp
 }
 
 // fits reports whether the set was harvested from an engine of e's
 // shape — the same model type, so every state in it is one e's model
-// could have created, and the same thread, LP and KP topology — and e
+// could have created, and the same thread and LP counts — and e
 // recycles at all. A nil set fits nothing.
 func (sp *spareMemory) fits(e *Engine) bool {
-	if sp == nil || e.cfg.DisablePooling || sp.model != reflect.TypeOf(e.cfg.Model) ||
-		len(sp.peers) != len(e.peers) || len(sp.lps) != len(e.lps) {
-		return false
-	}
-	for i, p := range e.peers {
-		if len(sp.peers[i].processed) != len(p.kps) {
-			return false
-		}
-	}
-	return true
+	return sp != nil && !e.cfg.DisablePooling && sp.model == reflect.TypeOf(e.cfg.Model) &&
+		len(sp.peers) == len(e.peers) && len(sp.live) == len(e.lps)
 }
 
 // adoptSpare hands a predecessor's spare memory, which fits, to a
@@ -131,16 +112,13 @@ func (e *Engine) adoptSpare(sp *spareMemory) {
 	for i, p := range e.peers {
 		s := &sp.peers[i]
 		p.spareEvents = s.events
-		for k, kp := range p.kps {
-			kp.processed = s.processed[k]
-		}
+		p.statePool, p.spareStates = s.states, len(s.states)
 		if dst, ok := p.pending.(*pq.SplayTree[*Event]); ok && s.nodes != nil {
 			dst.AdoptNodes(s.nodes)
 		}
 	}
 	for i, lp := range e.lps {
-		s := &sp.lps[i]
-		lp.state, lp.spareStates, lp.statePool = s.live, s.states, s.pool
+		lp.state = sp.live[i]
 	}
 }
 
@@ -160,17 +138,4 @@ func (p *Peer) takeSpareEvent() *Event {
 	ev.state = StateInQueue
 	ev.Ts = 0
 	return ev
-}
-
-// takeSpareState returns a dead snapshot for CopyFrom to overwrite, nil
-// when the LP's spare set is used up.
-func (lp *LP) takeSpareState() State {
-	n := len(lp.spareStates)
-	if n == 0 {
-		return nil
-	}
-	st := lp.spareStates[n-1]
-	lp.spareStates[n-1] = nil
-	lp.spareStates = lp.spareStates[:n-1]
-	return st
 }

@@ -53,7 +53,8 @@ func spareCfg() Config {
 	return Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 3}, EndTime: 1e6, Seed: 99}
 }
 
-// What a captured engine leaves behind is dead, poisoned memory; the
+// What a captured engine leaves behind is dead, poisoned memory, held
+// per peer: events, and snapshots of the peer's pooled state type. The
 // first engine built from the capture takes all of it and allocates
 // less for it, without a counter moving; the second finds nothing and
 // works as before.
@@ -71,14 +72,21 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if sp == nil {
 		t.Fatal("capture harvested no spare memory")
 	}
-	events, states, pending := 0, len(sp.states), 0
+	events, states, pending := 0, 0, 0
 	for i, p := range sp.peers {
 		for _, ev := range p.events {
-			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent)+len(ev.tentative) != 0 || ev.saved != (Snapshot{}) {
+			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent)+len(ev.tentative) != 0 ||
+				ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
 				t.Fatalf("spare event %v of peer %d is not poisoned and empty", ev, i)
 			}
 		}
+		for _, s := range p.states {
+			if _, ok := s.(*ringState); !ok {
+				t.Fatalf("spare snapshot %T of peer %d is not of its pooled type", s, i)
+			}
+		}
 		events += len(p.events)
+		states += len(p.states)
 		pending += len(st.Pending[i])
 	}
 	if events < pending || states == 0 {
@@ -96,15 +104,17 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left := 0
+	left, leftStates := 0, 0
 	for i := range warm.peers {
 		left += len(warm.peers[i].spareEvents)
-		if len(cold.peers[i].spareEvents) != 0 {
+		leftStates += warm.peers[i].spareStates
+		if len(cold.peers[i].spareEvents)+cold.peers[i].spareStates != 0 {
 			t.Fatal("a second engine found spare memory")
 		}
 	}
-	if left != events-pending {
-		t.Fatalf("%d spare events left after restoring %d pending from %d", left, pending, events)
+	if left != events-pending || leftStates != states {
+		t.Fatalf("%d spare events left after restoring %d pending from %d, %d of %d snapshots",
+			left, pending, events, leftStates, states)
 	}
 	for _, eng := range []*Engine{warm, cold} {
 		if err := eng.CheckInvariants(); err != nil {
@@ -144,15 +154,20 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	}
 
 	// Spare memory a whole segment did not need is not passed on again:
-	// more than the engine can take sits at the bottom of peer 0's set.
-	unneeded := map[*Event]bool{}
+	// more than the engine can take sits at the bottom of peer 0's sets.
+	unneeded := map[any]bool{}
 	bottom := make([]*Event, 10_000)
+	bottomStates := make([]StateCopier, 10_000)
 	for i := range bottom {
 		bottom[i] = &Event{}
 		bottom[i].poison()
-		unneeded[bottom[i]] = true
+		bottomStates[i] = &ringState{}
+		unneeded[bottom[i]], unneeded[bottomStates[i]] = true, true
 	}
-	warm.peers[0].spareEvents = append(bottom, warm.peers[0].spareEvents...)
+	w := warm.peers[0]
+	w.spareEvents = append(bottom, w.spareEvents...)
+	w.statePool = append(bottomStates, w.statePool...)
+	w.spareStates += len(bottomStates)
 	next, err := warm.Capture()
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +178,19 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 				t.Fatal("an event the engine never took was harvested again")
 			}
 		}
+		for _, s := range p.states {
+			if unneeded[s] {
+				t.Fatal("a snapshot the engine never took was harvested again")
+			}
+		}
 	}
 }
 
 // A spare set is only memory of the right shapes: an engine with
-// another topology or another type of model, or with pooling off,
-// leaves all of it alone — the LP states too, which it decodes from the
-// records instead — and a capture with pooling off harvests none.
+// another type of model, or with pooling off, leaves all of it alone —
+// the LP states too, which it decodes from the records instead — and a
+// capture with pooling off harvests none. KP size is not part of the
+// shape: the set holds nothing per KP.
 func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 	capture := func() *EngineState {
 		eng, err := NewEngine(spareCfg())
@@ -185,7 +206,7 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 	}
 	for name, vary := range map[string]func(*Config){
 		"same":     func(*Config) {},
-		"kp-size":  func(c *Config) { c.LPsPerKP = 2 },
+		"kp-size":  func(c *Config) { c.LPsPerKP = 2 }, // adopts everything
 		"unpooled": func(c *Config) { c.DisablePooling = true },
 		"model":    func(c *Config) { c.Model = &reversibleRing{*c.Model.(*ringModel)} },
 		"heap":     func(c *Config) { c.QueueKind = pq.Heap }, // adopts all but the splay nodes
@@ -198,20 +219,21 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fits := name == "same" || name == "heap"
-		spare := 0
+		fits := name != "unpooled" && name != "model"
+		events, states := 0, 0
 		for _, p := range eng.peers {
-			spare += len(p.spareEvents)
+			events += len(p.spareEvents)
+			states += p.spareStates
 		}
-		if (spare != 0) != fits {
-			t.Errorf("%s: engine holds %d spare events", name, spare)
+		if (events != 0) != fits || (states != 0) != fits {
+			t.Errorf("%s: engine holds %d spare events, %d spare snapshots", name, events, states)
 		}
 		for i, lp := range eng.lps {
-			if rode := lp.state == harvested.lps[i].live; rode != fits {
+			if rode := lp.state == harvested.live[i]; rode != fits {
 				t.Fatalf("%s: LP %d state taken from the spare set: %t", name, i, rode)
 			}
-			if !reflect.DeepEqual(lp.state, harvested.lps[i].live) {
-				t.Fatalf("%s: LP %d starts from %+v, the captured engine held %+v", name, i, lp.state, harvested.lps[i].live)
+			if !reflect.DeepEqual(lp.state, harvested.live[i]) {
+				t.Fatalf("%s: LP %d starts from %+v, the captured engine held %+v", name, i, lp.state, harvested.live[i])
 			}
 		}
 		driveRounds(eng, 50)

@@ -41,8 +41,9 @@ func (m *ringModel) InitLP(ic *InitCtx, lp *LP) {
 	}
 }
 
-func (m *ringModel) OnEvent(ctx *EventCtx) {
-	st := ctx.LP().State().(*ringState)
+func (m *ringModel) OnEvent(ctx *EventCtx) { ringStep(ctx, ctx.LP().State().(*ringState)) }
+
+func ringStep(ctx *EventCtx, st *ringState) {
 	st.Count++
 	st.Sum += ctx.Now()
 	dst := (ctx.LP().ID + 1) % ctx.Engine().NumLPs()
@@ -314,7 +315,7 @@ func TestRollbackRestoresRNG(t *testing.T) {
 		t.Fatal("nothing processed")
 	}
 	// Manually roll back everything.
-	first := lp.KP().processed[0]
+	first := lp.KP().head
 	n := p.rollback(lp.KP(), first)
 	if n == 0 {
 		t.Fatal("rollback undid nothing")
@@ -353,7 +354,7 @@ func TestFossilCollectCommitsBelowGVT(t *testing.T) {
 		t.Fatalf("stats committed %d != %d", p.Stats.Committed, n)
 	}
 	for _, kp := range p.KPs() {
-		for _, ev := range kp.processed {
+		for ev := kp.head; ev != nil; ev = ev.next {
 			if ev.Ts < gvt {
 				t.Fatalf("event below GVT left uncommitted: %v", ev)
 			}

@@ -15,7 +15,8 @@
 # be byte-identical to the in-process run — the distributed control/
 # data split forwards operations without reordering them, so process
 # boundaries must not move the trajectory. Only the "distributed" info
-# line, which names the sharding itself, is excluded from the diff.
+# line, which names the sharding itself, and the "host" line, which
+# measures the host, are excluded from the diff.
 #
 # Last, an imbalanced leg: 1-16 PHOLD behind an optimism window, under
 # Baseline and under GG-PDES with the wait-free GVT, where 15 of 16
@@ -32,15 +33,17 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 
 $GO build -o "$dir/ggsim" ./cmd/ggsim
 
-# run <subdir> [extra flags...] — the report goes to <subdir>.txt; the
-# series CSV is written under the subdir as a relative path so the
-# "series written to" report line is identical across runs.
+# run <subdir> [extra flags...] — the report goes to <subdir>.txt, less
+# the "host" line -v adds (wall time, CPU and RSS, which no two runs
+# share); the series CSV is written under the subdir as a relative path
+# so the "series written to" report line is identical across runs.
 run() {
     sub=$1
     shift
     mkdir -p "$dir/$sub"
     (cd "$dir/$sub" && "$dir/ggsim" -model phold -threads 16 -end 40 -seed 1337 \
-        -v -hist -series series.csv "$@") >"$dir/$sub.txt" 2>&1
+        -v -hist -series series.csv "$@") >"$dir/$sub.out" 2>&1
+    grep -v '^host ' "$dir/$sub.out" >"$dir/$sub.txt"
 }
 
 # same <what> <subdir a> <subdir b> — reports and series CSVs identical.

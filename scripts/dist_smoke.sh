@@ -8,7 +8,8 @@
 #
 #   - the distributed report and the per-GVT-round series CSV are
 #     byte-identical to the in-process golden (only the "distributed"
-#     info line, which names the sharding itself, is excluded);
+#     info line, which names the sharding itself, and the "host" line,
+#     which measures the host, are excluded);
 #   - both workers exit cleanly after the coordinator's shutdown frame.
 set -eu
 
@@ -42,7 +43,8 @@ run() {
         -v -hist -series series.csv "$@")
 }
 
-run golden >"$dir/golden.txt" 2>&1 || fail "in-process golden run failed" "$dir/golden.txt"
+run golden >"$dir/golden_raw.txt" 2>&1 || fail "in-process golden run failed" "$dir/golden_raw.txt"
+grep -v '^host ' "$dir/golden_raw.txt" >"$dir/golden.txt"
 
 "$dir/ggworker" -addr-file "$dir/w1.addr" >"$dir/w1.log" 2>&1 &
 w1=$!
@@ -63,7 +65,7 @@ run dist -worker-addrs "$addrs" >"$dir/dist_raw.txt" 2>&1 ||
 
 grep -q '^distributed *: 2 workers' "$dir/dist_raw.txt" ||
     fail "coordinator did not report 2 workers" "$dir/dist_raw.txt"
-grep -v '^distributed' "$dir/dist_raw.txt" >"$dir/dist.txt"
+grep -v -e '^distributed' -e '^host ' "$dir/dist_raw.txt" >"$dir/dist.txt"
 
 if ! diff -u "$dir/golden.txt" "$dir/dist.txt" >"$dir/diff.txt"; then
     echo "dist-smoke: distributed run diverged from in-process golden:" >&2
