@@ -59,20 +59,19 @@ func (c Config) CanonicalString() (string, error) {
 		mc.OpCycles, mc.CtxSwitchCycles, mc.MigrationCycles, mc.NUMANodes,
 		mc.CrossNodeMigrationCycles, mc.WakeCycles, mc.BarrierWakePerWaiterCycles,
 		mc.PreemptGranularityTicks, mc.LoadBalancePeriodTicks, mc.MaxTicks)
-	fmt.Fprintf(&b, "gvtfreq=%d\n", or(c.GVTFrequency, 200))
+	fmt.Fprintf(&b, "gvtfreq=%d\n", c.gvtFrequency())
 	fmt.Fprintf(&b, "zerothreshold=%d\n", or(c.ZeroCounterThreshold, 2000))
 	fmt.Fprintf(&b, "batch=%d\n", or(c.BatchSize, 8))
 	fmt.Fprintf(&b, "lpsperkp=%d\n", or(c.LPsPerKP, 1))
 	fmt.Fprintf(&b, "queue=%s\n", c.Queue)
 	fmt.Fprintf(&b, "statesaving=%s\n", c.StateSaving)
-	fmt.Fprintf(&b, "lazy=%t\n", c.LazyCancellation)
+	// Lazy cancellation and adaptive GVT frequency are retired (DESIGN.md
+	// §5). Every run now is what a run with them off was, so their lines
+	// stay, constant, and every key computed while they existed still
+	// names its run.
+	b.WriteString("lazy=false\n")
 	fmt.Fprintf(&b, "optimism=%g\n", c.OptimismWindow)
-	if a := c.AdaptiveGVT; a != nil {
-		fmt.Fprintf(&b, "adaptive{min=%d max=%d target=%d}\n",
-			a.MinFrequency, a.MaxFrequency, a.TargetUncommittedPerThread)
-	} else {
-		fmt.Fprintf(&b, "adaptive=nil\n")
-	}
+	b.WriteString("adaptive=nil\n")
 	// Checkpoint segmentation quiesces the engine at round boundaries,
 	// which perturbs speculation — Every changes the trajectory. Dir is
 	// pure placement and excluded.

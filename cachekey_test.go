@@ -68,9 +68,7 @@ func TestCacheKeyFieldSensitivity(t *testing.T) {
 		"lpsperkp":      func(c *Config) { c.LPsPerKP = 2 },
 		"queue":         func(c *Config) { c.Queue = HeapQueue },
 		"statesaving":   func(c *Config) { c.StateSaving = ReverseComputation },
-		"lazy":          func(c *Config) { c.LazyCancellation = true },
 		"optimism":      func(c *Config) { c.OptimismWindow = 10 },
-		"adaptive":      func(c *Config) { c.AdaptiveGVT = &AdaptiveGVT{MinFrequency: 4, MaxFrequency: 64} },
 	}
 	seen := map[string]string{}
 	for name, mutate := range perturbations {
@@ -155,6 +153,31 @@ func TestCacheKeyGolden(t *testing.T) {
 				Machine: SmallMachine(),
 			},
 			want: "sha256:79039c8a449f8250193d73ed4eb82da7d5ea34aa84642de4c2c5a6fbf20bc123",
+		},
+		{
+			// Every field that survived the retired options' removal, set:
+			// its key was taken while those options still existed.
+			name: "every-surviving-field",
+			cfg: Config{
+				Model:                Traffic{LPsPerThread: 8, DensityGradient: 0.5},
+				Threads:              8,
+				System:               GGPDES,
+				GVT:                  WaitFree,
+				Affinity:             DynamicAffinity,
+				EndTime:              12,
+				Seed:                 7,
+				Machine:              Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9, NUMANodes: 2},
+				GVTFrequency:         40,
+				ZeroCounterThreshold: 300,
+				BatchSize:            4,
+				LPsPerKP:             2,
+				Queue:                HeapQueue,
+				StateSaving:          ReverseComputation,
+				OptimismWindow:       5,
+				Checkpoint:           &CheckpointOptions{Every: 3},
+				Chaos:                &ChaosOptions{Seed: 9, DropSendRate: 0.01, StallRate: 0.02},
+			},
+			want: "sha256:3d29cdf561921dca28dda22d98fa55d83136f5e5b1dd2057f1c0896150de93cf",
 		},
 	}
 	for _, tc := range cases {

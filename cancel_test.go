@@ -101,7 +101,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.OptimismWindow = -1 },
 		func(c *Config) { c.Machine.Cores = -1 },
 		func(c *Config) { c.Model = PHOLD{LPsPerThread: 1, Imbalance: 3} },
-		func(c *Config) { c.AdaptiveGVT = &AdaptiveGVT{MinFrequency: 10, MaxFrequency: 5} },
 	}
 	for i, mutate := range bad {
 		cfg := quickCfg()

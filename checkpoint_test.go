@@ -68,11 +68,9 @@ func TestCheckpointResumeMatrix(t *testing.T) {
 	}{
 		{"", func(*Config) {}},
 		{"/dd", func(c *Config) { c.System = DDPDES }},
-		{"/adaptive", func(c *Config) {
-			c.AdaptiveGVT = &AdaptiveGVT{MinFrequency: 10, MaxFrequency: 80, TargetUncommittedPerThread: 8}
-		}},
 		{"/window", func(c *Config) { c.OptimismWindow = 5 }},
-		{"/lazy", func(c *Config) { c.LazyCancellation = true }},
+		{"/kp4", func(c *Config) { c.LPsPerKP = 4 }},
+		{"/heap", func(c *Config) { c.Queue = HeapQueue }},
 		{"/reverse", func(c *Config) { c.StateSaving = ReverseComputation }},
 		{"/unpooled", func(c *Config) { c.DisablePooling = true }},
 		{"/observed", func(c *Config) {
@@ -293,6 +291,23 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	if _, err := Resume(bad); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("truncated snapshot: got %v, want ErrCheckpointCorrupt", err)
+	}
+	// A well-formed snapshot whose embedded config turns on a retired
+	// option names a run this engine cannot continue.
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgJSON := snap.Config
+	for _, retired := range []string{`"lazy_cancellation":true,`, `"adaptive_gvt":{"min_frequency":4,"max_frequency":64},`} {
+		snap.Config = append([]byte("{"+retired), cfgJSON[1:]...)
+		written, err := checkpoint.Write(t.TempDir(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(written); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("snapshot with %s: got %v, want ErrCheckpointCorrupt", retired, err)
+		}
 	}
 }
 

@@ -60,7 +60,6 @@ func main() {
 		progEvery  = flag.Float64("progress-every", 0, "virtual-time interval between progress lines (0 = 10% of -end)")
 		expvarAt   = flag.String("expvar", "", "serve live run metrics over expvar at this address (e.g. :8123)")
 		hist       = flag.Bool("hist", false, "print every run histogram (implies -v percentile lines)")
-		lazy       = flag.Bool("lazy", false, "lazy cancellation (defer anti-messages across rollbacks)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this much real time (0 = no limit)")
 		nopool     = flag.Bool("nopool", false, "disable event/snapshot recycling (A/B allocation measurements)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -108,7 +107,6 @@ func main() {
 			GVTFrequency:         *gvtFreq,
 			ZeroCounterThreshold: *zeroThr,
 			OptimismWindow:       *optimism,
-			LazyCancellation:     *lazy,
 			DisablePooling:       *nopool,
 		}
 
@@ -304,10 +302,6 @@ func main() {
 		fmt.Printf("context switches     : %d, migrations: %d\n", res.ContextSwitches, res.Migrations)
 		fmt.Printf("stragglers           : %d, anti-messages: %d, rollbacks: %d\n",
 			res.Stragglers, res.AntiMessages, res.Rollbacks)
-		if res.LazyReused+res.LazyCancelled > 0 {
-			fmt.Printf("lazy cancellation    : %d sends re-adopted, %d annihilated late\n",
-				res.LazyReused, res.LazyCancelled)
-		}
 	}
 	if *verbose || *hist {
 		fmt.Printf("rollback depth       : %s\n", res.RollbackDepth)

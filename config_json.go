@@ -15,7 +15,8 @@ import (
 // excluded; re-attach them after decoding. Enums travel as their
 // String() names; the model travels as a tagged object selected by its
 // "name". Unknown fields are ignored for forward compatibility;
-// unknown enum or model names are errors.
+// unknown enum or model names are errors, and so are the retired
+// options (see UnmarshalJSON).
 
 type configJSON struct {
 	Model                *modelJSON         `json:"model,omitempty"`
@@ -32,12 +33,14 @@ type configJSON struct {
 	LPsPerKP             int                `json:"lps_per_kp,omitempty"`
 	Queue                string             `json:"queue"`
 	StateSaving          string             `json:"state_saving"`
-	LazyCancellation     bool               `json:"lazy_cancellation,omitempty"`
-	AdaptiveGVT          *adaptiveJSON      `json:"adaptive_gvt,omitempty"`
 	OptimismWindow       float64            `json:"optimism_window,omitempty"`
 	DisablePooling       bool               `json:"disable_pooling,omitempty"`
 	Checkpoint           *CheckpointOptions `json:"checkpoint,omitempty"`
 	Chaos                *ChaosOptions      `json:"chaos,omitempty"`
+	// Retired options, read only to be refused. Encoding never sets
+	// them, so a config's wire form is what it was while they existed.
+	RetiredLazy     bool `json:"lazy_cancellation,omitempty"`
+	RetiredAdaptive any  `json:"adaptive_gvt,omitempty"`
 }
 
 type machineJSON struct {
@@ -46,12 +49,6 @@ type machineJSON struct {
 	FreqHz    float64 `json:"freq_hz,omitempty"`
 	NUMANodes int     `json:"numa_nodes,omitempty"`
 	MaxTicks  uint64  `json:"max_ticks,omitempty"`
-}
-
-type adaptiveJSON struct {
-	MinFrequency               int `json:"min_frequency"`
-	MaxFrequency               int `json:"max_frequency"`
-	TargetUncommittedPerThread int `json:"target_uncommitted_per_thread,omitempty"`
 }
 
 type modelJSON struct {
@@ -157,7 +154,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		LPsPerKP:             c.LPsPerKP,
 		Queue:                c.Queue.String(),
 		StateSaving:          c.StateSaving.String(),
-		LazyCancellation:     c.LazyCancellation,
 		OptimismWindow:       c.OptimismWindow,
 		DisablePooling:       c.DisablePooling,
 	}
@@ -168,13 +164,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 			FreqHz:    c.Machine.FreqHz,
 			NUMANodes: c.Machine.NUMANodes,
 			MaxTicks:  c.Machine.MaxTicks,
-		}
-	}
-	if a := c.AdaptiveGVT; a != nil {
-		w.AdaptiveGVT = &adaptiveJSON{
-			MinFrequency:               a.MinFrequency,
-			MaxFrequency:               a.MaxFrequency,
-			TargetUncommittedPerThread: a.TargetUncommittedPerThread,
 		}
 	}
 	if ck := c.Checkpoint; ck != nil {
@@ -192,10 +181,21 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // field of c (absent fields become their zero values) and leaves the
 // non-wire attachments — Trace, Progress, Series, Telemetry —
 // untouched.
+//
+// A config that turns on a retired option — lazy cancellation, adaptive
+// GVT frequency (DESIGN.md §5) — fails with ErrInvalidConfig naming it:
+// ignored like any unknown key, it would run, and be cached as, a
+// different simulation than the one asked for.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var w configJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("ggpdes: decoding config: %w", err)
+	}
+	if w.RetiredLazy {
+		return fmt.Errorf("%w: lazy_cancellation is retired (cancellation is always aggressive)", ErrInvalidConfig)
+	}
+	if w.RetiredAdaptive != nil {
+		return fmt.Errorf("%w: adaptive_gvt is retired (every GVT round interval is gvt_frequency)", ErrInvalidConfig)
 	}
 	model, err := decodeModel(w.Model)
 	if err != nil {
@@ -210,7 +210,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		ZeroCounterThreshold: w.ZeroCounterThreshold,
 		BatchSize:            w.BatchSize,
 		LPsPerKP:             w.LPsPerKP,
-		LazyCancellation:     w.LazyCancellation,
 		OptimismWindow:       w.OptimismWindow,
 		DisablePooling:       w.DisablePooling,
 		Trace:                c.Trace,
@@ -250,13 +249,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 			FreqHz:    m.FreqHz,
 			NUMANodes: m.NUMANodes,
 			MaxTicks:  m.MaxTicks,
-		}
-	}
-	if a := w.AdaptiveGVT; a != nil {
-		out.AdaptiveGVT = &AdaptiveGVT{
-			MinFrequency:               a.MinFrequency,
-			MaxFrequency:               a.MaxFrequency,
-			TargetUncommittedPerThread: a.TargetUncommittedPerThread,
 		}
 	}
 	if ck := w.Checkpoint; ck != nil {

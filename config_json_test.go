@@ -2,7 +2,9 @@ package ggpdes
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -29,8 +31,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			LPsPerKP:             2,
 			Queue:                CalendarQueue,
 			StateSaving:          ReverseComputation,
-			LazyCancellation:     true,
-			AdaptiveGVT:          &AdaptiveGVT{MinFrequency: 4, MaxFrequency: 64, TargetUncommittedPerThread: 8},
 			OptimismWindow:       5,
 			DisablePooling:       true,
 			Checkpoint:           &CheckpointOptions{Every: 3, Dir: "/tmp/ck"},
@@ -94,6 +94,32 @@ func TestConfigJSONRejectsBadEnums(t *testing.T) {
 	}
 }
 
+// A retired option, turned on, fails typed and names itself: ignored
+// like an unknown key, it would run — and be cached as — a different
+// simulation than the one asked for. Turned off it asks for what every
+// run is, and decodes.
+func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
+	const spec = `{"model":{"name":"phold"},"threads":2,"end_time":5,`
+	for _, tc := range []struct{ key, js string }{
+		{"lazy_cancellation", spec + `"lazy_cancellation":true}`},
+		{"adaptive_gvt", spec + `"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}`},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			var cfg Config
+			err := json.Unmarshal([]byte(tc.js), &cfg)
+			if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.key) {
+				t.Errorf("error %v, want ErrInvalidConfig naming the option", err)
+			}
+		})
+	}
+	t.Run("off", func(t *testing.T) {
+		var cfg Config
+		if err := json.Unmarshal([]byte(spec+`"lazy_cancellation":false,"adaptive_gvt":null}`), &cfg); err != nil {
+			t.Errorf("retired options turned off: %v", err)
+		}
+	})
+}
+
 // Every accepted enum spelling decodes, not just the canonical one.
 func TestConfigJSONEnumSpellings(t *testing.T) {
 	js := `{"system":"dd","gvt":"sync","affinity":"constant","queue":"heap","state_saving":"reverse"}`
@@ -121,6 +147,7 @@ func FuzzConfigJSON(f *testing.F) {
 	}
 	f.Add(`{"model":{"name":"epidemics","contact_rate":1.5},"threads":3,"end_time":2.25,"seed":9}`)
 	f.Add(`{}`)
+	f.Add(`{"machine":{"cores":1},"lazy_cancellation":false,"adaptive_gvt":null}`)
 	f.Add(`{"machine":{"cores":1},"adaptive_gvt":{"min_frequency":1,"max_frequency":2}}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		var cfg Config

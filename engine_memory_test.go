@@ -30,12 +30,13 @@ func benchTrafficCfg() Config {
 	}
 }
 
-// lazyTrafficCfg is a small Traffic run under lazy cancellation, the
-// one engine path neither benchmark config takes.
-func lazyTrafficCfg() Config {
+// kpReverseTrafficCfg is a small Traffic run with two-LP kernel
+// processes under reverse computation, engine paths neither benchmark
+// config takes.
+func kpReverseTrafficCfg() Config {
 	return Config{
 		Model: Traffic{LPsPerThread: 4, CenterStartEvents: 6}, Threads: 4, System: DDPDES, GVT: Barrier,
-		EndTime: 12, GVTFrequency: 20, ZeroCounterThreshold: 100, LazyCancellation: true,
+		EndTime: 12, GVTFrequency: 20, ZeroCounterThreshold: 100, LPsPerKP: 2, StateSaving: ReverseComputation,
 	}
 }
 
@@ -59,8 +60,8 @@ func diffResults(t *testing.T, aName, bName string, a, b *Results) {
 // heap and a calendar queue that are each correct return the same
 // Results — every count, cycle, histogram percentile and pool counter —
 // on the benchmark's engine-bound, rollback-bound and checkpointed
-// shapes and under lazy cancellation. Three independent structures
-// vouch for each other's ordering rule.
+// shapes and with kernel processes under reverse computation. Three
+// independent structures vouch for each other's ordering rule.
 func TestQueueKindsIdenticalResults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -69,7 +70,7 @@ func TestQueueKindsIdenticalResults(t *testing.T) {
 		{"phold-sync", benchPholdSyncCfg()},
 		{"traffic-oversub-rollback", benchTrafficCfg()},
 		{"epidemics-ckpt-resume", ckptBenchCfg(t.TempDir())},
-		{"traffic-lazy", lazyTrafficCfg()},
+		{"traffic-kp-reverse", kpReverseTrafficCfg()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

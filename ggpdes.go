@@ -221,15 +221,6 @@ type Config struct {
 	// StateSaving selects copy state-saving (default) or ROSS-style
 	// reverse computation.
 	StateSaving StateSaving
-	// LazyCancellation defers anti-messages at rollback and re-adopts
-	// sends that re-execution regenerates identically — the classic
-	// Time Warp optimization. Rarely pays off for models that draw
-	// randomness per event (stragglers shift the stream), which the
-	// ablation benchmark demonstrates.
-	LazyCancellation bool
-	// AdaptiveGVT, when non-nil, lets the GVT round frequency self-tune
-	// between the given bounds based on speculative memory growth.
-	AdaptiveGVT *AdaptiveGVT
 	// Trace enables run instrumentation when non-nil.
 	Trace *TraceOptions
 	// Progress enables live progress reporting when non-nil.
@@ -316,16 +307,6 @@ type ChaosOptions struct {
 	// cancellation, or the serving layer's stall watchdog.
 	KillThread int    `json:"kill_thread,omitempty"`
 	KillAtIter uint64 `json:"kill_at_iter,omitempty"`
-}
-
-// AdaptiveGVT bounds the self-tuning GVT frequency.
-type AdaptiveGVT struct {
-	// MinFrequency and MaxFrequency clamp the loop-iteration interval
-	// between GVT rounds.
-	MinFrequency, MaxFrequency int
-	// TargetUncommittedPerThread aims the per-thread peak of
-	// uncommitted (speculative) events between rounds.
-	TargetUncommittedPerThread int
 }
 
 // TraceOptions configures run instrumentation: GVT progression,
@@ -461,10 +442,13 @@ type Results struct {
 	// ProcessedEvents counts speculative executions including
 	// re-executions; RolledBackEvents counts undone executions (§6.5).
 	ProcessedEvents, RolledBackEvents uint64
-	// Rollbacks, Stragglers, AntiMessages detail optimism behaviour;
-	// LazyReused/LazyCancelled count lazy-cancellation outcomes.
+	// Rollbacks, Stragglers, AntiMessages detail optimism behaviour.
 	Rollbacks, Stragglers, AntiMessages uint64
-	LazyReused, LazyCancelled           uint64
+	// LazyReused and LazyCancelled are always 0. They counted the
+	// outcomes of lazy cancellation, which is retired (DESIGN.md §5),
+	// and stay because Results' JSON form is a contract: result caches
+	// and the benchmark's result digests hash it.
+	LazyReused, LazyCancelled uint64
 	// WallClockSeconds is simulated machine wall time.
 	WallClockSeconds float64
 	// GVTCPUSeconds is CPU time spent inside GVT computation,
@@ -493,8 +477,10 @@ type Results struct {
 	PeakUncommittedEvents int
 	// FinalGVT is the published GVT at completion (== EndTime).
 	FinalGVT float64
-	// FinalGVTFrequency is the GVT round interval at completion (equals
-	// the configured value unless AdaptiveGVT tuned it).
+	// FinalGVTFrequency is the GVT round interval the run used:
+	// GVTFrequency, defaults applied. Nothing tunes it any more (adaptive
+	// GVT frequency is retired, DESIGN.md §5); the field stays because
+	// Results' JSON form is a contract.
 	FinalGVTFrequency int
 	// TraceSummary digests the recorded trace (empty without tracing);
 	// InactiveFraction is the share of thread-time spent de-scheduled.
@@ -610,11 +596,6 @@ func (c Config) Validate() error {
 	}
 	if c.OptimismWindow < 0 {
 		return fail("OptimismWindow must be non-negative")
-	}
-	if a := c.AdaptiveGVT; a != nil {
-		if a.MinFrequency < 0 || a.MaxFrequency < 0 || a.MinFrequency > a.MaxFrequency {
-			return fail("AdaptiveGVT frequency bounds are invalid")
-		}
 	}
 	if ck := c.Checkpoint; ck != nil {
 		if ck.Every < 1 {

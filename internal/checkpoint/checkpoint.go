@@ -89,8 +89,9 @@ type Snapshot struct {
 	MachineStats machine.Stats        `json:"machine_stats"`
 	SchedStats   core.SchedulingStats `json:"sched_stats"`
 	TotalCycles  uint64               `json:"total_cycles"`
-	// GVTFrequency is the (possibly adaptively tuned) round frequency
-	// the next segment starts from; 0 means the configured value.
+	// GVTFrequency is the run's resolved GVT round frequency. Resume
+	// takes the frequency from Config and does not read it; it is still
+	// written so snapshot bytes stay what format v2 has always written.
 	GVTFrequency int `json:"gvt_frequency"`
 	// Engine is the quiesced Time Warp state. It is not part of the
 	// JSON header: it follows it in tw's binary form.

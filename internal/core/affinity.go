@@ -54,11 +54,6 @@ type dynamicAffinity struct {
 	// coreOf[tid] is the paper's affinity_table_inv: -1 when unpinned.
 	coreOf   []int
 	smtWidth int
-	// smtAware selects the paper's SMT-aware placement (fewest active
-	// hardware threads first). When false, the pass first-fits with a
-	// rotating cursor, the plain Algorithm 4 — kept for ablation.
-	smtAware bool
-	cursor   int
 	// nodeOf maps a core to its NUMA node; numaAware makes the pass
 	// prefer a thread's previous node when re-pinning — the extension
 	// the paper leaves as future work.
@@ -78,7 +73,6 @@ func newDynamicAffinity(threads, usableCores, smtWidth int, costs Costs) *dynami
 		coreOf:      make([]int, threads),
 		lastNode:    make([]int, threads),
 		smtWidth:    smtWidth,
-		smtAware:    true,
 		nodeOf:      func(int) int { return 0 },
 	}
 	for i := range d.coreOf {
@@ -126,9 +120,6 @@ func (d *dynamicAffinity) OnRoundComplete(p *machine.Proc, acc *machine.Acc, g *
 }
 
 func (d *dynamicAffinity) pickCore(acc *machine.Acc, tid int) int {
-	if !d.smtAware {
-		return d.firstFitCore(acc)
-	}
 	if d.numaAware {
 		if node := d.lastNode[tid]; node >= 0 {
 			// Prefer an empty-enough core on the thread's previous node
@@ -169,22 +160,4 @@ func (d *dynamicAffinity) emptiestCore(acc *machine.Acc) int {
 		}
 	}
 	return best
-}
-
-// firstFitCore is the SMT-blind ablation: scan from a rotating cursor
-// for any core with a free hardware context, ignoring how loaded the
-// others are.
-func (d *dynamicAffinity) firstFitCore(acc *machine.Acc) int {
-	n := len(d.pinnedCount)
-	for i := 0; i < n; i++ {
-		c := (d.cursor + i) % n
-		acc.Work(d.costs.AffinityPerThreadCycles / 4)
-		if d.pinnedCount[c] < d.smtWidth {
-			d.cursor = c
-			return c
-		}
-	}
-	// All cores saturated; fall back to the cursor position.
-	d.cursor = (d.cursor + 1) % n
-	return d.cursor
 }

@@ -39,28 +39,8 @@ func TestDynamicAffinitySMTAwarePlacement(t *testing.T) {
 	}
 }
 
-func TestDynamicAffinitySMTBlindFirstFit(t *testing.T) {
-	d := newDynamicAffinity(8, 4, 2, DefaultCosts())
-	d.smtAware = false
-	acc := &nopAcc{}
-	// First-fit with a cursor fills core 0's two contexts before moving
-	// on: the pathology SMT-awareness avoids.
-	c1 := d.pickCore(acc.acc(), 0)
-	d.pinnedCount[c1]++
-	c2 := d.pickCore(acc.acc(), 0)
-	d.pinnedCount[c2]++
-	if c1 != 0 || c2 != 0 {
-		t.Fatalf("blind first-fit picked %d then %d, want 0, 0", c1, c2)
-	}
-	c3 := d.pickCore(acc.acc(), 0)
-	if c3 != 1 {
-		t.Fatalf("third pick = %d, want 1", c3)
-	}
-}
-
-func TestDynamicAffinityBlindSaturationFallback(t *testing.T) {
+func TestDynamicAffinitySaturationFallback(t *testing.T) {
 	d := newDynamicAffinity(4, 2, 1, DefaultCosts())
-	d.smtAware = false
 	acc := &nopAcc{}
 	d.pinnedCount[0] = 1
 	d.pinnedCount[1] = 1 // all cores saturated
@@ -92,76 +72,6 @@ func TestDynamicAffinityDeactivateReleasesSlot(t *testing.T) {
 type nopAcc struct{ a machine.Acc }
 
 func (n *nopAcc) acc() *machine.Acc { return &n.a }
-
-// BenchmarkAblationSMTAwareness compares SMT-aware against first-fit
-// dynamic affinity on a non-linear locality PHOLD where placement
-// matters (DESIGN.md §5).
-func BenchmarkAblationSMTAwareness(b *testing.B) {
-	for _, aware := range []bool{true, false} {
-		aware := aware
-		name := "smt-aware"
-		if !aware {
-			name = "first-fit"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := benchOneAffinityRun(b, aware, uint64(i+1))
-				b.ReportMetric(res, "ev/s(sim)")
-			}
-		})
-	}
-}
-
-// benchOneAffinityRun runs one GG + dynamic-affinity simulation with
-// the given SMT policy and returns the committed event rate.
-func benchOneAffinityRun(b *testing.B, smtAware bool, seed uint64) float64 {
-	b.Helper()
-	res := runAffinitySim(b, smtAware, seed)
-	return res
-}
-
-// runAffinitySim builds a full GG + dynamic-affinity run with the given
-// SMT policy and returns the committed event rate.
-func runAffinitySim(tb testing.TB, smtAware bool, seed uint64) float64 {
-	tb.Helper()
-	sp := simParams{
-		system: GGPDES, gvtKind: 1 /* waitfree */, affinity: AffinityDynamic,
-		threads: 16, lpsPer: 4, imbalance: 4, nonLinear: true,
-		endTime: 40, cores: 4, smt: 2, gvtFreq: 20, zeroThresh: 60,
-		seed: seed, maxTicks: 1 << 22, startPerLP: 1,
-	}
-	mcfg := machine.Small()
-	mcfg.MaxTicks = sp.maxTicks
-	m, err := machine.New(mcfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	model, err := newPHOLDFor(sp)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng, err := newEngineFor(model, sp)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r, err := NewRunner(Config{
-		Machine: m, Engine: eng, System: GGPDES, GVTKind: 1,
-		GVTFrequency: sp.gvtFreq, ZeroCounterThreshold: sp.zeroThresh,
-		Affinity: AffinityDynamic,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r.aff.(*dynamicAffinity).smtAware = smtAware
-	if err := m.Run(); err != nil {
-		tb.Fatal(err)
-	}
-	wall := m.WallSeconds()
-	if wall == 0 {
-		return 0
-	}
-	return float64(eng.TotalStats().Committed) / wall
-}
 
 func TestDynamicAffinityNUMAPrefersPreviousNode(t *testing.T) {
 	d := newDynamicAffinity(4, 8, 2, DefaultCosts())

@@ -158,8 +158,6 @@ type Config struct {
 	// Trace, when non-nil, records scheduling transitions, GVT rounds
 	// and affinity repins.
 	Trace *trace.Recorder
-	// GVTAdaptive, when non-nil, enables adaptive GVT frequency tuning.
-	GVTAdaptive *gvt.Adaptive
 	// Telemetry, when non-nil, receives scheduler metrics (see the
 	// Metric constants) and is forwarded to the GVT layer.
 	Telemetry *telemetry.Registry
@@ -317,7 +315,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		Frequency: cfg.GVTFrequency,
 		Hooks:     r.sched,
 		Costs:     cfg.GVTCosts,
-		Adaptive:  cfg.GVTAdaptive,
 		Telemetry: cfg.Telemetry,
 		OnCut:     cfg.GVTOnCut,
 	})

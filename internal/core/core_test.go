@@ -340,32 +340,3 @@ func TestSystemAndAffinityStrings(t *testing.T) {
 		t.Fatal("unknown affinity name wrong")
 	}
 }
-
-// Test helpers shared with affinity_test.go.
-func newPHOLDFor(sp simParams) (*models.PHOLD, error) {
-	return models.NewPHOLD(models.PHOLDConfig{
-		Threads:          sp.threads,
-		LPsPerThread:     sp.lpsPer,
-		Imbalance:        sp.imbalance,
-		NonLinear:        sp.nonLinear,
-		EndTime:          sp.endTime,
-		StartEventsPerLP: sp.startPerLP,
-	})
-}
-
-func newEngineFor(model *models.PHOLD, sp simParams) (*tw.Engine, error) {
-	return tw.NewEngine(tw.Config{
-		NumThreads: sp.threads,
-		Model:      model,
-		EndTime:    sp.endTime,
-		Seed:       sp.seed,
-	})
-}
-
-func TestSMTBlindDynamicAffinityRunsCorrectly(t *testing.T) {
-	aware := runAffinitySim(t, true, 7)
-	blind := runAffinitySim(t, false, 7)
-	if aware <= 0 || blind <= 0 {
-		t.Fatalf("rates: aware %v blind %v", aware, blind)
-	}
-}

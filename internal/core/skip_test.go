@@ -30,12 +30,11 @@ type skipCase struct {
 	threads   int
 	imbalance int
 	window    tw.VT
-	adaptive  bool
 }
 
 func (c skipCase) String() string {
-	return fmt.Sprintf("%v/%v/%v/%dx%d/imb%d/win%v/adaptive=%v",
-		c.system, c.kind, c.affinity, c.threads, c.cores*2, c.imbalance, c.window, c.adaptive)
+	return fmt.Sprintf("%v/%v/%v/%dx%d/imb%d/win%v",
+		c.system, c.kind, c.affinity, c.threads, c.cores*2, c.imbalance, c.window)
 }
 
 // skipPrint is everything a run leaves behind that anything reads: the
@@ -55,7 +54,6 @@ type skipPrint struct {
 	NumActive     int
 	Participants  int
 	Rounds        uint64
-	Frequency     int
 	GVT           tw.VT
 	PeakUncommit  int
 	LPStates      []tw.State
@@ -97,13 +95,9 @@ func buildSkipCase(tb testing.TB, c skipCase, seed uint64, faults ThreadFaultInj
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var adaptive *gvt.Adaptive
-	if c.adaptive {
-		adaptive = &gvt.Adaptive{MinFrequency: 5, MaxFrequency: 80, TargetUncommittedPerThread: 4}
-	}
 	r, err := NewRunner(Config{
 		Machine: m, Engine: eng, System: c.system, GVTKind: c.kind, Affinity: c.affinity,
-		GVTFrequency: 20, ZeroCounterThreshold: 60, GVTAdaptive: adaptive,
+		GVTFrequency: 20, ZeroCounterThreshold: 60,
 		Trace: rec, Telemetry: reg, Faults: faults,
 	})
 	if err != nil {
@@ -127,7 +121,7 @@ func runSkipCase(t *testing.T, c skipCase, seed uint64, faults ThreadFaultInject
 	pr := skipPrint{
 		Machine: m.Stats(), WallSeconds: m.WallSeconds(),
 		Sched: r.SchedulingStats(), NumActive: r.NumActive(),
-		Participants: r.alg.Participants(), Rounds: r.alg.Rounds(), Frequency: r.alg.Frequency(),
+		Participants: r.alg.Participants(), Rounds: r.alg.Rounds(),
 		GVT: eng.GVT(), PeakUncommit: eng.PeakUncommittedEvents(),
 		Metrics: reg.Snapshot(), Records: rec.Records(), TraceDropped: rec.Dropped(),
 	}
@@ -160,13 +154,13 @@ func runSkipCase(t *testing.T, c skipCase, seed uint64, faults ThreadFaultInject
 // depends on varies somewhere: one thread per context and eight (CFS
 // preemption, switch penalties riding on the first booked flush), a
 // balanced model behind an optimism window and a 1-16 imbalanced one
-// with and without, a fixed GVT frequency and an adaptive one.
+// with and without.
 func skipMatrix() []skipCase {
 	shapes := []skipCase{
 		{cores: 8, threads: 16, imbalance: 1, window: 10},
-		{cores: 2, threads: 16, imbalance: 16, window: 0, adaptive: true},
+		{cores: 2, threads: 16, imbalance: 16, window: 0},
 		{cores: 2, threads: 32, imbalance: 16, window: 10},
-		{cores: 8, threads: 16, imbalance: 4, window: 0, adaptive: true},
+		{cores: 8, threads: 16, imbalance: 4, window: 0},
 	}
 	var cases []skipCase
 	for _, sys := range []System{Baseline, DDPDES, GGPDES} {

@@ -109,7 +109,6 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			GVT:             s.finite(),
 			Uncommitted:     int(int8(s.next())),
 			PeakUncommitted: int(s.next()),
-			PeakSinceMark:   int(s.next()),
 		}
 	}
 	r := &BatchReply{Results: make([]OpResult, len(m.Ops))}
@@ -151,8 +150,8 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			r.Stats[i] = tw.PeerStats{
 				Processed: s.u64(), RolledBack: s.u64(), Committed: s.u64(),
 				Rollbacks: s.u64(), Stragglers: s.u64(), AntiSent: s.u64(),
-				Annihilated: s.u64(), Drained: s.u64(), LazyReused: s.u64(),
-				LazyCancelled: s.u64(), GVTCycles: s.u64(), GVTRounds: s.u64(),
+				Annihilated: s.u64(), Drained: s.u64(),
+				GVTCycles: s.u64(), GVTRounds: s.u64(),
 			}
 		}
 	}

@@ -83,9 +83,6 @@ func (b *barrierGVT) Participants() int { return b.participants }
 // Rounds implements Algorithm.
 func (b *barrierGVT) Rounds() uint64 { return b.rounds }
 
-// Frequency implements Algorithm.
-func (b *barrierGVT) Frequency() int { return b.freq }
-
 func (b *barrierGVT) charge(acc *machine.Acc, tid int, cycles uint64) {
 	acc.Work(cycles)
 	b.eng.Peer(tid).Stats.GVTCycles += cycles
@@ -168,10 +165,6 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 		b.endCount = 0
 		b.rounds++
 		b.rt.roundComplete(tid)
-		if ad := b.cfg.Adaptive; ad != nil {
-			b.freq = ad.adapt(b.freq, b.eng.PeakUncommittedSinceMark(), len(b.eng.Peers()))
-			b.eng.MarkUncommitted()
-		}
 		// Safe point for subscriptions: every thread of this round is
 		// past bar3, and bar1 of the next generation cannot have
 		// released yet (it still needs this thread).

@@ -152,9 +152,6 @@ type Algorithm interface {
 	Participants() int
 	// Rounds returns the number of completed GVT rounds.
 	Rounds() uint64
-	// Frequency returns the current loop-iteration interval between
-	// rounds (fixed, unless adaptive tuning is enabled).
-	Frequency() int
 }
 
 // Costs prices GVT protocol operations in CPU cycles.
@@ -180,51 +177,6 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Adaptive makes the GVT round frequency self-tuning, in the spirit of
-// the adaptive-GVT literature the paper cites: rounds happen more often
-// when speculative state (uncommitted events) piles up, less often when
-// the GVT overhead buys nothing. The controller adjusts the shared
-// frequency at every round completion.
-type Adaptive struct {
-	// MinFrequency and MaxFrequency clamp the loop-iteration interval.
-	MinFrequency, MaxFrequency int
-	// TargetUncommittedPerThread is the aimed-for per-thread peak of
-	// uncommitted events between rounds.
-	TargetUncommittedPerThread int
-}
-
-func (a *Adaptive) validate(base int) error {
-	if a.MinFrequency <= 0 || a.MaxFrequency < a.MinFrequency {
-		return fmt.Errorf("gvt: adaptive bounds [%d, %d] invalid", a.MinFrequency, a.MaxFrequency)
-	}
-	if base < a.MinFrequency || base > a.MaxFrequency {
-		return fmt.Errorf("gvt: base frequency %d outside adaptive bounds", base)
-	}
-	if a.TargetUncommittedPerThread <= 0 {
-		return fmt.Errorf("gvt: adaptive target must be positive")
-	}
-	return nil
-}
-
-// adapt returns the next frequency given the peak uncommitted events
-// seen since the previous round.
-func (a *Adaptive) adapt(freq, peak, threads int) int {
-	target := a.TargetUncommittedPerThread * threads
-	switch {
-	case peak > 2*target:
-		freq /= 2
-	case peak < target/2:
-		freq += freq/4 + 1
-	}
-	if freq < a.MinFrequency {
-		freq = a.MinFrequency
-	}
-	if freq > a.MaxFrequency {
-		freq = a.MaxFrequency
-	}
-	return freq
-}
-
 // Config assembles an Algorithm.
 type Config struct {
 	Kind Kind
@@ -240,9 +192,6 @@ type Config struct {
 	Hooks Hooks
 	// Costs is the protocol cost model; zero value selects defaults.
 	Costs Costs
-	// Adaptive, when non-nil, lets the algorithm tune Frequency within
-	// the given bounds based on speculative memory growth.
-	Adaptive *Adaptive
 	// Telemetry, when non-nil, receives round-latency metrics (see the
 	// Metric constants).
 	Telemetry *telemetry.Registry
@@ -270,11 +219,6 @@ func New(cfg Config) (Algorithm, error) {
 	}
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
-	}
-	if cfg.Adaptive != nil {
-		if err := cfg.Adaptive.validate(cfg.Frequency); err != nil {
-			return nil, err
-		}
 	}
 	switch cfg.Kind {
 	case Barrier:

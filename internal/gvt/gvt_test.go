@@ -304,88 +304,3 @@ func TestNopHooks(t *testing.T) {
 	h.OnRoundComplete(nil, nil, 0)
 	h.OnEnd(nil, nil, 0)
 }
-
-func TestAdaptiveValidation(t *testing.T) {
-	m, _ := machine.New(machine.Small())
-	model, _ := models.NewPHOLD(models.PHOLDConfig{Threads: 1, LPsPerThread: 1, EndTime: 1})
-	eng, _ := tw.NewEngine(tw.Config{NumThreads: 1, Model: model, EndTime: 1})
-	bad := []*Adaptive{
-		{MinFrequency: 0, MaxFrequency: 10, TargetUncommittedPerThread: 4},
-		{MinFrequency: 10, MaxFrequency: 5, TargetUncommittedPerThread: 4},
-		{MinFrequency: 50, MaxFrequency: 100, TargetUncommittedPerThread: 4}, // base 10 outside
-		{MinFrequency: 5, MaxFrequency: 100, TargetUncommittedPerThread: 0},
-	}
-	for i, a := range bad {
-		if _, err := New(Config{Kind: WaitFree, Engine: eng, Machine: m, Frequency: 10, Adaptive: a}); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestAdaptHalvesAndGrows(t *testing.T) {
-	a := &Adaptive{MinFrequency: 4, MaxFrequency: 100, TargetUncommittedPerThread: 10}
-	// 4 threads, target 40: peak 100 > 80 halves; peak 10 < 20 grows.
-	if got := a.adapt(40, 100, 4); got != 20 {
-		t.Fatalf("halve: got %d", got)
-	}
-	if got := a.adapt(40, 10, 4); got != 51 {
-		t.Fatalf("grow: got %d", got)
-	}
-	// Clamping.
-	if got := a.adapt(5, 1000, 4); got != 4 {
-		t.Fatalf("min clamp: got %d", got)
-	}
-	if got := a.adapt(90, 0, 4); got != 100 {
-		t.Fatalf("max clamp: got %d", got)
-	}
-	// In-band peak leaves frequency unchanged.
-	if got := a.adapt(40, 40, 4); got != 40 {
-		t.Fatalf("steady: got %d", got)
-	}
-}
-
-func TestAdaptiveTunesDuringRun(t *testing.T) {
-	for _, kind := range []Kind{Barrier, WaitFree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			hooks := &countingHooks{}
-			// Build a rig manually to pass Adaptive with a tiny target,
-			// forcing the frequency toward MinFrequency.
-			mcfg := machine.Small()
-			mcfg.MaxTicks = 1 << 21
-			m, _ := machine.New(mcfg)
-			model, _ := models.NewPHOLD(models.PHOLDConfig{Threads: 4, LPsPerThread: 4, EndTime: 30})
-			eng, _ := tw.NewEngine(tw.Config{NumThreads: 4, Model: model, EndTime: 30, Seed: 5})
-			hooks.eng = eng
-			alg, err := New(Config{
-				Kind: kind, Engine: eng, Machine: m, Frequency: 64, Hooks: hooks,
-				Adaptive: &Adaptive{MinFrequency: 4, MaxFrequency: 64, TargetUncommittedPerThread: 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hooks.alg = alg
-			for tid := 0; tid < 4; tid++ {
-				tid := tid
-				m.Spawn(fmt.Sprintf("sim-%d", tid), func(p *machine.Proc) {
-					acc := machine.NewAcc(p)
-					peer := eng.Peer(tid)
-					for !eng.Done() {
-						acc.Work(100)
-						peer.Drain(acc)
-						peer.ProcessBatch(acc)
-						alg.Step(p, acc, tid)
-						acc.Flush()
-					}
-					peer.FossilCollect(acc, eng.GVT())
-					acc.Flush()
-				})
-			}
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if alg.Frequency() >= 64 {
-				t.Fatalf("frequency never adapted down: %d", alg.Frequency())
-			}
-		})
-	}
-}

@@ -96,9 +96,6 @@ func (w *waitFree) Participants() int { return w.participants }
 // Rounds implements Algorithm.
 func (w *waitFree) Rounds() uint64 { return w.rounds }
 
-// Frequency implements Algorithm.
-func (w *waitFree) Frequency() int { return w.freq }
-
 // charge books cycles both to the thread (via acc) and to its GVT CPU
 // time counter.
 func (w *waitFree) charge(acc *machine.Acc, tid int, cycles uint64) {
@@ -271,10 +268,6 @@ func (w *waitFree) resetRound(tid int) {
 	w.round++
 	w.rounds++
 	w.rt.roundComplete(tid)
-	if ad := w.cfg.Adaptive; ad != nil {
-		w.freq = ad.adapt(w.freq, w.eng.PeakUncommittedSinceMark(), len(w.eng.Peers()))
-		w.eng.MarkUncommitted()
-	}
 	w.countA, w.countB, w.countEnd = 0, 0, 0
 	w.awareTaken = false
 	w.participants += w.pendingJoins

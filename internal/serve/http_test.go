@@ -142,6 +142,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		// config lives under "config".
 		{"revision-1 spec", `{"model":"phold","threads":2,"end_time":10}`},
 		{"invalid spec", string(mustJSON(t, invalid))},
+		// Retired options fail typed rather than run, and are cached as,
+		// a different simulation.
+		{"lazy_cancellation", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"lazy_cancellation":true}}`},
+		{"adaptive_gvt", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}}`},
 	} {
 		resp, b := post(t, srv.URL+"/v2/jobs", strings.NewReader(tc.body))
 		if resp.StatusCode != http.StatusBadRequest || b.Error.Code != CodeInvalidConfig {

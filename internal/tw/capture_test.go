@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ggpdes/internal/models"
+	"ggpdes/internal/pq"
 	"ggpdes/internal/rng"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
@@ -83,9 +84,9 @@ func TestCaptureContinuation(t *testing.T) {
 	variants := map[string]func(*tw.Config){
 		"copy":     func(*tw.Config) {},
 		"reverse":  func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
-		"lazy":     func(c *tw.Config) { c.LazyCancellation = true },
 		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
 		"kp4":      func(c *tw.Config) { c.LPsPerKP = 4 },
+		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
 		"unpooled": func(c *tw.Config) { c.DisablePooling = true },
 	}
 	for name, build := range builders {
@@ -187,11 +188,11 @@ func (m countingModel) DecodeState(data []byte) (tw.State, error) {
 // statistics, and between the two that pool the same pool counters.
 func TestStatesRideTheSpareSet(t *testing.T) {
 	variants := map[string]func(*tw.Config){
-		"copy":    func(*tw.Config) {},
-		"reverse": func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
-		"lazy":    func(c *tw.Config) { c.LazyCancellation = true },
-		"window":  func(c *tw.Config) { c.OptimismWindow = 2 },
-		"kp4":     func(c *tw.Config) { c.LPsPerKP = 4 },
+		"copy":     func(*tw.Config) {},
+		"reverse":  func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
+		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
+		"kp4":      func(c *tw.Config) { c.LPsPerKP = 4 },
+		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
 	}
 	type outcome struct {
 		capture []byte
@@ -334,5 +335,20 @@ func TestEngineStateCodec(t *testing.T) {
 	copy(anti[at:], tw.AppendWireEvent(nil, tw.WireEvent{Ts: 1, Anti: true}))
 	if _, _, ok := tw.ConsumeEngineState(anti); ok {
 		t.Error("decoded a pending anti-message")
+	}
+	// The two reserved peer-stats slots, where lazy cancellation's
+	// counters were, are written as 0 and refused when set.
+	ps := tw.PeerStats{Drained: 1, GVTCycles: 2, GVTRounds: 3}
+	stats := tw.AppendWirePeerStats(nil, ps)
+	for slot := 0; slot < 2; slot++ {
+		st := tw.AppendEngineState(nil, &tw.EngineState{PeerStats: []tw.PeerStats{ps}})
+		at := len(st) - len(stats) + 8 + slot // eight one-byte counters come first
+		if st[at] != 0 {
+			t.Fatalf("reserved slot %d encodes as %d", slot, st[at])
+		}
+		st[at] = 1
+		if _, _, ok := tw.ConsumeEngineState(st); ok {
+			t.Errorf("decoded a set reserved slot %d", slot)
+		}
 	}
 }

@@ -202,9 +202,9 @@ func (e *Engine) drainQuiesced(p *Peer) ([]EventRecord, error) {
 
 // quiesce rolls the engine back onto the committed cut of its current
 // GVT: every processed-but-uncommitted event is rolled back, the
-// resulting anti-message traffic is drained to a fixpoint, deferred
-// lazy-cancellation sends are flushed, and each peer's pending set is
-// emptied (in pop order) into its quiesced scratch slice.
+// resulting anti-message traffic is drained to a fixpoint, and each
+// peer's pending set is emptied (in pop order) into its quiesced
+// scratch slice.
 func (e *Engine) quiesce() {
 	cpu := nopCPU{}
 	// Roll back all speculation. Rollbacks unsend (anti-messages into
@@ -235,26 +235,6 @@ func (e *Engine) quiesce() {
 				break
 			}
 			p.quiesced = append(p.quiesced, ev)
-		}
-	}
-	// Under lazy cancellation rolled-back events still hold tentative
-	// sends awaiting re-adoption; they cannot survive a checkpoint, so
-	// annihilate them now. The antis only ever target events already in
-	// the quiesced slices (everything pending is there), so the flush
-	// stage's drains just mark targets cancelled.
-	for progress := true; progress; {
-		progress = false
-		for _, p := range e.peers {
-			for _, ev := range p.quiesced {
-				if ev.state != StateCancelled && len(ev.tentative) > 0 {
-					p.flushTentative(ev)
-					progress = true
-				}
-			}
-			if len(p.inq) > 0 {
-				p.Drain(cpu)
-				progress = true
-			}
 		}
 	}
 	// Clear the per-round send windows and cycle accumulators.

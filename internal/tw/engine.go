@@ -99,13 +99,6 @@ type Config struct {
 	// StateSaving selects copy state-saving (default) or reverse
 	// computation; SaveReverse requires Model to be a ReverseModel.
 	StateSaving SavePolicy
-	// LazyCancellation defers anti-messages at rollback: the rolled-back
-	// event keeps its sends as "tentative", and on re-execution any
-	// regenerated send that matches a tentative one is reused instead of
-	// being annihilated and resent. Wins when rollbacks do not change
-	// what gets sent (pure timing stragglers), loses a little
-	// bookkeeping otherwise — the classic Time Warp trade-off.
-	LazyCancellation bool
 	// Trace, when non-nil, records GVT publications, rollbacks, commits
 	// and anti-messages.
 	Trace *trace.Recorder
@@ -184,7 +177,6 @@ type Engine struct {
 	// its high-water mark.
 	uncommitted     int
 	peakUncommitted int
-	peakSinceMark   int
 	// cancelled makes Done report true regardless of GVT, winding the
 	// simulation threads down at their next loop iteration.
 	cancelled bool
@@ -335,18 +327,7 @@ func (e *Engine) noteProcessed(n int) {
 		e.peakUncommitted = e.uncommitted
 		e.tel.uncommittedPeak.Set(float64(e.uncommitted))
 	}
-	if e.uncommitted > e.peakSinceMark {
-		e.peakSinceMark = e.uncommitted
-	}
 }
-
-// PeakUncommittedSinceMark returns the high-water mark since the last
-// MarkUncommitted call; the adaptive GVT controller samples it per
-// round.
-func (e *Engine) PeakUncommittedSinceMark() int { return e.peakSinceMark }
-
-// MarkUncommitted resets the per-round high-water mark.
-func (e *Engine) MarkUncommitted() { e.peakSinceMark = e.uncommitted }
 
 // GVT returns the engine's last published Global Virtual Time.
 func (e *Engine) GVT() VT { return e.gvt }
@@ -425,28 +406,9 @@ func (e *Engine) scheduleInit(src, dst int, ts VT, kind uint8, a, b int64) {
 
 // send delivers a model-generated event to the destination peer's
 // input queue, recording it on the causing event for anti-messages.
-// Under lazy cancellation, a send matching one of the cause's tentative
-// (not-yet-annihilated) prior sends is satisfied by re-adopting it.
 func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b int64) {
 	if dst < 0 || dst >= len(e.lps) {
 		panic(fmt.Sprintf("tw: send to unknown LP %d", dst))
-	}
-	if e.cfg.LazyCancellation && len(cause.tentative) > 0 {
-		for i, old := range cause.tentative {
-			if old == nil {
-				continue
-			}
-			if old.state == statePooled {
-				panic("tw: tentative list holds recycled event " + old.String())
-			}
-			if old.Dst == dst && old.Ts == ts && old.Kind == kind &&
-				old.A == a && old.B == b && old.state != StateCancelled {
-				cause.tentative[i] = nil
-				cause.sent = from.appendSent(cause.sent, old)
-				from.Stats.LazyReused++
-				return
-			}
-		}
 	}
 	ev := from.allocEvent()
 	ev.Ts = ts
@@ -472,10 +434,9 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 		from.pending.Push(ev)
 	} else if dstPeer.foreign {
 		// Cross-shard send: the event travels by wire. The local copy
-		// stays on the cause's sent list as a shadow — rollback and
-		// lazy cancellation target it exactly as in-process — while the
-		// destination shard materializes and owns the live twin (see
-		// shard.go).
+		// stays on the cause's sent list as a shadow — rollback targets
+		// it exactly as in-process — while the destination shard
+		// materializes and owns the live twin (see shard.go).
 		e.outbox = append(e.outbox, WireEvent{
 			Ts: ev.Ts, Seq: ev.Seq, Src: ev.Src, Dst: ev.Dst,
 			Kind: ev.Kind, A: ev.A, B: ev.B,
@@ -533,8 +494,6 @@ func (e *Engine) TotalStats() PeerStats {
 		s.Stragglers += p.Stats.Stragglers
 		s.AntiSent += p.Stats.AntiSent
 		s.Annihilated += p.Stats.Annihilated
-		s.LazyReused += p.Stats.LazyReused
-		s.LazyCancelled += p.Stats.LazyCancelled
 		s.Drained += p.Stats.Drained
 		s.GVTCycles += p.Stats.GVTCycles
 		s.GVTRounds += p.Stats.GVTRounds
@@ -607,20 +566,14 @@ func (e *Engine) checkHistory(kp *KP) error {
 		if e.lps[ev.Dst].kp != kp {
 			return fmt.Errorf("history holds foreign event %v", ev)
 		}
-		// Sent/tentative entries of events that can still roll back (at
-		// or above GVT) must be live: a rollback would dereference them.
-		// Below GVT a dangling pointer to an already-recycled event is
-		// benign — the reference discipline guarantees it is only ever
-		// cleared.
+		// Sent entries of events that can still roll back (at or above
+		// GVT) must be live: a rollback would dereference them. Below
+		// GVT a dangling pointer to an already-recycled event is benign —
+		// the reference discipline guarantees it is only ever cleared.
 		if ev.Ts >= e.gvt {
 			for _, s := range ev.sent {
 				if s != nil && s.state == statePooled {
 					return fmt.Errorf("event %v sent list holds recycled %v", ev, s)
-				}
-			}
-			for _, t := range ev.tentative {
-				if t != nil && t.state == statePooled {
-					return fmt.Errorf("event %v tentative list holds recycled %v", ev, t)
 				}
 			}
 		}

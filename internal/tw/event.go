@@ -98,9 +98,6 @@ type Event struct {
 	saved Snapshot
 	// sent lists events this event's execution sent, for unsending.
 	sent []*Event
-	// tentative holds sends kept alive across a lazy-cancellation
-	// rollback, awaiting re-adoption or deferred annihilation.
-	tentative []*Event
 	// inline is what a chunk-carved event's sent list starts out
 	// aliasing (pool.go), so an event's first send does not reach the
 	// allocator; a list that outgrows it moves to a window of the

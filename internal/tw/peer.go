@@ -151,10 +151,6 @@ type PeerStats struct {
 	AntiSent, Annihilated uint64
 	// Drained counts input-queue entries moved to the pending set.
 	Drained uint64
-	// LazyReused counts sends satisfied by re-adopting a tentative
-	// message under lazy cancellation; LazyCancelled counts tentative
-	// messages eventually annihilated.
-	LazyReused, LazyCancelled uint64
 	// GVTCycles is CPU cycles spent inside GVT computation, filled in
 	// by the GVT layer; GVTRounds counts completed rounds.
 	GVTCycles uint64
@@ -427,9 +423,6 @@ func (p *Peer) handleAnti(anti *Event) {
 	target := anti.Target
 	switch target.state {
 	case StateInQueue, StatePending:
-		if p.eng.cfg.LazyCancellation {
-			p.flushTentative(target)
-		}
 		target.state = StateCancelled
 		p.Stats.Annihilated++
 	case StateProcessed:
@@ -438,11 +431,6 @@ func (p *Peer) handleAnti(anti *Event) {
 		// The rollback re-queued the target as pending; annihilate it.
 		if target.state != StatePending {
 			panic(fmt.Sprintf("tw: rollback did not requeue anti target %v", target))
-		}
-		if p.eng.cfg.LazyCancellation {
-			// The target will never re-execute: its deferred sends are
-			// definitively wrong and must be annihilated now.
-			p.flushTentative(target)
 		}
 		target.state = StateCancelled
 		p.Stats.Annihilated++
@@ -464,11 +452,7 @@ func (p *Peer) rollback(kp *KP, upto *Event) int {
 	for kp.last != nil && !kp.last.before(upto) {
 		last := kp.pop()
 		lp := p.eng.lps[last.Dst]
-		if p.eng.cfg.LazyCancellation {
-			p.deferUnsend(last)
-		} else {
-			p.unsend(last)
-		}
+		p.unsend(last)
 		if p.eng.cfg.StateSaving == SaveReverse {
 			rm := p.eng.cfg.Model.(ReverseModel)
 			p.rbCtx = EventCtx{eng: p.eng, peer: p, lp: lp, ev: last}
@@ -498,34 +482,6 @@ func (p *Peer) rollback(kp *KP, upto *Event) int {
 		}
 	}
 	return count
-}
-
-// deferUnsend parks ev's sends as tentative instead of annihilating
-// them (lazy cancellation). Any tentative leftovers from an earlier
-// rollback of the same event are annihilated now — the event is being
-// rolled back again before re-adopting them. The flushed tentative
-// backing array becomes the new sent list, so re-execution appends
-// into recycled capacity.
-func (p *Peer) deferUnsend(ev *Event) {
-	p.flushTentative(ev)
-	ev.sent, ev.tentative = ev.tentative, ev.sent
-}
-
-// flushTentative annihilates any remaining tentative sends of ev,
-// leaving the cleared backing array in place for reuse.
-func (p *Peer) flushTentative(ev *Event) {
-	for i, s := range ev.tentative {
-		ev.tentative[i] = nil
-		if s == nil || s.state == StateCancelled {
-			continue
-		}
-		if s.state == statePooled {
-			panic(fmt.Sprintf("tw: tentative list holds recycled event %v", s))
-		}
-		p.sendAnti(s, ev.Dst)
-		p.Stats.LazyCancelled++
-	}
-	ev.tentative = ev.tentative[:0]
 }
 
 // sendAnti issues one anti-message for s on behalf of LP src.
@@ -609,11 +565,6 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 		eng.noteProcessed(1)
 		p.evCtx = EventCtx{eng: eng, peer: p, lp: lp, ev: ev}
 		eng.cfg.Model.OnEvent(&p.evCtx)
-		if eng.cfg.LazyCancellation && len(ev.tentative) > 0 {
-			// Tentative sends the re-execution did not regenerate are
-			// genuinely wrong: annihilate them now.
-			p.flushTentative(ev)
-		}
 		p.Stats.Processed++
 		done++
 	}

@@ -60,13 +60,13 @@ import (
 //     the cause sits below GVT, where rollback is impossible.
 //   - A cancelled event is freed only when a queue lazily drops it; by
 //     then the annihilating anti-message has been consumed and the
-//     sender removed it from its sent/tentative lists.
+//     sender removed it from its sent list.
 //   - An anti-message is freed as soon as Drain handles it; nothing
 //     else ever holds a reference to it.
 //
 // Freed events carry statePooled and poisoned ordering fields, so a
-// use-after-recycle cannot silently match a lazy-cancellation
-// re-adoption or order correctly in a queue; the state machine panics
+// use-after-recycle cannot silently order correctly in a queue; the
+// state machine panics
 // where a pooled event could flow in, and CheckInvariants sweeps all
 // reachable containers (pool leak detection in both directions).
 //
@@ -104,8 +104,8 @@ type poolStats struct {
 
 // allocEvent returns a zeroed event, recycling from the peer freelist
 // when possible. Callers must assign every field they need; alloc
-// clears all of them except the sent/tentative backing arrays, whose
-// capacity is the point of recycling.
+// clears all of them except the sent backing array, whose capacity is
+// the point of recycling.
 func (p *Peer) allocEvent() *Event {
 	n := len(p.freeEvents)
 	if n == 0 {
@@ -152,12 +152,11 @@ func (p *Peer) freeEvent(ev *Event) {
 }
 
 // poison resets every field of a dead event, keeping only the emptied
-// sent/tentative backing arrays, and marks it pooled with an ordering
-// key that sorts nowhere valid and matches no re-adoption.
+// sent backing array, and marks it pooled with an ordering key that
+// sorts nowhere valid.
 func (ev *Event) poison() {
 	clear(ev.sent)
-	clear(ev.tentative)
-	ev.sent, ev.tentative = ev.sent[:0], ev.tentative[:0]
+	ev.sent = ev.sent[:0]
 	ev.inline[0] = nil // stale once sent has outgrown it
 	ev.Ts, ev.state = math.Inf(-1), statePooled
 	ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.Anti, ev.Target = 0, 0, 0, 0, false, nil
@@ -180,7 +179,7 @@ func (ev *Event) poison() {
 // (shard.go) — the collector takes them one by one once their cause
 // lets go — and inside a chunk whose other events cycle through the
 // freelist for the rest of the run each would be a slot lost for good,
-// 168 bytes per cross-shard send. Snapshots and queue nodes never
+// 160 bytes per cross-shard send. Snapshots and queue nodes never
 // leave their peer, so workers carve those like anyone else.
 const (
 	chunkMin = 8

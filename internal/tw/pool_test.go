@@ -13,25 +13,26 @@ import (
 
 // The pooling gold test: recycling event and snapshot memory must not
 // change a single bit of the committed trajectory, for every pending
-// queue kind, both state-saving modes, and both cancellation policies,
-// under a rollback-heavy interleaving.
+// queue kind, both state-saving modes, and kernel processes of one LP
+// and of four (whose histories link through the recycled events), under
+// a rollback-heavy interleaving.
 func TestPoolingPreservesTrajectories(t *testing.T) {
 	order := []int{0, 0, 0, 0, 0, 1, 3, 2}
 	type combo struct {
 		queue  pq.Kind
 		saving SavePolicy
-		lazy   bool
+		kp     int
 	}
 	run := func(c combo, disable bool) (uint64, []int, []float64, PeerStats) {
 		eng, err := NewEngine(Config{
-			NumThreads:       4,
-			Model:            &reversibleRing{ringModel{lpsPerThread: 4, startPerLP: 2}},
-			EndTime:          25,
-			Seed:             777,
-			QueueKind:        c.queue,
-			StateSaving:      c.saving,
-			LazyCancellation: c.lazy,
-			DisablePooling:   disable,
+			NumThreads:     4,
+			Model:          &reversibleRing{ringModel{lpsPerThread: 4, startPerLP: 2}},
+			EndTime:        25,
+			Seed:           777,
+			QueueKind:      c.queue,
+			StateSaving:    c.saving,
+			LPsPerKP:       c.kp,
+			DisablePooling: disable,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -46,9 +47,9 @@ func TestPoolingPreservesTrajectories(t *testing.T) {
 	sawRollback, sawRecycle := false, false
 	for _, queue := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
 		for _, saving := range []SavePolicy{SaveCopy, SaveReverse} {
-			for _, lazy := range []bool{false, true} {
-				c := combo{queue, saving, lazy}
-				t.Run(fmt.Sprintf("%v-%s-lazy%v", queue, saving, lazy), func(t *testing.T) {
+			for _, kp := range []int{1, 4} {
+				c := combo{queue, saving, kp}
+				t.Run(fmt.Sprintf("%v-%s-kp%d", queue, saving, kp), func(t *testing.T) {
 					onCommitted, onCounts, onSums, onStats := run(c, false)
 					offCommitted, offCounts, offSums, offStats := run(c, true)
 					if onStats.RolledBack > 0 {
@@ -210,7 +211,6 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 	ev.Anti = true
 	ev.Target = &Event{}
 	ev.sent = append(ev.sent, &Event{})
-	ev.tentative = append(ev.tentative, &Event{})
 	ev.state = StateInQueue
 	p.freeEvent(ev)
 	if ev.state != statePooled || !math.IsInf(ev.Ts, -1) {
@@ -224,11 +224,11 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 		got.A != 0 || got.B != 0 || got.undo != 0 || got.Anti || got.Target != nil {
 		t.Fatalf("recycled event carries stale fields: %+v", got)
 	}
-	if len(got.sent) != 0 || len(got.tentative) != 0 {
-		t.Fatal("recycled event carries stale send lists")
+	if len(got.sent) != 0 {
+		t.Fatal("recycled event carries a stale send list")
 	}
-	if cap(got.sent) == 0 || cap(got.tentative) == 0 {
-		t.Fatal("recycling dropped the send-list backing arrays")
+	if cap(got.sent) == 0 {
+		t.Fatal("recycling dropped the send-list backing array")
 	}
 }
 
@@ -236,17 +236,16 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 // forgotten there would leak across lifetimes. Every field of a dirty
 // event must be set here (the loop over the type insists), and after
 // poison every one must read as a freed event's: the two sentinels, the
-// send lists emptied in place with their arrays kept and cleared, and
-// zero everywhere else.
+// send list emptied in place with its array kept and cleared, and zero
+// everywhere else.
 func TestPoisonResetsEveryField(t *testing.T) {
 	other := &Event{}
 	ev := &Event{
 		Ts: 3.5, Seq: 99, Src: 1, Dst: 2, Kind: 7, Anti: true, state: StateProcessed,
 		Target: other, A: 11, B: 22, undo: 33, prev: other, next: other,
-		saved:     Snapshot{state: &ringState{Count: 1}, lvt: 2},
-		sent:      []*Event{other, other},
-		tentative: []*Event{other},
-		inline:    [1]*Event{other},
+		saved:  Snapshot{state: &ringState{Count: 1}, lvt: 2},
+		sent:   []*Event{other, other},
+		inline: [1]*Event{other},
 	}
 	v := reflect.ValueOf(ev).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -254,11 +253,11 @@ func TestPoisonResetsEveryField(t *testing.T) {
 			t.Fatalf("the dirty event leaves Event.%s zero: set it here, and reset it in poison", v.Type().Field(i).Name)
 		}
 	}
-	sent, tentative := ev.sent, ev.tentative
+	sent := ev.sent
 	ev.poison()
 	for i := 0; i < v.NumField(); i++ {
 		switch name := v.Type().Field(i).Name; name {
-		case "Ts", "state", "sent", "tentative":
+		case "Ts", "state", "sent":
 		default:
 			if !v.Field(i).IsZero() {
 				t.Errorf("poison left Event.%s = %v", name, v.Field(i))
@@ -268,10 +267,8 @@ func TestPoisonResetsEveryField(t *testing.T) {
 	if !math.IsInf(ev.Ts, -1) || ev.state != statePooled {
 		t.Errorf("poisoned event has Ts %v, state %v", ev.Ts, ev.state)
 	}
-	if len(ev.sent) != 0 || cap(ev.sent) != 2 || len(ev.tentative) != 0 || cap(ev.tentative) != 1 ||
-		sent[0] != nil || sent[1] != nil || tentative[0] != nil {
-		t.Errorf("send lists not emptied in place: sent %v (cap %d), tentative %v (cap %d)",
-			sent, cap(ev.sent), tentative, cap(ev.tentative))
+	if len(ev.sent) != 0 || cap(ev.sent) != 2 || sent[0] != nil || sent[1] != nil {
+		t.Errorf("send list not emptied in place: %v (cap %d)", sent, cap(ev.sent))
 	}
 }
 
@@ -423,11 +420,12 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 // The fields every queue walk, drain and commit reads sit in the
 // event's first 64 bytes, ahead of the history links, and the event is
 // as large as it is on purpose: the links took it from 168 to 184
-// bytes, and 64 of them fill a 12,288 byte size class to within 5 %.
+// bytes, and retiring lazy cancellation's tentative list took it to
+// 160, so a 64-event chunk is exactly a 10,240 byte size class.
 func TestEventLayout(t *testing.T) {
 	var ev Event
-	if got := unsafe.Sizeof(ev); got != 184 {
-		t.Errorf("Event is %d bytes, want 184", got)
+	if got := unsafe.Sizeof(ev); got != 160 {
+		t.Errorf("Event is %d bytes, want 160", got)
 	}
 	if unsafe.Offsetof(ev.prev) < 64 {
 		t.Errorf("Event.prev starts at byte %d, inside the first cache line", unsafe.Offsetof(ev.prev))

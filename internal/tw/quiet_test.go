@@ -70,23 +70,23 @@ func printEngine(eng *Engine) enginePrint {
 func TestQuietPeerPollsAreNoOps(t *testing.T) {
 	type variant struct {
 		window VT
-		lazy   bool
+		kp     int
 		queue  pq.Kind
 	}
 	var variants []variant
 	for _, w := range []VT{0, 3} {
-		for _, lazy := range []bool{false, true} {
+		for _, kp := range []int{1, 2} {
 			for _, q := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-				variants = append(variants, variant{w, lazy, q})
+				variants = append(variants, variant{w, kp, q})
 			}
 		}
 	}
 	var quietEmpty, quietHorizon, quietEnd, cancelledBeyond int
 	for _, v := range variants {
-		t.Run(fmt.Sprintf("window=%v/lazy=%v/%v", v.window, v.lazy, v.queue), func(t *testing.T) {
+		t.Run(fmt.Sprintf("window=%v/kp=%d/%v", v.window, v.kp, v.queue), func(t *testing.T) {
 			eng, err := NewEngine(Config{
 				NumThreads: 4, Model: &ringModel{lpsPerThread: 2, startPerLP: 1}, EndTime: 12, Seed: 99,
-				OptimismWindow: v.window, LazyCancellation: v.lazy, QueueKind: v.queue, BatchSize: 2,
+				OptimismWindow: v.window, LPsPerKP: v.kp, QueueKind: v.queue, BatchSize: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -32,8 +32,8 @@ import (
 // Cross-shard event identity: a positive send to a foreign peer
 // allocates a local shadow event exactly like an in-process send (same
 // freelist pop, same pool counters, same sequence number) and keeps it
-// on the cause's sent/tentative lists so rollback and lazy
-// cancellation target it normally — but the shadow is never delivered
+// on the cause's sent list so rollback targets it normally — but the
+// shadow is never delivered
 // or freed locally; the destination shard materializes a twin from the
 // wire and owns its lifecycle from there. Anti-messages travel by
 // TargetSeq; the destination resolves them through remoteIdx, its
@@ -75,7 +75,6 @@ type Envelope struct {
 	GVT             VT     `json:"gvt"`
 	Uncommitted     int    `json:"uncommitted"`
 	PeakUncommitted int    `json:"peak_uncommitted"`
-	PeakSinceMark   int    `json:"peak_since_mark"`
 }
 
 // EnvelopeOut snapshots the engine-global scalars.
@@ -85,7 +84,6 @@ func (e *Engine) EnvelopeOut() Envelope {
 		GVT:             e.gvt,
 		Uncommitted:     e.uncommitted,
 		PeakUncommitted: e.peakUncommitted,
-		PeakSinceMark:   e.peakSinceMark,
 	}
 }
 
@@ -97,7 +95,6 @@ func (e *Engine) ApplyEnvelope(env Envelope) {
 	e.gvt = env.GVT
 	e.uncommitted = env.Uncommitted
 	e.peakUncommitted = env.PeakUncommitted
-	e.peakSinceMark = env.PeakSinceMark
 }
 
 // WireEvent is a cross-shard event or anti-message in transit. A

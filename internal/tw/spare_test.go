@@ -75,7 +75,7 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	events, states, pending := 0, 0, 0
 	for i, p := range sp.peers {
 		for _, ev := range p.events {
-			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent)+len(ev.tentative) != 0 ||
+			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent) != 0 ||
 				ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
 				t.Fatalf("spare event %v of peer %d is not poisoned and empty", ev, i)
 			}

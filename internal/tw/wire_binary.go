@@ -80,8 +80,7 @@ func AppendWireEnvelope(b []byte, env Envelope) []byte {
 	b = AppendWireUint(b, env.Seq)
 	b = AppendWireF64(b, env.GVT)
 	b = AppendWireInt(b, int64(env.Uncommitted))
-	b = AppendWireInt(b, int64(env.PeakUncommitted))
-	return AppendWireInt(b, int64(env.PeakSinceMark))
+	return AppendWireInt(b, int64(env.PeakUncommitted))
 }
 
 // ConsumeWireEnvelope decodes an Envelope from the front of b.
@@ -103,10 +102,6 @@ func ConsumeWireEnvelope(b []byte) (Envelope, []byte, bool) {
 		return env, b, false
 	}
 	env.PeakUncommitted = int(v)
-	if v, b, ok = ConsumeWireInt(b); !ok {
-		return env, b, false
-	}
-	env.PeakSinceMark = int(v)
 	return env, b, true
 }
 
@@ -162,7 +157,9 @@ func ConsumeWireEvent(b []byte) (WireEvent, []byte, bool) {
 }
 
 // AppendWirePeerStats appends one peer's cumulative counters in
-// declaration order.
+// declaration order. Two reserved slots, always 0, sit after Drained
+// where the retired lazy-cancellation counters were, so checkpoint
+// format v2 keeps its bytes.
 func AppendWirePeerStats(b []byte, s PeerStats) []byte {
 	b = AppendWireUint(b, s.Processed)
 	b = AppendWireUint(b, s.RolledBack)
@@ -172,19 +169,21 @@ func AppendWirePeerStats(b []byte, s PeerStats) []byte {
 	b = AppendWireUint(b, s.AntiSent)
 	b = AppendWireUint(b, s.Annihilated)
 	b = AppendWireUint(b, s.Drained)
-	b = AppendWireUint(b, s.LazyReused)
-	b = AppendWireUint(b, s.LazyCancelled)
+	b = append(b, 0, 0)
 	b = AppendWireUint(b, s.GVTCycles)
 	return AppendWireUint(b, s.GVTRounds)
 }
 
-// ConsumeWirePeerStats decodes one PeerStats from the front of b.
+// ConsumeWirePeerStats decodes one PeerStats from the front of b. A
+// non-zero reserved slot is a failure: no engine that can read it
+// wrote one.
 func ConsumeWirePeerStats(b []byte) (PeerStats, []byte, bool) {
 	var s PeerStats
+	var reserved [2]uint64
 	fields := []*uint64{
 		&s.Processed, &s.RolledBack, &s.Committed, &s.Rollbacks,
 		&s.Stragglers, &s.AntiSent, &s.Annihilated, &s.Drained,
-		&s.LazyReused, &s.LazyCancelled, &s.GVTCycles, &s.GVTRounds,
+		&reserved[0], &reserved[1], &s.GVTCycles, &s.GVTRounds,
 	}
 	var ok bool
 	for _, f := range fields {
@@ -192,7 +191,7 @@ func ConsumeWirePeerStats(b []byte) (PeerStats, []byte, bool) {
 			return s, b, false
 		}
 	}
-	return s, b, true
+	return s, b, reserved == [2]uint64{}
 }
 
 // Snapshot bodies. A checkpoint file carries the quiesced engine in the

@@ -147,7 +147,6 @@ type runState struct {
 	machCum   machine.Stats
 	schedCum  core.SchedulingStats
 	cyclesCum uint64
-	gvtFreq   int // next segment's base GVT frequency (0 = configured)
 	// Main-loop iterations executed, and booked without executing (see
 	// core.Runner.LoopIterations). Host-side: no part of Results.
 	loopExecuted, loopSkipped uint64
@@ -276,19 +275,27 @@ func (c Config) twConfig(reg *telemetry.Registry) (twCfg tw.Config, err error) {
 		return twCfg, err
 	}
 	return tw.Config{
-		NumThreads:       c.Threads,
-		Model:            model,
-		EndTime:          c.EndTime,
-		Seed:             c.Seed,
-		BatchSize:        c.BatchSize,
-		LPsPerKP:         c.LPsPerKP,
-		QueueKind:        pq.Kind(c.Queue),
-		StateSaving:      tw.SavePolicy(c.StateSaving),
-		LazyCancellation: c.LazyCancellation,
-		OptimismWindow:   c.OptimismWindow,
-		DisablePooling:   c.DisablePooling,
-		Telemetry:        reg,
+		NumThreads:     c.Threads,
+		Model:          model,
+		EndTime:        c.EndTime,
+		Seed:           c.Seed,
+		BatchSize:      c.BatchSize,
+		LPsPerKP:       c.LPsPerKP,
+		QueueKind:      pq.Kind(c.Queue),
+		StateSaving:    tw.SavePolicy(c.StateSaving),
+		OptimismWindow: c.OptimismWindow,
+		DisablePooling: c.DisablePooling,
+		Telemetry:      reg,
 	}, nil
+}
+
+// gvtFrequency is the run's GVT round interval: GVTFrequency, or the
+// paper's 200 when unset. Every segment runs at it.
+func (c Config) gvtFrequency() int {
+	if c.GVTFrequency == 0 {
+		return 200
+	}
+	return c.GVTFrequency
 }
 
 // buildSegment assembles a machine, engine (fresh or restored), runner
@@ -303,14 +310,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return nil, err
-	}
-	var adaptive *gvt.Adaptive
-	if a := cfg.AdaptiveGVT; a != nil {
-		adaptive = &gvt.Adaptive{
-			MinFrequency:               a.MinFrequency,
-			MaxFrequency:               a.MaxFrequency,
-			TargetUncommittedPerThread: a.TargetUncommittedPerThread,
-		}
 	}
 	if rs.rec != nil {
 		rs.rec.Clock = m.NowCycles
@@ -399,20 +398,15 @@ func (rs *runState) buildSegment() (*segment, error) {
 		}
 		onCut = d.onCut
 	}
-	gvtFreq := cfg.GVTFrequency
-	if rs.gvtFreq > 0 {
-		gvtFreq = rs.gvtFreq
-	}
 	runner, err = core.NewRunner(core.Config{
 		Machine:              m,
 		Engine:               eng,
 		System:               core.System(cfg.System),
 		GVTKind:              gvt.Kind(cfg.GVT),
-		GVTFrequency:         gvtFreq,
+		GVTFrequency:         cfg.GVTFrequency,
 		ZeroCounterThreshold: cfg.ZeroCounterThreshold,
 		Affinity:             core.Affinity(cfg.Affinity),
 		Trace:                rs.rec,
-		GVTAdaptive:          adaptive,
 		Telemetry:            reg,
 		Faults:               threadFaults,
 		GVTOnCut:             onCut,
@@ -528,7 +522,6 @@ func (rs *runState) accumulate(seg *segment) {
 	executed, skipped := seg.runner.LoopIterations()
 	rs.loopExecuted += executed
 	rs.loopSkipped += skipped
-	rs.gvtFreq = seg.runner.Algorithm().Frequency()
 	rs.startTick = ms.Ticks
 }
 
@@ -608,7 +601,7 @@ func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState)
 		MachineStats: rs.machCum,
 		SchedStats:   rs.schedCum,
 		TotalCycles:  rs.cyclesCum,
-		GVTFrequency: rs.gvtFreq,
+		GVTFrequency: rs.cfg.gvtFrequency(),
 		Engine:       est,
 		Metrics:      metrics,
 	}
@@ -672,7 +665,6 @@ func (rs *runState) loadSnapshot(snap *checkpoint.Snapshot) error {
 	rs.machCum = snap.MachineStats
 	rs.schedCum = snap.SchedStats
 	rs.cyclesCum = snap.TotalCycles
-	rs.gvtFreq = snap.GVTFrequency
 	return nil
 }
 
@@ -698,8 +690,6 @@ func (rs *runState) finish(seg *segment) (*Results, error) {
 		Rollbacks:             s.Rollbacks,
 		Stragglers:            s.Stragglers,
 		AntiMessages:          s.AntiSent,
-		LazyReused:            s.LazyReused,
-		LazyCancelled:         s.LazyCancelled,
 		WallClockSeconds:      seg.m.WallSeconds(),
 		GVTCPUSeconds:         seg.m.CyclesToSeconds(s.GVTCycles),
 		GVTRounds:             rs.gvtRounds(seg.runner),
@@ -713,7 +703,7 @@ func (rs *runState) finish(seg *segment) (*Results, error) {
 		CrossNodeMigrations:   rs.machCum.CrossNodeMigrations,
 		Preempts:              rs.machCum.Preempts,
 		FinalGVT:              seg.eng.GVT(),
-		FinalGVTFrequency:     seg.runner.Algorithm().Frequency(),
+		FinalGVTFrequency:     cfg.gvtFrequency(),
 		PeakUncommittedEvents: seg.eng.PeakUncommittedEvents(),
 	}
 	if res.WallClockSeconds > 0 {
