@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -15,19 +15,10 @@ vet:
 
 # Static analysis: gofmt, go vet, and ggvet — the repo's own
 # domain-aware analyzer suite (internal/lint, cmd/ggvet) enforcing
-# determinism of the simulation core, event-pool hygiene, enum/codec
-# exhaustiveness, telemetry naming, context plumbing, and the serving
-# layer's concurrency discipline (lock order, channel-close ownership,
-# goroutine tracking) and wire frame-kind coverage.
+# determinism of the simulation core, event-pool hygiene, telemetry
+# naming, context plumbing, lock order and goroutine tracking.
 lint:
 	GO="$(GO)" sh scripts/lint.sh
-
-# The analyzer suite's own test bed: every pass against its fixture
-# module (want-comments pin hazards caught AND allowed shapes quiet)
-# plus the -json golden. -short skips the whole-module self-scan,
-# which `make lint` already runs via ggvet itself.
-lint-fixtures:
-	$(GO) test -short ./internal/lint
 
 test:
 	$(GO) test ./...

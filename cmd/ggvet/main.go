@@ -1,22 +1,17 @@
 // Command ggvet runs the repo's domain-aware static-analysis suite:
-// determinism of the simulation core, event-pool hygiene, enum/codec
-// exhaustiveness, telemetry naming, context plumbing, and the
-// concurrency/lifecycle passes (lock order, channel-close ownership,
-// goroutine tracking, wire frame-kind coverage). See internal/lint for
-// the nine passes.
+// determinism of the simulation core, event-pool hygiene, telemetry
+// naming, context plumbing, lock order and goroutine tracking. See
+// internal/lint for the six passes.
 //
 // Usage:
 //
 //	ggvet [./...]
-//	ggvet -json
 //	ggvet -write-inventory
 //
 // ggvet always analyzes the whole module containing the working
 // directory (the passes are cross-package by nature), so the pattern
 // argument is accepted for muscle-memory compatibility with go vet and
-// ignored. -json emits newline-delimited JSON diagnostics — including
-// //ggvet:allow-suppressed findings with their reasons — for CI and
-// tooling. -write-inventory regenerates the checked-in metric
+// ignored. -write-inventory regenerates the checked-in metric
 // inventory from the registration sites instead of linting (the file
 // `make lint` then audits both directions). Exit status: 0 clean, 1
 // diagnostics, 2 load failure.
@@ -33,7 +28,6 @@ import (
 
 func main() {
 	writeInv := flag.Bool("write-inventory", false, "regenerate the metric inventory file from registration sites, then exit")
-	jsonOut := flag.Bool("json", false, "emit newline-delimited JSON diagnostics (suppressed findings included with reasons)")
 	flag.Parse()
 
 	root, err := moduleRoot()
@@ -63,21 +57,13 @@ func main() {
 		return
 	}
 	diags := checker.Run(lint.Passes())
-	if *jsonOut {
-		all := lint.MergeDiags(diags, checker.Suppressed())
-		if err := lint.EncodeJSON(os.Stdout, root, all); err != nil {
-			fmt.Fprintln(os.Stderr, "ggvet:", err)
-			os.Exit(2)
+	for _, d := range diags {
+		// Print module-relative paths: stable across machines and
+		// clickable from the repo root, where make lint runs.
+		if rel, err := filepath.Rel(root, d.Position.Filename); err == nil && !filepath.IsLocal(d.Position.Filename) {
+			d.Position.Filename = filepath.ToSlash(rel)
 		}
-	} else {
-		for _, d := range diags {
-			// Print module-relative paths: stable across machines and
-			// clickable from the repo root, where make lint runs.
-			if rel, err := filepath.Rel(root, d.Position.Filename); err == nil && !filepath.IsLocal(d.Position.Filename) {
-				d.Position.Filename = filepath.ToSlash(rel)
-			}
-			fmt.Println(d)
-		}
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ggvet: %d diagnostic(s)\n", len(diags))

@@ -1,19 +1,21 @@
-// Package lint is ggvet: a domain-aware static-analysis suite that
-// mechanically enforces the invariants the engine's guarantees rest on
-// — determinism of the simulation core, event/snapshot pool hygiene,
-// enum/codec exhaustiveness, telemetry naming, context plumbing, and
-// (since PR 10) the serving layer's concurrency discipline: lock
-// acquisition order, channel-close ownership, goroutine tracking, and
-// wire frame-kind coverage. The passes are deliberately repo-shaped: they
-// know which packages form the deterministic core, which types are
-// pool-recycled, and which struct fields are mutexes worth ordering,
-// so a future change that silently breaks byte-identical trajectories
-// or deadlocks the fleet fails `make lint` instead of surviving until
-// an unreproducible run.
+// Package lint is ggvet: a domain-aware static-analysis suite for the
+// bugs this repository's tests cannot see. Six passes: determinism (no
+// wall clock, global rand, free goroutines, multi-channel selects, map
+// ranges or unstable sorts in the simulation core), pooledescape (no
+// pool-recycled event kept outside its owner packages), telemetryname
+// (metric names constant, dotted, and equal to the checked-in
+// inventory), ctxplumb (contexts threaded, not re-minted, below the API
+// boundary), lockorder (no mutex acquired while already held) and
+// goroleak (every goroutine joined or cancellable). Each is kept
+// because an injected bug of its class got past every other CI gate
+// and this pass caught it (DESIGN.md §11). The passes are deliberately
+// repo-shaped: they know which packages form the deterministic core,
+// which types are pool-recycled, and where metrics are registered.
 //
 // Intentional exceptions carry a //ggvet:allow(<reason>) annotation on
-// the offending line or the line above; the reason is mandatory and
-// its absence is itself a diagnostic.
+// the offending line or the line above. The reason is mandatory, and
+// an annotation without one, or one that suppresses no finding, is
+// itself a diagnostic.
 package lint
 
 import (
@@ -33,12 +35,6 @@ type Diagnostic struct {
 	Position token.Position
 	Pass     string
 	Message  string
-	// Suppressed marks a finding covered by a //ggvet:allow annotation;
-	// Reason carries the annotation's reason. Suppressed findings never
-	// fail a run — they exist so `ggvet -json` can hand tooling the
-	// complete ledger, accepted exceptions included.
-	Suppressed bool
-	Reason     string
 }
 
 // String renders the diagnostic for terminals and editors.
@@ -61,20 +57,27 @@ type Checker struct {
 	Prog *Program
 	Cfg  Config
 
-	pass       string
-	diags      []Diagnostic
-	suppressed []Diagnostic
-	allows     map[string]map[int]string // filename -> line -> reason
+	pass   string
+	diags  []Diagnostic
+	allows map[string]map[int]*allowSite // filename -> line -> annotation
 }
 
-var allowRe = regexp.MustCompile(`^//ggvet:allow\((.*)\)\s*$`)
+// allowSite is one well-formed //ggvet:allow annotation; used records
+// that it covered a finding.
+type allowSite struct {
+	pos  token.Pos
+	used bool
+}
+
+// allowRe is the annotation grammar: a parenthesized reason, optionally
+// followed by another // comment.
+var allowRe = regexp.MustCompile(`^//ggvet:allow\((.*?)\)\s*(//.*)?$`)
 
 // NewChecker indexes allow annotations and returns a checker ready to
 // run passes. Malformed annotations (no parentheses, empty reason) are
 // reported immediately under the pseudo-pass "allow".
 func NewChecker(prog *Program, cfg Config) *Checker {
-	c := &Checker{Prog: prog, Cfg: cfg, allows: map[string]map[int]string{}}
-	c.pass = "allow"
+	c := &Checker{Prog: prog, Cfg: cfg, allows: map[string]map[int]*allowSite{}}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -85,16 +88,16 @@ func NewChecker(prog *Program, cfg Config) *Checker {
 					}
 					m := allowRe.FindStringSubmatch(text)
 					if m == nil || strings.TrimSpace(m[1]) == "" {
-						c.Report(cm.Pos(), "ggvet:allow needs a reason: //ggvet:allow(<reason>)")
+						c.allowDiag(cm.Pos(), "ggvet:allow needs a reason: //ggvet:allow(<reason>)")
 						continue
 					}
 					pos := prog.Fset.Position(cm.Pos())
 					lines := c.allows[pos.Filename]
 					if lines == nil {
-						lines = map[int]string{}
+						lines = map[int]*allowSite{}
 						c.allows[pos.Filename] = lines
 					}
-					lines[pos.Line] = strings.TrimSpace(m[1])
+					lines[pos.Line] = &allowSite{pos: cm.Pos()}
 				}
 			}
 		}
@@ -103,20 +106,23 @@ func NewChecker(prog *Program, cfg Config) *Checker {
 }
 
 // Run executes the passes and returns all diagnostics sorted by
-// position.
+// position. An allow annotation that covered no finding of these passes
+// is itself a diagnostic: once the pass it was written for is gone, it
+// guards nothing.
 func (c *Checker) Run(passes []*Pass) []Diagnostic {
 	for _, p := range passes {
 		c.pass = p.Name
 		p.Run(c)
 	}
-	sortDiags(c.diags)
-	return c.diags
-}
-
-// sortDiags orders diagnostics by position, then message.
-func sortDiags(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
+	for _, lines := range c.allows {
+		for _, a := range lines {
+			if !a.used {
+				c.allowDiag(a.pos, "ggvet:allow suppresses no finding: delete it")
+			}
+		}
+	}
+	sort.Slice(c.diags, func(i, j int) bool {
+		a, b := c.diags[i], c.diags[j]
 		if a.Position.Filename != b.Position.Filename {
 			return a.Position.Filename < b.Position.Filename
 		}
@@ -128,52 +134,30 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
+	return c.diags
 }
 
-// Report records a diagnostic at pos. When an allow annotation covers
-// the line (same line, or the line immediately above) the finding is
-// recorded as suppressed with the annotation's reason instead of
-// active, so Run still passes but the JSON ledger keeps the exception.
+// Report records a diagnostic at pos, unless an allow annotation covers
+// the line (same line, or the line immediately above), which it then
+// marks used.
 func (c *Checker) Report(pos token.Pos, format string, args ...any) {
 	position := c.Prog.Fset.Position(pos)
-	d := Diagnostic{Position: position, Pass: c.pass, Message: fmt.Sprintf(format, args...)}
-	if lines, ok := c.allows[position.Filename]; ok {
-		reason, ok := lines[position.Line]
-		if !ok {
-			reason, ok = lines[position.Line-1]
-		}
-		if ok {
-			d.Suppressed = true
-			d.Reason = reason
-			c.suppressed = append(c.suppressed, d)
-			return
-		}
-	}
-	c.diags = append(c.diags, d)
-}
-
-// Suppressed returns the findings //ggvet:allow annotations absorbed
-// during Run, sorted by position — the accepted-exception ledger.
-func (c *Checker) Suppressed() []Diagnostic {
-	sortDiags(c.suppressed)
-	return c.suppressed
-}
-
-// allowedAt reports whether an allow annotation covers pos (same line
-// or the line above). Passes whose verdict depends on counting sites —
-// chanlife's single-owner rule — use it to treat an annotated site as
-// audited instead of merely hiding one of the pair's two reports.
-func (c *Checker) allowedAt(pos token.Pos) bool {
-	position := c.Prog.Fset.Position(pos)
-	lines, ok := c.allows[position.Filename]
+	lines := c.allows[position.Filename]
+	a, ok := lines[position.Line]
 	if !ok {
-		return false
+		a, ok = lines[position.Line-1]
 	}
-	if _, ok := lines[position.Line]; ok {
-		return true
+	if ok {
+		a.used = true
+		return
 	}
-	_, ok = lines[position.Line-1]
-	return ok
+	c.diags = append(c.diags, Diagnostic{Position: position, Pass: c.pass, Message: fmt.Sprintf(format, args...)})
+}
+
+// allowDiag records a finding about an annotation itself, which no
+// annotation can suppress.
+func (c *Checker) allowDiag(pos token.Pos, msg string) {
+	c.diags = append(c.diags, Diagnostic{Position: c.Prog.Fset.Position(pos), Pass: "allow", Message: msg})
 }
 
 // Passes returns the full suite in a stable order.
@@ -181,13 +165,10 @@ func Passes() []*Pass {
 	return []*Pass{
 		determinismPass,
 		pooledEscapePass,
-		enumExhaustivePass,
 		telemetryNamePass,
 		ctxPlumbPass,
 		lockOrderPass,
-		chanLifePass,
 		goroLeakPass,
-		streamTermPass,
 	}
 }
 

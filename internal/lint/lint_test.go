@@ -10,17 +10,14 @@ package lint
 // the whole suite with zero findings.
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden files from current output")
 
 var (
 	wantLineRe = regexp.MustCompile("// want ((?:`[^`]*`\\s*)+)")
@@ -143,22 +140,6 @@ func TestPooledEscapeFixture(t *testing.T) {
 	}
 }
 
-func TestEnumExhaustiveFixture(t *testing.T) {
-	cfg := Config{
-		EnumTypes:       []string{"enumfx.Color"},
-		StrictEnumTypes: []string{"enumfx/wire.Kind", "enumfx/wire.Codec"},
-		EnumPkg:         ".",
-		ModelIface:      "enumfx.Model",
-		ModelEncode:     "encodeModel",
-		ModelDecode:     "decodeModel",
-		ModelCodecPkg:   "state",
-	}
-	extra := runFixture(t, "enumexhaustive", "enumfx", cfg, []*Pass{enumExhaustivePass})
-	if len(extra) != 0 {
-		t.Errorf("unexpected file-level diagnostics: %v", extra)
-	}
-}
-
 func TestTelemetryNameFixture(t *testing.T) {
 	cfg := Config{
 		RegistryType:  "telfx/telemetry.Registry",
@@ -167,14 +148,14 @@ func TestTelemetryNameFixture(t *testing.T) {
 	fileLevel := runFixture(t, "telemetryname", "telfx", cfg, []*Pass{telemetryNamePass})
 	stale := false
 	for _, d := range fileLevel {
-		if strings.Contains(d.Message, `"app.stale"`) && strings.Contains(d.Message, "registered nowhere") {
+		if strings.Contains(d.Message, `"app.spills"`) && strings.Contains(d.Message, "registered nowhere") {
 			stale = true
 		} else {
 			t.Errorf("unexpected file-level diagnostic: %s", d)
 		}
 	}
 	if !stale {
-		t.Error("missing stale-inventory diagnostic for app.stale")
+		t.Error("missing stale-inventory diagnostic for app.spills")
 	}
 }
 
@@ -194,61 +175,11 @@ func TestLockOrderFixture(t *testing.T) {
 	}
 }
 
-func TestChanLifeFixture(t *testing.T) {
-	cfg := Config{ChanClosePkgs: []string{"."}}
-	extra := runFixture(t, "chanlife", "chanfx", cfg, []*Pass{chanLifePass})
-	if len(extra) != 0 {
-		t.Errorf("unexpected file-level diagnostics: %v", extra)
-	}
-}
-
 func TestGoroLeakFixture(t *testing.T) {
 	cfg := Config{GoroTrackPkgs: []string{"."}}
 	extra := runFixture(t, "goroleak", "gorofx", cfg, []*Pass{goroLeakPass})
 	if len(extra) != 0 {
 		t.Errorf("unexpected file-level diagnostics: %v", extra)
-	}
-}
-
-func TestStreamTermFixture(t *testing.T) {
-	cfg := Config{FrameKindTypes: []string{"streamfx.Kind"}}
-	extra := runFixture(t, "streamterm", "streamfx", cfg, []*Pass{streamTermPass})
-	if len(extra) != 0 {
-		t.Errorf("unexpected file-level diagnostics: %v", extra)
-	}
-}
-
-// TestJSONGolden pins the -json wire shape: one newline-delimited
-// object per finding, module-relative paths, suppressed findings
-// carried with their allow reasons. The chanlife fixture exercises
-// both active and suppressed diagnostics.
-func TestJSONGolden(t *testing.T) {
-	root := filepath.Join("testdata", "src", "chanlife")
-	prog, err := Load(root, "chanfx")
-	if err != nil {
-		t.Fatalf("load fixture: %v", err)
-	}
-	checker := NewChecker(prog, Config{ChanClosePkgs: []string{"."}})
-	active := checker.Run([]*Pass{chanLifePass})
-	all := MergeDiags(active, checker.Suppressed())
-
-	var buf bytes.Buffer
-	if err := EncodeJSON(&buf, prog.Root, all); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	goldenPath := filepath.Join("testdata", "golden", "chanlife.json")
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./internal/lint -run JSONGolden -update-golden` to create): %v", err)
-	}
-	if got, want := buf.String(), string(golden); got != want {
-		t.Errorf("ggvet -json output drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -270,9 +201,23 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}
-	checker := NewChecker(prog, DefaultConfig(prog.ModulePath))
+	cfg := DefaultConfig(prog.ModulePath)
+	checker := NewChecker(prog, cfg)
 	for _, d := range checker.Run(Passes()) {
 		t.Errorf("%s", d)
+	}
+	// The passes skip a package pattern that matches nothing and a type
+	// name that resolves to nothing without a word, so a configuration
+	// entry left behind by a deleted package would guard nothing.
+	for _, pattern := range slices.Concat(cfg.DetCorePkgs, cfg.PoolOwnerPkgs, cfg.CtxPkgs, cfg.LockOrderPkgs, cfg.GoroTrackPkgs) {
+		if !slices.ContainsFunc(prog.Packages, func(pk *Package) bool { return matchRel(pk.Rel, []string{pattern}) }) {
+			t.Errorf("DefaultConfig package pattern %q matches no package", pattern)
+		}
+	}
+	for _, name := range append([]string{cfg.RegistryType, cfg.ShardType}, cfg.PooledTypes...) {
+		if len(checker.resolveNamed([]string{name})) == 0 {
+			t.Errorf("DefaultConfig type %q resolves to no type", name)
+		}
 	}
 	// internal/serve is clean by construction, not by exception: a job's
 	// done channel has one closer and its stream one terminal write, so

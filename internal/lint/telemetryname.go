@@ -23,9 +23,11 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -202,7 +204,7 @@ func (c *Checker) checkInventory(sites []metricSite) {
 			c.Report(s.pos, "metric %q is registered as a %s but inventoried as a %s", s.name, s.kind, kind)
 		}
 	}
-	for _, name := range sortedKeys(inventory) {
+	for _, name := range slices.Sorted(maps.Keys(inventory)) {
 		if _, ok := registered[name]; !ok {
 			c.diags = append(c.diags, Diagnostic{
 				Position: token.Position{Filename: filepath.ToSlash(c.Cfg.InventoryFile)},

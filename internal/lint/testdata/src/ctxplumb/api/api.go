@@ -35,13 +35,13 @@ func Sketch(n int) error {
 	return RunContext(context.TODO(), n) // want `context\.TODO below the API boundary`
 }
 
-// Spawn shows the classic leak: a goroutine closure minting its own
-// Background deep inside an otherwise context-free function.
-func Spawn(ch chan error) {
+// Delegate hands the call to a goroutine that passes it a fresh
+// Background: cancelling ctx no longer reaches the remote run.
+func Delegate(ctx context.Context, ch chan error) {
 	go func() {
-		ctx := context.Background() // want `context\.Background below the API boundary`
-		ch <- RunContext(ctx, 0)
+		ch <- RunContext(context.Background(), 0) // want `context\.Background below the API boundary`
 	}()
+	<-ctx.Done()
 }
 
 // Ignores advertises cancellation it does not deliver.

@@ -15,6 +15,13 @@ func Clock() time.Duration {
 	return time.Since(start)     // want `wall-clock read time\.Since`
 }
 
+// Budget bounds a loop by host time: the trajectory then depends on
+// how fast the host is, which no test runs long enough to see.
+func Budget(done func() bool) {
+	for t0 := time.Now(); !done() && time.Since(t0) < time.Hour; { // want `wall-clock read time\.Now` `wall-clock read time\.Since`
+	}
+}
+
 // Conversions that do not read the clock are fine.
 func Conversions() time.Time {
 	d := 5 * time.Second

@@ -78,6 +78,12 @@ func leakLiteral() {
 	}()
 }
 
+// The serve loop's error is dropped, so the launcher never learns that
+// serving stopped; resultSend above is the tracked form. Flagged.
+func serveDropped() {
+	go serve() // want `untracked goroutine`
+}
+
 // The body is a call ggvet cannot see into: flagged.
 func leakExternal() {
 	go println("boom") // want `untracked goroutine`
@@ -85,3 +91,4 @@ func leakExternal() {
 
 func work()        {}
 func compute() int { return 0 }
+func serve() error { return nil }

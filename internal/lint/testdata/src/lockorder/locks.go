@@ -1,152 +1,68 @@
-// Fixture for the lockorder pass: acquisition cycles, recursive
-// acquisition, and locks held across blocking operations — plus the
+// Fixture for the lockorder pass: a mutex acquired while already held,
+// directly and through a call — the second in the shape of the
+// injected bug that only this pass catches (DESIGN.md §11) — plus the
 // disciplined shapes that must stay quiet.
 package lockfx
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-type A struct {
-	mu sync.Mutex
-	wg sync.WaitGroup
-	ch chan int
+// Registry mirrors the telemetry registry: readers share an RWMutex.
+type Registry struct {
+	mu     sync.RWMutex
+	counts map[string]int
 }
 
-type B struct {
-	mu sync.Mutex
+func (r *Registry) Counters() map[string]int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.counts
 }
 
-// lockAB and lockBA acquire the same two mutexes in opposite orders:
-// both edges of the cycle are reported at their acquisition sites.
-func lockAB(a *A, b *B) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b.mu.Lock() // want `lock order cycle`
-	b.mu.Unlock()
+// WriteText re-enters the read lock through Counters: harmless until a
+// writer queues between the two RLocks, then a deadlock.
+func (r *Registry) WriteText() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.Counters()) // want `call to Registry.Counters acquires mutex Registry.mu, which is already held`
 }
 
-func lockBA(a *A, b *B) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	a.mu.Lock() // want `lock order cycle`
-	a.mu.Unlock()
-}
-
-func relockDirect(a *A) {
-	a.mu.Lock()
-	a.mu.Lock() // want `acquired while already held`
-	a.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func lockA(a *A) {
-	a.mu.Lock()
-	a.mu.Unlock()
-}
-
-func relockViaCall(a *A) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	lockA(a) // want `call to lockA acquires mutex A.mu, which is already held`
-}
-
-func heldSend(a *A) {
-	a.mu.Lock()
-	a.ch <- 1 // want `mutex A.mu held across channel send`
-	a.mu.Unlock()
-}
-
-func heldRecv(a *A) {
-	a.mu.Lock()
-	<-a.ch // want `mutex A.mu held across channel receive`
-	a.mu.Unlock()
-}
-
-func heldWait(a *A) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.wg.Wait() // want `mutex A.mu held across sync.WaitGroup.Wait`
-}
-
-func heldSleep(a *A) {
-	a.mu.Lock()
-	time.Sleep(time.Millisecond) // want `mutex A.mu held across time.Sleep`
-	a.mu.Unlock()
-}
-
-func heldSelect(a *A) {
-	a.mu.Lock()
-	select { // want `mutex A.mu held across select with no default`
-	case <-a.ch:
-	case a.ch <- 1:
-	}
-	a.mu.Unlock()
-}
-
-func waits(a *A) {
-	a.wg.Wait()
-}
-
-func heldTransitive(a *A) {
-	a.mu.Lock()
-	waits(a) // want `mutex A.mu held across call to waits, which blocks`
-	a.mu.Unlock()
+func relockDirect(r *Registry) {
+	r.mu.Lock()
+	r.mu.Lock() // want `acquired while already held`
+	r.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // ---- disciplined shapes: all quiet ----
 
-// Release before blocking.
-func releasesFirst(a *A) {
-	a.mu.Lock()
-	v := len(a.ch)
-	a.mu.Unlock()
-	a.ch <- v
+type Manager struct {
+	mu    sync.Mutex
+	state int
 }
 
-// A select with a default never parks the holder.
-func nonBlockingSend(a *A) {
-	a.mu.Lock()
-	select {
-	case a.ch <- 1:
-	default:
-	}
-	a.mu.Unlock()
+func (m *Manager) snapshot() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.state
 }
 
-// The error branch unlocks and returns; the fallthrough path unlocks
-// before sending.
-func branchRelease(a *A, fail bool) {
-	a.mu.Lock()
+// The early branch unlocks and returns, so the lock is not held where
+// the snapshot re-acquires it.
+func branchRelease(m *Manager, fail bool) int {
+	m.mu.Lock()
 	if fail {
-		a.mu.Unlock()
-		return
+		m.mu.Unlock()
+		return 0
 	}
-	a.mu.Unlock()
-	a.ch <- 1
+	m.mu.Unlock()
+	return m.snapshot()
 }
 
 // A launched goroutine does not inherit the launcher's locks.
-func launches(a *A) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.wg.Add(1)
+func launches(m *Manager) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	go func() {
-		defer a.wg.Done()
-		a.ch <- 1
+		_ = m.snapshot()
 	}()
-}
-
-// Consistent nesting (A before B everywhere would be fine on its own;
-// this pair orders A before its own cache-style lock only).
-type C struct {
-	mu sync.Mutex
-}
-
-func nestedConsistent(a *A, c *C) {
-	a.mu.Lock()
-	c.mu.Lock()
-	c.mu.Unlock()
-	a.mu.Unlock()
 }

@@ -34,6 +34,19 @@ func Defer(e *pool.Event) func() int64 {
 	}
 }
 
+// Household is a model's per-LP state; Cause remembers the event that
+// infected it, and nothing reads it yet.
+type Household struct {
+	Infections int
+	Cause      *pool.Event
+}
+
+// Infect demonstrates the same hazard through the execution context.
+func Infect(st *Household, ctx *pool.Ctx) {
+	st.Infections++
+	st.Cause = ctx.Event() // want `store of a pool-recycled pointer into struct field Cause`
+}
+
 // Process shows that handling an event through a call chain is free:
 // locals, params and returns are not retention.
 func Process(e *pool.Event) int64 {

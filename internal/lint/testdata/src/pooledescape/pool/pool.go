@@ -32,3 +32,11 @@ func (p *Pool) Put(e *Event) {
 	e.next = p.free
 	p.free = e
 }
+
+// Ctx hands a model the event being executed.
+type Ctx struct {
+	ev *Event
+}
+
+// Event returns the event being executed.
+func (c *Ctx) Event() *Event { return c.ev }

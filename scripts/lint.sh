@@ -4,12 +4,9 @@
 # Three layers, strictest last: gofmt (formatting), go vet (generic
 # correctness), and ggvet (the repo's own domain-aware suite in
 # internal/lint: determinism of the simulation core, event-pool
-# hygiene, enum/codec exhaustiveness, telemetry naming, context
-# plumbing, and the serving layer's concurrency discipline — lock
-# order, channel-close ownership, goroutine tracking, and stream
-# termination). Any finding prints file:line diagnostics and exits
-# non-zero; `ggvet -json` emits the same ledger machine-readably,
-# accepted //ggvet:allow exceptions included.
+# hygiene, telemetry naming, context plumbing, lock order and
+# goroutine tracking). Any finding prints file:line diagnostics and
+# exits non-zero.
 set -eu
 
 GO=${GO:-go}
