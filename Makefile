@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke chaos-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
 
 all: ci
 
@@ -97,12 +97,6 @@ loc:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve_smoke.sh
 
-# Fault-tolerance smoke: ggserved with 100% crash injection on
-# non-final attempts; every job must still complete by resuming from
-# checkpoints, and the retry counters must show it happened.
-chaos-smoke:
-	GO="$(GO)" sh scripts/chaos_smoke.sh
-
 # Clustered-serving smoke: three real peered ggserved replicas over a
 # shared checkpoint root; duplicate submits answered by peer fill with
 # one fleet-wide simulation, a deduplicated sweep streamed over SSE,
@@ -138,4 +132,4 @@ determinism-smoke:
 dist-smoke:
 	GO="$(GO)" sh scripts/dist_smoke.sh
 
-ci: build lint test test-race determinism-smoke dist-smoke serve-smoke chaos-smoke cluster-smoke obs-smoke bench-smoke
+ci: build lint test test-race determinism-smoke dist-smoke serve-smoke cluster-smoke obs-smoke bench-smoke

@@ -1,12 +1,11 @@
 // Command ggload drives one or more ggserved replicas: a closed-loop
 // or open-loop load generator that doubles as a serving benchmark,
-// plus the deterministic smoke sequences behind `make serve-smoke`,
-// `make chaos-smoke`, and `make cluster-smoke`.
+// plus the deterministic smoke sequences behind `make serve-smoke` and
+// `make cluster-smoke`.
 //
 //	ggload -addr localhost:8347 -concurrency 16 -jobs 200        # closed loop
 //	ggload -addr localhost:8347 -rate 50 -duration 30s           # open loop
 //	ggload -addr localhost:8347 -smoke                           # CI smoke test
-//	ggload -addr localhost:8347 -chaos-smoke                     # CI fault-tolerance test
 //	ggload -addrs a,b,c -cluster-smoke -pids p1,p2,p3 \
 //	       -checkpoint-root /dir                                 # CI cluster test
 //
@@ -59,7 +58,6 @@ func main() {
 		jobTimeout  = flag.Float64("job-timeout", 120, "timeout_seconds sent with each job")
 		pollEvery   = flag.Duration("poll", 20*time.Millisecond, "pause after a non-terminal status answer before asking again (the server holds each status request until the job ends, up to 30s)")
 		smoke       = flag.Bool("smoke", false, "run the deterministic smoke sequence and exit 0/1")
-		chaosSmoke  = flag.Bool("chaos-smoke", false, "run the fault-tolerance smoke sequence against a crash-injecting server and exit 0/1")
 		cluSmoke    = flag.Bool("cluster-smoke", false, "run the clustered-serving smoke against -addrs and exit 0/1")
 		pidsFlag    = flag.String("pids", "", "cluster-smoke: replica pids matching -addrs order (enables the kill/failover leg)")
 		ckptRoot    = flag.String("checkpoint-root", "", "cluster-smoke: the fleet's shared checkpoint root (for kill timing)")
@@ -105,9 +103,6 @@ func main() {
 	switch {
 	case *smoke:
 		exitOn("smoke", runSmoke(ctx, clients[0]))
-		return
-	case *chaosSmoke:
-		exitOn("chaos smoke", runChaosSmoke(ctx, clients[0]))
 		return
 	case *cluSmoke:
 		exitOn("cluster smoke", runClusterSmoke(ctx, addrs, clients, *pidsFlag, *ckptRoot))
@@ -286,7 +281,7 @@ func waitDone(ctx context.Context, c *client.Client, id string) (client.JobMeta,
 		return final, fmt.Errorf("wait %s: %w", id, err)
 	}
 	if final.State != "done" {
-		msg := final.LastError
+		msg := "no error"
 		if final.Error != nil {
 			msg = final.Error.Message
 		}
@@ -339,71 +334,6 @@ func runSmoke(ctx context.Context, c *client.Client) error {
 	if stats.Counters["serve.cache_hits"] == 0 {
 		return fmt.Errorf("server reports zero cache hits after a hit: %v", stats.Counters)
 	}
-	return nil
-}
-
-// runChaosSmoke is the CI sequence behind `make chaos-smoke`. It
-// expects a ggserved started with -crash-rate 1 -max-attempts 3
-// -checkpoint-every 2: every job's early attempts are crashed mid-run,
-// so completing all of them proves the checkpoint/resume/retry path
-// end to end.
-func runChaosSmoke(ctx context.Context, c *client.Client) error {
-	ver, err := c.Version(ctx)
-	if err != nil {
-		return fmt.Errorf("version: %w", err)
-	}
-	if ver.APIRevision < 2 {
-		return fmt.Errorf("server API revision %d predates fault tolerance", ver.APIRevision)
-	}
-	if ver.MaxAttempts < 2 {
-		return fmt.Errorf("server has max_attempts %d; chaos smoke needs retries enabled", ver.MaxAttempts)
-	}
-
-	const jobs = 6
-	ids := make([]string, jobs)
-	for i := range ids {
-		// Long enough to cross several GVT rounds, so crashed attempts
-		// have checkpoints to resume from.
-		spec := pholdSpec(uint64(171717+i), 40)
-		spec.Config.GVTFrequency = 10
-		meta, err := c.Submit(ctx, spec)
-		if err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-		ids[i] = meta.ID
-	}
-
-	retried, resumed := 0, 0
-	for _, id := range ids {
-		final, err := waitDone(ctx, c, id)
-		if err != nil {
-			return fmt.Errorf("%w — fault tolerance failed", err)
-		}
-		if final.Attempts > 1 {
-			retried++
-		}
-		if final.ResumedFrom != "" {
-			resumed++
-		}
-	}
-	if retried == 0 {
-		return fmt.Errorf("all %d jobs completed first try; is the server running with -crash-rate 1?", jobs)
-	}
-	if resumed == 0 {
-		return fmt.Errorf("no retried job resumed from a checkpoint")
-	}
-
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	for _, counter := range []string{"serve.injected_crashes", "serve.retries", "serve.resumes"} {
-		if stats.Counters[counter] == 0 {
-			return fmt.Errorf("counter %s is zero after chaos run: %v", counter, stats.Counters)
-		}
-	}
-	fmt.Printf("ggload: %d/%d jobs done, %d retried, %d resumed from checkpoints (crashes=%d)\n",
-		jobs, jobs, retried, resumed, stats.Counters["serve.injected_crashes"])
 	return nil
 }
 

@@ -1,7 +1,7 @@
 // Command ggserved serves simulations over HTTP: a bounded job queue
-// with 429 backpressure, a GOMAXPROCS worker pool, a deterministic
-// content-addressed result cache, and checkpoint-based retry for
-// crashed or stalled runs.
+// with 429 backpressure, a GOMAXPROCS worker pool, and a deterministic
+// content-addressed result cache. A job runs once; a failed one is
+// resubmitted by its client and replays the same trajectory.
 //
 //	ggserved -addr :8347
 //	curl -s localhost:8347/v2/jobs -d '{"config":{"model":{"name":"phold"},"threads":8,"end_time":30}}'
@@ -59,13 +59,8 @@ func main() {
 		retainJobs = flag.Int("retain-jobs", 4096, "finished jobs whose status stays queryable (negative = unlimited)")
 		defTimeout = flag.Duration("default-timeout", 0, "per-job real-time deadline unless the spec sets one (0 = none)")
 		drainGrace = flag.Duration("drain-timeout", 5*time.Minute, "how long to wait for in-flight jobs on shutdown")
-		maxTries   = flag.Int("max-attempts", 1, "runs per job before it fails (retries resume from the latest checkpoint)")
-		backoff    = flag.Duration("retry-backoff", 0, "base exponential-backoff delay between attempts (0 = 25ms)")
-		ckptRoot   = flag.String("checkpoint-root", "", "directory for per-job checkpoints (empty = private temp dir)")
+		ckptRoot   = flag.String("checkpoint-root", "", "directory the fleet shares for keyed checkpoints, read only with -peers (empty = no checkpoint files)")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint every N GVT rounds unless the spec sets it (0 = off)")
-		stallAfter = flag.Duration("stall-timeout", 0, "kill an attempt whose GVT has not advanced for this long (0 = off)")
-		crashRate  = flag.Float64("crash-rate", 0, "chaos: probability a non-final attempt is crashed mid-run")
-		chaosSeed  = flag.Uint64("chaos-seed", 0, "chaos: crash-injection seed (0 = 1)")
 		seriesLim  = flag.Int("series-limit", 0, "per-job live series ring size in GVT rounds (0 = default, negative disables)")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		peersFlag  = flag.String("peers", "", "comma-separated peer addresses (host:port) forming a static fleet (or GGSERVED_PEERS)")
@@ -125,13 +120,8 @@ func main() {
 		CacheEntries:    *cacheSize,
 		RetainJobs:      *retainJobs,
 		DefaultTimeout:  *defTimeout,
-		MaxAttempts:     *maxTries,
-		RetryBackoff:    *backoff,
 		CheckpointRoot:  *ckptRoot,
 		CheckpointEvery: *ckptEvery,
-		StallTimeout:    *stallAfter,
-		CrashRate:       *crashRate,
-		ChaosSeed:       *chaosSeed,
 		SeriesLimit:     *seriesLim,
 		Registry:        reg,
 		Cluster:         clu,

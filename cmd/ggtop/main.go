@@ -108,9 +108,6 @@ func renderService(b *strings.Builder, exp *exposition) {
 	fmt.Fprintf(b, "jobs    submitted %-8.0f completed %-8.0f failed %-6.0f in-flight %.0f\n",
 		get("serve_jobs_submitted_total"), get("serve_jobs_completed_total"),
 		get("serve_jobs_failed_total"), get("serve_jobs_in_flight"))
-	fmt.Fprintf(b, "faults  retries %-8.0f resumes %-8.0f crashes %-6.0f stalls %.0f\n",
-		get("serve_retries_total"), get("serve_resumes_total"),
-		get("serve_injected_crashes_total"), get("serve_stalls_detected_total"))
 	fmt.Fprintf(b, "cache   hits %-8.0f misses %-8.0f entries %.0f\n",
 		get("serve_cache_hits_total"), get("serve_cache_misses_total"),
 		get("serve_cache_entries"))
@@ -138,11 +135,12 @@ func renderService(b *strings.Builder, exp *exposition) {
 	}
 	// The cluster.* counters are registered only on clustered replicas
 	// (cluster.New), so their presence — again, not value — keys the
-	// fleet line.
+	// fleet line. Resumes are failovers that found the dead owner's
+	// keyed checkpoint.
 	if _, ok := exp.samples["ggpdes_cluster_fills_total"]; ok {
-		fmt.Fprintf(b, "fleet   peers up %-7.0f sims %-8.0f dedup(inflight) %.0f\n",
+		fmt.Fprintf(b, "fleet   peers up %-7.0f sims %-8.0f dedup(inflight) %-6.0f resumes %.0f\n",
 			get("cluster_peers_connected"), get("serve_simulations_total"),
-			get("serve_dedup_inflight_total"))
+			get("serve_dedup_inflight_total"), get("serve_resumes_total"))
 		fmt.Fprintf(b, "        fills %-8.0f served %-8.0f delegated %-6.0f remote %-6.0f failovers %-4.0f spills %.0f\n",
 			get("cluster_fills_total"), get("cluster_fills_served_total"),
 			get("cluster_delegated_total"), get("cluster_remote_jobs_total"),

@@ -94,11 +94,12 @@ func TestRenderServiceFleetLine(t *testing.T) {
 	reg.Counter("cluster.spills").Add(3)
 	reg.Counter("serve.simulations").Add(40)
 	reg.Counter("serve.dedup_inflight").Add(6)
+	reg.Counter("serve.resumes").Add(1)
 	var b strings.Builder
 	renderService(&b, scrape(t, reg))
 	out := b.String()
 	for _, want := range []string{
-		"fleet   peers up 2", "sims 40", "dedup(inflight) 6",
+		"fleet   peers up 2", "sims 40", "dedup(inflight) 6", "resumes 1",
 		"fills 12", "served 7", "delegated 5", "remote 9", "failovers 1", "spills 3",
 	} {
 		if !strings.Contains(out, want) {

@@ -303,8 +303,8 @@ type ChaosOptions struct {
 	StallRate float64 `json:"stall_rate,omitempty"`
 	// KillAtIter, when non-zero, kills thread KillThread at that
 	// main-loop iteration. The dead thread typically stalls GVT
-	// forever; the run then ends only via Machine.MaxTicks, context
-	// cancellation, or the serving layer's stall watchdog.
+	// forever; the run then ends only via Machine.MaxTicks or context
+	// cancellation (a served job's deadline, say).
 	KillThread int    `json:"kill_thread,omitempty"`
 	KillAtIter uint64 `json:"kill_at_iter,omitempty"`
 }

@@ -1,7 +1,7 @@
-// Package chaos provides deterministic fault injectors for exercising
-// the fault-tolerance machinery: dropped and delayed inter-peer sends
-// (tw.SendFaultInjector), killed and stalled simulation threads
-// (core.ThreadFaultInjector), and planned serve-worker crashes.
+// Package chaos provides the deterministic in-run fault injectors
+// behind Config.Chaos: dropped and delayed inter-peer sends
+// (tw.SendFaultInjector) and killed and stalled simulation threads
+// (core.ThreadFaultInjector).
 //
 // Every injector is seeded and decides faults from its own PCG streams,
 // so a given (seed, configuration) pair injects the exact same fault
@@ -12,16 +12,7 @@
 // boundaries.
 package chaos
 
-import (
-	"errors"
-	"hash/fnv"
-
-	"ggpdes/internal/rng"
-)
-
-// ErrInjectedCrash is the cancellation cause of a serve-worker attempt
-// killed by crash injection; the retry loop classifies it as retryable.
-var ErrInjectedCrash = errors.New("chaos: injected worker crash")
+import "ggpdes/internal/rng"
 
 // SendFaults drops or delays positive cross-peer event sends. It
 // implements tw.SendFaultInjector.
@@ -116,33 +107,4 @@ func (f *ThreadFaults) Stalled(tid int, iter uint64) bool {
 		return true
 	}
 	return false
-}
-
-// WorkerCrashes plans serve-worker crashes: for each (job, attempt) it
-// decides up front whether the attempt crashes and at which fraction of
-// simulated progress, so the serve layer can arm a cancellation trigger
-// before the run starts. Decisions depend only on (seed, jobKey,
-// attempt) — resubmitting a job replays its crash schedule.
-type WorkerCrashes struct {
-	seed uint64
-	rate float64
-}
-
-// NewWorkerCrashes builds a planner that crashes each attempt with
-// probability rate.
-func NewWorkerCrashes(seed uint64, rate float64) *WorkerCrashes {
-	return &WorkerCrashes{seed: seed, rate: rate}
-}
-
-// Plan returns whether the attempt crashes and, if so, the GVT fraction
-// (in (0, 1)) at which the crash fires.
-func (w *WorkerCrashes) Plan(jobKey string, attempt int) (crash bool, atFraction float64) {
-	h := fnv.New64a()
-	h.Write([]byte(jobKey))
-	h.Write([]byte{byte(attempt), byte(attempt >> 8), byte(attempt >> 16), byte(attempt >> 24)})
-	s := rng.New(w.seed, h.Sum64())
-	if s.Float64() >= w.rate {
-		return false, 0
-	}
-	return true, 0.05 + 0.9*s.Float64()
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ggpdes"
-	"ggpdes/internal/chaos"
 	"ggpdes/internal/serve/cluster"
 )
 
@@ -32,7 +31,6 @@ const (
 	CodePeerLost          = "peer_lost"          // 502 cluster.ErrPeerLost (retryable)
 	CodeDraining          = "draining"           // 503 ErrDraining (retryable)
 	CodeDeadline          = "deadline"           // 504 ggpdes.ErrDeadline
-	CodeStalled           = "stalled"            // 504 ErrStalled (retryable)
 	CodeInternal          = "internal"           // 500 anything else
 )
 
@@ -44,7 +42,7 @@ type ErrorInfo struct {
 	Message string `json:"message"`
 	// Retryable means the same request may succeed if repeated —
 	// against this replica later (queue_full, draining) or was caused
-	// by a recoverable environmental fault (stall, lost peer).
+	// by a recoverable environmental fault (lost peer).
 	Retryable bool `json:"retryable"`
 }
 
@@ -79,12 +77,8 @@ func classify(err error, fbCode string) ErrorInfo {
 		return info(CodeResultEvicted, false)
 	case errors.Is(err, ggpdes.ErrCancelled), errors.Is(err, context.Canceled):
 		return info(CodeCancelled, false)
-	case errors.Is(err, ErrStalled):
-		return info(CodeStalled, true)
 	case errors.Is(err, cluster.ErrPeerLost):
 		return info(CodePeerLost, true)
-	case errors.Is(err, chaos.ErrInjectedCrash):
-		return info(CodeFailed, true)
 	default:
 		return info(fbCode, false)
 	}
@@ -104,8 +98,6 @@ func remoteFailure(p string, re *cluster.RemoteError) error {
 		sentinel = ggpdes.ErrCheckpointCorrupt
 	case CodeCancelled:
 		sentinel = ggpdes.ErrCancelled
-	case CodeStalled:
-		sentinel = ErrStalled
 	default:
 		return fmt.Errorf("peer %s: %s: %s", p, re.Code, re.Message)
 	}
@@ -140,13 +132,9 @@ type JobMeta struct {
 	// Error is the typed terminal failure, present only for failed or
 	// cancelled jobs.
 	Error *ErrorInfo `json:"error,omitempty"`
-
-	// Attempts counts run attempts so far (0 for cache hits).
-	Attempts int `json:"attempts,omitempty"`
-	// LastError is the most recent attempt failure that was retried.
-	LastError string `json:"last_error,omitempty"`
-	// ResumedFrom names the checkpoint file the latest attempt resumed
-	// from, when it did not start from scratch.
+	// ResumedFrom names the keyed checkpoint file a local run resumed
+	// from — on a failover, the dead owner's latest — when it did not
+	// start from scratch.
 	ResumedFrom string `json:"resumed_from,omitempty"`
 
 	SubmittedAt time.Time `json:"submitted_at"`
@@ -187,7 +175,7 @@ func codeHTTPStatus(code string) int {
 		return http.StatusBadGateway
 	case CodeDraining:
 		return http.StatusServiceUnavailable
-	case CodeDeadline, CodeStalled:
+	case CodeDeadline:
 		return http.StatusGatewayTimeout
 	case CodeInternal:
 		return http.StatusInternalServerError

@@ -63,7 +63,6 @@ type JobSpec struct {
 	Config          ggpdes.Config `json:"config"`
 	TimeoutSeconds  float64       `json:"timeout_seconds,omitempty"`
 	NoCache         bool          `json:"no_cache,omitempty"`
-	MaxAttempts     int           `json:"max_attempts,omitempty"`
 	CheckpointEvery int           `json:"checkpoint_every,omitempty"`
 }
 
@@ -76,8 +75,6 @@ type JobMeta struct {
 	Source string     `json:"source,omitempty"`
 	Error  *ErrorInfo `json:"error,omitempty"`
 
-	Attempts    int    `json:"attempts,omitempty"`
-	LastError   string `json:"last_error,omitempty"`
 	ResumedFrom string `json:"resumed_from,omitempty"`
 
 	SubmittedAt  time.Time `json:"submitted_at"`
@@ -154,7 +151,6 @@ type Version struct {
 	APIRevision      int    `json:"api_revision"`
 	CheckpointFormat int    `json:"checkpoint_format"`
 	GoVersion        string `json:"go_version"`
-	MaxAttempts      int    `json:"max_attempts"`
 }
 
 // Stats is the /v2/stats payload: a full telemetry snapshot.

@@ -422,8 +422,8 @@ func TestInflightDedup(t *testing.T) {
 }
 
 // Checkpoint directories for clustered cacheable jobs are keyed and
-// shared; single-node jobs keep their per-job directories and still
-// clean up after success.
+// shared, and outlive the job: a peer may be resuming from them. (A
+// single-node job writes none: TestSingleNodeWritesNoCheckpoints.)
 func TestClusterKeyedCheckpointDirs(t *testing.T) {
 	f := startFleet(t, 1, nil)
 	spec := quickSpec(4500)

@@ -1,134 +1,22 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ggpdes"
-	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
+	"ggpdes/internal/serve/client"
 	"ggpdes/internal/serve/cluster"
 )
-
-// chaosSpec is a checkpointed job long enough to cross several GVT
-// round boundaries, so a crashed attempt has snapshots to resume from.
-func chaosSpec(seed uint64) JobSpec {
-	s := quickSpec(seed)
-	s.Config.EndTime = 40
-	s.Config.GVTFrequency = 10
-	return s
-}
-
-// The acceptance bar for fault tolerance: with crash injection on
-// every eligible attempt, all jobs still complete — retried from their
-// latest checkpoint — and the served results are identical to an
-// uninterrupted run of the same config. Run under -race via `make
-// test-race`.
-func TestChaosCrashRetryCompletes(t *testing.T) {
-	const jobs = 6
-	m := New(Options{
-		Workers:         4,
-		QueueDepth:      2 * jobs,
-		MaxAttempts:     3,
-		RetryBackoff:    time.Millisecond,
-		CheckpointEvery: 2,
-		CheckpointRoot:  t.TempDir(),
-		CrashRate:       1, // every non-final attempt is crashed
-		ChaosSeed:       7,
-	})
-	defer drain(t, m)
-
-	ids := make([]string, jobs)
-	for i := range ids {
-		st, err := m.Submit(chaosSpec(uint64(i + 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = st.ID
-	}
-	sawRetry, sawResume := false, false
-	for _, id := range ids {
-		st := waitState(t, m, id, StateDone)
-		if st.Attempts > 1 {
-			sawRetry = true
-			if st.LastError == "" {
-				t.Errorf("job %s retried with empty last_error", id)
-			}
-		}
-		if st.ResumedFrom != "" {
-			sawResume = true
-		}
-	}
-	if !sawRetry {
-		t.Fatal("no job needed a retry despite 100% crash injection")
-	}
-	if !sawResume {
-		t.Fatal("no retry resumed from a checkpoint")
-	}
-
-	c := m.Registry().Counters()
-	if c["serve.jobs_completed"] != jobs {
-		t.Fatalf("jobs_completed = %d, want %d", c["serve.jobs_completed"], jobs)
-	}
-	if c["serve.injected_crashes"] == 0 || c["serve.retries"] == 0 || c["serve.resumes"] == 0 {
-		t.Fatalf("chaos counters not exercised: crashes=%d retries=%d resumes=%d",
-			c["serve.injected_crashes"], c["serve.retries"], c["serve.resumes"])
-	}
-
-	// Correctness, not just completion: a crashed-and-resumed job's
-	// result must equal a clean in-process run of the same config.
-	served, _, ok := m.Result(ids[0])
-	if !ok || served == nil {
-		t.Fatal("no result for job 0")
-	}
-	cfg := chaosSpec(1).Config
-	cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: 2} // same trajectory, no persistence
-	clean, err := ggpdes.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.CommittedEvents != clean.CommittedEvents || served.FinalGVT != clean.FinalGVT {
-		t.Fatalf("served result diverged from clean run: committed %d vs %d, GVT %v vs %v",
-			served.CommittedEvents, clean.CommittedEvents, served.FinalGVT, clean.FinalGVT)
-	}
-}
-
-// A job that publishes no GVT rounds trips the stall watchdog on every
-// attempt and fails once the retry budget is spent.
-func TestStallWatchdogKillsAndRetries(t *testing.T) {
-	m := New(Options{
-		Workers:      1,
-		QueueDepth:   1,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-		StallTimeout: 150 * time.Millisecond,
-	})
-	defer drain(t, m)
-
-	spec := longSpec()
-	// A GVT round every 2^30 iterations: the run makes event progress
-	// but never publishes GVT, which is exactly what the watchdog is
-	// for.
-	spec.Config.GVTFrequency = 1 << 30
-	st, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, m, st.ID, StateFailed)
-	if final.Error == nil || final.Error.Code != CodeStalled {
-		t.Fatalf("terminal error %+v, want code %s", final.Error, CodeStalled)
-	}
-	if final.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", final.Attempts)
-	}
-	c := m.Registry().Counters()
-	if c["serve.stalls_detected"] != 2 || c["serve.retries"] != 1 {
-		t.Fatalf("stalls=%d retries=%d, want 2/1", c["serve.stalls_detected"], c["serve.retries"])
-	}
-}
 
 // The typed error sentinels map to documented HTTP statuses: classify
 // picks the code, codeHTTPStatus — the one status table — the status.
@@ -152,9 +40,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"deadline", wrap(ggpdes.ErrDeadline), CodeFailed, CodeDeadline, http.StatusGatewayTimeout, false},
 		{"corrupt checkpoint", wrap(ggpdes.ErrCheckpointCorrupt), CodeFailed, CodeCheckpointCorrupt, http.StatusGone, false},
 		{"cancelled", wrap(ggpdes.ErrCancelled), CodeFailed, CodeCancelled, http.StatusConflict, false},
-		{"stalled", wrap(ErrStalled), CodeFailed, CodeStalled, http.StatusGatewayTimeout, true},
 		{"peer lost", wrap(cluster.ErrPeerLost), CodeFailed, CodePeerLost, http.StatusBadGateway, true},
-		{"injected crash", wrap(chaos.ErrInjectedCrash), CodeFailed, CodeFailed, http.StatusConflict, true},
 		{"result unclassified", errors.New("other"), CodeFailed, CodeFailed, http.StatusConflict, false},
 	} {
 		info := classify(tc.err, tc.fbCode)
@@ -189,29 +75,135 @@ func TestHTTPDeadline504AndVersion(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v2/version", &v); code != http.StatusOK {
 		t.Fatalf("version status %d", code)
 	}
-	if v.API != "v2" || v.APIRevision != 6 || v.CheckpointFormat != checkpoint.Version {
+	if v.API != "v2" || v.APIRevision != 7 || v.CheckpointFormat != checkpoint.Version {
 		t.Fatalf("version body: %+v", v)
 	}
 }
 
-// Backoff is deterministic in (key, attempt) and stays inside the
-// jittered exponential envelope.
-func TestBackoffDeterministicBounded(t *testing.T) {
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 8; attempt++ {
-		d := backoff(base, "sha256:abc", attempt)
-		if d != backoff(base, "sha256:abc", attempt) {
-			t.Fatalf("attempt %d: backoff not deterministic", attempt)
+// jsonKeys lists a JSON object's keys in the order they were written.
+func jsonKeys(t *testing.T, data []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
 		}
-		exp := base << uint(attempt-1)
-		if exp > 32*base {
-			exp = 32 * base
-		}
-		if d < exp/2 || d > 3*exp/2 {
-			t.Fatalf("attempt %d: backoff %s outside [%s, %s]", attempt, d, exp/2, 3*exp/2)
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if backoff(base, "sha256:abc", 1) == backoff(base, "sha256:def", 1) {
-		t.Fatal("different keys produced identical jitter")
+	return keys
+}
+
+// Revision 7's wire contract: the version payload says 7 and carries no
+// retry budget, a spec that still asks for one is refused typed — as a
+// job and as a sweep's defaults — and JobMeta's keys are pinned in the
+// order they are written, in the server's shape and in the client's.
+func TestWireRevision7(t *testing.T) {
+	_, srv := startServer(t, Options{Workers: 1})
+
+	var v map[string]any
+	if code := getJSON(t, srv.URL+"/v2/version", &v); code != http.StatusOK {
+		t.Fatalf("version status %d", code)
+	}
+	if v["api_revision"] != float64(7) {
+		t.Errorf("api_revision %v, want 7", v["api_revision"])
+	}
+	// The retired retry budget's wire key.
+	const retired = "max_attempts"
+	if _, ok := v[retired]; ok {
+		t.Errorf("the version payload still reports %s: %v", retired, v)
+	}
+
+	job := `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10},"` + retired + `":2}`
+	for path, body := range map[string]string{
+		"/v2/jobs":   job,
+		"/v2/sweeps": `{"defaults":` + job + `,"seeds":[1,2]}`,
+	} {
+		resp, b := post(t, srv.URL+path, strings.NewReader(body))
+		if resp.StatusCode != http.StatusBadRequest || b.Error == nil || b.Error.Code != CodeInvalidConfig {
+			t.Errorf("POST %s with %s: status %d, envelope %+v; want 400 invalid_config", path, retired, resp.StatusCode, b.Error)
+		}
+	}
+
+	now := time.Now()
+	meta := JobMeta{
+		ID: "job-00000001", State: StateDone, Key: "sha256:k", Cached: true, Source: SourceCache,
+		Error: &ErrorInfo{Code: CodeFailed}, ResumedFrom: "ckpt-00000001.ckpt",
+		SubmittedAt: now, StartedAt: now, FinishedAt: now, QueueSeconds: 1, RunSeconds: 1,
+	}
+	var cmeta client.JobMeta
+	if err := json.Unmarshal(mustJSON(t, meta), &cmeta); err != nil {
+		t.Fatal(err)
+	}
+	want := "id state key cached source error resumed_from submitted_at started_at finished_at queue_seconds run_seconds"
+	for name, m := range map[string]any{"serve.JobMeta": meta, "client.JobMeta": cmeta} {
+		if got := strings.Join(jsonKeys(t, mustJSON(t, m)), " "); got != want {
+			t.Errorf("%s JSON keys\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// A single-node manager writes no snapshot files, because nothing would
+// ever read them back. Its jobs keep their cadence, which is part of the
+// trajectory: a done job's result is byte-identical to a run with the
+// same Every and no Dir. Whether a checkpointed job ends done, cancelled
+// or on its deadline, CheckpointRoot is empty after Drain, and so is a
+// Dir the spec itself carried.
+func TestSingleNodeWritesNoCheckpoints(t *testing.T) {
+	root := t.TempDir()
+	m := New(Options{Workers: 3, QueueDepth: 4, CheckpointEvery: 2, CheckpointRoot: root})
+
+	spec := quickSpec(6500)
+	spec.Config.EndTime = 40
+	spec.Config.GVTFrequency = 10
+	spec.Config.Checkpoint = &ggpdes.CheckpointOptions{Every: 2, Dir: filepath.Join(root, "from-spec")}
+	expire := longSpecSeed(6502)
+	expire.TimeoutSeconds = 1
+	var ids []string
+	for _, s := range []JobSpec{spec, longSpecSeed(6501), expire} {
+		st, err := m.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	// Cancel only once the job has crossed several checkpoint boundaries.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, rounds, _, err := m.Series(ids[1]); err != nil || rounds >= 8 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the long job never reached 8 GVT rounds")
+		}
+	}
+	m.Cancel(ids[1])
+	waitState(t, m, ids[0], StateDone)
+	waitState(t, m, ids[1], StateCancelled)
+	if st := waitState(t, m, ids[2], StateFailed); st.Error == nil || st.Error.Code != CodeDeadline {
+		t.Fatalf("the expiring job failed with %+v, want %s", st.Error, CodeDeadline)
+	}
+	drain(t, m)
+
+	if left, err := os.ReadDir(root); err != nil || len(left) > 0 {
+		t.Errorf("a single-node manager left %d entries under CheckpointRoot (%v)", len(left), err)
+	}
+
+	served, _, _ := m.Result(ids[0])
+	cfg := spec.Config
+	cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: 2}
+	plain, err := ggpdes.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, served), mustJSON(t, plain); !bytes.Equal(got, want) {
+		t.Fatalf("served results differ from a run with no Dir:\n got %s\nwant %s", got, want)
 	}
 }

@@ -12,8 +12,11 @@ import (
 // /v2/version and bumped whenever a route or a wire shape changes:
 // /v2 is the only API version, every failure wears the typed envelope
 // {"error":{"code","message","retryable"}}, and every job is a JobMeta.
-// Revision 6 added the status request's ?wait= and result_evicted.
-const apiRevision = 6
+// Revision 6 added the status request's ?wait= and result_evicted;
+// revision 7 removed in-process retries: the retry budget from the spec
+// and the version payload, the attempt count and last retried error
+// from JobMeta, and the stalled code.
+const apiRevision = 7
 
 // Handler returns the service's HTTP API:
 //
@@ -96,7 +99,6 @@ type versionBody struct {
 	// and writes.
 	CheckpointFormat int    `json:"checkpoint_format"`
 	GoVersion        string `json:"go_version"`
-	MaxAttempts      int    `json:"max_attempts"`
 }
 
 // statsBody is the /v2/stats payload: a full registry snapshot.

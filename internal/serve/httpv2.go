@@ -349,7 +349,6 @@ func (m *Manager) v2Version(w http.ResponseWriter, r *http.Request) {
 		APIRevision:      apiRevision,
 		CheckpointFormat: checkpoint.Version,
 		GoVersion:        runtime.Version(),
-		MaxAttempts:      m.opts.MaxAttempts,
 	})
 }
 
@@ -390,7 +389,7 @@ func (m *Manager) v2ClusterResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // v2ClusterRun is delegation's server side: run the spec as our own
-// job (cache, single-flight, retries and all) and block until it
+// job (cache, single-flight and all) and block until it
 // settles, answering with the result or its typed failure. NoForward
 // is forced so a stale peer list cannot create routing loops.
 func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
@@ -410,7 +409,7 @@ func (m *Manager) v2ClusterRun(w http.ResponseWriter, r *http.Request) {
 	res, final, err := m.wait(r.Context(), st.ID)
 	if err != nil {
 		// The requester hung up (or died); the job keeps running here
-		// and lands in the cache for its retry.
+		// and lands in the cache for a resubmission.
 		return
 	}
 	switch {

@@ -134,7 +134,7 @@ func TestTransitionTable(t *testing.T) {
 			for _, follower := range []bool{false, true} {
 				seed++
 				j := jobIn(t, m, from, seed)
-				out := outcome{res: &ggpdes.Results{CommittedEvents: seed, Metrics: engineMetrics}, err: ErrStalled}
+				out := outcome{res: &ggpdes.Results{CommittedEvents: seed, Metrics: engineMetrics}, err: ggpdes.ErrCheckpointCorrupt}
 				if follower {
 					out.source = SourceInflight
 				}
@@ -189,7 +189,7 @@ func TestTransitionTable(t *testing.T) {
 					t.Errorf("%s: no finish time", name)
 				}
 				if failed := to == StateFailed || to == StateCancelled; failed != (j.errInfo != nil) ||
-					failed && j.errInfo.Code != CodeStalled {
+					failed && j.errInfo.Code != CodeCheckpointCorrupt {
 					t.Errorf("%s: typed error %+v", name, j.errInfo)
 				}
 				if to == StateDone {
@@ -395,7 +395,8 @@ func TestLifecycleRandomInterleaving(t *testing.T) {
 		default:
 			t.Errorf("job %s (%s): done still open after Drain", j.id, j.state)
 		}
-		if j.attempts > 0 {
+		// A single-node job that started simulated; nothing else did.
+		if !j.started.IsZero() {
 			ran++
 			ranKeys[j.key] = true
 		}

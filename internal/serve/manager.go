@@ -5,19 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ggpdes"
-	"ggpdes/internal/chaos"
 	"ggpdes/internal/checkpoint"
-	"ggpdes/internal/rng"
 	"ggpdes/internal/serve/cluster"
 	"ggpdes/internal/telemetry"
 )
@@ -33,7 +28,7 @@ const (
 	// StateDone: finished successfully; the result is available.
 	StateDone State = "done"
 	// StateFailed: the run returned an error (including deadline
-	// expiry) and exhausted its retry budget.
+	// expiry).
 	StateFailed State = "failed"
 	// StateCancelled: cancelled by the client before completion.
 	StateCancelled State = "cancelled"
@@ -56,14 +51,9 @@ var (
 // spec re-simulates the same trajectory.
 var ErrResultEvicted = errors.New("serve: result evicted from the cache; resubmit to recompute it")
 
-// ErrStalled marks an attempt killed by the GVT-stall watchdog: no GVT
-// progress for Options.StallTimeout of real time. Stalled attempts are
-// retried like injected crashes.
-var ErrStalled = errors.New("serve: GVT stall watchdog killed the attempt")
-
 // Options configures a Manager. The zero value is usable: workers
 // sized to GOMAXPROCS, a 64-deep admission queue, a 256-entry cache,
-// no default deadline, no retries, no chaos.
+// no default deadline.
 type Options struct {
 	// Workers is the number of concurrent simulation runs (0 =
 	// GOMAXPROCS).
@@ -76,9 +66,8 @@ type Options struct {
 	// stay readable: a done job whose key has been evicted keeps its
 	// meta, and its result answers ErrResultEvicted.
 	CacheEntries int
-	// DefaultTimeout bounds each job's real-time execution — across
-	// all its attempts — unless the spec sets its own; 0 means no
-	// default deadline.
+	// DefaultTimeout bounds each job's real-time execution unless the
+	// spec sets its own; 0 means no default deadline.
 	DefaultTimeout time.Duration
 	// RetainJobs bounds how many terminal jobs' metadata stays
 	// queryable; the oldest are forgotten past the bound (0 = 4096,
@@ -93,26 +82,16 @@ type Options struct {
 	// (0 = telemetry.DefaultSeriesLimit, negative = series disabled).
 	SeriesLimit int
 
-	// MaxAttempts is the default retry budget per job: attempts killed
-	// by injected crashes or the stall watchdog are retried — resuming
-	// from the job's latest checkpoint — with exponential backoff
-	// until the budget is spent (0 or 1 = no retries).
-	MaxAttempts int
-	// RetryBackoff is the base delay before the first retry, doubled
-	// per retry up to 32x with deterministic ±50% jitter (0 = 25ms).
-	RetryBackoff time.Duration
-	// CheckpointEvery is the default checkpoint cadence, in GVT
-	// rounds, applied to jobs whose config doesn't set its own (0 =
-	// jobs run unsegmented and retries restart from scratch).
+	// CheckpointEvery is the default checkpoint cadence, in GVT rounds,
+	// applied to jobs whose config doesn't set its own (0 = jobs run
+	// unsegmented). The cadence is part of a job's trajectory and cache
+	// key, whether or not the job writes snapshot files.
 	CheckpointEvery int
-	// CheckpointRoot is the directory holding per-job checkpoint
-	// subdirectories ("" = a temp directory created at New and removed
-	// at Drain).
+	// CheckpointRoot holds the keyed checkpoint directories a fleet
+	// shares, and is used only when Cluster is set ("" = no job writes
+	// snapshot files). A single-node job writes none: nothing would
+	// ever read them back.
 	CheckpointRoot string
-	// StallTimeout kills an attempt whose GVT has not advanced for
-	// this much real time, counting it against the retry budget (0 =
-	// watchdog disabled).
-	StallTimeout time.Duration
 
 	// Cluster is this replica's view of the serving fleet: consistent-
 	// hash routing on the cache key, peer cache fill, and delegation.
@@ -120,15 +99,6 @@ type Options struct {
 	// directory shared by every replica so any of them can resume
 	// another's dead job.
 	Cluster *cluster.Cluster
-
-	// CrashRate injects a simulated worker crash — the attempt's
-	// context is cancelled at a planned GVT fraction — with this
-	// probability per attempt, deterministic in (ChaosSeed, job key,
-	// attempt). The final budgeted attempt is never crashed, so a
-	// sufficient MaxAttempts guarantees completion. 0 disables.
-	CrashRate float64
-	// ChaosSeed seeds the crash plans (0 = 1).
-	ChaosSeed uint64
 }
 
 // Job is one submitted simulation, and the only record of it: the wire
@@ -138,11 +108,10 @@ type Options struct {
 // guarded by the owning Manager's mutex, and state is assigned in
 // exactly one place, transitionLocked.
 type Job struct {
-	id          string
-	spec        JobSpec
-	cfg         ggpdes.Config
-	key         string
-	maxAttempts int
+	id   string
+	spec JobSpec
+	cfg  ggpdes.Config
+	key  string
 
 	// state is stateNew from newJob until admission registers the job.
 	state State
@@ -153,8 +122,6 @@ type Job struct {
 	// transition that ended the job and never written again, so every
 	// snapshot may share it.
 	errInfo     *ErrorInfo
-	attempts    int
-	lastErr     string
 	resumedFrom string
 	// series is the live per-round ring while the job runs; a done job
 	// drops it, because its cached Results.Series is the recorded copy.
@@ -179,19 +146,15 @@ type Job struct {
 // Manager owns the admission queue, the worker pool, the job table and
 // the result cache. Create one with New and shut it down with Drain.
 type Manager struct {
-	opts    Options
-	reg     *telemetry.Registry
-	cache   *resultCache
-	crashes *chaos.WorkerCrashes
-	clu     *cluster.Cluster
+	opts  Options
+	reg   *telemetry.Registry
+	cache *resultCache
+	clu   *cluster.Cluster
 
 	// baseCtx parents every job context: cancelling it (the caller's
 	// process-lifetime context) reaches all in-flight runs, so a drain
 	// deadline can hard-stop stragglers instead of abandoning them.
 	baseCtx context.Context
-
-	ckptRoot string
-	ownRoot  bool
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -214,20 +177,17 @@ type Manager struct {
 	sweeps        map[string]*sweepJob
 	sweepTerminal []string // terminal sweep IDs, oldest first
 
-	submitted      *telemetry.Counter
-	completed      *telemetry.Counter
-	failed         *telemetry.Counter
-	cancelled      *telemetry.Counter
-	rejected       *telemetry.Counter
-	retries        *telemetry.Counter
-	injectedCrash  *telemetry.Counter
-	stallsDetected *telemetry.Counter
-	resumes        *telemetry.Counter
-	queueWait      *telemetry.Histogram
-	runWall        *telemetry.Histogram
-	inFlight       *telemetry.Gauge
-	simulations    *telemetry.Counter
-	dedupInflight  *telemetry.Counter
+	submitted     *telemetry.Counter
+	completed     *telemetry.Counter
+	failed        *telemetry.Counter
+	cancelled     *telemetry.Counter
+	rejected      *telemetry.Counter
+	resumes       *telemetry.Counter
+	queueWait     *telemetry.Histogram
+	runWall       *telemetry.Histogram
+	inFlight      *telemetry.Gauge
+	simulations   *telemetry.Counter
+	dedupInflight *telemetry.Counter
 }
 
 // New starts a manager and its worker pool with a background base
@@ -259,44 +219,26 @@ func NewContext(ctx context.Context, opts Options) *Manager {
 		reg = telemetry.NewRegistry()
 	}
 	m := &Manager{
-		opts:           opts,
-		reg:            reg,
-		baseCtx:        ctx,
-		clu:            opts.Cluster,
-		cache:          newResultCache(opts.CacheEntries, reg),
-		queue:          make(chan *Job, opts.QueueDepth),
-		jobs:           make(map[string]*Job),
-		inflight:       make(map[string]*Job),
-		sweeps:         make(map[string]*sweepJob),
-		submitted:      reg.Counter(MetricJobsSubmitted),
-		completed:      reg.Counter(MetricJobsCompleted),
-		failed:         reg.Counter(MetricJobsFailed),
-		cancelled:      reg.Counter(MetricJobsCancelled),
-		rejected:       reg.Counter(MetricJobsRejected),
-		retries:        reg.Counter(MetricRetries),
-		injectedCrash:  reg.Counter(MetricInjectedCrashes),
-		stallsDetected: reg.Counter(MetricStallsDetected),
-		resumes:        reg.Counter(MetricResumes),
-		queueWait:      reg.Histogram(MetricQueueWaitMS),
-		runWall:        reg.Histogram(MetricRunWallMS),
-		inFlight:       reg.Gauge(MetricJobsInFlight),
-		simulations:    reg.Counter(MetricSimulations),
-		dedupInflight:  reg.Counter(MetricDedupInflight),
-	}
-	if opts.CrashRate > 0 {
-		seed := opts.ChaosSeed
-		if seed == 0 {
-			seed = 1
-		}
-		m.crashes = chaos.NewWorkerCrashes(seed, opts.CrashRate)
-	}
-	m.ckptRoot = opts.CheckpointRoot
-	if m.ckptRoot == "" {
-		// Best-effort: without a root, checkpointed jobs still segment
-		// (Dir stays empty) but retries restart from scratch.
-		if dir, err := os.MkdirTemp("", "ggpdes-serve-ckpt-"); err == nil {
-			m.ckptRoot, m.ownRoot = dir, true
-		}
+		opts:          opts,
+		reg:           reg,
+		baseCtx:       ctx,
+		clu:           opts.Cluster,
+		cache:         newResultCache(opts.CacheEntries, reg),
+		queue:         make(chan *Job, opts.QueueDepth),
+		jobs:          make(map[string]*Job),
+		inflight:      make(map[string]*Job),
+		sweeps:        make(map[string]*sweepJob),
+		submitted:     reg.Counter(MetricJobsSubmitted),
+		completed:     reg.Counter(MetricJobsCompleted),
+		failed:        reg.Counter(MetricJobsFailed),
+		cancelled:     reg.Counter(MetricJobsCancelled),
+		rejected:      reg.Counter(MetricJobsRejected),
+		resumes:       reg.Counter(MetricResumes),
+		queueWait:     reg.Histogram(MetricQueueWaitMS),
+		runWall:       reg.Histogram(MetricRunWallMS),
+		inFlight:      reg.Gauge(MetricJobsInFlight),
+		simulations:   reg.Counter(MetricSimulations),
+		dedupInflight: reg.Counter(MetricDedupInflight),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -327,12 +269,11 @@ func (m *Manager) newJob(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	return &Job{
-		spec:        spec,
-		cfg:         cfg,
-		key:         key,
-		maxAttempts: spec.maxAttempts(m.opts),
-		submitted:   time.Now(),
-		done:        make(chan struct{}),
+		spec:      spec,
+		cfg:       cfg,
+		key:       key,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
 	}, nil
 }
 
@@ -659,8 +600,7 @@ func (m *Manager) Series(id string) (pts []telemetry.SeriesPoint, total int, st 
 
 // Cancel stops a job: a queued job is marked cancelled immediately and
 // skipped by its worker; a running job has its context cancelled,
-// which the engine observes within one GVT round. Cancellation covers
-// all attempts — a cancelled job is never retried. Terminal jobs are
+// which the engine observes within one GVT round. Terminal jobs are
 // left as-is. The returned snapshot reflects the state after the call.
 func (m *Manager) Cancel(id string) (JobMeta, bool) {
 	m.mu.Lock()
@@ -741,9 +681,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-idle:
-		if m.ownRoot {
-			_ = os.RemoveAll(m.ckptRoot)
-		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -789,29 +726,21 @@ func (m *Manager) run(j *Job) {
 	cfg := j.cfg
 	m.mu.Unlock()
 
-	// Give the job a checkpoint directory so retries resume. Single-
-	// node managers key it by job ID as before. Clustered managers key
-	// cacheable jobs by *cache key* under the shared root: the same
-	// config checkpoints to the same place whichever replica runs it
-	// (writes are atomic and — runs being deterministic — identical),
-	// so a requester can resume a dead owner's job where it stopped.
-	// Keyed directories are never removed on success for the same
-	// reason: a peer may be mid-read. Clustered NoCache jobs get a
-	// node-scoped directory so same-numbered job IDs on different
-	// replicas cannot collide in the shared root.
-	var ckptDir string
-	keyed := false
-	if cfg.Checkpoint != nil && m.ckptRoot != "" {
-		switch {
-		case m.clu != nil && !j.spec.NoCache:
-			ckptDir = filepath.Join(m.ckptRoot, "key-"+pathSafe(j.key))
-			keyed = true
-		case m.clu != nil:
-			ckptDir = filepath.Join(m.ckptRoot, "node-"+pathSafe(m.clu.Self()), j.id)
-		default:
-			ckptDir = filepath.Join(m.ckptRoot, j.id)
+	// Only a keyed directory is ever read back: clustered, cacheable jobs
+	// checkpoint under the shared root by *cache key*, so the same config
+	// checkpoints to the same place whichever replica runs it (writes are
+	// atomic and — runs being deterministic — identical), and a requester
+	// can resume a dead owner's job where it stopped. Keyed directories
+	// are never removed: a peer may be mid-read. Every other job keeps
+	// its cadence, and so its segmentation, trajectory and cache key, but
+	// runs with an empty Dir and writes nothing — a Dir the spec itself
+	// carried included.
+	if cfg.Checkpoint != nil {
+		dir := ""
+		if m.clu != nil && !j.spec.NoCache && m.opts.CheckpointRoot != "" {
+			dir = filepath.Join(m.opts.CheckpointRoot, "key-"+pathSafe(j.key))
 		}
-		cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: cfg.Checkpoint.Every, Dir: ckptDir}
+		cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: cfg.Checkpoint.Every, Dir: dir}
 	}
 
 	// Clustered routing: if a peer owns this key, fill from its cache,
@@ -834,57 +763,49 @@ func (m *Manager) run(j *Job) {
 				if !settled {
 					// The owner died mid-job (failover: resume its shared
 					// checkpoints) or pushed back (spill): run here.
-					res, err = m.simulate(jobCtx, j, cfg, ckptDir, keyed)
+					res, err = m.simulate(jobCtx, j, cfg)
 					source = ""
 				}
-				m.settle(j, res, source, err, timeout, ckptDir, keyed)
+				m.settle(j, res, source, err, timeout)
 			}()
 			return
 		}
 	}
 	defer cancel()
-	res, err := m.simulate(jobCtx, j, cfg, ckptDir, keyed)
-	m.settle(j, res, "", err, timeout, ckptDir, keyed)
+	res, err := m.simulate(jobCtx, j, cfg)
+	m.settle(j, res, "", err, timeout)
 }
 
-// simulate executes the job locally: a bounded sequence of attempts,
-// each resuming from the job's latest checkpoint, with exponential
-// backoff between them. Only faults the harness injected — simulated
-// worker crashes and watchdog-detected GVT stalls — are retried;
-// client cancellation, the job deadline, and config errors are final.
-func (m *Manager) simulate(jobCtx context.Context, j *Job, cfg ggpdes.Config, ckptDir string, keyed bool) (*ggpdes.Results, error) {
+// simulate runs the job on this replica, once: a fault ends it, typed,
+// and a resubmission runs the same trajectory again. A keyed checkpoint
+// directory that already holds a snapshot resumes from the latest one —
+// on a failover it was written by the dead owner, not by this job.
+func (m *Manager) simulate(ctx context.Context, j *Job, cfg ggpdes.Config) (*ggpdes.Results, error) {
 	// One serve.simulations tick per job the engine actually ran
 	// locally — summed across replicas this is the fleet-wide
 	// execution count the dedup benchmarks assert on.
 	m.simulations.Inc()
-	var res *ggpdes.Results
-	var err error
-	for attempt := 1; ; attempt++ {
-		m.mu.Lock()
-		j.attempts = attempt
-		m.mu.Unlock()
-		res, err = m.attempt(jobCtx, j, cfg, ckptDir, attempt, keyed)
-		if err == nil || attempt >= j.maxAttempts || !retryable(err) {
-			break
-		}
-		m.retries.Inc()
-		m.mu.Lock()
-		j.lastErr = err.Error()
-		m.mu.Unlock()
-		if !sleepCtx(jobCtx, backoff(m.opts.RetryBackoff, j.key, attempt)) {
-			// The job deadline or a client cancel ended the backoff;
-			// settle classifies it like any other attempt outcome.
-			err = fmt.Errorf("retry backoff interrupted: %w", context.Cause(jobCtx))
-			break
+	var series *ggpdes.SeriesOptions
+	if j.series != nil {
+		series = &ggpdes.SeriesOptions{Buffer: j.series}
+	}
+	if ck := cfg.Checkpoint; ck != nil && ck.Dir != "" {
+		if path, err := checkpoint.Latest(ck.Dir); err == nil {
+			m.resumes.Inc()
+			m.mu.Lock()
+			j.resumedFrom = filepath.Base(path)
+			m.mu.Unlock()
+			return ggpdes.ResumeContext(ctx, path, &ggpdes.ResumeOptions{Series: series})
 		}
 	}
-	return res, err
+	cfg.Series = series
+	return ggpdes.RunContext(ctx, cfg)
 }
 
 // settle ends a started job: the run's error picks the terminal edge,
 // transitionLocked does the rest. It runs on the worker for local jobs
 // and on the delegation goroutine for peer-owned ones.
-func (m *Manager) settle(j *Job, res *ggpdes.Results, source string, err error, timeout time.Duration, ckptDir string, keyed bool) {
+func (m *Manager) settle(j *Job, res *ggpdes.Results, source string, err error, timeout time.Duration) {
 	to, out := StateFailed, outcome{err: err}
 	switch {
 	case err == nil:
@@ -897,9 +818,6 @@ func (m *Manager) settle(j *Job, res *ggpdes.Results, source string, err error, 
 	m.mu.Lock()
 	m.moveLocked(j, to, out)
 	m.mu.Unlock()
-	if err == nil && ckptDir != "" && !keyed {
-		_ = os.RemoveAll(ckptDir) // completed jobs don't need their snapshots
-	}
 }
 
 // runRemote routes a peer-owned job through the cluster: fill from
@@ -1017,128 +935,6 @@ func (m *Manager) Health(ctx context.Context) Health {
 	return h
 }
 
-// attempt executes one run attempt under its own cancellable context.
-// The engine's progress callback doubles as the fault-injection point
-// (a planned crash cancels the context at a GVT fraction) and as the
-// heartbeat the stall watchdog monitors. Attempts after the first
-// resume from the job's latest checkpoint when one exists; keyed
-// (cluster-shared) checkpoint dirs resume even on the first attempt,
-// because the checkpoint a failover finds there was written by the
-// dead owner, not by this job.
-func (m *Manager) attempt(jobCtx context.Context, j *Job, cfg ggpdes.Config, ckptDir string, attempt int, keyed bool) (*ggpdes.Results, error) {
-	ctx, cancel := context.WithCancelCause(jobCtx)
-	defer cancel(nil)
-
-	// Plan the chaos for this attempt. The final budgeted attempt is
-	// never crashed: injection models recoverable faults, and a fault
-	// on the last attempt would make the budget a coin flip.
-	crashAt := -1.0
-	if m.crashes != nil && attempt < j.maxAttempts {
-		if crash, frac := m.crashes.Plan(j.key, attempt); crash {
-			crashAt = frac
-		}
-	}
-
-	var beat atomic.Int64
-	beat.Store(time.Now().UnixNano())
-	var crashed atomic.Bool
-	progress := &ggpdes.ProgressOptions{
-		// A near-zero interval fires the callback on every GVT
-		// publication: each one is a heartbeat and a crash check.
-		Every: 1e-9,
-		Func: func(p ggpdes.ProgressInfo) {
-			beat.Store(time.Now().UnixNano())
-			if crashAt >= 0 && p.GVT >= crashAt*p.EndTime && crashed.CompareAndSwap(false, true) {
-				m.injectedCrash.Inc()
-				cancel(chaos.ErrInjectedCrash)
-			}
-		},
-	}
-
-	if st := m.opts.StallTimeout; st > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			tick := time.NewTicker(st / 4)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if time.Since(time.Unix(0, beat.Load())) > st {
-						m.stallsDetected.Inc()
-						cancel(ErrStalled)
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	resumeFrom := ""
-	if ckptDir != "" && (attempt > 1 || keyed) {
-		if path, err := checkpoint.Latest(ckptDir); err == nil {
-			resumeFrom = path
-		}
-	}
-	// Each attempt records into the job's live series ring from a clean
-	// slate, so the buffer always describes one consistent trajectory —
-	// the attempt that ultimately completes.
-	var series *ggpdes.SeriesOptions
-	if j.series != nil {
-		j.series.Reset()
-		series = &ggpdes.SeriesOptions{Buffer: j.series}
-	}
-	var res *ggpdes.Results
-	var err error
-	if resumeFrom != "" {
-		m.resumes.Inc()
-		m.mu.Lock()
-		j.resumedFrom = filepath.Base(resumeFrom)
-		m.mu.Unlock()
-		res, err = ggpdes.ResumeContext(ctx, resumeFrom, &ggpdes.ResumeOptions{Progress: progress, Series: series})
-	} else {
-		cfg.Progress = progress
-		cfg.Series = series
-		res, err = ggpdes.RunContext(ctx, cfg)
-	}
-	if err != nil {
-		// Surface the injected cause so retryable() can see it through
-		// the engine's cancellation wrapping.
-		if cause := context.Cause(ctx); errors.Is(cause, chaos.ErrInjectedCrash) || errors.Is(cause, ErrStalled) {
-			err = fmt.Errorf("attempt %d: %w (%v)", attempt, cause, err)
-		}
-	}
-	return res, err
-}
-
-// retryable reports whether an attempt failure was injected by the
-// harness (crash or stall) — an environmental failure — rather than
-// requested by the client or inherent to the config.
-func retryable(err error) bool {
-	return errors.Is(err, chaos.ErrInjectedCrash) || errors.Is(err, ErrStalled)
-}
-
-// backoff is the delay before retry number `attempt`: base doubled per
-// retry, capped at 32x, with ±50% jitter deterministic in (key,
-// attempt) so reruns of the same workload time out identically.
-func backoff(base time.Duration, key string, attempt int) time.Duration {
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	d := base << uint(attempt-1)
-	if max := 32 * base; d > max {
-		d = max
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	s := rng.New(h.Sum64(), uint64(attempt))
-	return time.Duration(float64(d) * (0.5 + s.Float64()))
-}
-
 // sleepCtx sleeps for d, returning false if ctx ended first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
@@ -1161,8 +957,6 @@ func (j *Job) meta() JobMeta {
 		Cached:      j.source != "",
 		Source:      j.source,
 		Error:       j.errInfo,
-		Attempts:    j.attempts,
-		LastError:   j.lastErr,
 		ResumedFrom: j.resumedFrom,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,

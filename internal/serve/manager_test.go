@@ -115,11 +115,10 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	noEnd := valid
 	noEnd.EndTime = 0
 	for name, spec := range map[string]JobSpec{
-		"no model":         {Config: noModel},
-		"no threads":       {Config: noThreads},
-		"no end time":      {Config: noEnd},
-		"bad timeout":      {Config: valid, TimeoutSeconds: -1},
-		"bad max attempts": {Config: valid, MaxAttempts: -1},
+		"no model":    {Config: noModel},
+		"no threads":  {Config: noThreads},
+		"no end time": {Config: noEnd},
+		"bad timeout": {Config: valid, TimeoutSeconds: -1},
 	} {
 		_, err := m.Submit(spec)
 		if err == nil {

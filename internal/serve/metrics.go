@@ -13,11 +13,9 @@ const (
 	MetricJobsRejected  = "serve.jobs_rejected"
 	MetricJobsInFlight  = "serve.jobs_in_flight"
 
-	// Fault handling.
-	MetricRetries         = "serve.retries"
-	MetricInjectedCrashes = "serve.injected_crashes"
-	MetricStallsDetected  = "serve.stalls_detected"
-	MetricResumes         = "serve.resumes"
+	// Failover: local runs that resumed from a keyed checkpoint (on a
+	// failover, the dead owner's latest).
+	MetricResumes = "serve.resumes"
 
 	// Latency breakdown.
 	MetricQueueWaitMS = "serve.queue_wait_ms"

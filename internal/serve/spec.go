@@ -1,11 +1,13 @@
 // Package serve turns the ggpdes engine into a simulation service: a
 // bounded job queue with backpressure, a worker pool sized to the
-// host, a deterministic content-addressed result cache, fault-tolerant
-// execution (checkpoint-resume retries, a GVT-stall watchdog, seeded
-// crash injection), and an HTTP JSON API. The scheduling problem the
-// source paper solves for simulation threads on constrained cores
-// reappears one level up — concurrent jobs on a shared host — and this
-// package is that level.
+// host, a deterministic content-addressed result cache, and an HTTP
+// JSON API. A job runs once; a fault ends it typed, and a resubmission
+// replays the same trajectory. The one fault recovered is a clustered
+// peer's death: the replica that delegated the job resumes it from the
+// dead owner's keyed checkpoints. The scheduling problem the source
+// paper solves for simulation threads on constrained cores reappears
+// one level up — concurrent jobs on a shared host — and this package is
+// that level.
 package serve
 
 import (
@@ -25,19 +27,15 @@ type JobSpec struct {
 	// values selecting the same defaults as the Go API.
 	Config ggpdes.Config `json:"config"`
 
-	// TimeoutSeconds bounds the job's real-time execution across all
-	// attempts; 0 uses the server's default deadline.
+	// TimeoutSeconds bounds the job's real-time execution; 0 uses the
+	// server's default deadline.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	// NoCache bypasses the result cache for this submission (the run
 	// still populates it).
 	NoCache bool `json:"no_cache,omitempty"`
-	// MaxAttempts overrides the server's retry budget for this job
-	// (0 = server default, 1 = no retries).
-	MaxAttempts int `json:"max_attempts,omitempty"`
 	// CheckpointEvery sets the job's checkpoint cadence in GVT rounds
-	// so retries resume instead of restarting (0 = server default,
-	// negative = no checkpointing). Ignored when the config already
-	// carries its own Checkpoint settings.
+	// (0 = server default, negative = no checkpointing). Ignored when
+	// the config already carries its own Checkpoint settings.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// NoForward marks a spec a peer already routed here: the receiving
 	// replica must serve it itself (cache or local run) rather than
@@ -54,9 +52,6 @@ func (s JobSpec) config(defaults Options) (ggpdes.Config, error) {
 	if s.TimeoutSeconds < 0 {
 		return cfg, fmt.Errorf("%w: timeout_seconds must be non-negative", ggpdes.ErrInvalidConfig)
 	}
-	if s.MaxAttempts < 0 {
-		return cfg, fmt.Errorf("%w: max_attempts must be non-negative", ggpdes.ErrInvalidConfig)
-	}
 	every := s.CheckpointEvery
 	if every == 0 {
 		every = defaults.CheckpointEvery
@@ -70,17 +65,4 @@ func (s JobSpec) config(defaults Options) (ggpdes.Config, error) {
 		return cfg, err
 	}
 	return cfg, nil
-}
-
-// maxAttempts resolves the job's retry budget against the server
-// default.
-func (s JobSpec) maxAttempts(defaults Options) int {
-	n := s.MaxAttempts
-	if n == 0 {
-		n = defaults.MaxAttempts
-	}
-	if n <= 0 {
-		n = 1
-	}
-	return n
 }

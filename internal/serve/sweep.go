@@ -16,7 +16,7 @@ import (
 // fleet-wide.
 type SweepSpec struct {
 	// Defaults is the template every member starts from: timeout,
-	// retry, and checkpoint policy, plus the base Config.
+	// cache and checkpoint policy, plus the base Config.
 	Defaults JobSpec `json:"defaults"`
 	// Seeds adds one member per entry: the template config with Seed
 	// overridden. The common sweep — same model, S seeds.

@@ -37,7 +37,6 @@ func clientSpec(spec JobSpec) client.JobSpec {
 		Config:          spec.Config,
 		TimeoutSeconds:  spec.TimeoutSeconds,
 		NoCache:         spec.NoCache,
-		MaxAttempts:     spec.MaxAttempts,
 		CheckpointEvery: spec.CheckpointEvery,
 	}
 }

@@ -456,8 +456,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 				return
 			}
 			// Jump to the first threshold past g in one step — Every can
-			// be tiny (the serving layer uses progress as a per-round
-			// heartbeat), so advancing one step at a time is not an option.
+			// be tiny, so advancing one step at a time is not an option.
 			next = step * (math.Floor(g/step) + 1)
 			s := eng.TotalStats()
 			info := ProgressInfo{

@@ -48,8 +48,7 @@ fail() {
 start_replica() {
     # $1 = own addr, $2 = peers, $3 = index
     "$dir/ggserved" -addr "$1" -peers "$2" \
-        -checkpoint-root "$dir/ckpt" -max-attempts 2 \
-        2>"$dir/ggserved$3.log" &
+        -checkpoint-root "$dir/ckpt" 2>"$dir/ggserved$3.log" &
     pids="$pids $!"
     eval "pid$3=$!"
 }
