@@ -85,13 +85,10 @@ func (c Config) CanonicalString() (string, error) {
 		if cs == 0 {
 			cs = seed
 		}
-		hold := ch.DelaySendHold
-		if hold == 0 && (ch.DropSendRate > 0 || ch.DelaySendRate > 0) {
-			hold = 64
-		}
-		fmt.Fprintf(&b, "chaos{seed=%d drop=%g delay=%g hold=%d stall=%g kill=%d@%d}\n",
-			cs, ch.DropSendRate, ch.DelaySendRate, hold, ch.StallRate,
-			ch.KillThread, ch.KillAtIter)
+		// Dropped and delayed sends and killed threads are retired
+		// (DESIGN.md §5); their fields print as the zeros every
+		// stall-only key was computed with.
+		fmt.Fprintf(&b, "chaos{seed=%d drop=0 delay=0 hold=0 stall=%g kill=0@0}\n", cs, ch.StallRate)
 	} else {
 		fmt.Fprintf(&b, "chaos=nil\n")
 	}

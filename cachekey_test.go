@@ -175,9 +175,9 @@ func TestCacheKeyGolden(t *testing.T) {
 				StateSaving:          ReverseComputation,
 				OptimismWindow:       5,
 				Checkpoint:           &CheckpointOptions{Every: 3},
-				Chaos:                &ChaosOptions{Seed: 9, DropSendRate: 0.01, StallRate: 0.02},
+				Chaos:                &ChaosOptions{Seed: 9, StallRate: 0.02},
 			},
-			want: "sha256:3d29cdf561921dca28dda22d98fa55d83136f5e5b1dd2057f1c0896150de93cf",
+			want: "sha256:ca29babf87ff5228f1610669835f1b9e3ecd5f256f72895b6122bbff85cd0d00",
 		},
 	}
 	for _, tc := range cases {

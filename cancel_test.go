@@ -3,6 +3,7 @@ package ggpdes
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	good.Chaos = &ChaosOptions{StallRate: math.Nextafter(1, 0)}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("stall rate just under 1 rejected: %v", err)
+	}
 	bad := []func(*Config){
 		func(c *Config) { c.Model = nil },
 		func(c *Config) { c.Threads = 0 },
@@ -101,6 +106,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.OptimismWindow = -1 },
 		func(c *Config) { c.Machine.Cores = -1 },
 		func(c *Config) { c.Model = PHOLD{LPsPerThread: 1, Imbalance: 3} },
+		// A stall rate of 1 stalls every iteration forever.
+		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: 1} },
+		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: -0.1} },
+		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		cfg := quickCfg()

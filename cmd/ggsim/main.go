@@ -74,13 +74,8 @@ func main() {
 		ckptDir   = flag.String("checkpoint-dir", "", "write checkpoint files (ckpt-NNNNNNNN.ckpt) to this directory")
 		resume    = flag.String("resume", "", "resume from this checkpoint file (ckpt-NNNNNNNN.ckpt) instead of starting a run (model/config flags are ignored)")
 
-		chaosSeed  = flag.Uint64("chaos-seed", 0, "fault injection seed (0 = run seed); any -chaos-* flag enables injection")
-		chaosDrop  = flag.Float64("chaos-drop", 0, "probability a cross-thread send is lost")
-		chaosDelay = flag.Float64("chaos-delay", 0, "probability a cross-thread send is withheld")
-		chaosHold  = flag.Int("chaos-delay-hold", 0, "sends to withhold a delayed event for (0 = 64)")
-		chaosStall = flag.Float64("chaos-stall", 0, "per-thread-iteration probability of burning the iteration")
-		chaosKill  = flag.Int("chaos-kill-thread", 0, "thread to kill at -chaos-kill-iter")
-		chaosIter  = flag.Uint64("chaos-kill-iter", 0, "main-loop iteration at which the thread dies (0 = never)")
+		chaosSeed  = flag.Uint64("chaos-seed", 0, "stall injection seed (0 = run seed)")
+		chaosStall = flag.Float64("chaos-stall", 0, "per-thread-iteration probability, in [0, 1), of burning the iteration (0 = off)")
 	)
 	flag.Parse()
 	start := time.Now()
@@ -140,16 +135,8 @@ func main() {
 		if *ckptEvery > 0 {
 			cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: *ckptEvery, Dir: *ckptDir}
 		}
-		if *chaosDrop > 0 || *chaosDelay > 0 || *chaosStall > 0 || *chaosIter > 0 {
-			cfg.Chaos = &ggpdes.ChaosOptions{
-				Seed:          *chaosSeed,
-				DropSendRate:  *chaosDrop,
-				DelaySendRate: *chaosDelay,
-				DelaySendHold: *chaosHold,
-				StallRate:     *chaosStall,
-				KillThread:    *chaosKill,
-				KillAtIter:    *chaosIter,
-			}
+		if *chaosStall != 0 {
+			cfg.Chaos = &ggpdes.ChaosOptions{Seed: *chaosSeed, StallRate: *chaosStall}
 		}
 		if err := cfg.Validate(); err != nil {
 			fatalf("%v", err)

@@ -36,11 +36,39 @@ type configJSON struct {
 	OptimismWindow       float64            `json:"optimism_window,omitempty"`
 	DisablePooling       bool               `json:"disable_pooling,omitempty"`
 	Checkpoint           *CheckpointOptions `json:"checkpoint,omitempty"`
-	Chaos                *ChaosOptions      `json:"chaos,omitempty"`
+	Chaos                *chaosJSON         `json:"chaos,omitempty"`
 	// Retired options, read only to be refused. Encoding never sets
 	// them, so a config's wire form is what it was while they existed.
 	RetiredLazy     bool `json:"lazy_cancellation,omitempty"`
 	RetiredAdaptive any  `json:"adaptive_gvt,omitempty"`
+}
+
+// chaosJSON is ChaosOptions on the wire, with the retired send and
+// kill faults read only to be refused.
+type chaosJSON struct {
+	ChaosOptions
+	RetiredDropSendRate  float64 `json:"drop_send_rate,omitempty"`
+	RetiredDelaySendRate float64 `json:"delay_send_rate,omitempty"`
+	RetiredDelaySendHold int     `json:"delay_send_hold,omitempty"`
+	RetiredKillThread    int     `json:"kill_thread,omitempty"`
+	RetiredKillAtIter    uint64  `json:"kill_at_iter,omitempty"`
+}
+
+// retired names the first retired chaos key set to non-zero, or "".
+func (ch *chaosJSON) retired() string {
+	switch {
+	case ch.RetiredDropSendRate != 0:
+		return "drop_send_rate"
+	case ch.RetiredDelaySendRate != 0:
+		return "delay_send_rate"
+	case ch.RetiredDelaySendHold != 0:
+		return "delay_send_hold"
+	case ch.RetiredKillThread != 0:
+		return "kill_thread"
+	case ch.RetiredKillAtIter != 0:
+		return "kill_at_iter"
+	}
+	return ""
 }
 
 type machineJSON struct {
@@ -171,8 +199,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		w.Checkpoint = &cp
 	}
 	if ch := c.Chaos; ch != nil {
-		cp := *ch
-		w.Chaos = &cp
+		w.Chaos = &chaosJSON{ChaosOptions: *ch}
 	}
 	return json.Marshal(w)
 }
@@ -183,7 +210,8 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // untouched.
 //
 // A config that turns on a retired option — lazy cancellation, adaptive
-// GVT frequency (DESIGN.md §5) — fails with ErrInvalidConfig naming it:
+// GVT frequency, dropped or delayed sends, a killed thread (DESIGN.md
+// §5) — fails with ErrInvalidConfig naming it:
 // ignored like any unknown key, it would run, and be cached as, a
 // different simulation than the one asked for.
 func (c *Config) UnmarshalJSON(data []byte) error {
@@ -196,6 +224,11 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	if w.RetiredAdaptive != nil {
 		return fmt.Errorf("%w: adaptive_gvt is retired (every GVT round interval is gvt_frequency)", ErrInvalidConfig)
+	}
+	if w.Chaos != nil {
+		if key := w.Chaos.retired(); key != "" {
+			return fmt.Errorf("%w: chaos.%s is retired (stall_rate is the one injected fault)", ErrInvalidConfig, key)
+		}
 	}
 	model, err := decodeModel(w.Model)
 	if err != nil {
@@ -256,7 +289,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		out.Checkpoint = &cp
 	}
 	if ch := w.Chaos; ch != nil {
-		cp := *ch
+		cp := ch.ChaosOptions
 		out.Chaos = &cp
 	}
 	*c = out

@@ -34,7 +34,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			OptimismWindow:       5,
 			DisablePooling:       true,
 			Checkpoint:           &CheckpointOptions{Every: 3, Dir: "/tmp/ck"},
-			Chaos:                &ChaosOptions{Seed: 7, DropSendRate: 0.01, DelaySendRate: 0.02, DelaySendHold: 16, StallRate: 0.005},
+			Chaos:                &ChaosOptions{Seed: 7, StallRate: 0.005},
 		},
 		{
 			Model:   Traffic{LPsPerThread: 4, DensityGradient: 0.5, CenterStartEvents: 12},
@@ -103,6 +103,11 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	for _, tc := range []struct{ key, js string }{
 		{"lazy_cancellation", spec + `"lazy_cancellation":true}`},
 		{"adaptive_gvt", spec + `"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}`},
+		{"drop_send_rate", spec + `"chaos":{"drop_send_rate":0.01}}`},
+		{"delay_send_rate", spec + `"chaos":{"delay_send_rate":0.05}}`},
+		{"delay_send_hold", spec + `"chaos":{"stall_rate":0.1,"delay_send_hold":16}}`},
+		{"kill_thread", spec + `"chaos":{"kill_thread":1}}`},
+		{"kill_at_iter", spec + `"chaos":{"kill_at_iter":100}}`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var cfg Config
@@ -114,8 +119,13 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	}
 	t.Run("off", func(t *testing.T) {
 		var cfg Config
-		if err := json.Unmarshal([]byte(spec+`"lazy_cancellation":false,"adaptive_gvt":null}`), &cfg); err != nil {
+		off := `"lazy_cancellation":false,"adaptive_gvt":null,` +
+			`"chaos":{"stall_rate":0.1,"drop_send_rate":0,"delay_send_rate":0,"delay_send_hold":0,"kill_thread":0,"kill_at_iter":0}}`
+		if err := json.Unmarshal([]byte(spec+off), &cfg); err != nil {
 			t.Errorf("retired options turned off: %v", err)
+		}
+		if want := (ChaosOptions{StallRate: 0.1}); cfg.Chaos == nil || *cfg.Chaos != want {
+			t.Errorf("chaos decoded as %+v, want %+v", cfg.Chaos, want)
 		}
 	})
 }
@@ -149,6 +159,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"machine":{"cores":1},"lazy_cancellation":false,"adaptive_gvt":null}`)
 	f.Add(`{"machine":{"cores":1},"adaptive_gvt":{"min_frequency":1,"max_frequency":2}}`)
+	f.Add(`{"chaos":{"seed":3,"stall_rate":0.25,"kill_at_iter":0}}`)
+	f.Add(`{"chaos":{"drop_send_rate":0.5}}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		var cfg Config
 		if err := json.Unmarshal([]byte(in), &cfg); err != nil {

@@ -211,7 +211,7 @@ func TestDistributedConfigRejections(t *testing.T) {
 		},
 		"chaos": func() (Config, DistOptions) {
 			c := base
-			c.Chaos = &ChaosOptions{DropSendRate: 0.1}
+			c.Chaos = &ChaosOptions{StallRate: 0.1}
 			return c, DistOptions{Workers: 2, Dial: inProcWorkers()}
 		},
 		"trace": func() (Config, DistOptions) {

@@ -262,10 +262,11 @@ type Config struct {
 	// Segmentation perturbs speculation, so Checkpoint.Every is part of
 	// CacheKey; Checkpoint.Dir is not.
 	Checkpoint *CheckpointOptions
-	// Chaos, when non-nil, injects deterministic faults (see
-	// ChaosOptions). Chaos runs are for exercising fault tolerance and
-	// are not expected to match fault-free results — or, for killed
-	// threads, to complete at all.
+	// Chaos, when non-nil, stalls simulation-thread iterations (see
+	// ChaosOptions). A stall changes scheduling, not what the run
+	// commits: final LP states and committed counts equal the
+	// fault-free run's, while wall clock, rollbacks and every other
+	// machine-time figure may differ. It is part of CacheKey.
 	Chaos *ChaosOptions
 }
 
@@ -284,29 +285,17 @@ type CheckpointOptions struct {
 	Dir string `json:"dir,omitempty"`
 }
 
-// ChaosOptions injects deterministic, seeded faults into a run. All
-// injection decisions are functions of (Seed, position), so a chaos
-// run is exactly reproducible.
+// ChaosOptions injects deterministic, seeded stalls into a run. Every
+// decision is a function of (Seed, thread, iteration), so a chaos run
+// is exactly reproducible. Stalls are the one injected fault: message
+// loss and killed threads break what Time Warp assumes, and are
+// retired (DESIGN.md §5).
 type ChaosOptions struct {
 	// Seed drives all injection randomness (0 = the run's Seed).
 	Seed uint64 `json:"seed,omitempty"`
-	// DropSendRate and DelaySendRate are per-cross-thread-send
-	// probabilities of losing the event or withholding it until
-	// DelaySendHold further sends have happened (0 = 64). The rates
-	// must sum to at most 1. Delayed events that fall below GVT before
-	// release are dropped.
-	DropSendRate  float64 `json:"drop_send_rate,omitempty"`
-	DelaySendRate float64 `json:"delay_send_rate,omitempty"`
-	DelaySendHold int     `json:"delay_send_hold,omitempty"`
-	// StallRate is a per-thread-iteration probability of burning the
-	// iteration without doing any work.
+	// StallRate is a per-thread-iteration probability, in [0, 1), of
+	// burning the iteration without doing any work.
 	StallRate float64 `json:"stall_rate,omitempty"`
-	// KillAtIter, when non-zero, kills thread KillThread at that
-	// main-loop iteration. The dead thread typically stalls GVT
-	// forever; the run then ends only via Machine.MaxTicks or context
-	// cancellation (a served job's deadline, say).
-	KillThread int    `json:"kill_thread,omitempty"`
-	KillAtIter uint64 `json:"kill_at_iter,omitempty"`
 }
 
 // TraceOptions configures run instrumentation: GVT progression,
@@ -602,21 +591,9 @@ func (c Config) Validate() error {
 			return fail("Checkpoint.Every must be at least 1")
 		}
 	}
-	if ch := c.Chaos; ch != nil {
-		if ch.DropSendRate < 0 || ch.DropSendRate > 1 ||
-			ch.DelaySendRate < 0 || ch.DelaySendRate > 1 ||
-			ch.DropSendRate+ch.DelaySendRate > 1 {
-			return fail("Chaos send-fault rates must be probabilities summing to at most 1")
-		}
-		if ch.StallRate < 0 || ch.StallRate > 1 {
-			return fail("Chaos.StallRate must be a probability")
-		}
-		if ch.DelaySendHold < 0 {
-			return fail("Chaos.DelaySendHold must be non-negative")
-		}
-		if ch.KillAtIter != 0 && (ch.KillThread < 0 || ch.KillThread >= c.Threads) {
-			return fail("Chaos.KillThread must name a simulation thread")
-		}
+	// A rate of 1 stalls every iteration forever.
+	if ch := c.Chaos; ch != nil && !(ch.StallRate >= 0 && ch.StallRate < 1) {
+		return fail("Chaos.StallRate must be in [0, 1)")
 	}
 	if _, err := c.Machine.build(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)

@@ -165,24 +165,21 @@ type Config struct {
 	// Mattern-style cut notification the distributed coordinator uses
 	// to stamp wire traffic with cut generations. Observability only.
 	GVTOnCut func(cut int, round uint64)
-	// Faults, when non-nil, injects thread-level faults into the main
-	// loop (see internal/chaos). A killed thread exits immediately and
-	// never comes back, which typically stalls GVT; a stalled thread
-	// burns a loop iteration without doing work. Fault injection is for
-	// exercising the fault-tolerance machinery — injected runs are not
-	// expected to complete normally.
+	// Faults, when non-nil, is consulted once per main-loop iteration
+	// (see internal/chaos): a stalled thread burns the iteration without
+	// doing work. That changes scheduling, never what commits. A run
+	// with an injector executes every iteration; without one, idle
+	// iterations are booked (skipIdle).
 	Faults ThreadFaultInjector
 }
 
-// ThreadFaultInjector decides per-thread, per-iteration faults.
-// Implementations must be deterministic in (tid, iter) given their
-// construction parameters so injected runs are reproducible.
+// ThreadFaultInjector decides per-thread, per-iteration stalls.
+// Implementations must be deterministic given their construction
+// parameters and the sequence of calls per thread, so injected runs
+// are reproducible.
 type ThreadFaultInjector interface {
-	// Killed reports whether thread tid dies at main-loop iteration
-	// iter (1-based). Once true it must stay true for all later iters.
-	Killed(tid int, iter uint64) bool
-	// Stalled reports whether thread tid wastes iteration iter.
-	Stalled(tid int, iter uint64) bool
+	// Stalled reports whether thread tid wastes its current iteration.
+	Stalled(tid int) bool
 }
 
 // Runner wires a machine, an engine, a GVT algorithm, a scheduler and
@@ -409,25 +406,15 @@ func (r *Runner) threadBody(p *machine.Proc, tid int) {
 	// polled: the previous iteration found nothing to drain or process.
 	// A busy thread never gets past it to skipIdle's probe.
 	polled := false
-	var iter uint64
 	for !eng.Done() {
 		if polled && idle == 0 && r.cfg.Faults == nil {
 			r.skipIdle(p, acc, peer, tid)
 		}
 		r.executed++
 		acc.Work(r.cfg.Costs.LoopCycles)
-		if f := r.cfg.Faults; f != nil {
-			iter++
-			if f.Killed(tid, iter) {
-				// Die without fossil collection or shutdown wakeups —
-				// a crashed thread cleans nothing up.
-				acc.Flush()
-				return
-			}
-			if f.Stalled(tid, iter) {
-				acc.Flush()
-				continue
-			}
+		if f := r.cfg.Faults; f != nil && f.Stalled(tid) {
+			acc.Flush()
+			continue
 		}
 		drained, processed := peer.DrainProcess(acc)
 		polled = drained == 0 && processed == 0

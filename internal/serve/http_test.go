@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ggpdes"
 )
 
 func startServer(t *testing.T, opts Options) (*Manager, *httptest.Server) {
@@ -146,11 +148,21 @@ func TestHTTPBadRequests(t *testing.T) {
 		// a different simulation.
 		{"lazy_cancellation", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"lazy_cancellation":true}}`},
 		{"adaptive_gvt", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}}`},
+		{"chaos.drop_send_rate", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"drop_send_rate":0.01}}}`},
+		// A stall rate of 1 would stall every iteration until the deadline.
+		{"chaos.stall_rate 1", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"stall_rate":1}}}`},
 	} {
 		resp, b := post(t, srv.URL+"/v2/jobs", strings.NewReader(tc.body))
 		if resp.StatusCode != http.StatusBadRequest || b.Error.Code != CodeInvalidConfig {
 			t.Fatalf("%s: status %d envelope %+v, want 400 invalid_config", tc.name, resp.StatusCode, b.Error)
 		}
+	}
+
+	// The one injected fault that survives is admitted.
+	stall := quickSpec(1)
+	stall.Config.Chaos = &ggpdes.ChaosOptions{StallRate: 0.1}
+	if resp, st := postJob(t, srv, stall); resp.StatusCode != http.StatusAccepted || st.ID == "" {
+		t.Fatalf("stall-only spec: status %d, job %+v", resp.StatusCode, st)
 	}
 
 	for _, url := range []string{"/v2/jobs/job-nope", "/v2/jobs/job-nope/result"} {

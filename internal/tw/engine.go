@@ -108,13 +108,6 @@ type Config struct {
 	// OnGVT, when non-nil, is invoked after every GVT publication —
 	// the hook live progress reporting hangs off.
 	OnGVT func(VT)
-	// SendFaults, when non-nil, is consulted on every cross-peer send:
-	// the chaos layer uses it to drop or delay inter-peer messages.
-	// Injected faults deliberately violate Time Warp's reliable-delivery
-	// assumption — runs may produce wrong trajectories or hang, which is
-	// what the fault-detection machinery above the engine is tested
-	// against. Nil means reliable delivery.
-	SendFaults SendFaultInjector
 	// OptimismWindow bounds speculation: events beyond GVT +
 	// OptimismWindow are not executed until GVT catches up (ROSS's
 	// max_opt_lookahead). Zero means unbounded optimism. Bounding
@@ -184,11 +177,6 @@ type Engine struct {
 	// checkpoint boundary rather than an abort (see checkpoint.go).
 	paused bool
 
-	// crossSends counts cross-peer deliveries for the fault injector;
-	// heldSends holds injector-delayed events awaiting release.
-	crossSends uint64
-	heldSends  []heldSend
-
 	// Distributed sharding (see shard.go). remote, when non-nil, makes
 	// every public peer operation forward to the worker hosting the
 	// real shard (coordinator role). shardLo/shardHi bound the locally
@@ -203,21 +191,6 @@ type Engine struct {
 	remoteIdx map[uint64]*Event
 
 	tel engineTelemetry
-}
-
-// SendFaultInjector decides the fate of cross-peer sends; implemented
-// by the chaos layer.
-type SendFaultInjector interface {
-	// Outcome classifies the nth cross-peer send (n counts from 1):
-	// drop loses the message; hold > 0 delays its delivery until hold
-	// further cross-peer sends have occurred.
-	Outcome(n uint64) (drop bool, hold uint64)
-}
-
-// heldSend is an injector-delayed event and its release point.
-type heldSend struct {
-	ev  *Event
-	due uint64
 }
 
 // engineTelemetry caches the engine-global metric handles; handles
@@ -442,45 +415,10 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 			Kind: ev.Kind, A: ev.A, B: ev.B,
 		})
 	} else {
-		e.deliver(dstPeer, ev)
+		dstPeer.inq = append(dstPeer.inq, ev)
 	}
 	from.acc += e.cfg.Costs.SendCycles
 	from.noteSent(ts)
-}
-
-// deliver enqueues a cross-peer event, consulting the fault injector
-// when one is configured.
-func (e *Engine) deliver(dst *Peer, ev *Event) {
-	f := e.cfg.SendFaults
-	if f == nil {
-		dst.inq = append(dst.inq, ev)
-		return
-	}
-	e.crossSends++
-	drop, hold := f.Outcome(e.crossSends)
-	switch {
-	case drop:
-		// The message is lost. Its cause keeps the sent-list reference,
-		// so a rollback still issues a (harmless) anti-message for it.
-	case hold > 0:
-		e.heldSends = append(e.heldSends, heldSend{ev: ev, due: e.crossSends + hold})
-	default:
-		dst.inq = append(dst.inq, ev)
-	}
-	// Release delayed messages that have come due. A message whose
-	// timestamp has meanwhile fallen below GVT is dropped instead:
-	// delivering it would violate the fossil-collection invariant, and a
-	// network that late is indistinguishable from a lossy one.
-	kept := e.heldSends[:0]
-	for _, h := range e.heldSends {
-		switch {
-		case h.due > e.crossSends:
-			kept = append(kept, h)
-		case h.ev.Ts >= e.gvt && h.ev.state != StateCancelled:
-			e.peers[e.lps[h.ev.Dst].Owner].inq = append(e.peers[e.lps[h.ev.Dst].Owner].inq, h.ev)
-		}
-	}
-	e.heldSends = kept
 }
 
 // TotalStats sums peer statistics.

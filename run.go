@@ -336,21 +336,16 @@ func (rs *runState) buildSegment() (*segment, error) {
 		return nil, err
 	}
 
-	// Chaos injectors are rebuilt per segment; that is deterministic
+	// The stall injector is rebuilt per segment; that is deterministic
 	// because the in-process and resumed paths rebuild at the same
 	// boundaries.
 	var threadFaults core.ThreadFaultInjector
-	if ch := cfg.Chaos; ch != nil {
+	if ch := cfg.Chaos; ch != nil && ch.StallRate > 0 {
 		seed := ch.Seed
 		if seed == 0 {
 			seed = cfg.Seed
 		}
-		if ch.DropSendRate > 0 || ch.DelaySendRate > 0 {
-			twCfg.SendFaults = chaos.NewSendFaults(seed, ch.DropSendRate, ch.DelaySendRate, ch.DelaySendHold)
-		}
-		if ch.StallRate > 0 || ch.KillAtIter > 0 {
-			threadFaults = chaos.NewThreadFaults(seed, cfg.Threads, ch.StallRate, ch.KillThread, ch.KillAtIter)
-		}
+		threadFaults = chaos.NewThreadFaults(seed, cfg.Threads, ch.StallRate)
 	}
 
 	// The progress hook closes over eng/runner, which exist only after

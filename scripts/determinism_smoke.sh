@@ -21,10 +21,13 @@
 # Last, an imbalanced leg: 1-16 PHOLD behind an optimism window, under
 # Baseline and under GG-PDES with the wait-free GVT, where 15 of 16
 # threads poll at any time. In process those polling iterations are
-# booked arithmetically (core's skip-ahead); the coordinator of a
-# 2-worker run executes every one of them, because its peers live in
-# other processes. Report and series CSV byte-identical is therefore
-# the binary-level proof that skipping equals executing.
+# booked arithmetically (core's skip-ahead). Two runs execute every one
+# of them instead: an in-process run with the smallest stall rate
+# (-chaos-stall 5e-324: the injector is consulted every iteration and
+# stalls one only on a 53-bit draw of exactly 0), and the coordinator
+# of a 2-worker run, because its peers live in other processes. Report
+# and series CSV byte-identical is therefore the binary-level proof
+# that skipping equals executing.
 set -eu
 
 GO=${GO:-go}
@@ -79,9 +82,14 @@ same "identical seeded runs diverged" a b
 sharded a dist
 
 imbalanced="-imbalance 16 -lps 4 -optimism 10 -gvt async"
+never_stalls="-chaos-stall 5e-324"
 run skip_base $imbalanced -system baseline
+run exec_base_inproc $imbalanced -system baseline $never_stalls
+same "in-process executing run (baseline) diverged from the skipping one" skip_base exec_base_inproc
 sharded skip_base exec_base $imbalanced -system baseline
 run skip_gg $imbalanced -system gg
+run exec_gg_inproc $imbalanced -system gg $never_stalls
+same "in-process executing run (gg) diverged from the skipping one" skip_gg exec_gg_inproc
 sharded skip_gg exec_gg $imbalanced -system gg
 
-echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
+echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to in-process runs and coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"

@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-// neverFiring is a chaos configuration whose thread-fault injector
-// exists and never fires: thread 0 is to die at an iteration no run
-// reaches. A configured injector is consulted on every iteration, so
-// the run executes every iteration; without one it books the idle ones
+// neverFiring is a chaos configuration whose stall injector exists and,
+// in practice, never fires: an iteration stalls only when its 53-bit
+// draw is exactly 0, probability 2⁻⁵³, and the draws are fixed by the
+// seed. A configured injector is consulted on every iteration, so the
+// run executes every iteration; without one it books the idle ones
 // arithmetically (core.Runner's skipIdle). Nothing but host time may
-// tell the two apart.
-func neverFiring() *ChaosOptions { return &ChaosOptions{KillAtIter: math.MaxUint64} }
+// tell the two apart. Were a stall ever to fire, the comparison would
+// fail loudly, not pass vacuously.
+func neverFiring() *ChaosOptions { return &ChaosOptions{StallRate: math.SmallestNonzeroFloat64} }
 
 // observedRun runs cfg with every observer on and returns its Results,
 // its Perfetto export and its loop-iteration counts.
