@@ -29,7 +29,6 @@ func TestCacheKeyNormalizesDefaults(t *testing.T) {
 	explicit := quickCfg()
 	explicit.Seed = 1
 	explicit.BatchSize = 8
-	explicit.LPsPerKP = 1
 	a, err := zero.CacheKey()
 	if err != nil {
 		t.Fatal(err)
@@ -65,26 +64,26 @@ func TestCacheKeyFieldSensitivity(t *testing.T) {
 		"gvtfreq":       func(c *Config) { c.GVTFrequency = 40 },
 		"zerothr":       func(c *Config) { c.ZeroCounterThreshold = 100 },
 		"batch":         func(c *Config) { c.BatchSize = 16 },
-		"lpsperkp":      func(c *Config) { c.LPsPerKP = 2 },
 		"queue":         func(c *Config) { c.Queue = HeapQueue },
-		"statesaving":   func(c *Config) { c.StateSaving = ReverseComputation },
 		"optimism":      func(c *Config) { c.OptimismWindow = 10 },
 	}
 	seen := map[string]string{}
 	for name, mutate := range perturbations {
-		cfg := quickCfg()
-		mutate(&cfg)
-		key, err := cfg.CacheKey()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if key == base {
-			t.Errorf("perturbing %s did not change the key", name)
-		}
-		if prev, dup := seen[key]; dup {
-			t.Errorf("perturbations %s and %s collide", name, prev)
-		}
-		seen[key] = name
+		t.Run(name, func(t *testing.T) {
+			cfg := quickCfg()
+			mutate(&cfg)
+			key, err := cfg.CacheKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key == base {
+				t.Error("perturbing the field did not change the key")
+			}
+			if prev, dup := seen[key]; dup {
+				t.Errorf("collides with perturbation %s", prev)
+			}
+			seen[key] = name
+		})
 	}
 }
 
@@ -170,14 +169,12 @@ func TestCacheKeyGolden(t *testing.T) {
 				GVTFrequency:         40,
 				ZeroCounterThreshold: 300,
 				BatchSize:            4,
-				LPsPerKP:             2,
 				Queue:                HeapQueue,
-				StateSaving:          ReverseComputation,
 				OptimismWindow:       5,
 				Checkpoint:           &CheckpointOptions{Every: 3},
 				Chaos:                &ChaosOptions{Seed: 9, StallRate: 0.02},
 			},
-			want: "sha256:ca29babf87ff5228f1610669835f1b9e3ecd5f256f72895b6122bbff85cd0d00",
+			want: "sha256:87895489191962ba264814283e50232e29616b2cf7eb21d6aacbaa2408aaf21a",
 		},
 	}
 	for _, tc := range cases {

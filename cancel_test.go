@@ -90,32 +90,44 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("stall rate just under 1 rejected: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Model = nil },
-		func(c *Config) { c.Threads = 0 },
-		func(c *Config) { c.EndTime = 0 },
-		func(c *Config) { c.System = System(99) },
-		func(c *Config) { c.GVT = GVT(99) },
-		func(c *Config) { c.Affinity = Affinity(99) },
-		func(c *Config) { c.Queue = Queue(99) },
-		func(c *Config) { c.StateSaving = StateSaving(99) },
-		func(c *Config) { c.System = Baseline; c.Affinity = DynamicAffinity },
-		func(c *Config) { c.GVTFrequency = -1 },
-		func(c *Config) { c.ZeroCounterThreshold = -1 },
-		func(c *Config) { c.BatchSize = -1 },
-		func(c *Config) { c.OptimismWindow = -1 },
-		func(c *Config) { c.Machine.Cores = -1 },
-		func(c *Config) { c.Model = PHOLD{LPsPerThread: 1, Imbalance: 3} },
+	bad := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"no-model", func(c *Config) { c.Model = nil }},
+		{"zero-threads", func(c *Config) { c.Threads = 0 }},
+		{"zero-end", func(c *Config) { c.EndTime = 0 }},
+		// NaN passes an EndTime <= 0 test, and neither NaN nor +Inf
+		// ever lets GVT reach the end: the run never finishes.
+		{"nan-end", func(c *Config) { c.EndTime = math.NaN() }},
+		{"inf-end", func(c *Config) { c.EndTime = math.Inf(1) }},
+		{"neg-inf-end", func(c *Config) { c.EndTime = math.Inf(-1) }},
+		{"unknown-system", func(c *Config) { c.System = System(99) }},
+		{"unknown-gvt", func(c *Config) { c.GVT = GVT(99) }},
+		{"unknown-affinity", func(c *Config) { c.Affinity = Affinity(99) }},
+		{"unknown-queue", func(c *Config) { c.Queue = Queue(99) }},
+		{"baseline-dynamic-affinity", func(c *Config) { c.System = Baseline; c.Affinity = DynamicAffinity }},
+		{"neg-gvt-frequency", func(c *Config) { c.GVTFrequency = -1 }},
+		{"neg-zero-counter", func(c *Config) { c.ZeroCounterThreshold = -1 }},
+		{"neg-batch", func(c *Config) { c.BatchSize = -1 }},
+		{"neg-window", func(c *Config) { c.OptimismWindow = -1 }},
+		{"nan-window", func(c *Config) { c.OptimismWindow = math.NaN() }},
+		{"inf-window", func(c *Config) { c.OptimismWindow = math.Inf(1) }},
+		{"neg-inf-window", func(c *Config) { c.OptimismWindow = math.Inf(-1) }},
+		{"neg-cores", func(c *Config) { c.Machine.Cores = -1 }},
+		{"bad-model", func(c *Config) { c.Model = PHOLD{LPsPerThread: 1, Imbalance: 3} }},
 		// A stall rate of 1 stalls every iteration forever.
-		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: 1} },
-		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: -0.1} },
-		func(c *Config) { c.Chaos = &ChaosOptions{StallRate: math.NaN()} },
+		{"stall-rate-one", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: 1} }},
+		{"neg-stall-rate", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: -0.1} }},
+		{"nan-stall-rate", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: math.NaN()} }},
 	}
-	for i, mutate := range bad {
-		cfg := quickCfg()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg()
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("invalid config accepted")
+			}
+		})
 	}
 }

@@ -77,23 +77,17 @@ func (c decodeCounter) build(threads int, endTime float64) (tw.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return countedModel{m.(bundledModel), c.n}, nil
-}
-
-// bundledModel is what the three bundled engine models implement.
-type bundledModel interface {
-	tw.CheckpointModel
-	tw.ReverseModel
+	return countedModel{m.(tw.CheckpointModel), c.n}, nil
 }
 
 type countedModel struct {
-	bundledModel
+	tw.CheckpointModel
 	n *int
 }
 
 func (m countedModel) DecodeState(data []byte) (tw.State, error) {
 	*m.n++
-	return m.bundledModel.DecodeState(data)
+	return m.CheckpointModel.DecodeState(data)
 }
 
 // measure runs the benchmark loop around one, which steps one run per

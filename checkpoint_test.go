@@ -69,9 +69,7 @@ func TestCheckpointResumeMatrix(t *testing.T) {
 		{"", func(*Config) {}},
 		{"/dd", func(c *Config) { c.System = DDPDES }},
 		{"/window", func(c *Config) { c.OptimismWindow = 5 }},
-		{"/kp4", func(c *Config) { c.LPsPerKP = 4 }},
 		{"/heap", func(c *Config) { c.Queue = HeapQueue }},
-		{"/reverse", func(c *Config) { c.StateSaving = ReverseComputation }},
 		{"/unpooled", func(c *Config) { c.DisablePooling = true }},
 		{"/observed", func(c *Config) {
 			c.Series = &SeriesOptions{}

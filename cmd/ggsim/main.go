@@ -48,7 +48,6 @@ func main() {
 		zeroThr    = flag.Int("zero-threshold", 400, "empty-queue iterations before deactivation")
 		queue      = flag.String("queue", "splay", "pending queue: splay | heap | calendar")
 		optimism   = flag.Float64("optimism", 0, "optimism window in virtual time (0 = unbounded)")
-		saving     = flag.String("statesaving", "copy", "rollback mechanism: copy | reverse")
 		traceFile  = flag.String("trace", "", "write a CSV trace of the run to this file")
 		seriesOut  = flag.String("series", "", "write the per-GVT-round time series CSV to this file (- = stdout)")
 		seriesLim  = flag.Int("series-limit", 0, "series ring size in GVT rounds (0 = default)")
@@ -124,9 +123,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		if cfg.Affinity, err = ggpdes.ParseAffinity(*affinity); err != nil {
-			fatalf("%v", err)
-		}
-		if cfg.StateSaving, err = ggpdes.ParseStateSaving(*saving); err != nil {
 			fatalf("%v", err)
 		}
 		if cfg.Queue, err = ggpdes.ParseQueue(*queue); err != nil {

@@ -3,6 +3,7 @@ package ggpdes
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 )
 
 // Config's JSON codec — the single wire format for configurations. The
@@ -30,17 +31,19 @@ type configJSON struct {
 	GVTFrequency         int                `json:"gvt_frequency,omitempty"`
 	ZeroCounterThreshold int                `json:"zero_counter_threshold,omitempty"`
 	BatchSize            int                `json:"batch_size,omitempty"`
-	LPsPerKP             int                `json:"lps_per_kp,omitempty"`
 	Queue                string             `json:"queue"`
-	StateSaving          string             `json:"state_saving"`
 	OptimismWindow       float64            `json:"optimism_window,omitempty"`
 	DisablePooling       bool               `json:"disable_pooling,omitempty"`
 	Checkpoint           *CheckpointOptions `json:"checkpoint,omitempty"`
 	Chaos                *chaosJSON         `json:"chaos,omitempty"`
 	// Retired options, read only to be refused. Encoding never sets
-	// them, so a config's wire form is what it was while they existed.
-	RetiredLazy     bool `json:"lazy_cancellation,omitempty"`
-	RetiredAdaptive any  `json:"adaptive_gvt,omitempty"`
+	// them; a config written while they existed carries the retired
+	// options' defaults (lps_per_kp 0 or 1, state_saving "copy"), which
+	// decode as they always did.
+	RetiredLazy        bool   `json:"lazy_cancellation,omitempty"`
+	RetiredAdaptive    any    `json:"adaptive_gvt,omitempty"`
+	RetiredLPsPerKP    int    `json:"lps_per_kp,omitempty"`
+	RetiredStateSaving string `json:"state_saving,omitempty"`
 }
 
 // chaosJSON is ChaosOptions on the wire, with the retired send and
@@ -179,9 +182,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		GVTFrequency:         c.GVTFrequency,
 		ZeroCounterThreshold: c.ZeroCounterThreshold,
 		BatchSize:            c.BatchSize,
-		LPsPerKP:             c.LPsPerKP,
 		Queue:                c.Queue.String(),
-		StateSaving:          c.StateSaving.String(),
 		OptimismWindow:       c.OptimismWindow,
 		DisablePooling:       c.DisablePooling,
 	}
@@ -210,8 +211,9 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // untouched.
 //
 // A config that turns on a retired option — lazy cancellation, adaptive
-// GVT frequency, dropped or delayed sends, a killed thread (DESIGN.md
-// §5) — fails with ErrInvalidConfig naming it:
+// GVT frequency, dropped or delayed sends, a killed thread, multi-LP
+// kernel processes, reverse computation (DESIGN.md §5) — fails with
+// ErrInvalidConfig naming it:
 // ignored like any unknown key, it would run, and be cached as, a
 // different simulation than the one asked for.
 func (c *Config) UnmarshalJSON(data []byte) error {
@@ -224,6 +226,12 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	if w.RetiredAdaptive != nil {
 		return fmt.Errorf("%w: adaptive_gvt is retired (every GVT round interval is gvt_frequency)", ErrInvalidConfig)
+	}
+	if k := w.RetiredLPsPerKP; k != 0 && k != 1 {
+		return fmt.Errorf("%w: lps_per_kp is retired (every LP keeps its own rollback history)", ErrInvalidConfig)
+	}
+	if s := w.RetiredStateSaving; s != "" && !strings.EqualFold(s, "copy") {
+		return fmt.Errorf("%w: state_saving is retired (every rollback restores a state copy)", ErrInvalidConfig)
 	}
 	if w.Chaos != nil {
 		if key := w.Chaos.retired(); key != "" {
@@ -242,7 +250,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		GVTFrequency:         w.GVTFrequency,
 		ZeroCounterThreshold: w.ZeroCounterThreshold,
 		BatchSize:            w.BatchSize,
-		LPsPerKP:             w.LPsPerKP,
 		OptimismWindow:       w.OptimismWindow,
 		DisablePooling:       w.DisablePooling,
 		Trace:                c.Trace,
@@ -267,11 +274,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	if w.Queue != "" {
 		if out.Queue, err = ParseQueue(w.Queue); err != nil {
-			return err
-		}
-	}
-	if w.StateSaving != "" {
-		if out.StateSaving, err = ParseStateSaving(w.StateSaving); err != nil {
 			return err
 		}
 	}

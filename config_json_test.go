@@ -28,9 +28,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			GVTFrequency:         33,
 			ZeroCounterThreshold: 77,
 			BatchSize:            4,
-			LPsPerKP:             2,
 			Queue:                CalendarQueue,
-			StateSaving:          ReverseComputation,
 			OptimismWindow:       5,
 			DisablePooling:       true,
 			Checkpoint:           &CheckpointOptions{Every: 3, Dir: "/tmp/ck"},
@@ -87,10 +85,12 @@ func TestConfigJSONRejectsBadEnums(t *testing.T) {
 		`{"state_saving":"none"}`,
 	}
 	for _, js := range cases {
-		var cfg Config
-		if err := json.Unmarshal([]byte(js), &cfg); err == nil {
-			t.Errorf("accepted %s", js)
-		}
+		t.Run(js, func(t *testing.T) {
+			var cfg Config
+			if err := json.Unmarshal([]byte(js), &cfg); err == nil {
+				t.Errorf("accepted %s", js)
+			}
+		})
 	}
 }
 
@@ -108,6 +108,8 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 		{"delay_send_hold", spec + `"chaos":{"stall_rate":0.1,"delay_send_hold":16}}`},
 		{"kill_thread", spec + `"chaos":{"kill_thread":1}}`},
 		{"kill_at_iter", spec + `"chaos":{"kill_at_iter":100}}`},
+		{"lps_per_kp", spec + `"lps_per_kp":2}`},
+		{"state_saving", spec + `"state_saving":"reverse"}`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var cfg Config
@@ -119,7 +121,7 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	}
 	t.Run("off", func(t *testing.T) {
 		var cfg Config
-		off := `"lazy_cancellation":false,"adaptive_gvt":null,` +
+		off := `"lazy_cancellation":false,"adaptive_gvt":null,"lps_per_kp":1,"state_saving":"copy",` +
 			`"chaos":{"stall_rate":0.1,"drop_send_rate":0,"delay_send_rate":0,"delay_send_hold":0,"kill_thread":0,"kill_at_iter":0}}`
 		if err := json.Unmarshal([]byte(spec+off), &cfg); err != nil {
 			t.Errorf("retired options turned off: %v", err)
@@ -130,15 +132,58 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	})
 }
 
+// A config written while multi-LP kernel processes and reverse
+// computation existed carries "state_saving":"copy" (and, set to one,
+// "lps_per_kp"). It decodes to the config it named, under the key it
+// was cached and checkpointed with, and is written back without the
+// retired key; a parent reads the missing key as copy.
+func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
+	const parent = `{"model":{"name":"traffic","lps_per_thread":8,"density_gradient":0.5},"threads":8,` +
+		`"system":"gg-pdes","gvt":"waitfree","affinity":"dynamic","end_time":12,"seed":7,` +
+		`"machine":{"cores":4,"smt_width":2,"freq_hz":1300000000,"numa_nodes":2},"gvt_frequency":40,` +
+		`"zero_counter_threshold":300,"batch_size":4,"queue":"heap","state_saving":"copy",` +
+		`"optimism_window":5,"checkpoint":{"every":3},"chaos":{"seed":9,"stall_rate":0.02}}`
+	want := Config{
+		Model:   Traffic{LPsPerThread: 8, DensityGradient: 0.5},
+		Threads: 8, System: GGPDES, GVT: WaitFree, Affinity: DynamicAffinity,
+		EndTime: 12, Seed: 7,
+		Machine:      Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9, NUMANodes: 2},
+		GVTFrequency: 40, ZeroCounterThreshold: 300, BatchSize: 4,
+		Queue: HeapQueue, OptimismWindow: 5,
+		Checkpoint: &CheckpointOptions{Every: 3},
+		Chaos:      &ChaosOptions{Seed: 9, StallRate: 0.02},
+	}
+	for _, js := range []string{parent, strings.Replace(parent, `"state_saving"`, `"lps_per_kp":1,"state_saving"`, 1)} {
+		var cfg Config
+		if err := json.Unmarshal([]byte(js), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Fatalf("decoded %+v, want %+v", cfg, want)
+		}
+		// The key the parent computed for this config.
+		if key, err := cfg.CacheKey(); err != nil || key != "sha256:87895489191962ba264814283e50232e29616b2cf7eb21d6aacbaa2408aaf21a" {
+			t.Fatalf("key %s (%v), not the one the config was written under", key, err)
+		}
+	}
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(data); got != strings.Replace(parent, `"state_saving":"copy",`, "", 1) {
+		t.Fatalf("encoded %s", got)
+	}
+}
+
 // Every accepted enum spelling decodes, not just the canonical one.
 func TestConfigJSONEnumSpellings(t *testing.T) {
-	js := `{"system":"dd","gvt":"sync","affinity":"constant","queue":"heap","state_saving":"reverse"}`
+	js := `{"system":"dd","gvt":"sync","affinity":"constant","queue":"heap"}`
 	var cfg Config
 	if err := json.Unmarshal([]byte(js), &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.System != DDPDES || cfg.GVT != Barrier || cfg.Affinity != ConstantAffinity ||
-		cfg.Queue != HeapQueue || cfg.StateSaving != ReverseComputation {
+		cfg.Queue != HeapQueue {
 		t.Fatalf("alternate spellings decoded wrong: %+v", cfg)
 	}
 }
@@ -161,6 +206,9 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add(`{"machine":{"cores":1},"adaptive_gvt":{"min_frequency":1,"max_frequency":2}}`)
 	f.Add(`{"chaos":{"seed":3,"stall_rate":0.25,"kill_at_iter":0}}`)
 	f.Add(`{"chaos":{"drop_send_rate":0.5}}`)
+	f.Add(`{"lps_per_kp":1,"state_saving":"copy"}`)
+	f.Add(`{"lps_per_kp":4}`)
+	f.Add(`{"state_saving":"reverse"}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		var cfg Config
 		if err := json.Unmarshal([]byte(in), &cfg); err != nil {

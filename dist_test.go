@@ -81,9 +81,8 @@ func scrubDist(res *Results) {
 // are what the quiet set has to survive: an optimism window (a peer is
 // quiet because its head lies beyond the horizon, until GVT advances),
 // rollback-heavy Traffic behind a window (rollbacks leave cancelled
-// heads behind) and with kernel processes under reverse computation
-// (a rollback undoes a whole group), a third model, and a shard of more
-// than 64 peers (the set is not one machine word).
+// heads behind), a third model, and a shard of more than 64 peers (the
+// set is not one machine word).
 func TestDistributedGoldenMatrix(t *testing.T) {
 	phold := PHOLD{LPsPerThread: 4, Imbalance: 2}
 	traffic := Traffic{LPsPerThread: 4, CenterStartEvents: 6}
@@ -107,8 +106,6 @@ func TestDistributedGoldenMatrix(t *testing.T) {
 			mutate: func(c *Config) { c.OptimismWindow = 2 }},
 		{model: traffic, system: Baseline, gvt: WaitFree, workers: []int{2}, variant: "window",
 			mutate: func(c *Config) { c.OptimismWindow = 1 }},
-		{model: traffic, system: GGPDES, gvt: WaitFree, workers: []int{2}, variant: "kp2-reverse",
-			mutate: func(c *Config) { c.LPsPerKP, c.StateSaving = 2, ReverseComputation }},
 		{model: Epidemics{LPsPerThread: 8}, system: GGPDES, gvt: WaitFree, workers: []int{2}},
 		{model: PHOLD{LPsPerThread: 1, Imbalance: 2}, system: Baseline, gvt: WaitFree, workers: []int{1}, variant: "72-threads",
 			mutate: func(c *Config) { c.Threads, c.EndTime = 72, 10 }},

@@ -30,16 +30,6 @@ func benchTrafficCfg() Config {
 	}
 }
 
-// kpReverseTrafficCfg is a small Traffic run with two-LP kernel
-// processes under reverse computation, engine paths neither benchmark
-// config takes.
-func kpReverseTrafficCfg() Config {
-	return Config{
-		Model: Traffic{LPsPerThread: 4, CenterStartEvents: 6}, Threads: 4, System: DDPDES, GVT: Barrier,
-		EndTime: 12, GVTFrequency: 20, ZeroCounterThreshold: 100, LPsPerKP: 2, StateSaving: ReverseComputation,
-	}
-}
-
 // diffResults reports every Results field on which a and b differ.
 func diffResults(t *testing.T, aName, bName string, a, b *Results) {
 	t.Helper()
@@ -60,8 +50,8 @@ func diffResults(t *testing.T, aName, bName string, a, b *Results) {
 // heap and a calendar queue that are each correct return the same
 // Results — every count, cycle, histogram percentile and pool counter —
 // on the benchmark's engine-bound, rollback-bound and checkpointed
-// shapes and with kernel processes under reverse computation. Three
-// independent structures vouch for each other's ordering rule.
+// shapes. Three independent structures vouch for each other's ordering
+// rule.
 func TestQueueKindsIdenticalResults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -70,7 +60,6 @@ func TestQueueKindsIdenticalResults(t *testing.T) {
 		{"phold-sync", benchPholdSyncCfg()},
 		{"traffic-oversub-rollback", benchTrafficCfg()},
 		{"epidemics-ckpt-resume", ckptBenchCfg(t.TempDir())},
-		{"traffic-kp-reverse", kpReverseTrafficCfg()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -139,7 +128,7 @@ func TestPoolCountersUnchanged(t *testing.T) {
 // it — so what a pool miss costs is what a run costs: with one heap
 // object per missed event, snapshot, first send and queue node these
 // read 2.96 and 0.22; with misses carved from chunks 0.17 and 0.05;
-// with each KP's history linked through its events and the snapshots
+// with each LP's history linked through its events and the snapshots
 // in one store per peer, so that no history or freelist grows a slice
 // per LP, 0.140 and 0.021. The ceilings are about 1.25 times that.
 func TestRunAllocsPerCommittedEvent(t *testing.T) {

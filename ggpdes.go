@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -84,21 +85,6 @@ const (
 
 // String returns the affinity algorithm's name.
 func (a Affinity) String() string { return core.Affinity(a).String() }
-
-// StateSaving selects the rollback mechanism.
-type StateSaving int
-
-const (
-	// CopyState snapshots LP state before every event (works for any
-	// model).
-	CopyState StateSaving = iota
-	// ReverseComputation undoes handlers instead (ROSS-style); all
-	// bundled models support it.
-	ReverseComputation
-)
-
-// String returns the policy name.
-func (s StateSaving) String() string { return tw.SavePolicy(s).String() }
 
 // Queue selects the pending-event data structure.
 type Queue int
@@ -212,15 +198,8 @@ type Config struct {
 	ZeroCounterThreshold int
 	// BatchSize is events per main-loop cycle (0 = 8, as in ROSS).
 	BatchSize int
-	// LPsPerKP groups each thread's LPs into ROSS-style kernel
-	// processes sharing rollback state (0/1 = one per LP). Larger KPs
-	// shrink bookkeeping but roll back whole groups.
-	LPsPerKP int
 	// Queue selects the pending-event structure (default splay tree).
 	Queue Queue
-	// StateSaving selects copy state-saving (default) or ROSS-style
-	// reverse computation.
-	StateSaving StateSaving
 	// Trace enables run instrumentation when non-nil.
 	Trace *TraceOptions
 	// Progress enables live progress reporting when non-nil.
@@ -550,8 +529,8 @@ func (c Config) Validate() error {
 	if c.Threads <= 0 {
 		return fail("Config.Threads must be positive")
 	}
-	if c.EndTime <= 0 {
-		return fail("Config.EndTime must be positive")
+	if !(c.EndTime > 0 && !math.IsInf(c.EndTime, 1)) {
+		return fail("Config.EndTime must be positive and finite")
 	}
 	if c.System < Baseline || c.System > GGPDES {
 		return fail("unknown System %d", int(c.System))
@@ -565,9 +544,6 @@ func (c Config) Validate() error {
 	if c.Queue < SplayQueue || c.Queue > CalendarQueue {
 		return fail("unknown Queue %d", int(c.Queue))
 	}
-	if c.StateSaving < CopyState || c.StateSaving > ReverseComputation {
-		return fail("unknown StateSaving %d", int(c.StateSaving))
-	}
 	if c.Affinity == DynamicAffinity && c.System != GGPDES {
 		return fail("DynamicAffinity requires the GGPDES system")
 	}
@@ -580,11 +556,8 @@ func (c Config) Validate() error {
 	if c.BatchSize < 0 {
 		return fail("BatchSize must be non-negative")
 	}
-	if c.LPsPerKP < 0 {
-		return fail("LPsPerKP must be non-negative")
-	}
-	if c.OptimismWindow < 0 {
-		return fail("OptimismWindow must be non-negative")
+	if !(c.OptimismWindow >= 0 && !math.IsInf(c.OptimismWindow, 1)) {
+		return fail("OptimismWindow must be non-negative and finite")
 	}
 	if ck := c.Checkpoint; ck != nil {
 		if ck.Every < 1 {
@@ -601,11 +574,6 @@ func (c Config) Validate() error {
 	model, err := c.Model.build(c.Threads, c.EndTime)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	if c.StateSaving == ReverseComputation {
-		if _, ok := model.(tw.ReverseModel); !ok {
-			return fail("ReverseComputation requires a reversible model")
-		}
 	}
 	if c.Checkpoint != nil {
 		if _, ok := model.(tw.CheckpointModel); !ok {

@@ -299,25 +299,6 @@ func TestTraceRecordsRun(t *testing.T) {
 	}
 }
 
-func TestReverseComputationThroughAPI(t *testing.T) {
-	cfg := quickCfg()
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StateSaving = ReverseComputation
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CommittedEvents != b.CommittedEvents {
-		t.Fatalf("reverse committed %d != copy %d", b.CommittedEvents, a.CommittedEvents)
-	}
-	if CopyState.String() != "copy" || ReverseComputation.String() != "reverse" {
-		t.Fatal("state saving strings wrong")
-	}
-}
-
 func TestNUMAMachineThroughAPI(t *testing.T) {
 	cfg := Config{
 		Model:                PHOLD{LPsPerThread: 4, Imbalance: 4, NonLinear: true},

@@ -220,12 +220,9 @@ func (m *Epidemics) InitLP(ic *tw.InitCtx, lp *tw.LP) {
 	}
 }
 
-// OnEvent implements tw.Model. Each branch stashes an undo word (agent
-// index + 1 when a compartment transition happened, 0 otherwise) for
-// reverse computation.
+// OnEvent implements tw.Model.
 func (m *Epidemics) OnEvent(ctx *tw.EventCtx) {
 	st := ctx.LP().State().(*HouseholdState)
-	ctx.SetUndo(0)
 	switch ctx.Event().Kind {
 	case EvSeed:
 		// Exogenous importation: expose one susceptible agent directly
@@ -234,7 +231,6 @@ func (m *Epidemics) OnEvent(ctx *tw.EventCtx) {
 			if a == Susceptible {
 				st.Agents[i] = Infectious
 				st.Infections++
-				ctx.SetUndo(int64(i) + 1)
 				m.scheduleInfectiousCourse(ctx, i)
 				break
 			}
@@ -251,7 +247,6 @@ func (m *Epidemics) OnEvent(ctx *tw.EventCtx) {
 			if a == Susceptible {
 				st.Agents[i] = Exposed
 				st.Exposures++
-				ctx.SetUndo(int64(i) + 1)
 				delay := ctx.Rand().Exponential(m.cfg.IncubationMean) + 0.05
 				ctx.Send(ctx.LP().ID, ctx.Now()+delay, EvBecomeInfectious, int64(i), 0)
 				break
@@ -264,14 +259,12 @@ func (m *Epidemics) OnEvent(ctx *tw.EventCtx) {
 		}
 		st.Agents[i] = Infectious
 		st.Infections++
-		ctx.SetUndo(int64(i) + 1)
 		m.scheduleInfectiousCourse(ctx, i)
 	case EvRecover:
 		i := int(ctx.Event().A)
 		if st.Agents[i] == Infectious {
 			st.Agents[i] = Recovered
 			st.Recoveries++
-			ctx.SetUndo(int64(i) + 1)
 		}
 	}
 }

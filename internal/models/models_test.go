@@ -465,136 +465,6 @@ func TestTrafficCenterBusierThanPeriphery(t *testing.T) {
 	}
 }
 
-// ---------- Reverse computation ----------
-
-// Every bundled model must commit the identical trajectory under copy
-// state-saving and reverse computation, including through rollbacks.
-func TestReverseComputationMatchesCopyAllModels(t *testing.T) {
-	type build func() tw.Model
-	cases := []struct {
-		name  string
-		build build
-		final func(eng *tw.Engine) []int64
-	}{
-		{
-			"phold",
-			func() tw.Model {
-				m, _ := NewPHOLD(PHOLDConfig{Threads: 4, LPsPerThread: 4, EndTime: 25, Imbalance: 2})
-				return m
-			},
-			func(eng *tw.Engine) []int64 {
-				var out []int64
-				for _, lp := range eng.LPs() {
-					out = append(out, lp.State().(*PHOLDState).Processed)
-				}
-				return out
-			},
-		},
-		{
-			"epidemics",
-			func() tw.Model {
-				m, _ := NewEpidemics(EpidemicsConfig{
-					Threads: 4, LPsPerThread: 8, EndTime: 25, LockdownGroups: 4,
-					ContactRate: 3, TransmissionProb: 0.5, SeedsPerWindow: 3,
-				})
-				return m
-			},
-			func(eng *tw.Engine) []int64 {
-				var out []int64
-				for _, lp := range eng.LPs() {
-					st := lp.State().(*HouseholdState)
-					out = append(out, st.Exposures, st.Infections, st.Recoveries, st.ContactsSeen)
-					for _, a := range st.Agents {
-						out = append(out, int64(a))
-					}
-				}
-				return out
-			},
-		},
-		{
-			"traffic",
-			func() tw.Model {
-				m, _ := NewTraffic(TrafficConfig{Threads: 4, LPsPerThread: 4, CenterStartEvents: 8})
-				return m
-			},
-			func(eng *tw.Engine) []int64 {
-				var out []int64
-				for _, lp := range eng.LPs() {
-					st := lp.State().(*IntersectionState)
-					out = append(out, st.Arrivals, st.Departures, st.Queued)
-				}
-				return out
-			},
-		},
-	}
-	// A skewed drive order to force cross-thread rollbacks.
-	order := []int{0, 0, 0, 0, 1, 2, 3}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(policy tw.SavePolicy) ([]int64, uint64, uint64) {
-				eng, err := tw.NewEngine(tw.Config{
-					NumThreads: 4, Model: tc.build(), EndTime: 25, Seed: 31,
-					StateSaving: policy,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				driveOrder(t, eng, order)
-				if err := eng.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				s := eng.TotalStats()
-				return tc.final(eng), s.Committed, s.RolledBack
-			}
-			wantState, wantCommitted, _ := run(tw.SaveCopy)
-			gotState, gotCommitted, rolled := run(tw.SaveReverse)
-			if gotCommitted != wantCommitted {
-				t.Fatalf("committed %d != %d", gotCommitted, wantCommitted)
-			}
-			for i := range wantState {
-				if gotState[i] != wantState[i] {
-					t.Fatalf("state[%d] = %d, want %d (rolled back %d)", i, gotState[i], wantState[i], rolled)
-				}
-			}
-		})
-	}
-}
-
-// driveOrder drives peers in a repeating order until quiescent.
-func driveOrder(t *testing.T, eng *tw.Engine, order []int) {
-	t.Helper()
-	cpu := &accCPU{}
-	for pass := 0; pass < 5_000_000; pass++ {
-		busy := false
-		for _, id := range order {
-			p := eng.Peer(id)
-			if p.Drain(cpu) > 0 || p.ProcessBatch(cpu) > 0 {
-				busy = true
-			}
-		}
-		if busy {
-			continue
-		}
-		min := math.Inf(1)
-		for _, p := range eng.Peers() {
-			if m := p.LocalMin(cpu); m < min {
-				min = m
-			}
-			if s := p.TakeMinSent(); s < min {
-				min = s
-			}
-		}
-		eng.SetGVT(math.Min(min, eng.EndTime()))
-		for _, p := range eng.Peers() {
-			p.FossilCollect(cpu, eng.GVT())
-		}
-		if eng.Done() {
-			return
-		}
-	}
-	t.Fatal("model did not quiesce")
-}
-
 // tw.StateCopier promises that a zero value is a valid CopyFrom
 // receiver: the engine carves snapshot memory from chunks of the
 // state's element type, and what it carves is a zero value no

@@ -149,6 +149,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"lazy_cancellation", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"lazy_cancellation":true}}`},
 		{"adaptive_gvt", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}}`},
 		{"chaos.drop_send_rate", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"drop_send_rate":0.01}}}`},
+		{"state_saving", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"state_saving":"reverse"}}`},
 		// A stall rate of 1 would stall every iteration until the deadline.
 		{"chaos.stall_rate 1", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"stall_rate":1}}}`},
 	} {

@@ -83,9 +83,7 @@ func TestCaptureContinuation(t *testing.T) {
 	builders := continuationModels
 	variants := map[string]func(*tw.Config){
 		"copy":     func(*tw.Config) {},
-		"reverse":  func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
 		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
-		"kp4":      func(c *tw.Config) { c.LPsPerKP = 4 },
 		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
 		"unpooled": func(c *tw.Config) { c.DisablePooling = true },
 	}
@@ -163,21 +161,15 @@ func TestCaptureContinuation(t *testing.T) {
 	}
 }
 
-// bundledModel is what every model in continuationModels implements.
-type bundledModel interface {
-	tw.CheckpointModel
-	tw.ReverseModel
-}
-
 // countingModel counts DecodeState calls on the way to the model.
 type countingModel struct {
-	bundledModel
+	tw.CheckpointModel
 	decodes *int
 }
 
 func (m countingModel) DecodeState(data []byte) (tw.State, error) {
 	*m.decodes++
-	return m.bundledModel.DecodeState(data)
+	return m.CheckpointModel.DecodeState(data)
 }
 
 // The LP states of a captured engine ride its spare set to the engine
@@ -189,9 +181,7 @@ func (m countingModel) DecodeState(data []byte) (tw.State, error) {
 func TestStatesRideTheSpareSet(t *testing.T) {
 	variants := map[string]func(*tw.Config){
 		"copy":     func(*tw.Config) {},
-		"reverse":  func(c *tw.Config) { c.StateSaving = tw.SaveReverse },
 		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
-		"kp4":      func(c *tw.Config) { c.LPsPerKP = 4 },
 		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
 	}
 	type outcome struct {
@@ -214,7 +204,7 @@ func TestStatesRideTheSpareSet(t *testing.T) {
 						}
 						reg := telemetry.NewRegistry()
 						cfg := tw.Config{NumThreads: contThreads, EndTime: contEnd, Seed: 7, Telemetry: reg}
-						cfg.Model = countingModel{model.(bundledModel), &out.decodes}
+						cfg.Model = countingModel{model.(tw.CheckpointModel), &out.decodes}
 						vary(&cfg)
 						return cfg, reg
 					}

@@ -47,8 +47,8 @@ type CheckpointModel interface {
 }
 
 // EventRecord is one pending event at the committed cut, reduced to the
-// fields that define it. Rollback bookkeeping (snapshots, sent lists,
-// undo words) is empty for a pending event by construction.
+// fields that define it. Rollback bookkeeping (snapshots, sent lists)
+// is empty for a pending event by construction.
 type EventRecord struct {
 	Ts   VT     `json:"ts"`
 	Seq  uint64 `json:"seq"`
@@ -217,9 +217,9 @@ func (e *Engine) quiesce() {
 				p.Drain(cpu)
 				progress = true
 			}
-			for _, kp := range p.kps {
-				if kp.head != nil {
-					p.rollback(kp, kp.head)
+			for _, lp := range p.lps {
+				if lp.head != nil {
+					p.rollback(lp, lp.head)
 					progress = true
 				}
 			}

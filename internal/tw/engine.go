@@ -46,11 +46,8 @@ type CostModel struct {
 	// DrainPerEventCycles is charged per drained entry.
 	DrainPerEventCycles uint64
 	// RollbackPerEventCycles is charged per rolled-back event (state
-	// restore under SaveCopy, reverse handler under SaveReverse).
+	// restore).
 	RollbackPerEventCycles uint64
-	// RngSaveCycles replaces StateSaveCycles per event under
-	// SaveReverse: only the RNG position and LVT are snapshotted.
-	RngSaveCycles uint64
 	// LocalMinCycles is charged per GVT local-minimum scan.
 	LocalMinCycles uint64
 	// FossilBaseCycles and FossilPerEventCycles price fossil collection.
@@ -67,7 +64,6 @@ func DefaultCosts() CostModel {
 		DrainBaseCycles:        120,
 		DrainPerEventCycles:    100,
 		RollbackPerEventCycles: 600,
-		RngSaveCycles:          60,
 		LocalMinCycles:         150,
 		FossilBaseCycles:       100,
 		FossilPerEventCycles:   25,
@@ -88,17 +84,10 @@ type Config struct {
 	// BatchSize is the number of events processed per main-loop cycle
 	// (ROSS uses 8; 0 selects 8).
 	BatchSize int
-	// LPsPerKP groups each thread's LPs into kernel processes sharing
-	// rollback state (ROSS's KPs). 0 or 1 keeps one KP per LP; larger
-	// values trade rollback granularity for bookkeeping.
-	LPsPerKP int
 	// QueueKind selects the pending-set structure (default splay tree).
 	QueueKind pq.Kind
 	// Costs is the CPU cost model; zero value selects DefaultCosts.
 	Costs CostModel
-	// StateSaving selects copy state-saving (default) or reverse
-	// computation; SaveReverse requires Model to be a ReverseModel.
-	StateSaving SavePolicy
 	// Trace, when non-nil, records GVT publications, rollbacks, commits
 	// and anti-messages.
 	Trace *trace.Recorder
@@ -139,19 +128,8 @@ func (c *Config) fillDefaults() error {
 	if c.BatchSize < 0 {
 		return errors.New("tw: BatchSize must be positive")
 	}
-	if c.LPsPerKP < 0 {
-		return errors.New("tw: LPsPerKP must be non-negative")
-	}
-	if c.LPsPerKP == 0 {
-		c.LPsPerKP = 1
-	}
 	if c.Costs == (CostModel{}) {
 		c.Costs = DefaultCosts()
-	}
-	if c.StateSaving == SaveReverse {
-		if _, ok := c.Model.(ReverseModel); !ok {
-			return errors.New("tw: SaveReverse requires a ReverseModel")
-		}
 	}
 	return nil
 }
@@ -223,7 +201,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return eng, nil
 }
 
-// newEngineShell builds the LP/KP/peer topology for cfg (defaults
+// newEngineShell builds the LP/peer topology for cfg (defaults
 // already filled) without running model initialization; NewEngine runs
 // InitLP on top, NewEngineFromState restores captured state instead.
 func newEngineShell(cfg Config) (*Engine, error) {
@@ -238,33 +216,23 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	nLPs := perThread * cfg.NumThreads
 	eng.shardLo, eng.shardHi = 0, cfg.NumThreads
 	eng.peers = make([]*Peer, cfg.NumThreads)
-	// LPs and KPs come out of one slab each: a checkpointed run builds
-	// an engine per segment, and a heap object per LP was most of what
+	// The LPs come out of one slab: a checkpointed run builds an
+	// engine per segment, and a heap object per LP was most of what
 	// that cost.
-	kpsPerThread := (perThread + cfg.LPsPerKP - 1) / cfg.LPsPerKP
 	lps := make([]LP, nLPs)
-	kps := make([]KP, kpsPerThread*cfg.NumThreads)
 	eng.lps = make([]*LP, nLPs)
 	for i := range eng.peers {
 		p := newPeer(i, eng)
 		p.lps = eng.lps[i*perThread : (i+1)*perThread : (i+1)*perThread]
-		p.kps = make([]*KP, kpsPerThread)
-		for k := range p.kps {
-			kp := &kps[i*kpsPerThread+k]
-			kp.ID, kp.Owner = k, i
-			p.kps[k] = kp
-		}
 		eng.peers[i] = p
 	}
 	for id := range lps {
 		// Block mapping: thread i serves LPs [i*perThread, (i+1)*perThread),
 		// so "the first half of threads" also means the first half of LPs,
-		// matching the paper's imbalanced models. KP assignment:
-		// consecutive runs of LPsPerKP LPs per thread.
+		// matching the paper's imbalanced models.
 		lp := &lps[id]
 		lp.ID, lp.Owner = id, id/perThread
 		lp.rand.Seed(cfg.Seed, uint64(id)+1)
-		lp.kp = eng.peers[lp.Owner].kps[id%perThread/cfg.LPsPerKP]
 		eng.lps[id] = lp
 	}
 	return eng, nil
@@ -399,9 +367,9 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 		// A send below the destination LP's local virtual time is a
 		// straggler handled immediately.
 		lp := e.lps[dst]
-		if lp.kp.straggles(ev) {
+		if lp.straggles(ev) {
 			from.Stats.Stragglers++
-			from.rollback(lp.kp, ev)
+			from.rollback(lp, ev)
 		}
 		ev.state = StatePending
 		from.pending.Push(ev)
@@ -442,11 +410,13 @@ func (e *Engine) TotalStats() PeerStats {
 // CheckInvariants validates cross-cutting engine invariants; tests call
 // it after (and during) runs. It returns the first violation found.
 func (e *Engine) CheckInvariants() error {
+	histories := 0
 	for _, p := range e.peers {
-		for _, kp := range p.kps {
-			if err := e.checkHistory(kp); err != nil {
-				return fmt.Errorf("kp %d/%d %w", kp.Owner, kp.ID, err)
+		for _, lp := range p.lps {
+			if err := e.checkHistory(lp); err != nil {
+				return fmt.Errorf("lp %d %w", lp.ID, err)
 			}
+			histories += lp.n
 		}
 		// Pool sweep: the freelist must hold only recycled, unlinked
 		// events, and no live container may hold one (use-after-recycle
@@ -470,6 +440,13 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
+	// Every processed event sits in exactly one history. The count a
+	// shard or coordinator engine keeps also covers peers hosted in
+	// other processes, whose histories it does not hold.
+	local := e.remote == nil && !e.sharded()
+	if histories > e.uncommitted || local && histories != e.uncommitted {
+		return fmt.Errorf("histories hold %d events, uncommitted count %d", histories, e.uncommitted)
+	}
 	if !math.IsInf(e.gvt, 0) {
 		for _, p := range e.peers {
 			if ev := p.peekLive(); ev != nil && ev.Ts < e.gvt {
@@ -480,17 +457,17 @@ func (e *Engine) CheckInvariants() error {
 	return nil
 }
 
-// checkHistory validates a KP's history in both directions: walked
-// from head along next it holds kp.n events and ends at last, and every
+// checkHistory validates an LP's history in both directions: walked
+// from head along next it holds lp.n events and ends at last, and every
 // event's prev is the one the walk came from, so walking back from last
-// visits the same events; they are the KP's own, processed, in
+// visits the same events; they are the LP's own, processed, in
 // ascending order; and the inline key is last's.
-func (e *Engine) checkHistory(kp *KP) error {
+func (e *Engine) checkHistory(lp *LP) error {
 	n := 0
 	var prev *Event
-	for ev := kp.head; ev != nil; prev, ev = ev, ev.next {
-		if n++; n > kp.n {
-			return fmt.Errorf("history is longer than its count %d", kp.n)
+	for ev := lp.head; ev != nil; prev, ev = ev, ev.next {
+		if n++; n > lp.n {
+			return fmt.Errorf("history is longer than its count %d", lp.n)
 		}
 		if ev.prev != prev {
 			return fmt.Errorf("history links disagree at %v", ev)
@@ -501,7 +478,7 @@ func (e *Engine) checkHistory(kp *KP) error {
 		if ev.state != StateProcessed {
 			return fmt.Errorf("history holds %v (state %s)", ev, ev.state)
 		}
-		if e.lps[ev.Dst].kp != kp {
+		if ev.Dst != lp.ID {
 			return fmt.Errorf("history holds foreign event %v", ev)
 		}
 		// Sent entries of events that can still roll back (at or above
@@ -516,11 +493,11 @@ func (e *Engine) checkHistory(kp *KP) error {
 			}
 		}
 	}
-	if n != kp.n || prev != kp.last {
-		return fmt.Errorf("history of %d events ends at %v, count %d and last %v", n, prev, kp.n, kp.last)
+	if n != lp.n || prev != lp.last {
+		return fmt.Errorf("history of %d events ends at %v, count %d and last %v", n, prev, lp.n, lp.last)
 	}
-	if l := kp.last; l != nil && (kp.lastTs != l.Ts || kp.lastSeq != l.Seq) {
-		return fmt.Errorf("inline key (%v, %d) is not last's %v", kp.lastTs, kp.lastSeq, l)
+	if l := lp.last; l != nil && (lp.lastTs != l.Ts || lp.lastSeq != l.Seq) {
+		return fmt.Errorf("inline key (%v, %d) is not last's %v", lp.lastTs, lp.lastSeq, l)
 	}
 	return nil
 }

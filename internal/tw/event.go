@@ -88,11 +88,9 @@ type Event struct {
 	// A and B are model payload words.
 	A, B int64
 
-	// prev and next link a processed event into its KP's history (see
-	// KP); both are nil everywhere else.
+	// prev and next link a processed event into its LP's history (see
+	// LP); both are nil everywhere else.
 	prev, next *Event
-	// undo is the model's reverse-computation word (EventCtx.SetUndo).
-	undo int64
 	// saved holds the destination LP state from just before this event
 	// was processed, for rollback.
 	saved Snapshot

@@ -1,6 +1,7 @@
 package tw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,7 +10,7 @@ import (
 	"ggpdes/internal/telemetry"
 )
 
-// A KP's linked history behaves exactly like the plain slice it
+// An LP's linked history behaves exactly like the plain slice it
 // replaced: random executions, straggler rollbacks and fossil
 // collections, through the engine's own rollback and FossilCollect,
 // leave the same events in the same order, report the same counts, and
@@ -17,81 +18,130 @@ import (
 // by the same operations.
 func TestHistoryMatchesSliceReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		eng, err := NewEngine(Config{
-			NumThreads: 1, Model: &ringModel{lpsPerThread: 3}, LPsPerKP: 3,
-			EndTime: math.Inf(1), Seed: 1,
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			eng, err := NewEngine(Config{
+				NumThreads: 1, Model: &ringModel{lpsPerThread: 1},
+				EndTime: math.Inf(1), Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, lp := eng.Peer(0), eng.lps[0]
+			rnd := rand.New(rand.NewSource(seed))
+			cpu := &fakeCPU{}
+			var ref []*Event
+			var gvt VT
+			// key draws a timestamp at or above lo on a coarse grid, so that
+			// ties broken by Seq are common.
+			key := func(lo VT) *Event {
+				return &Event{Ts: lo + float64(rnd.Intn(4))/2, Seq: eng.nextSeq()}
+			}
+			for step := 0; step < 400; step++ {
+				switch op := rnd.Intn(10); {
+				case op < 6: // execute: a key no earlier than the newest
+					lo := gvt
+					if n := len(ref); n > 0 {
+						lo = ref[n-1].Ts
+					}
+					ev := p.allocEvent()
+					k := key(lo)
+					ev.Ts, ev.Seq, ev.Dst = k.Ts, k.Seq, lp.ID
+					ev.saved.state = p.acquireSnapshot(lp)
+					ev.state = StateProcessed
+					lp.push(ev)
+					eng.noteProcessed(1)
+					ref = append(ref, ev)
+				case op < 8: // a straggler at or above GVT rolls back
+					upto := key(gvt)
+					upto.Seq = uint64(rnd.Int63n(int64(eng.seq) + 1))
+					want := 0
+					for len(ref) > 0 && !ref[len(ref)-1].before(upto) {
+						ref = ref[:len(ref)-1]
+						want++
+					}
+					if got := p.rollback(lp, upto); got != want {
+						t.Fatalf("step %d: rollback undid %d events, want %d", step, got, want)
+					}
+				default: // GVT advances and the prefix below it commits
+					gvt += float64(rnd.Intn(3)) / 2
+					eng.gvt = gvt
+					want := 0
+					for len(ref) > 0 && ref[0].Ts < gvt {
+						ref = ref[1:]
+						want++
+					}
+					if got := p.FossilCollect(cpu, gvt); got != want {
+						t.Fatalf("step %d: fossil collection committed %d events, want %d", step, got, want)
+					}
+				}
+				if err := eng.checkHistory(lp); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				i := 0
+				for ev := lp.head; ev != nil; ev = ev.next {
+					if i >= len(ref) || ev != ref[i] {
+						t.Fatalf("step %d: history diverges from the reference at %d", step, i)
+					}
+					i++
+				}
+				if i != len(ref) || lp.n != len(ref) || eng.uncommitted != len(ref) {
+					t.Fatalf("step %d: history holds %d (count %d, engine %d), reference %d",
+						step, i, lp.n, eng.uncommitted, len(ref))
+				}
+				probe := key(gvt)
+				probe.Seq = uint64(rnd.Int63n(int64(eng.seq) + 1))
+				if want := len(ref) > 0 && probe.before(ref[len(ref)-1]); lp.straggles(probe) != want {
+					t.Fatalf("step %d: straggles(%v) = %t, want %t", step, probe, !want, want)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// A straggler rolls back only the history of the LP it targets: with
+// no kernel process grouping LPs, a sibling on the same peer keeps
+// every event it has processed, and the engine's uncommitted count
+// drops by exactly the events undone.
+func TestStragglerRollsBackOnlyItsOwnLP(t *testing.T) {
+	eng, err := NewEngine(Config{
+		NumThreads: 1, Model: &ringModel{lpsPerThread: 3},
+		EndTime: math.Inf(1), Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := eng.Peer(0)
+	for _, lp := range eng.lps {
+		for ts := 1; ts <= 3; ts++ {
+			ev := p.allocEvent()
+			ev.Ts, ev.Seq, ev.Dst = VT(ts), eng.nextSeq(), lp.ID
+			ev.saved.state = p.acquireSnapshot(lp)
+			ev.state = StateProcessed
+			lp.push(ev)
+			eng.noteProcessed(1)
 		}
-		p, kp := eng.Peer(0), eng.Peer(0).kps[0]
-		rnd := rand.New(rand.NewSource(seed))
-		cpu := &fakeCPU{}
-		var ref []*Event
-		var gvt VT
-		// key draws a timestamp at or above lo on a coarse grid, so that
-		// ties broken by Seq are common.
-		key := func(lo VT) *Event {
-			return &Event{Ts: lo + float64(rnd.Intn(4))/2, Seq: eng.nextSeq()}
+	}
+	straggler := &Event{Ts: 1.5, Seq: eng.nextSeq()}
+	victim := eng.lps[1]
+	if !victim.straggles(straggler) {
+		t.Fatal("an event older than the LP's newest does not straggle")
+	}
+	if got := p.rollback(victim, straggler); got != 2 {
+		t.Fatalf("rollback undid %d events, want 2", got)
+	}
+	if victim.n != 1 || victim.straggles(straggler) {
+		t.Fatalf("victim holds %d events after rollback, want 1 older than the straggler", victim.n)
+	}
+	for _, lp := range []*LP{eng.lps[0], eng.lps[2]} {
+		if lp.n != 3 || !lp.straggles(straggler) {
+			t.Fatalf("sibling LP %d holds %d events, want all 3", lp.ID, lp.n)
 		}
-		for step := 0; step < 400; step++ {
-			switch op := rnd.Intn(10); {
-			case op < 6: // execute: a key no earlier than the newest
-				lo := gvt
-				if n := len(ref); n > 0 {
-					lo = ref[n-1].Ts
-				}
-				ev := p.allocEvent()
-				k := key(lo)
-				ev.Ts, ev.Seq, ev.Dst = k.Ts, k.Seq, rnd.Intn(3)
-				ev.saved.state = p.acquireSnapshot(eng.lps[ev.Dst])
-				ev.state = StateProcessed
-				kp.push(ev)
-				eng.noteProcessed(1)
-				ref = append(ref, ev)
-			case op < 8: // a straggler at or above GVT rolls back
-				upto := key(gvt)
-				upto.Seq = uint64(rnd.Int63n(int64(eng.seq) + 1))
-				want := 0
-				for len(ref) > 0 && !ref[len(ref)-1].before(upto) {
-					ref = ref[:len(ref)-1]
-					want++
-				}
-				if got := p.rollback(kp, upto); got != want {
-					t.Fatalf("seed %d step %d: rollback undid %d events, want %d", seed, step, got, want)
-				}
-			default: // GVT advances and the prefix below it commits
-				gvt += float64(rnd.Intn(3)) / 2
-				eng.gvt = gvt
-				want := 0
-				for len(ref) > 0 && ref[0].Ts < gvt {
-					ref = ref[1:]
-					want++
-				}
-				if got := p.FossilCollect(cpu, gvt); got != want {
-					t.Fatalf("seed %d step %d: fossil collection committed %d events, want %d", seed, step, got, want)
-				}
-			}
-			if err := eng.checkHistory(kp); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-			i := 0
-			for ev := kp.head; ev != nil; ev = ev.next {
-				if i >= len(ref) || ev != ref[i] {
-					t.Fatalf("seed %d step %d: history diverges from the reference at %d", seed, step, i)
-				}
-				i++
-			}
-			if i != len(ref) || kp.UncommittedEvents() != len(ref) || eng.uncommitted != len(ref) {
-				t.Fatalf("seed %d step %d: history holds %d (count %d, engine %d), reference %d",
-					seed, step, i, kp.UncommittedEvents(), eng.uncommitted, len(ref))
-			}
-			probe := key(gvt)
-			probe.Seq = uint64(rnd.Int63n(int64(eng.seq) + 1))
-			if want := len(ref) > 0 && probe.before(ref[len(ref)-1]); kp.straggles(probe) != want {
-				t.Fatalf("seed %d step %d: straggles(%v) = %t, want %t", seed, step, probe, !want, want)
-			}
-		}
+	}
+	if eng.uncommitted != 7 {
+		t.Fatalf("uncommitted = %d, want 7", eng.uncommitted)
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

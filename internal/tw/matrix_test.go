@@ -8,37 +8,28 @@ import (
 	"ggpdes/internal/pq"
 )
 
-// The cross-feature gold test: every combination of rollback mechanism,
-// pending-queue kind, kernel-process size and optimism window must
-// commit the identical trajectory under a rollback-heavy interleaving.
-// Features may only trade performance.
+// The cross-feature gold test: every combination of pending-queue kind
+// and optimism window must commit the identical trajectory under a
+// rollback-heavy interleaving. Features may only trade performance.
 func TestFeatureMatrixCommitsIdenticalTrajectories(t *testing.T) {
 	type combo struct {
-		saving SavePolicy
 		queue  pq.Kind
-		kp     int
 		window VT
 	}
 	var combos []combo
-	for _, saving := range []SavePolicy{SaveCopy, SaveReverse} {
-		for _, queue := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-			for _, kp := range []int{1, 4} {
-				for _, window := range []VT{0, 5} {
-					combos = append(combos, combo{saving, queue, kp, window})
-				}
-			}
+	for _, queue := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
+		for _, window := range []VT{0, 5} {
+			combos = append(combos, combo{queue, window})
 		}
 	}
 	order := []int{0, 0, 0, 0, 0, 1, 3, 2}
 	run := func(c combo) (uint64, []int, []float64, uint64) {
 		eng, err := NewEngine(Config{
 			NumThreads:     4,
-			Model:          &reversibleRing{ringModel{lpsPerThread: 4, startPerLP: 2}},
+			Model:          &ringModel{lpsPerThread: 4, startPerLP: 2},
 			EndTime:        25,
 			Seed:           777,
-			StateSaving:    c.saving,
 			QueueKind:      c.queue,
-			LPsPerKP:       c.kp,
 			OptimismWindow: c.window,
 		})
 		if err != nil {
@@ -59,7 +50,7 @@ func TestFeatureMatrixCommitsIdenticalTrajectories(t *testing.T) {
 	sawRollback := false
 	for _, c := range combos[1:] {
 		c := c
-		t.Run(fmt.Sprintf("%s-%v-kp%d-w%v", c.saving, c.queue, c.kp, c.window), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%v-w%v", c.queue, c.window), func(t *testing.T) {
 			committed, counts, sums, rolled := run(c)
 			if rolled > 0 {
 				sawRollback = true

@@ -60,44 +60,6 @@ type Model interface {
 	OnEvent(ctx *EventCtx)
 }
 
-// ReverseModel is a Model whose event handlers can be undone — ROSS's
-// reverse computation. With SaveReverse, the engine skips per-event
-// state copies: a rollback replays OnReverseEvent in LIFO order
-// instead, using the undo word each forward execution may stash via
-// EventCtx.SetUndo. The engine still saves and restores the LP's RNG
-// position, so re-execution stays bit-identical.
-type ReverseModel interface {
-	Model
-	// OnReverseEvent undoes exactly the state mutations OnEvent made
-	// for this event. Sends are unsent by the engine; only LP state is
-	// the model's responsibility.
-	OnReverseEvent(ctx *EventCtx)
-}
-
-// SavePolicy selects the rollback mechanism.
-type SavePolicy int
-
-const (
-	// SaveCopy snapshots a deep copy of the LP state before every
-	// event (simple, works for any Model).
-	SaveCopy SavePolicy = iota
-	// SaveReverse uses the model's reverse handlers (cheaper per event,
-	// requires a ReverseModel).
-	SaveReverse
-)
-
-// String returns the policy name.
-func (s SavePolicy) String() string {
-	switch s {
-	case SaveCopy:
-		return "copy"
-	case SaveReverse:
-		return "reverse"
-	default:
-		return "unknown"
-	}
-}
-
 // InitCtx is handed to Model.InitLP.
 type InitCtx struct {
 	eng *Engine
@@ -146,10 +108,3 @@ func (c *EventCtx) Send(dstLP int, ts VT, kind uint8, a, b int64) {
 	}
 	c.eng.send(c.peer, c.ev, dstLP, ts, kind, a, b)
 }
-
-// SetUndo stashes a word on the event for the reverse handler; only
-// meaningful under SaveReverse.
-func (c *EventCtx) SetUndo(u int64) { c.ev.undo = u }
-
-// Undo returns the word the forward execution stashed with SetUndo.
-func (c *EventCtx) Undo() int64 { return c.ev.undo }

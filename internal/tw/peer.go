@@ -121,9 +121,11 @@ package tw
 // pointer-linked structure of heap nodes (two thirds of the remaining
 // write-barrier time is its link stores, and the collector still marks
 // every event and node it can reach), Drain still splays once per
-// event where it could insert a sorted run, peekLive and FossilCollect
-// walk what they could index. Index-addressed slabs, per-LP time
-// buckets and per-KP fossil collection are ROADMAP item 3's open half.
+// event where it could insert a sorted run, peekLive walks what it
+// could index, and FossilCollect visits the history head of every LP
+// the peer serves, an idle one's too. Index-addressed slabs, per-LP
+// time buckets and a fossil pass over busy LPs only are on ROADMAP item
+// 10's engine list.
 
 import (
 	"fmt"
@@ -166,7 +168,6 @@ type Peer struct {
 	eng *Engine
 
 	lps     []*LP
-	kps     []*KP
 	inq     []*Event
 	pending pq.Queue[*Event]
 
@@ -195,13 +196,10 @@ type Peer struct {
 	stateChunk    stateChunk
 	sentChunk     []*Event
 
-	// evCtx and rbCtx are the reusable model-callback contexts for
-	// forward execution and reverse computation. They are distinct
-	// because a send during OnEvent can trigger a same-peer rollback,
-	// nesting reverse handlers inside a live forward context. Models
-	// must not retain an EventCtx beyond the callback (documented on
-	// Model), so reuse is safe.
-	evCtx, rbCtx EventCtx
+	// evCtx is the reusable model-callback context for forward
+	// execution. Models must not retain an EventCtx beyond the callback
+	// (documented on Model), so reuse is safe.
+	evCtx EventCtx
 
 	// acc accumulates cycles (sends, anti-messages) charged at the end
 	// of the enclosing operation.
@@ -280,9 +278,6 @@ func newPeer(id int, eng *Engine) *Peer {
 
 // LPs returns the LPs served by this peer.
 func (p *Peer) LPs() []*LP { return p.lps }
-
-// KPs returns the peer's kernel processes.
-func (p *Peer) KPs() []*KP { return p.kps }
 
 // InputSize returns the number of entries in the input queue. Other
 // threads read it for activity detection (demand-driven scheduling) —
@@ -403,9 +398,9 @@ func (p *Peer) Drain(cpu CPU) int {
 			// counted when the anti-message cancelled it) and recycle.
 			p.freeEvent(ev)
 		default:
-			if kp := p.eng.lps[ev.Dst].kp; kp.straggles(ev) {
+			if lp := p.eng.lps[ev.Dst]; lp.straggles(ev) {
 				p.Stats.Stragglers++
-				p.rollback(kp, ev)
+				p.rollback(lp, ev)
 			}
 			ev.state = StatePending
 			p.pending.Push(ev)
@@ -427,7 +422,7 @@ func (p *Peer) handleAnti(anti *Event) {
 		p.Stats.Annihilated++
 	case StateProcessed:
 		lp := p.eng.lps[target.Dst]
-		p.rollback(lp.kp, target)
+		p.rollback(lp, target)
 		// The rollback re-queued the target as pending; annihilate it.
 		if target.state != StatePending {
 			panic(fmt.Sprintf("tw: rollback did not requeue anti target %v", target))
@@ -441,28 +436,19 @@ func (p *Peer) handleAnti(anti *Event) {
 	}
 }
 
-// rollback undoes every processed event of the kernel process at or
-// after upto, restoring each event's own LP snapshot in reverse order,
-// unsending their sends, and re-queueing them as pending. With KPs
-// larger than one LP this is coarser than strictly necessary — the
-// ROSS trade-off.
-func (p *Peer) rollback(kp *KP, upto *Event) int {
+// rollback undoes every processed event of the LP at or after upto,
+// restoring each event's snapshot in reverse order, unsending their
+// sends, and re-queueing them as pending.
+func (p *Peer) rollback(lp *LP, upto *Event) int {
 	costs := &p.eng.cfg.Costs
 	count := 0
-	for kp.last != nil && !kp.last.before(upto) {
-		last := kp.pop()
-		lp := p.eng.lps[last.Dst]
+	for lp.last != nil && !lp.last.before(upto) {
+		last := lp.pop()
 		p.unsend(last)
-		if p.eng.cfg.StateSaving == SaveReverse {
-			rm := p.eng.cfg.Model.(ReverseModel)
-			p.rbCtx = EventCtx{eng: p.eng, peer: p, lp: lp, ev: last}
-			rm.OnReverseEvent(&p.rbCtx)
-		} else {
-			// The snapshot becomes the live state; the displaced live
-			// state is dead and feeds the snapshot pool.
-			p.releaseSnapshot(lp, lp.state)
-			lp.state = last.saved.state
-		}
+		// The snapshot becomes the live state; the displaced live state
+		// is dead and feeds the snapshot pool.
+		p.releaseSnapshot(lp, lp.state)
+		lp.state = last.saved.state
 		lp.rand.Restore(last.saved.rng)
 		lp.lvt = last.saved.lvt
 		last.saved = Snapshot{}
@@ -549,18 +535,13 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 		if eng.gvt > ev.Ts {
 			panic(fmt.Sprintf("tw: event %v below GVT %.4f", ev, eng.gvt))
 		}
-		if lp.kp.straggles(ev) {
-			panic(fmt.Sprintf("tw: out-of-order execution of %v after %v", ev, lp.kp.last))
+		if lp.straggles(ev) {
+			panic(fmt.Sprintf("tw: out-of-order execution of %v after %v", ev, lp.last))
 		}
-		if eng.cfg.StateSaving == SaveReverse {
-			ev.saved = Snapshot{rng: lp.rand.Save(), lvt: lp.lvt}
-			cycles += costs.EventCycles + costs.RngSaveCycles
-		} else {
-			ev.saved = Snapshot{state: p.acquireSnapshot(lp), rng: lp.rand.Save(), lvt: lp.lvt}
-			cycles += costs.EventCycles + costs.StateSaveCycles
-		}
+		ev.saved = Snapshot{state: p.acquireSnapshot(lp), rng: lp.rand.Save(), lvt: lp.lvt}
+		cycles += costs.EventCycles + costs.StateSaveCycles
 		ev.state = StateProcessed
-		lp.kp.push(ev)
+		lp.push(ev)
 		lp.lvt = ev.Ts
 		eng.noteProcessed(1)
 		p.evCtx = EventCtx{eng: eng, peer: p, lp: lp, ev: ev}
@@ -667,13 +648,11 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 	costs := &p.eng.cfg.Costs
 	cycles := costs.FossilBaseCycles
 	total := 0
-	for _, kp := range p.kps {
-		for kp.head != nil && kp.head.Ts < gvt {
-			ev := kp.shift()
+	for _, lp := range p.lps {
+		for lp.head != nil && lp.head.Ts < gvt {
+			ev := lp.shift()
 			ev.state = StateCommitted
-			if ev.saved.state != nil {
-				p.releaseSnapshot(p.eng.lps[ev.Dst], ev.saved.state)
-			}
+			p.releaseSnapshot(lp, ev.saved.state)
 			// The event's own sent list and struct are recycled whole;
 			// a cause still holding a pointer to ev sits below GVT too
 			// and will only ever clear, never dereference, it.

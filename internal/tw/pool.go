@@ -160,7 +160,7 @@ func (ev *Event) poison() {
 	ev.inline[0] = nil // stale once sent has outgrown it
 	ev.Ts, ev.state = math.Inf(-1), statePooled
 	ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.Anti, ev.Target = 0, 0, 0, 0, false, nil
-	ev.A, ev.B, ev.undo = 0, 0, 0
+	ev.A, ev.B = 0, 0
 	ev.prev, ev.next = nil, nil
 	ev.saved = Snapshot{}
 }
@@ -179,7 +179,7 @@ func (ev *Event) poison() {
 // (shard.go) — the collector takes them one by one once their cause
 // lets go — and inside a chunk whose other events cycle through the
 // freelist for the rest of the run each would be a slot lost for good,
-// 160 bytes per cross-shard send. Snapshots and queue nodes never
+// 152 bytes per cross-shard send. Snapshots and queue nodes never
 // leave their peer, so workers carve those like anyone else.
 const (
 	chunkMin = 8

@@ -13,25 +13,16 @@ import (
 
 // The pooling gold test: recycling event and snapshot memory must not
 // change a single bit of the committed trajectory, for every pending
-// queue kind, both state-saving modes, and kernel processes of one LP
-// and of four (whose histories link through the recycled events), under
-// a rollback-heavy interleaving.
+// queue kind, under a rollback-heavy interleaving.
 func TestPoolingPreservesTrajectories(t *testing.T) {
 	order := []int{0, 0, 0, 0, 0, 1, 3, 2}
-	type combo struct {
-		queue  pq.Kind
-		saving SavePolicy
-		kp     int
-	}
-	run := func(c combo, disable bool) (uint64, []int, []float64, PeerStats) {
+	run := func(queue pq.Kind, disable bool) (uint64, []int, []float64, PeerStats) {
 		eng, err := NewEngine(Config{
 			NumThreads:     4,
-			Model:          &reversibleRing{ringModel{lpsPerThread: 4, startPerLP: 2}},
+			Model:          &ringModel{lpsPerThread: 4, startPerLP: 2},
 			EndTime:        25,
 			Seed:           777,
-			QueueKind:      c.queue,
-			StateSaving:    c.saving,
-			LPsPerKP:       c.kp,
+			QueueKind:      queue,
 			DisablePooling: disable,
 		})
 		if err != nil {
@@ -39,40 +30,35 @@ func TestPoolingPreservesTrajectories(t *testing.T) {
 		}
 		runQuiescent(t, eng, order)
 		if err := eng.CheckInvariants(); err != nil {
-			t.Fatalf("%+v disable=%v: %v", c, disable, err)
+			t.Fatalf("%v disable=%v: %v", queue, disable, err)
 		}
 		committed, counts, sums := collectResults(eng)
 		return committed, counts, sums, eng.TotalStats()
 	}
 	sawRollback, sawRecycle := false, false
 	for _, queue := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-		for _, saving := range []SavePolicy{SaveCopy, SaveReverse} {
-			for _, kp := range []int{1, 4} {
-				c := combo{queue, saving, kp}
-				t.Run(fmt.Sprintf("%v-%s-kp%d", queue, saving, kp), func(t *testing.T) {
-					onCommitted, onCounts, onSums, onStats := run(c, false)
-					offCommitted, offCounts, offSums, offStats := run(c, true)
-					if onStats.RolledBack > 0 {
-						sawRollback = true
-					}
-					if onCommitted != offCommitted {
-						t.Fatalf("pooled committed %d != unpooled %d", onCommitted, offCommitted)
-					}
-					for i := range onCounts {
-						if onCounts[i] != offCounts[i] || math.Abs(onSums[i]-offSums[i]) > 0 {
-							t.Fatalf("LP %d pooled state (%d, %v) != unpooled (%d, %v)",
-								i, onCounts[i], onSums[i], offCounts[i], offSums[i])
-						}
-					}
-					if onStats != offStats {
-						t.Fatalf("pooled stats %+v != unpooled %+v", onStats, offStats)
-					}
-					if onStats.RolledBack > 0 {
-						sawRecycle = true
-					}
-				})
+		t.Run(fmt.Sprint(queue), func(t *testing.T) {
+			onCommitted, onCounts, onSums, onStats := run(queue, false)
+			offCommitted, offCounts, offSums, offStats := run(queue, true)
+			if onStats.RolledBack > 0 {
+				sawRollback = true
 			}
-		}
+			if onCommitted != offCommitted {
+				t.Fatalf("pooled committed %d != unpooled %d", onCommitted, offCommitted)
+			}
+			for i := range onCounts {
+				if onCounts[i] != offCounts[i] || math.Abs(onSums[i]-offSums[i]) > 0 {
+					t.Fatalf("LP %d pooled state (%d, %v) != unpooled (%d, %v)",
+						i, onCounts[i], onSums[i], offCounts[i], offSums[i])
+				}
+			}
+			if onStats != offStats {
+				t.Fatalf("pooled stats %+v != unpooled %+v", onStats, offStats)
+			}
+			if onStats.RolledBack > 0 {
+				sawRecycle = true
+			}
+		})
 	}
 	if !sawRollback {
 		t.Fatal("matrix produced no rollbacks; test exercises nothing")
@@ -199,15 +185,14 @@ func TestPoolUseAfterRecycleDetected(t *testing.T) {
 	})
 }
 
-// Recycled events must come back fully reset: stale payload, undo
-// words, targets or send lists leaking across lifetimes would be a
+// Recycled events must come back fully reset: stale payload, targets or send lists leaking across lifetimes would be a
 // silent correctness bug, so the pool poisons and clears everything.
 func TestPoolResetsRecycledEvents(t *testing.T) {
 	eng := newTestEngine(t, 1, 1, 1, 10)
 	p := eng.Peer(0)
 	ev := p.allocEvent()
 	ev.Ts, ev.Seq, ev.Src, ev.Dst, ev.Kind = 3.5, 99, 1, 2, 7
-	ev.A, ev.B, ev.undo = 11, 22, 33
+	ev.A, ev.B = 11, 22
 	ev.Anti = true
 	ev.Target = &Event{}
 	ev.sent = append(ev.sent, &Event{})
@@ -221,7 +206,7 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 		t.Fatal("freelist did not return the recycled event")
 	}
 	if got.Seq != 0 || got.Src != 0 || got.Dst != 0 || got.Kind != 0 ||
-		got.A != 0 || got.B != 0 || got.undo != 0 || got.Anti || got.Target != nil {
+		got.A != 0 || got.B != 0 || got.Anti || got.Target != nil {
 		t.Fatalf("recycled event carries stale fields: %+v", got)
 	}
 	if len(got.sent) != 0 {
@@ -242,7 +227,7 @@ func TestPoisonResetsEveryField(t *testing.T) {
 	other := &Event{}
 	ev := &Event{
 		Ts: 3.5, Seq: 99, Src: 1, Dst: 2, Kind: 7, Anti: true, state: StateProcessed,
-		Target: other, A: 11, B: 22, undo: 33, prev: other, next: other,
+		Target: other, A: 11, B: 22, prev: other, next: other,
 		saved:  Snapshot{state: &ringState{Count: 1}, lvt: 2},
 		sent:   []*Event{other, other},
 		inline: [1]*Event{other},
@@ -420,12 +405,13 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 // The fields every queue walk, drain and commit reads sit in the
 // event's first 64 bytes, ahead of the history links, and the event is
 // as large as it is on purpose: the links took it from 168 to 184
-// bytes, and retiring lazy cancellation's tentative list took it to
-// 160, so a 64-event chunk is exactly a 10,240 byte size class.
+// bytes, retiring lazy cancellation's tentative list took it to 160,
+// and retiring reverse computation's undo word to 152, so a 64-event
+// chunk is exactly a 9,728 byte size class.
 func TestEventLayout(t *testing.T) {
 	var ev Event
-	if got := unsafe.Sizeof(ev); got != 160 {
-		t.Errorf("Event is %d bytes, want 160", got)
+	if got := unsafe.Sizeof(ev); got != 152 {
+		t.Errorf("Event is %d bytes, want 152", got)
 	}
 	if unsafe.Offsetof(ev.prev) < 64 {
 		t.Errorf("Event.prev starts at byte %d, inside the first cache line", unsafe.Offsetof(ev.prev))

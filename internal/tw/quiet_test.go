@@ -47,10 +47,8 @@ func printEngine(eng *Engine) enginePrint {
 		if ev, ok := p.pending.Peek(); ok {
 			pp.head, pp.headKind = ev, ev.state
 		}
-		for _, kp := range p.kps {
-			pp.history += kp.UncommittedEvents()
-		}
 		for _, lp := range p.lps {
+			pp.history += lp.n
 			pp.lvts = append(pp.lvts, lp.lvt)
 		}
 		pr.peers = append(pr.peers, pp)
@@ -70,23 +68,20 @@ func printEngine(eng *Engine) enginePrint {
 func TestQuietPeerPollsAreNoOps(t *testing.T) {
 	type variant struct {
 		window VT
-		kp     int
 		queue  pq.Kind
 	}
 	var variants []variant
 	for _, w := range []VT{0, 3} {
-		for _, kp := range []int{1, 2} {
-			for _, q := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-				variants = append(variants, variant{w, kp, q})
-			}
+		for _, q := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
+			variants = append(variants, variant{w, q})
 		}
 	}
 	var quietEmpty, quietHorizon, quietEnd, cancelledBeyond int
 	for _, v := range variants {
-		t.Run(fmt.Sprintf("window=%v/kp=%d/%v", v.window, v.kp, v.queue), func(t *testing.T) {
+		t.Run(fmt.Sprintf("window=%v/%v", v.window, v.queue), func(t *testing.T) {
 			eng, err := NewEngine(Config{
 				NumThreads: 4, Model: &ringModel{lpsPerThread: 2, startPerLP: 1}, EndTime: 12, Seed: 99,
-				OptimismWindow: v.window, LPsPerKP: v.kp, QueueKind: v.queue, BatchSize: 2,
+				OptimismWindow: v.window, QueueKind: v.queue, BatchSize: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

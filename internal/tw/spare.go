@@ -27,12 +27,12 @@ import (
 // on the epidemics benchmark, whose active region shifts from thread
 // group to thread group). Everything in the set is per peer but the
 // live states, one per LP: the histories are linked through their
-// events and the snapshot stores are the peers', so no KP or LP has an
-// array to hand on.
+// events and the snapshot stores are the peers', so no LP has an array
+// to hand on.
 //
 // pool.go's rule stands: recycling reuses memory, never logic — and the
 // committed cut's state is data, not logic. The successor is a fresh
-// Engine with fresh Peers, LPs and KPs, and everything in the set but
+// Engine with fresh Peers and LPs, and everything in the set but
 // the live states sits behind the pools' miss path, not in the pools:
 // allocEvent finds its freelist empty and acquireSnapshot its LP's
 // count at zero, each counts the miss exactly as it would have, and

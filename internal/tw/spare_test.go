@@ -189,8 +189,7 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 // A spare set is only memory of the right shapes: an engine with
 // another type of model, or with pooling off, leaves all of it alone —
 // the LP states too, which it decodes from the records instead — and a
-// capture with pooling off harvests none. KP size is not part of the
-// shape: the set holds nothing per KP.
+// capture with pooling off harvests none.
 func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 	capture := func() *EngineState {
 		eng, err := NewEngine(spareCfg())
@@ -206,9 +205,8 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 	}
 	for name, vary := range map[string]func(*Config){
 		"same":     func(*Config) {},
-		"kp-size":  func(c *Config) { c.LPsPerKP = 2 }, // adopts everything
 		"unpooled": func(c *Config) { c.DisablePooling = true },
-		"model":    func(c *Config) { c.Model = &reversibleRing{*c.Model.(*ringModel)} },
+		"model":    func(c *Config) { c.Model = &mixedRing{*c.Model.(*ringModel)} },
 		"heap":     func(c *Config) { c.QueueKind = pq.Heap }, // adopts all but the splay nodes
 	} {
 		cfg := spareCfg()

@@ -315,8 +315,7 @@ func TestRollbackRestoresRNG(t *testing.T) {
 		t.Fatal("nothing processed")
 	}
 	// Manually roll back everything.
-	first := lp.KP().head
-	n := p.rollback(lp.KP(), first)
+	n := p.rollback(lp, lp.head)
 	if n == 0 {
 		t.Fatal("rollback undid nothing")
 	}
@@ -338,8 +337,8 @@ func TestFossilCollectCommitsBelowGVT(t *testing.T) {
 		p.ProcessBatch(cpu)
 	}
 	before := 0
-	for _, kp := range p.KPs() {
-		before += kp.UncommittedEvents()
+	for _, lp := range p.LPs() {
+		before += lp.n
 	}
 	if before == 0 {
 		t.Fatal("no processed events to fossil collect")
@@ -353,8 +352,8 @@ func TestFossilCollectCommitsBelowGVT(t *testing.T) {
 	if p.Stats.Committed != uint64(n) {
 		t.Fatalf("stats committed %d != %d", p.Stats.Committed, n)
 	}
-	for _, kp := range p.KPs() {
-		for ev := kp.head; ev != nil; ev = ev.next {
+	for _, lp := range p.LPs() {
+		for ev := lp.head; ev != nil; ev = ev.next {
 			if ev.Ts < gvt {
 				t.Fatalf("event below GVT left uncommitted: %v", ev)
 			}
@@ -550,12 +549,8 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatal("current exceeds peak")
 	}
 	// Current gauge must equal the sum of LP histories.
-	sum := 0
-	for _, kp := range p.KPs() {
-		sum += kp.UncommittedEvents()
-	}
-	if sum != eng.UncommittedEvents() {
-		t.Fatalf("gauge %d != history sum %d", eng.UncommittedEvents(), sum)
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	// Fossil collection shrinks the gauge to zero at end time.
 	runQuiescent(t, eng, []int{0})
@@ -583,14 +578,32 @@ func TestMemoryGaugeTracksRollbacks(t *testing.T) {
 		t.Skip("no rollbacks this interleaving")
 	}
 	// After rollbacks and reprocessing the gauge still matches reality.
-	sum := 0
-	for _, pp := range eng.Peers() {
-		for _, kp := range pp.KPs() {
-			sum += kp.UncommittedEvents()
-		}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatalf("%v (before=%d)", err, before)
 	}
-	if sum != eng.UncommittedEvents() {
-		t.Fatalf("gauge %d != history sum %d (before=%d)", eng.UncommittedEvents(), sum, before)
+}
+
+// CheckInvariants holds the engine's uncommitted count to the sum of
+// the LP history lengths, in both directions.
+func TestCheckInvariantsCountsHistories(t *testing.T) {
+	eng := newTestEngine(t, 2, 2, 1, 100)
+	cpu := &fakeCPU{}
+	for i := 0; i < 5; i++ {
+		eng.Peer(0).Drain(cpu)
+		eng.Peer(0).ProcessBatch(cpu)
+	}
+	if eng.uncommitted == 0 {
+		t.Fatal("nothing processed")
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []int{1, -1} {
+		eng.uncommitted += delta
+		if err := eng.CheckInvariants(); err == nil {
+			t.Errorf("CheckInvariants missed an uncommitted count off by %d", delta)
+		}
+		eng.uncommitted -= delta
 	}
 }
 

@@ -62,16 +62,3 @@ func ParseQueue(s string) (Queue, error) {
 		return 0, fmt.Errorf("ggpdes: unknown queue %q (want splay | heap | calendar)", s)
 	}
 }
-
-// ParseStateSaving converts a rollback mechanism name ("copy",
-// "reverse") to its enum value.
-func ParseStateSaving(s string) (StateSaving, error) {
-	switch strings.ToLower(s) {
-	case "copy":
-		return CopyState, nil
-	case "reverse":
-		return ReverseComputation, nil
-	default:
-		return 0, fmt.Errorf("ggpdes: unknown state saving %q (want copy | reverse)", s)
-	}
-}

@@ -3,33 +3,37 @@ package ggpdes
 import "testing"
 
 func TestParseEnums(t *testing.T) {
-	if s, err := ParseSystem("GG"); err != nil || s != GGPDES {
-		t.Fatalf("ParseSystem(GG) = %v, %v", s, err)
+	good := []struct {
+		in   string
+		want func(string) bool
+	}{
+		{"GG", func(s string) bool { v, err := ParseSystem(s); return err == nil && v == GGPDES }},
+		{"dd-pdes", func(s string) bool { v, err := ParseSystem(s); return err == nil && v == DDPDES }},
+		{"sync", func(s string) bool { v, err := ParseGVT(s); return err == nil && v == Barrier }},
+		{"dynamic", func(s string) bool { v, err := ParseAffinity(s); return err == nil && v == DynamicAffinity }},
+		{"calendar", func(s string) bool { v, err := ParseQueue(s); return err == nil && v == CalendarQueue }},
 	}
-	if s, err := ParseSystem("dd-pdes"); err != nil || s != DDPDES {
-		t.Fatalf("ParseSystem(dd-pdes) = %v, %v", s, err)
+	for _, tc := range good {
+		t.Run(tc.in, func(t *testing.T) {
+			if !tc.want(tc.in) {
+				t.Fatalf("%q parsed wrong or refused", tc.in)
+			}
+		})
 	}
-	if g, err := ParseGVT("sync"); err != nil || g != Barrier {
-		t.Fatalf("ParseGVT(sync) = %v, %v", g, err)
+	bad := []struct {
+		in    string
+		parse func(string) error
+	}{
+		{"cfs", func(s string) error { _, err := ParseSystem(s); return err }},
+		{"mattern", func(s string) error { _, err := ParseGVT(s); return err }},
+		{"numa", func(s string) error { _, err := ParseAffinity(s); return err }},
+		{"ladder", func(s string) error { _, err := ParseQueue(s); return err }},
 	}
-	if a, err := ParseAffinity("dynamic"); err != nil || a != DynamicAffinity {
-		t.Fatalf("ParseAffinity(dynamic) = %v, %v", a, err)
-	}
-	if q, err := ParseQueue("calendar"); err != nil || q != CalendarQueue {
-		t.Fatalf("ParseQueue(calendar) = %v, %v", q, err)
-	}
-	if ss, err := ParseStateSaving("reverse"); err != nil || ss != ReverseComputation {
-		t.Fatalf("ParseStateSaving(reverse) = %v, %v", ss, err)
-	}
-	for _, bad := range []func() error{
-		func() error { _, err := ParseSystem("cfs"); return err },
-		func() error { _, err := ParseGVT("mattern"); return err },
-		func() error { _, err := ParseAffinity("numa"); return err },
-		func() error { _, err := ParseQueue("ladder"); return err },
-		func() error { _, err := ParseStateSaving("periodic"); return err },
-	} {
-		if bad() == nil {
-			t.Fatal("unknown name accepted")
-		}
+	for _, tc := range bad {
+		t.Run(tc.in, func(t *testing.T) {
+			if tc.parse(tc.in) == nil {
+				t.Fatalf("unknown name %q accepted", tc.in)
+			}
+		})
 	}
 }

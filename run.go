@@ -280,9 +280,7 @@ func (c Config) twConfig(reg *telemetry.Registry) (twCfg tw.Config, err error) {
 		EndTime:        c.EndTime,
 		Seed:           c.Seed,
 		BatchSize:      c.BatchSize,
-		LPsPerKP:       c.LPsPerKP,
 		QueueKind:      pq.Kind(c.Queue),
-		StateSaving:    tw.SavePolicy(c.StateSaving),
 		OptimismWindow: c.OptimismWindow,
 		DisablePooling: c.DisablePooling,
 		Telemetry:      reg,

@@ -49,8 +49,7 @@ func benchAsyncArm(system System, gvt GVT) Config {
 }
 
 // TestSkipAheadInvisibleThroughAPI is the skip's oracle at the public
-// surface: for the benchmark's simulation configs, Epidemics and a
-// Traffic run with kernel processes under reverse computation, a run
+// surface: for the benchmark's simulation configs and Epidemics, a run
 // that skips and a run that executes return the same Results —
 // every counter, histogram percentile and series row — and the same
 // Perfetto export, byte for byte.
@@ -74,7 +73,6 @@ func TestSkipAheadInvisibleThroughAPI(t *testing.T) {
 			Model:   Epidemics{LPsPerThread: 8, LockdownGroups: 4, ContactRate: 3, TransmissionProb: 0.5},
 			Threads: 8, System: GGPDES, GVT: WaitFree, EndTime: 30, GVTFrequency: 20, ZeroCounterThreshold: 100,
 		}},
-		{"traffic-kp-reverse", kpReverseTrafficCfg()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
