@@ -62,13 +62,13 @@ func (c Config) CanonicalString() (string, error) {
 	fmt.Fprintf(&b, "gvtfreq=%d\n", c.gvtFrequency())
 	fmt.Fprintf(&b, "zerothreshold=%d\n", or(c.ZeroCounterThreshold, 2000))
 	fmt.Fprintf(&b, "batch=%d\n", or(c.BatchSize, 8))
-	// Multi-LP kernel processes, reverse computation, lazy cancellation
-	// and adaptive GVT frequency are retired (DESIGN.md §5). Every run
-	// now is what a run with them off was, so their lines stay,
-	// constant, and every key computed while they existed still names
-	// its run.
+	// Multi-LP kernel processes, reverse computation, lazy cancellation,
+	// adaptive GVT frequency and the choice of pending queue are retired
+	// (DESIGN.md §5). Every run now is what a run with them at their
+	// defaults was, so their lines stay, constant, and every key computed
+	// while they existed still names its run.
 	b.WriteString("lpsperkp=1\n")
-	fmt.Fprintf(&b, "queue=%s\n", c.Queue)
+	b.WriteString("queue=splay\n")
 	b.WriteString("statesaving=copy\n")
 	b.WriteString("lazy=false\n")
 	fmt.Fprintf(&b, "optimism=%g\n", c.OptimismWindow)

@@ -64,7 +64,6 @@ func TestCacheKeyFieldSensitivity(t *testing.T) {
 		"gvtfreq":       func(c *Config) { c.GVTFrequency = 40 },
 		"zerothr":       func(c *Config) { c.ZeroCounterThreshold = 100 },
 		"batch":         func(c *Config) { c.BatchSize = 16 },
-		"queue":         func(c *Config) { c.Queue = HeapQueue },
 		"optimism":      func(c *Config) { c.OptimismWindow = 10 },
 	}
 	seen := map[string]string{}
@@ -169,12 +168,11 @@ func TestCacheKeyGolden(t *testing.T) {
 				GVTFrequency:         40,
 				ZeroCounterThreshold: 300,
 				BatchSize:            4,
-				Queue:                HeapQueue,
 				OptimismWindow:       5,
 				Checkpoint:           &CheckpointOptions{Every: 3},
 				Chaos:                &ChaosOptions{Seed: 9, StallRate: 0.02},
 			},
-			want: "sha256:87895489191962ba264814283e50232e29616b2cf7eb21d6aacbaa2408aaf21a",
+			want: "sha256:76881290e84e2f90a9d89c7ead3105427ba959d8937884f13dcd56cef769cc31",
 		},
 	}
 	for _, tc := range cases {

@@ -105,7 +105,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"unknown-system", func(c *Config) { c.System = System(99) }},
 		{"unknown-gvt", func(c *Config) { c.GVT = GVT(99) }},
 		{"unknown-affinity", func(c *Config) { c.Affinity = Affinity(99) }},
-		{"unknown-queue", func(c *Config) { c.Queue = Queue(99) }},
 		{"baseline-dynamic-affinity", func(c *Config) { c.System = Baseline; c.Affinity = DynamicAffinity }},
 		{"neg-gvt-frequency", func(c *Config) { c.GVTFrequency = -1 }},
 		{"neg-zero-counter", func(c *Config) { c.ZeroCounterThreshold = -1 }},
@@ -115,6 +114,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"inf-window", func(c *Config) { c.OptimismWindow = math.Inf(1) }},
 		{"neg-inf-window", func(c *Config) { c.OptimismWindow = math.Inf(-1) }},
 		{"neg-cores", func(c *Config) { c.Machine.Cores = -1 }},
+		{"nan-freq", func(c *Config) { c.Machine.FreqHz = math.NaN() }},
+		{"inf-freq", func(c *Config) { c.Machine.FreqHz = math.Inf(1) }},
+		{"neg-inf-freq", func(c *Config) { c.Machine.FreqHz = math.Inf(-1) }},
 		{"bad-model", func(c *Config) { c.Model = PHOLD{LPsPerThread: 1, Imbalance: 3} }},
 		// A stall rate of 1 stalls every iteration forever.
 		{"stall-rate-one", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: 1} }},
@@ -125,8 +127,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg()
 			tc.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
-				t.Error("invalid config accepted")
+			if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("invalid config: Validate returned %v, want ErrInvalidConfig", err)
 			}
 		})
 	}

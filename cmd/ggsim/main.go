@@ -46,7 +46,6 @@ func main() {
 		smt        = flag.Int("smt", 2, "SMT contexts per core")
 		gvtFreq    = flag.Int("gvt-freq", 40, "loop iterations per GVT round")
 		zeroThr    = flag.Int("zero-threshold", 400, "empty-queue iterations before deactivation")
-		queue      = flag.String("queue", "splay", "pending queue: splay | heap | calendar")
 		optimism   = flag.Float64("optimism", 0, "optimism window in virtual time (0 = unbounded)")
 		traceFile  = flag.String("trace", "", "write a CSV trace of the run to this file")
 		seriesOut  = flag.String("series", "", "write the per-GVT-round time series CSV to this file (- = stdout)")
@@ -123,9 +122,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		if cfg.Affinity, err = ggpdes.ParseAffinity(*affinity); err != nil {
-			fatalf("%v", err)
-		}
-		if cfg.Queue, err = ggpdes.ParseQueue(*queue); err != nil {
 			fatalf("%v", err)
 		}
 		if *ckptEvery > 0 {

@@ -31,19 +31,19 @@ type configJSON struct {
 	GVTFrequency         int                `json:"gvt_frequency,omitempty"`
 	ZeroCounterThreshold int                `json:"zero_counter_threshold,omitempty"`
 	BatchSize            int                `json:"batch_size,omitempty"`
-	Queue                string             `json:"queue"`
 	OptimismWindow       float64            `json:"optimism_window,omitempty"`
 	DisablePooling       bool               `json:"disable_pooling,omitempty"`
 	Checkpoint           *CheckpointOptions `json:"checkpoint,omitempty"`
 	Chaos                *chaosJSON         `json:"chaos,omitempty"`
 	// Retired options, read only to be refused. Encoding never sets
 	// them; a config written while they existed carries the retired
-	// options' defaults (lps_per_kp 0 or 1, state_saving "copy"), which
-	// decode as they always did.
+	// options' defaults (lps_per_kp 0 or 1, state_saving "copy", queue
+	// "splay"), which decode as they always did.
 	RetiredLazy        bool   `json:"lazy_cancellation,omitempty"`
 	RetiredAdaptive    any    `json:"adaptive_gvt,omitempty"`
 	RetiredLPsPerKP    int    `json:"lps_per_kp,omitempty"`
 	RetiredStateSaving string `json:"state_saving,omitempty"`
+	RetiredQueue       string `json:"queue,omitempty"`
 }
 
 // chaosJSON is ChaosOptions on the wire, with the retired send and
@@ -182,7 +182,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		GVTFrequency:         c.GVTFrequency,
 		ZeroCounterThreshold: c.ZeroCounterThreshold,
 		BatchSize:            c.BatchSize,
-		Queue:                c.Queue.String(),
 		OptimismWindow:       c.OptimismWindow,
 		DisablePooling:       c.DisablePooling,
 	}
@@ -233,6 +232,13 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if s := w.RetiredStateSaving; s != "" && !strings.EqualFold(s, "copy") {
 		return fmt.Errorf("%w: state_saving is retired (every rollback restores a state copy)", ErrInvalidConfig)
 	}
+	switch s := strings.ToLower(w.RetiredQueue); s {
+	case "", "splay":
+	case "heap", "calendar":
+		return fmt.Errorf("%w: queue %q is retired (every run keeps its pending events in one binary heap)", ErrInvalidConfig, s)
+	default:
+		return fmt.Errorf("ggpdes: unknown queue %q (want splay)", w.RetiredQueue)
+	}
 	if w.Chaos != nil {
 		if key := w.Chaos.retired(); key != "" {
 			return fmt.Errorf("%w: chaos.%s is retired (stall_rate is the one injected fault)", ErrInvalidConfig, key)
@@ -269,11 +275,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	}
 	if w.Affinity != "" {
 		if out.Affinity, err = ParseAffinity(w.Affinity); err != nil {
-			return err
-		}
-	}
-	if w.Queue != "" {
-		if out.Queue, err = ParseQueue(w.Queue); err != nil {
 			return err
 		}
 	}

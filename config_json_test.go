@@ -28,7 +28,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			GVTFrequency:         33,
 			ZeroCounterThreshold: 77,
 			BatchSize:            4,
-			Queue:                CalendarQueue,
 			OptimismWindow:       5,
 			DisablePooling:       true,
 			Checkpoint:           &CheckpointOptions{Every: 3, Dir: "/tmp/ck"},
@@ -110,6 +109,8 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 		{"kill_at_iter", spec + `"chaos":{"kill_at_iter":100}}`},
 		{"lps_per_kp", spec + `"lps_per_kp":2}`},
 		{"state_saving", spec + `"state_saving":"reverse"}`},
+		{`queue "heap"`, spec + `"queue":"heap"}`},
+		{`queue "calendar"`, spec + `"queue":"calendar"}`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var cfg Config
@@ -121,7 +122,7 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	}
 	t.Run("off", func(t *testing.T) {
 		var cfg Config
-		off := `"lazy_cancellation":false,"adaptive_gvt":null,"lps_per_kp":1,"state_saving":"copy",` +
+		off := `"lazy_cancellation":false,"adaptive_gvt":null,"lps_per_kp":1,"state_saving":"copy","queue":"splay",` +
 			`"chaos":{"stall_rate":0.1,"drop_send_rate":0,"delay_send_rate":0,"delay_send_hold":0,"kill_thread":0,"kill_at_iter":0}}`
 		if err := json.Unmarshal([]byte(spec+off), &cfg); err != nil {
 			t.Errorf("retired options turned off: %v", err)
@@ -132,16 +133,17 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 	})
 }
 
-// A config written while multi-LP kernel processes and reverse
-// computation existed carries "state_saving":"copy" (and, set to one,
-// "lps_per_kp"). It decodes to the config it named, under the key it
-// was cached and checkpointed with, and is written back without the
-// retired key; a parent reads the missing key as copy.
+// A config written while multi-LP kernel processes, reverse computation
+// and the choice of pending queue existed carries "queue":"splay" and
+// "state_saving":"copy" (and, set to one, "lps_per_kp"). It decodes to
+// the config it named, under the key it was cached and checkpointed
+// with, and is written back without the retired keys; a parent reads
+// the missing keys as splay and copy.
 func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 	const parent = `{"model":{"name":"traffic","lps_per_thread":8,"density_gradient":0.5},"threads":8,` +
 		`"system":"gg-pdes","gvt":"waitfree","affinity":"dynamic","end_time":12,"seed":7,` +
 		`"machine":{"cores":4,"smt_width":2,"freq_hz":1300000000,"numa_nodes":2},"gvt_frequency":40,` +
-		`"zero_counter_threshold":300,"batch_size":4,"queue":"heap","state_saving":"copy",` +
+		`"zero_counter_threshold":300,"batch_size":4,"queue":"splay","state_saving":"copy",` +
 		`"optimism_window":5,"checkpoint":{"every":3},"chaos":{"seed":9,"stall_rate":0.02}}`
 	want := Config{
 		Model:   Traffic{LPsPerThread: 8, DensityGradient: 0.5},
@@ -149,9 +151,9 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 		EndTime: 12, Seed: 7,
 		Machine:      Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9, NUMANodes: 2},
 		GVTFrequency: 40, ZeroCounterThreshold: 300, BatchSize: 4,
-		Queue: HeapQueue, OptimismWindow: 5,
-		Checkpoint: &CheckpointOptions{Every: 3},
-		Chaos:      &ChaosOptions{Seed: 9, StallRate: 0.02},
+		OptimismWindow: 5,
+		Checkpoint:     &CheckpointOptions{Every: 3},
+		Chaos:          &ChaosOptions{Seed: 9, StallRate: 0.02},
 	}
 	for _, js := range []string{parent, strings.Replace(parent, `"state_saving"`, `"lps_per_kp":1,"state_saving"`, 1)} {
 		var cfg Config
@@ -162,7 +164,7 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 			t.Fatalf("decoded %+v, want %+v", cfg, want)
 		}
 		// The key the parent computed for this config.
-		if key, err := cfg.CacheKey(); err != nil || key != "sha256:87895489191962ba264814283e50232e29616b2cf7eb21d6aacbaa2408aaf21a" {
+		if key, err := cfg.CacheKey(); err != nil || key != "sha256:76881290e84e2f90a9d89c7ead3105427ba959d8937884f13dcd56cef769cc31" {
 			t.Fatalf("key %s (%v), not the one the config was written under", key, err)
 		}
 	}
@@ -170,20 +172,92 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(data); got != strings.Replace(parent, `"state_saving":"copy",`, "", 1) {
+	if got := string(data); got != strings.Replace(parent, `"queue":"splay","state_saving":"copy",`, "", 1) {
 		t.Fatalf("encoded %s", got)
+	}
+}
+
+// The retired queue key is wire-only. A config that names the splay
+// tree, in any case, or leaves the key empty, decodes to the config
+// without the key, under the same cache key, and is written back
+// without it; "heap" and "calendar" ask for runs that no longer exist
+// and fail typed; anything else was never a queue and fails untyped.
+func TestConfigJSONRetiredQueueField(t *testing.T) {
+	const spec = `{"model":{"name":"phold"},"threads":2,"end_time":5`
+	var plain Config
+	if err := json.Unmarshal([]byte(spec+"}"), &plain); err != nil {
+		t.Fatal(err)
+	}
+	plainKey, err := plain.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		accepted = iota
+		retired
+		unknown
+	)
+	for _, tc := range []struct {
+		name, value string
+		outcome     int
+	}{
+		{"splay", `"splay"`, accepted},
+		{"Splay", `"Splay"`, accepted},
+		{"SPLAY", `"SPLAY"`, accepted},
+		{"empty", `""`, accepted},
+		{"null", `null`, accepted},
+		{"heap", `"heap"`, retired},
+		{"HEAP", `"HEAP"`, retired},
+		{"calendar", `"calendar"`, retired},
+		{"Calendar", `"Calendar"`, retired},
+		{"ladder", `"ladder"`, unknown},
+		{"padded", `" splay"`, unknown},
+		{"number", `1`, unknown},
+		{"bool", `true`, unknown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg Config
+			err := json.Unmarshal([]byte(spec+`,"queue":`+tc.value+"}"), &cfg)
+			switch tc.outcome {
+			case retired:
+				if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "queue") {
+					t.Fatalf("error %v, want ErrInvalidConfig naming the queue", err)
+				}
+				return
+			case unknown:
+				if err == nil || errors.Is(err, ErrInvalidConfig) {
+					t.Fatalf("error %v, want an untyped decode error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cfg, plain) {
+				t.Fatalf("decoded %+v, want %+v", cfg, plain)
+			}
+			if key, err := cfg.CacheKey(); err != nil || key != plainKey {
+				t.Fatalf("key %s (%v), want %s", key, err, plainKey)
+			}
+			data, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(data), `"queue"`) {
+				t.Fatalf("encoded %s", data)
+			}
+		})
 	}
 }
 
 // Every accepted enum spelling decodes, not just the canonical one.
 func TestConfigJSONEnumSpellings(t *testing.T) {
-	js := `{"system":"dd","gvt":"sync","affinity":"constant","queue":"heap"}`
+	js := `{"system":"dd","gvt":"sync","affinity":"constant"}`
 	var cfg Config
 	if err := json.Unmarshal([]byte(js), &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.System != DDPDES || cfg.GVT != Barrier || cfg.Affinity != ConstantAffinity ||
-		cfg.Queue != HeapQueue {
+	if cfg.System != DDPDES || cfg.GVT != Barrier || cfg.Affinity != ConstantAffinity {
 		t.Fatalf("alternate spellings decoded wrong: %+v", cfg)
 	}
 }
@@ -209,6 +283,8 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add(`{"lps_per_kp":1,"state_saving":"copy"}`)
 	f.Add(`{"lps_per_kp":4}`)
 	f.Add(`{"state_saving":"reverse"}`)
+	f.Add(`{"queue":"heap"}`)
+	f.Add(`{"queue":"calendar"}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		var cfg Config
 		if err := json.Unmarshal([]byte(in), &cfg); err != nil {

@@ -35,7 +35,6 @@ import (
 	"ggpdes/internal/core"
 	"ggpdes/internal/gvt"
 	"ggpdes/internal/machine"
-	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
 )
@@ -86,21 +85,6 @@ const (
 // String returns the affinity algorithm's name.
 func (a Affinity) String() string { return core.Affinity(a).String() }
 
-// Queue selects the pending-event data structure.
-type Queue int
-
-const (
-	// SplayQueue is the ROSS-style splay tree (default).
-	SplayQueue Queue = iota
-	// HeapQueue is a binary heap.
-	HeapQueue
-	// CalendarQueue is a Brown calendar queue.
-	CalendarQueue
-)
-
-// String returns the queue kind's name.
-func (q Queue) String() string { return pq.Kind(q).String() }
-
 // Machine describes the simulated processor. The zero value selects the
 // paper's KNL 7230 (64 cores × 4-way SMT at 1.3 GHz).
 type Machine struct {
@@ -133,8 +117,13 @@ func KNL7230SNC4() Machine {
 func SmallMachine() Machine { return Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9} }
 
 func (m Machine) build() (machine.Config, error) {
-	if m.Cores < 0 || m.SMTWidth < 0 || m.FreqHz < 0 || m.NUMANodes < 0 {
+	if m.Cores < 0 || m.SMTWidth < 0 || m.NUMANodes < 0 {
 		return machine.Config{}, errors.New("ggpdes: Machine fields must be non-negative")
+	}
+	// NaN passes a FreqHz < 0 test and would run at the default clock;
+	// +Inf would make every cycle take no time.
+	if !(m.FreqHz >= 0 && !math.IsInf(m.FreqHz, 1)) {
+		return machine.Config{}, errors.New("ggpdes: Machine.FreqHz must be non-negative and finite")
 	}
 	cfg := machine.KNL7230()
 	if m.Cores > 0 {
@@ -198,8 +187,6 @@ type Config struct {
 	ZeroCounterThreshold int
 	// BatchSize is events per main-loop cycle (0 = 8, as in ROSS).
 	BatchSize int
-	// Queue selects the pending-event structure (default splay tree).
-	Queue Queue
 	// Trace enables run instrumentation when non-nil.
 	Trace *TraceOptions
 	// Progress enables live progress reporting when non-nil.
@@ -540,9 +527,6 @@ func (c Config) Validate() error {
 	}
 	if c.Affinity < NoAffinity || c.Affinity > DynamicAffinity {
 		return fail("unknown Affinity %d", int(c.Affinity))
-	}
-	if c.Queue < SplayQueue || c.Queue > CalendarQueue {
-		return fail("unknown Queue %d", int(c.Queue))
 	}
 	if c.Affinity == DynamicAffinity && c.System != GGPDES {
 		return fail("DynamicAffinity requires the GGPDES system")

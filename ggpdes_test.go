@@ -3,6 +3,7 @@ package ggpdes
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -165,9 +166,6 @@ func TestEnumStrings(t *testing.T) {
 	if NoAffinity.String() != "none" || DynamicAffinity.String() != "dynamic" {
 		t.Fatal("affinity strings wrong")
 	}
-	if SplayQueue.String() != "splay" || CalendarQueue.String() != "calendar" {
-		t.Fatal("queue strings wrong")
-	}
 }
 
 func TestMachinePresets(t *testing.T) {
@@ -186,6 +184,51 @@ func TestMachinePresets(t *testing.T) {
 	}
 	if len(cfg.SMTAggregate) != 8 {
 		t.Fatalf("SMT curve not extended: %v", cfg.SMTAggregate)
+	}
+}
+
+// Machine.FreqHz only converts cycles to seconds: every clock runs the
+// same simulation, cycle for cycle, and reports its wall time as cycles
+// over the clock, so the committed event rate scales with the clock. 0
+// is the default, 1.3 GHz, the clock quickCfg's machine names.
+func TestMachineClockOnlyScalesReports(t *testing.T) {
+	ref, err := Run(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refHz = 1.3e9
+	if ref.WallClockSeconds <= 0 || ref.CommittedEventRate <= 0 {
+		t.Fatalf("reference run reports %v s and %v events/s", ref.WallClockSeconds, ref.CommittedEventRate)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	for _, tc := range []struct {
+		name     string
+		freq, hz float64
+	}{
+		{"default", 0, refHz},
+		{"0.65GHz", 0.65e9, 0.65e9},
+		{"2.6GHz", 2.6e9, 2.6e9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Machine.FreqHz = tc.freq
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TotalCycles != ref.TotalCycles || res.CommittedEvents != ref.CommittedEvents ||
+				res.ProcessedEvents != ref.ProcessedEvents || res.Rollbacks != ref.Rollbacks {
+				t.Fatalf("the clock moved the simulation: %d cycles, %d committed, %d processed, %d rollbacks; at %v Hz %d, %d, %d, %d",
+					res.TotalCycles, res.CommittedEvents, res.ProcessedEvents, res.Rollbacks,
+					refHz, ref.TotalCycles, ref.CommittedEvents, ref.ProcessedEvents, ref.Rollbacks)
+			}
+			if !near(res.WallClockSeconds*tc.hz, ref.WallClockSeconds*refHz) {
+				t.Errorf("wall clock %v s at %v Hz, %v s at %v Hz: not the same cycles", res.WallClockSeconds, tc.hz, ref.WallClockSeconds, refHz)
+			}
+			if !near(res.CommittedEventRate*refHz, ref.CommittedEventRate*tc.hz) {
+				t.Errorf("committed event rate %v at %v Hz, %v at %v Hz: does not scale with the clock", res.CommittedEventRate, tc.hz, ref.CommittedEventRate, refHz)
+			}
+		})
 	}
 }
 
@@ -218,22 +261,6 @@ func TestSeedChangesTrajectory(t *testing.T) {
 	}
 	if a.CommittedEvents == b.CommittedEvents && a.TotalCycles == b.TotalCycles {
 		t.Fatal("different seeds produced identical runs")
-	}
-}
-
-func TestQueueKindsAgreeOnCommitted(t *testing.T) {
-	var committed []uint64
-	for _, q := range []Queue{SplayQueue, HeapQueue, CalendarQueue} {
-		cfg := quickCfg()
-		cfg.Queue = q
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", q, err)
-		}
-		committed = append(committed, res.CommittedEvents)
-	}
-	if committed[0] != committed[1] || committed[1] != committed[2] {
-		t.Fatalf("queue kinds disagree: %v", committed)
 	}
 }
 

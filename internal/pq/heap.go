@@ -1,8 +1,10 @@
 package pq
 
-// BinHeap is a classic array-backed binary min-heap. It is the baseline
-// pending-event structure the splay tree and calendar queue are
-// benchmarked against.
+import "slices"
+
+// BinHeap is a classic array-backed binary min-heap: the engine's
+// pending-event set, and the structure the splay tree and calendar
+// queue are benchmarked against.
 type BinHeap[T any] struct {
 	items []entry[T]
 	less  Less[T]
@@ -17,6 +19,10 @@ func NewHeap[T any](less Less[T], prio func(T) float64) *BinHeap[T] {
 
 // Len reports the number of items in the heap.
 func (h *BinHeap[T]) Len() int { return len(h.items) }
+
+// Grow makes room for n more items, so that the next n Pushes allocate
+// nothing.
+func (h *BinHeap[T]) Grow(n int) { h.items = slices.Grow(h.items, n) }
 
 // Push inserts an item.
 func (h *BinHeap[T]) Push(item T) {

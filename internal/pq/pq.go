@@ -1,7 +1,9 @@
 // Package pq provides timestamp-ordered priority queues for pending
-// event sets. Three implementations are provided — a splay tree (the
-// structure used by ROSS), a binary heap, and a calendar queue — behind
-// a common Queue interface so the engine can be benchmarked with each.
+// event sets. The engine's pending set is the binary heap (BinHeap),
+// built directly with NewHeap. The splay tree (the structure used by
+// ROSS) and the calendar queue, the Queue interface over all three, New
+// and Kind remain only because the per-layer benchmark (bench/) still
+// measures every kind; they go with ROADMAP item 2(c).
 //
 // Queues are min-queues ordered by a caller-supplied comparison. They
 // deliberately do not support arbitrary removal: Time Warp annihilates

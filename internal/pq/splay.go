@@ -189,17 +189,3 @@ func (t *SplayTree[T]) Pop() (T, bool) {
 	t.free = n
 	return item, true
 }
-
-// AdoptNodes moves from's recycled nodes onto t's freelist, so t's
-// first Pushes allocate nothing. from keeps its items, if it has any.
-func (t *SplayTree[T]) AdoptNodes(from *SplayTree[T]) {
-	if from.free == nil || from == t {
-		return
-	}
-	last := from.free
-	for last.right != nil {
-		last = last.right
-	}
-	last.right = t.free
-	t.free, from.free = from.free, nil
-}

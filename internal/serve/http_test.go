@@ -150,6 +150,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"adaptive_gvt", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"adaptive_gvt":{"min_frequency":4,"max_frequency":64}}}`},
 		{"chaos.drop_send_rate", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"drop_send_rate":0.01}}}`},
 		{"state_saving", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"state_saving":"reverse"}}`},
+		{"queue heap", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"queue":"heap"}}`},
+		{"queue calendar", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"queue":"calendar"}}`},
 		// A stall rate of 1 would stall every iteration until the deadline.
 		{"chaos.stall_rate 1", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"stall_rate":1}}}`},
 	} {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ggpdes/internal/models"
-	"ggpdes/internal/pq"
 	"ggpdes/internal/rng"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/tw"
@@ -84,7 +83,6 @@ func TestCaptureContinuation(t *testing.T) {
 	variants := map[string]func(*tw.Config){
 		"copy":     func(*tw.Config) {},
 		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
-		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
 		"unpooled": func(c *tw.Config) { c.DisablePooling = true },
 	}
 	for name, build := range builders {
@@ -180,9 +178,8 @@ func (m countingModel) DecodeState(data []byte) (tw.State, error) {
 // statistics, and between the two that pool the same pool counters.
 func TestStatesRideTheSpareSet(t *testing.T) {
 	variants := map[string]func(*tw.Config){
-		"copy":     func(*tw.Config) {},
-		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
-		"calendar": func(c *tw.Config) { c.QueueKind = pq.Calendar },
+		"copy":   func(*tw.Config) {},
+		"window": func(c *tw.Config) { c.OptimismWindow = 2 },
 	}
 	type outcome struct {
 		capture []byte

@@ -15,7 +15,7 @@ import (
 // serializable data, and rebuilding an engine from a capture.
 //
 // The engine cannot snapshot mid-speculation state — live goroutine
-// stacks (the simulated threads), splay-tree shapes and freelist
+// stacks (the simulated threads), pending-heap layouts and freelist
 // contents are not serializable, and none of them are part of the
 // committed trajectory anyway. Instead a checkpointed run executes as a
 // chain of segments: the driver pauses the engine at a GVT round
@@ -261,7 +261,15 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	if !ok {
 		return nil, errNotCheckpointModel
 	}
-	eng, err := newEngineShell(cfg)
+	// The one fork between an in-process boundary and every other way to
+	// start a segment: spare memory that fits brings the pending heaps
+	// and the LP states with it, and without it the states are decoded.
+	sp := st.spare
+	st.spare = nil
+	if !sp.fits(cfg) {
+		sp = nil
+	}
+	eng, err := newEngineShell(cfg, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -275,18 +283,12 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	eng.seq = st.Seq
 	eng.gvt = st.GVT
 	eng.peakUncommitted = st.PeakUncommitted
-	// The one fork between an in-process boundary and every other way to
-	// start a segment: spare memory that fits brings the LP states with
-	// it, and without it they are decoded.
-	sp := st.spare
-	st.spare = nil
-	adopted := sp.fits(eng)
-	if adopted {
+	if sp != nil {
 		eng.adoptSpare(sp)
 	}
 	for i, lp := range eng.lps {
 		rec := &st.LPs[i]
-		if !adopted {
+		if sp == nil {
 			state, err := cm.DecodeState(rec.State)
 			if err != nil {
 				return nil, fmt.Errorf("tw: decoding LP %d state: %w", lp.ID, err)

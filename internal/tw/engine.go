@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 )
@@ -84,8 +83,6 @@ type Config struct {
 	// BatchSize is the number of events processed per main-loop cycle
 	// (ROSS uses 8; 0 selects 8).
 	BatchSize int
-	// QueueKind selects the pending-set structure (default splay tree).
-	QueueKind pq.Kind
 	// Costs is the CPU cost model; zero value selects DefaultCosts.
 	Costs CostModel
 	// Trace, when non-nil, records GVT publications, rollbacks, commits
@@ -185,7 +182,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	eng, err := newEngineShell(cfg)
+	eng, err := newEngineShell(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +201,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 // newEngineShell builds the LP/peer topology for cfg (defaults
 // already filled) without running model initialization; NewEngine runs
 // InitLP on top, NewEngineFromState restores captured state instead.
-func newEngineShell(cfg Config) (*Engine, error) {
+// sp is nil or a spare set that fits cfg, whose emptied pending heaps
+// the peers take in place of fresh ones (spare.go).
+func newEngineShell(cfg Config, sp *spareMemory) (*Engine, error) {
 	eng := &Engine{cfg: cfg}
 	eng.tel = engineTelemetry{
 		uncommittedPeak: cfg.Telemetry.Gauge(MetricUncommittedPeak),
@@ -224,6 +223,11 @@ func newEngineShell(cfg Config) (*Engine, error) {
 	for i := range eng.peers {
 		p := newPeer(i, eng)
 		p.lps = eng.lps[i*perThread : (i+1)*perThread : (i+1)*perThread]
+		if sp != nil {
+			p.pending = sp.peers[i].pending
+		} else {
+			p.pending = newPendingQueue(pendingPerLP * perThread)
+		}
 		eng.peers[i] = p
 	}
 	for id := range lps {

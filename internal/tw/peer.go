@@ -117,15 +117,18 @@ package tw
 // bisection: 104 ns, 276 -> 105 in the ledger's own
 // pq.calendar.hold_ns_op_n256, the well-tuned rows above unchanged.
 //
-// What is left, in this profile's order: the splay tree is still a
-// pointer-linked structure of heap nodes (two thirds of the remaining
-// write-barrier time is its link stores, and the collector still marks
-// every event and node it can reach), Drain still splays once per
+// The profiles above ran on the splay tree, then the engine's queue.
+// Since then the pending set is the binary heap, which was faster at
+// every measured point with identical Results (DESIGN.md §5): its
+// entries sit in one array instead of pointer-linked nodes, whose link
+// stores were two thirds of the write-barrier time left above. What is
+// left, in this profile's order: Drain still pushes once per
 // event where it could insert a sorted run, peekLive walks what it
-// could index, and FossilCollect visits the history head of every LP
-// the peer serves, an idle one's too. Index-addressed slabs, per-LP
-// time buckets and a fossil pass over busy LPs only are on ROADMAP item
-// 10's engine list.
+// could index, the collector still marks every event the heap points
+// to, and FossilCollect visits the history head of every LP the peer
+// serves, an idle one's too. Index-addressed slabs, per-LP time buckets
+// and a fossil pass over busy LPs only are on ROADMAP item 10's engine
+// list.
 
 import (
 	"fmt"
@@ -169,7 +172,7 @@ type Peer struct {
 
 	lps     []*LP
 	inq     []*Event
-	pending pq.Queue[*Event]
+	pending *pq.BinHeap[*Event]
 
 	// freeEvents is the peer's event freelist (see pool.go); pool
 	// accumulates its traffic counters between telemetry flushes and
@@ -243,13 +246,18 @@ type peerTelemetry struct {
 	poolStateRecycled *telemetry.Counter
 }
 
-// newPendingQueue builds a pending set of the engine's configured
-// kind; dropEvents (shard.go) also uses it to replace a foreign peer's
-// queue with a fresh empty one.
-func newPendingQueue(eng *Engine) pq.Queue[*Event] {
-	less := func(a, b *Event) bool { return a.before(b) }
-	prio := func(e *Event) float64 { return e.Ts }
-	return pq.New[*Event](eng.cfg.QueueKind, less, prio)
+// pendingPerLP is the pending-heap room a fresh engine gives a peer per
+// LP it serves: the heap grows once when it is built instead of by
+// doubling through the first rounds of the run.
+const pendingPerLP = 8
+
+// newPendingQueue builds an empty pending set with room for n events;
+// dropEvents (shard.go) also uses it to replace a foreign peer's queue
+// with a fresh empty one.
+func newPendingQueue(n int) *pq.BinHeap[*Event] {
+	h := pq.NewHeap(func(a, b *Event) bool { return a.before(b) }, func(e *Event) float64 { return e.Ts })
+	h.Grow(n)
+	return h
 }
 
 func newPeer(id int, eng *Engine) *Peer {
@@ -257,7 +265,6 @@ func newPeer(id int, eng *Engine) *Peer {
 	return &Peer{
 		ID:      id,
 		eng:     eng,
-		pending: newPendingQueue(eng),
 		minSent: math.Inf(1),
 		tel: peerTelemetry{
 			rollbackDepth: sh.Histogram(MetricRollbackDepth),

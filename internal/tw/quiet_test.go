@@ -6,13 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"ggpdes/internal/pq"
 )
 
 // peerPrint is everything a poll could change on a peer, short of the
-// internal shape of its pending queue (a Peek may restructure a splay
-// tree, which no result depends on: events are totally ordered).
+// internal layout of its pending heap, which no result depends on:
+// events are totally ordered.
 type peerPrint struct {
 	stats    PeerStats
 	inq      int
@@ -66,22 +64,12 @@ func printEngine(eng *Engine) enginePrint {
 // that neither changes any statistic or any state; and Quiet() itself
 // changes nothing, pool counters included.
 func TestQuietPeerPollsAreNoOps(t *testing.T) {
-	type variant struct {
-		window VT
-		queue  pq.Kind
-	}
-	var variants []variant
-	for _, w := range []VT{0, 3} {
-		for _, q := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-			variants = append(variants, variant{w, q})
-		}
-	}
 	var quietEmpty, quietHorizon, quietEnd, cancelledBeyond int
-	for _, v := range variants {
-		t.Run(fmt.Sprintf("window=%v/%v", v.window, v.queue), func(t *testing.T) {
+	for _, window := range []VT{0, 3} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
 			eng, err := NewEngine(Config{
 				NumThreads: 4, Model: &ringModel{lpsPerThread: 2, startPerLP: 1}, EndTime: 12, Seed: 99,
-				OptimismWindow: v.window, QueueKind: v.queue, BatchSize: 2,
+				OptimismWindow: window, BatchSize: 2,
 			})
 			if err != nil {
 				t.Fatal(err)

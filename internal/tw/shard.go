@@ -162,7 +162,7 @@ func (e *Engine) sharded() bool { return e.shardHi-e.shardLo < len(e.peers) }
 // exact correspondence with an in-process run.
 func (p *Peer) dropEvents() {
 	p.inq = nil
-	p.pending = newPendingQueue(p.eng)
+	p.pending = newPendingQueue(0)
 	p.freeEvents = nil
 	p.pool = poolStats{}
 	p.quiesced = nil

@@ -14,7 +14,7 @@ import (
 // becomes garbage. Capture therefore harvests what the quiesced engine
 // no longer needs — its events (freelisted or just converted into
 // records), the snapshots in its peers' stores, the emptied pending
-// queues with their nodes, and the live LP states themselves — into a
+// heaps with their arrays, and the live LP states themselves — into a
 // spare set that rides on the returned EngineState, and an engine built
 // from that state adopts it. The states are the very objects encodeLPs
 // has just serialized: the successor installs them where it would
@@ -25,15 +25,18 @@ import (
 // has moved elsewhere keeps its high-water mark for one segment, not
 // for the rest of the run (carrying everything read +2 MB of live heap
 // on the epidemics benchmark, whose active region shifts from thread
-// group to thread group). Everything in the set is per peer but the
-// live states, one per LP: the histories are linked through their
-// events and the snapshot stores are the peers', so no LP has an array
-// to hand on.
+// group to thread group). The emptied pending heaps are the exception:
+// each is the peer's own and keeps the array its largest pending set
+// grew, 16 bytes an event, for the rest of the run. Everything in the
+// set is per peer but the live states, one per LP: the histories are
+// linked through their events and the snapshot stores are the peers',
+// so no LP has an array to hand on.
 //
 // pool.go's rule stands: recycling reuses memory, never logic — and the
 // committed cut's state is data, not logic. The successor is a fresh
-// Engine with fresh Peers and LPs, and everything in the set but
-// the live states sits behind the pools' miss path, not in the pools:
+// Engine with fresh Peers and LPs, and everything in the set but the
+// live states and the pending heaps, which hold no counted memory, sits
+// behind the pools' miss path, not in the pools:
 // allocEvent finds its freelist empty and acquireSnapshot its LP's
 // count at zero, each counts the miss exactly as it would have, and
 // only then takes spare memory where it used to call the allocator. So
@@ -57,9 +60,9 @@ type spareMemory struct {
 }
 
 type sparePeer struct {
-	events []*Event              // poisoned
-	nodes  *pq.SplayTree[*Event] // the emptied pending queue, for its nodes; nil for other kinds
-	states []StateCopier         // the peer's snapshot store: dead, of its pooled state type
+	events  []*Event            // poisoned
+	pending *pq.BinHeap[*Event] // the emptied pending heap, for its array
+	states  []StateCopier       // the peer's snapshot store: dead, of its pooled state type
 }
 
 // harvestSpare collects the quiesced, captured engine's reusable
@@ -85,8 +88,9 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 		// grows its store in.
 		kept := copy(p.statePool, p.statePool[p.spareStates:])
 		clear(p.statePool[kept:])
-		nodes, _ := p.pending.(*pq.SplayTree[*Event])
-		sp.peers[i] = sparePeer{events: events, nodes: nodes, states: p.statePool[:kept]}
+		// The pending heap is empty now, and stays the engine's too: it
+		// may still be checked, but the successor pushes into it.
+		sp.peers[i] = sparePeer{events: events, pending: p.pending, states: p.statePool[:kept]}
 		p.spareEvents, p.freeEvents = nil, nil
 		p.statePool, p.spareStates = nil, 0
 	}
@@ -96,26 +100,24 @@ func (e *Engine) harvestSpare(captured [][]*Event) *spareMemory {
 	return sp
 }
 
-// fits reports whether the set was harvested from an engine of e's
-// shape — the same model type, so every state in it is one e's model
-// could have created, and the same thread and LP counts — and e
+// fits reports whether the set was harvested from an engine of cfg's
+// shape — the same model type, so every state in it is one cfg's model
+// could have created, and the same thread and LP counts — and cfg
 // recycles at all. A nil set fits nothing.
-func (sp *spareMemory) fits(e *Engine) bool {
-	return sp != nil && !e.cfg.DisablePooling && sp.model == reflect.TypeOf(e.cfg.Model) &&
-		len(sp.peers) == len(e.peers) && len(sp.live) == len(e.lps)
+func (sp *spareMemory) fits(cfg Config) bool {
+	return sp != nil && !cfg.DisablePooling && sp.model == reflect.TypeOf(cfg.Model) &&
+		len(sp.peers) == cfg.NumThreads && len(sp.live) == cfg.NumThreads*cfg.Model.LPsPerThread()
 }
 
 // adoptSpare hands a predecessor's spare memory, which fits, to a
-// freshly built engine: the LP states as they are, the rest behind the
-// pools' miss path.
+// freshly built engine, whose peers newEngineShell has already given
+// the emptied pending heaps: the LP states as they are, the rest behind
+// the pools' miss path.
 func (e *Engine) adoptSpare(sp *spareMemory) {
 	for i, p := range e.peers {
 		s := &sp.peers[i]
 		p.spareEvents = s.events
 		p.statePool, p.spareStates = s.states, len(s.states)
-		if dst, ok := p.pending.(*pq.SplayTree[*Event]); ok && s.nodes != nil {
-			dst.AdoptNodes(s.nodes)
-		}
 	}
 	for i, lp := range e.lps {
 		lp.state = sp.live[i]

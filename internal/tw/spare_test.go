@@ -3,6 +3,7 @@ package tw
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -186,6 +187,89 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	}
 }
 
+// A fresh engine grows each peer's pending heap once, to pendingPerLP
+// events for every LP the peer serves, so pushes up to that room
+// allocate nothing, whatever the LP count.
+func TestFreshPendingHeapHasRoom(t *testing.T) {
+	for _, lps := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("lps=%d", lps), func(t *testing.T) {
+			eng, err := NewEngine(Config{NumThreads: 2, Model: &ringModel{lpsPerThread: lps, startPerLP: 1}, EndTime: 10, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range eng.peers {
+				free := pendingPerLP*lps - p.pending.Len()
+				if free <= 0 {
+					t.Fatalf("peer %d's heap starts full: %d events", i, p.pending.Len())
+				}
+				events := make([]*Event, free)
+				for j := range events {
+					events[j] = &Event{Ts: float64(free - j)}
+				}
+				if allocs := testing.AllocsPerRun(1, func() {
+					for _, ev := range events {
+						p.pending.Push(ev)
+					}
+					for range events {
+						p.pending.Pop()
+					}
+				}); allocs != 0 {
+					t.Fatalf("peer %d: %d pushes within its heap's room allocated %.0f times", i, free, allocs)
+				}
+			}
+		})
+	}
+}
+
+// A segment that continues in process restores the capture's pending
+// events into the heaps its predecessor emptied, which held them a
+// moment before, so its first pending pushes allocate nothing: more
+// events than a fresh engine's heap has room for.
+func TestResumedPendingPushesAllocateNothing(t *testing.T) {
+	cfg := Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 2 * pendingPerLP}, EndTime: 1e6, Seed: 99}
+	first, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRounds(first, 20)
+	st, err := first.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := pendingPerLP * cfg.Model.LPsPerThread()
+	heaps := make([]*pq.BinHeap[*Event], len(st.Pending))
+	for i, s := range st.spare.peers {
+		n := len(st.Pending[i])
+		if n <= room {
+			t.Fatalf("peer %d restores %d events, within a fresh heap's room for %d", i, n, room)
+		}
+		events := make([]*Event, n)
+		for j := range events {
+			events[j] = &Event{Ts: float64(n - j)}
+		}
+		if allocs := testing.AllocsPerRun(1, func() {
+			for _, ev := range events {
+				s.pending.Push(ev)
+			}
+			for s.pending.Len() > 0 {
+				s.pending.Pop()
+			}
+		}); allocs != 0 {
+			t.Fatalf("peer %d: pushing its %d events into the emptied heap allocated %.0f times", i, n, allocs)
+		}
+		heaps[i] = s.pending
+	}
+	next, err := NewEngineFromState(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range next.peers {
+		if p.pending != heaps[i] || p.pending.Len() != len(st.Pending[i]) {
+			t.Fatalf("peer %d restored its %d events into another heap", i, len(st.Pending[i]))
+		}
+	}
+}
+
 // A spare set is only memory of the right shapes: an engine with
 // another type of model, or with pooling off, leaves all of it alone —
 // the LP states too, which it decodes from the records instead — and a
@@ -207,7 +291,6 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		"same":     func(*Config) {},
 		"unpooled": func(c *Config) { c.DisablePooling = true },
 		"model":    func(c *Config) { c.Model = &mixedRing{*c.Model.(*ringModel)} },
-		"heap":     func(c *Config) { c.QueueKind = pq.Heap }, // adopts all but the splay nodes
 	} {
 		cfg := spareCfg()
 		vary(&cfg)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"ggpdes/internal/pq"
 )
 
 // fakeCPU satisfies CPU for engine-level tests without a machine.
@@ -142,9 +140,6 @@ func TestDefaultsFilled(t *testing.T) {
 	}
 	if cfg.Costs == (CostModel{}) {
 		t.Fatal("Costs default not filled")
-	}
-	if cfg.QueueKind != pq.Splay {
-		t.Fatalf("QueueKind default = %v", cfg.QueueKind)
 	}
 }
 
@@ -489,28 +484,6 @@ func TestCPUChargedForWork(t *testing.T) {
 	p.ProcessBatch(cpu)
 	if cpu.cycles <= afterDrain {
 		t.Fatal("processing charged nothing")
-	}
-}
-
-func TestQueueKindsProduceSameTrajectory(t *testing.T) {
-	results := make([]uint64, 0, 3)
-	for _, kind := range []pq.Kind{pq.Splay, pq.Heap, pq.Calendar} {
-		eng, err := NewEngine(Config{
-			NumThreads: 2,
-			Model:      &ringModel{lpsPerThread: 2, startPerLP: 2},
-			EndTime:    20,
-			Seed:       99,
-			QueueKind:  kind,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runQuiescent(t, eng, []int{1, 0})
-		committed, _, _ := collectResults(eng)
-		results = append(results, committed)
-	}
-	if results[0] != results[1] || results[1] != results[2] {
-		t.Fatalf("queue kinds disagree: %v", results)
 	}
 }
 

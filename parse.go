@@ -47,18 +47,3 @@ func ParseAffinity(s string) (Affinity, error) {
 		return 0, fmt.Errorf("ggpdes: unknown affinity %q (want none | constant | dynamic)", s)
 	}
 }
-
-// ParseQueue converts a pending-queue kind name ("splay", "heap",
-// "calendar") to its enum value.
-func ParseQueue(s string) (Queue, error) {
-	switch strings.ToLower(s) {
-	case "splay":
-		return SplayQueue, nil
-	case "heap":
-		return HeapQueue, nil
-	case "calendar":
-		return CalendarQueue, nil
-	default:
-		return 0, fmt.Errorf("ggpdes: unknown queue %q (want splay | heap | calendar)", s)
-	}
-}

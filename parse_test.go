@@ -11,7 +11,6 @@ func TestParseEnums(t *testing.T) {
 		{"dd-pdes", func(s string) bool { v, err := ParseSystem(s); return err == nil && v == DDPDES }},
 		{"sync", func(s string) bool { v, err := ParseGVT(s); return err == nil && v == Barrier }},
 		{"dynamic", func(s string) bool { v, err := ParseAffinity(s); return err == nil && v == DynamicAffinity }},
-		{"calendar", func(s string) bool { v, err := ParseQueue(s); return err == nil && v == CalendarQueue }},
 	}
 	for _, tc := range good {
 		t.Run(tc.in, func(t *testing.T) {
@@ -27,7 +26,6 @@ func TestParseEnums(t *testing.T) {
 		{"cfs", func(s string) error { _, err := ParseSystem(s); return err }},
 		{"mattern", func(s string) error { _, err := ParseGVT(s); return err }},
 		{"numa", func(s string) error { _, err := ParseAffinity(s); return err }},
-		{"ladder", func(s string) error { _, err := ParseQueue(s); return err }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.in, func(t *testing.T) {

@@ -38,35 +38,29 @@ func poolFingerprint(t *testing.T, res *Results) string {
 
 // The full-stack pooling gold test: through the public API — machine,
 // scheduler, GVT and engine all live — switching event/snapshot
-// recycling off must not move a single counter of the trajectory, for
-// every pending-queue kind.
+// recycling off must not move a single counter of the trajectory.
 func TestPoolingIsTrajectoryInvariant(t *testing.T) {
-	for _, q := range []Queue{SplayQueue, HeapQueue, CalendarQueue} {
-		t.Run(q.String(), func(t *testing.T) {
-			cfg := quickCfg()
-			cfg.Queue = q
-			pooled, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.DisablePooling = true
-			bare, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := poolFingerprint(t, pooled), poolFingerprint(t, bare)
-			if a != b {
-				t.Fatalf("pooling changed the trajectory:\npooled:\n%s\nunpooled:\n%s", a, b)
-			}
-			if pooled.Rollbacks == 0 {
-				t.Fatal("run had no rollbacks; invariance test exercises nothing")
-			}
-			if pooled.Counters["tw.pool.event_recycled"] == 0 {
-				t.Fatal("pooled run recycled nothing")
-			}
-			if bare.Counters["tw.pool.event_recycled"] != 0 {
-				t.Fatal("unpooled run recycled events")
-			}
-		})
+	cfg := quickCfg()
+	pooled, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DisablePooling = true
+	bare, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := poolFingerprint(t, pooled), poolFingerprint(t, bare)
+	if a != b {
+		t.Fatalf("pooling changed the trajectory:\npooled:\n%s\nunpooled:\n%s", a, b)
+	}
+	if pooled.Rollbacks == 0 {
+		t.Fatal("run had no rollbacks; invariance test exercises nothing")
+	}
+	if pooled.Counters["tw.pool.event_recycled"] == 0 {
+		t.Fatal("pooled run recycled nothing")
+	}
+	if bare.Counters["tw.pool.event_recycled"] != 0 {
+		t.Fatal("unpooled run recycled events")
 	}
 }

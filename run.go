@@ -14,7 +14,6 @@ import (
 	"ggpdes/internal/core"
 	"ggpdes/internal/gvt"
 	"ggpdes/internal/machine"
-	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 	"ggpdes/internal/tw"
@@ -280,7 +279,6 @@ func (c Config) twConfig(reg *telemetry.Registry) (twCfg tw.Config, err error) {
 		EndTime:        c.EndTime,
 		Seed:           c.Seed,
 		BatchSize:      c.BatchSize,
-		QueueKind:      pq.Kind(c.Queue),
 		OptimismWindow: c.OptimismWindow,
 		DisablePooling: c.DisablePooling,
 		Telemetry:      reg,
