@@ -32,14 +32,16 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the external inputs — the trace CSV reader, the
-# Config JSON wire codec, the distributed binary batch codec and the
-# checkpoint file decoder; extend FUZZTIME locally.
+# Config JSON wire codec, the distributed binary batch codec, the
+# checkpoint file decoder and the engine a decoded capture rebuilds;
+# extend FUZZTIME locally.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run=^$$ -fuzz='^FuzzEngineState$$' -fuzztime=$(FUZZTIME) ./internal/tw
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

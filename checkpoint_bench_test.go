@@ -3,6 +3,7 @@ package ggpdes
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,17 +25,20 @@ func ckptBenchCfg(dir string) Config {
 	}
 }
 
-// segmentLedger steps runs through the same four calls runSegment and
-// checkpoint make, so that each can be timed — what a segment costs to
-// build, to run, to capture, and what the critical path still waits for
-// the snapshot writer (joining the previous boundary's write, building
-// the snapshot, and the final join) — and counts what a boundary is
-// there to avoid: heap objects, and LP states that were decoded into new
-// objects where the quiesced engine's own could have been installed.
+// segmentLedger steps runs through the same calls runSegment and
+// checkpoint make, in their order — build, run, then at a boundary join
+// the previous boundary's writer, capture over the state the engine was
+// built from, and commit — so that each can be timed: what a segment
+// costs to build, to run, to capture, and what the critical path still
+// waits for the snapshot writer (the join, building the snapshot, and
+// the final join). It counts what a boundary is there to avoid: heap
+// objects and bytes, the collector cycles they cost, and LP states that
+// were decoded into new objects where the quiesced engine's own could
+// have been installed.
 type segmentLedger struct {
 	build, run, capture, write time.Duration
 	segments, decoded          int
-	mallocs                    uint64
+	mallocs, bytes, gcs        uint64
 }
 
 // step runs rs, prepared or loaded from a snapshot, to completion.
@@ -60,8 +64,9 @@ func (l *segmentLedger) step(b *testing.B, rs *runState) {
 			return
 		}
 		var est *tw.EngineState
+		timed(&l.write, rs.waitWriter)
 		timed(&l.capture, func() (err error) { est, err = rs.capture(seg); return })
-		timed(&l.write, func() error { return rs.commit(seg, est) })
+		timed(&l.write, func() error { rs.commit(seg, est); return nil })
 	}
 }
 
@@ -95,17 +100,23 @@ func (m countedModel) DecodeState(data []byte) (tw.State, error) {
 func (l *segmentLedger) measure(b *testing.B, one func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	l.mallocs = mallocsDuring(func() {
-		for i := 0; i < b.N; i++ {
-			one()
-		}
-	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+	runtime.ReadMemStats(&after)
+	l.mallocs = after.Mallocs - before.Mallocs
+	l.bytes = after.TotalAlloc - before.TotalAlloc
+	l.gcs = uint64(after.NumGC - before.NumGC)
 	per := func(n float64) float64 { return n / float64(l.segments) }
 	b.ReportMetric(per(float64(l.build.Nanoseconds())), "build-ns/segment")
 	b.ReportMetric(per(float64(l.run.Nanoseconds())), "run-ns/segment")
 	b.ReportMetric(per(float64(l.capture.Nanoseconds())), "capture-ns/segment")
 	b.ReportMetric(per(float64(l.write.Nanoseconds())), "write-wait-ns/segment")
 	b.ReportMetric(per(float64(l.mallocs)), "allocs/segment")
+	b.ReportMetric(per(float64(l.bytes)), "bytes/segment")
+	b.ReportMetric(per(float64(l.gcs)), "gc/segment")
 	b.ReportMetric(per(float64(l.decoded)), "decode_states/segment")
 	b.ReportMetric(float64(l.segments)/float64(b.N), "segments/op")
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"ggpdes/internal/checkpoint"
+	"ggpdes/internal/tw"
 )
 
 // ckptCfg returns a small checkpointed configuration: every 2 GVT
@@ -305,6 +307,61 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		if _, err := Resume(written); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("snapshot with %s: got %v, want ErrCheckpointCorrupt", retired, err)
 		}
+	}
+}
+
+// A snapshot whose checksum holds can still describe an engine its
+// config cannot be: re-encoded after a mutation, each row below is
+// refused with ErrCheckpointCorrupt before a single event runs, where
+// it used to panic a simulation thread, fail an invariant untyped, or
+// — a record for another peer's LP, an LP that does not exist, a
+// time that is not a number — run on silently along another trajectory.
+func TestResumeRejectsImpossibleState(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, Barrier, dir)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(listCheckpoints(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// record returns the first pending record and the peer holding it.
+	record := func(st *tw.EngineState) (*tw.EventRecord, int) {
+		for i, recs := range st.Pending {
+			if len(recs) > 0 {
+				return &recs[0], i
+			}
+		}
+		t.Fatal("snapshot holds no pending event")
+		return nil, 0
+	}
+	perThread := cfg.Model.(PHOLD).LPsPerThread
+	for name, mutate := range map[string]func(st *tw.EngineState){
+		"dst-beyond":     func(st *tw.EngineState) { r, _ := record(st); r.Dst = 1 << 20 },
+		"dst-negative":   func(st *tw.EngineState) { r, _ := record(st); r.Dst = -1 },
+		"dst-other-peer": func(st *tw.EngineState) { r, i := record(st); r.Dst = (i + 1) % cfg.Threads * perThread },
+		"src-beyond":     func(st *tw.EngineState) { r, _ := record(st); r.Src = 1 << 20 },
+		"lvt-nan":        func(st *tw.EngineState) { st.LPs[1].LVT = math.NaN() },
+		"gvt-nan":        func(st *tw.EngineState) { st.GVT = math.NaN() },
+		"ts-nan":         func(st *tw.EngineState) { r, _ := record(st); r.Ts = math.NaN() },
+		"ts-below-gvt":   func(st *tw.EngineState) { r, _ := record(st); r.Ts = st.GVT - 1 },
+		"seq-beyond":     func(st *tw.EngineState) { r, _ := record(st); r.Seq = st.Seq + 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			snap, err := checkpoint.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(snap.Engine)
+			path, err := checkpoint.Write(t.TempDir(), snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Resume(path); !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
+			}
+		})
 	}
 }
 

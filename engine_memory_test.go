@@ -152,11 +152,33 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 // mallocsDuring is the number of heap objects the process allocated
 // while f ran.
 func mallocsDuring(f func()) uint64 {
+	mallocs, _ := allocDuring(f)
+	return mallocs
+}
+
+// allocDuring is the number of heap objects, and of bytes, the process
+// allocated while f ran.
+func allocDuring(f func()) (mallocs, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// runAndResumeMiddle makes the benchmark's epidemics-ckpt-resume call
+// pair in dir — a checkpointed Run of its config, then Resume from the
+// middle snapshot — and returns the committed events of both.
+func runAndResumeMiddle(t *testing.T, dir string) uint64 {
+	full, err := Run(ckptBenchCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(filepath.Join(dir, checkpoint.FileName((len(listCheckpoints(t, dir))+1)/2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full.CommittedEvents + resumed.CommittedEvents
 }
 
 // TestCheckpointedRunAllocsPerCommittedEvent is the same tripwire for
@@ -172,27 +194,18 @@ func mallocsDuring(f func()) uint64 {
 // and one registry per run 2.15, with the household's agents inside its
 // state 1.55 and 1.37, with send windows carved from a per-peer chunk
 // 1.07 and 0.96, with the histories linked through their events and
-// one snapshot store per peer 0.57 and 0.32. The ceilings are about
-// 1.25 times that.
+// one snapshot store per peer 0.57 and 0.32, with the pending heaps
+// handed over sorted and a boundary's arrays reused 0.49 and 0.31. The
+// ceilings are about 1.25 times that.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ckptCeiling, plainCeiling = 0.72, 0.4
+	const ckptCeiling, plainCeiling = 0.62, 0.4
 	dir := t.TempDir()
 	cfg := ckptBenchCfg(dir)
 	var committed uint64
-	mallocs := mallocsDuring(func() {
-		full, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := Resume(filepath.Join(dir, checkpoint.FileName((len(listCheckpoints(t, dir))+1)/2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		committed = full.CommittedEvents + resumed.CommittedEvents
-	})
+	mallocs := mallocsDuring(func() { committed = runAndResumeMiddle(t, dir) })
 	perEvent := float64(mallocs) / float64(committed)
 	t.Logf("checkpointed run + resume: %.3f allocations per committed event (ceiling %.2f)", perEvent, ckptCeiling)
 	if perEvent > ckptCeiling {
@@ -212,5 +225,32 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if perEvent > plainCeiling {
 		t.Errorf("plain epidemics run: %.3f allocations per committed event exceeds %.2f: a household snapshot or a send list reaches the allocator again (internal/models/epidemics.go, appendSent in internal/tw/pool.go)",
 			perEvent, plainCeiling)
+	}
+}
+
+// TestCheckpointedRunBytesPerCommittedEvent is the byte tripwire beside
+// the count: the bytes a checkpointed Run of the benchmark's config and
+// Resume from its middle snapshot allocate, over the committed events of
+// both. A boundary that allocates afresh what the previous one left
+// behind — record and LP state arrays, a pending heap pushed again, an
+// encode buffer per file — shows here although it is a few large
+// objects and the count hardly moves. With every boundary popping its
+// heap, copying the events into records and pushing them back, and
+// allocating its capture and its file's bytes anew, this read 538
+// bytes; with the heap handed over sorted and the capture, the arrays
+// and the encode buffer reused, 332. The ceiling is about 1.25 times
+// that.
+func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const ceiling = 415.0
+	var committed uint64
+	_, bytes := allocDuring(func() { committed = runAndResumeMiddle(t, t.TempDir()) })
+	perEvent := float64(bytes) / float64(committed)
+	t.Logf("checkpointed run + resume: %.0f bytes allocated per committed event (ceiling %.0f)", perEvent, ceiling)
+	if perEvent > ceiling {
+		t.Errorf("checkpointed run + resume: %.0f bytes allocated per committed event exceeds %.0f: a boundary allocates again what the one before it left behind (internal/tw/spare.go, the writer in run.go)",
+			perEvent, ceiling)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -101,21 +102,29 @@ type Snapshot struct {
 }
 
 // Encode serializes a snapshot into its on-disk byte form.
-func Encode(s *Snapshot) ([]byte, error) {
+func Encode(s *Snapshot) ([]byte, error) { return AppendEncode(nil, s) }
+
+// AppendEncode appends Encode's output to dst and returns the extended
+// buffer, growing it at most once for a typical snapshot: a writer that
+// encodes snapshot after snapshot into dst[:0] allocates only when one
+// outgrows the last. On error it returns dst as it was.
+func AppendEncode(dst []byte, s *Snapshot) ([]byte, error) {
 	if s.Engine == nil {
-		return nil, errors.New("checkpoint: encoding snapshot: no engine state")
+		return dst, errors.New("checkpoint: encoding snapshot: no engine state")
 	}
 	header, err := json.Marshal(s)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
+		return dst, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	out := make([]byte, 0, bodyOff+binary.MaxVarintLen64+len(header)+engineSizeHint(s.Engine))
+	out := slices.Grow(dst, bodyOff+binary.MaxVarintLen64+len(header)+engineSizeHint(s.Engine))
+	base := len(out)
 	out = append(out, Magic...)
 	out = append(out, Version, 0, 0, 0, 0)
 	out = tw.AppendWireUint(out, uint64(len(header)))
 	out = append(out, header...)
 	out = tw.AppendEngineState(out, s.Engine)
-	binary.LittleEndian.PutUint32(out[bodyOff-4:], crc32.ChecksumIEEE(out[bodyOff:]))
+	body := base + bodyOff
+	binary.LittleEndian.PutUint32(out[body-4:], crc32.ChecksumIEEE(out[body:]))
 	return out, nil
 }
 

@@ -93,6 +93,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, again) {
 		t.Fatal("re-encoding the decoded snapshot produced different bytes")
 	}
+	// AppendEncode appends the same bytes after whatever dst holds, and
+	// into a buffer that held one encoding already it writes in place.
+	prefix := []byte("prefix")
+	appended, err := AppendEncode(prefix, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], data) {
+		t.Fatal("AppendEncode did not append Encode's bytes")
+	}
+	reused, err := AppendEncode(appended[:0], got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reused, data) || &reused[0] != &appended[0] {
+		t.Fatal("AppendEncode into a large enough buffer moved or changed the bytes")
+	}
 }
 
 // The checked-in file pins format version 2: it must decode to

@@ -30,6 +30,39 @@ func (h *BinHeap[T]) Push(item T) {
 	h.up(len(h.items) - 1)
 }
 
+// Sort removes every item drop reports, appending it to dropped, which
+// it returns, and sorts the rest of the array in place by the heap's
+// own rule — priority first, less only on a tie or a NaN. A sorted array
+// is a valid heap, so the heap stays usable as it is, and At(i) is then
+// its i-th smallest item. Filtering first keeps the sort to the items
+// that stay.
+func (h *BinHeap[T]) Sort(drop func(T) bool, dropped []T) []T {
+	kept := h.items[:0]
+	for _, e := range h.items {
+		if drop(e.item) {
+			dropped = append(dropped, e.item)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	clear(h.items[len(kept):]) // allow GC of dropped items
+	h.items = kept
+	slices.SortFunc(h.items, func(a, b entry[T]) int {
+		switch {
+		case a.before(&b, h.less):
+			return -1
+		case b.before(&a, h.less):
+			return 1
+		}
+		return 0
+	})
+	return dropped
+}
+
+// At returns the item at index i of the heap's array, 0 <= i < Len():
+// after Sort, the i-th smallest.
+func (h *BinHeap[T]) At(i int) T { return h.items[i].item }
+
 // Peek returns the minimum item without removing it.
 func (h *BinHeap[T]) Peek() (T, bool) {
 	var zero T

@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -67,9 +68,9 @@ func TestHeapGrowMakesRoom(t *testing.T) {
 	}
 }
 
-// A drained heap keeps its array: the spare set hands an emptied
-// pending heap to the next checkpoint segment, which refills it with as
-// many events as it held without allocating.
+// A drained heap keeps its array: an engine's pending heap, which rides
+// from checkpoint segment to segment, refills with as many events as it
+// held without allocating.
 func TestHeapDrainKeepsItsArray(t *testing.T) {
 	const n = 1000
 	h := NewHeap(evLess, evPrio)
@@ -107,6 +108,103 @@ func TestHeapPopReleasesItems(t *testing.T) {
 	for i, e := range h.items[h.Len():cap(h.items)] {
 		if e.item != nil {
 			t.Fatalf("slot %d past the heap's %d items still holds %v", h.Len()+i, h.Len(), *e.item)
+		}
+	}
+}
+
+// Sort leaves the heap holding exactly the items drop did not report,
+// sorted by the heap's rule — ties in priority broken by less, and NaN
+// priorities, which compare neither below nor above anything, ordered
+// by less alone — and still a heap: interleaved pushes and pops after
+// it match a sorted reference.
+func TestHeapSortKeepsAHeap(t *testing.T) {
+	type item struct {
+		p  float64
+		id int
+	}
+	// less orders NaN priorities first, then by priority, then by id: the
+	// order the heap's rule (priority, less on a tie or a NaN) amounts to.
+	rank := func(a item) int {
+		if math.IsNaN(a.p) {
+			return 0
+		}
+		return 1
+	}
+	less := func(a, b item) bool {
+		if ra, rb := rank(a), rank(b); ra != rb {
+			return ra < rb
+		}
+		if rank(a) == 1 && a.p != b.p {
+			return a.p < b.p
+		}
+		return a.id < b.id
+	}
+	prios := []float64{0, 1, 1, 2, 3, math.NaN()}
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		id := 0
+		next := func() item {
+			id++
+			return item{prios[r.Intn(len(prios))], id}
+		}
+		h := NewHeap(less, func(a item) float64 { return a.p })
+		var ref []item
+		for n := r.Intn(200); n > 0; n-- {
+			it := next()
+			h.Push(it)
+			ref = append(ref, it)
+			if r.Intn(4) == 0 {
+				sort.Slice(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
+				h.Pop()
+				ref = ref[1:]
+			}
+		}
+		mod := 2 + r.Intn(3)
+		drop := func(a item) bool { return a.id%mod == 0 }
+		dropped := h.Sort(drop, nil)
+		var kept []item
+		wantDropped := 0
+		for _, it := range ref {
+			if drop(it) {
+				wantDropped++
+			} else {
+				kept = append(kept, it)
+			}
+		}
+		if len(dropped) != wantDropped || h.Len() != len(kept) {
+			t.Fatalf("trial %d: Sort dropped %d and kept %d items, want %d and %d", trial, len(dropped), h.Len(), wantDropped, len(kept))
+		}
+		for _, it := range dropped {
+			if !drop(it) {
+				t.Fatalf("trial %d: Sort dropped %v", trial, it)
+			}
+		}
+		for i := 1; i < h.Len(); i++ {
+			if !less(h.At(i-1), h.At(i)) {
+				t.Fatalf("trial %d: items %d and %d out of order: %v, %v", trial, i-1, i, h.At(i-1), h.At(i))
+			}
+		}
+		ref = kept
+		sort.Slice(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
+		for op := 0; op < 400; op++ {
+			if r.Intn(2) == 0 {
+				it := next()
+				h.Push(it)
+				i := sort.Search(len(ref), func(i int) bool { return less(it, ref[i]) })
+				ref = append(ref[:i], append([]item{it}, ref[i:]...)...)
+				continue
+			}
+			got, ok := h.Pop()
+			if !ok {
+				if len(ref) != 0 {
+					t.Fatalf("trial %d: heap empty, reference holds %d", trial, len(ref))
+				}
+				continue
+			}
+			if len(ref) == 0 || got.id != ref[0].id {
+				t.Fatalf("trial %d op %d: popped %v, reference %v", trial, op, got, ref[:min(1, len(ref))])
+			}
+			ref = ref[1:]
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"ggpdes/internal/rng"
 )
@@ -32,6 +31,14 @@ import (
 
 // errNotCheckpointModel is shared by Capture and NewEngineFromState.
 var errNotCheckpointModel = errors.New("tw: model does not implement CheckpointModel")
+
+// ErrInvalidState wraps every refusal of NewEngineFromState to build
+// from a capture that describes an engine its config cannot be: a
+// record of another topology, a time that is not a number or lies
+// below GVT, an LP state the model cannot decode. A capture this
+// process took never is one; a snapshot file that passed its checksum
+// can be.
+var ErrInvalidState = errors.New("tw: capture describes an impossible engine")
 
 // CheckpointModel is a Model whose LP states can be serialized. All
 // bundled models implement it; checkpointing requires it because LP
@@ -108,7 +115,9 @@ func (nopCPU) Work(uint64) {}
 // Capture quiesces the engine onto its committed cut and serializes it.
 // The engine is consumed: every speculative execution is rolled back,
 // anti-message traffic is drained to a fixpoint, and the pending sets
-// are emptied into the capture. Discard the engine afterwards.
+// are sorted into the capture. Discard the engine afterwards. After
+// ReleaseStart the capture is written over the state the engine was
+// built from.
 func (e *Engine) Capture() (*EngineState, error) {
 	e.quiesce()
 	if e.uncommitted != 0 {
@@ -118,93 +127,121 @@ func (e *Engine) Capture() (*EngineState, error) {
 	if !ok {
 		return nil, errNotCheckpointModel
 	}
-	st := &EngineState{
+	st, arena, records := &EngineState{}, []byte(nil), []EventRecord(nil)
+	if sp := e.spare; sp != nil && e.startReleased {
+		st, arena, records = sp.state, sp.arena, sp.records
+	}
+	prev := *st
+	*st = EngineState{
 		Seq:             e.seq,
 		GVT:             e.gvt,
 		PeakUncommitted: e.peakUncommitted,
-		Pending:         make([][]EventRecord, len(e.peers)),
-		PeerStats:       make([]PeerStats, len(e.peers)),
+		Pending:         resize(prev.Pending, len(e.peers)),
+		PeerStats:       resize(prev.PeerStats, len(e.peers)),
 	}
-	lps, err := e.encodeLPs(cm)
-	if err != nil {
+	var err error
+	if st.LPs, arena, err = e.encodeLPs(cm, prev.LPs, arena); err != nil {
 		return nil, err
 	}
-	st.LPs = lps
-	captured := make([][]*Event, len(e.peers))
+	// Every peer's records are a slice of one array, sized up front so
+	// that appending never moves it.
+	total := 0
+	for _, p := range e.peers {
+		total += p.pending.Len()
+	}
+	if records == nil {
+		records = make([]EventRecord, 0, total)
+	} else {
+		records = slices.Grow(records[:0], total)
+	}
 	for i, p := range e.peers {
-		captured[i] = p.quiesced
-		recs, err := e.drainQuiesced(p)
-		if err != nil {
+		start := len(records)
+		if records, err = e.appendPending(records, p); err != nil {
 			return nil, err
 		}
-		st.Pending[i] = recs
+		st.Pending[i] = records[start:len(records):len(records)]
 		st.PeerStats[i] = p.Stats
 	}
-	st.spare = e.harvestSpare(captured)
+	st.spare = e.harvestSpare(st, arena, records)
 	return st, nil
 }
 
-// encodeLPs serializes every LP. The states are encoded back to back
-// into one arena, sized from the first, and each record's State is its
-// slice of it.
-func (e *Engine) encodeLPs(cm CheckpointModel) ([]LPRecord, error) {
+// ReleaseStart tells the engine that nothing reads the EngineState it
+// was built from any more — not its caller, not a snapshot writer — so
+// that Capture may write over that state, its arrays and its LP state
+// bytes instead of allocating new ones. Only a state whose spare set
+// the engine adopted is written over; for any other engine the call
+// changes nothing.
+func (e *Engine) ReleaseStart() { e.startReleased = true }
+
+// resize returns s with length n, reusing its array when it is long
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// encodeLPs serializes every LP into recs, reused when long enough. The
+// states are encoded back to back into one arena, arena's array when it
+// is large enough or one sized from the first state, and each record's
+// State is its slice of it; the arena is returned.
+func (e *Engine) encodeLPs(cm CheckpointModel, recs []LPRecord, arena []byte) ([]LPRecord, []byte, error) {
 	lps := e.lps
-	recs := make([]LPRecord, len(lps))
-	ends := make([]int, len(lps))
-	var arena []byte
+	recs = resize(recs, len(lps))
+	arena = arena[:0]
 	for i, lp := range lps {
 		var err error
 		if arena, err = cm.EncodeState(arena, lp.state); err != nil {
-			return nil, fmt.Errorf("tw: encoding LP %d state: %w", lp.ID, err)
+			return nil, nil, fmt.Errorf("tw: encoding LP %d state: %w", lp.ID, err)
 		}
-		if i == 0 {
+		if i == 0 && cap(arena) < len(arena)*len(lps) {
 			arena = append(make([]byte, 0, len(arena)*len(lps)), arena...)
 		}
-		ends[i] = len(arena)
-		recs[i] = LPRecord{Rng: lp.rand.Save(), LVT: lp.lvt}
+		// Until the arena stops moving, a record's State only carries its
+		// end offset, as its length.
+		recs[i] = LPRecord{State: arena, Rng: lp.rand.Save(), LVT: lp.lvt}
 	}
 	start := 0
-	for i, end := range ends {
+	for i := range recs {
+		end := len(recs[i].State)
 		recs[i].State = arena[start:end:end]
 		start = end
 	}
-	return recs, nil
+	return recs, arena, nil
 }
 
-// drainQuiesced converts and consumes a peer's quiesced slice,
-// validating against the below-GVT invariant and asserting pop order.
-func (e *Engine) drainQuiesced(p *Peer) ([]EventRecord, error) {
-	recs := make([]EventRecord, 0, len(p.quiesced))
-	for _, ev := range p.quiesced {
-		if ev.state == StateCancelled {
-			continue
-		}
+// appendPending appends a peer's sorted pending heap to recs as
+// records, validating against the below-GVT invariant and asserting the
+// order.
+func (e *Engine) appendPending(recs []EventRecord, p *Peer) ([]EventRecord, error) {
+	for i := 0; i < p.pending.Len(); i++ {
+		ev := p.pending.At(i)
 		if ev.Ts < e.gvt {
 			return nil, fmt.Errorf("tw: pending event %v below GVT %.6f at capture", ev, e.gvt)
+		}
+		// The quiesce sorted the heap by (Ts, Seq); assert rather than
+		// trust.
+		if i > 0 && !p.pending.At(i-1).before(ev) {
+			return nil, fmt.Errorf("tw: peer %d pending events not sorted at %v", p.ID, ev)
 		}
 		recs = append(recs, EventRecord{
 			Ts: ev.Ts, Seq: ev.Seq, Src: ev.Src, Dst: ev.Dst,
 			Kind: ev.Kind, A: ev.A, B: ev.B,
 		})
 	}
-	// Pop order is already (Ts, Seq); assert rather than trust.
-	if !sort.SliceIsSorted(recs, func(a, b int) bool {
-		if recs[a].Ts != recs[b].Ts {
-			return recs[a].Ts < recs[b].Ts
-		}
-		return recs[a].Seq < recs[b].Seq
-	}) {
-		return nil, fmt.Errorf("tw: peer %d pending pop order not sorted", p.ID)
-	}
-	p.quiesced = nil
 	return recs, nil
 }
+
+// cancelledEvent reports whether ev was annihilated before execution.
+func cancelledEvent(ev *Event) bool { return ev.state == StateCancelled }
 
 // quiesce rolls the engine back onto the committed cut of its current
 // GVT: every processed-but-uncommitted event is rolled back, the
 // resulting anti-message traffic is drained to a fixpoint, and each
-// peer's pending set is emptied (in pop order) into its quiesced
-// scratch slice.
+// peer's pending heap is left holding exactly its live events, sorted
+// by (Ts, Seq), with the cancelled ones moved to its quiesced slice.
 func (e *Engine) quiesce() {
 	cpu := nopCPU{}
 	// Roll back all speculation. Rollbacks unsend (anti-messages into
@@ -225,17 +262,10 @@ func (e *Engine) quiesce() {
 			}
 		}
 	}
-	// Pop order is (Ts, Seq) — the canonical order the capture
-	// serializes.
+	// The sorted heap is (Ts, Seq) order, the canonical order the capture
+	// serializes, and still a heap, which the successor takes over.
 	for _, p := range e.peers {
-		p.quiesced = slices.Grow(p.quiesced[:0], p.pending.Len())
-		for {
-			ev, ok := p.pending.Pop()
-			if !ok {
-				break
-			}
-			p.quiesced = append(p.quiesced, ev)
-		}
+		p.quiesced = p.pending.Sort(cancelledEvent, p.quiesced[:0])
 	}
 	// Clear the per-round send windows and cycle accumulators.
 	for _, p := range e.peers {
@@ -247,12 +277,15 @@ func (e *Engine) quiesce() {
 // NewEngineFromState rebuilds an engine from a capture. cfg must be the
 // same configuration the capturing engine ran with (the driver
 // guarantees this by storing the config alongside the capture); the
-// model is constructed fresh but its InitLP is skipped — LP states come
-// from the capture: decoded from its records, or, when the capture
-// still carries the spare memory of the engine it was taken from and
-// that fits the new one (spare.go), that engine's own state objects.
-// The state itself is only read, and may be read by others meanwhile;
-// its spare memory, if it still has any, is taken off it.
+// model is constructed fresh but its InitLP is skipped — LP states and
+// pending events come from the capture: decoded from its records, or,
+// when the capture still carries the spare memory of the engine it was
+// taken from and that fits the new one (spare.go), that engine's own
+// state objects and sorted pending heaps, checked against the records.
+// A capture that describes an engine cfg cannot be is refused with an
+// error wrapping ErrInvalidState. The state itself is only read, and
+// may be read by others meanwhile; its spare memory, if it still has
+// any, is taken off it.
 func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -263,7 +296,8 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	}
 	// The one fork between an in-process boundary and every other way to
 	// start a segment: spare memory that fits brings the pending heaps
-	// and the LP states with it, and without it the states are decoded.
+	// and the LP states with it, and without it the states are decoded
+	// and the records pushed.
 	sp := st.spare
 	st.spare = nil
 	if !sp.fits(cfg) {
@@ -273,12 +307,8 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(st.LPs) != len(eng.lps) {
-		return nil, fmt.Errorf("tw: capture has %d LPs, config builds %d", len(st.LPs), len(eng.lps))
-	}
-	if len(st.Pending) != len(eng.peers) || len(st.PeerStats) != len(eng.peers) {
-		return nil, fmt.Errorf("tw: capture has %d/%d peers, config builds %d",
-			len(st.Pending), len(st.PeerStats), len(eng.peers))
+	if err := eng.checkState(st); err != nil {
+		return nil, err
 	}
 	eng.seq = st.Seq
 	eng.gvt = st.GVT
@@ -291,7 +321,7 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 		if sp == nil {
 			state, err := cm.DecodeState(rec.State)
 			if err != nil {
-				return nil, fmt.Errorf("tw: decoding LP %d state: %w", lp.ID, err)
+				return nil, fmt.Errorf("%w: decoding LP %d state: %w", ErrInvalidState, lp.ID, err)
 			}
 			lp.state = state
 		}
@@ -302,28 +332,104 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 		p.fixStateType()
 		p.Stats = st.PeerStats[i]
 		// Pending events are neither pool hits nor misses — they never
-		// were — and come from the spare set while it lasts, then from
-		// one slab.
-		var slab []Event
-		if n := len(st.Pending[i]) - len(p.spareEvents); n > 0 {
-			slab = make([]Event, n)
+		// were.
+		if sp != nil {
+			err = p.adoptPending(st.Pending[i])
+		} else {
+			p.restorePending(st.Pending[i])
 		}
-		for _, r := range st.Pending[i] {
-			ev := p.takeSpareEvent()
-			if ev == nil {
-				ev, slab = &slab[0], slab[1:]
-			}
-			ev.Ts, ev.Seq, ev.Src, ev.Dst = r.Ts, r.Seq, r.Src, r.Dst
-			ev.Kind, ev.A, ev.B = r.Kind, r.A, r.B
-			ev.state = StatePending
-			if r.Ts < st.GVT {
-				return nil, fmt.Errorf("tw: capture holds pending event %v below GVT %.6f", ev, st.GVT)
-			}
-			if r.Seq > st.Seq {
-				return nil, fmt.Errorf("tw: capture holds event %v beyond sequence %d", ev, st.Seq)
-			}
-			p.pending.Push(ev)
+		if err != nil {
+			return nil, err
 		}
 	}
 	return eng, nil
+}
+
+// checkState refuses a capture that describes an engine of another
+// shape than eng's, or one no engine can be in: every count must match
+// the topology; GVT and every LVT must be numbers; every pending record
+// must be for an LP its peer serves, from an LP that exists, at a
+// finite time at or above GVT, numbered at most the capture's sequence
+// counter, and after the record before it in (Ts, Seq) order. The
+// messages name what a snapshot file would have to be fixed in.
+func (e *Engine) checkState(st *EngineState) error {
+	if len(st.LPs) != len(e.lps) {
+		return fmt.Errorf("%w: capture has %d LPs, config builds %d", ErrInvalidState, len(st.LPs), len(e.lps))
+	}
+	if len(st.Pending) != len(e.peers) || len(st.PeerStats) != len(e.peers) {
+		return fmt.Errorf("%w: capture has %d/%d peers, config builds %d",
+			ErrInvalidState, len(st.Pending), len(st.PeerStats), len(e.peers))
+	}
+	finite := func(v VT) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(st.GVT) {
+		return fmt.Errorf("%w: GVT %v", ErrInvalidState, st.GVT)
+	}
+	for i := range st.LPs {
+		if lvt := st.LPs[i].LVT; !finite(lvt) {
+			return fmt.Errorf("%w: LP %d LVT %v", ErrInvalidState, i, lvt)
+		}
+	}
+	n := len(e.lps)
+	for i, recs := range st.Pending {
+		for j := range recs {
+			r := &recs[j]
+			var why string
+			switch {
+			case r.Dst < 0 || r.Dst >= n:
+				why = "for no LP"
+			case e.lps[r.Dst].Owner != i:
+				why = fmt.Sprintf("for an LP peer %d serves", e.lps[r.Dst].Owner)
+			case r.Src < 0 || r.Src >= n:
+				why = "from no LP"
+			case !finite(r.Ts):
+				why = "at no time"
+			case r.Ts < st.GVT:
+				why = fmt.Sprintf("below GVT %v", st.GVT)
+			case r.Seq > st.Seq:
+				why = fmt.Sprintf("beyond sequence %d", st.Seq)
+			case j > 0 && (r.Ts < recs[j-1].Ts || r.Ts == recs[j-1].Ts && r.Seq <= recs[j-1].Seq):
+				why = "out of (Ts, Seq) order"
+			default:
+				continue
+			}
+			return fmt.Errorf("%w: peer %d pending record %d %+v is %s", ErrInvalidState, i, j, *r, why)
+		}
+	}
+	return nil
+}
+
+// adoptPending takes the peer's pending heap as the spare set brought
+// it — sorted, holding the events the capture's records were made from
+// — after checking that it holds exactly recs. It allocates nothing.
+func (p *Peer) adoptPending(recs []EventRecord) error {
+	h := p.pending
+	if h.Len() != len(recs) {
+		return fmt.Errorf("%w: peer %d has %d pending records, its engine's heap %d events",
+			ErrInvalidState, p.ID, len(recs), h.Len())
+	}
+	for j := range recs {
+		r, ev := &recs[j], h.At(j)
+		if ev.state != StatePending || ev.Ts != r.Ts || ev.Seq != r.Seq || ev.Src != r.Src || ev.Dst != r.Dst ||
+			ev.Kind != r.Kind || ev.A != r.A || ev.B != r.B {
+			return fmt.Errorf("%w: peer %d pending record %d %+v is not its engine's event %v",
+				ErrInvalidState, p.ID, j, *r, ev)
+		}
+	}
+	return nil
+}
+
+// restorePending turns checked records into events, one slab of them,
+// and pushes them into the peer's fresh heap.
+func (p *Peer) restorePending(recs []EventRecord) {
+	var slab []Event
+	if len(recs) > 0 {
+		slab = make([]Event, len(recs))
+	}
+	for j := range recs {
+		r, ev := &recs[j], &slab[j]
+		ev.Ts, ev.Seq, ev.Src, ev.Dst = r.Ts, r.Seq, r.Src, r.Dst
+		ev.Kind, ev.A, ev.B = r.Kind, r.A, r.B
+		ev.state = StatePending
+		p.pending.Push(ev)
+	}
 }

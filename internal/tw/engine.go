@@ -140,6 +140,13 @@ type Engine struct {
 	peers []*Peer
 	seq   uint64
 	gvt   VT
+	// lpSlab is the memory of the LPs lps points to.
+	lpSlab []LP
+	// spare is the spare set this engine adopted (spare.go), which its
+	// capture fills again; startReleased says nothing reads the state
+	// the set rode on any more, so that the capture may write over it.
+	spare         *spareMemory
+	startReleased bool
 	// uncommitted counts processed-but-not-fossil-collected events, the
 	// state-saving memory the GVT exists to bound (§2.1); peak tracks
 	// its high-water mark.
@@ -201,8 +208,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 // newEngineShell builds the LP/peer topology for cfg (defaults
 // already filled) without running model initialization; NewEngine runs
 // InitLP on top, NewEngineFromState restores captured state instead.
-// sp is nil or a spare set that fits cfg, whose emptied pending heaps
-// the peers take in place of fresh ones (spare.go).
+// sp is nil or a spare set that fits cfg, whose pending heaps the peers
+// take in place of fresh ones and whose LP slab the LPs are seeded in
+// (spare.go).
 func newEngineShell(cfg Config, sp *spareMemory) (*Engine, error) {
 	eng := &Engine{cfg: cfg}
 	eng.tel = engineTelemetry{
@@ -217,9 +225,15 @@ func newEngineShell(cfg Config, sp *spareMemory) (*Engine, error) {
 	eng.peers = make([]*Peer, cfg.NumThreads)
 	// The LPs come out of one slab: a checkpointed run builds an
 	// engine per segment, and a heap object per LP was most of what
-	// that cost.
-	lps := make([]LP, nLPs)
-	eng.lps = make([]*LP, nLPs)
+	// that cost. A segment that continues in process clears its
+	// predecessor's.
+	if sp != nil {
+		eng.lpSlab, eng.lps = sp.lps, sp.lpPtrs
+		clear(eng.lpSlab)
+	} else {
+		eng.lpSlab, eng.lps = make([]LP, nLPs), make([]*LP, nLPs)
+	}
+	lps := eng.lpSlab
 	for i := range eng.peers {
 		p := newPeer(i, eng)
 		p.lps = eng.lps[i*perThread : (i+1)*perThread : (i+1)*perThread]

@@ -210,8 +210,9 @@ type Peer struct {
 	// minSent tracks the smallest timestamp sent since the last GVT
 	// cut; +Inf when none.
 	minSent VT
-	// quiesced receives the pending set, in pop order, when the engine
-	// is quiesced for a checkpoint capture (see checkpoint.go).
+	// quiesced receives the cancelled events the quiesce for a
+	// checkpoint capture removes from the pending heap (checkpoint.go),
+	// on their way to the spare set (spare.go).
 	quiesced []*Event
 
 	// tel holds this thread's private shard of the telemetry registry;

@@ -54,9 +54,12 @@ func spareCfg() Config {
 	return Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 3}, EndTime: 1e6, Seed: 99}
 }
 
-// What a captured engine leaves behind is dead, poisoned memory, held
-// per peer: events, and snapshots of the peer's pooled state type. The
-// first engine built from the capture takes all of it and allocates
+// What a captured engine leaves behind, per peer, is its pending heap,
+// sorted and holding exactly the capture's pending events, and dead,
+// poisoned memory: the freelist and the cancelled events the quiesce
+// removed from the heap, and snapshots of the peer's pooled state type.
+// The first engine built from the capture takes all of it — the heaps
+// as they are, so that every spare event is still spare — and allocates
 // less for it, without a counter moving; the second finds nothing and
 // works as before.
 func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
@@ -75,6 +78,9 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	}
 	events, states, pending := 0, 0, 0
 	for i, p := range sp.peers {
+		if p.pending.Len() != len(st.Pending[i]) {
+			t.Fatalf("peer %d's spare heap holds %d events for %d pending records", i, p.pending.Len(), len(st.Pending[i]))
+		}
 		for _, ev := range p.events {
 			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent) != 0 ||
 				ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
@@ -90,8 +96,8 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 		states += len(p.states)
 		pending += len(st.Pending[i])
 	}
-	if events < pending || states == 0 {
-		t.Fatalf("spare set holds %d events for %d pending, %d snapshots", events, pending, states)
+	if events == 0 || pending == 0 || states == 0 {
+		t.Fatalf("spare set holds %d events, %d pending in its heaps, %d snapshots", events, pending, states)
 	}
 
 	warm, err := NewEngineFromState(spareCfg(), st)
@@ -113,9 +119,9 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 			t.Fatal("a second engine found spare memory")
 		}
 	}
-	if left != events-pending || leftStates != states {
-		t.Fatalf("%d spare events left after restoring %d pending from %d, %d of %d snapshots",
-			left, pending, events, leftStates, states)
+	if left != events || leftStates != states {
+		t.Fatalf("%d of %d spare events left after taking %d pending in their heaps, %d of %d snapshots",
+			left, events, pending, leftStates, states)
 	}
 	for _, eng := range []*Engine{warm, cold} {
 		if err := eng.CheckInvariants(); err != nil {
@@ -221,12 +227,15 @@ func TestFreshPendingHeapHasRoom(t *testing.T) {
 	}
 }
 
-// A segment that continues in process restores the capture's pending
-// events into the heaps its predecessor emptied, which held them a
-// moment before, so its first pending pushes allocate nothing: more
-// events than a fresh engine's heap has room for.
+// A segment that continues in process takes its predecessor's pending
+// heaps as they are — the same heap, the same event objects in the same
+// places, none pushed again — and checking them against the capture's
+// records allocates nothing. A segment that starts from the records
+// alone, as Resume's first does, turns them into one slab of events and
+// pushes those into its fresh heap, which has room for them: the slab
+// is the one allocation.
 func TestResumedPendingPushesAllocateNothing(t *testing.T) {
-	cfg := Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 2 * pendingPerLP}, EndTime: 1e6, Seed: 99}
+	cfg := spareCfg()
 	first, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,36 +245,65 @@ func TestResumedPendingPushesAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	room := pendingPerLP * cfg.Model.LPsPerThread()
+	decoded, _, ok := ConsumeEngineState(AppendEngineState(nil, st))
+	if !ok {
+		t.Fatal("capture does not decode")
+	}
 	heaps := make([]*pq.BinHeap[*Event], len(st.Pending))
+	events := make([][]*Event, len(st.Pending))
 	for i, s := range st.spare.peers {
-		n := len(st.Pending[i])
-		if n <= room {
-			t.Fatalf("peer %d restores %d events, within a fresh heap's room for %d", i, n, room)
-		}
-		events := make([]*Event, n)
-		for j := range events {
-			events[j] = &Event{Ts: float64(n - j)}
-		}
-		if allocs := testing.AllocsPerRun(1, func() {
-			for _, ev := range events {
-				s.pending.Push(ev)
-			}
-			for s.pending.Len() > 0 {
-				s.pending.Pop()
-			}
-		}); allocs != 0 {
-			t.Fatalf("peer %d: pushing its %d events into the emptied heap allocated %.0f times", i, n, allocs)
-		}
 		heaps[i] = s.pending
+		for j := 0; j < s.pending.Len(); j++ {
+			events[i] = append(events[i], s.pending.At(j))
+		}
 	}
 	next, err := NewEngineFromState(cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range next.peers {
-		if p.pending != heaps[i] || p.pending.Len() != len(st.Pending[i]) {
-			t.Fatalf("peer %d restored its %d events into another heap", i, len(st.Pending[i]))
+		if p.pending != heaps[i] || p.pending.Len() != len(events[i]) {
+			t.Fatalf("peer %d did not take its predecessor's heap of %d events", i, len(events[i]))
+		}
+		for j, ev := range events[i] {
+			if p.pending.At(j) != ev {
+				t.Fatalf("peer %d heap slot %d holds %v, its predecessor's held %v: the events were pushed again", i, j, p.pending.At(j), ev)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := p.adoptPending(st.Pending[i]); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("peer %d: taking its heap of %d events allocated %.0f times", i, len(events[i]), allocs)
+		}
+	}
+
+	cold, err := NewEngineFromState(cfg, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := pendingPerLP * cfg.Model.LPsPerThread()
+	for i, p := range cold.peers {
+		recs := decoded.Pending[i]
+		if len(recs) == 0 || len(recs) > room {
+			t.Fatalf("peer %d restores %d events, want some within a fresh heap's room for %d", i, len(recs), room)
+		}
+		if p.pending == heaps[i] || p.pending.Len() != len(recs) {
+			t.Fatalf("peer %d restored its %d events into its predecessor's heap or lost some", i, len(recs))
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for p.pending.Len() > 0 {
+				p.pending.Pop()
+			}
+			p.restorePending(recs)
+		}); allocs != 1 {
+			t.Fatalf("peer %d: restoring %d events allocated %.0f times, want the slab's one", i, len(recs), allocs)
+		}
+		for _, r := range recs {
+			if ev, _ := p.pending.Pop(); ev.Ts != r.Ts || ev.Seq != r.Seq {
+				t.Fatalf("peer %d pops %v, its records say %+v", i, ev, r)
+			}
 		}
 	}
 }

@@ -135,10 +135,13 @@ type runState struct {
 	// cfgJSON and key are the run's config in wire form and its cache
 	// key (see prepare). writing is the snapshot write in flight,
 	// nil when there is none; written counts the files handed to it.
+	// encoded is the buffer the writer encodes into, the run's one, here
+	// while no write is in flight.
 	cfgJSON []byte
 	key     string
-	writing chan error
+	writing chan writeResult
 	written int
+	encoded []byte
 	// Cumulative totals.
 	startTick uint64
 	rounds    uint64 // GVT publications across all segments
@@ -376,6 +379,9 @@ func (rs *runState) buildSegment() (*segment, error) {
 	rs.engine = nil
 	if state != nil {
 		eng, err = tw.NewEngineFromState(twCfg, state)
+		if errors.Is(err, tw.ErrInvalidState) {
+			err = fmt.Errorf("%w: %w", ErrCheckpointCorrupt, err)
+		}
 	} else {
 		eng, err = tw.NewEngine(twCfg)
 	}
@@ -523,14 +529,19 @@ func (rs *runState) accumulate(seg *segment) {
 // that is kept off the critical path: the next segment starts from the
 // captured EngineState itself, and the snapshot file is encoded and
 // written by one goroutine while it runs. The decoder is Resume's
-// alone, and so is decoding LP states: the
-// capture brings the quiesced engine's own along. That a
-// capture-continued run and a decode-continued one are the same run is
-// what TestCheckpointResumeMatrix, TestResumeFromEveryEpidemicsBoundary,
-// TestCheckpointBytesDeterministic and internal/tw's
-// TestCaptureContinuation and TestStatesRideTheSpareSet prove; where a
-// checkpointed run's host time goes, and what is left of it, is
-// DESIGN.md §12 ("The measured floor").
+// alone, and so is decoding LP states and pushing pending events: the
+// capture brings the quiesced engine's own states and sorted heaps
+// along. A boundary allocates little of its own either: it joins the
+// previous boundary's writer before it captures, so the capture is
+// written over the previous one (tw.Engine.ReleaseStart) and the
+// writer encodes into the run's one buffer, which comes back at the
+// join. That a capture-continued run and a decode-continued one are the
+// same run is what TestCheckpointResumeMatrix,
+// TestResumeFromEveryEpidemicsBoundary, TestCheckpointBytesDeterministic
+// and internal/tw's TestCaptureContinuation and
+// TestStatesRideTheSpareSet prove; where a checkpointed run's host time
+// goes, and what is left of it, is DESIGN.md §12 ("The measured
+// floor").
 
 // persisting reports whether the run writes snapshot files.
 func (rs *runState) persisting() bool {
@@ -543,12 +554,20 @@ func (rs *runState) checkpoint(seg *segment) error {
 	if err != nil {
 		return err
 	}
-	return rs.commit(seg, est)
+	rs.commit(seg, est)
+	return nil
 }
 
-// capture quiesces the paused segment's engine onto its committed cut
-// and captures it. The engine is consumed.
+// capture joins the previous boundary's writer, which is also where its
+// error, if any, fails the run, then quiesces the paused segment's
+// engine onto its committed cut and captures it, over the state the
+// engine was built from: with the writer joined and the engine built,
+// nothing reads that state any more. The engine is consumed.
 func (rs *runState) capture(seg *segment) (*tw.EngineState, error) {
+	if err := rs.waitWriter(); err != nil {
+		return nil, err
+	}
+	seg.eng.ReleaseStart()
 	est, err := seg.eng.Capture()
 	if err != nil {
 		return nil, fmt.Errorf("ggpdes: checkpoint capture: %w", err)
@@ -559,29 +578,30 @@ func (rs *runState) capture(seg *segment) (*tw.EngineState, error) {
 // commit folds the captured segment's totals into the run's, hands the
 // snapshot to the writer when the run persists, and installs the
 // capture itself as the next segment's start state.
-func (rs *runState) commit(seg *segment, est *tw.EngineState) error {
+func (rs *runState) commit(seg *segment, est *tw.EngineState) {
 	seg.eng.FlushPoolStats()
 	rs.accumulate(seg)
 	rs.segments++
 	if rs.persisting() {
 		// Exported here, not by the writer: the next segment records into
 		// this same registry.
-		if err := rs.persist(est, seg.reg.Export()); err != nil {
-			return err
-		}
+		rs.persist(est, seg.reg.Export())
 	}
 	rs.engine = est
-	return nil
+}
+
+// writeResult is what the writer hands back at the join: its buffer,
+// and its error.
+type writeResult struct {
+	encoded []byte
+	err     error
 }
 
 // persist starts writing the boundary's file. At most one boundary is
-// in flight: the previous one is joined first, which is also where its
-// error, if any, fails the run. The snapshot shares the capture with
-// the next segment; both sides only read it.
-func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState) error {
-	if err := rs.waitWriter(); err != nil {
-		return err
-	}
+// in flight: capture joined the previous one. The snapshot shares the
+// capture with the next segment; both sides only read it until the
+// next capture, which joins this write first.
+func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState) {
 	snap := &checkpoint.Snapshot{
 		Config:       rs.cfgJSON,
 		CacheKey:     rs.key,
@@ -595,25 +615,30 @@ func (rs *runState) persist(est *tw.EngineState, metrics telemetry.MetricsState)
 		Engine:       est,
 		Metrics:      metrics,
 	}
-	dir, done := rs.cfg.Checkpoint.Dir, make(chan error, 1)
+	// prepare created the directory.
+	dir, buf, done := rs.cfg.Checkpoint.Dir, rs.encoded, make(chan writeResult, 1)
+	rs.encoded = nil
 	rs.writing = done
 	rs.written++
 	go func() {
-		_, err := checkpoint.Write(dir, snap)
-		done <- err
+		data, err := checkpoint.AppendEncode(buf[:0], snap)
+		if err == nil {
+			_, err = checkpoint.WriteNamed(dir, checkpoint.FileName(snap.Segments), data)
+		}
+		done <- writeResult{data, err}
 	}()
-	return nil
 }
 
-// waitWriter joins the write in flight, if any, and returns its error.
+// waitWriter joins the write in flight, if any, takes its buffer back
+// and returns its error.
 func (rs *runState) waitWriter() error {
 	if rs.writing == nil {
 		return nil
 	}
-	err := <-rs.writing
-	rs.writing = nil
-	if err != nil {
-		return fmt.Errorf("ggpdes: %w", err)
+	r := <-rs.writing
+	rs.writing, rs.encoded = nil, r.encoded
+	if r.err != nil {
+		return fmt.Errorf("ggpdes: %w", r.err)
 	}
 	return nil
 }
