@@ -31,13 +31,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the external inputs — the trace CSV reader, the
-# Config JSON wire codec, the distributed binary batch codec, the
-# checkpoint file decoder and the engine a decoded capture rebuilds;
-# extend FUZZTIME locally.
+# Short fuzz pass over the external inputs — the Config JSON wire
+# codec, the distributed binary batch codec, the checkpoint file
+# decoder and the engine a decoded capture rebuilds; extend FUZZTIME
+# locally.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=^$$ -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint

@@ -96,7 +96,7 @@ func TestCacheKeyIgnoresObservability(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.Trace = &TraceOptions{Limit: 100, Ring: true}
-	cfg.Progress = &ProgressOptions{Every: 0.5}
+	cfg.Series = &SeriesOptions{Limit: 8, Func: func(SeriesPoint) {}}
 	cfg.DisablePooling = true
 	key, err := cfg.CacheKey()
 	if err != nil {

@@ -432,7 +432,12 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 	// stopAt arms cfg to call stop at its n-th GVT publication that
 	// moved GVT; boundaries fall on every second publication.
 	stopAt := func(cfg *Config, n int, stop func()) {
-		cfg.Progress = &ProgressOptions{Every: 1e-9, Func: func(ProgressInfo) {
+		var last float64
+		cfg.Series = &SeriesOptions{Func: func(pt SeriesPoint) {
+			if pt.GVT == last {
+				return
+			}
+			last = pt.GVT
 			if n--; n == 0 {
 				stop()
 			}
@@ -554,12 +559,63 @@ func TestResumeWithProgress(t *testing.T) {
 	}
 	var samples int
 	_, err := ResumeContext(t.Context(), listCheckpoints(t, dir)[0], &ResumeOptions{
-		Progress: &ProgressOptions{Every: 0.25, Func: func(ProgressInfo) { samples++ }},
+		Series: &SeriesOptions{Func: func(SeriesPoint) { samples++ }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if samples == 0 {
 		t.Fatal("no progress samples during resumed run")
+	}
+}
+
+// SeriesOptions.Func outlives a segment: on a checkpointed run and on a
+// Resume it sees every publication across the boundaries, Round rising
+// by exactly one from point to point.
+func TestSeriesFuncAcrossSegments(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}, WaitFree, dir)
+	var run []SeriesPoint
+	cfg.Series = &SeriesOptions{Func: func(pt SeriesPoint) { run = append(run, pt) }}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := listCheckpoints(t, dir)
+	if len(paths) < 2 {
+		t.Fatalf("%d snapshots, want a run of several segments", len(paths))
+	}
+	consecutive := func(name string, pts []SeriesPoint, first int) {
+		t.Helper()
+		if len(pts) == 0 || pts[0].Round != first {
+			t.Fatalf("%s: %d points, want the first at round %d", name, len(pts), first)
+		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Round != pts[i-1].Round+1 {
+				t.Fatalf("%s: round %d follows round %d", name, pts[i].Round, pts[i-1].Round)
+			}
+		}
+		if last := pts[len(pts)-1]; last.GVT != cfg.EndTime {
+			t.Fatalf("%s: final point GVT %.2f, want %.2f", name, last.GVT, cfg.EndTime)
+		}
+	}
+	consecutive("run", run, 1)
+	if !reflect.DeepEqual(run, res.Series) {
+		t.Fatalf("Func saw %d points, the run recorded %d, or they differ", len(run), len(res.Series))
+	}
+	var resumed []SeriesPoint
+	_, err = ResumeContext(t.Context(), paths[0], &ResumeOptions{
+		Series: &SeriesOptions{Func: func(pt SeriesPoint) { resumed = append(resumed, pt) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Read(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	consecutive("resume", resumed, int(snap.Rounds)+1)
+	if tail := run[len(run)-len(resumed):]; !reflect.DeepEqual(resumed, tail) {
+		t.Fatalf("resume's %d points are not the run's last %d", len(resumed), len(tail))
 	}
 }

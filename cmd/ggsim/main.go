@@ -13,17 +13,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
+	"math"
 	"os"
 	"strings"
 	"syscall"
 	"time"
 
 	"ggpdes"
+	"ggpdes/internal/checkpoint"
 	"ggpdes/internal/profiling"
 	"ggpdes/internal/stats"
 )
@@ -56,7 +58,6 @@ func main() {
 		perfetto   = flag.String("perfetto", "", "write a Perfetto/Chrome trace JSON of the run to this file")
 		progress   = flag.Bool("progress", false, "print live progress lines to stderr as GVT advances")
 		progEvery  = flag.Float64("progress-every", 0, "virtual-time interval between progress lines (0 = 10% of -end)")
-		expvarAt   = flag.String("expvar", "", "serve live run metrics over expvar at this address (e.g. :8123)")
 		hist       = flag.Bool("hist", false, "print every run histogram (implies -v percentile lines)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this much real time (0 = no limit)")
 		nopool     = flag.Bool("nopool", false, "disable event/snapshot recycling (A/B allocation measurements)")
@@ -137,8 +138,9 @@ func main() {
 
 	var traceOpts *ggpdes.TraceOptions
 	var traceOut, perfettoOut *os.File
+	var timeline bytes.Buffer
 	if *traceFile != "" || *perfetto != "" || *traceRing || *traceLim > 0 {
-		traceOpts = &ggpdes.TraceOptions{Ring: *traceRing, Limit: *traceLim}
+		traceOpts = &ggpdes.TraceOptions{Ring: *traceRing, Limit: *traceLim, Timeline: &timeline}
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -159,25 +161,18 @@ func main() {
 		traceOpts.Perfetto = f
 	}
 
-	var progOpts *ggpdes.ProgressOptions
-	if *progress || *expvarAt != "" {
-		progOpts = &ggpdes.ProgressOptions{}
-		if *progEvery > 0 && !resuming {
-			// A resumed run's EndTime lives in the snapshot, so the
-			// interval cannot be normalised here; the 10% default applies.
-			progOpts.Every = *progEvery / cfg.EndTime
-		}
-		if *progress {
-			progOpts.W = os.Stderr
-		}
-		if *expvarAt != "" {
-			progOpts.Func = publishExpvar(*expvarAt)
-		}
-	}
 	var seriesOpts *ggpdes.SeriesOptions
 	var seriesFile *os.File
-	if *seriesOut != "" || *seriesPlot || *seriesLim > 0 {
+	if *seriesOut != "" || *seriesPlot || *seriesLim > 0 || *progress {
 		seriesOpts = &ggpdes.SeriesOptions{Limit: *seriesLim}
+	}
+	if *progress {
+		if resuming {
+			if err := snapshotConfig(*resume, &cfg); err != nil {
+				fatalf("%v", err)
+			}
+		}
+		seriesOpts.Func = newProgressPrinter(os.Stderr, cfg.EndTime, cfg.Threads, *progEvery).observe
 	}
 	if *seriesOut != "" {
 		if *seriesOut == "-" {
@@ -193,7 +188,6 @@ func main() {
 		}
 	}
 	cfg.Trace = traceOpts
-	cfg.Progress = progOpts
 	cfg.Series = seriesOpts
 
 	ctx := context.Background()
@@ -210,7 +204,6 @@ func main() {
 	if resuming {
 		res, err = ggpdes.ResumeContext(ctx, *resume, &ggpdes.ResumeOptions{
 			Trace:         traceOpts,
-			Progress:      progOpts,
 			Series:        seriesOpts,
 			CheckpointDir: *ckptDir,
 		})
@@ -236,6 +229,7 @@ func main() {
 	}
 	if res.TraceSummary != "" {
 		fmt.Println(res.TraceSummary)
+		fmt.Print(timeline.String())
 	}
 	if seriesFile != nil {
 		fmt.Printf("series written to %s (%d rounds)\n", seriesFile.Name(), len(res.Series))
@@ -313,39 +307,55 @@ func printHostUsage(wall time.Duration) {
 		wall.Seconds(), user.Seconds(), float64(ru.Maxrss)/1024)
 }
 
-// publishExpvar starts an HTTP server exposing run progress under
-// /debug/vars and returns the ProgressInfo callback that feeds it.
-// The server goroutine dies with the process; ggsim is a one-shot
-// tool, so there is nothing to tear down.
-func publishExpvar(addr string) func(ggpdes.ProgressInfo) {
-	gvt := new(expvar.Float)
-	committed := new(expvar.Int)
-	rate := new(expvar.Float)
-	efficiency := new(expvar.Float)
-	active := new(expvar.Int)
-	rounds := new(expvar.Int)
-	m := new(expvar.Map).Init()
-	m.Set("gvt", gvt)
-	m.Set("committed_events", committed)
-	m.Set("committed_event_rate", rate)
-	m.Set("efficiency", efficiency)
-	m.Set("active_threads", active)
-	m.Set("gvt_rounds", rounds)
-	expvar.Publish("ggsim", m)
-	//ggvet:allow(process-lifetime debug listener: the expvar server serves until the simulation process exits; there is no shutdown phase to join)
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "ggsim: expvar server: %v\n", err)
-		}
-	}()
-	return func(p ggpdes.ProgressInfo) {
-		gvt.Set(p.GVT)
-		committed.Set(int64(p.CommittedEvents))
-		rate.Set(p.CommittedEventRate)
-		efficiency.Set(p.Efficiency)
-		active.Set(int64(p.ActiveThreads))
-		rounds.Set(int64(p.GVTRounds))
+// snapshotConfig reads the configuration a checkpoint was taken under
+// into cfg: a resumed run's EndTime and thread count live in the
+// snapshot, not in the flags.
+func snapshotConfig(path string, cfg *ggpdes.Config) error {
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		return err
 	}
+	return cfg.UnmarshalJSON(snap.Config)
+}
+
+// progressPrinter writes one progress line per GVT publication that
+// reaches the next multiple of step, and one for every publication at
+// EndTime. It lives for the whole run, so a checkpoint boundary does
+// not restart its cadence.
+type progressPrinter struct {
+	w          io.Writer
+	end        float64
+	threads    int
+	step, next float64
+}
+
+// newProgressPrinter returns a printer that reports every every units
+// of virtual time (10% of end when every <= 0).
+func newProgressPrinter(w io.Writer, end float64, threads int, every float64) *progressPrinter {
+	if every <= 0 {
+		every = 0.1 * end
+	}
+	return &progressPrinter{w: w, end: end, threads: threads, step: every, next: every}
+}
+
+// observe is the run's SeriesOptions.Func.
+func (p *progressPrinter) observe(pt ggpdes.SeriesPoint) {
+	if pt.GVT < p.next && pt.GVT < p.end {
+		return
+	}
+	// Jump to the first threshold past GVT in one step — the step can be
+	// tiny, so advancing one step at a time is not an option.
+	p.next = p.step * (math.Floor(pt.GVT/p.step) + 1)
+	var rate, eff float64
+	if pt.WallSeconds > 0 {
+		rate = float64(pt.Committed) / pt.WallSeconds
+	}
+	if pt.Processed > 0 {
+		eff = float64(pt.Committed) / float64(pt.Processed)
+	}
+	fmt.Fprintf(p.w, "gvt %.2f/%.2f (%3.0f%%)  committed %d (%.3g ev/s)  eff %.1f%%  active %d/%d  rounds %d\n",
+		pt.GVT, p.end, 100*pt.GVT/p.end, pt.Committed, rate,
+		100*eff, pt.ActiveThreads, p.threads, pt.Round)
 }
 
 func fatalf(format string, args ...any) {

@@ -12,7 +12,7 @@ import (
 // flags, so every enum accepts the same spellings everywhere.
 //
 // Only fields that define the run are serialized. Observability
-// attachments (Trace, Progress) hold writers and callbacks and are
+// attachments (Trace, Series) hold writers and callbacks and are
 // excluded; re-attach them after decoding. Enums travel as their
 // String() names; the model travels as a tagged object selected by its
 // "name". Unknown fields are ignored for forward compatibility;
@@ -206,8 +206,7 @@ func (c Config) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler. It overwrites every wire
 // field of c (absent fields become their zero values) and leaves the
-// non-wire attachments — Trace, Progress, Series, Telemetry —
-// untouched.
+// non-wire attachments — Trace, Series, Telemetry — untouched.
 //
 // A config that turns on a retired option — lazy cancellation, adaptive
 // GVT frequency, dropped or delayed sends, a killed thread, multi-LP
@@ -259,7 +258,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		OptimismWindow:       w.OptimismWindow,
 		DisablePooling:       w.DisablePooling,
 		Trace:                c.Trace,
-		Progress:             c.Progress,
 		Series:               c.Series,
 		Telemetry:            c.Telemetry,
 	}

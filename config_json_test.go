@@ -62,11 +62,11 @@ func TestConfigJSONPreservesAttachments(t *testing.T) {
 	}
 	var cfg Config
 	cfg.Trace = &TraceOptions{Limit: 5}
-	cfg.Progress = &ProgressOptions{Every: 0.5}
+	cfg.Series = &SeriesOptions{Limit: 5}
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Trace == nil || cfg.Progress == nil {
+	if cfg.Trace == nil || cfg.Series == nil {
 		t.Fatal("decode dropped observability attachments")
 	}
 	if cfg.Threads != quickCfg().Threads {

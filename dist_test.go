@@ -187,6 +187,33 @@ func TestDistributedFrameCounts(t *testing.T) {
 	}
 }
 
+// The distributed and in-process paths meet at one Append+Func site:
+// on a sharded run SeriesOptions.Func sees exactly the points
+// Results.Series holds, and they are the in-process run's points.
+func TestDistributedSeriesFunc(t *testing.T) {
+	collect := func(run func(Config) (*Results, error)) ([]SeriesPoint, *Results) {
+		t.Helper()
+		cfg := distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2})
+		var seen []SeriesPoint
+		cfg.Series.Func = func(pt SeriesPoint) { seen = append(seen, pt) }
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen, res
+	}
+	dist, res := collect(func(cfg Config) (*Results, error) {
+		return RunDistributed(context.Background(), cfg, DistOptions{Workers: 2, Dial: inProcWorkers()})
+	})
+	if len(dist) == 0 || !reflect.DeepEqual(dist, res.Series) {
+		t.Fatalf("Func saw %d points, the distributed run recorded %d, or they differ", len(dist), len(res.Series))
+	}
+	local, _ := collect(Run)
+	if !reflect.DeepEqual(dist, local) {
+		t.Fatalf("distributed Func saw %d points, in-process %d, or they differ", len(dist), len(local))
+	}
+}
+
 // Distributed runs reject the in-process-only features and impossible
 // shardings loudly, as invalid configs, instead of silently diverging.
 func TestDistributedConfigRejections(t *testing.T) {
@@ -314,11 +341,16 @@ func TestDistributedContextStop(t *testing.T) {
 			// Stop at the third GVT publication that moved GVT, well
 			// before EndTime.
 			n := 3
-			cfg.Progress = &ProgressOptions{Every: 1e-9, Func: func(ProgressInfo) {
+			var last float64
+			cfg.Series.Func = func(pt SeriesPoint) {
+				if pt.GVT == last {
+					return
+				}
+				last = pt.GVT
 				if n--; n == 0 {
 					stop()
 				}
-			}}
+			}
 			res, err := RunDistributed(ctx, cfg, DistOptions{Workers: 2, Dial: inProcWorkers()})
 			if n > 0 {
 				t.Fatalf("run ended after %d of 3 GVT publications: %v", 3-n, err)

@@ -156,20 +156,21 @@ func (d *distRun) onCut(cut int, round uint64) {
 	}
 }
 
-// samplePoint completes and records a series point in place of
-// eng.FillSeriesPoint and rs.series.Append: the per-thread half comes
-// from one probe per worker, the totals from the coordinator's mirrored
-// statistics.
-func (d *distRun) samplePoint(eng *tw.Engine, pt SeriesPoint) {
+// samplePoint completes a series point in place of
+// eng.FillSeriesPoint: the per-thread half comes from one probe per
+// worker, the totals from the coordinator's mirrored statistics. It
+// reports false, and the point is not recorded, when a probe's round
+// trip fails.
+func (d *distRun) samplePoint(eng *tw.Engine, pt *SeriesPoint) bool {
 	b := d.bridge
-	tw.FillSeriesTotals(&pt, eng.TotalStats(), eng.UncommittedEvents())
+	tw.FillSeriesTotals(pt, eng.TotalStats(), eng.UncommittedEvents())
 	pt.ThreadLVTs = make([]float64, d.rs.cfg.Threads)
 	var hits, misses uint64
 	queued := 0
 	for w := 0; w < d.workers; w++ {
 		resp := b.roundTrip(w, dist.OpSeriesProbe)
 		if b.err != nil {
-			return
+			return false
 		}
 		for i, pr := range resp.Probes {
 			pt.ThreadLVTs[w*d.threadsPer+i] = pr.LVT
@@ -178,8 +179,8 @@ func (d *distRun) samplePoint(eng *tw.Engine, pt SeriesPoint) {
 			misses += pr.PoolMisses
 		}
 	}
-	tw.FinishSeriesPoint(&pt, queued, hits, misses)
-	d.rs.series.Append(pt)
+	tw.FinishSeriesPoint(pt, queued, hits, misses)
+	return true
 }
 
 // failed reports a transport failure, which fails the run whatever the

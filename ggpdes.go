@@ -189,8 +189,6 @@ type Config struct {
 	BatchSize int
 	// Trace enables run instrumentation when non-nil.
 	Trace *TraceOptions
-	// Progress enables live progress reporting when non-nil.
-	Progress *ProgressOptions
 	// OptimismWindow bounds speculation to GVT + window virtual time
 	// units (ROSS's max_opt_lookahead); 0 means unbounded optimism.
 	// Bounding is recommended for deep over-subscription, where
@@ -201,7 +199,7 @@ type Config struct {
 	// recycling, restoring per-event heap allocation. Pooling reuses
 	// memory, never logic, so results are identical either way; the
 	// switch exists for A/B allocation measurements and debugging, and
-	// — like Trace and Progress — is excluded from CacheKey.
+	// — like Trace and Series — is excluded from CacheKey.
 	DisablePooling bool
 	// Series, when non-nil, records a per-GVT-round time series of the
 	// run (GVT advance rate, virtual-time-horizon width and roughness,
@@ -289,18 +287,6 @@ type TraceOptions struct {
 	Perfetto io.Writer
 }
 
-// ProgressOptions configures live progress reporting during Run.
-type ProgressOptions struct {
-	// Every is the GVT fraction of EndTime between reports (0 = 0.1,
-	// i.e. ten reports per run).
-	Every float64
-	// W, when non-nil, receives one formatted progress line per report.
-	W io.Writer
-	// Func, when non-nil, receives each progress sample; use it to feed
-	// expvar or custom dashboards.
-	Func func(ProgressInfo)
-}
-
 // Registry, Series, SeriesPoint and MetricsState re-export the
 // telemetry layer's types so callers outside the module can name them
 // (internal packages are not importable from outside).
@@ -332,34 +318,11 @@ type SeriesOptions struct {
 	// reader (the serving layer's live series endpoint) can watch the
 	// run mid-flight. The caller owns the buffer's lifecycle.
 	Buffer *Series
-}
-
-// ProgressInfo is one live progress sample, taken at a GVT publication.
-type ProgressInfo struct {
-	// GVT and EndTime position the run in virtual time.
-	GVT, EndTime float64
-	// CommittedEvents and ProcessedEvents are cumulative counts;
-	// CommittedEventRate is committed events per machine wall second so
-	// far; Efficiency is committed/processed.
-	CommittedEvents, ProcessedEvents uint64
-	CommittedEventRate               float64
-	Efficiency                       float64
-	// ActiveThreads of Threads are currently scheduled in.
-	ActiveThreads, Threads int
-	// GVTRounds is completed rounds; WallSeconds is machine wall time.
-	GVTRounds   uint64
-	WallSeconds float64
-}
-
-// String renders the sample as a one-line progress report.
-func (p ProgressInfo) String() string {
-	pct := 0.0
-	if p.EndTime > 0 {
-		pct = 100 * p.GVT / p.EndTime
-	}
-	return fmt.Sprintf("gvt %.2f/%.2f (%3.0f%%)  committed %d (%.3g ev/s)  eff %.1f%%  active %d/%d  rounds %d",
-		p.GVT, p.EndTime, pct, p.CommittedEvents, p.CommittedEventRate,
-		100*p.Efficiency, p.ActiveThreads, p.Threads, p.GVTRounds)
+	// Func, when non-nil, is called with every point as it is recorded,
+	// on the goroutine running the simulation — the hook for live
+	// progress reporting (ggsim -progress). The point shares its
+	// ThreadLVTs with the recorded series: read it, do not modify it.
+	Func func(SeriesPoint)
 }
 
 // HistSummary is a percentile digest of a run histogram. Count, Mean,

@@ -370,9 +370,9 @@ func (r *Runner) SchedulingStats() SchedulingStats {
 func (r *Runner) System() System { return r.cfg.System }
 
 // NumActive returns the number of currently scheduled-in simulation
-// threads; for Baseline every thread always counts as active. Live
-// progress reporting reads it mid-run — safe because machine execution
-// is serialized.
+// threads; for Baseline every thread always counts as active. The
+// per-round series sampler reads it mid-run — safe because machine
+// execution is serialized.
 func (r *Runner) NumActive() int {
 	switch sched := r.sched.(type) {
 	case *ggSched:

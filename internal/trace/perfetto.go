@@ -11,11 +11,9 @@ type PerfettoOptions struct {
 	// FreqHz converts wall cycles to microseconds (the trace-event time
 	// unit); 0 emits raw cycles as microseconds.
 	FreqHz float64
-	// Threads is the number of thread tracks to emit; 0 derives it from
-	// the largest thread id in the trace.
+	// Threads is the number of thread tracks to emit.
 	Threads int
-	// EndCycles closes still-open de-schedule spans; 0 derives it from
-	// the latest record stamp.
+	// EndCycles closes still-open de-schedule spans.
 	EndCycles uint64
 }
 
@@ -51,13 +49,6 @@ const perfettoPid = 1
 // counter track fed by fossil-collection records.
 func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 	threads := opts.Threads
-	if threads <= 0 {
-		threads = r.MaxThread() + 1
-	}
-	end := opts.EndCycles
-	if end == 0 {
-		end = r.EndCycles()
-	}
 	us := func(cycles uint64) float64 {
 		if opts.FreqHz > 0 {
 			return float64(cycles) / opts.FreqHz * 1e6
@@ -77,7 +68,7 @@ func (r *Recorder) WritePerfetto(w io.Writer, opts PerfettoOptions) error {
 	}
 
 	// De-schedule spans as complete ("X") slices on each thread track.
-	for tid, spans := range r.InactiveIntervals(threads, end) {
+	for tid, spans := range r.InactiveIntervals(threads, opts.EndCycles) {
 		for _, iv := range spans {
 			events = append(events, perfettoEvent{
 				Name: "descheduled", Ph: "X", Pid: perfettoPid, Tid: tid,

@@ -225,8 +225,8 @@ type Interval struct {
 
 // InactiveIntervals reconstructs, per thread, the spans during which it
 // was de-scheduled, from Deactivate/Activate pairs. endCycles closes
-// intervals still open at the end of the run. Malformed streams (as can
-// arise from edited CSVs or ring-truncated traces) degrade safely: a
+// intervals still open at the end of the run. Malformed streams (as
+// ring-truncated traces produce) degrade safely: a
 // repeated Deactivate keeps the earliest open start, an Activate with
 // no matching Deactivate is ignored, a pair whose stamps run backwards
 // is dropped, and the returned spans per thread are always sorted,

@@ -92,7 +92,7 @@ type Config struct {
 	// Metric constants).
 	Telemetry *telemetry.Registry
 	// OnGVT, when non-nil, is invoked after every GVT publication —
-	// the hook live progress reporting hangs off.
+	// the hook the per-round series sampler hangs off.
 	OnGVT func(VT)
 	// OptimismWindow bounds speculation: events beyond GVT +
 	// OptimismWindow are not executed until GVT catches up (ROSS's

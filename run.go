@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"ggpdes/internal/chaos"
@@ -54,11 +53,10 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 // ResumeOptions re-attaches what a checkpoint cannot carry: run
 // observability and an override for where further checkpoints go.
 type ResumeOptions struct {
-	// Trace, Progress and Series re-attach instrumentation; checkpoints
-	// never record them (they hold writers and callbacks).
-	Trace    *TraceOptions
-	Progress *ProgressOptions
-	Series   *SeriesOptions
+	// Trace and Series re-attach instrumentation; checkpoints never
+	// record them (they hold writers and callbacks).
+	Trace  *TraceOptions
+	Series *SeriesOptions
 	// Telemetry re-attaches a shared metrics registry (Config.Telemetry).
 	Telemetry *Registry
 	// CheckpointDir, when non-empty, overrides the snapshot's recorded
@@ -97,7 +95,6 @@ func resumeState(path string, opts *ResumeOptions) (*runState, error) {
 	}
 	if opts != nil {
 		rs.cfg.Trace = opts.Trace
-		rs.cfg.Progress = opts.Progress
 		rs.cfg.Series = opts.Series
 		rs.cfg.Telemetry = opts.Telemetry
 		if opts.CheckpointDir != "" && rs.cfg.Checkpoint != nil {
@@ -347,13 +344,13 @@ func (rs *runState) buildSegment() (*segment, error) {
 		threadFaults = chaos.NewThreadFaults(seed, cfg.Threads, ch.StallRate)
 	}
 
-	// The progress hook closes over eng/runner, which exist only after
-	// construction; indirect through late-bound functions. The OnGVT
+	// The series sampler closes over eng/runner, which exist only after
+	// construction; indirect through a late-bound function. The OnGVT
 	// wrapper additionally counts publications (the cross-segment round
 	// number) and pauses the engine at checkpoint boundaries.
 	var eng *tw.Engine
 	var runner *core.Runner
-	var progress, sample func(tw.VT)
+	var sample func(tw.VT)
 	every := 0
 	if rs.checkpointing() {
 		every = rs.cfg.Checkpoint.Every
@@ -364,9 +361,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 		rs.rounds++
 		if sample != nil {
 			sample(v)
-		}
-		if progress != nil {
-			progress(v)
 		}
 		if every > 0 && float64(v) < cfg.EndTime {
 			segPubs++
@@ -411,7 +405,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rs.series != nil {
+	if so := cfg.Series; so != nil {
 		// A segment that continues a run — from a capture or from a
 		// snapshot file, it must not matter which — starts its deltas
 		// from the restored position. All sampling reads machine or
@@ -432,51 +426,14 @@ func (rs *runState) buildSegment() (*segment, error) {
 				pt.AdvanceRate = pt.AdvanceVT / dt
 			}
 			rs.prevGVT, rs.prevWall = pt.GVT, pt.WallSeconds
-			if d != nil {
-				d.samplePoint(eng, pt)
+			if d == nil {
+				eng.FillSeriesPoint(&pt)
+			} else if !d.samplePoint(eng, &pt) {
 				return
 			}
-			eng.FillSeriesPoint(&pt)
 			rs.series.Append(pt)
-		}
-	}
-	if p := cfg.Progress; p != nil {
-		pEvery := p.Every
-		if pEvery <= 0 {
-			pEvery = 0.1
-		}
-		step := pEvery * cfg.EndTime
-		next := step
-		progress = func(v tw.VT) {
-			g := float64(v)
-			if g < next && g < cfg.EndTime {
-				return
-			}
-			// Jump to the first threshold past g in one step — Every can
-			// be tiny, so advancing one step at a time is not an option.
-			next = step * (math.Floor(g/step) + 1)
-			s := eng.TotalStats()
-			info := ProgressInfo{
-				GVT:             g,
-				EndTime:         cfg.EndTime,
-				CommittedEvents: s.Committed,
-				ProcessedEvents: s.Processed,
-				ActiveThreads:   runner.NumActive(),
-				Threads:         cfg.Threads,
-				GVTRounds:       rs.gvtRounds(runner),
-				WallSeconds:     m.WallSeconds(),
-			}
-			if info.WallSeconds > 0 {
-				info.CommittedEventRate = float64(info.CommittedEvents) / info.WallSeconds
-			}
-			if info.ProcessedEvents > 0 {
-				info.Efficiency = float64(info.CommittedEvents) / float64(info.ProcessedEvents)
-			}
-			if p.W != nil {
-				fmt.Fprintln(p.W, info)
-			}
-			if p.Func != nil {
-				p.Func(info)
+			if so.Func != nil {
+				so.Func(pt)
 			}
 		}
 	}

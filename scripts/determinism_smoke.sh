@@ -10,6 +10,9 @@
 # machine time, so any divergence means ambient nondeterminism leaked
 # into the core.
 #
+# The same run with -progress must print the same report on stdout and
+# its progress lines on stderr: observers do not perturb the run.
+#
 # Then the same configuration runs sharded across 2 worker processes
 # (-workers 2): the report and the per-GVT-round series CSV must still
 # be byte-identical to the in-process run — the distributed control/
@@ -79,6 +82,16 @@ sharded() {
 run a
 run b
 same "identical seeded runs diverged" a b
+
+mkdir -p "$dir/progress"
+(cd "$dir/progress" && "$dir/ggsim" -model phold -threads 16 -end 40 -seed 1337 \
+    -v -hist -series series.csv -progress) >"$dir/progress.txt" 2>"$dir/progress.err"
+same "-progress changed the run's report" a progress
+grep -q '^gvt ' "$dir/progress.err" || {
+    echo "determinism-smoke: -progress printed no progress line on stderr:" >&2
+    cat "$dir/progress.err" >&2
+    exit 1
+}
 sharded a dist
 
 imbalanced="-imbalance 16 -lps 4 -optimism 10 -gvt async"
@@ -92,4 +105,4 @@ run exec_gg_inproc $imbalanced -system gg $never_stalls
 same "in-process executing run (gg) diverged from the skipping one" skip_gg exec_gg_inproc
 sharded skip_gg exec_gg $imbalanced -system gg
 
-echo "determinism-smoke: seeded runs byte-identical in-process and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to in-process runs and coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
+echo "determinism-smoke: seeded runs byte-identical in-process, with $(grep -c '^gvt ' "$dir/progress.err") progress lines on stderr, and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to in-process runs and coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"

@@ -3,6 +3,7 @@ package ggpdes
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -149,45 +150,50 @@ func TestRingTraceThroughAPI(t *testing.T) {
 	}
 }
 
-func TestProgressReporting(t *testing.T) {
-	var out bytes.Buffer
-	var samples []ProgressInfo
+// A traced run writes its activity timeline (ggsim prints it under the
+// trace summary): a header and one row per thread, as wide as asked.
+func TestTraceTimeline(t *testing.T) {
+	var timeline bytes.Buffer
 	cfg := quickCfg()
-	cfg.Progress = &ProgressOptions{
-		Every: 0.25,
-		W:     &out,
-		Func:  func(p ProgressInfo) { samples = append(samples, p) },
+	cfg.Trace = &TraceOptions{Timeline: &timeline, TimelineWidth: 40}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
 	}
+	lines := strings.Split(strings.TrimSuffix(timeline.String(), "\n"), "\n")
+	if len(lines) != 1+cfg.Threads || !strings.HasPrefix(lines[0], "thread activity over ") {
+		t.Fatalf("timeline of %d lines, want a header and %d rows:\n%s", len(lines), cfg.Threads, timeline.String())
+	}
+	for _, row := range lines[1:] {
+		_, cells, _ := strings.Cut(row, "|")
+		if cells = strings.TrimSuffix(cells, "|"); len(cells) != 40 || strings.Trim(cells, "#.") != "" {
+			t.Fatalf("row %q is not 40 cells of '#' and '.'", row)
+		}
+	}
+}
+
+// SeriesOptions.Func sees exactly the points the run records, in
+// order, with thread accounting in range and the last at EndTime.
+func TestSeriesFunc(t *testing.T) {
+	var seen []SeriesPoint
+	cfg := quickCfg()
+	cfg.Series = &SeriesOptions{Func: func(pt SeriesPoint) { seen = append(seen, pt) }}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) == 0 {
-		t.Fatal("no progress samples")
+	if len(seen) == 0 {
+		t.Fatal("Func saw no points")
 	}
-	last := samples[len(samples)-1]
-	if last.GVT < cfg.EndTime {
-		t.Fatalf("final sample GVT %.2f below end time %.2f", last.GVT, cfg.EndTime)
+	if !reflect.DeepEqual(seen, res.Series) {
+		t.Fatalf("Func saw %d points, the run recorded %d, or they differ", len(seen), len(res.Series))
 	}
-	if last.Threads != cfg.Threads || last.ActiveThreads < 1 || last.ActiveThreads > cfg.Threads {
-		t.Fatalf("thread accounting wrong: %+v", last)
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i].GVT < samples[i-1].GVT || samples[i].CommittedEvents < samples[i-1].CommittedEvents {
-			t.Fatalf("samples not monotonic: %+v then %+v", samples[i-1], samples[i])
+	for _, pt := range seen {
+		if pt.ActiveThreads < 1 || pt.ActiveThreads > cfg.Threads {
+			t.Fatalf("round %d: %d of %d threads active", pt.Round, pt.ActiveThreads, cfg.Threads)
 		}
 	}
-	if res.CommittedEvents < last.CommittedEvents {
-		t.Fatalf("final results committed %d below last sample %d", res.CommittedEvents, last.CommittedEvents)
-	}
-	text := out.String()
-	if strings.Count(text, "\n") != len(samples) {
-		t.Fatalf("writer lines != samples:\n%s", text)
-	}
-	for _, want := range []string{"gvt ", "committed", "eff", "active", "rounds"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("progress line missing %q:\n%s", want, text)
-		}
+	if last := seen[len(seen)-1]; last.GVT != cfg.EndTime {
+		t.Fatalf("final point GVT %.2f, want end time %.2f", last.GVT, cfg.EndTime)
 	}
 }
 
@@ -197,7 +203,7 @@ func TestProgressDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Progress = &ProgressOptions{Func: func(ProgressInfo) {}}
+	cfg.Series = &SeriesOptions{Func: func(SeriesPoint) {}}
 	cfg.Trace = &TraceOptions{}
 	b, err := Run(cfg)
 	if err != nil {
