@@ -18,8 +18,9 @@ import (
 //
 // Three barrier generations delimit the round:
 //
-//	bar1: stop the world — after it, nobody processes events, so no
-//	      sends are in flight; each thread drains and records its min.
+//	bar1: stop the world — after it, nobody processes events; each
+//	      thread drains and records its min. A drain's rollbacks can
+//	      still send anti-messages, to threads that drained earlier.
 //	bar2: all minimums recorded; the serial thread reduces, publishes
 //	      the GVT, and runs the pseudo-controller activation hook.
 //	bar3: GVT published; everybody fossil collects.
@@ -119,33 +120,28 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 		}
 	}
 
-	// No thread is processing events now: drain and record a perfect
-	// local minimum.
-	_, min := peer.DrainLocalMin(cpu)
-	b.localMin[tid] = min
+	// No thread is processing events now: drain and record the local
+	// minimum. Threads that drain later can still roll back and send
+	// anti-messages here; the reduction at bar2 rescans for them.
+	_, b.localMin[tid] = peer.DrainLocalMin(cpu)
 	acc.Flush()
 	if p.BarrierWait(b.bar2) {
 		// Serial thread is the pseudo-controller: reduce, publish, and
 		// run the activation scan.
 		gmin := math.Inf(1)
 		for i, sub := range b.subscribed {
+			// Every thread's queues are scanned as they stand now.
+			// Unsubscribed threads (de-scheduled, or reactivated and
+			// still processing before their join applies) also add
+			// their unread sent-minimum window. A subscribed thread's
+			// recorded minimum replaces that window, but not the scan:
+			// a thread that drained after it may have rolled back and
+			// put anti-messages into its input queue since.
+			rm, ms := b.eng.Peer(i).ScanMins()
 			if sub {
-				if b.localMin[i] < gmin {
-					gmin = b.localMin[i]
-				}
-			} else {
-				// Unsubscribed threads (de-scheduled, or reactivated
-				// and still processing before their join applies) are
-				// scanned on their behalf: queues plus their unread
-				// sent-minimum window.
-				rm, ms := b.eng.Peer(i).ScanMins()
-				if rm < gmin {
-					gmin = rm
-				}
-				if ms < gmin {
-					gmin = ms
-				}
+				ms = b.localMin[i]
 			}
+			gmin = min(gmin, rm, ms)
 			b.charge(acc, tid, b.costs.ReduceCyclesPerThread)
 		}
 		if f := b.cfg.OnCut; f != nil {
