@@ -54,11 +54,13 @@ func (c Config) CanonicalString() (string, error) {
 	fmt.Fprintf(&b, "affinity=%s\n", c.Affinity)
 	fmt.Fprintf(&b, "endtime=%g\n", c.EndTime)
 	fmt.Fprintf(&b, "seed=%d\n", seed)
-	fmt.Fprintf(&b, "machine{cores=%d smt=%d freq=%g tick=%d agg=%v op=%d ctxsw=%d mig=%d numa=%d xnode=%d wake=%d barwake=%d preempt=%d lb=%d maxticks=%d}\n",
+	// numa=0 xnode=0: sub-NUMA clustering is retired (DESIGN.md §5), so
+	// every machine is the uniform one its keys always named.
+	fmt.Fprintf(&b, "machine{cores=%d smt=%d freq=%g tick=%d agg=%v op=%d ctxsw=%d mig=%d numa=0 xnode=0 wake=%d barwake=%d preempt=%d lb=%d maxticks=%d}\n",
 		mc.Cores, mc.SMTWidth, mc.FreqHz, mc.TickCycles, mc.SMTAggregate,
-		mc.OpCycles, mc.CtxSwitchCycles, mc.MigrationCycles, mc.NUMANodes,
-		mc.CrossNodeMigrationCycles, mc.WakeCycles, mc.BarrierWakePerWaiterCycles,
-		mc.PreemptGranularityTicks, mc.LoadBalancePeriodTicks, mc.MaxTicks)
+		mc.OpCycles, mc.CtxSwitchCycles, mc.MigrationCycles, mc.WakeCycles,
+		mc.BarrierWakePerWaiterCycles, mc.PreemptGranularityTicks,
+		mc.LoadBalancePeriodTicks, mc.MaxTicks)
 	fmt.Fprintf(&b, "gvtfreq=%d\n", c.gvtFrequency())
 	fmt.Fprintf(&b, "zerothreshold=%d\n", or(c.ZeroCounterThreshold, 2000))
 	fmt.Fprintf(&b, "batch=%d\n", or(c.BatchSize, 8))

@@ -60,7 +60,6 @@ func TestCacheKeyFieldSensitivity(t *testing.T) {
 		"model-kind":    func(c *Config) { c.Model = Traffic{LPsPerThread: 8} },
 		"machine-cores": func(c *Config) { c.Machine.Cores = 8 },
 		"machine-smt":   func(c *Config) { c.Machine.SMTWidth = 4 },
-		"machine-numa":  func(c *Config) { c.Machine.NUMANodes = 2 },
 		"gvtfreq":       func(c *Config) { c.GVTFrequency = 40 },
 		"zerothr":       func(c *Config) { c.ZeroCounterThreshold = 100 },
 		"batch":         func(c *Config) { c.BatchSize = 16 },
@@ -164,7 +163,7 @@ func TestCacheKeyGolden(t *testing.T) {
 				Affinity:             DynamicAffinity,
 				EndTime:              12,
 				Seed:                 7,
-				Machine:              Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9, NUMANodes: 2},
+				Machine:              Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9},
 				GVTFrequency:         40,
 				ZeroCounterThreshold: 300,
 				BatchSize:            4,
@@ -172,7 +171,7 @@ func TestCacheKeyGolden(t *testing.T) {
 				Checkpoint:           &CheckpointOptions{Every: 3},
 				Chaos:                &ChaosOptions{Seed: 9, StallRate: 0.02},
 			},
-			want: "sha256:76881290e84e2f90a9d89c7ead3105427ba959d8937884f13dcd56cef769cc31",
+			want: "sha256:4d89b605b42f594e2249f006e68b81db7901491a9a577f3bea8455ff7b0bb054",
 		},
 	}
 	for _, tc := range cases {

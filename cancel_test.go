@@ -106,6 +106,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"unknown-gvt", func(c *Config) { c.GVT = GVT(99) }},
 		{"unknown-affinity", func(c *Config) { c.Affinity = Affinity(99) }},
 		{"baseline-dynamic-affinity", func(c *Config) { c.System = Baseline; c.Affinity = DynamicAffinity }},
+		// The DD-PDES controller thread takes a core of its own.
+		{"dd-pdes-one-core", func(c *Config) { c.System = DDPDES; c.Machine.Cores = 1 }},
 		{"neg-gvt-frequency", func(c *Config) { c.GVTFrequency = -1 }},
 		{"neg-zero-counter", func(c *Config) { c.ZeroCounterThreshold = -1 }},
 		{"neg-batch", func(c *Config) { c.BatchSize = -1 }},

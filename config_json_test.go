@@ -1,6 +1,7 @@
 package ggpdes
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -24,7 +25,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			Affinity:             ConstantAffinity,
 			EndTime:              12.5,
 			Seed:                 42,
-			Machine:              Machine{Cores: 8, SMTWidth: 2, FreqHz: 2e9, NUMANodes: 2, MaxTicks: 1 << 20},
+			Machine:              Machine{Cores: 8, SMTWidth: 2, FreqHz: 2e9, MaxTicks: 1 << 20},
 			GVTFrequency:         33,
 			ZeroCounterThreshold: 77,
 			BatchSize:            4,
@@ -111,6 +112,7 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 		{"state_saving", spec + `"state_saving":"reverse"}`},
 		{`queue "heap"`, spec + `"queue":"heap"}`},
 		{`queue "calendar"`, spec + `"queue":"calendar"}`},
+		{"machine.numa_nodes", spec + `"machine":{"cores":8,"numa_nodes":2}}`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			var cfg Config
@@ -142,14 +144,14 @@ func TestConfigJSONRejectsRetiredOptions(t *testing.T) {
 func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 	const parent = `{"model":{"name":"traffic","lps_per_thread":8,"density_gradient":0.5},"threads":8,` +
 		`"system":"gg-pdes","gvt":"waitfree","affinity":"dynamic","end_time":12,"seed":7,` +
-		`"machine":{"cores":4,"smt_width":2,"freq_hz":1300000000,"numa_nodes":2},"gvt_frequency":40,` +
+		`"machine":{"cores":4,"smt_width":2,"freq_hz":1300000000},"gvt_frequency":40,` +
 		`"zero_counter_threshold":300,"batch_size":4,"queue":"splay","state_saving":"copy",` +
 		`"optimism_window":5,"checkpoint":{"every":3},"chaos":{"seed":9,"stall_rate":0.02}}`
 	want := Config{
 		Model:   Traffic{LPsPerThread: 8, DensityGradient: 0.5},
 		Threads: 8, System: GGPDES, GVT: WaitFree, Affinity: DynamicAffinity,
 		EndTime: 12, Seed: 7,
-		Machine:      Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9, NUMANodes: 2},
+		Machine:      Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9},
 		GVTFrequency: 40, ZeroCounterThreshold: 300, BatchSize: 4,
 		OptimismWindow: 5,
 		Checkpoint:     &CheckpointOptions{Every: 3},
@@ -164,7 +166,7 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 			t.Fatalf("decoded %+v, want %+v", cfg, want)
 		}
 		// The key the parent computed for this config.
-		if key, err := cfg.CacheKey(); err != nil || key != "sha256:76881290e84e2f90a9d89c7ead3105427ba959d8937884f13dcd56cef769cc31" {
+		if key, err := cfg.CacheKey(); err != nil || key != "sha256:4d89b605b42f594e2249f006e68b81db7901491a9a577f3bea8455ff7b0bb054" {
 			t.Fatalf("key %s (%v), not the one the config was written under", key, err)
 		}
 	}
@@ -174,6 +176,48 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 	}
 	if got := string(data); got != strings.Replace(parent, `"queue":"splay","state_saving":"copy",`, "", 1) {
 		t.Fatalf("encoded %s", got)
+	}
+}
+
+// The retired numa_nodes key is wire-only too. 0 and 1 named the
+// uniform machine every run now has, so they decode to the config
+// without the key, under its cache key, and are written back without
+// it; any other value asked for sub-NUMA clustering and fails typed.
+func TestConfigJSONRetiredNUMANodes(t *testing.T) {
+	const spec = `{"model":{"name":"phold"},"threads":2,"end_time":5,"machine":{"cores":8,"smt_width":2`
+	var plain Config
+	if err := json.Unmarshal([]byte(spec+"}}"), &plain); err != nil {
+		t.Fatal(err)
+	}
+	plainKey, err := plain.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainJSON, err := json.Marshal(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"0", "1"} {
+		var cfg Config
+		if err := json.Unmarshal([]byte(spec+`,"numa_nodes":`+v+"}}"), &cfg); err != nil {
+			t.Fatalf("numa_nodes %s: %v", v, err)
+		}
+		if !reflect.DeepEqual(cfg, plain) {
+			t.Errorf("numa_nodes %s decoded %+v, want %+v", v, cfg, plain)
+		}
+		if key, err := cfg.CacheKey(); err != nil || key != plainKey {
+			t.Errorf("numa_nodes %s: key %s (%v), want %s", v, key, err, plainKey)
+		}
+		if data, err := json.Marshal(cfg); err != nil || !bytes.Equal(data, plainJSON) {
+			t.Errorf("numa_nodes %s encoded %s (%v), want %s", v, data, err, plainJSON)
+		}
+	}
+	for _, v := range []string{"2", "4", "-1"} {
+		var cfg Config
+		err := json.Unmarshal([]byte(spec+`,"numa_nodes":`+v+"}}"), &cfg)
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "machine.numa_nodes") {
+			t.Errorf("numa_nodes %s: error %v, want ErrInvalidConfig naming machine.numa_nodes", v, err)
+		}
 	}
 }
 

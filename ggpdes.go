@@ -94,10 +94,6 @@ type Machine struct {
 	SMTWidth int
 	// FreqHz converts cycles to seconds (0 = 1.3 GHz).
 	FreqHz float64
-	// NUMANodes partitions the cores into equal nodes (0/1 = uniform);
-	// KNL's sub-NUMA clustering. Dynamic affinity becomes NUMA-aware
-	// automatically when set.
-	NUMANodes int
 	// MaxTicks aborts runaway simulations (0 = 1<<26 quanta).
 	MaxTicks uint64
 }
@@ -105,19 +101,11 @@ type Machine struct {
 // KNL7230 returns the paper's evaluation platform.
 func KNL7230() Machine { return Machine{Cores: 64, SMTWidth: 4, FreqHz: 1.3e9} }
 
-// KNL7230SNC4 returns the same processor in sub-NUMA-clustering mode
-// (4 nodes of 16 cores).
-func KNL7230SNC4() Machine {
-	m := KNL7230()
-	m.NUMANodes = 4
-	return m
-}
-
 // SmallMachine returns a 4-core, 2-way-SMT machine for quick runs.
 func SmallMachine() Machine { return Machine{Cores: 4, SMTWidth: 2, FreqHz: 1.3e9} }
 
 func (m Machine) build() (machine.Config, error) {
-	if m.Cores < 0 || m.SMTWidth < 0 || m.NUMANodes < 0 {
+	if m.Cores < 0 || m.SMTWidth < 0 {
 		return machine.Config{}, errors.New("ggpdes: Machine fields must be non-negative")
 	}
 	// NaN passes a FreqHz < 0 test and would run at the default clock;
@@ -144,12 +132,6 @@ func (m Machine) build() (machine.Config, error) {
 	}
 	if m.FreqHz > 0 {
 		cfg.FreqHz = m.FreqHz
-	}
-	if m.NUMANodes > 1 {
-		cfg.NUMANodes = m.NUMANodes
-		if cfg.CrossNodeMigrationCycles == 0 {
-			cfg.CrossNodeMigrationCycles = 18000
-		}
 	}
 	cfg.MaxTicks = m.MaxTicks
 	if cfg.MaxTicks == 0 {
@@ -384,8 +366,9 @@ type Results struct {
 	LockContention             uint64
 	Repins                     uint64
 	// ContextSwitches and Migrations are machine scheduler counters;
-	// CrossNodeMigrations is the NUMA-crossing subset; Preempts counts
-	// involuntary context losses.
+	// Preempts counts involuntary context losses. CrossNodeMigrations
+	// is always 0: sub-NUMA clustering is retired (DESIGN.md §5), and
+	// the field stays because Results' JSON form is a contract.
 	ContextSwitches, Migrations uint64
 	CrossNodeMigrations         uint64
 	Preempts                    uint64
@@ -515,8 +498,12 @@ func (c Config) Validate() error {
 	if ch := c.Chaos; ch != nil && !(ch.StallRate >= 0 && ch.StallRate < 1) {
 		return fail("Chaos.StallRate must be in [0, 1)")
 	}
-	if _, err := c.Machine.build(); err != nil {
+	mc, err := c.Machine.build()
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	if c.System == DDPDES && mc.Cores < 2 {
+		return fail("DDPDES needs at least 2 cores (its controller thread takes one)")
 	}
 	model, err := c.Model.build(c.Threads, c.EndTime)
 	if err != nil {

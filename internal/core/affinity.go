@@ -52,32 +52,19 @@ type dynamicAffinity struct {
 	// pinnedCount[core] is the number of active threads pinned there.
 	pinnedCount []int
 	// coreOf[tid] is the paper's affinity_table_inv: -1 when unpinned.
-	coreOf   []int
-	smtWidth int
-	// nodeOf maps a core to its NUMA node; numaAware makes the pass
-	// prefer a thread's previous node when re-pinning — the extension
-	// the paper leaves as future work.
-	nodeOf    func(core int) int
-	numaAware bool
-	// lastNode remembers where each thread was pinned before
-	// deactivation (-1 = never pinned).
-	lastNode []int
+	coreOf []int
 	// Repins counts SetAffinity operations performed by the pass.
 	Repins uint64
 }
 
-func newDynamicAffinity(threads, usableCores, smtWidth int, costs Costs) *dynamicAffinity {
+func newDynamicAffinity(threads, usableCores int, costs Costs) *dynamicAffinity {
 	d := &dynamicAffinity{
 		costs:       costs,
 		pinnedCount: make([]int, usableCores),
 		coreOf:      make([]int, threads),
-		lastNode:    make([]int, threads),
-		smtWidth:    smtWidth,
-		nodeOf:      func(int) int { return 0 },
 	}
 	for i := range d.coreOf {
 		d.coreOf[i] = -1
-		d.lastNode[i] = -1
 	}
 	return d
 }
@@ -92,7 +79,6 @@ func (d *dynamicAffinity) OnDeactivate(acc *machine.Acc, tid int) {
 	if core := d.coreOf[tid]; core >= 0 {
 		d.pinnedCount[core]--
 		d.coreOf[tid] = -1
-		d.lastNode[tid] = d.nodeOf(core)
 	}
 	acc.Work(d.costs.AffinityPerThreadCycles)
 }
@@ -106,7 +92,7 @@ func (d *dynamicAffinity) OnRoundComplete(p *machine.Proc, acc *machine.Acc, g *
 		if !active || d.coreOf[tid] >= 0 {
 			continue
 		}
-		core := d.pickCore(acc, tid)
+		core := d.emptiestCore(acc)
 		d.pinnedCount[core]++
 		d.coreOf[tid] = core
 		d.Repins++
@@ -117,35 +103,6 @@ func (d *dynamicAffinity) OnRoundComplete(p *machine.Proc, acc *machine.Acc, g *
 		acc.Flush()
 		p.SetAffinity(tid, core)
 	}
-}
-
-func (d *dynamicAffinity) pickCore(acc *machine.Acc, tid int) int {
-	if d.numaAware {
-		if node := d.lastNode[tid]; node >= 0 {
-			// Prefer an empty-enough core on the thread's previous node
-			// (warm caches, local memory); fall back globally when that
-			// node is crowded.
-			if core, count := d.emptiestCoreInNode(acc, node); core >= 0 && count < d.smtWidth {
-				return core
-			}
-		}
-	}
-	return d.emptiestCore(acc)
-}
-
-// emptiestCoreInNode scans one NUMA node for its least-pinned core.
-func (d *dynamicAffinity) emptiestCoreInNode(acc *machine.Acc, node int) (core, count int) {
-	best, bestCount := -1, int(^uint(0)>>1)
-	for c, n := range d.pinnedCount {
-		if d.nodeOf(c) != node {
-			continue
-		}
-		acc.Work(d.costs.AffinityPerThreadCycles / 4)
-		if n < bestCount {
-			best, bestCount = c, n
-		}
-	}
-	return best, bestCount
 }
 
 // emptiestCore returns the core with the fewest pinned active threads,

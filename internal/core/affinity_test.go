@@ -6,20 +6,13 @@ import (
 	"ggpdes/internal/machine"
 )
 
-func newTestDynAffinity(threads, cores, smt int) (*dynamicAffinity, *machine.Acc, *machine.Machine) {
-	d := newDynamicAffinity(threads, cores, smt, DefaultCosts())
-	// A throwaway machine/acc pair for cost charging in unit tests.
-	m, _ := machine.New(machine.Small())
-	return d, nil, m
-}
-
 func TestDynamicAffinitySMTAwarePlacement(t *testing.T) {
-	d := newDynamicAffinity(8, 4, 2, DefaultCosts())
+	d := newDynamicAffinity(8, 4, DefaultCosts())
 	acc := &nopAcc{}
 	// Pin four threads: SMT-aware placement spreads one per core.
 	got := make(map[int]int)
 	for i := 0; i < 4; i++ {
-		c := d.pickCore(acc.acc(), 0)
+		c := d.emptiestCore(acc.acc())
 		d.pinnedCount[c]++
 		got[c]++
 	}
@@ -28,7 +21,7 @@ func TestDynamicAffinitySMTAwarePlacement(t *testing.T) {
 	}
 	// The next four double up, one per core again.
 	for i := 0; i < 4; i++ {
-		c := d.pickCore(acc.acc(), 0)
+		c := d.emptiestCore(acc.acc())
 		d.pinnedCount[c]++
 		got[c]++
 	}
@@ -40,18 +33,18 @@ func TestDynamicAffinitySMTAwarePlacement(t *testing.T) {
 }
 
 func TestDynamicAffinitySaturationFallback(t *testing.T) {
-	d := newDynamicAffinity(4, 2, 1, DefaultCosts())
+	d := newDynamicAffinity(4, 2, DefaultCosts())
 	acc := &nopAcc{}
 	d.pinnedCount[0] = 1
 	d.pinnedCount[1] = 1 // all cores saturated
-	c := d.pickCore(acc.acc(), 0)
+	c := d.emptiestCore(acc.acc())
 	if c < 0 || c >= 2 {
 		t.Fatalf("fallback core %d out of range", c)
 	}
 }
 
 func TestDynamicAffinityDeactivateReleasesSlot(t *testing.T) {
-	d := newDynamicAffinity(4, 2, 2, DefaultCosts())
+	d := newDynamicAffinity(4, 2, DefaultCosts())
 	acc := &nopAcc{}
 	d.coreOf[1] = 1
 	d.pinnedCount[1] = 1
@@ -72,42 +65,3 @@ func TestDynamicAffinityDeactivateReleasesSlot(t *testing.T) {
 type nopAcc struct{ a machine.Acc }
 
 func (n *nopAcc) acc() *machine.Acc { return &n.a }
-
-func TestDynamicAffinityNUMAPrefersPreviousNode(t *testing.T) {
-	d := newDynamicAffinity(4, 8, 2, DefaultCosts())
-	d.numaAware = true
-	d.nodeOf = func(core int) int { return core / 4 } // 2 nodes of 4
-	acc := &nopAcc{}
-	// Thread 0 was last pinned on node 1; node 1 cores are emptier than
-	// nothing, so it should return there even though core 0 is equally
-	// empty.
-	d.lastNode[0] = 1
-	core := d.pickCore(acc.acc(), 0)
-	if d.nodeOf(core) != 1 {
-		t.Fatalf("picked core %d on node %d, want node 1", core, d.nodeOf(core))
-	}
-	// When the previous node saturates, fall back globally.
-	for c := 4; c < 8; c++ {
-		d.pinnedCount[c] = 2 // == smtWidth
-	}
-	core = d.pickCore(acc.acc(), 0)
-	if d.nodeOf(core) != 0 {
-		t.Fatalf("saturated node not avoided: picked core %d", core)
-	}
-	// Threads never pinned before place globally.
-	if got := d.pickCore(acc.acc(), 1); d.nodeOf(got) != 0 {
-		t.Fatalf("fresh thread picked node %d", d.nodeOf(got))
-	}
-}
-
-func TestDeactivateRemembersNode(t *testing.T) {
-	d := newDynamicAffinity(2, 8, 2, DefaultCosts())
-	d.nodeOf = func(core int) int { return core / 4 }
-	acc := &nopAcc{}
-	d.coreOf[0] = 6
-	d.pinnedCount[6] = 1
-	d.OnDeactivate(acc.acc(), 0)
-	if d.lastNode[0] != 1 {
-		t.Fatalf("lastNode = %d, want 1", d.lastNode[0])
-	}
-}

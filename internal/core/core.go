@@ -189,8 +189,11 @@ type Runner struct {
 	cfg   Config
 	alg   gvt.Algorithm
 	sched scheduler
-	aff   affinity
-	tel   coreTelemetry
+	// demand is the demand-driven schedulers' shared book-keeping; nil
+	// under Baseline.
+	demand *demand
+	aff    affinity
+	tel    coreTelemetry
 
 	// pollCycles is what an iteration that finds nothing costs before
 	// its GVT step: the loop overhead and an empty input-queue poll.
@@ -284,23 +287,21 @@ func NewRunner(cfg Config) (*Runner, error) {
 	case AffinityConstant:
 		r.aff = &constantAffinity{usableCores: usableCores}
 	case AffinityDynamic:
-		dyn := newDynamicAffinity(n, usableCores, mcfg.SMTWidth, cfg.Costs)
-		if mcfg.NUMANodes > 1 {
-			dyn.nodeOf = mcfg.NodeOf
-			dyn.numaAware = true
-		}
-		r.aff = dyn
+		r.aff = newDynamicAffinity(n, usableCores, cfg.Costs)
 	default:
 		return nil, fmt.Errorf("core: unknown affinity %d", cfg.Affinity)
 	}
 
+	var controller func(*machine.Proc)
 	switch cfg.System {
 	case Baseline:
 		r.sched = &baselineSched{}
 	case GGPDES:
-		r.sched = newGGSched(r)
+		gg := newGGSched(r)
+		r.sched, r.demand = gg, &gg.demand
 	case DDPDES:
-		r.sched = newDDSched(r)
+		dd := newDDSched(r)
+		r.sched, r.demand, controller = dd, &dd.demand, dd.controllerBody
 	default:
 		return nil, fmt.Errorf("core: unknown system %d", cfg.System)
 	}
@@ -326,8 +327,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 			r.threadBody(p, tid)
 		})
 	}
-	if dd, ok := r.sched.(*ddSched); ok {
-		cfg.Machine.SpawnPinned("dd-controller", mcfg.Cores-1, dd.controllerBody)
+	if controller != nil {
+		cfg.Machine.SpawnPinned("dd-controller", mcfg.Cores-1, controller)
 	}
 	return r, nil
 }
@@ -351,14 +352,11 @@ type SchedulingStats struct {
 // Machine.Run completes.
 func (r *Runner) SchedulingStats() SchedulingStats {
 	var s SchedulingStats
-	switch sched := r.sched.(type) {
-	case *ggSched:
-		s.Deactivations = sched.Deactivations
-		s.Activations = sched.Activations
-	case *ddSched:
-		s.Deactivations = sched.Deactivations
-		s.Activations = sched.Activations
-		s.LockContention = sched.mu.Contended
+	if d := r.demand; d != nil {
+		s.Deactivations, s.Activations = d.Deactivations, d.Activations
+	}
+	if dd, ok := r.sched.(*ddSched); ok {
+		s.LockContention = dd.mu.Contended
 	}
 	if dyn, ok := r.aff.(*dynamicAffinity); ok {
 		s.Repins = dyn.Repins
@@ -374,11 +372,8 @@ func (r *Runner) System() System { return r.cfg.System }
 // per-round series sampler reads it mid-run — safe because machine
 // execution is serialized.
 func (r *Runner) NumActive() int {
-	switch sched := r.sched.(type) {
-	case *ggSched:
-		return sched.numActive
-	case *ddSched:
-		return sched.numActive
+	if d := r.demand; d != nil {
+		return d.numActive
 	}
 	return len(r.cfg.Engine.Peers())
 }

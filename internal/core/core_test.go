@@ -150,13 +150,8 @@ func runSim(t *testing.T, sp simParams) *simResult {
 	for _, lp := range eng.LPs() {
 		res.lpProcessed = append(res.lpProcessed, lp.State().(*models.PHOLDState).Processed)
 	}
-	switch sched := r.sched.(type) {
-	case *ggSched:
-		res.deactivations = sched.Deactivations
-		res.activations = sched.Activations
-	case *ddSched:
-		res.deactivations = sched.Deactivations
-		res.activations = sched.Activations
+	if d := r.demand; d != nil {
+		res.deactivations, res.activations = d.Deactivations, d.Activations
 	}
 	return res
 }

@@ -136,11 +136,8 @@ func runSkipCase(t *testing.T, c skipCase, seed uint64, faults ThreadFaultInject
 	for _, p := range eng.Peers() {
 		pr.Peers = append(pr.Peers, p.Stats)
 	}
-	switch s := r.sched.(type) {
-	case *ggSched:
-		pr.ZeroCounters, pr.WantDeactive = s.zeroCounter, s.wantDeactivate
-	case *ddSched:
-		pr.ZeroCounters, pr.WantDeactive = s.zeroCounter, s.wantDeactivate
+	if d := r.demand; d != nil {
+		pr.ZeroCounters, pr.WantDeactive = d.zeroCounter, d.wantDeactivate
 	}
 	for _, lp := range eng.LPs() {
 		pr.LPStates = append(pr.LPStates, lp.State())

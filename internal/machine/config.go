@@ -60,12 +60,6 @@ type Config struct {
 	// MigrationCycles is charged (in addition to the context switch)
 	// when a thread moves between cores, modelling cache refill.
 	MigrationCycles uint64
-	// NUMANodes partitions the cores into equal nodes (0 or 1 =
-	// uniform memory). KNL supports this as sub-NUMA clustering.
-	NUMANodes int
-	// CrossNodeMigrationCycles is charged on top of MigrationCycles
-	// when a thread crosses node boundaries.
-	CrossNodeMigrationCycles uint64
 	// WakeCycles is charged to a thread when it is woken from a
 	// blocking call.
 	WakeCycles uint64
@@ -113,16 +107,6 @@ func KNL7230() Config {
 	}
 }
 
-// KNL7230SNC4 returns the same processor in sub-NUMA-clustering mode:
-// four nodes of 16 cores with expensive cross-node migrations.
-func KNL7230SNC4() Config {
-	c := KNL7230()
-	c.Name = "knl7230-snc4"
-	c.NUMANodes = 4
-	c.CrossNodeMigrationCycles = 18000
-	return c
-}
-
 // Small returns a 4-core, 2-way-SMT machine, convenient for unit tests
 // and quickstart examples.
 func Small() Config {
@@ -158,20 +142,7 @@ func (c Config) Validate() error {
 			return errors.New("machine: SMTAggregate must be non-decreasing")
 		}
 	}
-	if c.NUMANodes > 1 {
-		if c.Cores%c.NUMANodes != 0 {
-			return fmt.Errorf("machine: NUMANodes %d must divide Cores %d", c.NUMANodes, c.Cores)
-		}
-	}
 	return nil
-}
-
-// NodeOf returns the NUMA node of a core (0 when uniform).
-func (c Config) NodeOf(core int) int {
-	if c.NUMANodes <= 1 {
-		return 0
-	}
-	return core / (c.Cores / c.NUMANodes)
 }
 
 // HWThreads returns the total number of hardware thread contexts.

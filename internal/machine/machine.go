@@ -99,8 +99,10 @@ type Stats struct {
 	// CtxSwitches counts threads switched onto a context they were not
 	// already occupying.
 	CtxSwitches uint64
-	// Migrations counts cross-core thread movements;
-	// CrossNodeMigrations counts the subset crossing NUMA nodes.
+	// Migrations counts cross-core thread movements.
+	// CrossNodeMigrations is always zero: the machine has one memory
+	// node since sub-NUMA clustering left (DESIGN.md §5), and the field
+	// stays because checkpoint headers carry it.
 	Migrations          uint64
 	CrossNodeMigrations uint64
 	// SemWaits, SemPosts and BarrierWaits count synchronization calls.
@@ -461,10 +463,6 @@ func (m *Machine) enqueue(t *Thread, core int) {
 		if m.tr != nil {
 			m.tr.Add(trace.KindMigration, t.id, 0, int64(core))
 		}
-		if m.cfg.NodeOf(t.core) != m.cfg.NodeOf(core) {
-			t.penalty += m.cfg.CrossNodeMigrationCycles
-			m.stats.CrossNodeMigrations++
-		}
 		t.core = core
 	}
 	c := &m.cores[core]
@@ -729,8 +727,7 @@ func (m *Machine) sampleOccupancy() {
 }
 
 // loadBalance migrates unpinned threads from the most to the least
-// loaded cores, one pass per period, preferring same-NUMA-node targets
-// (CFS scheduling domains balance within a node before across nodes).
+// loaded cores, one pass per period.
 func (m *Machine) loadBalance() {
 	for moves := 0; moves < m.cfg.Cores; moves++ {
 		maxC, minC := -1, -1
@@ -746,23 +743,6 @@ func (m *Machine) loadBalance() {
 		}
 		if maxC == -1 || minC == -1 || maxL-minL <= 1 {
 			return
-		}
-		// Same-node alternative within one unit of the global minimum.
-		if m.cfg.NUMANodes > 1 && m.cfg.NodeOf(maxC) != m.cfg.NodeOf(minC) {
-			node := m.cfg.NodeOf(maxC)
-			bestLocal, bestLoad := -1, int(^uint(0)>>1)
-			for i := range m.cores {
-				if m.cfg.NodeOf(i) != node || i == maxC {
-					continue
-				}
-				load := len(m.cores[i].runq) + len(m.cores[i].running)
-				if load < bestLoad {
-					bestLocal, bestLoad = i, load
-				}
-			}
-			if bestLocal >= 0 && bestLoad <= minL+1 && maxL-bestLoad > 1 {
-				minC = bestLocal
-			}
 		}
 		// Move the last (highest-vruntime) unpinned runnable thread.
 		c := &m.cores[maxC]

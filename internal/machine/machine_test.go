@@ -828,57 +828,3 @@ func TestMachineNowCyclesMatchesTicks(t *testing.T) {
 		t.Fatalf("NowCycles %d != ticks*quantum %d", m.NowCycles(), m.Stats().Ticks*m.Config().TickCycles)
 	}
 }
-
-func TestNUMAValidationAndNodeOf(t *testing.T) {
-	cfg := testCfg(8, 1)
-	cfg.NUMANodes = 3 // does not divide 8
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("invalid NUMA split accepted")
-	}
-	cfg.NUMANodes = 2
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NodeOf(0) != 0 || cfg.NodeOf(3) != 0 || cfg.NodeOf(4) != 1 || cfg.NodeOf(7) != 1 {
-		t.Fatal("NodeOf mapping wrong")
-	}
-	if testCfg(4, 1).NodeOf(3) != 0 {
-		t.Fatal("uniform machine should map everything to node 0")
-	}
-}
-
-func TestCrossNodeMigrationCharged(t *testing.T) {
-	cfg := testCfg(4, 1)
-	cfg.NUMANodes = 2
-	cfg.CrossNodeMigrationCycles = 50000
-	m := mustNew(t, cfg)
-	var target *Thread
-	target = m.SpawnPinned("t", 0, func(p *Proc) {
-		for i := 0; i < 50; i++ {
-			p.Work(cfg.TickCycles)
-		}
-	})
-	m.SpawnPinned("mover", 1, func(p *Proc) {
-		p.Work(5 * cfg.TickCycles)
-		p.SetAffinity(target.ID(), 3) // node 0 -> node 1
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().CrossNodeMigrations == 0 {
-		t.Fatal("cross-node migration not counted")
-	}
-	if m.Stats().Migrations < m.Stats().CrossNodeMigrations {
-		t.Fatal("cross-node exceeds total migrations")
-	}
-}
-
-func TestKNLSNC4Preset(t *testing.T) {
-	cfg := KNL7230SNC4()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NUMANodes != 4 || cfg.NodeOf(15) != 0 || cfg.NodeOf(16) != 1 || cfg.NodeOf(63) != 3 {
-		t.Fatal("SNC4 mapping wrong")
-	}
-}

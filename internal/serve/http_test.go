@@ -152,6 +152,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"state_saving", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"state_saving":"reverse"}}`},
 		{"queue heap", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"queue":"heap"}}`},
 		{"queue calendar", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"queue":"calendar"}}`},
+		{"machine.numa_nodes", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"machine":{"numa_nodes":4}}}`},
+		// DD-PDES's controller thread takes a core of its own.
+		{"dd-pdes on 1 core", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"system":"dd-pdes","machine":{"cores":1}}}`},
 		// A stall rate of 1 would stall every iteration until the deadline.
 		{"chaos.stall_rate 1", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"stall_rate":1}}}`},
 	} {

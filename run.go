@@ -460,7 +460,6 @@ func (rs *runState) accumulate(seg *segment) {
 	rs.machCum.Ticks = ms.Ticks
 	rs.machCum.CtxSwitches += ms.CtxSwitches
 	rs.machCum.Migrations += ms.Migrations
-	rs.machCum.CrossNodeMigrations += ms.CrossNodeMigrations
 	rs.machCum.SemWaits += ms.SemWaits
 	rs.machCum.SemPosts += ms.SemPosts
 	rs.machCum.BarrierWaits += ms.BarrierWaits
@@ -672,7 +671,6 @@ func (rs *runState) finish(seg *segment) (*Results, error) {
 		Repins:                rs.schedCum.Repins,
 		ContextSwitches:       rs.machCum.CtxSwitches,
 		Migrations:            rs.machCum.Migrations,
-		CrossNodeMigrations:   rs.machCum.CrossNodeMigrations,
 		Preempts:              rs.machCum.Preempts,
 		FinalGVT:              seg.eng.GVT(),
 		FinalGVTFrequency:     cfg.gvtFrequency(),
