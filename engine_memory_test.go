@@ -79,6 +79,35 @@ func TestPoolCountersUnchanged(t *testing.T) {
 	}
 }
 
+// The uncommitted-peak gauge is published where the pool counters are
+// flushed, at fossil collection and at teardown, not at every new
+// high-water mark (77,028 of them in a traffic run, each a lock); the
+// run's gauge still reads its peak, on a plain run, a checkpointed one
+// and one resumed from its middle snapshot.
+func TestUncommittedPeakGaugeReadsThePeak(t *testing.T) {
+	dir := t.TempDir()
+	traffic := benchTrafficCfg()
+	traffic.Seed = 1
+	runs := map[string]func() (*Results, error){
+		"traffic-oversub-rollback": func() (*Results, error) { return Run(traffic) },
+		"epidemics-ckpt-resume":    func() (*Results, error) { return Run(ckptBenchCfg(dir)) },
+		"resumed": func() (*Results, error) {
+			return Resume(filepath.Join(dir, checkpoint.FileName((len(listCheckpoints(t, dir))+1)/2)))
+		},
+	}
+	for _, name := range []string{"traffic-oversub-rollback", "epidemics-ckpt-resume", "resumed"} {
+		res, err := runs[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, ok := res.Gauges[tw.MetricUncommittedPeak]
+		if !ok || got != float64(res.PeakUncommittedEvents) || got == 0 {
+			t.Errorf("%s: gauge %s = %v (present %t), PeakUncommittedEvents %d",
+				name, tw.MetricUncommittedPeak, got, ok, res.PeakUncommittedEvents)
+		}
+	}
+}
+
 // TestHeapHoldsTheQueueKindsReading pins the final reading of the test
 // that held the splay tree, the binary heap and the calendar queue to
 // identical Results on the benchmark's engine-bound, rollback-bound and
@@ -119,7 +148,9 @@ func TestHeapHoldsTheQueueKindsReading(t *testing.T) {
 // read 2.96 and 0.22; with misses carved from chunks 0.17 and 0.05;
 // with each LP's history linked through its events and the snapshots
 // in one store per peer, so that no history or freelist grows a slice
-// per LP, 0.140 and 0.021. The ceilings are about 1.25 times that.
+// per LP, 0.140 and 0.021; with one store per engine behind the same
+// counts 0.102 and 0.016. The ceilings are about 1.25 times 0.140 and
+// 0.021.
 func TestRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
@@ -195,8 +226,9 @@ func runAndResumeMiddle(t *testing.T, dir string) uint64 {
 // state 1.55 and 1.37, with send windows carved from a per-peer chunk
 // 1.07 and 0.96, with the histories linked through their events and
 // one snapshot store per peer 0.57 and 0.32, with the pending heaps
-// handed over sorted and a boundary's arrays reused 0.49 and 0.31. The
-// ceilings are about 1.25 times that.
+// handed over sorted and a boundary's arrays reused 0.49 and 0.31, and
+// with one store per engine 0.45 and 0.27. The ceilings are about 1.25
+// times 0.49 and 0.31.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
@@ -238,8 +270,8 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 // heap, copying the events into records and pushing them back, and
 // allocating its capture and its file's bytes anew, this read 538
 // bytes; with the heap handed over sorted and the capture, the arrays
-// and the encode buffer reused, 332. The ceiling is about 1.25 times
-// that.
+// and the encode buffer reused, 332; with one pool store per engine,
+// 267. The ceiling is about 1.25 times 332.
 func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")

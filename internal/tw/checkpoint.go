@@ -328,8 +328,8 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 		lp.rand.Restore(rec.Rng)
 		lp.lvt = rec.LVT
 	}
+	eng.fixStateType()
 	for i, p := range eng.peers {
-		p.fixStateType()
 		p.Stats = st.PeerStats[i]
 		// Pending events are neither pool hits nor misses — they never
 		// were.

@@ -147,11 +147,15 @@ type Engine struct {
 	// the set rode on any more, so that the capture may write over it.
 	spare         *spareMemory
 	startReleased bool
+	// mem is the engine's event and snapshot memory (pool.go).
+	mem memStore
 	// uncommitted counts processed-but-not-fossil-collected events, the
 	// state-saving memory the GVT exists to bound (§2.1); peak tracks
-	// its high-water mark.
+	// its high-water mark, and peakDirty says the gauge has not been
+	// told the latest one.
 	uncommitted     int
 	peakUncommitted int
+	peakDirty       bool
 	// cancelled makes Done report true regardless of GVT, winding the
 	// simulation threads down at their next loop iteration.
 	cancelled bool
@@ -199,9 +203,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("tw: model left LP %d without state", lp.ID)
 		}
 	}
-	for _, p := range eng.peers {
-		p.fixStateType()
-	}
+	eng.fixStateType()
 	return eng, nil
 }
 
@@ -279,12 +281,24 @@ func (e *Engine) UncommittedEvents() int { return e.uncommitted }
 // events — the run's state-saving memory demand.
 func (e *Engine) PeakUncommittedEvents() int { return e.peakUncommitted }
 
-// noteProcessed and noteUnprocessed maintain the memory gauge.
+// noteProcessed counts processed events and tracks their high-water
+// mark. A rising peak only marks the gauge dirty: a traffic run rises
+// 77,028 times, and the gauge takes a lock.
 func (e *Engine) noteProcessed(n int) {
 	e.uncommitted += n
 	if e.uncommitted > e.peakUncommitted {
 		e.peakUncommitted = e.uncommitted
-		e.tel.uncommittedPeak.Set(float64(e.uncommitted))
+		e.peakDirty = true
+	}
+}
+
+// publishPeak sets the uncommitted-peak gauge if the peak has risen
+// since it was last set; fossil collection and FlushPoolStats call it,
+// where the pool counters are flushed.
+func (e *Engine) publishPeak() {
+	if e.peakDirty {
+		e.peakDirty = false
+		e.tel.uncommittedPeak.Set(float64(e.peakUncommitted))
 	}
 }
 
@@ -428,6 +442,17 @@ func (e *Engine) TotalStats() PeerStats {
 // CheckInvariants validates cross-cutting engine invariants; tests call
 // it after (and during) runs. It returns the first violation found.
 func (e *Engine) CheckInvariants() error {
+	// Pool sweep: the store must hold only recycled, unlinked events,
+	// and no live container may hold one (use-after-recycle in either
+	// direction).
+	for i, ev := range e.mem.events {
+		if ev == nil {
+			return fmt.Errorf("store entry %d is nil", i)
+		}
+		if ev.state != statePooled || ev.prev != nil || ev.next != nil {
+			return fmt.Errorf("store holds live event %v", ev)
+		}
+	}
 	histories := 0
 	for _, p := range e.peers {
 		for _, lp := range p.lps {
@@ -435,22 +460,6 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("lp %d %w", lp.ID, err)
 			}
 			histories += lp.n
-		}
-		// Pool sweep: the freelist must hold only recycled, unlinked
-		// events, and no live container may hold one (use-after-recycle
-		// in either direction).
-		for i, ev := range p.freeEvents {
-			if ev == nil {
-				return fmt.Errorf("peer %d freelist entry %d is nil", p.ID, i)
-			}
-			if ev.state != statePooled || ev.prev != nil || ev.next != nil {
-				return fmt.Errorf("peer %d freelist holds live event %v", p.ID, ev)
-			}
-		}
-		for _, ev := range p.spareEvents {
-			if ev == nil || ev.state != statePooled || ev.prev != nil || ev.next != nil {
-				return fmt.Errorf("peer %d spare set holds live event %v", p.ID, ev)
-			}
 		}
 		for _, ev := range p.inq {
 			if ev != nil && ev.state == statePooled {

@@ -35,7 +35,7 @@ const (
 	// StateCommitted: the event's timestamp fell below GVT and it was
 	// fossil collected; it can never be rolled back.
 	StateCommitted
-	// statePooled: the event has been recycled into its peer's freelist
+	// statePooled: the event has been recycled into the engine's store
 	// and must not be referenced by any queue, history or send list.
 	// Observing it outside the pool is a use-after-recycle bug; the
 	// engine panics wherever a pooled event could flow in, and

@@ -172,7 +172,7 @@ func (m *mixedRing) OnEvent(ctx *EventCtx) {
 	ringStep(ctx, st)
 }
 
-// A peer that hosts a second state type pools only the first: the
+// An engine that hosts a second state type pools only the first: the
 // second keeps the Clone path it always had, and every LP counts its
 // hits, misses and recycled snapshots exactly as it would with one type
 // — the same trajectory and the same six pool counters as the ring
@@ -208,14 +208,12 @@ func TestSecondStateTypeKeepsCloneAndCounts(t *testing.T) {
 	if otherClones == 0 {
 		t.Fatal("the second type's snapshots were not Cloned")
 	}
-	for _, p := range mixed.peers {
-		if p.stateChunk.typ != reflect.TypeOf(&ringState{}) {
-			t.Fatalf("peer %d pools %v", p.ID, p.stateChunk.typ)
-		}
-		for _, s := range p.statePool {
-			if _, ok := s.(*ringState); !ok {
-				t.Fatalf("peer %d store holds a %T", p.ID, s)
-			}
+	if typ := mixed.mem.stateChunk.typ; typ != reflect.TypeOf(&ringState{}) {
+		t.Fatalf("engine pools %v", typ)
+	}
+	for _, s := range mixed.mem.states {
+		if _, ok := s.(*ringState); !ok {
+			t.Fatalf("store holds a %T", s)
 		}
 	}
 }

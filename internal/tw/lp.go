@@ -32,7 +32,7 @@ type LP struct {
 	// pooled counts the copy-state snapshots this LP has released and
 	// not yet taken back: what decides whether its next snapshot is a
 	// pool hit or a miss. The snapshots themselves are recycled through
-	// the peer's one store (see pool.go).
+	// the engine's one store (see pool.go).
 	pooled int
 }
 

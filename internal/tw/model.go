@@ -11,18 +11,17 @@ type State interface {
 
 // StateCopier is an optional extension of State that lets the engine
 // recycle snapshot memory: instead of Clone allocating a fresh copy per
-// event, a dead snapshot from the thread's store is overwritten in
+// event, a dead snapshot from the engine's store is overwritten in
 // place. CopyFrom must leave the receiver semantically identical to
 // Clone's result (a deep copy of src); it may reuse the receiver's own
 // backing storage (slices, maps) when capacities allow. src is always
 // the same concrete type as the receiver, but not always the same LP's:
-// a thread's LPs share its store, so a receiver last held another LP's
-// state.
+// all LPs share the store, so a receiver last held another LP's state.
 //
 // A zero value of the state type must be a valid receiver: when the
 // store is empty the engine does not Clone a StateCopier whose
 // dynamic type is a pointer, it carves a zero value of the pointed-to
-// type from a per-thread chunk and fills it with CopyFrom (pool.go), so
+// type from the engine's chunk and fills it with CopyFrom (pool.go), so
 // CopyFrom may not rely on anything a constructor would have set up.
 // Models that implement only Clone still work; they just allocate.
 type StateCopier interface {

@@ -129,6 +129,18 @@ package tw
 // serves, an idle one's too. Index-addressed slabs, per-LP time buckets
 // and a fossil pass over busy LPs only are on ROADMAP item 10's engine
 // list.
+//
+// Since then, too, the memory behind the pools is the engine's, not
+// each peer's (pool.go): hits and misses are counted where they were,
+// but an allocation carves only when the engine's one store is empty.
+// Where the load moves from thread group to thread group, each group
+// no longer carves its own in-flight set: the phold-imbalanced-async
+// benchmark's gg-async call, one P, went from 2.71 MB, 2,090 mallocs
+// and 0.9 GC cycles a run to 0.35 MB, 1,200 and 0.1, and traffic from
+// 24.4 MB and 14,947 mallocs to 23.3 MB and 11,057. The uncommitted-peak
+// gauge, which took its lock at every new high-water mark (0.8 % of
+// the traffic profile above), is set where the pool counters are
+// flushed.
 
 import (
 	"fmt"
@@ -174,30 +186,15 @@ type Peer struct {
 	inq     []*Event
 	pending *pq.BinHeap[*Event]
 
-	// freeEvents is the peer's event freelist (see pool.go); pool
-	// accumulates its traffic counters between telemetry flushes and
-	// poolFlushed keeps the event hits and misses already flushed, for
-	// Probe.
-	freeEvents  []*Event
+	// pooled counts the events this peer has freed and not yet taken
+	// back: what decides whether its next allocation is a pool hit or a
+	// miss. The events themselves go to the engine's one store (see
+	// pool.go). pool accumulates the peer's traffic counters between
+	// telemetry flushes and poolFlushed keeps the event hits and misses
+	// already flushed, for Probe.
+	pooled      int
 	pool        poolStats
 	poolFlushed poolStats
-	// spareEvents is the dead events a predecessor engine left behind,
-	// taken on a freelist miss (spare.go).
-	spareEvents []*Event
-	// statePool is the peer's snapshot store: dead snapshots of its
-	// pooled state type, whichever of its LPs released them (pool.go).
-	// Its bottom spareStates entries are what a predecessor engine's
-	// store held and this one has not taken yet (spare.go).
-	statePool   []StateCopier
-	spareStates int
-	// eventChunk and stateChunk are what a miss that finds no spare
-	// memory carves from (pool.go); eventChunkLen is the length the
-	// current event chunk was made with. sentChunk is what a sent list
-	// that has outgrown its event's inline slot takes its window from.
-	eventChunk    []Event
-	eventChunkLen int
-	stateChunk    stateChunk
-	sentChunk     []*Event
 
 	// evCtx is the reusable model-callback context for forward
 	// execution. Models must not retain an EventCtx beyond the callback
@@ -212,7 +209,7 @@ type Peer struct {
 	minSent VT
 	// quiesced receives the cancelled events the quiesce for a
 	// checkpoint capture removes from the pending heap (checkpoint.go),
-	// on their way to the spare set (spare.go).
+	// on their way to the engine's store (spare.go).
 	quiesced []*Event
 
 	// tel holds this thread's private shard of the telemetry registry;
@@ -671,6 +668,7 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 	p.eng.uncommitted -= total
 	cycles += uint64(total) * costs.FossilPerEventCycles
 	p.flushPoolStats()
+	p.eng.publishPeak()
 	p.Stats.Committed += uint64(total)
 	if total > 0 {
 		p.tel.committed.Add(uint64(total))

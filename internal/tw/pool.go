@@ -6,47 +6,45 @@ import (
 )
 
 // Event and snapshot memory. Every event send, anti-message and
-// copy-state snapshot needs an object; where it comes from is decided
-// in three steps, cheapest first.
+// copy-state snapshot needs an object. Whether it is a pool hit or a
+// miss, and where its memory comes from, are two separate questions.
 //
-// Hit path: the freelists. PARSIR-style per-thread recycling: each Peer
-// keeps a freelist of Events whose lifecycle has ended (fossil
-// collected, or annihilated and lazily dropped from a queue), and one
-// store of the state snapshots its LPs' fossil collections and
-// rollbacks returned. A hit pops one, resets it and allocates nothing.
-// Whether a snapshot is a hit is still decided per LP — each LP counts
-// what it has released and not taken back (LP.pooled), exactly as when
-// each LP kept a freelist of its own — because the counters, and with
-// them Results, record it; only the memory is shared. Counting per peer
-// instead moves tw.pool.state_hit/miss and every bench/golden digest.
+// Counts: PARSIR-style per-thread recycling, kept as logical counts.
+// An event allocation is a hit when its peer has freed more events than
+// it has taken back (Peer.pooled), and a snapshot is a hit when its LP
+// has released more snapshots than it has taken back (LP.pooled). The
+// tw.pool.* counters, and with them Results and every bench/golden
+// digest, record these counts, so neither may move: counting per engine
+// instead, or counting snapshots per peer, moves them all.
 //
-// Miss path: the freelist is empty (for a snapshot: the LP's count is
-// zero). A pool only hands back what fossil
-// collection has already fed it, so a run misses until its in-flight
-// set — pending, processed-but-uncommitted, in transit — has been built
-// once, and short runs are all warm-up. The benchmark's
-// traffic-oversub-rollback config at seed 1 completes 9 GVT rounds with
-// 77,028 events uncommitted at peak: 89,489 of its 260,220 event
-// allocations and 81,370 of its 182,568 snapshots miss (phold-sync, a
-// small in-flight set: 5,162 of 150,011 and 4,425 of 126,114). A miss
-// is counted, then served from spare memory a predecessor engine left
-// behind if there is any (spare.go), and only then from the third step.
+// Memory: the engine's. The engine keeps one store of dead events, one
+// of dead snapshots of its pooled state type, and one set of chunks.
+// Every allocation, hit or miss, takes the newest dead object from the
+// store and carves only when the store is empty. A pool only hands back
+// what fossil collection has already fed it, so a run misses until its
+// in-flight set — pending, processed-but-uncommitted, in transit — has
+// been built once; the benchmark's traffic-oversub-rollback config at
+// seed 1 completes 9 GVT rounds with 77,028 events uncommitted at peak,
+// and 89,489 of its 260,220 event allocations and 81,370 of its 182,568
+// snapshots miss. That much is warm-up whoever owns the memory. What an
+// engine-wide store changes is a moving load: under 1-K imbalanced
+// PHOLD only one thread group has traffic in a window, and the active
+// group moves on window by window. With a store per thread each
+// window's thread carved its in-flight set afresh while the last
+// group's dead memory sat unused — 9,940 of gg-async's 10,417 event
+// allocations missed against a peak of 674 uncommitted events, and
+// every miss was a carve. Behind the same counts the engine now carves
+// about as much as its live set (TestMovingLoadCarvesItsLiveSet).
 //
-// Chunk: where a miss used to be one heap object — a 168-byte
-// pointer-laden Event, a Clone, and then the first append to the new
-// event's sent list — it now carves a slot from a per-peer chunk (see
-// carveEvent, carveSnapshot), the event's first send lands in a slot
-// of the event itself, and a sent list that outgrows that slot takes
-// its windows from a chunk too (appendSent: Epidemics' infectious
-// course sends a recovery and several contacts per handler, and
-// growslice under send was a third of what its runs still allocated).
-// What a miss costs the allocator is a chunk every chunkMax objects:
-// whole-run mallocs per committed event on that traffic config went
-// 2.96 → 0.17, and the collector has a few hundred
-// large typed arrays to mark where it had a quarter of a million small
-// objects. The counters cannot tell: they count the miss, not the
-// memory behind it, and TestPoolCountersUnchanged pins all six to what
-// they read before there were chunks. DisablePooling switches off
+// Chunk: a carve takes a slot from a chunk (see carveEvent,
+// carveSnapshot), the event's first send lands in a slot of the event
+// itself, and a sent list that outgrows that slot takes its windows
+// from a chunk too (appendSent: Epidemics' infectious course sends a
+// recovery and several contacts per handler, and growslice under send
+// was a third of what its runs still allocated). What a carve costs the
+// allocator is a chunk every chunkMax objects: whole-run mallocs per
+// committed event on that traffic config went 2.96 → 0.17 when chunks
+// replaced one heap object per miss. DisablePooling switches off
 // recycling and chunks alike — one object per allocation, nothing ever
 // reused — which keeps it the plain-allocator reference every pooling
 // test compares against.
@@ -80,9 +78,9 @@ import (
 // Pool metric names (see the Metric constants in engine.go for the
 // engine's other metrics).
 const (
-	// MetricPoolEventHit / Miss count event allocations served from a
-	// peer freelist vs. not (spare memory, a chunk, or with pooling
-	// disabled the heap); Recycled counts events returned.
+	// MetricPoolEventHit / Miss count event allocations by a peer that
+	// had freed events to its count vs. not (Peer.pooled); Recycled
+	// counts events returned.
 	MetricPoolEventHit      = "tw.pool.event_hit"
 	MetricPoolEventMiss     = "tw.pool.event_miss"
 	MetricPoolEventRecycled = "tw.pool.event_recycled"
@@ -102,37 +100,64 @@ type poolStats struct {
 	stateHit, stateMiss, stateRecycled uint64
 }
 
-// allocEvent returns a zeroed event, recycling from the peer freelist
-// when possible. Callers must assign every field they need; alloc
+// memStore is the engine's dead memory and the chunks behind it.
+type memStore struct {
+	events []*Event      // dead and poisoned
+	states []StateCopier // dead snapshots of the pooled state type
+	// The chunks a carve takes from; eventChunkLen is the length the
+	// current event chunk was made with. sentChunk is what a sent list
+	// that has outgrown its event's inline slot takes its window from.
+	eventChunk    []Event
+	eventChunkLen int
+	stateChunk    stateChunk
+	sentChunk     []*Event
+}
+
+// push appends v to a store, doubling its array when it is full:
+// append's 1.25x growth past 256 entries leaves about four times the
+// store's final size behind as garbage.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), chunkMax)), s...)
+	}
+	return append(s, v)
+}
+
+// allocEvent returns a zeroed event, counted against the peer's
+// logical freelist. Callers must assign every field they need; alloc
 // clears all of them except the sent backing array, whose capacity is
 // the point of recycling.
 func (p *Peer) allocEvent() *Event {
-	n := len(p.freeEvents)
-	if n == 0 {
+	if p.pooled > 0 {
+		p.pooled--
+		p.pool.eventHit++
+	} else {
 		p.pool.eventMiss++
-		if ev := p.takeSpareEvent(); ev != nil {
-			return ev
-		}
-		if p.eng.cfg.DisablePooling || p.eng.sharded() {
+	}
+	e := p.eng
+	m := &e.mem
+	n := len(m.events)
+	if n == 0 {
+		if e.cfg.DisablePooling || e.sharded() {
 			return &Event{}
 		}
-		return p.carveEvent()
+		return m.carveEvent()
 	}
-	ev := p.freeEvents[n-1]
-	p.freeEvents[n-1] = nil
-	p.freeEvents = p.freeEvents[:n-1]
+	ev := m.events[n-1]
+	m.events[n-1] = nil
+	m.events = m.events[:n-1]
 	if ev.state != statePooled {
-		panic("tw: corrupted event freelist: " + ev.String())
+		panic("tw: corrupted event store: " + ev.String())
 	}
 	ev.state = StateInQueue
 	ev.Ts = 0
-	p.pool.eventHit++
 	return ev
 }
 
-// freeEvent returns a dead event to the peer freelist, resetting every
-// field and poisoning the ordering key. With pooling disabled it does
-// nothing, preserving the historical allocate-and-drop behaviour.
+// freeEvent returns a dead event to the engine's store, resetting every
+// field and poisoning the ordering key, and counts it on the peer. With
+// pooling disabled it does nothing, preserving the historical
+// allocate-and-drop behaviour.
 func (p *Peer) freeEvent(ev *Event) {
 	// A twin materialized from the wire (shard.go) leaves the
 	// anti-message resolution table when its lifecycle ends, whether or
@@ -147,8 +172,9 @@ func (p *Peer) freeEvent(ev *Event) {
 		panic("tw: double free of event " + ev.String())
 	}
 	ev.poison()
+	p.pooled++
 	p.pool.eventRecycled++
-	p.freeEvents = append(p.freeEvents, ev)
+	p.eng.mem.events = push(p.eng.mem.events, ev)
 }
 
 // poison resets every field of a dead event, keeping only the emptied
@@ -165,22 +191,20 @@ func (ev *Event) poison() {
 	ev.saved = Snapshot{}
 }
 
-// Chunks. A miss that finds no spare memory either is served from a
-// per-peer chunk, so that a peer still growing toward its working set
-// pays the allocator once per chunk instead of once per object. Chunk
-// lengths double from chunkMin to chunkMax: a peer that needs a dozen
-// events holds a dozen-odd, not sixty-four (a coordinator and two
-// worker engines of idle peers each holding fixed 64-slot chunks read
-// +15 % peak RSS on the distributed benchmark).
+// Chunks. An allocation that finds the store empty is served from a
+// chunk, so that an engine still growing toward its working set pays
+// the allocator once per chunk instead of once per object. Chunk
+// lengths double from chunkMin to chunkMax: an engine that needs a
+// dozen events holds a dozen-odd, not sixty-four.
 //
 // A chunk lives as long as any object carved from it, which is why a
 // sharded worker engine carves no events: the shadow of a cross-shard
 // send and the local copy of a wire anti-message are never freed
 // (shard.go) — the collector takes them one by one once their cause
 // lets go — and inside a chunk whose other events cycle through the
-// freelist for the rest of the run each would be a slot lost for good,
+// store for the rest of the run each would be a slot lost for good,
 // 152 bytes per cross-shard send. Snapshots and queue nodes never
-// leave their peer, so workers carve those like anyone else.
+// leave their engine, so workers carve those like anyone else.
 const (
 	chunkMin = 8
 	chunkMax = 64
@@ -188,22 +212,22 @@ const (
 
 func nextChunkLen(prev int) int { return min(max(2*prev, chunkMin), chunkMax) }
 
-// carveEvent returns a zero event from the peer's chunk, its sent list
+// carveEvent returns a zero event from the event chunk, its sent list
 // aliasing its own inline array.
-func (p *Peer) carveEvent() *Event {
-	if len(p.eventChunk) == 0 {
-		p.eventChunkLen = nextChunkLen(p.eventChunkLen)
-		p.eventChunk = make([]Event, p.eventChunkLen)
+func (m *memStore) carveEvent() *Event {
+	if len(m.eventChunk) == 0 {
+		m.eventChunkLen = nextChunkLen(m.eventChunkLen)
+		m.eventChunk = make([]Event, m.eventChunkLen)
 	}
-	ev := &p.eventChunk[0]
-	p.eventChunk = p.eventChunk[1:]
+	ev := &m.eventChunk[0]
+	m.eventChunk = m.eventChunk[1:]
 	ev.sent = ev.inline[:0]
 	return ev
 }
 
 // sentWindowMin is the capacity a sent list gets when it outgrows the
-// event's inline slot; sentChunkLen is how many list slots a peer asks
-// the allocator for at a time.
+// event's inline slot; sentChunkLen is how many list slots the engine
+// asks the allocator for at a time.
 const (
 	sentWindowMin = 4
 	sentChunkLen  = 256
@@ -211,26 +235,28 @@ const (
 
 // appendSent appends ev to a cause's sent list. A full list takes its
 // next window — sentWindowMin slots, then double what it had — from the
-// peer's chunk rather than from the allocator, and keeps it across
+// engine's chunk rather than from the allocator, and keeps it across
 // recycling like any other backing array. Handlers that send once never
 // get here with a full list (the inline slot holds their send).
 func (p *Peer) appendSent(list []*Event, ev *Event) []*Event {
-	if len(list) < cap(list) || p.eng.cfg.DisablePooling || p.eng.sharded() {
+	e := p.eng
+	if len(list) < cap(list) || e.cfg.DisablePooling || e.sharded() {
 		return append(list, ev)
 	}
+	m := &e.mem
 	n := max(sentWindowMin, 2*cap(list))
-	if len(p.sentChunk) < n {
-		p.sentChunk = make([]*Event, max(n, sentChunkLen))
+	if len(m.sentChunk) < n {
+		m.sentChunk = make([]*Event, max(n, sentChunkLen))
 	}
-	window := p.sentChunk[:len(list):n]
-	p.sentChunk = p.sentChunk[n:]
+	window := m.sentChunk[:len(list):n]
+	m.sentChunk = m.sentChunk[n:]
 	copy(window, list)
 	clear(list)
 	return append(window, ev)
 }
 
-// stateChunk is a peer's snapshot chunk: a slice of the element type
-// of the peer's pooled state type, built by reflection so that models
+// stateChunk is the engine's snapshot chunk: a slice of the element
+// type of its pooled state type, built by reflection so that models
 // need no allocation hook. Its elements start out as zero values, which
 // StateCopier promises CopyFrom can fill.
 type stateChunk struct {
@@ -239,29 +265,29 @@ type stateChunk struct {
 	next, len int           // next is the first uncarved element
 }
 
-// fixStateType fixes the peer's pooled state type: the type of its
+// fixStateType fixes the engine's pooled state type: the type of its
 // first LP whose state is a pointer StateCopier, none with pooling
 // disabled. Both engine constructors call it once the LP states are in
 // place, before anything is acquired or released, so an engine built
 // by InitLP, from a capture's spare memory, or from decoded records
 // pools the same type from its first event on.
-func (p *Peer) fixStateType() {
-	if p.eng.cfg.DisablePooling {
+func (e *Engine) fixStateType() {
+	if e.cfg.DisablePooling {
 		return
 	}
-	for _, lp := range p.lps {
+	for _, lp := range e.lps {
 		t := reflect.TypeOf(lp.state)
 		if _, ok := lp.state.(StateCopier); ok && t.Kind() == reflect.Pointer {
-			p.stateChunk.typ = t
+			e.mem.stateChunk.typ = t
 			return
 		}
 	}
 }
 
 // carveSnapshot returns a zero value of the pooled state type from the
-// peer's chunk.
-func (p *Peer) carveSnapshot() StateCopier {
-	c := &p.stateChunk
+// snapshot chunk.
+func (m *memStore) carveSnapshot() StateCopier {
+	c := &m.stateChunk
 	if c.next == c.len {
 		c.len = nextChunkLen(c.len)
 		c.vals, c.next = reflect.MakeSlice(reflect.SliceOf(c.typ.Elem()), c.len, c.len), 0
@@ -273,12 +299,10 @@ func (p *Peer) carveSnapshot() StateCopier {
 
 // acquireSnapshot returns a deep copy of lp's current state for the
 // pre-execution snapshot. Whether it is a hit or a miss is the LP's
-// own count (lp.pooled), but the memory is the peer's: a state of the
-// pooled type overwrites the newest dead snapshot in the peer's store —
-// one this engine released, else one a predecessor engine left behind
-// (spare.go) — else a slot carved from the chunk. A state of another
-// type, one that only Clones, or any state with pooling disabled is
-// Cloned.
+// own count (lp.pooled), but the memory is the engine's: a state of the
+// pooled type overwrites the newest dead snapshot in the store, else a
+// slot carved from the chunk. A state of another type, one that only
+// Clones, or any state with pooling disabled is Cloned.
 func (p *Peer) acquireSnapshot(lp *LP) State {
 	if lp.pooled > 0 {
 		lp.pooled--
@@ -286,17 +310,17 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 	} else {
 		p.pool.stateMiss++
 	}
-	if reflect.TypeOf(lp.state) != p.stateChunk.typ {
+	m := &p.eng.mem
+	if reflect.TypeOf(lp.state) != m.stateChunk.typ {
 		return lp.state.Clone()
 	}
 	var dst StateCopier
-	if n := len(p.statePool); n > 0 {
-		dst = p.statePool[n-1]
-		p.statePool[n-1] = nil
-		p.statePool = p.statePool[:n-1]
-		p.spareStates = min(p.spareStates, n-1)
+	if n := len(m.states); n > 0 {
+		dst = m.states[n-1]
+		m.states[n-1] = nil
+		m.states = m.states[:n-1]
 	} else {
-		dst = p.carveSnapshot()
+		dst = m.carveSnapshot()
 	}
 	dst.CopyFrom(lp.state)
 	return dst
@@ -305,7 +329,7 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 // releaseSnapshot takes back a dead state copy (fossil-collected
 // snapshot, or the pre-rollback live state a restore displaced). Any
 // StateCopier counts as recycled and as a future hit for its LP; only
-// one of the pooled type goes into the peer's store, and the rest —
+// one of the pooled type goes into the engine's store, and the rest —
 // Clone-only states too — is left for the GC.
 func (p *Peer) releaseSnapshot(lp *LP, st State) {
 	if st == nil || p.eng.cfg.DisablePooling {
@@ -317,8 +341,8 @@ func (p *Peer) releaseSnapshot(lp *LP, st State) {
 	}
 	lp.pooled++
 	p.pool.stateRecycled++
-	if reflect.TypeOf(st) == p.stateChunk.typ {
-		p.statePool = append(p.statePool, c)
+	if m := &p.eng.mem; reflect.TypeOf(st) == m.stateChunk.typ {
+		m.states = push(m.states, c)
 	}
 }
 
@@ -344,10 +368,11 @@ func (p *Peer) flushPoolStats() {
 }
 
 // FlushPoolStats publishes any pool traffic still buffered in the
-// peers to the telemetry registry. Run teardown calls it so the last
-// partial GVT round is not lost from the counters.
+// peers, and the uncommitted peak, to the telemetry registry. Run
+// teardown calls it so the last partial GVT round is not lost.
 func (e *Engine) FlushPoolStats() {
 	for _, p := range e.peers {
 		p.flushPoolStats()
 	}
+	e.publishPeak()
 }

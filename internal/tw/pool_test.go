@@ -84,8 +84,9 @@ func TestPoolCountersShowRecycling(t *testing.T) {
 	}
 }
 
-// With pooling disabled, nothing must enter the freelists and the
-// counters must stay zero — the A/B measurement baseline is honest.
+// With pooling disabled, nothing must enter the store or any peer's
+// count and the counters must stay zero — the A/B measurement baseline
+// is honest.
 func TestDisablePoolingDisables(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng, err := NewEngine(Config{
@@ -106,14 +107,18 @@ func TestDisablePoolingDisables(t *testing.T) {
 		c[MetricPoolStateHit] != 0 || c[MetricPoolStateRecycled] != 0 {
 		t.Fatalf("pooling traffic despite DisablePooling: %v", c)
 	}
+	m := &eng.mem
+	if len(m.events) != 0 || len(m.states) != 0 {
+		t.Fatalf("store non-empty with pooling disabled: %d events, %d snapshots", len(m.events), len(m.states))
+	}
+	// No chunks either: one object per allocation, so the unpooled arm
+	// of every A/B is the plain allocator.
+	if m.eventChunk != nil || m.eventChunkLen != 0 || m.stateChunk.typ != nil || m.stateChunk.len != 0 || m.sentChunk != nil {
+		t.Fatal("carved from a chunk with pooling disabled")
+	}
 	for _, p := range eng.Peers() {
-		if len(p.freeEvents) != 0 {
-			t.Fatalf("peer %d freelist non-empty with pooling disabled", p.ID)
-		}
-		// No chunks either: one object per allocation, so the unpooled
-		// arm of every A/B is the plain allocator.
-		if p.eventChunk != nil || p.eventChunkLen != 0 || p.stateChunk.typ != nil || p.stateChunk.len != 0 {
-			t.Fatalf("peer %d carved from a chunk with pooling disabled", p.ID)
+		if p.pooled != 0 {
+			t.Fatalf("peer %d counts %d freed events with pooling disabled", p.ID, p.pooled)
 		}
 		if ev := p.allocEvent(); cap(ev.sent) != 0 {
 			t.Fatalf("peer %d: unpooled event came with a send list", p.ID)
@@ -141,20 +146,20 @@ func TestPoolDoubleFreePanics(t *testing.T) {
 }
 
 // A recycled event flowing back into a live structure must be caught:
-// allocEvent panics on a corrupted freelist, and CheckInvariants sweeps
+// allocEvent panics on a corrupted store, and CheckInvariants sweeps
 // the reachable containers in both directions.
 func TestPoolUseAfterRecycleDetected(t *testing.T) {
 	t.Run("corrupted-freelist", func(t *testing.T) {
 		eng := newTestEngine(t, 1, 1, 1, 10)
 		p := eng.Peer(0)
 		live := p.allocEvent()
-		p.freeEvents = append(p.freeEvents, live) // not via freeEvent: still live
+		eng.mem.events = append(eng.mem.events, live) // not via freeEvent: still live
 		if err := eng.CheckInvariants(); err == nil {
-			t.Fatal("CheckInvariants missed a live event on the freelist")
+			t.Fatal("CheckInvariants missed a live event in the store")
 		}
 		defer func() {
 			if recover() == nil {
-				t.Fatal("allocEvent accepted a live freelist entry")
+				t.Fatal("allocEvent accepted a live store entry")
 			}
 		}()
 		p.allocEvent()
@@ -189,7 +194,7 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 	}
 	got := p.allocEvent()
 	if got != ev {
-		t.Fatal("freelist did not return the recycled event")
+		t.Fatal("the store did not return the recycled event")
 	}
 	if got.Seq != 0 || got.Src != 0 || got.Dst != 0 || got.Kind != 0 ||
 		got.A != 0 || got.B != 0 || got.Anti || got.Target != nil {
@@ -243,7 +248,7 @@ func TestPoisonResetsEveryField(t *testing.T) {
 	}
 }
 
-// A miss carves from the peer's chunk, and what it carves is an event
+// A miss carves from the engine's chunk, and what it carves is an event
 // like any other: counted as a miss, poisoned when freed, swept by
 // CheckInvariants in both directions, handed back as a hit with its
 // send-list capacity, and caught when freed twice.
@@ -283,7 +288,7 @@ func TestChunkCarvedEventIsOrdinary(t *testing.T) {
 	}
 	p.inq = p.inq[:0]
 	if got := p.allocEvent(); got != a || p.pool.eventHit != 1 {
-		t.Fatalf("freelist did not hand the carved event back as a hit (%d hits)", p.pool.eventHit)
+		t.Fatalf("the store did not hand the carved event back as a hit (%d hits)", p.pool.eventHit)
 	}
 	p.freeEvent(a)
 	defer func() {
@@ -295,16 +300,16 @@ func TestChunkCarvedEventIsOrdinary(t *testing.T) {
 }
 
 // Chunk lengths double from chunkMin to chunkMax, for events and for
-// snapshots, so an idle peer holds a handful of slots and a busy one
+// snapshots, so an idle engine holds a handful of slots and a busy one
 // pays the allocator once per chunkMax objects.
 func TestChunksGrowGeometrically(t *testing.T) {
 	eng := newTestEngine(t, 1, 1, 1, 10)
-	p, lp := eng.Peer(0), eng.LPs()[0]
-	p.eventChunk, p.eventChunkLen = nil, 0 // forget the chunk the initial event came from
+	p, lp, m := eng.Peer(0), eng.LPs()[0], &eng.mem
+	m.eventChunk, m.eventChunkLen = nil, 0 // forget the chunk the initial event came from
 	var eventLens, stateLens []int
 	for i := 0; i < chunkMin+2*chunkMin+4*chunkMin+2*chunkMax+1; i++ {
 		p.allocEvent()
-		if n := p.eventChunkLen; len(eventLens) == 0 || len(p.eventChunk) == n-1 {
+		if n := m.eventChunkLen; len(eventLens) == 0 || len(m.eventChunk) == n-1 {
 			eventLens = append(eventLens, n)
 		}
 		lp.state.(*ringState).Count = i
@@ -312,7 +317,7 @@ func TestChunksGrowGeometrically(t *testing.T) {
 		if snap == lp.state || snap.Count != i {
 			t.Fatalf("snapshot %d is %+v", i, snap)
 		}
-		if c := &p.stateChunk; c.next == 1 {
+		if c := &m.stateChunk; c.next == 1 {
 			stateLens = append(stateLens, c.len)
 		}
 	}
@@ -325,19 +330,137 @@ func TestChunksGrowGeometrically(t *testing.T) {
 	}
 }
 
+// movingModel moves its load from thread to thread, the way 1-K
+// imbalanced PHOLD does under a moving active group, without its
+// randomness: token k lives on LP k of one peer, steps one time unit
+// per event, and crosses to LP k of the next peer every window time
+// units. Each LP only ever receives its own token's events, in time
+// order, so nothing straggles and nothing is ever cancelled.
+type movingModel struct{ tokens, window int }
+
+type movingState struct{ n int }
+
+func (s *movingState) Clone() State       { c := *s; return &c }
+func (s *movingState) CopyFrom(src State) { *s = *src.(*movingState) }
+
+func (m *movingModel) LPsPerThread() int { return m.tokens }
+
+func (m *movingModel) InitLP(ic *InitCtx, lp *LP) {
+	lp.SetState(&movingState{})
+	if lp.ID < m.tokens {
+		ic.ScheduleInit(lp.ID, 0.01*float64(lp.ID+1), 0, 0, 0)
+	}
+}
+
+func (m *movingModel) OnEvent(ctx *EventCtx) {
+	ctx.LP().State().(*movingState).n++
+	next := ctx.Now() + 1
+	peer := int(next) / m.window % (ctx.Engine().NumLPs() / m.tokens)
+	ctx.Send(peer*m.tokens+ctx.LP().ID%m.tokens, next, 0, 0, 0)
+}
+
+// Under a moving load the engine carves about its live set, not its
+// live set once per thread group. The bound: an allocation carves only
+// when the store is empty, so at every carve each object carved so far
+// is live — pending, in an input queue, or processed and uncommitted.
+// Here every event sends exactly one, so at most the tokens' events are
+// pending or in transit while the others sit in histories: the carved
+// events are at most peak uncommitted + tokens, and a snapshot is live
+// only in a history, so the carved snapshots are at most peak
+// uncommitted. A chunk is carved whole, so the memory behind them is
+// at most one chunk more. Each peer still counts its own hits and
+// misses — every thread group that takes the load misses as it always
+// did — so the counters show far more misses than carved events. With a
+// store per peer each of the eight groups carved its own in-flight set:
+// 8 x (peak + tokens) and a chunk each.
+func TestMovingLoadCarvesItsLiveSet(t *testing.T) {
+	const peers, tokens, window = 8, 16, 10
+	eng, err := NewEngine(Config{
+		NumThreads: peers, Model: &movingModel{tokens: tokens, window: window},
+		EndTime: 2*peers*window + 5, Seed: 1, BatchSize: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := &fakeCPU{}
+	for round := 0; !eng.Done(); round++ {
+		if round == 10_000 {
+			t.Fatal("the run does not finish")
+		}
+		for _, p := range eng.peers {
+			p.DrainProcess(cpu)
+		}
+		gvt := eng.EndTime()
+		for _, p := range eng.peers {
+			sent, local := p.CutMins(cpu)
+			gvt = min(gvt, sent, local)
+		}
+		eng.SetGVT(gvt)
+		for _, p := range eng.peers {
+			p.FossilCollect(cpu, gvt)
+		}
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Pooled objects never leave the engine: every one it carved is now
+	// in its store or still live.
+	m := &eng.mem
+	events, states := map[*Event]bool{}, map[State]bool{}
+	for _, ev := range m.events {
+		events[ev] = true
+	}
+	for _, s := range m.states {
+		states[s] = true
+	}
+	var misses uint64
+	for _, p := range eng.peers {
+		if p.Stats.Processed == 0 {
+			t.Fatalf("the load never reached peer %d", p.ID)
+		}
+		misses += p.poolFlushed.eventMiss + p.pool.eventMiss
+		for _, ev := range p.inq {
+			events[ev] = true
+		}
+		for i := 0; i < p.pending.Len(); i++ {
+			events[p.pending.At(i)] = true
+		}
+		for _, lp := range p.lps {
+			for ev := lp.head; ev != nil; ev = ev.next {
+				events[ev], states[ev.saved.state] = true, true
+			}
+		}
+	}
+	peak := eng.PeakUncommittedEvents()
+	carvedEvents := len(events) + len(m.eventChunk)
+	carvedStates := len(states) + m.stateChunk.len - m.stateChunk.next
+	t.Logf("peak uncommitted %d, %d tokens: carved %d event slots and %d snapshot slots, counted %d event misses",
+		peak, tokens, carvedEvents, carvedStates, misses)
+	if carvedEvents > peak+tokens+chunkMax {
+		t.Errorf("carved %d event slots, want at most peak uncommitted %d + %d tokens + a chunk of %d",
+			carvedEvents, peak, tokens, chunkMax)
+	}
+	if carvedStates > peak+chunkMax {
+		t.Errorf("carved %d snapshot slots, want at most peak uncommitted %d + a chunk of %d", carvedStates, peak, chunkMax)
+	}
+	if misses < 2*uint64(carvedEvents) {
+		t.Errorf("counted %d event misses against %d carved slots: the counts follow the memory", misses, carvedEvents)
+	}
+}
+
 // A sharded worker engine carves no events: the shadows of its
 // cross-shard sends are never freed, and a chunk would keep every one
-// of them for as long as any neighbour cycles through the freelist.
-// Its snapshots never leave their peer and are carved as usual.
+// of them for as long as any neighbour cycles through the store. Its
+// snapshots never leave their engine and are carved as usual.
 func TestShardedEngineCarvesNoEvents(t *testing.T) {
 	eng := newTestEngine(t, 2, 1, 1, 10)
 	if err := eng.Shardify(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	p, lp := eng.Peer(0), eng.LPs()[0]
-	chunk := len(p.eventChunk)
+	chunk := len(eng.mem.eventChunk)
 	a, b := p.allocEvent(), p.allocEvent()
-	if len(p.eventChunk) != chunk || cap(a.sent) != 0 || cap(b.sent) != 0 {
+	if len(eng.mem.eventChunk) != chunk || cap(a.sent) != 0 || cap(b.sent) != 0 {
 		t.Fatal("a sharded engine carved an event from a chunk")
 	}
 	if p.pool.eventMiss < 2 {
@@ -360,7 +483,7 @@ type otherCopier struct{ n int }
 func (s *otherCopier) Clone() State       { c := *s; return &c }
 func (s *otherCopier) CopyFrom(src State) { *s = *src.(*otherCopier) }
 
-// The snapshot chunk serves the peer's pooled state type, fixed when
+// The snapshot chunk serves the engine's pooled state type, fixed when
 // the engine is built; a state that only Clones, or one of a second
 // type, gets what it always got.
 func TestSnapshotChunkFallsBackToClone(t *testing.T) {
@@ -370,15 +493,15 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 	if got := p.acquireSnapshot(lp0).(*cloneOnly); got == lp0.state || got.n != 7 {
 		t.Fatalf("clone-only snapshot is %+v", got)
 	}
-	if p.stateChunk.typ != reflect.TypeOf(lp1.state) || p.stateChunk.next != 0 {
+	if c := &eng.mem.stateChunk; c.typ != reflect.TypeOf(lp1.state) || c.next != 0 {
 		t.Fatal("a clone-only state was carved from the snapshot chunk")
 	}
 	first := p.acquireSnapshot(lp1).(*ringState)
 	lp0.state = &otherCopier{n: 9}
 	other := p.acquireSnapshot(lp0)
 	second := p.acquireSnapshot(lp1).(*ringState)
-	if o, ok := other.(*otherCopier); !ok || o == lp0.state || o.n != 9 || p.stateChunk.typ != reflect.TypeOf(first) {
-		t.Fatalf("second state type: got %T, chunk serves %v", other, p.stateChunk.typ)
+	if o, ok := other.(*otherCopier); !ok || o == lp0.state || o.n != 9 || eng.mem.stateChunk.typ != reflect.TypeOf(first) {
+		t.Fatalf("second state type: got %T, chunk serves %v", other, eng.mem.stateChunk.typ)
 	}
 	if uintptr(unsafe.Pointer(second))-uintptr(unsafe.Pointer(first)) != unsafe.Sizeof(ringState{}) {
 		t.Fatal("the second type's snapshot was carved from the first type's chunk")

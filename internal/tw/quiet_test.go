@@ -34,14 +34,15 @@ type enginePrint struct {
 	uncommitted int
 	peak        int
 	outbox      int
+	store       int
 }
 
 func printEngine(eng *Engine) enginePrint {
 	pr := enginePrint{seq: eng.seq, gvt: eng.gvt, uncommitted: eng.uncommitted,
-		peak: eng.peakUncommitted, outbox: len(eng.outbox)}
+		peak: eng.peakUncommitted, outbox: len(eng.outbox), store: len(eng.mem.events)}
 	for _, p := range eng.peers {
 		pp := peerPrint{stats: p.Stats, inq: len(p.inq), pending: p.pending.Len(), acc: p.acc,
-			minSent: p.minSent, free: len(p.freeEvents), pool: p.pool}
+			minSent: p.minSent, free: p.pooled, pool: p.pool}
 		if ev, ok := p.pending.Peek(); ok {
 			pp.head, pp.headKind = ev, ev.state
 		}

@@ -31,13 +31,12 @@ import (
 //
 // Cross-shard event identity: a positive send to a foreign peer
 // allocates a local shadow event exactly like an in-process send (same
-// freelist pop, same pool counters, same sequence number) and keeps it
-// on the cause's sent list so rollback targets it normally — but the
-// shadow is never delivered
-// or freed locally; the destination shard materializes a twin from the
-// wire and owns its lifecycle from there. Anti-messages travel by
-// TargetSeq; the destination resolves them through remoteIdx, its
-// seq-to-twin table.
+// pool counters, same sequence number) and keeps it on the cause's sent
+// list so rollback targets it normally — but the shadow is never
+// delivered or freed locally; the destination shard materializes a
+// twin from the wire and owns its lifecycle from there. Anti-messages
+// travel by TargetSeq; the destination resolves them through
+// remoteIdx, its seq-to-twin table.
 
 // RemoteTransport forwards a hollow peer's operations to the worker
 // process hosting the real shard. Implementations perform the
@@ -163,7 +162,7 @@ func (e *Engine) sharded() bool { return e.shardHi-e.shardLo < len(e.peers) }
 func (p *Peer) dropEvents() {
 	p.inq = nil
 	p.pending = newPendingQueue(0)
-	p.freeEvents = nil
+	p.pooled = 0
 	p.pool = poolStats{}
 	p.quiesced = nil
 	p.acc = 0

@@ -54,14 +54,14 @@ func spareCfg() Config {
 	return Config{NumThreads: 4, Model: &ringModel{lpsPerThread: 4, startPerLP: 3}, EndTime: 1e6, Seed: 99}
 }
 
-// What a captured engine leaves behind, per peer, is its pending heap,
-// sorted and holding exactly the capture's pending events, and dead,
-// poisoned memory: the freelist and the cancelled events the quiesce
-// removed from the heap, and snapshots of the peer's pooled state type.
-// The first engine built from the capture takes all of it — the heaps
-// as they are, so that every spare event is still spare — and allocates
-// less for it, without a counter moving; the second finds nothing and
-// works as before.
+// What a captured engine leaves behind is each peer's pending heap,
+// sorted and holding exactly the capture's pending events, and its
+// store of dead, poisoned memory: the events it held and the cancelled
+// events the quiesce removed from the heaps, and snapshots of its
+// pooled state type. The first engine built from the capture takes all
+// of it — the heaps as they are, so that every dead event is still in
+// the store — and allocates less for it, without a counter moving; the
+// second finds nothing and works as before.
 func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	first, err := NewEngine(spareCfg())
 	if err != nil {
@@ -76,25 +76,23 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if sp == nil {
 		t.Fatal("capture harvested no spare memory")
 	}
-	events, states, pending := 0, 0, 0
+	events, states, pending := len(sp.mem.events), len(sp.mem.states), 0
 	for i, p := range sp.peers {
 		if p.pending.Len() != len(st.Pending[i]) {
 			t.Fatalf("peer %d's spare heap holds %d events for %d pending records", i, p.pending.Len(), len(st.Pending[i]))
 		}
-		for _, ev := range p.events {
-			if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent) != 0 ||
-				ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
-				t.Fatalf("spare event %v of peer %d is not poisoned and empty", ev, i)
-			}
-		}
-		for _, s := range p.states {
-			if _, ok := s.(*ringState); !ok {
-				t.Fatalf("spare snapshot %T of peer %d is not of its pooled type", s, i)
-			}
-		}
-		events += len(p.events)
-		states += len(p.states)
 		pending += len(st.Pending[i])
+	}
+	for _, ev := range sp.mem.events {
+		if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent) != 0 ||
+			ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
+			t.Fatalf("spare event %v is not poisoned and empty", ev)
+		}
+	}
+	for _, s := range sp.mem.states {
+		if _, ok := s.(*ringState); !ok {
+			t.Fatalf("spare snapshot %T is not of the pooled type", s)
+		}
 	}
 	if events == 0 || pending == 0 || states == 0 {
 		t.Fatalf("spare set holds %d events, %d pending in its heaps, %d snapshots", events, pending, states)
@@ -111,15 +109,10 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, leftStates := 0, 0
-	for i := range warm.peers {
-		left += len(warm.peers[i].spareEvents)
-		leftStates += warm.peers[i].spareStates
-		if len(cold.peers[i].spareEvents)+cold.peers[i].spareStates != 0 {
-			t.Fatal("a second engine found spare memory")
-		}
+	if len(cold.mem.events)+len(cold.mem.states) != 0 {
+		t.Fatal("a second engine found spare memory")
 	}
-	if left != events || leftStates != states {
+	if left, leftStates := len(warm.mem.events), len(warm.mem.states); left != events || leftStates != states {
 		t.Fatalf("%d of %d spare events left after taking %d pending in their heaps, %d of %d snapshots",
 			left, events, pending, leftStates, states)
 	}
@@ -154,42 +147,34 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	}
 	for i := range warm.peers {
 		w, c := warm.peers[i], cold.peers[i]
-		if w.pool != c.pool || w.poolFlushed != c.poolFlushed || len(w.freeEvents) != len(c.freeEvents) {
+		if w.pool != c.pool || w.poolFlushed != c.poolFlushed || w.pooled != c.pooled {
 			t.Fatalf("peer %d pool accounting differs: warm %+v+%+v free %d, cold %+v+%+v free %d",
-				i, w.pool, w.poolFlushed, len(w.freeEvents), c.pool, c.poolFlushed, len(c.freeEvents))
+				i, w.pool, w.poolFlushed, w.pooled, c.pool, c.poolFlushed, c.pooled)
 		}
 	}
 
-	// Spare memory a whole segment did not need is not passed on again:
-	// more than the engine can take sits at the bottom of peer 0's sets.
-	unneeded := map[any]bool{}
-	bottom := make([]*Event, 10_000)
-	bottomStates := make([]StateCopier, 10_000)
-	for i := range bottom {
-		bottom[i] = &Event{}
-		bottom[i].poison()
-		bottomStates[i] = &ringState{}
-		unneeded[bottom[i]], unneeded[bottomStates[i]] = true, true
+	// The store rides on whole: whatever dead memory the engine holds
+	// at its capture, whichever thread group freed it and whether or not
+	// this segment took it, is the next engine's.
+	dead := map[any]bool{}
+	for _, ev := range warm.mem.events {
+		dead[ev] = true
 	}
-	w := warm.peers[0]
-	w.spareEvents = append(bottom, w.spareEvents...)
-	w.statePool = append(bottomStates, w.statePool...)
-	w.spareStates += len(bottomStates)
+	for _, s := range warm.mem.states {
+		dead[s] = true
+	}
 	next, err := warm.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range next.spare.peers {
-		for _, ev := range p.events {
-			if unneeded[ev] {
-				t.Fatal("an event the engine never took was harvested again")
-			}
-		}
-		for _, s := range p.states {
-			if unneeded[s] {
-				t.Fatal("a snapshot the engine never took was harvested again")
-			}
-		}
+	for _, ev := range next.spare.mem.events {
+		delete(dead, ev)
+	}
+	for _, s := range next.spare.mem.states {
+		delete(dead, s)
+	}
+	if len(dead) != 0 {
+		t.Fatalf("%d dead objects the engine held at its capture were not passed on", len(dead))
 	}
 }
 
@@ -339,12 +324,7 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fits := name != "unpooled" && name != "model"
-		events, states := 0, 0
-		for _, p := range eng.peers {
-			events += len(p.spareEvents)
-			states += p.spareStates
-		}
-		if (events != 0) != fits || (states != 0) != fits {
+		if events, states := len(eng.mem.events), len(eng.mem.states); (events != 0) != fits || (states != 0) != fits {
 			t.Errorf("%s: engine holds %d spare events, %d spare snapshots", name, events, states)
 		}
 		for i, lp := range eng.lps {

@@ -32,7 +32,11 @@
 # counts for neither), and both sides' median and quartiles with the
 # change in percent — or, for a metric whose quartiles read the same to
 # four digits on either side, "exact count", since a count that repeats
-# has no spread to compare against.
+# has no spread to compare against. It then prints the same reading as
+# one JSON line, the record a claim is filed under: the machine (CPUs,
+# GOMAXPROCS and Go version of the change's first run), the parent's
+# commit, the extra flags, the pair count, each side's median and
+# quartiles and "ahead in N of M".
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -117,11 +121,18 @@ value_of() {
         $1 == m || (inside && $1 == "\"value\":") { sub(/,$/, "", $2); print $2; exit }
     ' "$1"
 }
+# env_of <result file> <field>: the workload's environment field, the
+# last one the file holds (a result file's own env comes first).
+env_of() {
+    awk -v f="\"$2\":" '$1 == f { v = $2 } END { gsub(/[",]/, "", v); print v }' "$1"
+}
 i=1
 while [ "$i" -le "$pairs" ]; do
     echo "$i $(value_of "$out/a$i.json") $(value_of "$out/b$i.json")"
     i=$((i + 1))
-done | awk -v metric="$METRIC" -v better="$better" '
+done | awk -v metric="$METRIC" -v better="$better" -v workload="$workload" -v flags="$*" \
+    -v parent="$(env_of "$out/a1.json" commit)" -v cpus="$(env_of "$out/b1.json" nproc)" \
+    -v procs="$(env_of "$out/b1.json" gomaxprocs)" -v gover="$(env_of "$out/b1.json" go_version)" '
     # quartile q (1, 2 or 3) of the n values of v, sorted in place.
     function quartile(v, n, q,    i, j, t, pos, lo) {
         for (i = 2; i <= n; i++)
@@ -148,6 +159,11 @@ done | awk -v metric="$METRIC" -v better="$better" '
         else
             printf "median [quartiles]: parent %.6g [%.6g, %.6g], change %.6g [%.6g, %.6g], %+.2f%%\n",
                 am, a1, a3, bm, b1, b3, am == 0 ? 0 : 100 * (bm - am) / am
+        gsub(/["\\]/, "", flags)
+        printf "{\"workload\":\"%s\",\"metric\":\"%s\",\"better\":\"%s\",\"parent\":\"%s\",\"flags\":\"%s\",", workload, metric, better, parent, flags
+        printf "\"cpus\":%s,\"gomaxprocs\":%s,\"go_version\":\"%s\",\"pairs\":%d,", cpus, procs, gover, n
+        printf "\"parent_arm\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},\"change_arm\":{\"median\":%.6g,\"q1\":%.6g,\"q3\":%.6g},", am, a1, a3, bm, b1, b3
+        printf "\"ahead\":\"ahead in %d of %d\",\"ties\":%d}\n", ahead, n, ties
     }
 '
 exit "$status"
