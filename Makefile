@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke cluster-smoke determinism-smoke obs-smoke dist-smoke inventory ci
+.PHONY: all build vet lint test test-race fuzz bench bench-smoke perf perf-ab paper-point loc serve-smoke cluster-smoke determinism-smoke obs-smoke inventory ci
 
 all: ci
 
@@ -120,17 +120,11 @@ inventory:
 	$(GO) run ./cmd/ggvet -write-inventory
 
 # Determinism smoke: the same seeded PHOLD config twice, then once
-# more sharded across 2 worker processes; the full verbose report
-# (results + telemetry histograms) and the series CSV must be
-# byte-identical — the end-to-end form of ggvet's determinism pass.
+# more with -progress, then imbalanced runs that skip idle polls
+# against ones that execute them; the full verbose report (results +
+# telemetry histograms) and the series CSV must be byte-identical —
+# the end-to-end form of ggvet's determinism pass.
 determinism-smoke:
 	GO="$(GO)" sh scripts/determinism_smoke.sh
 
-# Distributed smoke: two real ggworker processes on ephemeral TCP
-# ports, a ggsim coordinator against them, and the same run
-# in-process; reports and series must line up, and both workers must
-# exit cleanly.
-dist-smoke:
-	GO="$(GO)" sh scripts/dist_smoke.sh
-
-ci: build lint test test-race determinism-smoke dist-smoke serve-smoke cluster-smoke obs-smoke bench-smoke
+ci: build lint test test-race determinism-smoke serve-smoke cluster-smoke obs-smoke bench-smoke

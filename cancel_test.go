@@ -90,6 +90,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("stall rate just under 1 rejected: %v", err)
 	}
+	for _, m := range []Model{Epidemics{LPsPerThread: 4, TransmissionProb: 1}, Traffic{LPsPerThread: 2}} {
+		edge := quickCfg()
+		edge.Model = m
+		if err := edge.Validate(); err != nil {
+			t.Fatalf("%s rejected: %v", m.Name(), err)
+		}
+	}
 	bad := []struct {
 		name   string
 		mutate func(*Config)
@@ -124,6 +131,15 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"stall-rate-one", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: 1} }},
 		{"neg-stall-rate", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: -0.1} }},
 		{"nan-stall-rate", func(c *Config) { c.Chaos = &ChaosOptions{StallRate: math.NaN()} }},
+		// The models default a parameter only when it is <= 0, which NaN
+		// never is; an infinite contact rate makes the per-contact
+		// float-to-int conversion implementation-defined.
+		{"inf-contact-rate", func(c *Config) { c.Model = Epidemics{LPsPerThread: 4, ContactRate: math.Inf(1)} }},
+		{"nan-contact-rate", func(c *Config) { c.Model = Epidemics{LPsPerThread: 4, ContactRate: math.NaN()} }},
+		{"nan-transmission-prob", func(c *Config) { c.Model = Epidemics{LPsPerThread: 4, TransmissionProb: math.NaN()} }},
+		{"transmission-prob-above-one", func(c *Config) { c.Model = Epidemics{LPsPerThread: 4, TransmissionProb: 2} }},
+		{"nan-density-gradient", func(c *Config) { c.Model = Traffic{LPsPerThread: 2, DensityGradient: math.NaN()} }},
+		{"inf-density-gradient", func(c *Config) { c.Model = Traffic{LPsPerThread: 2, DensityGradient: math.Inf(1)} }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

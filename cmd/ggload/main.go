@@ -35,6 +35,7 @@ import (
 
 	"ggpdes"
 	"ggpdes/internal/checkpoint"
+	"ggpdes/internal/serve"
 	"ggpdes/internal/serve/client"
 	"ggpdes/internal/serve/cluster"
 )
@@ -517,7 +518,7 @@ func runFailover(ctx context.Context, addrs []string, clients []*client.Client, 
 
 	// Kill only after the owner has written a checkpoint, so the
 	// survivor has something to resume from.
-	dir := filepath.Join(ckptRoot, "key-"+pathSafe(key))
+	dir := serve.KeyedCheckpointDir(ckptRoot, key)
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if names, err := filepath.Glob(filepath.Join(dir, checkpoint.Glob)); err == nil && len(names) > 0 {
@@ -550,16 +551,4 @@ func runFailover(ctx context.Context, addrs []string, clients []*client.Client, 
 	fmt.Printf("ggload: job finished on the survivor, resumed from %s (failovers=%d)\n",
 		final.ResumedFrom, stats.Counters["cluster.failovers"])
 	return nil
-}
-
-// pathSafe mirrors the server's checkpoint-directory escaping for
-// cache keys ("sha256:..." → "sha256-...").
-func pathSafe(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case ':', '/', '\\':
-			return '-'
-		}
-		return r
-	}, s)
 }

@@ -8,8 +8,6 @@
 //	ggsim -model traffic -gradient 0.5 -threads 16 -affinity dynamic
 //	ggsim -model phold -checkpoint-every 4 -checkpoint-dir /tmp/ck
 //	ggsim -resume /tmp/ck/ckpt-00000004.ckpt
-//	ggsim -model phold -threads 16 -workers 4
-//	ggsim -model phold -threads 16 -worker-addrs 10.0.0.2:7000,10.0.0.3:7000
 package main
 
 import (
@@ -65,10 +63,6 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a heap profile after the run to this file (go tool pprof)")
 		verbose    = flag.Bool("v", false, "print the full metric set, and this process's host wall time, user CPU and peak RSS to stderr")
 
-		workers     = flag.Int("workers", 0, "shard the run across N worker processes (0 = in-process); spawns local workers unless -worker-addrs is set")
-		workerAddrs = flag.String("worker-addrs", "", "comma-separated ggworker addresses to shard across instead of spawning")
-		workerServe = flag.Bool("worker-serve", false, "internal: serve one worker shard on an ephemeral port (what -workers spawns)")
-
 		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint every N GVT rounds (0 = off)")
 		ckptDir   = flag.String("checkpoint-dir", "", "write checkpoint files (ckpt-NNNNNNNN.ckpt) to this directory")
 		resume    = flag.String("resume", "", "resume from this checkpoint file (ckpt-NNNNNNNN.ckpt) instead of starting a run (model/config flags are ignored)")
@@ -79,18 +73,7 @@ func main() {
 	flag.Parse()
 	start := time.Now()
 
-	if *workerServe {
-		if err := serveWorkerShard(); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-	distributed := *workers > 0 || *workerAddrs != ""
-
 	resuming := *resume != ""
-	if resuming && distributed {
-		fatalf("-resume is in-process only")
-	}
 	var cfg ggpdes.Config
 	if !resuming {
 		cfg = ggpdes.Config{
@@ -207,8 +190,6 @@ func main() {
 			Series:        seriesOpts,
 			CheckpointDir: *ckptDir,
 		})
-	} else if distributed {
-		res, err = runDistributed(ctx, cfg, *workers, *workerAddrs)
 	} else {
 		res, err = ggpdes.RunContext(ctx, cfg)
 	}
@@ -253,12 +234,6 @@ func main() {
 	} else {
 		fmt.Printf("%s | %s | %s GVT | %s affinity | %d threads on %dx%d contexts\n",
 			cfg.Model.Name(), cfg.System, cfg.GVT, cfg.Affinity, cfg.Threads, *cores, *smt)
-	}
-	if distributed {
-		fmt.Printf("distributed          : %d workers, %s relayed cross-shard, %s polls elided\n",
-			distWorkerCount(*workers, *workerAddrs),
-			stats.Count(res.Counters["dist.events_relayed"]+res.Counters["dist.antis_relayed"]),
-			stats.Count(res.Counters["dist.polls_elided"]))
 	}
 	fmt.Printf("committed event rate : %s\n", stats.Rate(res.CommittedEventRate))
 	fmt.Printf("committed events     : %s\n", stats.Count(res.CommittedEvents))

@@ -118,21 +118,6 @@ func renderService(b *strings.Builder, exp *exposition) {
 			stats.Count(uint64(committed)), stats.Count(uint64(rollbacks)),
 			stats.Count(uint64(get("tw_anti_messages_total"))))
 	}
-	// The workers gauge only exists after a distributed run: unset
-	// gauges never reach the exposition, so presence — not value — keys
-	// the line.
-	if workers, ok := exp.samples["ggpdes_dist_workers_connected"]; ok {
-		fmt.Fprintf(b, "dist    workers %-8.0f relayed %s  wire %s sent / %s received\n",
-			workers,
-			stats.Count(uint64(get("dist_events_relayed_total")+get("dist_antis_relayed_total"))),
-			stats.Count(uint64(get("dist_bytes_sent_total"))),
-			stats.Count(uint64(get("dist_bytes_received_total"))))
-		fmt.Fprintf(b, "        batches %-8s coalesced %s  cached reads %s  elided polls %s\n",
-			stats.Count(uint64(get("dist_batches_total"))),
-			stats.Count(uint64(get("dist_ops_coalesced_total"))),
-			stats.Count(uint64(get("dist_reads_cached_total"))),
-			stats.Count(uint64(get("dist_polls_elided_total"))))
-	}
 	// The cluster.* counters are registered only on clustered replicas
 	// (cluster.New), so their presence — again, not value — keys the
 	// fleet line. Resumes are failovers that found the dead owner's

@@ -28,46 +28,6 @@ func scrape(t *testing.T, reg *telemetry.Registry) *exposition {
 	return exp
 }
 
-// Without a distributed run the workers gauge is never set, the
-// exposition never carries it, and the dist line must not render —
-// the unset-gauge skipping discipline, observed end to end.
-func TestRenderServiceSkipsDistWithoutGauge(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Counter("serve.jobs_submitted").Inc()
-	var b strings.Builder
-	renderService(&b, scrape(t, reg))
-	if strings.Contains(b.String(), "dist") {
-		t.Errorf("dist line rendered without a distributed run:\n%s", b.String())
-	}
-}
-
-// With the gauge set (a distributed job completed and its metrics were
-// folded into the shared registry) the dist line renders workers and
-// wire traffic.
-func TestRenderServiceDistLine(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.Gauge("dist.workers.connected").Set(4)
-	reg.Counter("dist.events_relayed").Add(1500)
-	reg.Counter("dist.antis_relayed").Add(500)
-	reg.Counter("dist.bytes_sent").Add(1 << 20)
-	reg.Counter("dist.bytes_received").Add(1 << 21)
-	reg.Counter("dist.batches").Add(1200)
-	reg.Counter("dist.ops_coalesced").Add(3400)
-	reg.Counter("dist.reads_cached").Add(5600)
-	reg.Counter("dist.polls_elided").Add(7800)
-	var b strings.Builder
-	renderService(&b, scrape(t, reg))
-	out := b.String()
-	for _, want := range []string{
-		"dist    workers 4", "relayed 2.0K", "1.05M sent", "2.10M received",
-		"batches 1.2K", "coalesced 3.4K", "cached reads 5.6K", "elided polls 7.8K",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dist line missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // An unclustered replica never registers cluster.* counters, so the
 // fleet line must not render.
 func TestRenderServiceSkipsFleetWithoutCluster(t *testing.T) {

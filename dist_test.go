@@ -29,8 +29,7 @@ func inProcWorkers() WorkerDialer {
 	}
 }
 
-// distCfg is a small configuration with a series, so the matrix also
-// holds the per-round probes of every worker to the in-process points.
+// distCfg is a small configuration every distributed test starts from.
 func distCfg(model Model) Config {
 	return Config{
 		Model:                model,
@@ -41,7 +40,6 @@ func distCfg(model Model) Config {
 		Machine:              SmallMachine(),
 		GVTFrequency:         10,
 		ZeroCounterThreshold: 60,
-		Series:               &SeriesOptions{},
 	}
 }
 
@@ -73,8 +71,8 @@ func scrubDist(res *Results) {
 
 // The tentpole acceptance property: a run sharded across worker
 // processes produces Results identical to the in-process run — same
-// trajectory, same statistics, same histograms, same per-round series
-// — for multiple models, worker counts, schedulers and GVT algorithms.
+// trajectory, same statistics, same histograms — for multiple models,
+// worker counts, schedulers and GVT algorithms.
 // The (System, GVT) axis reaches the bridge paths GG-PDES/WaitFree
 // never takes: Barrier GVT's fused DrainLocalMin, and Baseline's
 // DrainProcess without the HasExecutableWork prefetch. The variants
@@ -165,9 +163,11 @@ func TestDistributedGoldenMatrix(t *testing.T) {
 // with no frame at all. The run is deterministic, so these are exact on
 // any machine; a change that silently stops coalescing, caching,
 // eliding or deferring relays moves them. The pins were read off the
-// parent of the change that removed distributed checkpoints, on this
-// same checkpoint-free config: equal pins mean the hot path sends the
-// same frames it did.
+// parent of the change that removed series recording from distributed
+// runs, on this same series-free config (with a series attached that
+// parent also sent one probe frame per worker per sample, 14 more
+// msgs_sent): equal pins mean the hot path sends the same frames it
+// did.
 func TestDistributedFrameCounts(t *testing.T) {
 	res, err := RunDistributed(context.Background(), distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}),
 		DistOptions{Workers: 2, Dial: inProcWorkers()})
@@ -175,7 +175,7 @@ func TestDistributedFrameCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]uint64{
-		"dist.msgs_sent":     195,
+		"dist.msgs_sent":     181,
 		"dist.batches":       171,
 		"dist.ops_coalesced": 225,
 		"dist.reads_cached":  1932,
@@ -184,33 +184,6 @@ func TestDistributedFrameCounts(t *testing.T) {
 		if got := res.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-	}
-}
-
-// The distributed and in-process paths meet at one Append+Func site:
-// on a sharded run SeriesOptions.Func sees exactly the points
-// Results.Series holds, and they are the in-process run's points.
-func TestDistributedSeriesFunc(t *testing.T) {
-	collect := func(run func(Config) (*Results, error)) ([]SeriesPoint, *Results) {
-		t.Helper()
-		cfg := distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2})
-		var seen []SeriesPoint
-		cfg.Series.Func = func(pt SeriesPoint) { seen = append(seen, pt) }
-		res, err := run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seen, res
-	}
-	dist, res := collect(func(cfg Config) (*Results, error) {
-		return RunDistributed(context.Background(), cfg, DistOptions{Workers: 2, Dial: inProcWorkers()})
-	})
-	if len(dist) == 0 || !reflect.DeepEqual(dist, res.Series) {
-		t.Fatalf("Func saw %d points, the distributed run recorded %d, or they differ", len(dist), len(res.Series))
-	}
-	local, _ := collect(Run)
-	if !reflect.DeepEqual(dist, local) {
-		t.Fatalf("distributed Func saw %d points, in-process %d, or they differ", len(dist), len(local))
 	}
 }
 
@@ -241,6 +214,11 @@ func TestDistributedConfigRejections(t *testing.T) {
 		"trace": func() (Config, DistOptions) {
 			c := base
 			c.Trace = &TraceOptions{}
+			return c, DistOptions{Workers: 2, Dial: inProcWorkers()}
+		},
+		"series": func() (Config, DistOptions) {
+			c := base
+			c.Series = &SeriesOptions{}
 			return c, DistOptions{Workers: 2, Dial: inProcWorkers()}
 		},
 		"telemetry": func() (Config, DistOptions) {
@@ -313,6 +291,19 @@ func TestDistributedWorkerLossFailsRun(t *testing.T) {
 	}
 }
 
+// countingConn is a coordinator-side worker connection that calls
+// onWrite for every frame the coordinator sends (the client ships one
+// frame per Write).
+type countingConn struct {
+	io.ReadWriteCloser
+	onWrite func()
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.onWrite()
+	return c.ReadWriteCloser.Write(p)
+}
+
 // A context stop lands mid-run on the coordinator's machine and reports
 // as it does in process: ErrCancelled for a cancel, ErrDeadline for an
 // expired deadline, each wrapping the context's error and not the other
@@ -337,23 +328,25 @@ func TestDistributedContextStop(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, stop := c.arm()
-			cfg := distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2})
-			// Stop at the third GVT publication that moved GVT, well
-			// before EndTime.
-			n := 3
-			var last float64
-			cfg.Series.Func = func(pt SeriesPoint) {
-				if pt.GVT == last {
-					return
+			// Stop at the coordinator's third frame — the first batch
+			// after both workers' init — well before EndTime.
+			frames := 0
+			serve := inProcWorkers()
+			dial := func(shard int) (io.ReadWriteCloser, error) {
+				conn, err := serve(shard)
+				if err != nil {
+					return nil, err
 				}
-				last = pt.GVT
-				if n--; n == 0 {
-					stop()
-				}
+				return &countingConn{ReadWriteCloser: conn, onWrite: func() {
+					if frames++; frames == 3 {
+						stop()
+					}
+				}}, nil
 			}
-			res, err := RunDistributed(ctx, cfg, DistOptions{Workers: 2, Dial: inProcWorkers()})
-			if n > 0 {
-				t.Fatalf("run ended after %d of 3 GVT publications: %v", 3-n, err)
+			res, err := RunDistributed(ctx, distCfg(PHOLD{LPsPerThread: 4, Imbalance: 2}),
+				DistOptions{Workers: 2, Dial: dial})
+			if frames < 3 {
+				t.Fatalf("run ended after %d of 3 coordinator frames: %v", frames, err)
 			}
 			if res != nil || !errors.Is(err, c.want) || !errors.Is(err, c.ctxErr) {
 				t.Fatalf("run returned %+v, %v; want %v wrapping %v", res, err, c.want, c.ctxErr)

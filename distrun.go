@@ -29,7 +29,8 @@ import (
 
 // WorkerDialer connects the coordinator to worker process shard,
 // returning a stream that speaks internal/dist's framed protocol
-// (typically a TCP connection to a ggworker process).
+// (typically a TCP connection to a goroutine or process serving
+// ListenAndServeWorker).
 type WorkerDialer func(shard int) (io.ReadWriteCloser, error)
 
 // DistOptions configures a distributed run.
@@ -44,9 +45,9 @@ type DistOptions struct {
 
 // RunDistributed executes one simulation sharded across worker
 // processes. The Config is the in-process one; checkpointing, chaos
-// injection, tracing and external telemetry registries are
-// in-process-only features and are rejected. The run is one attempt: a
-// lost worker connection fails it with an error wrapping
+// injection, tracing, series recording and external telemetry
+// registries are in-process-only features and are rejected. The run is
+// one attempt: a lost worker connection fails it with an error wrapping
 // dist.ErrWorkerLost.
 func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
@@ -72,6 +73,9 @@ func RunDistributed(ctx context.Context, cfg Config, opts DistOptions) (*Results
 	}
 	if cfg.Trace != nil {
 		return nil, dfail("tracing is in-process only")
+	}
+	if cfg.Series != nil {
+		return nil, dfail("series recording is in-process only")
 	}
 	if cfg.Telemetry != nil {
 		return nil, dfail("external telemetry registries are in-process only (worker registries must start empty)")
@@ -154,33 +158,6 @@ func (d *distRun) onCut(cut int, round uint64) {
 	if cut == 2 {
 		d.distRounds.Inc()
 	}
-}
-
-// samplePoint completes a series point in place of
-// eng.FillSeriesPoint: the per-thread half comes from one probe per
-// worker, the totals from the coordinator's mirrored statistics. It
-// reports false, and the point is not recorded, when a probe's round
-// trip fails.
-func (d *distRun) samplePoint(eng *tw.Engine, pt *SeriesPoint) bool {
-	b := d.bridge
-	tw.FillSeriesTotals(pt, eng.TotalStats(), eng.UncommittedEvents())
-	pt.ThreadLVTs = make([]float64, d.rs.cfg.Threads)
-	var hits, misses uint64
-	queued := 0
-	for w := 0; w < d.workers; w++ {
-		resp := b.roundTrip(w, dist.OpSeriesProbe)
-		if b.err != nil {
-			return false
-		}
-		for i, pr := range resp.Probes {
-			pt.ThreadLVTs[w*d.threadsPer+i] = pr.LVT
-			queued += pr.Queued
-			hits += pr.PoolHits
-			misses += pr.PoolMisses
-		}
-	}
-	tw.FinishSeriesPoint(pt, queued, hits, misses)
-	return true
 }
 
 // failed reports a transport failure, which fails the run whatever the
@@ -523,8 +500,8 @@ func (b *remoteBridge) sendOps(w int, ops []dist.OpRequest, cpu tw.CPU) []dist.O
 	return results
 }
 
-// roundTrip performs one control op (invariants, pool flush, metrics,
-// probes) against worker w as a JSON KindOp frame, threading
+// roundTrip performs one control op (invariants, pool flush, metrics)
+// against worker w as a JSON KindOp frame, threading
 // the engine envelope both ways. Queued injects flush first so the
 // worker sees them in order, and mutating ops invalidate the read
 // cache. After a failure the response is empty and b.err is set.

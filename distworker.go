@@ -152,8 +152,7 @@ func (ws *workerShard) execOne(req *dist.OpRequest, res *dist.OpResult) error {
 				return err
 			}
 		}
-	case dist.OpCheckInvariants, dist.OpFlushPoolStats, dist.OpMetrics,
-		dist.OpSeriesProbe:
+	case dist.OpCheckInvariants, dist.OpFlushPoolStats, dist.OpMetrics:
 		return fmt.Errorf("control op in a batch frame")
 	default:
 		return fmt.Errorf("unknown op code %d", uint8(req.Op))
@@ -213,8 +212,6 @@ func (ws *workerShard) handle(req *dist.OpRequest) (*dist.OpResponse, error) {
 	case dist.OpMetrics:
 		st := ws.reg.Export()
 		resp.Metrics = &st
-	case dist.OpSeriesProbe:
-		resp.Probes = ws.eng.ProbeShard()
 	case dist.OpDrain, dist.OpProcessBatch, dist.OpHasExecWork,
 		dist.OpHasWork, dist.OpInputSize, dist.OpLocalMin,
 		dist.OpRemoteMin, dist.OpTakeMinSent, dist.OpPeekMinSent,

@@ -55,7 +55,7 @@ func AppendBatch(dst []byte, m *BatchMsg) ([]byte, error) {
 			for _, ev := range op.Events {
 				dst = tw.AppendWireEvent(dst, ev)
 			}
-		case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+		case OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 			return dst, fmt.Errorf("dist: op %v has no binary form", op.Op)
 		default:
 			return dst, fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
@@ -134,7 +134,7 @@ func DecodeBatchInto(m *BatchMsg, env *tw.Envelope, b []byte) error {
 			if op.Events, b, ok = consumeEvents(op.Events, b, int(n)); !ok {
 				return corrupt("inject event")
 			}
-		case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+		case OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 			return fmt.Errorf("dist: op %v has no binary form", op.Op)
 		default:
 			return fmt.Errorf("dist: unknown op code %d", uint8(op.Op))
@@ -189,7 +189,7 @@ func appendResult(dst []byte, op OpCode, r *OpResult) ([]byte, error) {
 		return tw.AppendWireF64(dst, float64(r.VT)), nil
 	case OpInject:
 		return dst, nil
-	case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+	case OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 		return dst, fmt.Errorf("dist: op %v has no binary form", op)
 	default:
 		return dst, fmt.Errorf("dist: unknown op code %d", uint8(op))
@@ -247,7 +247,7 @@ func consumeResult(b []byte, op OpCode, r *OpResult) ([]byte, error) {
 		return b, nil
 	case OpInject:
 		return b, nil
-	case OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+	case OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 		return b, fmt.Errorf("dist: op %v has no binary form", op)
 	default:
 		return b, fmt.Errorf("dist: unknown op code %d", uint8(op))

@@ -99,7 +99,7 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			op.GVT = WireVT(s.vt())
 		case OpDrain, OpProcessBatch, OpHasExecWork, OpHasWork, OpInputSize,
 			OpLocalMin, OpRemoteMin, OpTakeMinSent, OpPeekMinSent,
-			OpCheckInvariants, OpFlushPoolStats, OpMetrics, OpSeriesProbe:
+			OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 			op.Peer = int(s.next() % 16)
 		}
 	}
@@ -129,8 +129,7 @@ func genBatch(s *byteStream) (*BatchMsg, *BatchReply) {
 			res.Flag = s.next()%2 == 1
 		case OpRemoteMin, OpTakeMinSent, OpPeekMinSent:
 			res.VT = WireVT(s.vt())
-		case OpInject, OpCheckInvariants, OpFlushPoolStats, OpMetrics,
-			OpSeriesProbe:
+		case OpInject, OpCheckInvariants, OpFlushPoolStats, OpMetrics:
 		}
 	}
 	// The protocol couples reply envelope, stats and quiet set to the
@@ -222,7 +221,7 @@ func TestWireValuesPinned(t *testing.T) {
 		OpDrain: 1, OpProcessBatch: 2, OpHasExecWork: 3, OpHasWork: 4,
 		OpInputSize: 5, OpLocalMin: 6, OpRemoteMin: 7, OpTakeMinSent: 8,
 		OpPeekMinSent: 9, OpFossilCollect: 10, OpInject: 11,
-		OpCheckInvariants: 16, OpFlushPoolStats: 17, OpMetrics: 18, OpSeriesProbe: 19,
+		OpCheckInvariants: 16, OpFlushPoolStats: 17, OpMetrics: 18,
 	} {
 		if uint8(op) != want {
 			t.Errorf("%v = %d, want %d", op, uint8(op), want)

@@ -10,7 +10,7 @@
 // drain/process, the GVT minima, fossil collection and cross-shard
 // injects — travel as coalesced binary batches (KindOpsB answered by
 // KindResultB, see codec.go). Control operations — init, invariants,
-// pool flushes, metrics, series probes, shutdown — are rare,
+// pool flushes, metrics, shutdown — are rare,
 // carry structured payloads that already have JSON codecs, and travel
 // as single JSON frames (KindInit/KindOp/KindShutdown answered by
 // KindResult). JSON round-trips floats exactly and matches the repo's
@@ -139,7 +139,7 @@ const (
 	// Worker-scoped operations act on the whole shard. OpInject relays
 	// cross-shard wire events (no envelope — injection touches no
 	// engine-global scalars); the rest are the end of the run's
-	// invariant/metrics sweep and series sampling.
+	// invariant/metrics sweep.
 	OpInject
 	// Op bytes 12 to 15 are retired (they drove the distributed
 	// checkpoint's quiesce and capture); the blanks keep the surviving
@@ -151,7 +151,8 @@ const (
 	OpCheckInvariants
 	OpFlushPoolStats
 	OpMetrics
-	OpSeriesProbe
+	// Op byte 19 is retired too (it fetched per-peer series probes);
+	// nothing follows it, so no blank is needed to hold a value.
 )
 
 // String returns the op's wire-table name.
@@ -185,8 +186,6 @@ func (o OpCode) String() string {
 		return "flush_pool_stats"
 	case OpMetrics:
 		return "metrics"
-	case OpSeriesProbe:
-		return "series_probe"
 	default:
 		return fmt.Sprintf("OpCode(%d)", uint8(o))
 	}
@@ -241,8 +240,6 @@ type OpResponse struct {
 	// Outbox carries cross-shard sends the operation produced, in
 	// production order.
 	Outbox []tw.WireEvent `json:"outbox,omitempty"`
-	// Probes is OpSeriesProbe's per-peer series contribution.
-	Probes []tw.PeerProbe `json:"probes,omitempty"`
 	// Metrics is OpMetrics' worker registry export.
 	Metrics *telemetry.MetricsState `json:"metrics,omitempty"`
 }
@@ -302,7 +299,7 @@ type BatchReply struct {
 func PureRead(op OpCode) bool {
 	switch op {
 	case OpHasExecWork, OpHasWork, OpInputSize, OpRemoteMin,
-		OpPeekMinSent, OpSeriesProbe:
+		OpPeekMinSent:
 		return true
 	case OpDrain, OpProcessBatch, OpLocalMin, OpTakeMinSent,
 		OpFossilCollect, OpInject, OpCheckInvariants, OpFlushPoolStats,

@@ -69,12 +69,6 @@ func (m *Machine) NewBarrier(name string, parties int) *Barrier {
 	return &Barrier{m: m, reason: "barrier " + name, parties: parties}
 }
 
-// Parties returns the number of threads the barrier waits for.
-func (b *Barrier) Parties() int { return b.parties }
-
-// Arrived returns how many threads are currently waiting.
-func (b *Barrier) Arrived() int { return len(b.waiters) }
-
 // Resize changes the number of parties. If the waiting threads already
 // satisfy the new count, the generation completes immediately and the
 // most recent arriver receives the serial flag. Safe to call from any
@@ -134,9 +128,6 @@ type Mutex struct {
 func (m *Machine) NewMutex(name string) *Mutex {
 	return &Mutex{m: m, name: name, reason: "mutex " + name}
 }
-
-// Held reports whether the mutex is currently owned.
-func (mu *Mutex) Held() bool { return mu.owner != nil }
 
 // lock attempts acquisition by t; it reports whether t blocked.
 func (mu *Mutex) lock(t *Thread) (blocked bool) {

@@ -288,11 +288,6 @@ func (p *Proc) Machine() *Machine { return p.t.m }
 // NowCycles returns the machine's wall-clock in cycles (tick-granular).
 func (p *Proc) NowCycles() uint64 { return p.t.m.tick * p.t.m.cfg.TickCycles }
 
-// NowSeconds returns the machine's wall-clock in seconds.
-func (p *Proc) NowSeconds() float64 {
-	return float64(p.NowCycles()) / p.t.m.cfg.FreqHz
-}
-
 // CPUCycles returns the CPU cycles this thread has consumed; the
 // difference across a region measures its CPU time (blocked time does
 // not count).

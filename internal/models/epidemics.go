@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"math"
 
 	"ggpdes/internal/tw"
 )
@@ -147,6 +148,15 @@ func NewEpidemics(cfg EpidemicsConfig) (*Epidemics, error) {
 	if cfg.EndTime <= 0 {
 		return nil, errors.New("epidemics: EndTime must be positive")
 	}
+	// Checked before the defaults below, which NaN (never <= 0) slips
+	// past; an infinite rate makes the per-contact float-to-int
+	// conversion implementation-defined.
+	if !finite(cfg.ContactRate) {
+		return nil, errors.New("epidemics: ContactRate must be finite")
+	}
+	if !finite(cfg.TransmissionProb) || cfg.TransmissionProb > 1 {
+		return nil, errors.New("epidemics: TransmissionProb must be a probability")
+	}
 	if cfg.IncubationMean <= 0 {
 		cfg.IncubationMean = 1.0
 	}
@@ -164,6 +174,9 @@ func NewEpidemics(cfg EpidemicsConfig) (*Epidemics, error) {
 	}
 	return &Epidemics{cfg: cfg, windowLen: cfg.EndTime / tw.VT(cfg.LockdownGroups)}, nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Config returns the validated configuration.
 func (m *Epidemics) Config() EpidemicsConfig { return m.cfg }

@@ -92,6 +92,9 @@ func NewTraffic(cfg TrafficConfig) (*Traffic, error) {
 	if side*side != n {
 		return nil, errors.New("traffic: Threads*LPsPerThread must be a perfect square")
 	}
+	if !finite(cfg.DensityGradient) { // before the default, which NaN slips past
+		return nil, errors.New("traffic: DensityGradient must be finite")
+	}
 	if cfg.DensityGradient <= 0 {
 		cfg.DensityGradient = 0.35
 	}

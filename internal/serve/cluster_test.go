@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -327,7 +328,7 @@ func TestClusterFailoverResume(t *testing.T) {
 
 	// Kill the owner only after it has checkpointed, so the survivor
 	// has state to resume from rather than restarting.
-	dir := filepath.Join(f.root, "key-"+pathSafe(key))
+	dir := KeyedCheckpointDir(f.root, key)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if names, _ := filepath.Glob(filepath.Join(dir, checkpoint.Glob)); len(names) > 0 {
@@ -436,7 +437,12 @@ func TestClusterKeyedCheckpointDirs(t *testing.T) {
 	}
 	waitState(t, f.mgrs[0], st.ID, StateDone)
 
-	dir := filepath.Join(f.root, "key-"+pathSafe(key))
+	// The name is on disk under a shared root, so it is pinned: every
+	// replica, and ggload's failover leg, must find the same place.
+	dir := KeyedCheckpointDir(f.root, key)
+	if want := filepath.Join(f.root, "key-"+strings.ReplaceAll(key, ":", "-")); dir != want {
+		t.Fatalf("keyed checkpoint dir %s, want %s", dir, want)
+	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("keyed checkpoint dir not retained after success: %v", err)
 	}

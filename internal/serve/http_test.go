@@ -157,6 +157,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"dd-pdes on 1 core", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"system":"dd-pdes","machine":{"cores":1}}}`},
 		// A stall rate of 1 would stall every iteration until the deadline.
 		{"chaos.stall_rate 1", `{"config":{"model":{"name":"phold"},"threads":2,"end_time":10,"chaos":{"stall_rate":1}}}`},
+		// A probability above 1 is no probability.
+		{"model.transmission_prob 2", `{"config":{"model":{"name":"epidemics","lps_per_thread":4,"transmission_prob":2},"threads":4,"end_time":10}}`},
 	} {
 		resp, b := post(t, srv.URL+"/v2/jobs", strings.NewReader(tc.body))
 		if resp.StatusCode != http.StatusBadRequest || b.Error.Code != CodeInvalidConfig {

@@ -738,7 +738,7 @@ func (m *Manager) run(j *Job) {
 	if cfg.Checkpoint != nil {
 		dir := ""
 		if m.clu != nil && !j.spec.NoCache && m.opts.CheckpointRoot != "" {
-			dir = filepath.Join(m.opts.CheckpointRoot, "key-"+pathSafe(j.key))
+			dir = KeyedCheckpointDir(m.opts.CheckpointRoot, j.key)
 		}
 		cfg.Checkpoint = &ggpdes.CheckpointOptions{Every: cfg.Checkpoint.Every, Dir: dir}
 	}
@@ -872,15 +872,18 @@ func (m *Manager) runRemote(jobCtx context.Context, j *Job, owner *cluster.Peer)
 	return nil, "", err, true
 }
 
-// pathSafe flattens a cache key or host:port into a path component.
-func pathSafe(s string) string {
-	return strings.Map(func(r rune) rune {
+// KeyedCheckpointDir is the directory under root that a clustered,
+// cacheable job with cache key key checkpoints into, whichever replica
+// runs it: "key-" and the key flattened into one path component
+// ("sha256:..." → "key-sha256-...").
+func KeyedCheckpointDir(root, key string) string {
+	return filepath.Join(root, "key-"+strings.Map(func(r rune) rune {
 		switch r {
 		case ':', '/', '\\':
 			return '-'
 		}
 		return r
-	}, s)
+	}, key))
 }
 
 // Health is the healthz payload: queue occupancy plus — when

@@ -147,10 +147,6 @@ func (e *Engine) HollowAll(rt RemoteTransport) {
 	}
 }
 
-// ShardRange returns the local peer range; [0, NumThreads) unless
-// Shardify narrowed it.
-func (e *Engine) ShardRange() (lo, hi int) { return e.shardLo, e.shardHi }
-
 // sharded reports whether Shardify has handed some of the engine's
 // peers to other processes.
 func (e *Engine) sharded() bool { return e.shardHi-e.shardLo < len(e.peers) }

@@ -116,9 +116,9 @@ type runState struct {
 	rec *trace.Recorder
 	// dist is the distributed run this state belongs to, nil in-process.
 	// The segment loop below exists once; everything a distributed run
-	// does differently inside it is a call on dist: engineBuilt, onCut
-	// and samplePoint while its one segment is built; failed and
-	// finishing as it ends.
+	// does differently inside it is a call on dist: engineBuilt and
+	// onCut while its one segment is built; failed and finishing as it
+	// ends.
 	dist *distRun
 
 	// Continuation state (set between segments / loaded from snapshot).
@@ -426,11 +426,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 				pt.AdvanceRate = pt.AdvanceVT / dt
 			}
 			rs.prevGVT, rs.prevWall = pt.GVT, pt.WallSeconds
-			if d == nil {
-				eng.FillSeriesPoint(&pt)
-			} else if !d.samplePoint(eng, &pt) {
-				return
-			}
+			eng.FillSeriesPoint(&pt)
 			rs.series.Append(pt)
 			if so.Func != nil {
 				so.Func(pt)

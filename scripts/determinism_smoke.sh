@@ -13,24 +13,15 @@
 # The same run with -progress must print the same report on stdout and
 # its progress lines on stderr: observers do not perturb the run.
 #
-# Then the same configuration runs sharded across 2 worker processes
-# (-workers 2): the report and the per-GVT-round series CSV must still
-# be byte-identical to the in-process run — the distributed control/
-# data split forwards operations without reordering them, so process
-# boundaries must not move the trajectory. Only the "distributed" info
-# line, which names the sharding itself, and the "host" line, which
-# measures the host, are excluded from the diff.
-#
 # Last, an imbalanced leg: 1-16 PHOLD behind an optimism window, under
 # Baseline and under GG-PDES with the wait-free GVT, where 15 of 16
-# threads poll at any time. In process those polling iterations are
-# booked arithmetically (core's skip-ahead). Two runs execute every one
-# of them instead: an in-process run with the smallest stall rate
-# (-chaos-stall 5e-324: the injector is consulted every iteration and
-# stalls one only on a 53-bit draw of exactly 0), and the coordinator
-# of a 2-worker run, because its peers live in other processes. Report
-# and series CSV byte-identical is therefore the binary-level proof
-# that skipping equals executing.
+# threads poll at any time. Those polling iterations are booked
+# arithmetically (core's skip-ahead) unless a stall injector is
+# attached: a run with the smallest stall rate (-chaos-stall 5e-324:
+# the injector is consulted every iteration and stalls one only on a
+# 53-bit draw of exactly 0) executes every one of them. Report and
+# series CSV byte-identical is therefore the binary-level proof that
+# skipping equals executing.
 set -eu
 
 GO=${GO:-go}
@@ -63,22 +54,6 @@ same() {
     done
 }
 
-# sharded <in-process subdir> <subdir> [flags...] — the same flags
-# across 2 workers must reproduce the in-process run already made.
-sharded() {
-    a=$1 b=$2
-    shift 2
-    run "$b.raw" "$@" -workers 2
-    grep -q '^distributed' "$dir/$b.raw.txt" || {
-        echo "determinism-smoke: -workers 2 run did not report its sharding:" >&2
-        cat "$dir/$b.raw.txt" >&2
-        exit 1
-    }
-    grep -v '^distributed' "$dir/$b.raw.txt" >"$dir/$b.txt"
-    mv "$dir/$b.raw" "$dir/$b"
-    same "2-worker run ($*) diverged from in-process" "$a" "$b"
-}
-
 run a
 run b
 same "identical seeded runs diverged" a b
@@ -92,17 +67,14 @@ grep -q '^gvt ' "$dir/progress.err" || {
     cat "$dir/progress.err" >&2
     exit 1
 }
-sharded a dist
 
 imbalanced="-imbalance 16 -lps 4 -optimism 10 -gvt async"
 never_stalls="-chaos-stall 5e-324"
 run skip_base $imbalanced -system baseline
-run exec_base_inproc $imbalanced -system baseline $never_stalls
-same "in-process executing run (baseline) diverged from the skipping one" skip_base exec_base_inproc
-sharded skip_base exec_base $imbalanced -system baseline
+run exec_base $imbalanced -system baseline $never_stalls
+same "executing run (baseline) diverged from the skipping one" skip_base exec_base
 run skip_gg $imbalanced -system gg
-run exec_gg_inproc $imbalanced -system gg $never_stalls
-same "in-process executing run (gg) diverged from the skipping one" skip_gg exec_gg_inproc
-sharded skip_gg exec_gg $imbalanced -system gg
+run exec_gg $imbalanced -system gg $never_stalls
+same "executing run (gg) diverged from the skipping one" skip_gg exec_gg
 
-echo "determinism-smoke: seeded runs byte-identical in-process, with $(grep -c '^gvt ' "$dir/progress.err") progress lines on stderr, and across 2 workers ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to in-process runs and coordinators that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
+echo "determinism-smoke: seeded runs byte-identical, with $(grep -c '^gvt ' "$dir/progress.err") progress lines on stderr ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to runs that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
