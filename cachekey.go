@@ -17,9 +17,8 @@ const cacheKeyVersion = "ggpdes-config-v2"
 // defaults applied — as a stable multi-line text. Two configs with the
 // same canonical string produce bit-identical Results: runs are
 // deterministic functions of this string. Settings that cannot affect
-// the simulation trajectory — observability (Trace, Series) and the
-// memory-recycling switch (DisablePooling) — are deliberately
-// excluded.
+// the simulation trajectory — observability (Trace, Series) — are
+// deliberately excluded.
 //
 // It returns an error for configs Validate rejects, since those have
 // no defined run semantics.

@@ -96,7 +96,6 @@ func TestCacheKeyIgnoresObservability(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Trace = &TraceOptions{Limit: 100, Ring: true}
 	cfg.Series = &SeriesOptions{Limit: 8, Func: func(SeriesPoint) {}}
-	cfg.DisablePooling = true
 	key, err := cfg.CacheKey()
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,6 @@ func TestCheckpointResumeMatrix(t *testing.T) {
 		{"", func(*Config) {}},
 		{"/dd", func(c *Config) { c.System = DDPDES }},
 		{"/window", func(c *Config) { c.OptimismWindow = 5 }},
-		{"/unpooled", func(c *Config) { c.DisablePooling = true }},
 		{"/observed", func(c *Config) {
 			c.Series = &SeriesOptions{}
 			c.Telemetry = NewRegistry()

@@ -58,7 +58,6 @@ func main() {
 		progEvery  = flag.Float64("progress-every", 0, "virtual-time interval between progress lines (0 = 10% of -end)")
 		hist       = flag.Bool("hist", false, "print every run histogram (implies -v percentile lines)")
 		timeout    = flag.Duration("timeout", 0, "abort the run after this much real time (0 = no limit)")
-		nopool     = flag.Bool("nopool", false, "disable event/snapshot recycling (A/B allocation measurements)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf    = flag.String("memprofile", "", "write a heap profile after the run to this file (go tool pprof)")
 		verbose    = flag.Bool("v", false, "print the full metric set, and this process's host wall time, user CPU and peak RSS to stderr")
@@ -84,7 +83,6 @@ func main() {
 			GVTFrequency:         *gvtFreq,
 			ZeroCounterThreshold: *zeroThr,
 			OptimismWindow:       *optimism,
-			DisablePooling:       *nopool,
 		}
 
 		switch strings.ToLower(*modelName) {

@@ -32,7 +32,6 @@ type configJSON struct {
 	ZeroCounterThreshold int                `json:"zero_counter_threshold,omitempty"`
 	BatchSize            int                `json:"batch_size,omitempty"`
 	OptimismWindow       float64            `json:"optimism_window,omitempty"`
-	DisablePooling       bool               `json:"disable_pooling,omitempty"`
 	Checkpoint           *CheckpointOptions `json:"checkpoint,omitempty"`
 	Chaos                *chaosJSON         `json:"chaos,omitempty"`
 	// Retired options, read only to be refused. Encoding never sets
@@ -185,7 +184,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 		ZeroCounterThreshold: c.ZeroCounterThreshold,
 		BatchSize:            c.BatchSize,
 		OptimismWindow:       c.OptimismWindow,
-		DisablePooling:       c.DisablePooling,
 	}
 	if c.Machine != (Machine{}) {
 		w.Machine = &machineJSON{
@@ -214,7 +212,8 @@ func (c Config) MarshalJSON() ([]byte, error) {
 // kernel processes, reverse computation, sub-NUMA clustering (DESIGN.md
 // §5) — fails with ErrInvalidConfig naming it: ignored like any unknown
 // key, it would run, and be cached as, a different simulation than the
-// one asked for.
+// one asked for. The retired memory-recycling switch never changed a
+// trajectory, so its key is ignored like any unknown key.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var w configJSON
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -260,7 +259,6 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		ZeroCounterThreshold: w.ZeroCounterThreshold,
 		BatchSize:            w.BatchSize,
 		OptimismWindow:       w.OptimismWindow,
-		DisablePooling:       w.DisablePooling,
 		Trace:                c.Trace,
 		Series:               c.Series,
 		Telemetry:            c.Telemetry,

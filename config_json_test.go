@@ -30,7 +30,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 			ZeroCounterThreshold: 77,
 			BatchSize:            4,
 			OptimismWindow:       5,
-			DisablePooling:       true,
 			Checkpoint:           &CheckpointOptions{Every: 3, Dir: "/tmp/ck"},
 			Chaos:                &ChaosOptions{Seed: 7, StallRate: 0.005},
 		},
@@ -176,6 +175,43 @@ func TestConfigJSONReadsRetiredDefaults(t *testing.T) {
 	}
 	if got := string(data); got != strings.Replace(parent, `"queue":"splay","state_saving":"copy",`, "", 1) {
 		t.Fatalf("encoded %s", got)
+	}
+}
+
+// The memory-recycling switch left with the unpooled engine. It never
+// changed a trajectory and was never in the cache key, so its key is
+// ignored like any unknown key: either value decodes to the config
+// without it, under that config's cache key, and is written back
+// without it.
+func TestConfigJSONIgnoresRetiredPoolingKey(t *testing.T) {
+	want := quickCfg()
+	plain, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKey, err := want.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"true", "false"} {
+		data := append(bytes.TrimSuffix(bytes.Clone(plain), []byte("}")), `,"disable_pooling":`+v+`}`...)
+		var cfg Config
+		if err := json.Unmarshal(data, &cfg); err != nil {
+			t.Fatalf("%s: %v", data, err)
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Fatalf("%s decoded %+v, want %+v", data, cfg, want)
+		}
+		if key, err := cfg.CacheKey(); err != nil || key != wantKey {
+			t.Fatalf("%s: key %s (%v), want %s", data, key, err, wantKey)
+		}
+		back, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, plain) {
+			t.Fatalf("%s re-encoded as %s, want %s", data, back, plain)
+		}
 	}
 }
 

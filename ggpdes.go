@@ -177,12 +177,6 @@ type Config struct {
 	// demand-driven scheduling hands freshly woken thread groups the
 	// whole machine and unbounded speculation triggers rollback thrash.
 	OptimismWindow float64
-	// DisablePooling turns off the engine's event and snapshot
-	// recycling, restoring per-event heap allocation. Pooling reuses
-	// memory, never logic, so results are identical either way; the
-	// switch exists for A/B allocation measurements and debugging, and
-	// — like Trace and Series — is excluded from CacheKey.
-	DisablePooling bool
 	// Series, when non-nil, records a per-GVT-round time series of the
 	// run (GVT advance rate, virtual-time-horizon width and roughness,
 	// rollback and commit totals, pool hit rate, queue depths).

@@ -138,8 +138,8 @@ func TestBarrierResizeGrow(t *testing.T) {
 func TestSemValueAndWaitersAccessors(t *testing.T) {
 	m := mustNew(t, testCfg(1, 1))
 	s := m.NewSem("s", 3)
-	if s.Value() != 3 || s.Waiters() != 0 {
-		t.Fatalf("initial accessors wrong: %d/%d", s.Value(), s.Waiters())
+	if s.Value() != 3 || len(s.waiters) != 0 {
+		t.Fatalf("initial accessors wrong: %d/%d", s.Value(), len(s.waiters))
 	}
 	m.Spawn("w", func(p *Proc) {
 		p.SemWait(s)

@@ -751,7 +751,7 @@ func TestQuickSemInvariant(t *testing.T) {
 		if err := m.Run(); err != nil {
 			return false
 		}
-		return s.Value() == np-nw && s.Waiters() == 0
+		return s.Value() == np-nw && len(s.waiters) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,6 @@ func (m *Machine) NewSem(name string, initial int) *Sem {
 // Value returns the semaphore's current count (waiters imply zero).
 func (s *Sem) Value() int { return s.count }
 
-// Waiters returns how many threads are blocked on the semaphore.
-func (s *Sem) Waiters() int { return len(s.waiters) }
-
 // wait is the P operation, executed by the machine on the calling
 // thread's behalf; it reports whether the thread blocked.
 func (s *Sem) wait(t *Thread) (blocked bool) {

@@ -120,18 +120,6 @@ func (s *Stream) Burr(c, k float64) float64 {
 	return math.Pow(math.Pow(1-u, -1/k)-1, 1/c)
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. p must be in (0, 1].
-func (s *Stream) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	return int(math.Floor(math.Log(s.Float64Open()) / math.Log(1-p)))
-}
-
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool { return s.Float64() < p }
 
@@ -150,14 +138,6 @@ func (s *Stream) Perm(n int) []int {
 	}
 	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// InversePowerWeight returns the unnormalized inverse-power density
-// weight (1+d)^(-g) used by the Traffic model to concentrate initial
-// events toward the city centre; d is the distance from the centre and
-// g the density gradient.
-func InversePowerWeight(d, g float64) float64 {
-	return math.Pow(1+d, -g)
 }
 
 // State captures the generator state so Time Warp can restore it on

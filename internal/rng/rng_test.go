@@ -149,32 +149,6 @@ func TestBurrPositiveAndMedian(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(31, 2)
-	p := 0.25
-	sum := 0
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		g := s.Geometric(p)
-		if g < 0 {
-			t.Fatalf("Geometric returned negative %d", g)
-		}
-		sum += g
-	}
-	got := float64(sum) / trials
-	want := (1 - p) / p
-	if math.Abs(got-want)/want > 0.05 {
-		t.Fatalf("Geometric mean = %v, want ~%v", got, want)
-	}
-}
-
-func TestGeometricDegenerate(t *testing.T) {
-	s := New(1, 1)
-	if g := s.Geometric(1); g != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", g)
-	}
-}
-
 func TestBernoulliProbability(t *testing.T) {
 	s := New(6, 6)
 	hits := 0
@@ -214,19 +188,6 @@ func TestSaveRestore(t *testing.T) {
 	for i := range want {
 		if got := s.Uint64(); got != want[i] {
 			t.Fatalf("replay diverged at %d: got %d want %d", i, got, want[i])
-		}
-	}
-}
-
-func TestInversePowerWeightMonotone(t *testing.T) {
-	for _, g := range []float64{0.35, 0.5} {
-		last := math.Inf(1)
-		for d := 0.0; d < 50; d++ {
-			w := InversePowerWeight(d, g)
-			if w <= 0 || w > last {
-				t.Fatalf("weight not positive-decreasing at d=%v g=%v: %v (prev %v)", d, g, w, last)
-			}
-			last = w
 		}
 	}
 }

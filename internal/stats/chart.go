@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -93,18 +92,4 @@ func (c *BarChart) String() string {
 		}
 	}
 	return b.String()
-}
-
-// SortGroupsNumeric orders groups by their numeric label (thread
-// counts), leaving non-numeric labels at the end in insertion order.
-func (c *BarChart) SortGroupsNumeric() {
-	sort.SliceStable(c.groups, func(i, j int) bool {
-		var a, b int
-		_, errA := fmt.Sscanf(c.groups[i].label, "%d", &a)
-		_, errB := fmt.Sscanf(c.groups[j].label, "%d", &b)
-		if errA != nil || errB != nil {
-			return false
-		}
-		return a < b
-	})
 }

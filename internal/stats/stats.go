@@ -28,15 +28,6 @@ func (t *Table) Add(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddF appends a row of formatted values.
-func (t *Table) AddF(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprint(c)
-	}
-	t.Add(row...)
-}
-
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 

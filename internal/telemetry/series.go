@@ -147,23 +147,6 @@ func (s *Series) Points() []SeriesPoint {
 	return out
 }
 
-// Last returns the most recent point, if any.
-func (s *Series) Last() (SeriesPoint, bool) {
-	if s == nil {
-		return SeriesPoint{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pts) == 0 {
-		return SeriesPoint{}, false
-	}
-	i := s.start - 1
-	if i < 0 {
-		i = len(s.pts) - 1
-	}
-	return s.pts[i], true
-}
-
 // seriesCSVHeader names the WriteCSV columns. ThreadLVTs flatten into
 // a single space-separated column so the row count stays fixed across
 // thread counts.

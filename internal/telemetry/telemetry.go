@@ -147,15 +147,10 @@ func (h *Histogram) mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Quantile returns the q-th quantile (q in [0,1]) by linear
+// quantile returns the q-th quantile (q in [0,1]) by linear
 // interpolation within the containing log bucket, clamped to the
-// observed min/max. It returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantile(q)
-}
-
+// observed min/max, and 0 for an empty histogram. The caller holds h.mu
+// or the only reference to h.
 func (h *Histogram) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0

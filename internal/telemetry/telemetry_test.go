@@ -43,7 +43,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if s.Count != 0 || s.Mean != 0 || s.P50 != 0 || s.P99 != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
-	if h.Quantile(0.5) != 0 {
+	if h.quantile(0.5) != 0 {
 		t.Fatal("empty quantile not zero")
 	}
 }
@@ -57,7 +57,7 @@ func TestHistogramSingleValue(t *testing.T) {
 	}
 	// All quantiles clamp to the single observation.
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if v := h.Quantile(q); v != 42 {
+		if v := h.quantile(q); v != 42 {
 			t.Fatalf("q%.2f = %v, want 42", q, v)
 		}
 	}
@@ -68,7 +68,7 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
 	}
-	p50, p95, p99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
+	p50, p95, p99 := h.quantile(0.5), h.quantile(0.95), h.quantile(0.99)
 	if !(p50 <= p95 && p95 <= p99) {
 		t.Fatalf("quantiles not ordered: %v %v %v", p50, p95, p99)
 	}

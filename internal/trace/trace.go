@@ -207,17 +207,6 @@ func (r *Recorder) SumAux(k Kind) int64 {
 	return sum
 }
 
-// GVTSeries returns (wall cycles, gvt) pairs in publication order.
-func (r *Recorder) GVTSeries() (cycles []uint64, gvt []float64) {
-	r.forEach(func(rec *Record) {
-		if rec.Kind == KindGVT {
-			cycles = append(cycles, rec.WallCycles)
-			gvt = append(gvt, rec.Value)
-		}
-	})
-	return cycles, gvt
-}
-
 // Interval is a half-open [Start, End) span in machine wall cycles.
 type Interval struct {
 	Start, End uint64

@@ -43,19 +43,6 @@ func TestNilClockRecordsZero(t *testing.T) {
 	}
 }
 
-func TestGVTSeries(t *testing.T) {
-	r := New(0)
-	tick := uint64(0)
-	r.Clock = func() uint64 { tick += 100; return tick }
-	r.Add(KindGVT, -1, 1, 0)
-	r.Add(KindRollback, 0, 0, 1)
-	r.Add(KindGVT, -1, 2, 0)
-	cycles, gvt := r.GVTSeries()
-	if len(cycles) != 2 || gvt[0] != 1 || gvt[1] != 2 || cycles[1] <= cycles[0] {
-		t.Fatalf("series = %v %v", cycles, gvt)
-	}
-}
-
 func TestInactiveIntervals(t *testing.T) {
 	r := New(0)
 	tick := uint64(0)
@@ -178,13 +165,13 @@ func TestRingOrderAcrossWrap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(KindGVT, -1, float64(i), 0)
 	}
-	cycles, gvt := r.GVTSeries()
-	if len(gvt) != 4 {
-		t.Fatalf("series len = %d", len(gvt))
+	recs := r.Records()
+	if len(recs) != 4 {
+		t.Fatalf("ring holds %d records", len(recs))
 	}
-	for i := 1; i < len(cycles); i++ {
-		if cycles[i] <= cycles[i-1] || gvt[i] <= gvt[i-1] {
-			t.Fatalf("ring series out of order: %v %v", cycles, gvt)
+	for i := 1; i < len(recs); i++ {
+		if recs[i].WallCycles <= recs[i-1].WallCycles || recs[i].Value <= recs[i-1].Value {
+			t.Fatalf("ring records out of order: %+v", recs)
 		}
 	}
 	// forEach-backed consumers see wrap order too.

@@ -81,9 +81,8 @@ func TestCaptureContinuation(t *testing.T) {
 	const threads, end = contThreads, contEnd
 	builders := continuationModels
 	variants := map[string]func(*tw.Config){
-		"copy":     func(*tw.Config) {},
-		"window":   func(c *tw.Config) { c.OptimismWindow = 2 },
-		"unpooled": func(c *tw.Config) { c.DisablePooling = true },
+		"copy":   func(*tw.Config) {},
+		"window": func(c *tw.Config) { c.OptimismWindow = 2 },
 	}
 	for name, build := range builders {
 		for vname, vary := range variants {
@@ -172,10 +171,10 @@ func (m countingModel) DecodeState(data []byte) (tw.State, error) {
 
 // The LP states of a captured engine ride its spare set to the engine
 // that continues from the capture, which installs them and decodes
-// nothing; an engine that cannot take the set — the capture came over
-// the wire, or it does not pool — decodes every one. The three are the
-// same run: the same next capture byte for byte and the same
-// statistics, and between the two that pool the same pool counters.
+// nothing; an engine that cannot take the set because the capture came
+// over the wire decodes every one. The two are the same run: the same
+// next capture byte for byte, the same statistics and the same pool
+// counters.
 func TestStatesRideTheSpareSet(t *testing.T) {
 	variants := map[string]func(*tw.Config){
 		"copy":   func(*tw.Config) {},
@@ -192,8 +191,8 @@ func TestStatesRideTheSpareSet(t *testing.T) {
 			t.Run(name+"/"+vname, func(t *testing.T) {
 				// continueFrom runs the first segment to its boundary, hands
 				// the capture to via, and continues what comes back in a
-				// second engine — unpooled if asked — to the next boundary.
-				continueFrom := func(via func(*tw.EngineState) *tw.EngineState, unpooled bool) (out outcome) {
+				// second engine to the next boundary.
+				continueFrom := func(via func(*tw.EngineState) *tw.EngineState) (out outcome) {
 					config := func() (tw.Config, *telemetry.Registry) {
 						model, err := build()
 						if err != nil {
@@ -216,7 +215,6 @@ func TestStatesRideTheSpareSet(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg, reg := config()
-					cfg.DisablePooling = unpooled
 					eng, err := tw.NewEngineFromState(cfg, via(st))
 					if err != nil {
 						t.Fatal(err)
@@ -241,24 +239,21 @@ func TestStatesRideTheSpareSet(t *testing.T) {
 					}
 					return decoded
 				}
-				rode := continueFrom(asIs, false)
-				wired := continueFrom(overTheWire, false)
-				unpooled := continueFrom(asIs, true)
+				rode := continueFrom(asIs)
+				wired := continueFrom(overTheWire)
 				lps := contThreads * 4
 				if name == "epidemics" {
 					lps = contThreads * 8
 				}
-				if rode.decodes != 0 || wired.decodes != lps || unpooled.decodes != lps {
-					t.Errorf("DecodeState calls: %d with the spare set, %d over the wire, %d unpooled; want 0, %d, %d",
-						rode.decodes, wired.decodes, unpooled.decodes, lps, lps)
+				if rode.decodes != 0 || wired.decodes != lps {
+					t.Errorf("DecodeState calls: %d with the spare set, %d over the wire; want 0, %d",
+						rode.decodes, wired.decodes, lps)
 				}
-				for arm, got := range map[string]outcome{"over the wire": wired, "unpooled": unpooled} {
-					if !bytes.Equal(rode.capture, got.capture) {
-						t.Errorf("%s: next capture differs from the one reached on adopted states", arm)
-					}
-					if rode.stats != got.stats {
-						t.Errorf("%s: statistics differ:\nadopted %+v\ndecoded %+v", arm, rode.stats, got.stats)
-					}
+				if !bytes.Equal(rode.capture, wired.capture) {
+					t.Error("next capture differs from the one reached on adopted states")
+				}
+				if rode.stats != wired.stats {
+					t.Errorf("statistics differ:\nadopted %+v\ndecoded %+v", rode.stats, wired.stats)
 				}
 				if !reflect.DeepEqual(rode.pool, wired.pool) {
 					t.Errorf("telemetry counters differ:\nadopted %v\ndecoded %v", rode.pool, wired.pool)

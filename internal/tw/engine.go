@@ -100,13 +100,8 @@ type Config struct {
 	// tames rollback thrash when demand-driven scheduling hands a
 	// freshly woken thread group the whole machine.
 	OptimismWindow VT
-	// DisablePooling turns off event and snapshot recycling (see
-	// pool.go), restoring the historical allocate-and-drop behaviour.
-	// Pooling reuses memory, never logic, so this switch cannot change
-	// a trajectory; it exists for A/B allocation measurements and for
-	// bisecting suspected pool bugs, and like the other
-	// observability-only knobs it is excluded from cache keys.
-	DisablePooling bool
+	// onCommit sees every event FossilCollect commits (oracle_test.go).
+	onCommit func(*Event)
 }
 
 func (c *Config) fillDefaults() error {
@@ -127,6 +122,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Costs == (CostModel{}) {
 		c.Costs = DefaultCosts()
+	}
+	if c.onCommit == nil {
+		c.onCommit = func(*Event) {}
 	}
 	return nil
 }
@@ -269,13 +267,6 @@ func (e *Engine) Peer(id int) *Peer { return e.peers[id] }
 
 // LPs returns all logical processes, indexed by LP id.
 func (e *Engine) LPs() []*LP { return e.lps }
-
-// NumLPs returns the total LP count.
-func (e *Engine) NumLPs() int { return len(e.lps) }
-
-// UncommittedEvents returns the current count of processed events
-// awaiting fossil collection.
-func (e *Engine) UncommittedEvents() int { return e.uncommitted }
 
 // PeakUncommittedEvents returns the high-water mark of uncommitted
 // events — the run's state-saving memory demand.

@@ -59,10 +59,16 @@ type Model interface {
 	OnEvent(ctx *EventCtx)
 }
 
+// scheduler takes a context's sends in place of an engine (seq_test.go).
+type scheduler interface {
+	schedule(src, dst int, ts VT, kind uint8, a, b int64)
+}
+
 // InitCtx is handed to Model.InitLP.
 type InitCtx struct {
 	eng *Engine
 	lp  *LP
+	seq scheduler
 }
 
 // Engine returns the engine under initialization.
@@ -71,6 +77,10 @@ func (ic *InitCtx) Engine() *Engine { return ic.eng }
 // ScheduleInit schedules a starting event for dstLP at time ts. Initial
 // events carry no rollback bookkeeping (they precede the simulation).
 func (ic *InitCtx) ScheduleInit(dstLP int, ts VT, kind uint8, a, b int64) {
+	if ic.seq != nil {
+		ic.seq.schedule(ic.lp.ID, dstLP, ts, kind, a, b)
+		return
+	}
 	ic.eng.scheduleInit(ic.lp.ID, dstLP, ts, kind, a, b)
 }
 
@@ -80,6 +90,7 @@ type EventCtx struct {
 	peer *Peer
 	lp   *LP
 	ev   *Event
+	seq  scheduler
 }
 
 // Engine returns the running engine.
@@ -104,6 +115,10 @@ func (c *EventCtx) Rand() *rng.Stream { return &c.lp.rand }
 func (c *EventCtx) Send(dstLP int, ts VT, kind uint8, a, b int64) {
 	if ts < c.ev.Ts {
 		panic("tw: model sent an event into the past")
+	}
+	if c.seq != nil {
+		c.seq.schedule(c.lp.ID, dstLP, ts, kind, a, b)
+		return
 	}
 	c.eng.send(c.peer, c.ev, dstLP, ts, kind, a, b)
 }

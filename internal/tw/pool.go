@@ -44,10 +44,10 @@ import (
 // was a third of what its runs still allocated). What a carve costs the
 // allocator is a chunk every chunkMax objects: whole-run mallocs per
 // committed event on that traffic config went 2.96 → 0.17 when chunks
-// replaced one heap object per miss. DisablePooling switches off
-// recycling and chunks alike — one object per allocation, nothing ever
-// reused — which keeps it the plain-allocator reference every pooling
-// test compares against.
+// replaced one heap object per miss. Nothing switches recycling or the
+// chunks off: what checks them is the sequential reference executor
+// (seq_test.go), whose committed trajectory a pooled run must reproduce
+// event for event (oracle_test.go).
 //
 // Recycling is safe at exactly the points used here because of the
 // engine's reference discipline:
@@ -64,16 +64,17 @@ import (
 //
 // Freed events carry statePooled and poisoned ordering fields, so a
 // use-after-recycle cannot silently order correctly in a queue; the
-// state machine panics
-// where a pooled event could flow in, and CheckInvariants sweeps all
-// reachable containers (pool leak detection in both directions).
+// state machine panics where a pooled event could flow in, and
+// CheckInvariants sweeps all reachable containers (pool leak detection
+// in both directions).
 //
 // Determinism: recycling reuses memory, never logic. Every field is
 // reset on free and reassigned on alloc, sequence numbers come from
 // the same global counter, and no code path branches on object
-// identity — pooled and unpooled runs commit byte-identical
-// trajectories (asserted by TestPoolingPreservesTrajectories and the
-// top-level seed-regression matrix).
+// identity. A recycling bug that the poison misses still shows as a
+// committed event, a final LP state or an LVT that differs from the
+// sequential executor's (TestOracle), or in the top-level
+// seed-regression matrix.
 
 // Pool metric names (see the Metric constants in engine.go for the
 // engine's other metrics).
@@ -138,7 +139,7 @@ func (p *Peer) allocEvent() *Event {
 	m := &e.mem
 	n := len(m.events)
 	if n == 0 {
-		if e.cfg.DisablePooling || e.sharded() {
+		if e.sharded() {
 			return &Event{}
 		}
 		return m.carveEvent()
@@ -155,18 +156,13 @@ func (p *Peer) allocEvent() *Event {
 }
 
 // freeEvent returns a dead event to the engine's store, resetting every
-// field and poisoning the ordering key, and counts it on the peer. With
-// pooling disabled it does nothing, preserving the historical
-// allocate-and-drop behaviour.
+// field and poisoning the ordering key, and counts it on the peer.
 func (p *Peer) freeEvent(ev *Event) {
 	// A twin materialized from the wire (shard.go) leaves the
 	// anti-message resolution table when its lifecycle ends, whether or
 	// not its memory is recycled. Anti-messages are never registered.
 	if m := p.eng.remoteIdx; m != nil && !ev.Anti {
 		delete(m, ev.Seq)
-	}
-	if p.eng.cfg.DisablePooling {
-		return
 	}
 	if ev.state == statePooled {
 		panic("tw: double free of event " + ev.String())
@@ -240,7 +236,7 @@ const (
 // get here with a full list (the inline slot holds their send).
 func (p *Peer) appendSent(list []*Event, ev *Event) []*Event {
 	e := p.eng
-	if len(list) < cap(list) || e.cfg.DisablePooling || e.sharded() {
+	if len(list) < cap(list) || e.sharded() {
 		return append(list, ev)
 	}
 	m := &e.mem
@@ -266,15 +262,12 @@ type stateChunk struct {
 }
 
 // fixStateType fixes the engine's pooled state type: the type of its
-// first LP whose state is a pointer StateCopier, none with pooling
-// disabled. Both engine constructors call it once the LP states are in
-// place, before anything is acquired or released, so an engine built
-// by InitLP, from a capture's spare memory, or from decoded records
-// pools the same type from its first event on.
+// first LP whose state is a pointer StateCopier. Both engine
+// constructors call it once the LP states are in place, before anything
+// is acquired or released, so an engine built by InitLP, from a
+// capture's spare memory, or from decoded records pools the same type
+// from its first event on.
 func (e *Engine) fixStateType() {
-	if e.cfg.DisablePooling {
-		return
-	}
 	for _, lp := range e.lps {
 		t := reflect.TypeOf(lp.state)
 		if _, ok := lp.state.(StateCopier); ok && t.Kind() == reflect.Pointer {
@@ -301,8 +294,8 @@ func (m *memStore) carveSnapshot() StateCopier {
 // pre-execution snapshot. Whether it is a hit or a miss is the LP's
 // own count (lp.pooled), but the memory is the engine's: a state of the
 // pooled type overwrites the newest dead snapshot in the store, else a
-// slot carved from the chunk. A state of another type, one that only
-// Clones, or any state with pooling disabled is Cloned.
+// slot carved from the chunk. A state of another type, or one that only
+// Clones, is Cloned.
 func (p *Peer) acquireSnapshot(lp *LP) State {
 	if lp.pooled > 0 {
 		lp.pooled--
@@ -332,7 +325,7 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 // one of the pooled type goes into the engine's store, and the rest —
 // Clone-only states too — is left for the GC.
 func (p *Peer) releaseSnapshot(lp *LP, st State) {
-	if st == nil || p.eng.cfg.DisablePooling {
+	if st == nil {
 		return
 	}
 	c, ok := st.(StateCopier)

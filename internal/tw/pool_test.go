@@ -10,48 +10,6 @@ import (
 	"ggpdes/internal/telemetry"
 )
 
-// The pooling gold test: recycling event and snapshot memory must not
-// change a single bit of the committed trajectory under a
-// rollback-heavy interleaving.
-func TestPoolingPreservesTrajectories(t *testing.T) {
-	order := []int{0, 0, 0, 0, 0, 1, 3, 2}
-	run := func(disable bool) (uint64, []int, []float64, PeerStats) {
-		eng, err := NewEngine(Config{
-			NumThreads:     4,
-			Model:          &ringModel{lpsPerThread: 4, startPerLP: 2},
-			EndTime:        25,
-			Seed:           777,
-			DisablePooling: disable,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runQuiescent(t, eng, order)
-		if err := eng.CheckInvariants(); err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		committed, counts, sums := collectResults(eng)
-		return committed, counts, sums, eng.TotalStats()
-	}
-	onCommitted, onCounts, onSums, onStats := run(false)
-	offCommitted, offCounts, offSums, offStats := run(true)
-	if onStats.RolledBack == 0 {
-		t.Fatal("run produced no rollbacks; test exercises nothing")
-	}
-	if onCommitted != offCommitted {
-		t.Fatalf("pooled committed %d != unpooled %d", onCommitted, offCommitted)
-	}
-	for i := range onCounts {
-		if onCounts[i] != offCounts[i] || math.Abs(onSums[i]-offSums[i]) > 0 {
-			t.Fatalf("LP %d pooled state (%d, %v) != unpooled (%d, %v)",
-				i, onCounts[i], onSums[i], offCounts[i], offSums[i])
-		}
-	}
-	if onStats != offStats {
-		t.Fatalf("pooled stats %+v != unpooled %+v", onStats, offStats)
-	}
-}
-
 // Pool traffic must actually happen: after a run with rollbacks and
 // fossil collection, the telemetry counters show recycled events being
 // served back out of the freelists.
@@ -81,51 +39,6 @@ func TestPoolCountersShowRecycling(t *testing.T) {
 	}
 	if c[MetricPoolEventMiss] == 0 {
 		t.Fatal("expected warm-up misses before the pools filled")
-	}
-}
-
-// With pooling disabled, nothing must enter the store or any peer's
-// count and the counters must stay zero — the A/B measurement baseline
-// is honest.
-func TestDisablePoolingDisables(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	eng, err := NewEngine(Config{
-		NumThreads:     2,
-		Model:          &ringModel{lpsPerThread: 2, startPerLP: 2},
-		EndTime:        20,
-		Seed:           42,
-		Telemetry:      reg,
-		DisablePooling: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runQuiescent(t, eng, []int{0, 1})
-	eng.FlushPoolStats()
-	c := reg.Counters()
-	if c[MetricPoolEventHit] != 0 || c[MetricPoolEventRecycled] != 0 ||
-		c[MetricPoolStateHit] != 0 || c[MetricPoolStateRecycled] != 0 {
-		t.Fatalf("pooling traffic despite DisablePooling: %v", c)
-	}
-	m := &eng.mem
-	if len(m.events) != 0 || len(m.states) != 0 {
-		t.Fatalf("store non-empty with pooling disabled: %d events, %d snapshots", len(m.events), len(m.states))
-	}
-	// No chunks either: one object per allocation, so the unpooled arm
-	// of every A/B is the plain allocator.
-	if m.eventChunk != nil || m.eventChunkLen != 0 || m.stateChunk.typ != nil || m.stateChunk.len != 0 || m.sentChunk != nil {
-		t.Fatal("carved from a chunk with pooling disabled")
-	}
-	for _, p := range eng.Peers() {
-		if p.pooled != 0 {
-			t.Fatalf("peer %d counts %d freed events with pooling disabled", p.ID, p.pooled)
-		}
-		if ev := p.allocEvent(); cap(ev.sent) != 0 {
-			t.Fatalf("peer %d: unpooled event came with a send list", p.ID)
-		}
-	}
-	if c[MetricPoolEventMiss] == 0 || c[MetricPoolStateMiss] == 0 {
-		t.Fatalf("vacuous: no misses counted: %v", c)
 	}
 }
 
@@ -355,7 +268,7 @@ func (m *movingModel) InitLP(ic *InitCtx, lp *LP) {
 func (m *movingModel) OnEvent(ctx *EventCtx) {
 	ctx.LP().State().(*movingState).n++
 	next := ctx.Now() + 1
-	peer := int(next) / m.window % (ctx.Engine().NumLPs() / m.tokens)
+	peer := int(next) / m.window % (len(ctx.Engine().LPs()) / m.tokens)
 	ctx.Send(peer*m.tokens+ctx.LP().ID%m.tokens, next, 0, 0, 0)
 }
 
@@ -542,41 +455,35 @@ func TestEventLayout(t *testing.T) {
 
 // BenchmarkPoolMiss is what one executed event costs a peer whose pools
 // are empty — the event it sends, that send's slot in its sent list,
-// and the snapshot taken before it ran — from chunks, and from the
-// plain allocator DisablePooling keeps as the reference. As in a run,
+// and the snapshot taken before it ran — from chunks. As in a run,
 // what is allocated stays live: each engine serves a few thousand
 // misses, a benchmark-scale peer's working set, and is then dropped.
 func BenchmarkPoolMiss(b *testing.B) {
 	const perEngine = 4096
-	for _, arm := range []struct {
-		name    string
-		disable bool
-	}{{"chunks", false}, {"DisablePooling", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			var p *Peer
-			var lp *LP
-			live := make([]*Event, perEngine)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if i%perEngine == 0 {
-					b.StopTimer()
-					eng, err := NewEngine(Config{
-						NumThreads: 1, Model: &ringModel{lpsPerThread: 1, startPerLP: 1},
-						EndTime: 10, Seed: 1, DisablePooling: arm.disable,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					p, lp = eng.Peer(0), eng.LPs()[0]
-					b.StartTimer()
+	b.Run("chunks", func(b *testing.B) {
+		var p *Peer
+		var lp *LP
+		live := make([]*Event, perEngine)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%perEngine == 0 {
+				b.StopTimer()
+				eng, err := NewEngine(Config{
+					NumThreads: 1, Model: &ringModel{lpsPerThread: 1, startPerLP: 1},
+					EndTime: 10, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				cause, sent := p.allocEvent(), p.allocEvent()
-				cause.sent = append(cause.sent, sent)
-				cause.saved.state = p.acquireSnapshot(lp)
-				live[i%perEngine] = cause
+				p, lp = eng.Peer(0), eng.LPs()[0]
+				b.StartTimer()
 			}
-		})
-	}
+			cause, sent := p.allocEvent(), p.allocEvent()
+			cause.sent = append(cause.sent, sent)
+			cause.saved.state = p.acquireSnapshot(lp)
+			live[i%perEngine] = cause
+		}
+	})
 }
 
 // BenchmarkPoolRecycle is the hit path: free an event and take one

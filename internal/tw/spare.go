@@ -50,9 +50,9 @@ import (
 // (TestCaptureContinuation, TestStatesRideTheSpareSet). The set is
 // unexported, never serialized, taken by the first engine built from
 // the state, and ignored whole — so that engine decodes its states and
-// pushes its records — unless the engine pools and its model type,
-// thread count and LP count are the harvested one's (fits). The engine
-// that adopts it keeps the set and fills it again at its own capture.
+// pushes its records — unless its model type, thread count and LP
+// count are the harvested one's (fits). The engine that adopts it keeps
+// the set and fills it again at its own capture.
 type spareMemory struct {
 	// model is the harvested engine's model type: states a model of
 	// another type did not create are of no use to it, live or dead.
@@ -82,9 +82,6 @@ type sparePeer struct {
 // capture, arena its LP state bytes and records its pending records.
 // The engine must not be used afterwards.
 func (e *Engine) harvestSpare(st *EngineState, arena []byte, records []EventRecord) *spareMemory {
-	if e.cfg.DisablePooling {
-		return nil
-	}
 	sp := e.spare
 	e.spare = nil
 	if sp == nil {
@@ -113,10 +110,10 @@ func (e *Engine) harvestSpare(st *EngineState, arena []byte, records []EventReco
 
 // fits reports whether the set was harvested from an engine of cfg's
 // shape — the same model type, so every state in it is one cfg's model
-// could have created, and the same thread and LP counts — and cfg
-// recycles at all. A nil set fits nothing.
+// could have created, and the same thread and LP counts. A nil set
+// fits nothing.
 func (sp *spareMemory) fits(cfg Config) bool {
-	return sp != nil && !cfg.DisablePooling && sp.model == reflect.TypeOf(cfg.Model) &&
+	return sp != nil && sp.model == reflect.TypeOf(cfg.Model) &&
 		len(sp.peers) == cfg.NumThreads && len(sp.live) == cfg.NumThreads*cfg.Model.LPsPerThread()
 }
 

@@ -311,9 +311,8 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		return st
 	}
 	for name, vary := range map[string]func(*Config){
-		"same":     func(*Config) {},
-		"unpooled": func(c *Config) { c.DisablePooling = true },
-		"model":    func(c *Config) { c.Model = &mixedRing{*c.Model.(*ringModel)} },
+		"same":  func(*Config) {},
+		"model": func(c *Config) { c.Model = &mixedRing{*c.Model.(*ringModel)} },
 	} {
 		cfg := spareCfg()
 		vary(&cfg)
@@ -323,7 +322,7 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fits := name != "unpooled" && name != "model"
+		fits := name != "model"
 		if events, states := len(eng.mem.events), len(eng.mem.states); (events != 0) != fits || (states != 0) != fits {
 			t.Errorf("%s: engine holds %d spare events, %d spare snapshots", name, events, states)
 		}
@@ -339,15 +338,5 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 		if err := eng.CheckInvariants(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-	cfg := spareCfg()
-	cfg.DisablePooling = true
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRounds(eng, 50)
-	if st, err := eng.Capture(); err != nil || st.spare != nil {
-		t.Fatalf("unpooled capture: spare %v, err %v", st.spare, err)
 	}
 }

@@ -44,7 +44,7 @@ func (m *ringModel) OnEvent(ctx *EventCtx) { ringStep(ctx, ctx.LP().State().(*ri
 func ringStep(ctx *EventCtx, st *ringState) {
 	st.Count++
 	st.Sum += ctx.Now()
-	dst := (ctx.LP().ID + 1) % ctx.Engine().NumLPs()
+	dst := (ctx.LP().ID + 1) % len(ctx.Engine().LPs())
 	delay := 0.1 + ctx.Rand().Exponential(0.9)
 	ctx.Send(dst, ctx.Now()+delay, 0, 0, 0)
 }
@@ -107,8 +107,8 @@ func runQuiescent(t *testing.T, eng *Engine, order []int) VT {
 
 func collectResults(eng *Engine) (committed uint64, counts []int, sums []float64) {
 	s := eng.TotalStats()
-	counts = make([]int, eng.NumLPs())
-	sums = make([]float64, eng.NumLPs())
+	counts = make([]int, len(eng.LPs()))
+	sums = make([]float64, len(eng.LPs()))
 	for i, lp := range eng.LPs() {
 		st := lp.State().(*ringState)
 		counts[i] = st.Count
@@ -145,8 +145,8 @@ func TestDefaultsFilled(t *testing.T) {
 
 func TestBlockMapping(t *testing.T) {
 	eng := newTestEngine(t, 4, 8, 1, 10)
-	if eng.NumLPs() != 32 {
-		t.Fatalf("NumLPs = %d", eng.NumLPs())
+	if len(eng.LPs()) != 32 {
+		t.Fatalf("%d LPs", len(eng.LPs()))
 	}
 	for id, lp := range eng.LPs() {
 		if lp.Owner != id/8 {
@@ -515,10 +515,10 @@ func TestMemoryAccounting(t *testing.T) {
 		p.Drain(cpu)
 		p.ProcessBatch(cpu)
 	}
-	if eng.UncommittedEvents() == 0 || eng.PeakUncommittedEvents() == 0 {
+	if eng.uncommitted == 0 || eng.PeakUncommittedEvents() == 0 {
 		t.Fatal("no memory accounted")
 	}
-	if eng.UncommittedEvents() > eng.PeakUncommittedEvents() {
+	if eng.uncommitted > eng.PeakUncommittedEvents() {
 		t.Fatal("current exceeds peak")
 	}
 	// Current gauge must equal the sum of LP histories.
@@ -527,8 +527,8 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 	// Fossil collection shrinks the gauge to zero at end time.
 	runQuiescent(t, eng, []int{0})
-	if eng.UncommittedEvents() != 0 {
-		t.Fatalf("gauge = %d after full commit", eng.UncommittedEvents())
+	if eng.uncommitted != 0 {
+		t.Fatalf("gauge = %d after full commit", eng.uncommitted)
 	}
 }
 
@@ -540,7 +540,7 @@ func TestMemoryGaugeTracksRollbacks(t *testing.T) {
 		p0.Drain(cpu)
 		p0.ProcessBatch(cpu)
 	}
-	before := eng.UncommittedEvents()
+	before := eng.uncommitted
 	for i := 0; i < 60; i++ {
 		p1.Drain(cpu)
 		p1.ProcessBatch(cpu)

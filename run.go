@@ -280,7 +280,6 @@ func (c Config) twConfig(reg *telemetry.Registry) (twCfg tw.Config, err error) {
 		Seed:           c.Seed,
 		BatchSize:      c.BatchSize,
 		OptimismWindow: c.OptimismWindow,
-		DisablePooling: c.DisablePooling,
 		Telemetry:      reg,
 	}, nil
 }
