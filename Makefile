@@ -74,15 +74,23 @@ perf-ab:
 # threads on 64x4 contexts, 1-4 PHOLD with 128 LPs per thread, Baseline
 # with the wait-free GVT, one OS thread. The -v report ends with the
 # "host" line on stderr (wall time, user CPU, peak RSS). GGSIM runs a
-# prebuilt binary instead of this tree's, e.g. a parent's for an A/B.
-# About 20 s and 1 GB of RSS. Not part of ci.
-#   make paper-point GGSIM=/path/to/parent/ggsim
+# prebuilt binary instead of this tree's. With PARENT=<ref> (a git ref
+# or a directory holding that tree) it is the paired before/after
+# instead: PAIRS alternating runs of the parent's ggsim and this tree's
+# (scripts/paper_point_ab.sh), failing if any report differs from the
+# parent's, then a JSON record each for wall time, user CPU and peak
+# RSS. About 10 s and 0.4 GB of RSS a run. Not part of ci.
+#   make paper-point PARENT=HEAD~1 PAIRS=5
 GGSIM ?=
+PAPER_POINT = -cores 64 -smt 4 -threads 1024 -imbalance 4 -lps 128 \
+	-gvt-freq 200 -optimism 10 -system baseline -gvt async -end 30 -v
 paper-point:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; bin="$(GGSIM)"; \
+	@if [ -n "$(PARENT)" ]; then \
+		FLAGS="$(PAPER_POINT)" GO="$(GO)" sh scripts/paper_point_ab.sh $(PARENT) $(PAIRS); exit $$?; \
+	fi; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; bin="$(GGSIM)"; \
 	if [ -z "$$bin" ]; then bin="$$dir/ggsim"; $(GO) build -o "$$bin" ./cmd/ggsim || exit 1; fi; \
-	GOMAXPROCS=1 "$$bin" -cores 64 -smt 4 -threads 1024 -imbalance 4 -lps 128 \
-		-gvt-freq 200 -optimism 10 -system baseline -gvt async -end 30 -v
+	GOMAXPROCS=1 "$$bin" $(PAPER_POINT)
 
 # Code size, the number the "line count goes down" leg is read from:
 # non-blank, non-comment Go lines per package — non-test files, tests

@@ -149,8 +149,8 @@ func TestHeapHoldsTheQueueKindsReading(t *testing.T) {
 // with each LP's history linked through its events and the snapshots
 // in one store per peer, so that no history or freelist grows a slice
 // per LP, 0.140 and 0.021; with one store per engine behind the same
-// counts 0.102 and 0.016. The ceilings are about 1.25 times 0.140 and
-// 0.021.
+// counts 0.102 and 0.016, and 0.104 and 0.016 with stores that never
+// copy. The ceilings are about 1.25 times 0.104 and 0.016.
 func TestRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
@@ -160,8 +160,8 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 		cfg     Config
 		ceiling float64
 	}{
-		{"traffic-oversub-rollback", benchTrafficCfg(), 0.175},
-		{"phold-sync", benchPholdSyncCfg(), 0.027},
+		{"traffic-oversub-rollback", benchTrafficCfg(), 0.13},
+		{"phold-sync", benchPholdSyncCfg(), 0.020},
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1
@@ -177,6 +177,36 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per committed event exceeds %.3f: a pool miss or a history reaches the allocator again (internal/tw/pool.go, lp.go)",
 				tc.name, perEvent, tc.ceiling)
 		}
+	}
+}
+
+// TestRunBytesPerCommittedEvent is the byte tripwire beside the count
+// for the traffic config: the bytes a whole Run allocates over its
+// committed events. The run is all warm-up — 77k events in flight at
+// peak, and every one of them carved once — so this reads what an
+// in-flight event costs: with a 152-byte Event, a sent-list slot inside
+// it and stores that doubled by copying, 216 bytes (23.4 MB a run);
+// with a 120-byte Event, a sent list linked through the events and
+// stores that never copy, 146 (15.8 MB). The ceiling is about 1.25
+// times 146.
+func TestRunBytesPerCommittedEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const ceiling = 182.0
+	cfg := benchTrafficCfg()
+	cfg.Seed = 1
+	var res *Results
+	var err error
+	_, bytes := allocDuring(func() { res, err = Run(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(bytes) / float64(res.CommittedEvents)
+	t.Logf("traffic-oversub-rollback: %.0f bytes allocated per committed event (ceiling %.0f)", perEvent, ceiling)
+	if perEvent > ceiling {
+		t.Errorf("traffic-oversub-rollback: %.0f bytes allocated per committed event exceeds %.0f: an in-flight event costs more than its 120 bytes and its snapshot again — a larger Event, a send list or a store array that grows by copying (internal/tw/event.go, pool.go)",
+			perEvent, ceiling)
 	}
 }
 
@@ -226,14 +256,15 @@ func runAndResumeMiddle(t *testing.T, dir string) uint64 {
 // state 1.55 and 1.37, with send windows carved from a per-peer chunk
 // 1.07 and 0.96, with the histories linked through their events and
 // one snapshot store per peer 0.57 and 0.32, with the pending heaps
-// handed over sorted and a boundary's arrays reused 0.49 and 0.31, and
-// with one store per engine 0.45 and 0.27. The ceilings are about 1.25
-// times 0.49 and 0.31.
+// handed over sorted and a boundary's arrays reused 0.49 and 0.31, with
+// one store per engine 0.45 and 0.27, and with send lists linked
+// through the events and stores that never copy 0.47 and 0.26. The
+// ceilings are about 1.25 times 0.47 and 0.26.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ckptCeiling, plainCeiling = 0.62, 0.4
+	const ckptCeiling, plainCeiling = 0.59, 0.33
 	dir := t.TempDir()
 	cfg := ckptBenchCfg(dir)
 	var committed uint64
@@ -255,7 +286,7 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	perEvent = float64(mallocs) / float64(plain.CommittedEvents)
 	t.Logf("plain epidemics run: %.3f allocations per committed event (ceiling %.2f)", perEvent, plainCeiling)
 	if perEvent > plainCeiling {
-		t.Errorf("plain epidemics run: %.3f allocations per committed event exceeds %.2f: a household snapshot or a send list reaches the allocator again (internal/models/epidemics.go, appendSent in internal/tw/pool.go)",
+		t.Errorf("plain epidemics run: %.3f allocations per committed event exceeds %.2f: a household snapshot or a store array reaches the allocator again (internal/models/epidemics.go, internal/tw/pool.go)",
 			perEvent, plainCeiling)
 	}
 }
@@ -271,12 +302,13 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 // allocating its capture and its file's bytes anew, this read 538
 // bytes; with the heap handed over sorted and the capture, the arrays
 // and the encode buffer reused, 332; with one pool store per engine,
-// 267. The ceiling is about 1.25 times 332.
+// 267; with a 120-byte Event and stores that never copy, 219. The
+// ceiling is about 1.25 times 219.
 func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ceiling = 415.0
+	const ceiling = 274.0
 	var committed uint64
 	_, bytes := allocDuring(func() { committed = runAndResumeMiddle(t, t.TempDir()) })
 	perEvent := float64(bytes) / float64(committed)

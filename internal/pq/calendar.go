@@ -12,10 +12,10 @@ type CalendarQueue[T any] struct {
 	prio    func(T) float64
 	buckets [][]entry[T]
 	width   float64
-	// cur is the bucket the next Pop search starts from; curYearEnd is
-	// the priority bound of that bucket within the current year.
+	// cur is the bucket the next Pop search starts from and curDay the
+	// day (see day) it stands for in the current year.
 	cur        int
-	curYearEnd float64
+	curDay     float64
 	size       int
 	lastPopped float64
 }
@@ -38,8 +38,7 @@ func (cq *CalendarQueue[T]) resize(nbuckets int, width float64) {
 	cq.width = width
 	cq.size = 0
 	start := cq.lastPopped
-	cq.cur = cq.bucketOf(start)
-	cq.curYearEnd = (math.Floor(start/width) + 1) * width
+	cq.cur, cq.curDay = cq.bucketOf(start), cq.day(start)
 	for _, b := range old {
 		for _, e := range b {
 			cq.insert(e)
@@ -47,8 +46,15 @@ func (cq *CalendarQueue[T]) resize(nbuckets int, width float64) {
 	}
 }
 
+// day is the number of whole bucket widths below p: the bucket p goes
+// to is its day modulo the bucket count, and findMin takes an entry from
+// the bucket it scans only on or before the day the scan has reached.
+// Both read the one floor, so rounding cannot file an entry on one day
+// and look for it on another.
+func (cq *CalendarQueue[T]) day(p float64) float64 { return math.Floor(p / cq.width) }
+
 func (cq *CalendarQueue[T]) bucketOf(p float64) int {
-	i := int(math.Floor(p/cq.width)) % len(cq.buckets)
+	i := int(cq.day(p)) % len(cq.buckets)
 	if i < 0 {
 		i += len(cq.buckets)
 	}
@@ -89,8 +95,7 @@ func (cq *CalendarQueue[T]) Push(item T) {
 		// Out-of-order insertion (rollback re-insertion): rewind the
 		// search cursor so the item is not skipped.
 		cq.lastPopped = p
-		cq.cur = cq.bucketOf(p)
-		cq.curYearEnd = (math.Floor(p/cq.width) + 1) * cq.width
+		cq.cur, cq.curDay = cq.bucketOf(p), cq.day(p)
 	}
 	cq.insert(entry[T]{p, item})
 	if cq.size > 2*len(cq.buckets) {
@@ -149,8 +154,7 @@ func (cq *CalendarQueue[T]) Pop() (T, bool) {
 	cq.buckets[idx] = b[:len(b)-1]
 	cq.size--
 	cq.lastPopped = e.p
-	cq.cur = idx
-	cq.curYearEnd = (math.Floor(cq.lastPopped/cq.width) + 1) * cq.width
+	cq.cur, cq.curDay = idx, cq.day(e.p)
 	if cq.size > 4 && cq.size < len(cq.buckets)/2 {
 		cq.resize(len(cq.buckets)/2, cq.newWidth())
 	}
@@ -162,15 +166,14 @@ func (cq *CalendarQueue[T]) Pop() (T, bool) {
 // direct search after a full fruitless year.
 func (cq *CalendarQueue[T]) findMin() int {
 	n := len(cq.buckets)
-	idx := cq.cur
-	yearEnd := cq.curYearEnd
+	idx, day := cq.cur, cq.curDay
 	for i := 0; i < n; i++ {
 		b := cq.buckets[idx]
-		if len(b) > 0 && b[len(b)-1].p < yearEnd {
+		if len(b) > 0 && cq.day(b[len(b)-1].p) <= day {
 			return idx
 		}
 		idx = (idx + 1) % n
-		yearEnd += cq.width
+		day++
 	}
 	// Direct search: find the globally minimal bucket minimum.
 	best := -1

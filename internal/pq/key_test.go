@@ -237,3 +237,29 @@ func BenchmarkHold(b *testing.B) {
 		}
 	}
 }
+
+// An entry goes to the bucket of its day, floor(p / width), and the
+// calendar scan takes it on that day. When the scan's bound was a year
+// end it kept adding widths to, rounding could put the bound at or below
+// an entry just under a day boundary: the scan passed the entry by and
+// took a later one from the next bucket. This push order (found by
+// TestQuickAllKindsMatchReference) popped 6847.71 before 6814.57.
+func TestCalendarFindsEntriesOnTheirDay(t *testing.T) {
+	raw := []uint16{0x4e77, 0x7380, 0xcfb0, 0xe131, 0xc620, 0x27e0, 0x83e5, 0x3e74, 0x68fc, 0x62ff,
+		0x926f, 0x740b, 0x4a81, 0x708e, 0x57f3, 0x9d27, 0x726d, 0x115f, 0xbeff, 0xceaf, 0xd926, 0xfba9,
+		0xa1da, 0x98ac, 0xbdea, 0xba56, 0x9e7e, 0x76ad, 0xdbc4, 0x696f, 0xe351, 0x1dff, 0x19f7, 0x9e6c,
+		0x9a16, 0x5632, 0xa499, 0xbb3e, 0x742b, 0x2f68}
+	cal, ref := New[ev](Calendar, evLess, evPrio), New[ev](Heap, evLess, evPrio)
+	for i, v := range raw {
+		e := ev{ts: float64(v) / 7, seq: i}
+		cal.Push(e)
+		ref.Push(e)
+	}
+	for i := range raw {
+		got, _ := cal.Pop()
+		want, _ := ref.Pop()
+		if got != want {
+			t.Fatalf("pop %d: calendar popped %v, heap %v", i, got, want)
+		}
+	}
+}

@@ -152,3 +152,11 @@ func (s *Stream) Save() State { return State{State: s.state, Inc: s.inc} }
 
 // Restore rewinds the generator to a previously saved state.
 func (s *Stream) Restore(st State) { s.state, s.inc = st.State, st.Inc }
+
+// Pos returns the generator's position within its stream: what Save
+// returns less the stream selector, which never changes after Seed.
+func (s *Stream) Pos() uint64 { return s.state }
+
+// Seek moves the generator to a position Pos returned on the same
+// stream, keeping the selector.
+func (s *Stream) Seek(pos uint64) { s.state = pos }

@@ -192,6 +192,33 @@ func TestSaveRestore(t *testing.T) {
 	}
 }
 
+// Seek(Pos()) changes nothing, and a Seek back to a saved position
+// replays the same draws on the same stream: the selector is not part
+// of the position and no Seek touches it.
+func TestSeekPos(t *testing.T) {
+	s := New(99, 4)
+	s.Uint64()
+	before := s.Save()
+	s.Seek(s.Pos())
+	if s.Save() != before {
+		t.Fatalf("Seek(Pos()) moved the stream: %+v -> %+v", before, s.Save())
+	}
+	pos := s.Pos()
+	want := make([]uint64, 32)
+	for i := range want {
+		want[i] = s.Uint64()
+	}
+	s.Seek(pos)
+	if s.Save() != before {
+		t.Fatalf("Seek back to a saved position left %+v, want %+v", s.Save(), before)
+	}
+	for i := range want {
+		if got := s.Uint64(); got != want[i] {
+			t.Fatalf("replay diverged at %d: got %d want %d", i, got, want[i])
+		}
+	}
+}
+
 // Property: Intn stays in bounds for arbitrary seeds and sizes.
 func TestQuickIntnInBounds(t *testing.T) {
 	f := func(seed, sel uint64, nRaw uint16) bool {

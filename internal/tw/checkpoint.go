@@ -201,7 +201,7 @@ func (e *Engine) encodeLPs(cm CheckpointModel, recs []LPRecord, arena []byte) ([
 		}
 		// Until the arena stops moving, a record's State only carries its
 		// end offset, as its length.
-		recs[i] = LPRecord{State: arena, Rng: lp.rand.Save(), LVT: lp.lvt}
+		recs[i] = LPRecord{State: arena, Rng: lp.rand.Save(), LVT: lp.LVT()}
 	}
 	start := 0
 	for i := range recs {
@@ -326,7 +326,7 @@ func NewEngineFromState(cfg Config, st *EngineState) (*Engine, error) {
 			lp.state = state
 		}
 		lp.rand.Restore(rec.Rng)
-		lp.lvt = rec.LVT
+		lp.clvt = rec.LVT
 	}
 	eng.fixStateType()
 	for i, p := range eng.peers {

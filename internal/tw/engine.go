@@ -382,7 +382,7 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 	ev.Kind = kind
 	ev.A = a
 	ev.B = b
-	cause.sent = from.appendSent(cause.sent, ev)
+	ev.sib, cause.sent = cause.sent, ev
 	dstPeer := e.peers[e.lps[dst].Owner]
 	if dstPeer == from {
 		// Same-thread delivery goes straight to the pending set, as in
@@ -435,14 +435,19 @@ func (e *Engine) TotalStats() PeerStats {
 func (e *Engine) CheckInvariants() error {
 	// Pool sweep: the store must hold only recycled, unlinked events,
 	// and no live container may hold one (use-after-recycle in either
-	// direction).
-	for i, ev := range e.mem.events {
-		if ev == nil {
-			return fmt.Errorf("store entry %d is nil", i)
+	// direction). The walk stops at the store's count, so an event
+	// linked in twice — a cycle — fails it instead of hanging it.
+	n := 0
+	for ev := e.mem.events; ev != nil; ev = ev.next {
+		if n++; n > e.mem.nEvents {
+			return fmt.Errorf("store links more events than its count %d", e.mem.nEvents)
 		}
-		if ev.state != statePooled || ev.prev != nil || ev.next != nil {
+		if ev.state != statePooled || ev.prev != nil || ev.sent != nil || ev.sib != nil {
 			return fmt.Errorf("store holds live event %v", ev)
 		}
+	}
+	if n != e.mem.nEvents {
+		return fmt.Errorf("store links %d events, its count %d", n, e.mem.nEvents)
 	}
 	histories := 0
 	for _, p := range e.peers {
@@ -499,13 +504,14 @@ func (e *Engine) checkHistory(lp *LP) error {
 		if ev.Dst != lp.ID {
 			return fmt.Errorf("history holds foreign event %v", ev)
 		}
-		// Sent entries of events that can still roll back (at or above
-		// GVT) must be live: a rollback would dereference them. Below
-		// GVT a dangling pointer to an already-recycled event is benign —
-		// the reference discipline guarantees it is only ever cleared.
+		// The sent lists of events that can still roll back (at or above
+		// GVT) must hold only live events: a rollback walks them. Below
+		// GVT a list may run through an already-recycled event, which is
+		// benign — the reference discipline guarantees it is never
+		// walked again.
 		if ev.Ts >= e.gvt {
-			for _, s := range ev.sent {
-				if s != nil && s.state == statePooled {
+			for s := ev.sent; s != nil; s = s.sib {
+				if s.state == statePooled {
 					return fmt.Errorf("event %v sent list holds recycled %v", ev, s)
 				}
 			}

@@ -68,9 +68,10 @@ func (s EventState) String() string {
 //
 // The fields every queue walk, drain and commit reads — the ordering
 // key, the destination, the lifecycle state, an anti-message's target —
-// come first and share the event's first cache line (TestEventLayout
-// pins it); the history links and the rollback bookkeeping only
-// execution touches follow.
+// come first and fill the event's first cache line (TestEventLayout
+// pins it); the links and the rollback bookkeeping only execution
+// touches follow. Every one of them is a word or a pointer: the event
+// is 120 bytes, and a 64-event chunk is 7,680.
 type Event struct {
 	// Ts is the virtual time at which the event takes effect.
 	Ts VT
@@ -89,19 +90,17 @@ type Event struct {
 	A, B int64
 
 	// prev and next link a processed event into its LP's history (see
-	// LP); both are nil everywhere else.
+	// LP); a dead event in the engine's store is linked through next
+	// (pool.go). Both are nil everywhere else.
 	prev, next *Event
 	// saved holds the destination LP state from just before this event
 	// was processed, for rollback.
 	saved Snapshot
-	// sent lists events this event's execution sent, for unsending.
-	sent []*Event
-	// inline is what a chunk-carved event's sent list starts out
-	// aliasing (pool.go), so an event's first send does not reach the
-	// allocator; a list that outgrows it moves to a window of the
-	// peer's chunk (appendSent) and the slot goes unused. One slot, not
-	// two: PHOLD's and Traffic's handlers send one event each.
-	inline [1]*Event
+	// sent is the newest of the events this event's execution sent, for
+	// unsending; sib links each of them to the one its cause sent
+	// before it. The list is intrusive, so a send costs no memory of
+	// its own.
+	sent, sib *Event
 }
 
 // State returns the event's lifecycle state.

@@ -13,9 +13,10 @@ import (
 // An LP's linked history behaves exactly like the plain slice it
 // replaced: random executions, straggler rollbacks and fossil
 // collections, through the engine's own rollback and FossilCollect,
-// leave the same events in the same order, report the same counts, and
-// answer the straggler test the same way as a slice reference driven
-// by the same operations.
+// leave the same events in the same order, report the same counts and
+// LVT — the newest event's timestamp, else the last committed one's —
+// and answer the straggler test the same way as a slice reference
+// driven by the same operations.
 func TestHistoryMatchesSliceReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -30,7 +31,7 @@ func TestHistoryMatchesSliceReference(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			cpu := &fakeCPU{}
 			var ref []*Event
-			var gvt VT
+			var gvt, committed VT
 			// key draws a timestamp at or above lo on a coarse grid, so that
 			// ties broken by Seq are common.
 			key := func(lo VT) *Event {
@@ -67,7 +68,7 @@ func TestHistoryMatchesSliceReference(t *testing.T) {
 					eng.gvt = gvt
 					want := 0
 					for len(ref) > 0 && ref[0].Ts < gvt {
-						ref = ref[1:]
+						committed, ref = ref[0].Ts, ref[1:]
 						want++
 					}
 					if got := p.FossilCollect(cpu, gvt); got != want {
@@ -87,6 +88,13 @@ func TestHistoryMatchesSliceReference(t *testing.T) {
 				if i != len(ref) || lp.n != len(ref) || eng.uncommitted != len(ref) {
 					t.Fatalf("step %d: history holds %d (count %d, engine %d), reference %d",
 						step, i, lp.n, eng.uncommitted, len(ref))
+				}
+				lvt := committed
+				if len(ref) > 0 {
+					lvt = ref[len(ref)-1].Ts
+				}
+				if lp.LVT() != lvt {
+					t.Fatalf("step %d: LVT %v, want %v", step, lp.LVT(), lvt)
 				}
 				probe := key(gvt)
 				probe.Seq = uint64(rnd.Int63n(int64(eng.seq) + 1))
@@ -211,7 +219,7 @@ func TestSecondStateTypeKeepsCloneAndCounts(t *testing.T) {
 	if typ := mixed.mem.stateChunk.typ; typ != reflect.TypeOf(&ringState{}) {
 		t.Fatalf("engine pools %v", typ)
 	}
-	for _, s := range mixed.mem.states {
+	for _, s := range mixed.mem.deadStates() {
 		if _, ok := s.(*ringState); !ok {
 			t.Fatalf("store holds a %T", s)
 		}

@@ -21,7 +21,11 @@ type LP struct {
 
 	state State
 	rand  rng.Stream
-	lvt   VT
+	// clvt is the LVT at the committed cut: the timestamp of the last
+	// event fossil collection committed, or the LVT the LP was restored
+	// with. While the history is not empty the LVT is last's timestamp
+	// instead (LVT), so a rollback restores it by unlinking.
+	clvt VT
 	// head and last are the history's ends, nil when it is empty; n
 	// counts the events between them. lastTs and lastSeq are last's
 	// (Ts, Seq) while there is a last.
@@ -93,7 +97,12 @@ func (lp *LP) SetState(s State) { lp.state = s }
 
 // LVT returns the LP's local virtual time (timestamp of the last
 // processed event).
-func (lp *LP) LVT() VT { return lp.lvt }
+func (lp *LP) LVT() VT {
+	if lp.last != nil {
+		return lp.lastTs
+	}
+	return lp.clvt
+}
 
 // Rand returns the LP's random stream (valid after engine init).
 func (lp *LP) Rand() *rng.Stream { return &lp.rand }

@@ -31,11 +31,14 @@ type StateCopier interface {
 }
 
 // Snapshot couples an LP state copy with its RNG position; restoring
-// both makes re-execution after a rollback bit-identical.
+// both makes re-execution after a rollback bit-identical. The LP's
+// stream selector never changes after Seed, so only the position is
+// saved, and its LVT before the event is the timestamp of the event
+// before it in the history, or the committed LVT (LP.clvt), so that is
+// not saved at all.
 type Snapshot struct {
 	state State
-	rng   rng.State
-	lvt   VT
+	pos   uint64
 }
 
 // CPU abstracts the simulated processor's cost accounting; the

@@ -34,9 +34,7 @@ func (e *Engine) FillSeriesPoint(pt *telemetry.SeriesPoint) {
 	for i, p := range e.peers {
 		lvt := 0.0
 		for _, lp := range p.lps {
-			if lp.lvt > lvt {
-				lvt = lp.lvt
-			}
+			lvt = max(lvt, lp.LVT())
 		}
 		pt.ThreadLVTs[i] = lvt
 		queued += p.pending.Len() + len(p.inq)

@@ -449,13 +449,13 @@ func (p *Peer) rollback(lp *LP, upto *Event) int {
 	count := 0
 	for lp.last != nil && !lp.last.before(upto) {
 		last := lp.pop()
-		p.unsend(last)
+		p.unsend(last.sent, last.Dst)
+		last.sent = nil
 		// The snapshot becomes the live state; the displaced live state
 		// is dead and feeds the snapshot pool.
 		p.releaseSnapshot(lp, lp.state)
 		lp.state = last.saved.state
-		lp.rand.Restore(last.saved.rng)
-		lp.lvt = last.saved.lvt
+		lp.rand.Seek(last.saved.pos)
 		last.saved = Snapshot{}
 		last.state = StatePending
 		p.pending.Push(last)
@@ -508,14 +508,15 @@ func (p *Peer) sendAnti(s *Event, src int) {
 	p.noteSent(s.Ts)
 }
 
-// unsend issues anti-messages for every event ev's execution sent,
-// leaving the cleared sent backing array in place for reuse.
-func (p *Peer) unsend(ev *Event) {
-	for i, s := range ev.sent {
-		ev.sent[i] = nil
-		p.sendAnti(s, ev.Dst)
+// unsend issues anti-messages on behalf of LP src for s and the events
+// sent before it — a cause's sent list, which is newest first — in the
+// order they were sent, unlinking each.
+func (p *Peer) unsend(s *Event, src int) {
+	if s != nil {
+		p.unsend(s.sib, src)
+		s.sib = nil
+		p.sendAnti(s, src)
 	}
-	ev.sent = ev.sent[:0]
 }
 
 // ProcessBatch speculatively executes up to the engine's batch size of
@@ -543,11 +544,10 @@ func (p *Peer) ProcessBatch(cpu CPU) int {
 		if lp.straggles(ev) {
 			panic(fmt.Sprintf("tw: out-of-order execution of %v after %v", ev, lp.last))
 		}
-		ev.saved = Snapshot{state: p.acquireSnapshot(lp), rng: lp.rand.Save(), lvt: lp.lvt}
+		ev.saved = Snapshot{state: p.acquireSnapshot(lp), pos: lp.rand.Pos()}
 		cycles += costs.EventCycles + costs.StateSaveCycles
 		ev.state = StateProcessed
 		lp.push(ev)
-		lp.lvt = ev.Ts
 		eng.noteProcessed(1)
 		p.evCtx = EventCtx{eng: eng, peer: p, lp: lp, ev: ev}
 		eng.cfg.Model.OnEvent(&p.evCtx)
@@ -657,11 +657,11 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 		for lp.head != nil && lp.head.Ts < gvt {
 			ev := lp.shift()
 			ev.state = StateCommitted
+			lp.clvt = ev.Ts
 			p.eng.cfg.onCommit(ev)
 			p.releaseSnapshot(lp, ev.saved.state)
-			// The event's own sent list and struct are recycled whole;
-			// a cause still holding a pointer to ev sits below GVT too
-			// and will only ever clear, never dereference, it.
+			// A cause whose sent list still runs through ev sits below
+			// GVT too and will never walk it again.
 			p.freeEvent(ev)
 			total++
 		}

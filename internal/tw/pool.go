@@ -17,10 +17,13 @@ import (
 // digest, record these counts, so neither may move: counting per engine
 // instead, or counting snapshots per peer, moves them all.
 //
-// Memory: the engine's. The engine keeps one store of dead events, one
-// of dead snapshots of its pooled state type, and one set of chunks.
-// Every allocation, hit or miss, takes the newest dead object from the
-// store and carves only when the store is empty. A pool only hands back
+// Memory: the engine's. The engine keeps one store of dead events,
+// linked through their own next field, one of dead snapshots of its
+// pooled state type, a stack of fixed-size blocks, and one set of
+// chunks. Every allocation, hit or miss, takes the newest dead object
+// from the store and carves only when the store is empty. Neither store
+// is an array that doubles by copying: at traffic's 77k in flight the
+// two left about 6 MB of arrays and garbage a run. A pool only hands back
 // what fossil collection has already fed it, so a run misses until its
 // in-flight set — pending, processed-but-uncommitted, in transit — has
 // been built once; the benchmark's traffic-oversub-rollback config at
@@ -37,14 +40,13 @@ import (
 // about as much as its live set (TestMovingLoadCarvesItsLiveSet).
 //
 // Chunk: a carve takes a slot from a chunk (see carveEvent,
-// carveSnapshot), the event's first send lands in a slot of the event
-// itself, and a sent list that outgrows that slot takes its windows
-// from a chunk too (appendSent: Epidemics' infectious course sends a
-// recovery and several contacts per handler, and growslice under send
-// was a third of what its runs still allocated). What a carve costs the
-// allocator is a chunk every chunkMax objects: whole-run mallocs per
-// committed event on that traffic config went 2.96 → 0.17 when chunks
-// replaced one heap object per miss. Nothing switches recycling or the
+// carveSnapshot). A send costs nothing beyond its event: the cause's
+// sent list is linked through the sent events' own sib fields (event.go),
+// so Epidemics' handlers, which send a recovery and several contacts
+// each, grow no list. What a carve costs the allocator is a chunk every
+// chunkMax objects: whole-run mallocs per committed event on that
+// traffic config went 2.96 → 0.17 when chunks replaced one heap object
+// per miss. Nothing switches recycling or the
 // chunks off: what checks them is the sequential reference executor
 // (seq_test.go), whose committed trajectory a pooled run must reproduce
 // event for event (oracle_test.go).
@@ -52,10 +54,12 @@ import (
 // Recycling is safe at exactly the points used here because of the
 // engine's reference discipline:
 //
-//   - A committed event can still be referenced by its cause's sent
-//     list (the cause may commit later in the same GVT round on another
-//     peer), but sent lists are only *dereferenced* during rollback and
-//     the cause sits below GVT, where rollback is impossible.
+//   - A committed event can still be linked into its cause's sent list
+//     (the cause may commit later in the same GVT round on another
+//     peer), and the list runs on through the event's own sib, which
+//     its next life overwrites. But sent lists are only walked during
+//     rollback, the cause sits below GVT, where rollback is impossible,
+//     and freeing the cause drops the list's head without a walk.
 //   - A cancelled event is freed only when a queue lazily drops it; by
 //     then the annihilating anti-message has been consumed and the
 //     sender removed it from its sent list.
@@ -101,33 +105,64 @@ type poolStats struct {
 	stateHit, stateMiss, stateRecycled uint64
 }
 
-// memStore is the engine's dead memory and the chunks behind it.
+// memStore is the engine's dead memory and the chunks behind it. Dead
+// events are linked through their own next field, newest first, so
+// freeing or reusing one touches nothing but the event; dead snapshots
+// sit on a stack of fixed-size blocks. Neither store grows by copying.
 type memStore struct {
-	events []*Event      // dead and poisoned
-	states []StateCopier // dead snapshots of the pooled state type
+	events  *Event // the newest dead event, poisoned; nil when none
+	nEvents int    // the events linked from events (CheckInvariants)
+	states  snapStack
 	// The chunks a carve takes from; eventChunkLen is the length the
-	// current event chunk was made with. sentChunk is what a sent list
-	// that has outgrown its event's inline slot takes its window from.
+	// current event chunk was made with.
 	eventChunk    []Event
 	eventChunkLen int
 	stateChunk    stateChunk
-	sentChunk     []*Event
 }
 
-// push appends v to a store, doubling its array when it is full:
-// append's 1.25x growth past 256 entries leaves about four times the
-// store's final size behind as garbage.
-func push[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		s = append(make([]T, 0, max(2*cap(s), chunkMax)), s...)
+// putEvent poisons a dead event and links it into the store.
+func (m *memStore) putEvent(ev *Event) {
+	ev.poison()
+	ev.next, m.events = m.events, ev
+	m.nEvents++
+}
+
+// snapBlockLen is how many dead snapshots one block of the snapshot
+// store holds: 16 KB of interface values.
+const snapBlockLen = 1024
+
+// snapStack is the engine's dead snapshots, the newest last, in blocks
+// that are never moved or freed: the stack allocates one block per
+// snapBlockLen entries it has ever held at once and copies no entry.
+// Only its directory of block pointers, 8 bytes a block, grows by
+// append.
+type snapStack struct {
+	blocks []*[snapBlockLen]StateCopier
+	n      int
+}
+
+func (s *snapStack) push(c StateCopier) {
+	if s.n == len(s.blocks)*snapBlockLen {
+		s.blocks = append(s.blocks, new([snapBlockLen]StateCopier))
 	}
-	return append(s, v)
+	s.blocks[s.n/snapBlockLen][s.n%snapBlockLen] = c
+	s.n++
+}
+
+// pop returns the newest dead snapshot, nil when there is none.
+func (s *snapStack) pop() StateCopier {
+	if s.n == 0 {
+		return nil
+	}
+	s.n--
+	b, i := s.blocks[s.n/snapBlockLen], s.n%snapBlockLen
+	c := b[i]
+	b[i] = nil
+	return c
 }
 
 // allocEvent returns a zeroed event, counted against the peer's
-// logical freelist. Callers must assign every field they need; alloc
-// clears all of them except the sent backing array, whose capacity is
-// the point of recycling.
+// logical freelist. Callers must assign every field they need.
 func (p *Peer) allocEvent() *Event {
 	if p.pooled > 0 {
 		p.pooled--
@@ -137,19 +172,18 @@ func (p *Peer) allocEvent() *Event {
 	}
 	e := p.eng
 	m := &e.mem
-	n := len(m.events)
-	if n == 0 {
+	ev := m.events
+	if ev == nil {
 		if e.sharded() {
 			return &Event{}
 		}
 		return m.carveEvent()
 	}
-	ev := m.events[n-1]
-	m.events[n-1] = nil
-	m.events = m.events[:n-1]
 	if ev.state != statePooled {
 		panic("tw: corrupted event store: " + ev.String())
 	}
+	m.events, ev.next = ev.next, nil
+	m.nEvents--
 	ev.state = StateInQueue
 	ev.Ts = 0
 	return ev
@@ -167,24 +201,20 @@ func (p *Peer) freeEvent(ev *Event) {
 	if ev.state == statePooled {
 		panic("tw: double free of event " + ev.String())
 	}
-	ev.poison()
 	p.pooled++
 	p.pool.eventRecycled++
-	p.eng.mem.events = push(p.eng.mem.events, ev)
+	p.eng.mem.putEvent(ev)
 }
 
-// poison resets every field of a dead event, keeping only the emptied
-// sent backing array, and marks it pooled with an ordering key that
-// sorts nowhere valid.
+// poison resets every field of a dead event and marks it pooled with
+// an ordering key that sorts nowhere valid.
 func (ev *Event) poison() {
-	clear(ev.sent)
-	ev.sent = ev.sent[:0]
-	ev.inline[0] = nil // stale once sent has outgrown it
 	ev.Ts, ev.state = math.Inf(-1), statePooled
 	ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.Anti, ev.Target = 0, 0, 0, 0, false, nil
 	ev.A, ev.B = 0, 0
 	ev.prev, ev.next = nil, nil
 	ev.saved = Snapshot{}
+	ev.sent, ev.sib = nil, nil
 }
 
 // Chunks. An allocation that finds the store empty is served from a
@@ -199,7 +229,7 @@ func (ev *Event) poison() {
 // (shard.go) — the collector takes them one by one once their cause
 // lets go — and inside a chunk whose other events cycle through the
 // store for the rest of the run each would be a slot lost for good,
-// 152 bytes per cross-shard send. Snapshots and queue nodes never
+// 120 bytes per cross-shard send. Snapshots and queue nodes never
 // leave their engine, so workers carve those like anyone else.
 const (
 	chunkMin = 8
@@ -208,8 +238,7 @@ const (
 
 func nextChunkLen(prev int) int { return min(max(2*prev, chunkMin), chunkMax) }
 
-// carveEvent returns a zero event from the event chunk, its sent list
-// aliasing its own inline array.
+// carveEvent returns a zero event from the event chunk.
 func (m *memStore) carveEvent() *Event {
 	if len(m.eventChunk) == 0 {
 		m.eventChunkLen = nextChunkLen(m.eventChunkLen)
@@ -217,38 +246,7 @@ func (m *memStore) carveEvent() *Event {
 	}
 	ev := &m.eventChunk[0]
 	m.eventChunk = m.eventChunk[1:]
-	ev.sent = ev.inline[:0]
 	return ev
-}
-
-// sentWindowMin is the capacity a sent list gets when it outgrows the
-// event's inline slot; sentChunkLen is how many list slots the engine
-// asks the allocator for at a time.
-const (
-	sentWindowMin = 4
-	sentChunkLen  = 256
-)
-
-// appendSent appends ev to a cause's sent list. A full list takes its
-// next window — sentWindowMin slots, then double what it had — from the
-// engine's chunk rather than from the allocator, and keeps it across
-// recycling like any other backing array. Handlers that send once never
-// get here with a full list (the inline slot holds their send).
-func (p *Peer) appendSent(list []*Event, ev *Event) []*Event {
-	e := p.eng
-	if len(list) < cap(list) || e.sharded() {
-		return append(list, ev)
-	}
-	m := &e.mem
-	n := max(sentWindowMin, 2*cap(list))
-	if len(m.sentChunk) < n {
-		m.sentChunk = make([]*Event, max(n, sentChunkLen))
-	}
-	window := m.sentChunk[:len(list):n]
-	m.sentChunk = m.sentChunk[n:]
-	copy(window, list)
-	clear(list)
-	return append(window, ev)
 }
 
 // stateChunk is the engine's snapshot chunk: a slice of the element
@@ -307,12 +305,8 @@ func (p *Peer) acquireSnapshot(lp *LP) State {
 	if reflect.TypeOf(lp.state) != m.stateChunk.typ {
 		return lp.state.Clone()
 	}
-	var dst StateCopier
-	if n := len(m.states); n > 0 {
-		dst = m.states[n-1]
-		m.states[n-1] = nil
-		m.states = m.states[:n-1]
-	} else {
+	dst := m.states.pop()
+	if dst == nil {
 		dst = m.carveSnapshot()
 	}
 	dst.CopyFrom(lp.state)
@@ -335,7 +329,7 @@ func (p *Peer) releaseSnapshot(lp *LP, st State) {
 	lp.pooled++
 	p.pool.stateRecycled++
 	if m := &p.eng.mem; reflect.TypeOf(st) == m.stateChunk.typ {
-		m.states = push(m.states, c)
+		m.states.push(c)
 	}
 }
 

@@ -5,10 +5,29 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ggpdes/internal/telemetry"
 )
+
+// deadEvents lists the store's dead events, newest first.
+func (m *memStore) deadEvents() []*Event {
+	var evs []*Event
+	for ev := m.events; ev != nil && len(evs) < m.nEvents; ev = ev.next {
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// deadStates lists the store's dead snapshots, newest first.
+func (m *memStore) deadStates() []StateCopier {
+	var sts []StateCopier
+	for i := m.states.n - 1; i >= 0; i-- {
+		sts = append(sts, m.states.blocks[i/snapBlockLen][i%snapBlockLen])
+	}
+	return sts
+}
 
 // Pool traffic must actually happen: after a run with rollbacks and
 // fossil collection, the telemetry counters show recycled events being
@@ -66,7 +85,8 @@ func TestPoolUseAfterRecycleDetected(t *testing.T) {
 		eng := newTestEngine(t, 1, 1, 1, 10)
 		p := eng.Peer(0)
 		live := p.allocEvent()
-		eng.mem.events = append(eng.mem.events, live) // not via freeEvent: still live
+		live.next, eng.mem.events = eng.mem.events, live // not via freeEvent: still live
+		eng.mem.nEvents++
 		if err := eng.CheckInvariants(); err == nil {
 			t.Fatal("CheckInvariants missed a live event in the store")
 		}
@@ -76,6 +96,23 @@ func TestPoolUseAfterRecycleDetected(t *testing.T) {
 			}
 		}()
 		p.allocEvent()
+	})
+	t.Run("linked-twice", func(t *testing.T) {
+		eng := newTestEngine(t, 1, 1, 1, 10)
+		p := eng.Peer(0)
+		ev := p.allocEvent()
+		p.freeEvent(ev)
+		eng.mem.putEvent(ev) // a second time: ev now links to itself
+		done := make(chan error, 1)
+		go func() { done <- eng.CheckInvariants() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("CheckInvariants missed an event linked into the store twice")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("CheckInvariants does not return on a cyclic store")
+		}
 	})
 	t.Run("pooled-in-input-queue", func(t *testing.T) {
 		eng := newTestEngine(t, 1, 1, 1, 10)
@@ -89,8 +126,45 @@ func TestPoolUseAfterRecycleDetected(t *testing.T) {
 	})
 }
 
-// Recycled events must come back fully reset: stale payload, targets or send lists leaking across lifetimes would be a
-// silent correctness bug, so the pool poisons and clears everything.
+// A rollback unsends in the order the sends were made: the cause's sent
+// list is newest first, and unsend recurses to its oldest event before
+// it sends any anti-message. The
+// order shows in the anti-messages' sequence numbers and their places
+// in the receiving input queue; walked newest first, no oracle case and
+// only one count pinned at seed 7 (TestHeapHoldsTheQueueKindsReading)
+// noticed.
+func TestUnsendFollowsSendOrder(t *testing.T) {
+	eng := newTestEngine(t, 2, 1, 0, 100)
+	p, lp, dst := eng.Peer(0), eng.LPs()[0], eng.Peer(1)
+	cause := p.allocEvent()
+	cause.Ts, cause.Seq, cause.state = 1, eng.nextSeq(), StateProcessed
+	cause.saved.state = p.acquireSnapshot(lp)
+	lp.push(cause)
+	eng.noteProcessed(1)
+	for i := 0; i < 4; i++ {
+		eng.send(p, cause, 1, VT(2+i), 0, int64(i), 0)
+	}
+	sent := append([]*Event(nil), dst.inq...)
+	if p.rollback(lp, cause) != 1 || cause.sent != nil {
+		t.Fatal("the rollback did not undo the cause and empty its sent list")
+	}
+	antis := dst.inq[len(sent):]
+	if len(sent) != 4 || len(antis) != 4 {
+		t.Fatalf("%d sends and %d anti-messages in the input queue, want 4 and 4", len(sent), len(antis))
+	}
+	for i, anti := range antis {
+		if !anti.Anti || anti.Target != sent[i] || sent[i].sib != nil || i > 0 && anti.Seq <= antis[i-1].Seq {
+			t.Fatalf("anti-message %d is %v for %v (sib %v), want one for send %d in send order", i, anti, anti.Target, sent[i].sib, i)
+		}
+	}
+	if err := eng.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Recycled events must come back fully reset: stale payload, targets or
+// send-list links leaking across lifetimes would be a silent
+// correctness bug, so the pool poisons and clears everything.
 func TestPoolResetsRecycledEvents(t *testing.T) {
 	eng := newTestEngine(t, 1, 1, 1, 10)
 	p := eng.Peer(0)
@@ -99,7 +173,7 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 	ev.A, ev.B = 11, 22
 	ev.Anti = true
 	ev.Target = &Event{}
-	ev.sent = append(ev.sent, &Event{})
+	ev.sent, ev.sib = &Event{}, &Event{}
 	ev.state = StateInQueue
 	p.freeEvent(ev)
 	if ev.state != statePooled || !math.IsInf(ev.Ts, -1) {
@@ -113,28 +187,23 @@ func TestPoolResetsRecycledEvents(t *testing.T) {
 		got.A != 0 || got.B != 0 || got.Anti || got.Target != nil {
 		t.Fatalf("recycled event carries stale fields: %+v", got)
 	}
-	if len(got.sent) != 0 {
-		t.Fatal("recycled event carries a stale send list")
-	}
-	if cap(got.sent) == 0 {
-		t.Fatal("recycling dropped the send-list backing array")
+	if got.sent != nil || got.sib != nil || got.next != nil {
+		t.Fatal("recycled event carries a stale send-list or store link")
 	}
 }
 
 // poison resets an event field by field, so a field added to Event and
 // forgotten there would leak across lifetimes. Every field of a dirty
 // event must be set here (the loop over the type insists), and after
-// poison every one must read as a freed event's: the two sentinels, the
-// send list emptied in place with its array kept and cleared, and zero
-// everywhere else.
+// poison every one must read as a freed event's: the two sentinels, and
+// zero everywhere else.
 func TestPoisonResetsEveryField(t *testing.T) {
 	other := &Event{}
 	ev := &Event{
 		Ts: 3.5, Seq: 99, Src: 1, Dst: 2, Kind: 7, Anti: true, state: StateProcessed,
 		Target: other, A: 11, B: 22, prev: other, next: other,
-		saved:  Snapshot{state: &ringState{Count: 1}, lvt: 2},
-		sent:   []*Event{other, other},
-		inline: [1]*Event{other},
+		saved: Snapshot{state: &ringState{Count: 1}, pos: 2},
+		sent:  other, sib: other,
 	}
 	v := reflect.ValueOf(ev).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -142,11 +211,10 @@ func TestPoisonResetsEveryField(t *testing.T) {
 			t.Fatalf("the dirty event leaves Event.%s zero: set it here, and reset it in poison", v.Type().Field(i).Name)
 		}
 	}
-	sent := ev.sent
 	ev.poison()
 	for i := 0; i < v.NumField(); i++ {
 		switch name := v.Type().Field(i).Name; name {
-		case "Ts", "state", "sent":
+		case "Ts", "state":
 		default:
 			if !v.Field(i).IsZero() {
 				t.Errorf("poison left Event.%s = %v", name, v.Field(i))
@@ -156,15 +224,12 @@ func TestPoisonResetsEveryField(t *testing.T) {
 	if !math.IsInf(ev.Ts, -1) || ev.state != statePooled {
 		t.Errorf("poisoned event has Ts %v, state %v", ev.Ts, ev.state)
 	}
-	if len(ev.sent) != 0 || cap(ev.sent) != 2 || sent[0] != nil || sent[1] != nil {
-		t.Errorf("send list not emptied in place: %v (cap %d)", sent, cap(ev.sent))
-	}
 }
 
 // A miss carves from the engine's chunk, and what it carves is an event
 // like any other: counted as a miss, poisoned when freed, swept by
-// CheckInvariants in both directions, handed back as a hit with its
-// send-list capacity, and caught when freed twice.
+// CheckInvariants in both directions, handed back as a hit, and caught
+// when freed twice.
 func TestChunkCarvedEventIsOrdinary(t *testing.T) {
 	eng := newTestEngine(t, 1, 1, 1, 10)
 	p := eng.Peer(0)
@@ -176,20 +241,13 @@ func TestChunkCarvedEventIsOrdinary(t *testing.T) {
 	if uintptr(unsafe.Pointer(b))-uintptr(unsafe.Pointer(a)) != unsafe.Sizeof(Event{}) {
 		t.Fatal("consecutive misses are not neighbours in one chunk")
 	}
-	if len(a.sent) != 0 || cap(a.sent) != len(a.inline) || &a.sent[:1][0] != &a.inline[0] {
-		t.Fatal("a carved event's sent list does not alias its inline array")
-	}
-	if a.state != StateInQueue || a.Ts != 0 || a.Seq != 0 || a.Target != nil || a.saved != (Snapshot{}) {
+	if a.state != StateInQueue || a.Ts != 0 || a.Seq != 0 || a.Target != nil || a.saved != (Snapshot{}) ||
+		a.sent != nil || a.sib != nil {
 		t.Fatalf("carved event is not zero: %+v", a)
 	}
-	// The first send stays inline; a second moves the list to the heap.
-	a.sent = append(a.sent, b)
-	if &a.sent[0] != &a.inline[0] {
-		t.Fatal("the first send left the inline array")
-	}
-	a.sent = append(a.sent, b)
+	a.sent = b
 	p.freeEvent(a)
-	if a.state != statePooled || !math.IsInf(a.Ts, -1) || len(a.sent) != 0 || cap(a.sent) < 2 || a.inline[0] != nil {
+	if a.state != statePooled || !math.IsInf(a.Ts, -1) || a.sent != nil {
 		t.Fatalf("freed carved event not poisoned: %+v", a)
 	}
 	if err := eng.CheckInvariants(); err != nil {
@@ -320,10 +378,10 @@ func TestMovingLoadCarvesItsLiveSet(t *testing.T) {
 	// in its store or still live.
 	m := &eng.mem
 	events, states := map[*Event]bool{}, map[State]bool{}
-	for _, ev := range m.events {
+	for _, ev := range m.deadEvents() {
 		events[ev] = true
 	}
-	for _, s := range m.states {
+	for _, s := range m.deadStates() {
 		states[s] = true
 	}
 	var misses uint64
@@ -372,8 +430,9 @@ func TestShardedEngineCarvesNoEvents(t *testing.T) {
 	}
 	p, lp := eng.Peer(0), eng.LPs()[0]
 	chunk := len(eng.mem.eventChunk)
-	a, b := p.allocEvent(), p.allocEvent()
-	if len(eng.mem.eventChunk) != chunk || cap(a.sent) != 0 || cap(b.sent) != 0 {
+	p.allocEvent()
+	p.allocEvent()
+	if len(eng.mem.eventChunk) != chunk {
 		t.Fatal("a sharded engine carved an event from a chunk")
 	}
 	if p.pool.eventMiss < 2 {
@@ -428,12 +487,18 @@ func TestSnapshotChunkFallsBackToClone(t *testing.T) {
 // event's first 64 bytes, ahead of the history links, and the event is
 // as large as it is on purpose: the links took it from 168 to 184
 // bytes, retiring lazy cancellation's tentative list took it to 160,
-// and retiring reverse computation's undo word to 152, so a 64-event
-// chunk is exactly a 9,728 byte size class.
+// retiring reverse computation's undo word to 152, and an intrusive
+// sent list with a snapshot that saves neither the LVT nor the stream
+// selector to 120. The LP is pinned beside it: its LVT became the
+// committed LVT, read only while its history is empty, and it stayed 104
+// bytes.
 func TestEventLayout(t *testing.T) {
 	var ev Event
-	if got := unsafe.Sizeof(ev); got != 152 {
-		t.Errorf("Event is %d bytes, want 152", got)
+	if got := unsafe.Sizeof(ev); got != 120 {
+		t.Errorf("Event is %d bytes, want 120", got)
+	}
+	if got := unsafe.Sizeof(LP{}); got != 104 {
+		t.Errorf("LP is %d bytes, want 104", got)
 	}
 	if unsafe.Offsetof(ev.prev) < 64 {
 		t.Errorf("Event.prev starts at byte %d, inside the first cache line", unsafe.Offsetof(ev.prev))
@@ -454,8 +519,8 @@ func TestEventLayout(t *testing.T) {
 }
 
 // BenchmarkPoolMiss is what one executed event costs a peer whose pools
-// are empty — the event it sends, that send's slot in its sent list,
-// and the snapshot taken before it ran — from chunks. As in a run,
+// are empty — the event it sends, linked into its sent list, and the
+// snapshot taken before it ran — from chunks. As in a run,
 // what is allocated stays live: each engine serves a few thousand
 // misses, a benchmark-scale peer's working set, and is then dropped.
 func BenchmarkPoolMiss(b *testing.B) {
@@ -479,7 +544,7 @@ func BenchmarkPoolMiss(b *testing.B) {
 				b.StartTimer()
 			}
 			cause, sent := p.allocEvent(), p.allocEvent()
-			cause.sent = append(cause.sent, sent)
+			sent.sib, cause.sent = cause.sent, sent
 			cause.saved.state = p.acquireSnapshot(lp)
 			live[i%perEngine] = cause
 		}
@@ -500,7 +565,7 @@ func BenchmarkPoolRecycle(b *testing.B) {
 	evs := make([]*Event, n)
 	for i := range evs {
 		evs[i] = p.allocEvent()
-		evs[i].sent = append(evs[i].sent, evs[0])
+		evs[i].sent = evs[0]
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -508,7 +573,7 @@ func BenchmarkPoolRecycle(b *testing.B) {
 		k := (i * 7919) & (n - 1)
 		p.freeEvent(evs[k])
 		ev := p.allocEvent()
-		ev.sent = append(ev.sent, evs[0])
+		ev.sent = evs[0]
 		evs[k] = ev
 	}
 }

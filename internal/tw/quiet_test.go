@@ -39,7 +39,7 @@ type enginePrint struct {
 
 func printEngine(eng *Engine) enginePrint {
 	pr := enginePrint{seq: eng.seq, gvt: eng.gvt, uncommitted: eng.uncommitted,
-		peak: eng.peakUncommitted, outbox: len(eng.outbox), store: len(eng.mem.events)}
+		peak: eng.peakUncommitted, outbox: len(eng.outbox), store: eng.mem.nEvents}
 	for _, p := range eng.peers {
 		pp := peerPrint{stats: p.Stats, inq: len(p.inq), pending: p.pending.Len(), acc: p.acc,
 			minSent: p.minSent, free: p.pooled, pool: p.pool}
@@ -48,7 +48,7 @@ func printEngine(eng *Engine) enginePrint {
 		}
 		for _, lp := range p.lps {
 			pp.history += lp.n
-			pp.lvts = append(pp.lvts, lp.lvt)
+			pp.lvts = append(pp.lvts, lp.LVT())
 		}
 		pr.peers = append(pr.peers, pp)
 	}

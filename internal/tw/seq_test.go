@@ -99,7 +99,7 @@ func runSequential(model Model, threads int, seed uint64, end VT, onExec func(*E
 		ev = s.slab[i]
 		s.free = append(s.free, i)
 		lp := ptrs[ev.Dst]
-		lp.lvt = ev.Ts
+		lp.clvt = ev.Ts
 		ctx = EventCtx{lp: lp, ev: &ev, seq: s}
 		model.OnEvent(&ctx)
 		if onExec != nil {

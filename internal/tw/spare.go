@@ -92,8 +92,7 @@ func (e *Engine) harvestSpare(st *EngineState, arena []byte, records []EventReco
 	sp.state, sp.arena, sp.records = st, arena, records
 	for i, p := range e.peers {
 		for _, ev := range p.quiesced {
-			ev.poison()
-			e.mem.events = push(e.mem.events, ev)
+			e.mem.putEvent(ev)
 		}
 		clear(p.quiesced)
 		// The pending heap stays the engine's too: it may still be

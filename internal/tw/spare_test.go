@@ -76,20 +76,20 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if sp == nil {
 		t.Fatal("capture harvested no spare memory")
 	}
-	events, states, pending := len(sp.mem.events), len(sp.mem.states), 0
+	events, states, pending := sp.mem.nEvents, sp.mem.states.n, 0
 	for i, p := range sp.peers {
 		if p.pending.Len() != len(st.Pending[i]) {
 			t.Fatalf("peer %d's spare heap holds %d events for %d pending records", i, p.pending.Len(), len(st.Pending[i]))
 		}
 		pending += len(st.Pending[i])
 	}
-	for _, ev := range sp.mem.events {
-		if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || len(ev.sent) != 0 ||
-			ev.saved != (Snapshot{}) || ev.prev != nil || ev.next != nil {
+	for _, ev := range sp.mem.deadEvents() {
+		if ev.state != statePooled || !math.IsInf(ev.Ts, -1) || ev.Target != nil || ev.sent != nil ||
+			ev.sib != nil || ev.saved != (Snapshot{}) || ev.prev != nil {
 			t.Fatalf("spare event %v is not poisoned and empty", ev)
 		}
 	}
-	for _, s := range sp.mem.states {
+	for _, s := range sp.mem.deadStates() {
 		if _, ok := s.(*ringState); !ok {
 			t.Fatalf("spare snapshot %T is not of the pooled type", s)
 		}
@@ -109,10 +109,10 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.mem.events)+len(cold.mem.states) != 0 {
+	if cold.mem.nEvents+cold.mem.states.n != 0 {
 		t.Fatal("a second engine found spare memory")
 	}
-	if left, leftStates := len(warm.mem.events), len(warm.mem.states); left != events || leftStates != states {
+	if left, leftStates := warm.mem.nEvents, warm.mem.states.n; left != events || leftStates != states {
 		t.Fatalf("%d of %d spare events left after taking %d pending in their heaps, %d of %d snapshots",
 			left, events, pending, leftStates, states)
 	}
@@ -157,20 +157,20 @@ func TestSpareMemoryFeedsTheSuccessor(t *testing.T) {
 	// at its capture, whichever thread group freed it and whether or not
 	// this segment took it, is the next engine's.
 	dead := map[any]bool{}
-	for _, ev := range warm.mem.events {
+	for _, ev := range warm.mem.deadEvents() {
 		dead[ev] = true
 	}
-	for _, s := range warm.mem.states {
+	for _, s := range warm.mem.deadStates() {
 		dead[s] = true
 	}
 	next, err := warm.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range next.spare.mem.events {
+	for _, ev := range next.spare.mem.deadEvents() {
 		delete(dead, ev)
 	}
-	for _, s := range next.spare.mem.states {
+	for _, s := range next.spare.mem.deadStates() {
 		delete(dead, s)
 	}
 	if len(dead) != 0 {
@@ -323,7 +323,7 @@ func TestSpareMemoryNeedsAMatchingEngine(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fits := name != "model"
-		if events, states := len(eng.mem.events), len(eng.mem.states); (events != 0) != fits || (states != 0) != fits {
+		if events, states := eng.mem.nEvents, eng.mem.states.n; (events != 0) != fits || (states != 0) != fits {
 			t.Errorf("%s: engine holds %d spare events, %d spare snapshots", name, events, states)
 		}
 		for i, lp := range eng.lps {

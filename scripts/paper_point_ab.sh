@@ -1,0 +1,97 @@
+#!/bin/sh
+# paper_point_ab.sh — the paired before/after at the paper-scale point,
+# behind `make paper-point PARENT=<ref> [PAIRS=n]`.
+#
+#   FLAGS="<ggsim flags>" sh scripts/paper_point_ab.sh <parent-ref> [pairs]
+#
+# Builds ggsim from <parent-ref> — checked out into a temporary git
+# worktree, or, if it names a directory holding the parent's tree, from
+# that as it is — and from this tree, then runs the point <pairs> times
+# (default 10) with each binary under GOMAXPROCS=1, alternating, and
+# swapping which side goes first from pair to pair. FLAGS is the
+# point's ggsim command line, -v included (the Makefile's PAPER_POINT).
+#
+# Every run's report (stdout) must be byte-identical to the parent's
+# first: the script stops at the first that differs and prints the
+# diff. The host line ggsim -v writes to stderr gives each run's wall
+# time, user CPU and peak RSS. After the pairs the script prints, for
+# each of the three, the pairs side by side, "change ahead in N of M
+# pairs", both medians with quartiles and one JSON record in
+# bench_ab.sh's shape (scripts/ab_record.awk).
+set -eu
+
+if [ $# -lt 1 ] || [ -z "${FLAGS:-}" ]; then
+    echo "usage: FLAGS=\"<ggsim flags>\" $0 <parent-ref> [pairs]" >&2
+    exit 2
+fi
+parent=$1
+pairs=${2:-10}
+GO=${GO:-go}
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
+if [ -f "$parent/cmd/ggsim/main.go" ]; then
+    ptree=$(cd "$parent" && pwd)
+else
+    git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
+    ptree=$tmp/parent
+fi
+commit=$(git -C "$ptree" rev-parse --short HEAD 2>/dev/null || echo "$parent")
+
+echo "paper-point-ab: building $parent and the working tree" >&2
+(cd "$ptree" && $GO build -o "$tmp/a.ggsim" ./cmd/ggsim)
+(cd "$root" && $GO build -o "$tmp/b.ggsim" ./cmd/ggsim)
+
+# run <side> <pair>: one run of side a (parent) or b (change). Its
+# report is held to the first parent run's; its host line's wall
+# seconds, user CPU seconds and peak RSS MB are appended to <side>.host.
+run() {
+    # shellcheck disable=SC2086 # FLAGS is a command line
+    GOMAXPROCS=1 "$tmp/$1.ggsim" $FLAGS >"$tmp/$1.out" 2>"$tmp/$1.err"
+    # host                 : 9.87 s wall, 8.12 s user CPU, 347.7 MB peak RSS
+    if ! awk '$1 == "host" && $8 == "user" { print $3, $6, $10; found = 1 } END { exit !found }' \
+        "$tmp/$1.err" >>"$tmp/$1.host"; then
+        echo "paper-point-ab: run $2 of side $1 printed no host line with user CPU and RSS" >&2
+        exit 1
+    fi
+    if [ ! -f "$tmp/ref.out" ]; then
+        cp "$tmp/$1.out" "$tmp/ref.out"
+    elif ! cmp -s "$tmp/ref.out" "$tmp/$1.out"; then
+        echo "paper-point-ab: the report of run $2 of side $1 differs from the parent's first:" >&2
+        diff "$tmp/ref.out" "$tmp/$1.out" >&2 || true
+        exit 1
+    fi
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+        run a "$i"
+        run b "$i"
+    else
+        run b "$i"
+        run a "$i"
+    fi
+    echo "paper-point-ab: pair $i/$pairs" >&2
+    i=$((i + 1))
+done
+echo "paper-point-ab: all $((2 * pairs)) reports identical"
+
+cpus=$(getconf _NPROCESSORS_ONLN)
+gover=$($GO env GOVERSION)
+col=1
+for metric in wall_s user_cpu_s peak_rss_mb; do
+    paste -d ' ' "$tmp/a.host" "$tmp/b.host" |
+        awk -v c="$col" '{ print NR, $c, $(c + 3) }' |
+        awk -v metric="$metric" -v better=lower -v workload=paper-point -v flags="$FLAGS" \
+            -v parent="$commit" -v cpus="$cpus" -v procs=1 -v gover="$gover" \
+            -f "$root/scripts/ab_record.awk"
+    col=$((col + 1))
+done
