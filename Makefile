@@ -33,14 +33,16 @@ test-race:
 
 # Short fuzz pass over the external inputs — the Config JSON wire
 # codec, the distributed binary batch codec, the checkpoint file
-# decoder and the engine a decoded capture rebuilds; extend FUZZTIME
-# locally.
+# decoder and the engine a decoded capture rebuilds — and over the
+# generated configs the sequential oracle checks (FuzzOracle); extend
+# FUZZTIME locally.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=^$$ -fuzz='^FuzzEngineState$$' -fuzztime=$(FUZZTIME) ./internal/tw
+	$(GO) test -run=^$$ -fuzz='^FuzzOracle$$' -fuzztime=$(FUZZTIME) ./internal/tw
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -3,7 +3,6 @@ package ggpdes
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -371,46 +370,5 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 	if perEvent > budget {
 		t.Fatalf("steady-state allocations regressed: %.3f allocs/event exceeds budget %.2f "+
 			"(pooled hot path should be allocation-free; see internal/tw/pool.go)", perEvent, budget)
-	}
-}
-
-// Barrier GVT records each thread's local minimum right after its drain,
-// but a thread that drains later can roll back and put anti-messages
-// into the input queue of one that already drained. These three runs
-// once published a GVT past such an anti-message: the receiver fossil
-// collected its target, and draining it panicked. Run's final
-// CheckInvariants covers the rest.
-func TestBarrierCoversAntiMessagesSentAfterADrain(t *testing.T) {
-	for _, c := range []struct {
-		system  System
-		threads int
-		seed    uint64
-		window  float64
-	}{
-		{Baseline, 32, 3, 0},
-		{GGPDES, 32, 3, 0},
-		{DDPDES, 64, 2, 10},
-	} {
-		t.Run(fmt.Sprintf("%v/t%d/s%d", c.system, c.threads, c.seed), func(t *testing.T) {
-			res, err := Run(Config{
-				Model:                Epidemics{LPsPerThread: 8, LockdownGroups: 2},
-				Threads:              c.threads,
-				System:               c.system,
-				GVT:                  Barrier,
-				Affinity:             ConstantAffinity,
-				EndTime:              30,
-				Seed:                 c.seed,
-				Machine:              Machine{Cores: 8, SMTWidth: 2, FreqHz: 1.3e9},
-				GVTFrequency:         20,
-				ZeroCounterThreshold: 200,
-				OptimismWindow:       c.window,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.FinalGVT != 30 {
-				t.Fatalf("final GVT %v, want 30", res.FinalGVT)
-			}
-		})
 	}
 }

@@ -3,8 +3,8 @@
 // (core.ThreadFaultInjector).
 //
 // A stall burns one main-loop iteration and changes nothing but
-// scheduling, so a stalled run commits what a clean run commits
-// (internal/core's TestStallLeavesTheSimulationAlone). Decisions come
+// scheduling, so a stalled run commits what the sequential executor
+// executes (internal/tw's TestOracleGenerated). Decisions come
 // from per-thread PCG streams, so a given (seed, configuration) pair
 // stalls the exact same iterations on every run. The injector is scoped
 // to a single run segment; the driver rebuilds it per segment, which is

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ggpdes/internal/chaos"
 	"ggpdes/internal/gvt"
 	"ggpdes/internal/machine"
 	"ggpdes/internal/models"
@@ -213,63 +212,6 @@ func TestSkipAheadMatchesExecution(t *testing.T) {
 		}
 	}
 	t.Logf("%d iterations skipped over the matrix", totalSkipped)
-}
-
-// countingStalls counts the stalls its injector decides.
-type countingStalls struct {
-	ThreadFaultInjector
-	n int
-}
-
-func (c *countingStalls) Stalled(tid int) bool {
-	s := c.ThreadFaultInjector.Stalled(tid)
-	if s {
-		c.n++
-	}
-	return s
-}
-
-// TestStallLeavesTheSimulationAlone is the stall's law: a stalled
-// iteration changes when threads run, never what commits. Over the skip
-// matrix, at three stall rates, the final LP states and LVTs, the GVT
-// and the committed-event total equal the injector-free run's. Wall
-// clock, rollbacks and every other machine-time figure may move. The
-// per-LP committed event sequences are the stronger form of the law;
-// they need an independent sequential executor to compare against, and
-// wait for one.
-func TestStallLeavesTheSimulationAlone(t *testing.T) {
-	committed := func(pr skipPrint) (n uint64) {
-		for _, s := range pr.Peers {
-			n += s.Committed
-		}
-		return n
-	}
-	for _, c := range skipMatrix() {
-		for _, seed := range []uint64{42, 7} {
-			t.Run(fmt.Sprintf("%v/seed%d", c, seed), func(t *testing.T) {
-				clean := runSkipCase(t, c, seed, nil)
-				for _, rate := range []float64{0.01, 0.1, 0.5} {
-					f := &countingStalls{ThreadFaultInjector: chaos.NewThreadFaults(seed, c.threads, rate)}
-					got := runSkipCase(t, c, seed, f)
-					if f.n == 0 {
-						t.Fatalf("stall rate %g: vacuous, nothing stalled", rate)
-					}
-					if !reflect.DeepEqual(got.LPStates, clean.LPStates) {
-						t.Errorf("stall rate %g (%d stalls): final LP states differ", rate, f.n)
-					}
-					if !reflect.DeepEqual(got.LPLVTs, clean.LPLVTs) {
-						t.Errorf("stall rate %g (%d stalls): final LVTs differ", rate, f.n)
-					}
-					if got.GVT != clean.GVT {
-						t.Errorf("stall rate %g (%d stalls): GVT %v, clean %v", rate, f.n, got.GVT, clean.GVT)
-					}
-					if g, w := committed(got), committed(clean); g != w {
-						t.Errorf("stall rate %g (%d stalls): %d events committed, clean %d", rate, f.n, g, w)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkIdlePoll is the layer's unit cost, so `make bench` sees it

@@ -7,53 +7,46 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ggpdes/internal/core"
+	"ggpdes/internal/gvt"
+	"ggpdes/internal/machine"
 	"ggpdes/internal/tw"
 )
 
-type accCPU struct{ cycles uint64 }
-
-func (a *accCPU) Work(c uint64) { a.cycles += c }
-
-// drive runs an engine to quiescence single-batch-at-a-time across all
-// peers, computing GVT between passes; a minimal harness for model
-// tests.
-func drive(t *testing.T, eng *tw.Engine) {
+// run runs model to its end time through the stack a simulation runs
+// on — machine, engine and a GG-PDES runner with the wait-free GVT, as
+// internal/tw's oracle builds them, on a machine bounded at 2^20 ticks
+// — calling onGVT, when non-nil, at every GVT publication, and returns
+// the finished engine with its invariants checked.
+func run(t *testing.T, model tw.Model, threads int, end tw.VT, seed uint64, onGVT func(*tw.Engine)) *tw.Engine {
 	t.Helper()
-	cpu := &accCPU{}
-	for pass := 0; pass < 5_000_000; pass++ {
-		busy := false
-		for _, p := range eng.Peers() {
-			if p.Drain(cpu) > 0 || p.ProcessBatch(cpu) > 0 {
-				busy = true
-			}
-		}
-		if busy {
-			continue
-		}
-		min := math.Inf(1)
-		for _, p := range eng.Peers() {
-			if m := p.LocalMin(cpu); m < min {
-				min = m
-			}
-			if s := p.TakeMinSent(); s < min {
-				min = s
-			}
-		}
-		eng.SetGVT(math.Min(min, eng.EndTime()))
-		for _, p := range eng.Peers() {
-			p.FossilCollect(cpu, eng.GVT())
-		}
-		if eng.Done() {
-			return
-		}
-	}
-	t.Fatal("model did not quiesce")
-}
-
-func newEngine(t *testing.T, model tw.Model, threads int, end tw.VT, seed uint64) *tw.Engine {
-	t.Helper()
-	eng, err := tw.NewEngine(tw.Config{NumThreads: threads, Model: model, EndTime: end, Seed: seed})
+	mcfg := machine.Small()
+	mcfg.MaxTicks = 1 << 20
+	m, err := machine.New(mcfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var eng *tw.Engine
+	cfg := tw.Config{NumThreads: threads, Model: model, EndTime: end, Seed: seed}
+	if onGVT != nil {
+		cfg.OnGVT = func(tw.VT) { onGVT(eng) }
+	}
+	if eng, err = tw.NewEngine(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewRunner(core.Config{
+		Machine: m, Engine: eng, System: core.GGPDES, GVTKind: gvt.WaitFree,
+		GVTFrequency: 1, ZeroCounterThreshold: 60,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Done() {
+		t.Fatalf("run ended at GVT %v before end time %v", eng.GVT(), end)
+	}
+	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -138,17 +131,10 @@ func TestQuickPHOLDDestinationsInActiveGroup(t *testing.T) {
 
 func TestPHOLDEventPopulationConserved(t *testing.T) {
 	m, _ := NewPHOLD(PHOLDConfig{Threads: 4, LPsPerThread: 4, EndTime: 25, Imbalance: 2})
-	eng := newEngine(t, m, 4, 25, 7)
-	drive(t, eng)
+	eng := run(t, m, 4, 25, 7, nil)
 	s := eng.TotalStats()
 	if s.Committed == 0 {
 		t.Fatal("nothing committed")
-	}
-	// Every event spawns exactly one event: the live population after
-	// quiescence equals the starting population (16), all parked at or
-	// beyond the end time.
-	if err := eng.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	var stateTotal int64
 	for _, lp := range eng.LPs() {
@@ -165,8 +151,6 @@ func TestPHOLDEventPopulationConserved(t *testing.T) {
 func TestPHOLDImbalanceActivatesGroupsInOrder(t *testing.T) {
 	const threads, lpsPer, K = 8, 2, 4
 	m, _ := NewPHOLD(PHOLDConfig{Threads: threads, LPsPerThread: lpsPer, EndTime: 40, Imbalance: K})
-	eng := newEngine(t, m, threads, 40, 11)
-	cpu := &accCPU{}
 	// Each thread owns lpsPer initial events; "busy" means it processed
 	// well beyond those, i.e. received real window traffic.
 	const busyThreshold = 20
@@ -174,11 +158,9 @@ func TestPHOLDImbalanceActivatesGroupsInOrder(t *testing.T) {
 	for g := range firstBusy {
 		firstBusy[g] = -1
 	}
-	for pass := 1; pass <= 4000; pass++ {
-		for _, p := range eng.Peers() {
-			p.Drain(cpu)
-			p.ProcessBatch(cpu)
-		}
+	round := 0
+	run(t, m, threads, 40, 11, func(eng *tw.Engine) {
+		round++
 		for g := 0; g < K; g++ {
 			if firstBusy[g] >= 0 {
 				continue
@@ -188,10 +170,10 @@ func TestPHOLDImbalanceActivatesGroupsInOrder(t *testing.T) {
 				sum += eng.Peer(m.ActiveThread(g, i)).Stats.Processed
 			}
 			if sum >= busyThreshold {
-				firstBusy[g] = pass
+				firstBusy[g] = round
 			}
 		}
-	}
+	})
 	for g := 0; g < K; g++ {
 		if firstBusy[g] < 0 {
 			t.Fatalf("group %d never became busy: %v", g, firstBusy)
@@ -199,7 +181,7 @@ func TestPHOLDImbalanceActivatesGroupsInOrder(t *testing.T) {
 	}
 	for g := 1; g < K; g++ {
 		if firstBusy[g] < firstBusy[g-1] {
-			t.Fatalf("group %d busy at pass %d before group %d at %d",
+			t.Fatalf("group %d busy at GVT round %d before group %d at %d",
 				g, firstBusy[g], g-1, firstBusy[g-1])
 		}
 	}
@@ -237,11 +219,7 @@ func TestEpidemicsRunsAndInfects(t *testing.T) {
 		Threads: 4, LPsPerThread: 8, EndTime: 20, LockdownGroups: 4,
 		ContactRate: 3, TransmissionProb: 0.5,
 	})
-	eng := newEngine(t, m, 4, 20, 3)
-	drive(t, eng)
-	if err := eng.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eng := run(t, m, 4, 20, 3, nil)
 	var exposures, infections, recoveries int64
 	locked := 0
 	for _, lp := range eng.LPs() {
@@ -278,8 +256,7 @@ func TestEpidemicsSEIRMonotonicity(t *testing.T) {
 		Threads: 2, LPsPerThread: 8, EndTime: 30, LockdownGroups: 2,
 		ContactRate: 2, TransmissionProb: 0.4, SeedsPerWindow: 2,
 	})
-	eng := newEngine(t, m, 2, 30, 5)
-	drive(t, eng)
+	eng := run(t, m, 2, 30, 5, nil)
 	var st HouseholdState
 	seeds := int64(2 * 2) // SeedsPerWindow × LockdownGroups
 	for _, lp := range eng.LPs() {
@@ -298,50 +275,47 @@ func TestEpidemicsSEIRMonotonicity(t *testing.T) {
 
 // Lock-down confinement: every contact event's destination must be
 // unlocked at the contact's virtual time, so a household can only
-// accumulate exposures while its group's window is open. Verified by
-// checking that exposure-bearing groups become busy in window order.
+// accumulate exposures while its group's window is open. Checked on
+// every contact the run executes, speculative ones included, and every
+// group must see exposures in its window.
 func TestEpidemicsLockdownConfinesSpread(t *testing.T) {
 	const threads, K = 8, 4
 	m, _ := NewEpidemics(EpidemicsConfig{
 		Threads: threads, LPsPerThread: 4, EndTime: 40, LockdownGroups: K,
 		ContactRate: 3, TransmissionProb: 0.5, SeedsPerWindow: 3,
 	})
-	eng := newEngine(t, m, threads, 40, 9)
-	cpu := &accCPU{}
-	firstExposed := [K]int{}
-	for g := range firstExposed {
-		firstExposed[g] = -1
+	c := &contactCheck{Epidemics: m}
+	eng := run(t, c, threads, 40, 9, nil)
+	if c.contacts == 0 || c.locked > 0 {
+		t.Fatalf("%d of %d contacts reached a household locked at the contact's time", c.locked, c.contacts)
 	}
-	groupThreads := threads / K
-	for pass := 1; pass <= 6000; pass++ {
-		for _, p := range eng.Peers() {
-			p.Drain(cpu)
-			p.ProcessBatch(cpu)
+	for g := 0; g < K; g++ {
+		lo, hi := m.groupLPRange(g)
+		var exposures int64
+		for _, lp := range eng.LPs()[lo:hi] {
+			exposures += lp.State().(*HouseholdState).Exposures
 		}
-		for g := 0; g < K; g++ {
-			if firstExposed[g] >= 0 {
-				continue
-			}
-			var sum int64
-			for tid := g * groupThreads; tid < (g+1)*groupThreads; tid++ {
-				for _, lp := range eng.Peer(tid).LPs() {
-					sum += lp.State().(*HouseholdState).Exposures
-				}
-			}
-			if sum > 0 {
-				firstExposed[g] = pass
-			}
+		if exposures == 0 {
+			t.Errorf("group %d never exposed", g)
 		}
 	}
-	for g := 1; g < K; g++ {
-		if firstExposed[g] >= 0 && firstExposed[g-1] >= 0 && firstExposed[g] < firstExposed[g-1] {
-			t.Fatalf("group %d exposed at pass %d before group %d at %d",
-				g, firstExposed[g], g-1, firstExposed[g-1])
+}
+
+// contactCheck counts the contacts Epidemics executes and those whose
+// household is locked at the contact's time.
+type contactCheck struct {
+	*Epidemics
+	contacts, locked int
+}
+
+func (c *contactCheck) OnEvent(ctx *tw.EventCtx) {
+	if ev := ctx.Event(); ev.Kind == EvContact {
+		c.contacts++
+		if !c.Unlocked(ev.Dst, ev.Ts) {
+			c.locked++
 		}
 	}
-	if firstExposed[0] < 0 {
-		t.Fatal("group 0 never exposed")
-	}
+	c.Epidemics.OnEvent(ctx)
 }
 
 // ---------- Traffic ----------
@@ -418,11 +392,7 @@ func TestTrafficHigherGradientMoreCentralized(t *testing.T) {
 
 func TestTrafficRunsAndConservesVehicles(t *testing.T) {
 	m, _ := NewTraffic(TrafficConfig{Threads: 4, LPsPerThread: 4, CenterStartEvents: 6})
-	eng := newEngine(t, m, 4, 15, 13)
-	drive(t, eng)
-	if err := eng.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	eng := run(t, m, 4, 15, 13, nil)
 	var arrivals, departures, queued int64
 	for _, lp := range eng.LPs() {
 		st := lp.State().(*IntersectionState)
@@ -444,8 +414,7 @@ func TestTrafficRunsAndConservesVehicles(t *testing.T) {
 
 func TestTrafficCenterBusierThanPeriphery(t *testing.T) {
 	m, _ := NewTraffic(TrafficConfig{Threads: 4, LPsPerThread: 16, DensityGradient: 0.5, CenterStartEvents: 12})
-	eng := newEngine(t, m, 4, 10, 17)
-	drive(t, eng)
+	eng := run(t, m, 4, 10, 17, nil)
 	var center, corner int64
 	side := m.GridSide()
 	for _, lp := range eng.LPs() {
@@ -468,9 +437,9 @@ func TestTrafficCenterBusierThanPeriphery(t *testing.T) {
 // tw.StateCopier promises that a zero value is a valid CopyFrom
 // receiver: the engine carves snapshot memory from chunks of the
 // state's element type, and what it carves is a zero value no
-// constructor has seen. For all three models, on states taken mid-run,
-// CopyFrom into a zero value must equal Clone and share nothing with
-// its source.
+// constructor has seen. For all three models, on the states a run
+// leaves, CopyFrom into a zero value must equal Clone and share nothing
+// with its source.
 func TestCopyFromIntoZeroValueMatchesClone(t *testing.T) {
 	phold, _ := NewPHOLD(PHOLDConfig{Threads: 4, LPsPerThread: 4, EndTime: 25, Imbalance: 2})
 	epidemics, _ := NewEpidemics(EpidemicsConfig{
@@ -480,17 +449,7 @@ func TestCopyFromIntoZeroValueMatchesClone(t *testing.T) {
 	traffic, _ := NewTraffic(TrafficConfig{Threads: 4, LPsPerThread: 4, CenterStartEvents: 8})
 	for name, model := range map[string]tw.Model{"phold": phold, "epidemics": epidemics, "traffic": traffic} {
 		t.Run(name, func(t *testing.T) {
-			eng := newEngine(t, model, 4, 25, 31)
-			cpu := &accCPU{}
-			for pass := 0; pass < 20; pass++ {
-				for _, p := range eng.Peers() {
-					p.Drain(cpu)
-					p.ProcessBatch(cpu)
-				}
-			}
-			if eng.TotalStats().Processed == 0 {
-				t.Fatal("vacuous: nothing processed")
-			}
+			eng := run(t, model, 4, 25, 31, nil)
 			touched := 0
 			for _, lp := range eng.LPs() {
 				src := lp.State()
@@ -534,8 +493,7 @@ func TestHouseholdAgentsStayWithTheState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := newEngine(t, m, 2, 20, 11)
-		drive(t, eng)
+		eng := run(t, m, 2, 20, 11, nil)
 		infected := 0
 		for _, lp := range eng.LPs() {
 			src := lp.State().(*HouseholdState)

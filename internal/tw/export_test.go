@@ -1,8 +1,13 @@
 package tw
 
-// RunSequential runs the sequential reference executor (seq_test.go)
-// for tests outside the package.
-var RunSequential = runSequential
+// The sequential reference executor's outcome (seq_test.go), for the
+// oracle outside the package.
+type Outcome = outcome
+
+var (
+	NewOutcome        = newOutcome
+	SequentialOutcome = sequentialOutcome
+)
 
 // SetOnCommit makes every engine built from cfg call f on each event
 // fossil collection commits, after the event is marked committed and

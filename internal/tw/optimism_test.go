@@ -1,9 +1,6 @@
 package tw
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // newWindowedEngine builds a ring engine with an optimism window.
 func newWindowedEngine(t *testing.T, window VT) *Engine {
@@ -60,36 +57,6 @@ func TestOptimismWindowBoundsSpeculation(t *testing.T) {
 	}
 	if after == before {
 		t.Fatal("no progress after GVT advanced")
-	}
-}
-
-func TestOptimismWindowPreservesTrajectory(t *testing.T) {
-	run := func(window VT) (uint64, []float64) {
-		eng, err := NewEngine(Config{
-			NumThreads:     4,
-			Model:          &ringModel{lpsPerThread: 2, startPerLP: 2},
-			EndTime:        25,
-			Seed:           9,
-			OptimismWindow: window,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runQuiescent(t, eng, []int{0, 3, 1, 2})
-		committed, _, sums := collectResults(eng)
-		return committed, sums
-	}
-	unboundedCommitted, unboundedSums := run(0)
-	for _, w := range []VT{2, 8} {
-		committed, sums := run(w)
-		if committed != unboundedCommitted {
-			t.Fatalf("window %v: committed %d != unbounded %d", w, committed, unboundedCommitted)
-		}
-		for i := range sums {
-			if math.Abs(sums[i]-unboundedSums[i]) > 1e-9 {
-				t.Fatalf("window %v: LP %d trajectory diverged", w, i)
-			}
-		}
 	}
 }
 

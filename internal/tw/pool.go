@@ -77,8 +77,8 @@ import (
 // the same global counter, and no code path branches on object
 // identity. A recycling bug that the poison misses still shows as a
 // committed event, a final LP state or an LVT that differs from the
-// sequential executor's (TestOracle), or in the top-level
-// seed-regression matrix.
+// sequential executor's (oracle_test.go: TestOracleGenerated's
+// generated configs and the named reproducers).
 
 // Pool metric names (see the Metric constants in engine.go for the
 // engine's other metrics).

@@ -3,6 +3,9 @@ package tw
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
+	"testing"
 
 	"ggpdes/internal/pq"
 )
@@ -10,14 +13,15 @@ import (
 // seqRun is the sequential reference executor: the model run as one
 // global event list, with no speculation, no rollback and no memory
 // recycling, against which the Time Warp engine's committed trajectory
-// is checked (oracle_test.go). Its LPs are seeded exactly as
-// newEngineShell seeds the engine's, InitLP runs on them in LP-id order,
-// and every event below the end time executes once, in (Ts, Src,
-// per-source send count) order: the engine breaks a timestamp tie by its
-// global sequence number, which speculation makes depend on the
-// schedule, so an exact tie between two events for one LP is a
-// difference the oracle reports rather than imitates. Events at or
-// after the end time are never executed, so they are not kept either.
+// is checked (oracle_test.go, and tw_test.go's adversarial schedules).
+// Its LPs are seeded exactly as newEngineShell seeds the engine's,
+// InitLP runs on them in LP-id order, and every event below the end
+// time executes once, in (Ts, Src, per-source send count) order: the
+// engine breaks a timestamp tie by its global sequence number, which
+// speculation makes depend on the schedule, so an exact tie between two
+// events for one LP is a difference the oracle reports rather than
+// imitates. Events at or after the end time are never executed, so
+// they are not kept either.
 //
 // Events sit in one slab, reused through a free list, and the queue is
 // a heap of slab indices, so that a run allocates as its pending set
@@ -106,4 +110,94 @@ func runSequential(model Model, threads int, seed uint64, end VT, onExec func(*E
 			onExec(&ev)
 		}
 	}
+}
+
+// commit is what the oracle compares of one event.
+type commit struct {
+	Ts   VT
+	Src  int
+	Kind uint8
+	A, B int64
+}
+
+// outcome is what a run leaves for the oracle to compare: every LP's
+// committed (Ts, Src, Kind, A, B) sequence, final state and LVT, and
+// the committed total.
+type outcome struct {
+	Commits   [][]commit
+	States    []State
+	LVTs      []VT
+	Committed uint64
+}
+
+func newOutcome(n int) *outcome { return &outcome{Commits: make([][]commit, n)} }
+
+// Record appends ev to its LP's committed sequence; it is an engine's
+// onCommit and the sequential executor's onExec.
+func (o *outcome) Record(ev *Event) {
+	o.Commits[ev.Dst] = append(o.Commits[ev.Dst], commit{ev.Ts, ev.Src, ev.Kind, ev.A, ev.B})
+	o.Committed++
+}
+
+// Finish takes the final states and LVTs of lps.
+func (o *outcome) Finish(lps []*LP) {
+	for _, lp := range lps {
+		o.States = append(o.States, lp.State())
+		o.LVTs = append(o.LVTs, lp.LVT())
+	}
+}
+
+// LVTBelow is the timestamp of LP id's last commit below v, or 0 when
+// it has none: the LVT of an engine quiesced onto GVT v, whose
+// fossil collection committed exactly the events below v.
+func (o *outcome) LVTBelow(id int, v VT) VT {
+	cs := o.Commits[id]
+	if i := sort.Search(len(cs), func(i int) bool { return cs[i].Ts >= v }); i > 0 {
+		return cs[i-1].Ts
+	}
+	return 0
+}
+
+// sequentialOutcome runs model on the reference executor.
+func sequentialOutcome(model Model, threads int, seed uint64, end VT) (*outcome, error) {
+	o := newOutcome(threads * model.LPsPerThread())
+	lps, err := runSequential(model, threads, seed, end, o.Record)
+	if err != nil {
+		return nil, err
+	}
+	if o.Committed == 0 {
+		return nil, errors.New("tw: the sequential run executed nothing")
+	}
+	o.Finish(lps)
+	return o, nil
+}
+
+// Diff reports every way got differs from o, the sequential run's
+// outcome.
+func (o *outcome) Diff(t testing.TB, got *outcome) {
+	t.Helper()
+	if got.Committed != o.Committed {
+		t.Errorf("committed %d events, the sequential run %d", got.Committed, o.Committed)
+	}
+	for id, w := range o.Commits {
+		if g := got.Commits[id]; !reflect.DeepEqual(g, w) {
+			t.Errorf("LP %d committed %d events, the sequential run %d; first difference at %d",
+				id, len(g), len(w), firstDifference(g, w))
+		}
+		if got.LVTs[id] != o.LVTs[id] {
+			t.Errorf("LP %d LVT %v, the sequential run %v", id, got.LVTs[id], o.LVTs[id])
+		}
+		if !reflect.DeepEqual(got.States[id], o.States[id]) {
+			t.Errorf("LP %d final state %+v, the sequential run %+v", id, got.States[id], o.States[id])
+		}
+	}
+}
+
+func firstDifference(a, b []commit) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -1,6 +1,7 @@
 package tw
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -44,9 +45,18 @@ func (m *ringModel) OnEvent(ctx *EventCtx) { ringStep(ctx, ctx.LP().State().(*ri
 func ringStep(ctx *EventCtx, st *ringState) {
 	st.Count++
 	st.Sum += ctx.Now()
-	dst := (ctx.LP().ID + 1) % len(ctx.Engine().LPs())
+	dst := (ctx.LP().ID + 1) % ringSize(ctx)
 	delay := 0.1 + ctx.Rand().Exponential(0.9)
 	ctx.Send(dst, ctx.Now()+delay, 0, 0, 0)
+}
+
+// ringSize is the number of LPs on the ring, under an engine or under
+// the sequential executor, which has none.
+func ringSize(ctx *EventCtx) int {
+	if s, ok := ctx.seq.(*seqRun); ok {
+		return len(s.sent)
+	}
+	return len(ctx.Engine().LPs())
 }
 
 func newTestEngine(t *testing.T, threads, lpsPer, startPer int, end VT) *Engine {
@@ -186,48 +196,51 @@ func TestSequentialRunCompletes(t *testing.T) {
 	}
 }
 
-// The gold test: with rollback repairing all mis-speculation, any
-// execution interleaving must commit the identical trajectory.
-func TestInterleavingsCommitIdenticalTrajectories(t *testing.T) {
-	const threads, lpsPer, startPer = 4, 4, 2
-	const end = 30.0
-	ref := newTestEngine(t, threads, lpsPer, startPer, end)
-	runQuiescent(t, ref, []int{0, 1, 2, 3})
-	refCommitted, refCounts, refSums := collectResults(ref)
-	if refCommitted == 0 {
-		t.Fatal("reference run committed nothing")
+// The gold test: with rollback repairing all mis-speculation, every
+// execution interleaving, with or without an optimism window, must
+// commit what the sequential executor executes. Features may only trade
+// performance.
+func TestSchedulesCommitTheSequentialTrajectory(t *testing.T) {
+	const threads, end, seed = 4, 30, 12345
+	model := &ringModel{lpsPerThread: 4, startPerLP: 2}
+	want, err := sequentialOutcome(model, threads, seed, end)
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	orders := [][]int{
+		{0, 1, 2, 3},
 		{3, 2, 1, 0},
+		{0, 3, 1, 2},
 		// Heavily skewed: peer 0 races far ahead, forcing stragglers.
 		{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3},
+		{0, 0, 0, 0, 0, 1, 3, 2},
 		{1, 1, 3, 3, 0, 2},
 		{2, 0, 2, 1, 2, 3, 2},
 	}
-	sawRollback := false
-	for oi, order := range orders {
-		eng := newTestEngine(t, threads, lpsPer, startPer, end)
-		runQuiescent(t, eng, order)
-		committed, counts, sums := collectResults(eng)
-		if committed != refCommitted {
-			t.Fatalf("order %d: committed %d != ref %d", oi, committed, refCommitted)
+	for _, window := range []VT{0, 2, 5, 8} {
+		var rolledBack uint64
+		for _, order := range orders {
+			t.Run(fmt.Sprintf("w%v/%v", window, order), func(t *testing.T) {
+				got := newOutcome(len(want.Commits))
+				eng, err := NewEngine(Config{
+					NumThreads: threads, Model: model, EndTime: end, Seed: seed,
+					OptimismWindow: window, onCommit: got.Record,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runQuiescent(t, eng, order)
+				if err := eng.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				got.Finish(eng.LPs())
+				want.Diff(t, got)
+				rolledBack += eng.TotalStats().RolledBack
+			})
 		}
-		for i := range counts {
-			if counts[i] != refCounts[i] || math.Abs(sums[i]-refSums[i]) > 1e-9 {
-				t.Fatalf("order %d: LP %d state (%d, %v) != ref (%d, %v)",
-					oi, i, counts[i], sums[i], refCounts[i], refSums[i])
-			}
+		if rolledBack == 0 {
+			t.Errorf("window %v: no order rolled anything back; its cases exercise nothing", window)
 		}
-		if err := eng.CheckInvariants(); err != nil {
-			t.Fatalf("order %d: %v", oi, err)
-		}
-		if eng.TotalStats().RolledBack > 0 {
-			sawRollback = true
-		}
-	}
-	if !sawRollback {
-		t.Fatal("no interleaving produced rollbacks; test exercises nothing")
 	}
 }
 
