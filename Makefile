@@ -75,13 +75,15 @@ perf-ab:
 # The paper-scale point engine host-time claims are read at: 1,024
 # threads on 64x4 contexts, 1-4 PHOLD with 128 LPs per thread, Baseline
 # with the wait-free GVT, one OS thread. The -v report ends with the
-# "host" line on stderr (wall time, user CPU, peak RSS). GGSIM runs a
+# "host" line on stderr (wall time, user CPU, peak RSS, heap objects
+# and bytes allocated). GGSIM runs a
 # prebuilt binary instead of this tree's. With PARENT=<ref> (a git ref
 # or a directory holding that tree) it is the paired before/after
 # instead: PAIRS alternating runs of the parent's ggsim and this tree's
 # (scripts/paper_point_ab.sh), failing if any report differs from the
-# parent's, then a JSON record each for wall time, user CPU and peak
-# RSS. About 10 s and 0.4 GB of RSS a run. Not part of ci.
+# parent's, then a JSON record each for wall time, user CPU, peak RSS,
+# heap objects and bytes allocated. About 10 s and 0.4 GB of RSS a run.
+# Not part of ci.
 #   make paper-point PARENT=HEAD~1 PAIRS=5
 GGSIM ?=
 PAPER_POINT = -cores 64 -smt 4 -threads 1024 -imbalance 4 -lps 128 \

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -265,19 +266,22 @@ func main() {
 }
 
 // printHostUsage reports what the run cost this process on the host —
-// wall time, user CPU and peak resident set (getrusage) — to stderr,
-// so that the report on stdout stays a pure function of the config.
-// The line starts with "host" for scripts that diff stderr too.
+// wall time, user CPU and peak resident set (getrusage), and the heap
+// objects and bytes it allocated (runtime.MemStats) — to stderr, so
+// that the report on stdout stays a pure function of the config. The
+// line starts with "host" for scripts that diff stderr too.
 func printHostUsage(wall time.Duration) {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		fmt.Fprintf(os.Stderr, "host                 : %.2f s wall (getrusage: %v)\n", wall.Seconds(), err)
 		return
 	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	user := time.Duration(ru.Utime.Nano())
 	// Linux reports ru_maxrss in KiB.
-	fmt.Fprintf(os.Stderr, "host                 : %.2f s wall, %.2f s user CPU, %.1f MB peak RSS\n",
-		wall.Seconds(), user.Seconds(), float64(ru.Maxrss)/1024)
+	fmt.Fprintf(os.Stderr, "host                 : %.2f s wall, %.2f s user CPU, %.1f MB peak RSS, %d heap objects, %.1f MB allocated\n",
+		wall.Seconds(), user.Seconds(), float64(ru.Maxrss)/1024, ms.Mallocs, float64(ms.TotalAlloc)/(1<<20))
 }
 
 // snapshotConfig reads the configuration a checkpoint was taken under

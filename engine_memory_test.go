@@ -150,7 +150,12 @@ func TestHeapHoldsTheQueueKindsReading(t *testing.T) {
 // in one store per peer, so that no history or freelist grows a slice
 // per LP, 0.140 and 0.021; with one store per engine behind the same
 // counts 0.102 and 0.016, and 0.104 and 0.016 with stores that never
-// copy. The ceilings are about 1.25 times 0.104 and 0.016.
+// copy. What was left was construction and growth: a telemetry cell per
+// (metric, thread), an InitCtx and a state per LP, a Thread, Proc, Sem,
+// Acc and Peer each apart, two objects per snapshot chunk, 64-event
+// chunks and input queues grown by append. With those carved from slabs
+// and blocks, one-object chunks of up to 1,024 and input queues given
+// room, 0.0263 and 0.0046. The ceilings are about 1.25 times that.
 func TestRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
@@ -160,8 +165,8 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 		cfg     Config
 		ceiling float64
 	}{
-		{"traffic-oversub-rollback", benchTrafficCfg(), 0.13},
-		{"phold-sync", benchPholdSyncCfg(), 0.020},
+		{"traffic-oversub-rollback", benchTrafficCfg(), 0.033},
+		{"phold-sync", benchPholdSyncCfg(), 0.006},
 	} {
 		cfg := tc.cfg
 		cfg.Seed = 1
@@ -172,7 +177,7 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		perEvent := float64(mallocs) / float64(res.CommittedEvents)
-		t.Logf("%s: %.3f allocations per committed event (ceiling %.3f)", tc.name, perEvent, tc.ceiling)
+		t.Logf("%s: %.4f allocations per committed event (ceiling %.3f)", tc.name, perEvent, tc.ceiling)
 		if perEvent > tc.ceiling {
 			t.Errorf("%s: %.3f allocations per committed event exceeds %.3f: a pool miss or a history reaches the allocator again (internal/tw/pool.go, lp.go)",
 				tc.name, perEvent, tc.ceiling)
@@ -187,13 +192,14 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 // in-flight event costs: with a 152-byte Event, a sent-list slot inside
 // it and stores that doubled by copying, 216 bytes (23.4 MB a run);
 // with a 120-byte Event, a sent list linked through the events and
-// stores that never copy, 146 (15.8 MB). The ceiling is about 1.25
-// times 146.
+// stores that never copy, 146 (15.8 MB); with 1,024-event chunks,
+// whole pages with no size-class slack, and construction carved from
+// slabs, 140. The ceiling is about 1.25 times 140.
 func TestRunBytesPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ceiling = 182.0
+	const ceiling = 175.0
 	cfg := benchTrafficCfg()
 	cfg.Seed = 1
 	var res *Results
@@ -258,19 +264,22 @@ func runAndResumeMiddle(t *testing.T, dir string) uint64 {
 // one snapshot store per peer 0.57 and 0.32, with the pending heaps
 // handed over sorted and a boundary's arrays reused 0.49 and 0.31, with
 // one store per engine 0.45 and 0.27, and with send lists linked
-// through the events and stores that never copy 0.47 and 0.26. The
-// ceilings are about 1.25 times 0.47 and 0.26.
+// through the events and stores that never copy 0.47 and 0.26, and with
+// the LP states, telemetry cells, machine threads and peers carved from
+// slabs, one-object snapshot chunks of up to 1,024 and input queues
+// given room 0.25 and 0.036. The ceilings are about 1.25 times 0.25 and
+// 0.036.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ckptCeiling, plainCeiling = 0.59, 0.33
+	const ckptCeiling, plainCeiling = 0.31, 0.045
 	dir := t.TempDir()
 	cfg := ckptBenchCfg(dir)
 	var committed uint64
 	mallocs := mallocsDuring(func() { committed = runAndResumeMiddle(t, dir) })
 	perEvent := float64(mallocs) / float64(committed)
-	t.Logf("checkpointed run + resume: %.3f allocations per committed event (ceiling %.2f)", perEvent, ckptCeiling)
+	t.Logf("checkpointed run + resume: %.4f allocations per committed event (ceiling %.3f)", perEvent, ckptCeiling)
 	if perEvent > ckptCeiling {
 		t.Errorf("checkpointed run + resume: %.3f allocations per committed event exceeds %.2f: a boundary rebuilds what the engine it quiesced still holds (internal/tw/spare.go, the registry in run.go)",
 			perEvent, ckptCeiling)
@@ -284,7 +293,7 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 		}
 	})
 	perEvent = float64(mallocs) / float64(plain.CommittedEvents)
-	t.Logf("plain epidemics run: %.3f allocations per committed event (ceiling %.2f)", perEvent, plainCeiling)
+	t.Logf("plain epidemics run: %.4f allocations per committed event (ceiling %.3f)", perEvent, plainCeiling)
 	if perEvent > plainCeiling {
 		t.Errorf("plain epidemics run: %.3f allocations per committed event exceeds %.2f: a household snapshot or a store array reaches the allocator again (internal/models/epidemics.go, internal/tw/pool.go)",
 			perEvent, plainCeiling)
@@ -302,13 +311,14 @@ func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 // allocating its capture and its file's bytes anew, this read 538
 // bytes; with the heap handed over sorted and the capture, the arrays
 // and the encode buffer reused, 332; with one pool store per engine,
-// 267; with a 120-byte Event and stores that never copy, 219. The
-// ceiling is about 1.25 times 219.
+// 267; with a 120-byte Event and stores that never copy, 219; with
+// construction carved from slabs, 218. The ceiling is about 1.25 times
+// 218.
 func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ceiling = 274.0
+	const ceiling = 273.0
 	var committed uint64
 	_, bytes := allocDuring(func() { committed = runAndResumeMiddle(t, t.TempDir()) })
 	perEvent := float64(bytes) / float64(committed)
@@ -316,5 +326,45 @@ func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
 	if perEvent > ceiling {
 		t.Errorf("checkpointed run + resume: %.0f bytes allocated per committed event exceeds %.0f: a boundary allocates again what the one before it left behind (internal/tw/spare.go, the writer in run.go)",
 			perEvent, ceiling)
+	}
+}
+
+// TestPaperPointConstructionAllocs is the construction tripwire: the
+// machine, engine and runner of the paper-scale point (make
+// paper-point: 1,024 threads on 64x4 contexts, 1-4 PHOLD with 128 LPs
+// a thread, Baseline with the wait-free GVT) built as a run's segment
+// is. Everything built once per thread or per LP — the peers and their
+// heaps and input queues, the telemetry cells, the machine's threads,
+// the LP states, the context InitLP is handed — comes from a slab or a
+// block, so the heap objects per thread are a small constant. With an
+// InitCtx and a state per LP, a cell per (metric, thread) and a Thread,
+// Proc and Peer each apart this read 282 per thread (288,813 objects);
+// with the slabs it reads 2.66 (2,722 objects: the 1,024 thread names,
+// 548 cell blocks, 141 spines, the 128 chunks the 131,072 starting
+// events are carved from). The ceiling is 1.5 times that.
+func TestPaperPointConstructionAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const ceiling = 4.0
+	cfg := Config{
+		Model: PHOLD{LPsPerThread: 128, Imbalance: 4}, Threads: 1024, System: Baseline, GVT: WaitFree,
+		Machine: Machine{Cores: 64, SMTWidth: 4, FreqHz: 1.3e9}, EndTime: 30,
+		GVTFrequency: 200, OptimismWindow: 10, Seed: 1,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rs := &runState{cfg: cfg}
+	var err error
+	mallocs := mallocsDuring(func() { _, err = rs.buildSegment() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	perThread := float64(mallocs) / float64(cfg.Threads)
+	t.Logf("paper point: %d heap objects to build machine, engine and runner, %.2f per thread (ceiling %.0f)", mallocs, perThread, ceiling)
+	if perThread > ceiling {
+		t.Errorf("paper point: building machine, engine and runner allocates %.2f heap objects per thread, more than %.0f: something built per thread or per LP is allocated one by one again (internal/slab and its users, tw.NewEngine's InitCtx)",
+			perThread, ceiling)
 	}
 }

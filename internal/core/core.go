@@ -321,11 +321,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.alg = alg
 
+	// One body for every simulation thread: its tid is its place among
+	// them, so no thread needs a closure of its own.
+	first := len(cfg.Machine.Threads())
+	body := func(p *machine.Proc) { r.threadBody(p, p.ID()-first) }
 	for tid := 0; tid < n; tid++ {
-		tid := tid
-		cfg.Machine.Spawn(fmt.Sprintf("sim-%d", tid), func(p *machine.Proc) {
-			r.threadBody(p, tid)
-		})
+		cfg.Machine.Spawn(fmt.Sprintf("sim-%d", tid), body)
 	}
 	if controller != nil {
 		cfg.Machine.SpawnPinned("dd-controller", mcfg.Cores-1, controller)

@@ -19,9 +19,10 @@ package lint
 //   - ranging over a map: iteration order is randomized by design —
 //     sort the keys first (which removes the map range) or annotate a
 //     provably order-insensitive site;
-//   - sort.Slice: the unstable sort permutes equal elements
-//     arbitrarily; use sort.SliceStable or annotate a comparator that
-//     is a total order.
+//   - sort.Slice and slices.SortFunc: the unstable sorts permute equal
+//     elements arbitrarily; use sort.SliceStable or
+//     slices.SortStableFunc, or annotate a comparator that is a total
+//     order.
 
 import (
 	"go/ast"
@@ -68,9 +69,9 @@ func (c *Checker) detCorePkg(pkg *Package) {
 				}
 			case "math/rand", "math/rand/v2":
 				c.Report(n.Pos(), "global math/rand in the deterministic core: draw through internal/rng so randomness is seeded and rollback-restorable")
-			case "sort":
-				if obj.Name() == "Slice" {
-					c.Report(n.Pos(), "sort.Slice is unstable and permutes equal elements arbitrarily: use sort.SliceStable or annotate a total-order comparator")
+			case "sort", "slices":
+				if name := obj.Pkg().Name() + "." + obj.Name(); name == "sort.Slice" || name == "slices.SortFunc" {
+					c.Report(n.Pos(), "%s is unstable and permutes equal elements arbitrarily: use a stable sort or annotate a total-order comparator", name)
 				}
 			}
 		case *ast.GoStmt:

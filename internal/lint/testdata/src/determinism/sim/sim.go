@@ -4,6 +4,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -82,4 +83,8 @@ func Order(xs []int) {
 	//ggvet:allow(ints are a total order: no equal-element ambiguity to permute)
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.SortFunc(xs, func(a, b int) int { return a - b }) // want `slices\.SortFunc is unstable`
+	//ggvet:allow(ints are a total order: no equal-element ambiguity to permute)
+	slices.SortFunc(xs, func(a, b int) int { return a - b })
+	slices.SortStableFunc(xs, func(a, b int) int { return a - b })
 }

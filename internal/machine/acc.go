@@ -10,8 +10,13 @@ type Acc struct {
 	pending uint64
 }
 
-// NewAcc returns an accumulator charging the calling thread of p.
-func NewAcc(p *Proc) *Acc { return &Acc{p: p} }
+// NewAcc returns an accumulator charging the calling thread of p, from
+// the machine's slab.
+func NewAcc(p *Proc) *Acc {
+	a := p.t.m.accSlab.New()
+	a.p = p
+	return a
+}
 
 // Work accumulates cycles to be charged at the next Flush.
 func (a *Acc) Work(cycles uint64) { a.pending += cycles }

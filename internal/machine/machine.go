@@ -1,12 +1,15 @@
 package machine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
+	"ggpdes/internal/slab"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 )
@@ -28,6 +31,13 @@ type Machine struct {
 	tr       *trace.Recorder
 	tel      telemetryHandles
 	onCancel func()
+
+	// Threads, semaphores and accumulators come from per-machine slabs
+	// in blocks of one per hardware context: runs spawn a multiple of
+	// that, and the paper's point 1,024 of each.
+	threadSlab slab.Slab[Thread]
+	semSlab    slab.Slab[Sem]
+	accSlab    slab.Slab[Acc]
 }
 
 // Metric names the machine registers. Histograms are sampled every
@@ -120,6 +130,10 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{cfg: cfg, tick: cfg.StartTick}
+	n := cfg.Cores * cfg.SMTWidth
+	m.threadSlab.Min, m.threadSlab.Max = n, n
+	m.semSlab.Min, m.semSlab.Max = n, n
+	m.accSlab.Min, m.accSlab.Max = n, n
 	m.cores = make([]coreState, cfg.Cores)
 	m.share = make([]uint64, cfg.SMTWidth)
 	for k := range m.share {
@@ -190,7 +204,8 @@ func (m *Machine) spawn(name string, pin int, body func(*Proc)) *Thread {
 	if m.started {
 		panic("machine: Spawn after Run")
 	}
-	t := &Thread{
+	t := m.threadSlab.New()
+	*t = Thread{
 		id:         len(m.threads),
 		name:       name,
 		m:          m,
@@ -352,7 +367,7 @@ func (m *Machine) describeThreads() string {
 		}
 		d := fmt.Sprintf("%s=%s", t.name, t.state)
 		if t.state == StateBlocked {
-			d += "(" + t.blockReason + ")"
+			d += "(" + t.blockKind + " " + t.blockName + ")"
 		}
 		parts = append(parts, d)
 		if len(parts) >= 16 {
@@ -367,7 +382,7 @@ func (m *Machine) deadlock() error {
 	e := &DeadlockError{Tick: m.tick}
 	for _, t := range m.threads {
 		if t.state == StateBlocked {
-			e.Blocked = append(e.Blocked, fmt.Sprintf("%s(%s)", t.name, t.blockReason))
+			e.Blocked = append(e.Blocked, fmt.Sprintf("%s(%s %s)", t.name, t.blockKind, t.blockName))
 		}
 	}
 	return e
@@ -382,8 +397,10 @@ func threadLess(a, b *Thread) bool {
 }
 
 func (m *Machine) sortRunq(c *coreState) {
-	//ggvet:allow(threadLess is a total order — vruntime with id tiebreak — so the unstable sort cannot permute equal elements)
-	sort.Slice(c.runq, func(i, j int) bool { return threadLess(c.runq[i], c.runq[j]) })
+	//ggvet:allow(threadLess's order, vruntime with id tiebreak, is total, so the unstable sort cannot permute equal elements)
+	slices.SortFunc(c.runq, func(a, b *Thread) int {
+		return cmp.Or(cmp.Compare(a.vruntime, b.vruntime), cmp.Compare(a.id, b.id))
+	})
 }
 
 // reselect fills the core's SMT contexts: empty slots take the lowest
@@ -520,17 +537,18 @@ func (m *Machine) wake(t *Thread) {
 		panic("machine: wake of non-blocked thread " + t.name)
 	}
 	t.state = StateRunnable
-	t.blockReason = ""
+	t.blockKind, t.blockName = "", ""
 	t.penalty += m.cfg.WakeCycles
 	m.stats.Wakeups++
 	m.placeWoken(t)
 }
 
-// block marks the currently running thread t as blocked; the caller
-// removes it from the running set.
-func (m *Machine) block(t *Thread, reason string) {
+// block marks the currently running thread t as blocked on the named
+// primitive of the given kind; the caller removes it from the running
+// set.
+func (m *Machine) block(t *Thread, kind, name string) {
 	t.state = StateBlocked
-	t.blockReason = reason
+	t.blockKind, t.blockName = kind, name
 }
 
 // advanceTick grants every running context its cycle share and advances
@@ -647,7 +665,7 @@ func (m *Machine) perform(c *coreState, t *Thread) {
 	case segSemWait:
 		m.stats.SemWaits++
 		if seg.sem.wait(t) {
-			m.block(t, seg.sem.reason)
+			m.block(t, "sem", seg.sem.name)
 			m.removeRunning(c, t)
 		}
 	case segSemPost:
@@ -656,12 +674,12 @@ func (m *Machine) perform(c *coreState, t *Thread) {
 	case segBarrier:
 		m.stats.BarrierWaits++
 		if seg.bar.arrive(t) {
-			m.block(t, seg.bar.reason)
+			m.block(t, "barrier", seg.bar.name)
 			m.removeRunning(c, t)
 		}
 	case segLock:
 		if seg.mu.lock(t) {
-			m.block(t, seg.mu.reason)
+			m.block(t, "mutex", seg.mu.name)
 			m.removeRunning(c, t)
 		}
 	case segUnlock:

@@ -5,20 +5,25 @@ package machine
 // counting semaphore, the primitive DD- and GG-PDES use to de-schedule
 // inactive simulation threads.
 type Sem struct {
-	m *Machine
-	// reason is what a thread blocked here reports ("sem <name>"),
-	// built once: threads block on every deactivation.
-	reason  string
+	m       *Machine
+	name    string
 	count   int
 	waiters []*Thread
+	// one is waiters' first array: a semaphore per thread, as the
+	// demand-driven schedulers keep, never has a second waiter.
+	one [1]*Thread
 }
 
-// NewSem creates a semaphore with the given initial count.
+// NewSem creates a semaphore with the given initial count, from the
+// machine's slab.
 func (m *Machine) NewSem(name string, initial int) *Sem {
 	if initial < 0 {
 		panic("machine: negative semaphore count")
 	}
-	return &Sem{m: m, reason: "sem " + name, count: initial}
+	s := m.semSlab.New()
+	s.m, s.name, s.count = m, name, initial
+	s.waiters = s.one[:0]
+	return s
 }
 
 // Value returns the semaphore's current count (waiters imply zero).
@@ -53,7 +58,7 @@ func (s *Sem) post() {
 // participant set as threads deactivate).
 type Barrier struct {
 	m       *Machine
-	reason  string // "barrier <name>", as Sem.reason
+	name    string
 	parties int
 	waiters []*Thread
 }
@@ -63,7 +68,7 @@ func (m *Machine) NewBarrier(name string, parties int) *Barrier {
 	if parties <= 0 {
 		panic("machine: barrier needs at least one party")
 	}
-	return &Barrier{m: m, reason: "barrier " + name, parties: parties}
+	return &Barrier{m: m, name: name, parties: parties}
 }
 
 // Resize changes the number of parties. If the waiting threads already
@@ -111,7 +116,6 @@ func (b *Barrier) release(serial *Thread) {
 type Mutex struct {
 	m       *Machine
 	name    string
-	reason  string // "mutex <name>", as Sem.reason
 	owner   *Thread
 	waiters []*Thread
 	// Contended counts Lock operations that had to block, a measure of
@@ -123,7 +127,7 @@ type Mutex struct {
 
 // NewMutex creates an unlocked mutex.
 func (m *Machine) NewMutex(name string) *Mutex {
-	return &Mutex{m: m, name: name, reason: "mutex " + name}
+	return &Mutex{m: m, name: name}
 }
 
 // lock attempts acquisition by t; it reports whether t blocked.

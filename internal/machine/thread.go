@@ -199,8 +199,12 @@ type Thread struct {
 	next   func() (struct{}, bool)
 	stop   func()
 	panicV any
+	// proc is what body is handed: it lives in the thread, and the
+	// thread in the machine's slab.
+	proc Proc
 
-	blockReason   string
+	blockKind     string // "sem", "barrier" or "mutex", while blocked
+	blockName     string // the primitive's name
 	waitSeq       uint64 // FIFO ordering among waiters
 	barrierSerial bool   // set on barrier release for the last arriver
 }
@@ -241,7 +245,8 @@ func (t *Thread) start() {
 				t.panicV = r
 			}
 		}()
-		t.body(&Proc{t: t, yield: yield})
+		t.proc = Proc{t: t, yield: yield}
+		t.body(&t.proc)
 	})
 }
 

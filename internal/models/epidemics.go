@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"ggpdes/internal/slab"
 	"ggpdes/internal/tw"
 )
 
@@ -95,6 +96,7 @@ func (s *HouseholdState) CopyFrom(src tw.State) {
 type Epidemics struct {
 	cfg       EpidemicsConfig
 	windowLen tw.VT
+	states    slab.Slab[HouseholdState] // where InitLP carves the LP states from
 }
 
 // EpidemicsConfig parameterizes the model.
@@ -172,7 +174,9 @@ func NewEpidemics(cfg EpidemicsConfig) (*Epidemics, error) {
 	if cfg.SeedsPerWindow <= 0 {
 		cfg.SeedsPerWindow = 3
 	}
-	return &Epidemics{cfg: cfg, windowLen: cfg.EndTime / tw.VT(cfg.LockdownGroups)}, nil
+	n := cfg.Threads * cfg.LPsPerThread
+	return &Epidemics{cfg: cfg, windowLen: cfg.EndTime / tw.VT(cfg.LockdownGroups),
+		states: slab.Slab[HouseholdState]{Min: n, Max: n}}, nil
 }
 
 // finite reports whether x is neither NaN nor infinite.
@@ -214,7 +218,7 @@ func (m *Epidemics) Unlocked(lp int, ts tw.VT) bool {
 // InitLP implements tw.Model: all agents susceptible; window-boundary
 // seed events target each window's unlocked group.
 func (m *Epidemics) InitLP(ic *tw.InitCtx, lp *tw.LP) {
-	st := &HouseholdState{}
+	st := m.states.New()
 	st.sizeAgents(m.cfg.AgentsPerHousehold)
 	lp.SetState(st)
 	if lp.ID != 0 {

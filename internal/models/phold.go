@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ggpdes/internal/slab"
 	"ggpdes/internal/tw"
 )
 
@@ -47,6 +48,9 @@ type PHOLD struct {
 	cfg PHOLDConfig
 	// windowLen is EndTime / Imbalance, computed lazily at first use.
 	windowLen tw.VT
+	// states is where InitLP carves the LP states from: one block an
+	// engine.
+	states slab.Slab[PHOLDState]
 }
 
 // PHOLDConfig parameterizes the PHOLD model.
@@ -95,7 +99,9 @@ func NewPHOLD(cfg PHOLDConfig) (*PHOLD, error) {
 	if cfg.StartEventsPerLP <= 0 {
 		cfg.StartEventsPerLP = 1
 	}
-	return &PHOLD{cfg: cfg, windowLen: cfg.EndTime / tw.VT(cfg.Imbalance)}, nil
+	n := cfg.Threads * cfg.LPsPerThread
+	return &PHOLD{cfg: cfg, windowLen: cfg.EndTime / tw.VT(cfg.Imbalance),
+		states: slab.Slab[PHOLDState]{Min: n, Max: n}}, nil
 }
 
 // Config returns the validated configuration.
@@ -107,7 +113,7 @@ func (m *PHOLD) LPsPerThread() int { return m.cfg.LPsPerThread }
 // InitLP implements tw.Model: every LP starts with StartEventsPerLP
 // self-addressed events at small random offsets.
 func (m *PHOLD) InitLP(ic *tw.InitCtx, lp *tw.LP) {
-	lp.SetState(&PHOLDState{})
+	lp.SetState(m.states.New())
 	for k := 0; k < m.cfg.StartEventsPerLP; k++ {
 		ts := lp.Rand().Uniform(0, m.cfg.LookaheadMin+m.cfg.LookaheadMean)
 		ic.ScheduleInit(lp.ID, ts, 0, 0, 0)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"ggpdes/internal/slab"
 	"ggpdes/internal/tw"
 )
 
@@ -53,8 +54,9 @@ func (s *IntersectionState) CopyFrom(src tw.State) {
 // central threads stay busy while the periphery idles — limited,
 // spatially-fixed execution locality, unlike PHOLD's shifting windows.
 type Traffic struct {
-	cfg  TrafficConfig
-	grid int // grid side length; total LPs = grid*grid
+	cfg    TrafficConfig
+	grid   int                          // grid side length; total LPs = grid*grid
+	states slab.Slab[IntersectionState] // where InitLP carves the LP states from
 }
 
 // TrafficConfig parameterizes the model.
@@ -113,7 +115,7 @@ func NewTraffic(cfg TrafficConfig) (*Traffic, error) {
 	if cfg.CenterBias <= 0 {
 		cfg.CenterBias = 0.3
 	}
-	return &Traffic{cfg: cfg, grid: side}, nil
+	return &Traffic{cfg: cfg, grid: side, states: slab.Slab[IntersectionState]{Min: n, Max: n}}, nil
 }
 
 // Config returns the validated configuration.
@@ -148,7 +150,7 @@ func (m *Traffic) StartEvents(lp int) int {
 
 // InitLP implements tw.Model.
 func (m *Traffic) InitLP(ic *tw.InitCtx, lp *tw.LP) {
-	lp.SetState(&IntersectionState{})
+	lp.SetState(m.states.New())
 	r := lp.Rand()
 	for k := 0; k < m.StartEvents(lp.ID); k++ {
 		ic.ScheduleInit(lp.ID, r.Uniform(0, 0.5), EvArrival, int64(lp.ID)<<8|int64(k), 0)

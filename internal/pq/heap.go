@@ -17,6 +17,17 @@ func NewHeap[T any](less Less[T], prio func(T) float64) *BinHeap[T] {
 	return &BinHeap[T]{less: less, prio: prio}
 }
 
+// NewHeaps returns n empty heaps ordered like NewHeap's, each with room
+// for room items, from one array of heaps and one of items: two heap
+// objects however many heaps.
+func NewHeaps[T any](n, room int, less Less[T], prio func(T) float64) []BinHeap[T] {
+	hs, items := make([]BinHeap[T], n), make([]entry[T], n*room)
+	for i := range hs {
+		hs[i] = BinHeap[T]{items: items[i*room : i*room : (i+1)*room], less: less, prio: prio}
+	}
+	return hs
+}
+
 // Len reports the number of items in the heap.
 func (h *BinHeap[T]) Len() int { return len(h.items) }
 
@@ -47,6 +58,7 @@ func (h *BinHeap[T]) Sort(drop func(T) bool, dropped []T) []T {
 	}
 	clear(h.items[len(kept):]) // allow GC of dropped items
 	h.items = kept
+	//ggvet:allow(the order is the heap's own, priority then less, and so as total as less: the engine's, timestamp then sequence number, is)
 	slices.SortFunc(h.items, func(a, b entry[T]) int {
 		switch {
 		case a.before(&b, h.less):

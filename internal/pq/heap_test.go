@@ -24,11 +24,11 @@ func drainSorted(t *testing.T, h *BinHeap[ev], want int) {
 	}
 }
 
-// The engine sizes each peer's pending heap once, with Grow, so that a
-// run's first pushes do not pay for append's doublings: after Grow(n)
-// n pushes allocate nothing, whatever the heap already holds, and the
-// heap still drains in order. (AllocsPerRun calls its function twice,
-// so each call pops what it pushed.)
+// Grow sizes a heap once, so that its first pushes do not pay for
+// append's doublings: after Grow(n) n pushes allocate nothing, whatever
+// the heap already holds, and the heap still drains in order.
+// (AllocsPerRun calls its function twice, so each call pops what it
+// pushed.)
 func TestHeapGrowMakesRoom(t *testing.T) {
 	const n = 500
 	for name, hold := range map[string]int{"empty": 0, "holding": 37, "drained": -37} {
@@ -66,6 +66,40 @@ func TestHeapGrowMakesRoom(t *testing.T) {
 			drainSorted(t, h, held+n)
 		})
 	}
+}
+
+// The engine carves every peer's pending heap from one NewHeaps slab:
+// each heap's first room pushes allocate nothing, and a heap pushed past
+// its room moves to an array of its own instead of writing over its
+// neighbour's.
+func TestNewHeapsShareOneSlabApart(t *testing.T) {
+	const n, room = 3, 16
+	hs := NewHeaps(n, room, evLess, evPrio)
+	r := rand.New(rand.NewSource(9))
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := range hs {
+			for hs[i].Len() > 0 {
+				hs[i].Pop()
+			}
+			for k := 0; k < room; k++ {
+				hs[i].Push(ev{ts: r.Float64() * 100, seq: 1000*i + k})
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d pushes into each of %d heaps with room %d allocated %.0f times", room, n, room, allocs)
+	}
+	for k := 0; k < 3*room; k++ {
+		hs[0].Push(ev{ts: r.Float64() * 100, seq: room + k})
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < hs[i].Len(); j++ {
+			if e := hs[i].At(j); e.seq/1000 != i {
+				t.Fatalf("heap %d holds %+v, pushed into heap %d", i, e, e.seq/1000)
+			}
+		}
+		drainSorted(t, &hs[i], room)
+	}
+	drainSorted(t, &hs[0], 4*room)
 }
 
 // A drained heap keeps its array: an engine's pending heap, which rides

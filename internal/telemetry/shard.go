@@ -1,5 +1,11 @@
 package telemetry
 
+import (
+	"slices"
+
+	"ggpdes/internal/slab"
+)
+
 // Per-thread metric sharding. A Registry hands out Shard views keyed
 // by thread id; each shard's Counter/Gauge/Histogram resolves to a
 // private, cache-line-padded cell for that (name, tid) pair, so worker
@@ -21,6 +27,12 @@ package telemetry
 // serving layer), where two runs can legitimately hand the same tid to
 // different goroutines. The win of sharding is eliminating cross-
 // thread cache-line sharing, not eliminating atomics.
+//
+// The cells are not allocated one by one: a run of 128 threads asks
+// for about 2,200 of them. Each kind's cells are carved from blocks the
+// registry owns (cellSet), which are never moved or freed, so a handle
+// stays valid for the registry's life; a counter or gauge cell is one
+// cellLine, so two cells in a block share no line either.
 
 // cellLine is the padding target: two 64-byte cache lines, covering
 // the adjacent-line prefetcher on common x86 parts.
@@ -40,7 +52,7 @@ type gaugeCell struct {
 }
 
 // histCell is a per-shard Histogram. The struct already spans many
-// cache lines (65 buckets), so only the leading hot fields get a pad.
+// cache lines (65 buckets), so it gets no pad.
 type histCell struct {
 	Histogram
 }
@@ -87,11 +99,7 @@ func (s Shard) Counter(name string) *Counter {
 	if s.r.shardsOff {
 		return s.r.counterLocked(name)
 	}
-	cells := growCells(s.r.counterCells, name, s.tid)
-	if cells[s.tid] == nil {
-		cells[s.tid] = &counterCell{}
-	}
-	return &cells[s.tid].Counter
+	return &s.r.counterCells.get(name, s.tid).Counter
 }
 
 // Gauge returns the shard's private gauge for name, creating it on
@@ -105,11 +113,7 @@ func (s Shard) Gauge(name string) *Gauge {
 	if s.r.shardsOff {
 		return s.r.gaugeLocked(name)
 	}
-	cells := growCells(s.r.gaugeCells, name, s.tid)
-	if cells[s.tid] == nil {
-		cells[s.tid] = &gaugeCell{}
-	}
-	return &cells[s.tid].Gauge
+	return &s.r.gaugeCells.get(name, s.tid).Gauge
 }
 
 // Histogram returns the shard's private histogram for name, creating
@@ -123,23 +127,38 @@ func (s Shard) Histogram(name string) *Histogram {
 	if s.r.shardsOff {
 		return s.r.histogramLocked(name)
 	}
-	cells := growCells(s.r.histCells, name, s.tid)
-	if cells[s.tid] == nil {
-		cells[s.tid] = &histCell{}
-	}
-	return &cells[s.tid].Histogram
+	return &s.r.histCells.get(name, s.tid).Histogram
 }
 
-// growCells returns m[name] grown (with nil fill) to cover index tid.
-// Cells are individually heap-allocated so growing the spine never
-// moves a cell a handle already points at.
-func growCells[C any](m map[string][]*C, name string, tid int) []*C {
-	cells := m[name]
-	for len(cells) <= tid {
-		cells = append(cells, nil)
+// cellSet is one kind's shard cells: per name a spine indexed by tid,
+// nil where a tid never touched the name, which grows by at least
+// spineMin slots, and the cells themselves, carved from the registry's
+// blocks of up to cellBlockMax.
+type cellSet[C any] struct {
+	byName map[string][]*C
+	cells  slab.Slab[C]
+}
+
+const (
+	cellBlockMax = 32
+	spineMin     = 16
+)
+
+func newCellSet[C any]() cellSet[C] {
+	return cellSet[C]{byName: map[string][]*C{}, cells: slab.Slab[C]{Max: cellBlockMax}}
+}
+
+// get returns the cell for (name, tid), carving it on first use.
+func (s *cellSet[C]) get(name string, tid int) *C {
+	spine := s.byName[name]
+	if len(spine) <= tid {
+		spine = slices.Grow(spine, max(tid+1-len(spine), spineMin))[:tid+1]
+		s.byName[name] = spine
 	}
-	m[name] = cells
-	return cells
+	if spine[tid] == nil {
+		spine[tid] = s.cells.New()
+	}
+	return spine[tid]
 }
 
 // Merged reads. All helpers require r.mu held (read lock suffices:
@@ -149,11 +168,11 @@ func growCells[C any](m map[string][]*C, name string, tid int) []*C {
 // counterValuesLocked returns the merged name -> value view: base
 // counters plus every shard cell.
 func (r *Registry) counterValuesLocked() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters)+len(r.counterCells))
+	out := make(map[string]uint64, len(r.counters)+len(r.counterCells.byName))
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
-	for name, cells := range r.counterCells {
+	for name, cells := range r.counterCells.byName {
 		v := out[name]
 		for _, cell := range cells {
 			if cell != nil {
@@ -169,7 +188,7 @@ func (r *Registry) counterValuesLocked() map[string]uint64 {
 // merged gauge is set iff any contributing cell is set; its value is
 // the maximum among set cells (high-water semantics).
 func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
-	out := make(map[string]GaugeState, len(r.gauges)+len(r.gaugeCells))
+	out := make(map[string]GaugeState, len(r.gauges)+len(r.gaugeCells.byName))
 	merge := func(name string, g *Gauge) {
 		g.mu.Lock()
 		v, set := g.v, g.set
@@ -183,7 +202,7 @@ func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
 	for name, g := range r.gauges {
 		merge(name, g)
 	}
-	for name, cells := range r.gaugeCells {
+	for name, cells := range r.gaugeCells.byName {
 		if _, ok := out[name]; !ok {
 			out[name] = GaugeState{}
 		}
@@ -199,7 +218,7 @@ func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
 // histStatesLocked returns the merged name -> HistogramState view,
 // bucket-wise exact across base and shard cells.
 func (r *Registry) histStatesLocked() map[string]HistogramState {
-	out := make(map[string]HistogramState, len(r.histograms)+len(r.histCells))
+	out := make(map[string]HistogramState, len(r.histograms)+len(r.histCells.byName))
 	merge := func(name string, h *Histogram) {
 		st, ok := out[name]
 		if !ok {
@@ -225,7 +244,7 @@ func (r *Registry) histStatesLocked() map[string]HistogramState {
 	for name, h := range r.histograms {
 		merge(name, h)
 	}
-	for name, cells := range r.histCells {
+	for name, cells := range r.histCells.byName {
 		if _, ok := out[name]; !ok {
 			out[name] = HistogramState{Counts: make([]uint64, histBuckets)}
 		}

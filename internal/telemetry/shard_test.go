@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestShardCountersMergeBySum(t *testing.T) {
@@ -73,6 +74,58 @@ func TestShardingDisabledRoutesToBaseCells(t *testing.T) {
 	b := r.Shard(7).Counter("tw.rollbacks")
 	if a != b || a != r.Counter("tw.rollbacks") {
 		t.Fatal("with sharding off, all shard handles must alias the base cell")
+	}
+}
+
+// Shard cells are carved from blocks the registry owns, and the
+// contract holds across blocks: a handle looked up again after later
+// blocks were started is the same pointer, two tids' cells for one name
+// are at least cellLine bytes apart (a counter or gauge cell is exactly
+// one cellLine), and with sharding off every shard resolves to the base
+// cells.
+func TestShardCellsFromBlocksKeepTheirContract(t *testing.T) {
+	r := NewRegistry()
+	c0, g0, h0 := r.Shard(0).Counter("tw.rollbacks"), r.Shard(0).Gauge("tw.uncommitted_peak"), r.Shard(0).Histogram("tw.rollback_depth")
+	const tids = 4 * cellBlockMax
+	for tid := 0; tid < tids; tid++ {
+		sh := r.Shard(tid)
+		sh.Counter("tw.rollbacks").Add(uint64(tid))
+		sh.Counter("tw.anti_messages").Inc()
+		sh.Gauge("tw.uncommitted_peak").Max(float64(tid))
+		sh.Histogram("tw.rollback_depth").Observe(float64(tid))
+	}
+	if r.Shard(0).Counter("tw.rollbacks") != c0 || r.Shard(0).Gauge("tw.uncommitted_peak") != g0 ||
+		r.Shard(0).Histogram("tw.rollback_depth") != h0 {
+		t.Fatal("a handle moved after later blocks were carved")
+	}
+	apart := func(a, b unsafe.Pointer) bool {
+		d := int64(uintptr(a)) - int64(uintptr(b))
+		return d >= cellLine || d <= -cellLine
+	}
+	for tid := 1; tid < tids; tid++ {
+		a, b := r.Shard(tid-1), r.Shard(tid)
+		if !apart(unsafe.Pointer(a.Counter("tw.rollbacks")), unsafe.Pointer(b.Counter("tw.rollbacks"))) ||
+			!apart(unsafe.Pointer(a.Gauge("tw.uncommitted_peak")), unsafe.Pointer(b.Gauge("tw.uncommitted_peak"))) ||
+			!apart(unsafe.Pointer(a.Histogram("tw.rollback_depth")), unsafe.Pointer(b.Histogram("tw.rollback_depth"))) {
+			t.Fatalf("tids %d and %d: cells for one name less than %d bytes apart", tid-1, tid, cellLine)
+		}
+	}
+	if unsafe.Sizeof(counterCell{}) != cellLine || unsafe.Sizeof(gaugeCell{}) != cellLine {
+		t.Fatalf("counter and gauge cells are %d and %d bytes, want %d", unsafe.Sizeof(counterCell{}), unsafe.Sizeof(gaugeCell{}), cellLine)
+	}
+	if got, want := r.Counters()["tw.rollbacks"], uint64(tids*(tids-1)/2); got != want {
+		t.Fatalf("merged counter over %d blocks = %d, want %d", tids/cellBlockMax, got, want)
+	}
+	if got := r.Histograms()["tw.rollback_depth"].Count; got != tids {
+		t.Fatalf("merged histogram counts %d observations, want %d", got, tids)
+	}
+
+	off := NewRegistry()
+	off.SetSharding(false)
+	if off.Shard(3).Counter("tw.rollbacks") != off.Counter("tw.rollbacks") ||
+		off.Shard(5).Gauge("tw.uncommitted_peak") != off.Gauge("tw.uncommitted_peak") ||
+		off.Shard(7).Histogram("tw.rollback_depth") != off.Histogram("tw.rollback_depth") {
+		t.Fatal("with sharding off, shard handles must resolve to the base cells")
 	}
 }
 

@@ -238,13 +238,12 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 
-	// Per-thread shard cells (see shard.go). Indexed by tid; nil
-	// entries are tids that never touched the metric. shardsOff
-	// routes Shard handles at the shared base cells instead (the
-	// contention benchmark's A/B arm).
-	counterCells map[string][]*counterCell
-	gaugeCells   map[string][]*gaugeCell
-	histCells    map[string][]*histCell
+	// Per-thread shard cells, carved from blocks (see shard.go).
+	// shardsOff routes Shard handles at the shared base cells instead
+	// (the contention benchmark's A/B arm).
+	counterCells cellSet[counterCell]
+	gaugeCells   cellSet[gaugeCell]
+	histCells    cellSet[histCell]
 	shardsOff    bool
 }
 
@@ -254,9 +253,9 @@ func NewRegistry() *Registry {
 		counters:     map[string]*Counter{},
 		gauges:       map[string]*Gauge{},
 		histograms:   map[string]*Histogram{},
-		counterCells: map[string][]*counterCell{},
-		gaugeCells:   map[string][]*gaugeCell{},
-		histCells:    map[string][]*histCell{},
+		counterCells: newCellSet[counterCell](),
+		gaugeCells:   newCellSet[gaugeCell](),
+		histCells:    newCellSet[histCell](),
 	}
 }
 

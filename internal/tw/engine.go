@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"ggpdes/internal/pq"
 	"ggpdes/internal/telemetry"
 	"ggpdes/internal/trace"
 )
@@ -195,8 +196,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One context for every LP: InitLP is an interface call, so a
+	// context per LP would be a heap object per LP.
+	ic := &InitCtx{eng: eng}
 	for _, lp := range eng.lps {
-		cfg.Model.InitLP(&InitCtx{eng: eng, lp: lp}, lp)
+		ic.lp = lp
+		cfg.Model.InitLP(ic, lp)
 		if lp.state == nil {
 			return nil, fmt.Errorf("tw: model left LP %d without state", lp.ID)
 		}
@@ -233,14 +238,25 @@ func newEngineShell(cfg Config, sp *spareMemory) (*Engine, error) {
 	} else {
 		eng.lpSlab, eng.lps = make([]LP, nLPs), make([]*LP, nLPs)
 	}
+	// The peers come out of one slab. A fresh engine carves each peer's
+	// pending heap, with room for pendingPerLP events per LP, and its
+	// input queue, with room for inqRoom, from one slab apiece; a spare
+	// set brings its own.
+	peers := make([]Peer, cfg.NumThreads)
+	var heaps []pq.BinHeap[*Event]
+	var inqs []*Event
+	if sp == nil {
+		heaps, inqs = newPendingQueues(cfg.NumThreads, pendingPerLP*perThread), make([]*Event, cfg.NumThreads*inqRoom)
+	}
 	lps := eng.lpSlab
 	for i := range eng.peers {
-		p := newPeer(i, eng)
+		p := &peers[i]
+		newPeer(p, i, eng)
 		p.lps = eng.lps[i*perThread : (i+1)*perThread : (i+1)*perThread]
 		if sp != nil {
 			p.pending = sp.peers[i].pending
 		} else {
-			p.pending = newPendingQueue(pendingPerLP * perThread)
+			p.pending, p.inq = &heaps[i], inqs[i*inqRoom:i*inqRoom:(i+1)*inqRoom]
 		}
 		eng.peers[i] = p
 	}

@@ -53,7 +53,8 @@ type Model interface {
 	// LPsPerThread is how many LPs each simulation thread serves.
 	LPsPerThread() int
 	// InitLP populates lp's initial state and schedules its starting
-	// events via ictx.ScheduleInit.
+	// events via ictx.ScheduleInit. ictx is valid only for the call:
+	// the engine hands every LP the same one.
 	InitLP(ictx *InitCtx, lp *LP)
 	// OnEvent executes one event against its destination LP. All state
 	// mutation must go through ctx (reads of lp.State() are fine).

@@ -272,29 +272,47 @@ func TestChunkCarvedEventIsOrdinary(t *testing.T) {
 
 // Chunk lengths double from chunkMin to chunkMax, for events and for
 // snapshots, so an idle engine holds a handful of slots and a busy one
-// pays the allocator once per chunkMax objects.
+// pays the allocator once per chunkMax objects; a chunk, of events or of
+// snapshots, is one heap object.
 func TestChunksGrowGeometrically(t *testing.T) {
 	eng := newTestEngine(t, 1, 1, 1, 10)
 	p, lp, m := eng.Peer(0), eng.LPs()[0], &eng.mem
 	m.eventChunk, m.eventChunkLen = nil, 0 // forget the chunk the initial event came from
-	var eventLens, stateLens []int
-	for i := 0; i < chunkMin+2*chunkMin+4*chunkMin+2*chunkMax+1; i++ {
-		p.allocEvent()
-		if n := m.eventChunkLen; len(eventLens) == 0 || len(m.eventChunk) == n-1 {
-			eventLens = append(eventLens, n)
-		}
-		lp.state.(*ringState).Count = i
-		snap := p.acquireSnapshot(lp).(*ringState)
-		if snap == lp.state || snap.Count != i {
-			t.Fatalf("snapshot %d is %+v", i, snap)
-		}
-		if c := &m.stateChunk; c.next == 1 {
-			stateLens = append(stateLens, c.len)
-		}
+	var want []int
+	carves := 2*chunkMax + 1
+	for n := chunkMin; n < chunkMax; n *= 2 {
+		want, carves = append(want, n), carves+n
 	}
-	want := []int{chunkMin, 2 * chunkMin, 4 * chunkMin, chunkMax, chunkMax, chunkMax}
+	want = append(want, chunkMax, chunkMax, chunkMax)
+	for _, n := range want {
+		reflect.ArrayOf(n, reflect.TypeOf(ringState{})) // the first use of an array type builds it
+	}
+	eventLens, stateLens := make([]int, 0, len(want)), make([]int, 0, len(want))
+	calls := 0
+	mallocs := testing.AllocsPerRun(1, func() {
+		if calls++; calls == 1 {
+			return // AllocsPerRun's warm-up call
+		}
+		for i := 0; i < carves; i++ {
+			p.allocEvent()
+			if n := m.eventChunkLen; len(eventLens) == 0 || len(m.eventChunk) == n-1 {
+				eventLens = append(eventLens, n)
+			}
+			lp.state.(*ringState).Count = i
+			snap := p.acquireSnapshot(lp).(*ringState)
+			if snap == lp.state || snap.Count != i {
+				t.Fatalf("snapshot %d is %+v", i, snap)
+			}
+			if c := &m.stateChunk; c.next == 1 {
+				stateLens = append(stateLens, c.len)
+			}
+		}
+	})
 	if fmt.Sprint(eventLens) != fmt.Sprint(want) || fmt.Sprint(stateLens) != fmt.Sprint(want) {
 		t.Fatalf("chunk lengths: events %v, snapshots %v, want %v", eventLens, stateLens, want)
+	}
+	if chunks := len(eventLens) + len(stateLens); mallocs != float64(chunks) {
+		t.Fatalf("carving %d chunks allocated %.0f heap objects, want one a chunk", chunks, mallocs)
 	}
 	if allocs := testing.AllocsPerRun(chunkMax-2, func() { p.allocEvent(); p.acquireSnapshot(lp) }); allocs != 0 {
 		t.Fatalf("a miss inside a chunk allocates %.2f times", allocs)
@@ -515,6 +533,17 @@ func TestEventLayout(t *testing.T) {
 		if end > 64 {
 			t.Errorf("Event.%s ends at byte %d, outside the first cache line", name, end)
 		}
+	}
+}
+
+// A full event chunk is whole pages: a large object, which the
+// allocator rounds up to pages, with no size-class slack. At chunkMax
+// 64 a chunk was 7,680 bytes in the 8 KiB class, 6 % of it lost; at
+// 1,024 it is 122,880 bytes, exactly 30 pages. A later change to the
+// Event's size or to chunkMax must keep it so.
+func TestEventChunkIsWholePages(t *testing.T) {
+	if bytes := chunkMax * unsafe.Sizeof(Event{}); bytes%4096 != 0 {
+		t.Fatalf("a full event chunk is %d bytes, %d past a page boundary", bytes, bytes%4096)
 	}
 }
 

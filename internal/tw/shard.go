@@ -157,7 +157,7 @@ func (e *Engine) sharded() bool { return e.shardHi-e.shardLo < len(e.peers) }
 // exact correspondence with an in-process run.
 func (p *Peer) dropEvents() {
 	p.inq = nil
-	p.pending = newPendingQueue(0)
+	p.pending = &newPendingQueues(1, 0)[0]
 	p.pooled = 0
 	p.pool = poolStats{}
 	p.quiesced = nil

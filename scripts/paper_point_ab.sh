@@ -14,10 +14,11 @@
 # Every run's report (stdout) must be byte-identical to the parent's
 # first: the script stops at the first that differs and prints the
 # diff. The host line ggsim -v writes to stderr gives each run's wall
-# time, user CPU and peak RSS. After the pairs the script prints, for
-# each of the three, the pairs side by side, "change ahead in N of M
-# pairs", both medians with quartiles and one JSON record in
-# bench_ab.sh's shape (scripts/ab_record.awk).
+# time, user CPU, peak RSS, heap objects and bytes allocated. After the
+# pairs the script prints, for each of the five, the pairs side by side,
+# "change ahead in N of M pairs", both medians with quartiles and one
+# JSON record in bench_ab.sh's shape (scripts/ab_record.awk). A parent
+# whose host line has no heap counts gets records for the first three.
 set -eu
 
 if [ $# -lt 1 ] || [ -z "${FLAGS:-}" ]; then
@@ -51,12 +52,16 @@ echo "paper-point-ab: building $parent and the working tree" >&2
 
 # run <side> <pair>: one run of side a (parent) or b (change). Its
 # report is held to the first parent run's; its host line's wall
-# seconds, user CPU seconds and peak RSS MB are appended to <side>.host.
+# seconds, user CPU seconds, peak RSS MB, heap objects and MB allocated
+# ("-" for the last two when the line has none) are appended to
+# <side>.host.
 run() {
     # shellcheck disable=SC2086 # FLAGS is a command line
     GOMAXPROCS=1 "$tmp/$1.ggsim" $FLAGS >"$tmp/$1.out" 2>"$tmp/$1.err"
-    # host                 : 9.87 s wall, 8.12 s user CPU, 347.7 MB peak RSS
-    if ! awk '$1 == "host" && $8 == "user" { print $3, $6, $10; found = 1 } END { exit !found }' \
+    # host                 : 9.87 s wall, 8.12 s user CPU, 347.7 MB peak RSS, 5432 heap objects, 612.3 MB allocated
+    if ! awk '$1 == "host" && $8 == "user" {
+            print $3, $6, $10, ($15 == "heap" ? $14 : "-"), ($19 == "allocated" ? $17 : "-"); found = 1
+        } END { exit !found }' \
         "$tmp/$1.err" >>"$tmp/$1.host"; then
         echo "paper-point-ab: run $2 of side $1 printed no host line with user CPU and RSS" >&2
         exit 1
@@ -87,9 +92,14 @@ echo "paper-point-ab: all $((2 * pairs)) reports identical"
 cpus=$(getconf _NPROCESSORS_ONLN)
 gover=$($GO env GOVERSION)
 col=1
-for metric in wall_s user_cpu_s peak_rss_mb; do
+for metric in wall_s user_cpu_s peak_rss_mb heap_objects alloc_mb; do
+    if [ "$col" -gt 3 ] && grep -q ' -$' "$tmp/a.host" "$tmp/b.host"; then
+        echo "paper-point-ab: no $metric record: a host line without heap counts (the parent's predates them)"
+        col=$((col + 1))
+        continue
+    fi
     paste -d ' ' "$tmp/a.host" "$tmp/b.host" |
-        awk -v c="$col" '{ print NR, $c, $(c + 3) }' |
+        awk -v c="$col" '{ print NR, $c, $(c + 5) }' |
         awk -v metric="$metric" -v better=lower -v workload=paper-point -v flags="$FLAGS" \
             -v parent="$commit" -v cpus="$cpus" -v procs=1 -v gover="$gover" \
             -f "$root/scripts/ab_record.awk"
