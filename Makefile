@@ -133,9 +133,10 @@ inventory:
 
 # Determinism smoke: the same seeded PHOLD config twice, then once
 # more with -progress, then imbalanced runs that skip idle polls
-# against ones that execute them; the full verbose report (results +
-# telemetry histograms) and the series CSV must be byte-identical —
-# the end-to-end form of ggvet's determinism pass.
+# against ones that execute them, then a resume from the middle
+# snapshot of a checkpointed run against that run; the full verbose
+# report (results + telemetry histograms) and the series CSV must be
+# byte-identical — the end-to-end form of ggvet's determinism pass.
 determinism-smoke:
 	GO="$(GO)" sh scripts/determinism_smoke.sh
 

@@ -52,6 +52,8 @@ func (l *segmentLedger) step(b *testing.B, rs *runState) {
 		*into += time.Since(start)
 	}
 	timed(&l.write, rs.prepare)
+	// As segmentLoop does: the machines leave their coroutines parked.
+	defer rs.spare.End()
 	// Only now, with the config encoded: the counter has no wire form.
 	rs.cfg.Model = decodeCounter{rs.cfg.Model, &l.decoded}
 	for {

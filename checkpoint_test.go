@@ -418,16 +418,20 @@ func (c *expiringContext) Err() error {
 }
 
 // However a checkpointed run ends, when RunContext returns the snapshot
-// writer is gone with it: no goroutine is left, no staging file, every
-// snapshot in the directory is whole, and resuming from the latest one
-// finishes the run as if nothing had happened. A run that cannot write
-// fails with the cause wrapped and returns no Results.
+// writer is gone with it, and so are the coroutines its machines handed
+// on from segment to segment: no goroutine is left, no staging file,
+// every snapshot in the directory is whole, and resuming from the latest
+// one finishes the run as if nothing had happened. The same holds for a
+// run resumed from its middle snapshot, completed or cancelled. A run
+// that cannot write fails with the cause wrapped and returns no Results.
 func TestCheckpointWriterLifecycle(t *testing.T) {
 	model := PHOLD{LPsPerThread: 4, Imbalance: 2}
-	full, err := Run(ckptCfg(model, WaitFree, t.TempDir()))
+	fullDir := t.TempDir()
+	full, err := Run(ckptCfg(model, WaitFree, fullDir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	middle := filepath.Join(fullDir, checkpoint.FileName((len(listCheckpoints(t, fullDir))+1)/2))
 	// stopAt arms cfg to call stop at its n-th GVT publication that
 	// moved GVT; boundaries fall on every second publication.
 	stopAt := func(cfg *Config, n int, stop func()) {
@@ -450,13 +454,16 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 		check func(t *testing.T, res *Results, err error)
 		// snapshots is whether the directory must hold one to resume from.
 		snapshots bool
+		// resume is whether the run under test resumes from the middle
+		// snapshot, with the armed series and directory as options.
+		resume bool
 	}{
 		{"completed", func(*testing.T, *Config) context.Context { return context.Background() },
 			func(t *testing.T, res *Results, err error) {
 				if err != nil || !reflect.DeepEqual(full, res) {
 					t.Fatalf("run returned %+v, %v", res, err)
 				}
-			}, true},
+			}, true, false},
 		{"cancelled", func(t *testing.T, cfg *Config) context.Context {
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
@@ -466,7 +473,7 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 			if res != nil || !errors.Is(err, ErrCancelled) {
 				t.Fatalf("run returned %+v, %v; want ErrCancelled", res, err)
 			}
-		}, true},
+		}, true, false},
 		{"deadline", func(t *testing.T, cfg *Config) context.Context {
 			ctx := &expiringContext{context.Background(), make(chan struct{})}
 			stopAt(cfg, 7, func() { close(ctx.done) })
@@ -475,7 +482,7 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 			if res != nil || !errors.Is(err, ErrDeadline) {
 				t.Fatalf("run returned %+v, %v; want ErrDeadline", res, err)
 			}
-		}, true},
+		}, true, false},
 		{"write-fails", func(t *testing.T, cfg *Config) context.Context {
 			// A directory squats on the second snapshot's name, so its
 			// rename fails after the bytes were staged.
@@ -488,7 +495,7 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 			if res != nil || !errors.As(err, &cause) {
 				t.Fatalf("run returned %+v, %v; want a wrapped rename error", res, err)
 			}
-		}, true},
+		}, true, false},
 		{"dir-is-a-file", func(t *testing.T, cfg *Config) context.Context {
 			cfg.Checkpoint.Dir = filepath.Join(cfg.Checkpoint.Dir, "file")
 			if err := os.WriteFile(cfg.Checkpoint.Dir, nil, 0o644); err != nil {
@@ -500,7 +507,23 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 			if res != nil || !errors.As(err, &cause) {
 				t.Fatalf("run returned %+v, %v; want a wrapped mkdir error", res, err)
 			}
-		}, false},
+		}, false, false},
+		{"resumed-completed", func(*testing.T, *Config) context.Context { return context.Background() },
+			func(t *testing.T, res *Results, err error) {
+				if err != nil || !reflect.DeepEqual(full, res) {
+					t.Fatalf("resume returned %+v, %v", res, err)
+				}
+			}, true, true},
+		{"resumed-cancelled", func(t *testing.T, cfg *Config) context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			stopAt(cfg, 3, cancel)
+			return ctx
+		}, func(t *testing.T, res *Results, err error) {
+			if res != nil || !errors.Is(err, ErrCancelled) {
+				t.Fatalf("resume returned %+v, %v; want ErrCancelled", res, err)
+			}
+		}, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -508,7 +531,13 @@ func TestCheckpointWriterLifecycle(t *testing.T) {
 			cfg := ckptCfg(model, WaitFree, dir)
 			ctx := c.arm(t, &cfg)
 			baseline := runtime.NumGoroutine()
-			res, err := RunContext(ctx, cfg)
+			var res *Results
+			var err error
+			if c.resume {
+				res, err = ResumeContext(ctx, middle, &ResumeOptions{Series: cfg.Series, CheckpointDir: dir})
+			} else {
+				res, err = RunContext(ctx, cfg)
+			}
 			c.check(t, res, err)
 			// The writer sends its result and then exits; give the
 			// scheduler the moment that takes.

@@ -15,7 +15,8 @@ import (
 )
 
 // Machine is a simulated many-core processor. Create one with New,
-// spawn threads, then Run to completion. A Machine is single-use.
+// spawn threads, then Run to completion. A Machine is single-use; the
+// host coroutines its threads ran on need not be (Spare).
 type Machine struct {
 	cfg     Config
 	threads []*Thread
@@ -38,7 +39,43 @@ type Machine struct {
 	threadSlab slab.Slab[Thread]
 	semSlab    slab.Slab[Sem]
 	accSlab    slab.Slab[Acc]
+	coroSlab   slab.Slab[coro]
+
+	// spare is the set Lend gave the machine, nil when there is none.
+	spare *Spare
 }
+
+// Spare is what a finished machine leaves the next one: its threads'
+// parked coroutines (see coro) and its cores' emptied run queues,
+// running sets and scratch buffers. A checkpointed run builds a machine
+// per segment, and without the set every one of them created a
+// coroutine per thread and regrew its queues from nil; with it, a run
+// pays for its coroutines once, as the paper's long-lived threads are
+// created once and only ever de-scheduled. The set carries no
+// scheduling state — every CFS field of a machine starts from New —
+// only host memory and stacks, so a machine that was lent one runs
+// exactly as one that was not. Whoever lends it ends it (End) once no
+// machine will run on it again, on every return path.
+type Spare struct {
+	coros []*coro
+	cores []coreState
+}
+
+// End ends every parked coroutine in the set.
+func (sp *Spare) End() {
+	for _, c := range sp.coros {
+		c.stop()
+	}
+	sp.coros = nil
+}
+
+// Lend has m run on sp: its threads start on sp's parked coroutines
+// before creating any, its cores take sp's queue capacity, and a
+// thread's coroutine parks in sp when its body returns; when RunContext
+// returns, m leaves its cores' capacity there too. A machine that was
+// lent nothing ends a coroutine as soon as its body returns. Call
+// before Run, and end sp after the last machine lent it has run.
+func (m *Machine) Lend(sp *Spare) { m.spare = sp }
 
 // Metric names the machine registers. Histograms are sampled every
 // telemetrySampleTicks quanta per core.
@@ -230,11 +267,7 @@ type DeadlockError struct {
 // Error implements the error interface.
 func (e *DeadlockError) Error() string {
 	msg := fmt.Sprintf("machine: deadlock at tick %d: %d thread(s) blocked", e.Tick, len(e.Blocked))
-	n := len(e.Blocked)
-	if n > 8 {
-		n = 8
-	}
-	return msg + ": " + strings.Join(e.Blocked[:n], ", ")
+	return msg + ": " + strings.Join(e.Blocked[:min(len(e.Blocked), 8)], ", ")
 }
 
 // Run drives the machine until every thread has exited. It returns a
@@ -261,6 +294,12 @@ func (m *Machine) RunContext(ctx context.Context) (err error) {
 		return fmt.Errorf("machine: Run called twice")
 	}
 	m.started = true
+	// One block holds every coroutine the threads may have to create.
+	m.coroSlab.Min, m.coroSlab.Max = len(m.threads), len(m.threads)
+	if m.spare != nil {
+		m.swapQueues()
+		defer m.swapQueues()
+	}
 	defer func() {
 		if err != nil {
 			m.abort()
@@ -346,16 +385,50 @@ func (m *Machine) RunContext(ctx context.Context) (err error) {
 }
 
 // abort unwinds the coroutines of all non-exited threads so they do
-// not leak; a thread that never ran has none.
+// not leak; a thread that never ran has none. An aborted coroutine
+// ends: it is never parked.
 func (m *Machine) abort() {
 	for _, t := range m.threads {
 		if t.state != StateExited {
 			t.state = StateExited
-			if t.stop != nil {
-				t.stop()
+			if t.co != nil {
+				t.co.stop()
 			}
 		}
 	}
+}
+
+// swapQueues swaps the cores' run queues, running sets and scratch
+// buffers with the spare set's: at the start of a run the cores take the
+// capacity a finished machine left, and at its end they leave theirs,
+// emptied. Each core keeps its busy cycles.
+func (m *Machine) swapQueues() {
+	sp := m.spare
+	if len(sp.cores) != len(m.cores) {
+		sp.cores = make([]coreState, len(m.cores))
+	}
+	for i := range m.cores {
+		c, s := &m.cores[i], &sp.cores[i]
+		clear(c.runq)
+		clear(c.running)
+		c.runq, s.runq = s.runq[:0], c.runq[:0]
+		c.running, s.running = s.running[:0], c.running[:0]
+		c.scratch, s.scratch = s.scratch[:0], c.scratch[:0]
+	}
+}
+
+// coroutine hands t a coroutine: a parked one from the spare set, or a
+// new one.
+func (m *Machine) coroutine(t *Thread) *coro {
+	var c *coro
+	if sp := m.spare; sp != nil && len(sp.coros) > 0 {
+		c, sp.coros = sp.coros[len(sp.coros)-1], sp.coros[:len(sp.coros)-1]
+	} else {
+		c = m.coroSlab.New()
+		c.start()
+	}
+	c.t = t
+	return c
 }
 
 // describeThreads summarizes non-exited threads for diagnostics.
@@ -623,13 +696,23 @@ func (m *Machine) charge(c *coreState, t *Thread, cycles uint64) {
 // scheduler; what is left of the grant is in t.grant. It reports
 // ok=false when the body returned, and an error if it panicked.
 func (m *Machine) fetchNext(t *Thread, grant uint64) (ok bool, err error) {
-	if t.next == nil {
-		t.start()
+	if t.co == nil {
+		t.co = m.coroutine(t)
 	}
 	t.grant = grant
-	_, ok = t.next()
+	_, alive := t.co.next()
 	t.needsFetch = false
-	if !ok {
+	if !alive || t.co.t == nil {
+		// The body returned and its coroutine parked — it goes to the
+		// spare set, or ends when the machine was lent none — or it
+		// panicked and its coroutine ended.
+		switch {
+		case alive && m.spare != nil:
+			m.spare.coros = append(m.spare.coros, t.co)
+		case alive:
+			t.co.stop()
+		}
+		t.co = nil
 		if t.panicV != nil {
 			return false, fmt.Errorf("machine: thread %s panicked: %v", t.name, t.panicV)
 		}
@@ -648,11 +731,8 @@ func (m *Machine) exitThread(c *coreState, t *Thread) {
 }
 
 func (m *Machine) removeRunning(c *coreState, t *Thread) {
-	for i, r := range c.running {
-		if r == t {
-			c.running = append(c.running[:i], c.running[i+1:]...)
-			return
-		}
+	if i := slices.Index(c.running, t); i >= 0 {
+		c.running = slices.Delete(c.running, i, i+1)
 	}
 }
 
@@ -712,12 +792,7 @@ func (m *Machine) applyAffinity(c *coreState, caller, target *Thread, newPin int
 		m.enqueue(target, newPin)
 	case StateRunnable:
 		tc := &m.cores[target.core]
-		for i, r := range tc.runq {
-			if r == target {
-				tc.runq = append(tc.runq[:i], tc.runq[i+1:]...)
-				break
-			}
-		}
+		tc.runq = slices.DeleteFunc(tc.runq, func(r *Thread) bool { return r == target })
 		m.enqueue(target, newPin)
 	case StateBlocked:
 		// Re-placed on wake; just record the pin (done above) and the

@@ -191,13 +191,11 @@ type Thread struct {
 	// runs; work that ends strictly inside it is charged in place.
 	grant uint64
 
-	// body runs as a coroutine: next resumes it until its next machine
-	// call and reports false once it has returned, stop unwinds it.
-	// Both are nil until the thread is first scheduled. panicV holds
+	// body runs on co, a coroutine the thread takes when it is first
+	// scheduled and gives up when body returns (see coro). panicV holds
 	// what a panicking body raised.
 	body   func(*Proc)
-	next   func() (struct{}, bool)
-	stop   func()
+	co     *coro
 	panicV any
 	// proc is what body is handed: it lives in the thread, and the
 	// thread in the machine's slab.
@@ -233,21 +231,52 @@ type Proc struct {
 }
 
 // aborted is what a machine call panics with, inside the body's
-// coroutine, when the machine stopped the run underneath it; start
+// coroutine, when the machine stopped the run underneath it; run
 // recovers it. A body must not swallow panics it did not raise.
 type aborted struct{}
 
-// start creates t's coroutine. It runs nothing until the first next.
-func (t *Thread) start() {
-	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
-		defer func() {
-			if r := recover(); r != nil && r != (aborted{}) {
-				t.panicV = r
+// coro is a host coroutine that runs simulated threads' bodies, one at
+// a time, and can outlive each of them. A thread takes one when it is
+// first scheduled — a parked one from its machine's spare set (Spare)
+// if there is one, else a new one — and resumes it with next until its
+// next machine call. When the body returns, the coroutine clears t and
+// parks; the machine keeps it in the spare set, where the next thread
+// to start — in this machine, or in the one a checkpointed run builds
+// at its next boundary — resumes it with its own body instead of paying
+// for a coroutine of its own, or ends it when it was lent no set. A
+// body that panicked or was aborted ends its coroutine with it, so only
+// a coroutine whose stack unwound cleanly is ever handed on. stop ends
+// a parked coroutine, or aborts a running body.
+type coro struct {
+	next func() (struct{}, bool)
+	stop func()
+	t    *Thread // the thread whose body it runs; nil while parked
+}
+
+// start creates c's coroutine. It runs nothing until the first next,
+// which must find c.t set.
+func (c *coro) start() {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		for c.t.run(yield) {
+			c.t = nil
+			if !yield(struct{}{}) {
+				return
 			}
-		}()
-		t.proc = Proc{t: t, yield: yield}
-		t.body(&t.proc)
+		}
 	})
+}
+
+// run runs t's body on the calling coroutine and reports whether it
+// returned; one that panicked or was aborted did not.
+func (t *Thread) run(yield func(struct{}) bool) (returned bool) {
+	defer func() {
+		if r := recover(); r != nil && r != (aborted{}) {
+			t.panicV = r
+		}
+	}()
+	t.proc = Proc{t: t, yield: yield}
+	t.body(&t.proc)
+	return true
 }
 
 // call hands a segment to the scheduler and switches to it; control

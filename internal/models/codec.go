@@ -5,7 +5,9 @@ package models
 // layouts are deliberately dumb — exported fields in declaration order
 // — because checkpoint portability matters more than compactness and
 // the file format above this layer is versioned. Encoders append to the
-// caller's buffer, so a capture encodes every LP into one arena.
+// caller's buffer, so a capture encodes every LP into one arena, and
+// decoders carve from the slab InitLP carves from, so Resume decodes a
+// model's LP states into one block.
 
 import (
 	"encoding/binary"
@@ -36,8 +38,9 @@ func (m *PHOLD) DecodeState(data []byte) (tw.State, error) {
 	if len(data) != 8 {
 		return nil, fmt.Errorf("models: phold state is %d bytes, want 8", len(data))
 	}
-	v, _ := getI64(data, 0)
-	return &PHOLDState{Processed: v}, nil
+	st := m.states.New()
+	st.Processed, _ = getI64(data, 0)
+	return st, nil
 }
 
 // EncodeState implements tw.CheckpointModel.
@@ -63,7 +66,7 @@ func (m *Epidemics) DecodeState(data []byte) (tw.State, error) {
 	if n > uint64(len(data)) || uint64(len(data)) != 8+n+4*8 {
 		return nil, fmt.Errorf("models: epidemics state is %d bytes, want %d for %d agents", len(data), 8+n+4*8, n)
 	}
-	st := &HouseholdState{}
+	st := m.states.New()
 	st.sizeAgents(int(n))
 	copy(st.Agents, data[8:8+n])
 	off := int(8 + n)
@@ -90,7 +93,7 @@ func (m *Traffic) DecodeState(data []byte) (tw.State, error) {
 	if len(data) != 3*8 {
 		return nil, fmt.Errorf("models: traffic state is %d bytes, want 24", len(data))
 	}
-	st := &IntersectionState{}
+	st := m.states.New()
 	off := 0
 	st.Queued, off = getI64(data, off)
 	st.Arrivals, off = getI64(data, off)

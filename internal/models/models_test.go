@@ -483,7 +483,9 @@ func TestCopyFromIntoZeroValueMatchesClone(t *testing.T) {
 // recycled small state and a recycled large one) and DecodeState give
 // equal Agents that share no memory with their source. What the flat
 // state buys is counted: a copy, a clone and a decode allocate one object
-// less each, and CopyFrom nothing at all once the receiver has room.
+// less each, and CopyFrom nothing at all once the receiver has room; a
+// decode takes its state from the block InitLP carves from, so only the
+// agents of a household above eight cost it an object.
 func TestHouseholdAgentsStayWithTheState(t *testing.T) {
 	for _, agents := range []int{1, 4, 8, 9, 33} {
 		m, err := NewEpidemics(EpidemicsConfig{
@@ -555,8 +557,11 @@ func TestHouseholdAgentsStayWithTheState(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { sink = src.Clone() }); n != float64(objects) {
 			t.Errorf("%d agents: Clone allocates %v objects, want %d", agents, n, objects)
 		}
-		if n := testing.AllocsPerRun(100, func() { sink, _ = m.DecodeState(enc) }); n != float64(objects) {
-			t.Errorf("%d agents: DecodeState allocates %v objects, want %d", agents, n, objects)
+		// A decoded state is carved from the model's slab, which hands
+		// out one block per 16 states here: 101 decodes take 7 blocks,
+		// which AllocsPerRun's whole-number average reads as 0.
+		if n := testing.AllocsPerRun(100, func() { sink, _ = m.DecodeState(enc) }); n != float64(objects-1) {
+			t.Errorf("%d agents: DecodeState allocates %v objects, want %d", agents, n, objects-1)
 		}
 		recycled := sink.(*HouseholdState)
 		if n := testing.AllocsPerRun(100, func() { recycled.CopyFrom(src) }); n != 0 {

@@ -139,6 +139,10 @@ type runState struct {
 	writing chan writeResult
 	written int
 	encoded []byte
+	// spare carries a checkpointed run's finished machine's parked
+	// coroutines and queue capacity to the next segment's
+	// (machine.Spare); segmentLoop ends it on every return path.
+	spare machine.Spare
 	// Cumulative totals.
 	startTick uint64
 	rounds    uint64 // GVT publications across all segments
@@ -176,6 +180,7 @@ func (rs *runState) run(ctx context.Context) (*Results, error) {
 }
 
 func (rs *runState) segmentLoop(ctx context.Context) (*Results, error) {
+	defer rs.spare.End()
 	for {
 		if res, err := rs.runSegment(ctx); res != nil || err != nil {
 			return res, err
@@ -305,6 +310,9 @@ func (rs *runState) buildSegment() (*segment, error) {
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return nil, err
+	}
+	if rs.checkpointing() {
+		m.Lend(&rs.spare)
 	}
 	if rs.rec != nil {
 		rs.rec.Clock = m.NowCycles

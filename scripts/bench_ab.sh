@@ -32,11 +32,14 @@
 # counts for neither), and both sides' median and quartiles with the
 # change in percent — or, for a metric whose quartiles read the same to
 # four digits on either side, "exact count", since a count that repeats
-# has no spread to compare against. It then prints the same reading as
-# one JSON line, the record a claim is filed under: the machine (CPUs,
-# GOMAXPROCS and Go version of the change's first run), the parent's
-# commit, the extra flags, the pair count, each side's median and
-# quartiles and "ahead in N of M".
+# has no spread to compare against — then the exact two-sided sign
+# test's p-value over the untied pairs and its verdict at alpha 0.05,
+# "claim" or "unresolved" ("exact" for an exact count; at least six
+# pairs are needed to reach p < 0.05). It then prints the same reading
+# as one JSON line, the record a claim is filed under: the machine
+# (CPUs, GOMAXPROCS and Go version of the change's first run), the
+# parent's commit, the extra flags, the pair count, each side's median
+# and quartiles, "ahead in N of M", the p-value and the verdict.
 set -eu
 
 if [ $# -lt 2 ]; then

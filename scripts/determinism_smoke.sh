@@ -22,6 +22,15 @@
 # 53-bit draw of exactly 0) executes every one of them. Report and
 # series CSV byte-identical is therefore the binary-level proof that
 # skipping equals executing.
+#
+# Then a checkpointed leg: an Epidemics run that writes a snapshot every
+# 2 GVT rounds, and a resume from its middle snapshot. Every segment
+# boundary of the first hands the finished machine's parked coroutines
+# to the next machine, and the resume's first machine is a rebuilt one
+# decoding its states from the file, so the two -v reports being equal
+# (but for the first line, the config banner or "resumed from", and the
+# host line) is the binary-level proof that a machine given the previous
+# one's threads continues exactly like a rebuilt one.
 set -eu
 
 GO=${GO:-go}
@@ -77,4 +86,21 @@ run skip_gg $imbalanced -system gg
 run exec_gg $imbalanced -system gg $never_stalls
 same "executing run (gg) diverged from the skipping one" skip_gg exec_gg
 
-echo "determinism-smoke: seeded runs byte-identical, with $(grep -c '^gvt ' "$dir/progress.err") progress lines on stderr ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to runs that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows)"
+ckpt="-model epidemics -threads 8 -end 40 -gvt-freq 10 -seed 1337 -v -hist"
+"$dir/ggsim" $ckpt -checkpoint-every 2 -checkpoint-dir "$dir/ckpt" 2>&1 | grep -v '^host ' | sed 1d >"$dir/ckpt.txt"
+files=$(ls "$dir/ckpt" | wc -l)
+middle=$(printf 'ckpt-%08d.ckpt' $(((files + 1) / 2)))
+"$dir/ggsim" -resume "$dir/ckpt/$middle" -v -hist >"$dir/resumed.out" 2>&1
+head -n 1 "$dir/resumed.out" | grep -q '^resumed from ' || {
+    echo "determinism-smoke: resume printed no \"resumed from\" line first:" >&2
+    cat "$dir/resumed.out" >&2
+    exit 1
+}
+grep -v '^host ' "$dir/resumed.out" | sed 1d >"$dir/resumed.txt"
+if [ "$files" -lt 2 ] || ! diff -u "$dir/ckpt.txt" "$dir/resumed.txt" >"$dir/diff.txt"; then
+    echo "determinism-smoke: resume from $middle of $files snapshots diverged from the checkpointed run:" >&2
+    cat "$dir/diff.txt" >&2
+    exit 1
+fi
+
+echo "determinism-smoke: seeded runs byte-identical, with $(grep -c '^gvt ' "$dir/progress.err") progress lines on stderr ($(wc -l <"$dir/a.txt") report lines, $(wc -l <"$dir/a/series.csv") series rows); imbalanced runs that skip identical to runs that execute ($(wc -l <"$dir/skip_base/series.csv") + $(wc -l <"$dir/skip_gg/series.csv") series rows); resume from $middle of $files snapshots identical to the checkpointed run ($(wc -l <"$dir/ckpt.txt") report lines)"
