@@ -33,7 +33,8 @@ test-race:
 
 # Short fuzz pass over the external inputs — the Config JSON wire
 # codec, the distributed binary batch codec, the checkpoint file
-# decoder and the engine a decoded capture rebuilds — and over the
+# decoder, the snapshot header writer (held to encoding/json) and the
+# engine a decoded capture rebuilds — and over the
 # generated configs the sequential oracle checks (FuzzOracle); extend
 # FUZZTIME locally.
 FUZZTIME ?= 10s
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzConfigJSON$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz='^FuzzBinaryFrame$$' -fuzztime=$(FUZZTIME) ./internal/dist
 	$(GO) test -run=^$$ -fuzz='^FuzzCheckpointDecode$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotHeader$$' -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run=^$$ -fuzz='^FuzzEngineState$$' -fuzztime=$(FUZZTIME) ./internal/tw
 	$(GO) test -run=^$$ -fuzz='^FuzzOracle$$' -fuzztime=$(FUZZTIME) ./internal/tw
 
@@ -63,8 +65,8 @@ perf:
 
 # The paired before/after a performance claim rests on: PAIRS
 # alternating runs of one benchmark workload at PARENT (any git ref,
-# checked out into a temporary worktree, or a directory holding that
-# tree) and in this tree, then the -compare table over both sets and,
+# unpacked with git archive into a temporary directory) and in this
+# tree, then the -compare table over both sets and,
 # with METRIC, that metric pair by pair with "change ahead in N of M
 # pairs". Not part of ci.
 #   make perf-ab PARENT=HEAD~1 WORKLOAD=traffic-oversub-rollback METRIC=committed_ev_per_host_s
@@ -77,8 +79,8 @@ perf-ab:
 # with the wait-free GVT, one OS thread. The -v report ends with the
 # "host" line on stderr (wall time, user CPU, peak RSS, heap objects
 # and bytes allocated). GGSIM runs a
-# prebuilt binary instead of this tree's. With PARENT=<ref> (a git ref
-# or a directory holding that tree) it is the paired before/after
+# prebuilt binary instead of this tree's. With PARENT=<ref> (a git ref,
+# unpacked with git archive) it is the paired before/after
 # instead: PAIRS alternating runs of the parent's ggsim and this tree's
 # (scripts/paper_point_ab.sh), failing if any report differs from the
 # parent's, then a JSON record each for wall time, user CPU, peak RSS,

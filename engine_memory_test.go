@@ -289,18 +289,22 @@ func runAndResumeMiddle(t *testing.T, dir string) uint64 {
 // first, which is why it is now measured warm (warmPair): 0.250 on a
 // warm pair. With every segment's machine starting on the previous
 // one's parked coroutines and queues, and Resume decoding its LP states
-// into one block, 0.120, alone and in the package run alike. The
-// ceilings are about 1.25 times 0.120 and 0.036.
+// into one block, 0.120, alone and in the package run alike. With the
+// snapshot header appended by hand, the registry exported into one kept
+// state, the runner's and GVT's per-thread state in one block, thread
+// names formatted once a run, the machine's thread array riding the
+// spare set and the quiesce's dropped slice given the heap's room,
+// 0.075. The ceilings are about 1.25 times 0.075 and 0.036.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ckptCeiling, plainCeiling = 0.15, 0.045
+	const ckptCeiling, plainCeiling = 0.093, 0.045
 	mallocs, _, committed := warmPair(t)
 	perEvent := float64(mallocs) / float64(committed)
 	t.Logf("checkpointed run + resume: %.4f allocations per committed event (ceiling %.3f)", perEvent, ckptCeiling)
 	if perEvent > ckptCeiling {
-		t.Errorf("checkpointed run + resume: %.3f allocations per committed event exceeds %.2f: a boundary rebuilds what the engine or machine it finished still holds (internal/tw/spare.go, machine.Spare, the registry in run.go)",
+		t.Errorf("checkpointed run + resume: %.3f allocations per committed event exceeds %.3f: a boundary rebuilds what the engine or machine it finished still holds (internal/tw/spare.go, machine.Spare, the registry in run.go)",
 			perEvent, ckptCeiling)
 	}
 	cfg := ckptBenchCfg("")
@@ -361,12 +365,14 @@ func TestCheckpointedRunBytesPerCommittedEvent(t *testing.T) {
 // Proc and Peer each apart this read 282 per thread (288,813 objects);
 // with the slabs it reads 2.66 (2,722 objects: the 1,024 thread names,
 // 548 cell blocks, 141 spines, the 128 chunks the 131,072 starting
-// events are carved from). The ceiling is 1.5 times that.
+// events are carved from); with the names cut from one string and the
+// runner's and GVT's per-thread state in one block each, 0.89 (911
+// objects). The ceiling is 1.5 times that.
 func TestPaperPointConstructionAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
 	}
-	const ceiling = 4.0
+	const ceiling = 1.35
 	cfg := Config{
 		Model: PHOLD{LPsPerThread: 128, Imbalance: 4}, Threads: 1024, System: Baseline, GVT: WaitFree,
 		Machine: Machine{Cores: 64, SMTWidth: 4, FreqHz: 1.3e9}, EndTime: 30,
@@ -382,9 +388,82 @@ func TestPaperPointConstructionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	perThread := float64(mallocs) / float64(cfg.Threads)
-	t.Logf("paper point: %d heap objects to build machine, engine and runner, %.2f per thread (ceiling %.0f)", mallocs, perThread, ceiling)
+	t.Logf("paper point: %d heap objects to build machine, engine and runner, %.2f per thread (ceiling %.2f)", mallocs, perThread, ceiling)
 	if perThread > ceiling {
-		t.Errorf("paper point: building machine, engine and runner allocates %.2f heap objects per thread, more than %.0f: something built per thread or per LP is allocated one by one again (internal/slab and its users, tw.NewEngine's InitCtx)",
+		t.Errorf("paper point: building machine, engine and runner allocates %.2f heap objects per thread, more than %.2f: something built per thread or per LP is allocated one by one again (internal/slab and its users, tw.NewEngine's InitCtx)",
 			perThread, ceiling)
+	}
+}
+
+// boundaryMallocs is the heap objects the run layer allocates at a
+// checkpoint boundary of the benchmark's config at the given thread
+// count, averaged over boundaries 2 to n+1: the commit with its
+// registry export, the snapshot writer (joined at once, so that its
+// file is counted too) and the build of the next segment. The first
+// boundary makes what the later ones refill or reuse — the encode
+// buffer, the kept export, the thread names — and is left out. So are
+// the segment's run and the engine's capture: what they allocate grows
+// with the rollbacks and queue lengths in flight, which grow with the
+// thread count, and the ceilings of the allocations per committed event
+// cover them.
+func boundaryMallocs(t *testing.T, threads, n int) float64 {
+	cfg := ckptBenchCfg(t.TempDir())
+	cfg.Threads = threads
+	rs := &runState{cfg: cfg}
+	if err := rs.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	defer rs.spare.End()
+	seg, err := rs.buildSegment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for i := 0; i <= n; i++ {
+		if err := seg.m.Run(); err != nil || !seg.eng.Paused() {
+			t.Fatalf("%d threads, segment %d: %v, paused %v", threads, i+1, err, seg.eng.Paused())
+		}
+		est, err := rs.capture(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs := mallocsDuring(func() {
+			rs.commit(seg, est)
+			if err = rs.waitWriter(); err == nil {
+				seg, err = rs.buildSegment()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			total += mallocs
+		}
+	}
+	return float64(total) / float64(n)
+}
+
+// TestBoundaryAllocsDoNotScaleWithThreads is the tripwire for what a
+// boundary builds per thread: four times the threads may cost a
+// boundary only a few more objects. What legitimately grows is a block
+// of threads, semaphores and accumulators per hardware context's worth
+// of threads in each new machine. A per-thread object, a name
+// formatted per thread or an array regrown by append shows here as tens
+// of objects. With the snapshot header marshalled by encoding/json, the
+// registry exported into new maps, the runner's and GVT's per-thread
+// state in one slice per field, thread names formatted per segment and
+// the machine's thread array regrown in each, this read 145 objects
+// at 8 threads and 176 at 32; with all of that done once a run, 52 and
+// 55. The slack is twice the three blocks.
+func TestBoundaryAllocsDoNotScaleWithThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const boundaries, slack = 5, 6.0
+	few, many := boundaryMallocs(t, 8, boundaries), boundaryMallocs(t, 32, boundaries)
+	t.Logf("heap objects a boundary builds: %.1f at 8 threads, %.1f at 32 (slack %.0f)", few, many, slack)
+	if many-few > slack {
+		t.Errorf("a boundary at 32 threads allocates %.1f heap objects, %.1f more than at 8: something a boundary builds is allocated per thread again (run.go's buildSegment and commit, core.NewRunner, gvt, machine.Spare)",
+			many, many-few)
 	}
 }

@@ -20,8 +20,24 @@
 // the wire plane already has (internal/tw/wire_binary.go), so there is
 // one event codec in the tree. Both halves are exact: the binary half
 // stores virtual times as raw IEEE-754 bits and integers as
-// varints/zigzags or raw words, and encoding/json writes floats in
-// shortest round-trip form and uint64s as full-precision decimals.
+// varints/zigzags or raw words, and the header has floats in shortest
+// round-trip form and uint64s as full-precision decimals.
+//
+// The header is written by hand, straight into the file's buffer
+// (header, below), and not marshalled: encoding/json spent about fifty
+// heap objects a file on the metric maps alone, and a run writes a file
+// at every boundary. It writes the bytes json.Marshal(s) writes — the
+// same field order, map keys sorted, empty metric maps omitted, floats
+// in encoding/json's format, strings escaped as it escapes them, and a
+// non-finite float refused with its error — and encoding/json stays
+// the decoder. Those bytes are pinned three ways: testdata/v2.ckpt
+// must decode and re-encode byte for byte, TestHeaderIsJSONMarshal and
+// FuzzSnapshotHeader hold every header to json.Marshal of the same
+// snapshot (names with <, > and &, U+2028, control bytes and invalid
+// UTF-8, floats across encoding/json's format switches, nil and empty
+// maps, every field filled by reflection so that a field added later
+// and not written fails), and the root package's
+// TestCheckpointBytesDeterministic holds whole files across runs.
 // Decode checks every count against the bytes that remain before it
 // allocates, and wraps every failure — wrong magic, version or CRC,
 // truncation, trailing bytes, a malformed header or engine body — in
@@ -31,15 +47,19 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ggpdes/internal/core"
@@ -112,21 +132,157 @@ func AppendEncode(dst []byte, s *Snapshot) ([]byte, error) {
 	if s.Engine == nil {
 		return dst, errors.New("checkpoint: encoding snapshot: no engine state")
 	}
-	header, err := json.Marshal(s)
-	if err != nil {
-		return dst, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
-	}
-	out := slices.Grow(dst, bodyOff+binary.MaxVarintLen64+len(header)+engineSizeHint(s.Engine))
+	out := slices.Grow(dst, bodyOff+binary.MaxVarintLen64+headerSizeHint+engineSizeHint(s.Engine))
 	base := len(out)
 	out = append(out, Magic...)
 	out = append(out, Version, 0, 0, 0, 0)
-	out = tw.AppendWireUint(out, uint64(len(header)))
-	out = append(out, header...)
+	// The header is written behind room for the longest length, the one
+	// thing not known before it, then moved up to its length's end.
+	at := len(out)
+	h := header{b: out[:at+binary.MaxVarintLen64]}
+	h.snapshot(s)
+	if h.err != nil {
+		return dst, fmt.Errorf("checkpoint: encoding snapshot: %w", h.err)
+	}
+	out = h.b
+	n := len(tw.AppendWireUint(out[at:at], uint64(len(out)-at-binary.MaxVarintLen64)))
+	out = append(out[:at+n], out[at+binary.MaxVarintLen64:]...)
 	out = tw.AppendEngineState(out, s.Engine)
 	body := base + bodyOff
 	binary.LittleEndian.PutUint32(out[body-4:], crc32.ChecksumIEEE(out[body:]))
 	return out, nil
 }
+
+// header writes a snapshot's JSON header, every field but Engine, as
+// the bytes json.Marshal(s) writes: fields in declaration order, map
+// keys sorted, empty metric maps omitted, floats in encoding/json's
+// shortest form, and a non-finite float refused with the error it
+// returns. The config and the strings are copied as they are when
+// there is nothing in them encoding/json would compact or escape;
+// anything else goes through its encoder. TestHeaderIsJSONMarshal and
+// FuzzSnapshotHeader hold the bytes to json.Marshal.
+type header struct {
+	b   []byte
+	err error
+}
+
+func (h *header) snapshot(s *Snapshot) {
+	h.b = append(h.b, `{"config":`...)
+	if raw := s.Config; raw != nil && !bytes.ContainsFunc(raw, func(r rune) bool {
+		return r <= ' ' || r >= 0x7f || strings.ContainsRune("<>&", r)
+	}) && json.Valid(raw) {
+		h.b = append(h.b, raw...)
+	} else {
+		h.escaped(raw)
+	}
+	h.str(`,"cache_key":`, s.CacheKey)
+	h.b = strconv.AppendInt(append(h.b, `,"segments":`...), int64(s.Segments), 10)
+	ms, ss := &s.MachineStats, &s.SchedStats
+	for _, f := range [...]struct {
+		key string
+		v   uint64
+	}{
+		{`,"rounds":`, s.Rounds}, {`,"machine_ticks":`, s.MachineTicks},
+		{`,"machine_stats":{"Ticks":`, ms.Ticks}, {`,"CtxSwitches":`, ms.CtxSwitches},
+		{`,"Migrations":`, ms.Migrations}, {`,"CrossNodeMigrations":`, ms.CrossNodeMigrations},
+		{`,"SemWaits":`, ms.SemWaits}, {`,"SemPosts":`, ms.SemPosts}, {`,"BarrierWaits":`, ms.BarrierWaits},
+		{`,"Wakeups":`, ms.Wakeups}, {`,"Preempts":`, ms.Preempts},
+		{`},"sched_stats":{"Deactivations":`, ss.Deactivations}, {`,"Activations":`, ss.Activations},
+		{`,"LockContention":`, ss.LockContention}, {`,"Repins":`, ss.Repins},
+		{`},"total_cycles":`, s.TotalCycles},
+	} {
+		h.b = strconv.AppendUint(append(h.b, f.key...), f.v, 10)
+	}
+	h.b = strconv.AppendInt(append(h.b, `,"gvt_frequency":`...), int64(s.GVTFrequency), 10)
+	h.b = append(h.b, `,"metrics":{`...)
+	writeMap(h, `"counters":{`, s.Metrics.Counters, func(v uint64) { h.b = strconv.AppendUint(h.b, v, 10) })
+	writeMap(h, `"gauges":{`, s.Metrics.Gauges, func(g telemetry.GaugeState) {
+		h.float(`{"value":`, g.Value)
+		h.b = append(strconv.AppendBool(append(h.b, `,"set":`...), g.Set), '}')
+	})
+	writeMap(h, `"histograms":{`, s.Metrics.Histograms, func(hs telemetry.HistogramState) {
+		if hs.Counts == nil {
+			h.b = append(h.b, `{"counts":null`...)
+		} else {
+			h.b = append(h.b, `{"counts":[`...)
+			for _, c := range hs.Counts {
+				h.b = append(strconv.AppendUint(h.b, c, 10), ',')
+			}
+			h.b = append(bytes.TrimSuffix(h.b, []byte(",")), ']')
+		}
+		h.b = strconv.AppendUint(append(h.b, `,"count":`...), hs.Count, 10)
+		h.float(`,"sum":`, hs.Sum)
+		h.float(`,"min":`, hs.Min)
+		h.float(`,"max":`, hs.Max)
+		h.b = append(h.b, '}')
+	})
+	h.b = append(h.b, "}}"...)
+}
+
+// writeMap writes the metric map m, opened by key, unless it is empty:
+// its entries in key order, the byte order encoding/json sorts them in,
+// each value by value.
+func writeMap[V any](h *header, key string, m map[string]V, value func(V)) {
+	if len(m) == 0 {
+		return
+	}
+	if h.b[len(h.b)-1] == '}' { // a map before this one
+		h.b = append(h.b, ',')
+	}
+	var room [64]string
+	keys := slices.AppendSeq(room[:0], maps.Keys(m))
+	slices.Sort(keys)
+	h.b = append(h.b, key...)
+	for i, k := range keys {
+		if i > 0 {
+			h.b = append(h.b, ',')
+		}
+		h.str("", k)
+		h.b = append(h.b, ':')
+		value(m[k])
+	}
+	h.b = append(h.b, '}')
+}
+
+// str writes key, then s as a JSON string.
+func (h *header) str(key, s string) {
+	h.b = append(h.b, key...)
+	if strings.ContainsFunc(s, func(r rune) bool { return r < ' ' || r >= 0x7f || strings.ContainsRune(`"\<>&`, r) }) {
+		h.escaped(s)
+		return
+	}
+	h.b = append(append(append(h.b, '"'), s...), '"')
+}
+
+// escaped writes v as encoding/json encodes it, or fails as it fails.
+func (h *header) escaped(v any) {
+	j, err := json.Marshal(v)
+	if err != nil && h.err == nil {
+		h.err = err
+	}
+	h.b = append(h.b, j...)
+}
+
+// float writes key, then f as encoding/json formats a float64.
+func (h *header) float(key string, f float64) {
+	h.b = append(h.b, key...)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		h.escaped(f) // refused, as encoding/json refuses it
+		return
+	}
+	if abs := math.Abs(f); abs == 0 || 1e-6 <= abs && abs < 1e21 {
+		h.b = strconv.AppendFloat(h.b, f, 'f', -1, 64)
+		return
+	}
+	h.b = strconv.AppendFloat(h.b, f, 'e', -1, 64)
+	if n := len(h.b); string(h.b[n-4:n-1]) == "e-0" {
+		h.b = append(h.b[:n-2], h.b[n-1]) // as encoding/json does: e-09 becomes e-9
+	}
+}
+
+// headerSizeHint is room for a typical header: the benchmark's are
+// about 2.5 KB.
+const headerSizeHint = 4 << 10
 
 // engineSizeHint estimates the encoded size of st from above for
 // typical states, so Encode appends into one allocation.
@@ -176,10 +332,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-// FileName returns the canonical file name of checkpoint n; zero
+// FileName returns the canonical file name of checkpoint n >= 0; zero
 // padding keeps lexicographic and numeric order identical, which is
 // what Latest relies on.
-func FileName(n int) string { return fmt.Sprintf("ckpt-%08d%s", n, Ext) }
+func FileName(n int) string {
+	d := strconv.AppendInt(make([]byte, 0, 20), int64(n), 10)
+	return "ckpt-" + "00000000"[min(len(d), 8):] + string(d) + Ext
+}
 
 // Write encodes a snapshot and atomically persists it as file number
 // s.Segments under dir, creating the directory as needed.

@@ -87,16 +87,16 @@ func (d *dynamicAffinity) OnDeactivate(acc *machine.Acc, tid int) {
 // thread not yet pinned, find the core with the fewest active pinned
 // hardware threads (SMT-awareness) and pin it there.
 func (d *dynamicAffinity) OnRoundComplete(p *machine.Proc, acc *machine.Acc, g *ggSched) {
-	for tid, active := range g.activeThreads {
+	for tid := range g.threads {
 		acc.Work(d.costs.AffinityPerThreadCycles)
-		if !active || d.coreOf[tid] >= 0 {
+		if !g.threads[tid].active || d.coreOf[tid] >= 0 {
 			continue
 		}
 		core := d.emptiestCore(acc)
 		d.pinnedCount[core]++
 		d.coreOf[tid] = core
 		d.Repins++
-		g.r.tel.repins[tid].Inc()
+		g.r.tel[tid].repins.Inc()
 		if t := g.r.cfg.Trace; t != nil {
 			t.Add(trace.KindRepin, tid, 0, int64(core))
 		}

@@ -26,6 +26,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ggpdes/internal/gvt"
 	"ggpdes/internal/machine"
@@ -165,6 +167,10 @@ type Config struct {
 	// Mattern-style cut notification the distributed coordinator uses
 	// to stamp wire traffic with cut generations. Observability only.
 	GVTOnCut func(cut int, round uint64)
+	// ThreadNames names the simulation threads, one per engine peer; nil
+	// has NewRunner format them (see ThreadNames), which a run of many
+	// segments does once instead.
+	ThreadNames []string
 	// Faults, when non-nil, is consulted once per main-loop iteration
 	// (see internal/chaos): a stalled thread burns the iteration without
 	// doing work. That changes scheduling, never what commits. A run
@@ -193,7 +199,7 @@ type Runner struct {
 	// under Baseline.
 	demand *demand
 	aff    affinity
-	tel    coreTelemetry
+	tel    []threadTelemetry
 
 	// pollCycles is what an iteration that finds nothing costs before
 	// its GVT step: the loop overhead and an empty input-queue poll.
@@ -205,14 +211,15 @@ type Runner struct {
 	shutdownDone bool
 }
 
-// coreTelemetry caches metric handles for the scheduling hot paths,
-// one registry shard per thread so recording never shares a cache
-// line across threads. Handles are indexed by the tid the operation
-// concerns (the thread being activated, deactivated or repinned).
-type coreTelemetry struct {
-	descheduleSpan             []*telemetry.Histogram
-	deactivations, activations []*telemetry.Counter
-	repins                     []*telemetry.Counter
+// threadTelemetry caches one thread's metric handles for the
+// scheduling hot paths, from its own registry shard so recording never
+// shares a cache line across threads. The Runner keeps them indexed by
+// the tid the operation concerns (the thread being activated,
+// deactivated or repinned).
+type threadTelemetry struct {
+	descheduleSpan             *telemetry.Histogram
+	deactivations, activations *telemetry.Counter
+	repins                     *telemetry.Counter
 }
 
 // scheduler is the demand-driven scheduling behaviour, invoked from the
@@ -258,18 +265,13 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{cfg: cfg, pollCycles: cfg.Costs.LoopCycles + cfg.Engine.Config().Costs.DrainBaseCycles}
 
 	n := len(cfg.Engine.Peers())
-	r.tel = coreTelemetry{
-		descheduleSpan: make([]*telemetry.Histogram, n),
-		deactivations:  make([]*telemetry.Counter, n),
-		activations:    make([]*telemetry.Counter, n),
-		repins:         make([]*telemetry.Counter, n),
-	}
-	for tid := 0; tid < n; tid++ {
+	r.tel = make([]threadTelemetry, n)
+	for tid := range r.tel {
 		sh := cfg.Telemetry.Shard(tid)
-		r.tel.descheduleSpan[tid] = sh.Histogram(MetricDescheduleSpan)
-		r.tel.deactivations[tid] = sh.Counter(MetricDeactivations)
-		r.tel.activations[tid] = sh.Counter(MetricActivations)
-		r.tel.repins[tid] = sh.Counter(MetricRepins)
+		r.tel[tid] = threadTelemetry{
+			sh.Histogram(MetricDescheduleSpan), sh.Counter(MetricDeactivations),
+			sh.Counter(MetricActivations), sh.Counter(MetricRepins),
+		}
 	}
 	mcfg := cfg.Machine.Config()
 	usableCores := mcfg.Cores
@@ -325,13 +327,26 @@ func NewRunner(cfg Config) (*Runner, error) {
 	// them, so no thread needs a closure of its own.
 	first := len(cfg.Machine.Threads())
 	body := func(p *machine.Proc) { r.threadBody(p, p.ID()-first) }
-	for tid := 0; tid < n; tid++ {
-		cfg.Machine.Spawn(fmt.Sprintf("sim-%d", tid), body)
+	if cfg.ThreadNames == nil {
+		cfg.ThreadNames = ThreadNames(n)
+	}
+	for _, name := range cfg.ThreadNames[:n] {
+		cfg.Machine.Spawn(name, body)
 	}
 	if controller != nil {
 		cfg.Machine.SpawnPinned("dd-controller", mcfg.Cores-1, controller)
 	}
 	return r, nil
+}
+
+// ThreadNames returns the names of n simulation threads, "sim-<tid>",
+// cut from one string.
+func ThreadNames(n int) []string {
+	var b []byte
+	for tid := range n {
+		b = strconv.AppendInt(append(b, " sim-"...), int64(tid), 10)
+	}
+	return strings.Fields(string(b))
 }
 
 // Algorithm returns the GVT algorithm instance (for stats).
@@ -364,9 +379,6 @@ func (r *Runner) SchedulingStats() SchedulingStats {
 	}
 	return s
 }
-
-// System returns the configured scheduling system.
-func (r *Runner) System() System { return r.cfg.System }
 
 // NumActive returns the number of currently scheduled-in simulation
 // threads; for Baseline every thread always counts as active. The

@@ -12,57 +12,53 @@ import (
 type demand struct {
 	r *Runner
 
-	// semLocks: one binary semaphore per simulation thread; waiting on
-	// it de-schedules the thread (Algorithm 1 line 13).
-	semLocks []*machine.Sem
-	// activeThreads mirrors the paper's padded, cache-aligned boolean
-	// array indicating which threads are scheduled in.
-	activeThreads []bool
-	numActive     int
-
-	// zeroCounter counts consecutive empty-queue loop iterations;
-	// wantDeactivate is Algorithm 1's "active" flag gone false.
-	zeroCounter    []int
-	wantDeactivate []bool
-	// posted guards against double sem_post when a reactivated thread
-	// has not yet run its wake-up path by the next activation scan.
-	posted []bool
+	// threads holds each simulation thread's book-keeping, in one block.
+	threads   []demandThread
+	numActive int
 
 	// Deactivations and Activations count scheduling operations.
 	Deactivations, Activations uint64
 }
 
+// demandThread is one simulation thread's scheduling book-keeping.
+type demandThread struct {
+	// sem is the thread's binary semaphore; waiting on it de-schedules
+	// the thread (Algorithm 1 line 13).
+	sem *machine.Sem
+	// active is the thread's entry of the paper's padded, cache-aligned
+	// boolean array indicating which threads are scheduled in.
+	active bool
+	// zeroCounter counts consecutive empty-queue loop iterations;
+	// wantDeactivate is Algorithm 1's "active" flag gone false.
+	zeroCounter    int
+	wantDeactivate bool
+	// posted guards against double sem_post when a reactivated thread
+	// has not yet run its wake-up path by the next activation scan.
+	posted bool
+}
+
 func newDemand(r *Runner, semName string) demand {
-	n := len(r.cfg.Engine.Peers())
-	d := demand{
-		r:              r,
-		semLocks:       make([]*machine.Sem, n),
-		activeThreads:  make([]bool, n),
-		numActive:      n,
-		zeroCounter:    make([]int, n),
-		wantDeactivate: make([]bool, n),
-		posted:         make([]bool, n),
-	}
-	for i := range d.semLocks {
-		d.semLocks[i] = r.cfg.Machine.NewSem(semName, 0)
-		d.activeThreads[i] = true
+	d := demand{r: r, threads: make([]demandThread, len(r.cfg.Engine.Peers()))}
+	d.numActive = len(d.threads)
+	for i := range d.threads {
+		d.threads[i] = demandThread{sem: r.cfg.Machine.NewSem(semName, 0), active: true}
 	}
 	return d
 }
 
 // SemOf implements scheduler.
-func (d *demand) SemOf(tid int) *machine.Sem { return d.semLocks[tid] }
+func (d *demand) SemOf(tid int) *machine.Sem { return d.threads[tid].sem }
 
 // IsActive implements scheduler.
-func (d *demand) IsActive(tid int) bool { return d.activeThreads[tid] }
+func (d *demand) IsActive(tid int) bool { return d.threads[tid].active }
 
 // ReadMessageCount is Algorithm 1 lines 1-6: track consecutive
 // empty-queue iterations and flag the thread for deactivation past the
 // threshold. Its cost is part of the main loop's LoopCycles.
 func (d *demand) ReadMessageCount(tid int) {
 	if d.r.cfg.Engine.Peer(tid).HasExecutableWork() {
-		d.zeroCounter[tid] = 0
-		d.wantDeactivate[tid] = false
+		d.threads[tid].zeroCounter = 0
+		d.threads[tid].wantDeactivate = false
 		return
 	}
 	d.SkipIdle(tid, 1)
@@ -70,9 +66,10 @@ func (d *demand) ReadMessageCount(tid int) {
 
 // SkipIdle implements scheduler: n probes that found nothing.
 func (d *demand) SkipIdle(tid, n int) {
-	d.zeroCounter[tid] += n
-	if d.zeroCounter[tid] > d.r.cfg.ZeroCounterThreshold {
-		d.wantDeactivate[tid] = true
+	th := &d.threads[tid]
+	th.zeroCounter += n
+	if th.zeroCounter > d.r.cfg.ZeroCounterThreshold {
+		th.wantDeactivate = true
 	}
 }
 
@@ -81,24 +78,24 @@ func (d *demand) SkipIdle(tid, n int) {
 // goes on.
 func (d *demand) canPark(tid int) bool {
 	eng := d.r.cfg.Engine
-	return d.wantDeactivate[tid] && !eng.Peer(tid).HasExecutableWork() && d.numActive > 1 && !eng.Done()
+	return d.threads[tid].wantDeactivate && !eng.Peer(tid).HasExecutableWork() && d.numActive > 1 && !eng.Done()
 }
 
 // activate is Algorithm 2: walk the activity arrays and reactivate any
 // de-scheduled thread whose input queue received messages.
 func (d *demand) activate(p *machine.Proc, acc *machine.Acc) {
-	if d.numActive >= len(d.activeThreads) {
+	if d.numActive >= len(d.threads) {
 		return
 	}
 	eng := d.r.cfg.Engine
-	for i := range d.activeThreads {
+	for i := range d.threads {
 		acc.Work(d.r.cfg.Costs.ScanPerThreadCycles)
-		if !d.activeThreads[i] && !d.posted[i] && eng.Peer(i).HasExecutableWork() {
-			d.posted[i] = true
+		if th := &d.threads[i]; !th.active && !th.posted && eng.Peer(i).HasExecutableWork() {
+			th.posted = true
 			d.Activations++
-			d.r.tel.activations[i].Inc()
+			d.r.tel[i].activations.Inc()
 			acc.Flush()
-			p.SemPost(d.semLocks[i])
+			p.SemPost(th.sem)
 		}
 	}
 }
@@ -106,10 +103,10 @@ func (d *demand) activate(p *machine.Proc, acc *machine.Acc) {
 // park is the first half of Algorithm 1 lines 11-13: mark tid inactive
 // and leave the GVT protocol. The caller blocks it next.
 func (d *demand) park(tid int) {
-	d.activeThreads[tid] = false
+	d.threads[tid].active = false
 	d.numActive--
 	d.Deactivations++
-	d.r.tel.deactivations[tid].Inc()
+	d.r.tel[tid].deactivations.Inc()
 	if t := d.r.cfg.Trace; t != nil {
 		t.Add(trace.KindDeactivate, tid, 0, 0)
 	}
@@ -120,22 +117,20 @@ func (d *demand) park(tid int) {
 // the shutdown wake) posts it, and records how long that took.
 func (d *demand) block(p *machine.Proc, tid int) {
 	blockedAt := p.NowCycles()
-	p.SemWait(d.semLocks[tid])
-	d.r.tel.descheduleSpan[tid].Observe(float64(p.NowCycles() - blockedAt))
+	p.SemWait(d.threads[tid].sem)
+	d.r.tel[tid].descheduleSpan.Observe(float64(p.NowCycles() - blockedAt))
 }
 
 // wake is Algorithm 1 lines 14-17: mark the woken thread active again
 // and, unless the run is over, rejoin the GVT protocol. It reports
 // whether the thread rejoined; a shutdown wake exits without.
 func (d *demand) wake(tid int) bool {
-	d.posted[tid] = false
-	d.activeThreads[tid] = true
+	// Scheduled in, not posted, and the activity probe starts over.
+	d.threads[tid] = demandThread{sem: d.threads[tid].sem, active: true}
 	d.numActive++
 	if t := d.r.cfg.Trace; t != nil {
 		t.Add(trace.KindActivate, tid, 0, 0)
 	}
-	d.zeroCounter[tid] = 0
-	d.wantDeactivate[tid] = false
 	if d.r.cfg.Engine.Done() {
 		return false
 	}

@@ -136,7 +136,10 @@ func runSkipCase(t *testing.T, c skipCase, seed uint64, faults ThreadFaultInject
 		pr.Peers = append(pr.Peers, p.Stats)
 	}
 	if d := r.demand; d != nil {
-		pr.ZeroCounters, pr.WantDeactive = d.zeroCounter, d.wantDeactivate
+		for _, th := range d.threads {
+			pr.ZeroCounters = append(pr.ZeroCounters, th.zeroCounter)
+			pr.WantDeactive = append(pr.WantDeactive, th.wantDeactivate)
+		}
 	}
 	for _, lp := range eng.LPs() {
 		pr.LPStates = append(pr.LPStates, lp.State())

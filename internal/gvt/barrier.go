@@ -35,20 +35,26 @@ type barrierGVT struct {
 
 	bar1, bar2, bar3 *machine.Barrier
 	freq             int
-	iters            []int
-	localMin         []tw.VT
-	subscribed       []bool
-	participants     int
-	roundSize        int
-	endCount         int
-	rounds           uint64
-	rt               roundTelemetry
+	// threads holds each thread's protocol state, in one block.
+	threads      []barrierThread
+	participants int
+	roundSize    int
+	endCount     int
+	rounds       uint64
+	rt           roundTelemetry
 	// pendingJoins holds reactivated threads whose subscription must
 	// wait for a safe point: growing the barriers mid-round would make
 	// in-flight generations wait for a thread that re-enters at bar1.
 	pendingJoins []int
-	// cpus holds the per-thread engine-charge adapters (see gvtCPU).
-	cpus []gvtCPU
+}
+
+// barrierThread is one thread's barrier protocol state.
+type barrierThread struct {
+	subscribed bool
+	iters      int
+	localMin   tw.VT
+	// cpu is the thread's engine-charge adapter (see gvtCPU).
+	cpu gvtCPU
 }
 
 func newBarrier(cfg Config) *barrierGVT {
@@ -61,16 +67,13 @@ func newBarrier(cfg Config) *barrierGVT {
 		bar2:         cfg.Machine.NewBarrier("gvt2", n),
 		bar3:         cfg.Machine.NewBarrier("gvt3", n),
 		freq:         cfg.Frequency,
-		iters:        make([]int, n),
-		localMin:     make([]tw.VT, n),
-		subscribed:   make([]bool, n),
-		cpus:         make([]gvtCPU, n),
+		threads:      make([]barrierThread, n),
 		participants: n,
 		roundSize:    n,
 		rt:           newRoundTelemetry(&cfg),
 	}
-	for i := range b.subscribed {
-		b.subscribed[i] = true
+	for i := range b.threads {
+		b.threads[i].subscribed = true
 	}
 	return b
 }
@@ -84,31 +87,26 @@ func (b *barrierGVT) Participants() int { return b.participants }
 // Rounds implements Algorithm.
 func (b *barrierGVT) Rounds() uint64 { return b.rounds }
 
-func (b *barrierGVT) charge(acc *machine.Acc, tid int, cycles uint64) {
-	acc.Work(cycles)
-	b.eng.Peer(tid).Stats.GVTCycles += cycles
-}
-
 // Step implements Algorithm.
 func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
-	b.charge(acc, tid, b.costs.PhaseCheckCycles)
-	if !b.subscribed[tid] {
+	th := &b.threads[tid]
+	cpu := &th.cpu
+	cpu.acc, cpu.peer = acc, b.eng.Peer(tid)
+	cpu.Work(b.costs.PhaseCheckCycles)
+	if !th.subscribed {
 		// Reactivated but not yet applied: process events freely; the
 		// reduction covers this thread via RemoteMin until it joins.
 		return
 	}
-	b.iters[tid]++
-	if b.iters[tid] < b.freq {
+	th.iters++
+	if th.iters < b.freq {
 		return
 	}
-	b.iters[tid] = 0
-	peer := b.eng.Peer(tid)
-	cpu := &b.cpus[tid]
-	cpu.acc, cpu.peer = acc, peer
+	th.iters = 0
 
 	// Stop the world. Block-time is not CPU time; only the barrier op
 	// itself is charged (by the machine).
-	b.charge(acc, tid, b.costs.PhaseAdvanceCycles)
+	cpu.Work(b.costs.PhaseAdvanceCycles)
 	acc.Flush()
 	if p.BarrierWait(b.bar1) {
 		// Serial thread freezes the round size while everyone is
@@ -123,13 +121,13 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 	// No thread is processing events now: drain and record the local
 	// minimum. Threads that drain later can still roll back and send
 	// anti-messages here; the reduction at bar2 rescans for them.
-	_, b.localMin[tid] = peer.DrainLocalMin(cpu)
+	_, th.localMin = cpu.peer.DrainLocalMin(cpu)
 	acc.Flush()
 	if p.BarrierWait(b.bar2) {
 		// Serial thread is the pseudo-controller: reduce, publish, and
 		// run the activation scan.
 		gmin := math.Inf(1)
-		for i, sub := range b.subscribed {
+		for i := range b.threads {
 			// Every thread's queues are scanned as they stand now.
 			// Unsubscribed threads (de-scheduled, or reactivated and
 			// still processing before their join applies) also add
@@ -138,11 +136,11 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 			// a thread that drained after it may have rolled back and
 			// put anti-messages into its input queue since.
 			rm, ms := b.eng.Peer(i).ScanMins()
-			if sub {
-				ms = b.localMin[i]
+			if other := &b.threads[i]; other.subscribed {
+				ms = other.localMin
 			}
 			gmin = min(gmin, rm, ms)
-			b.charge(acc, tid, b.costs.ReduceCyclesPerThread)
+			cpu.Work(b.costs.ReduceCyclesPerThread)
 		}
 		if f := b.cfg.OnCut; f != nil {
 			f(2, b.rounds)
@@ -154,8 +152,8 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 	p.BarrierWait(b.bar3)
 
 	// GVT housekeeping.
-	peer.FossilCollect(cpu, b.eng.GVT())
-	peer.Stats.GVTRounds++
+	cpu.peer.FossilCollect(cpu, b.eng.GVT())
+	cpu.peer.Stats.GVTRounds++
 	b.endCount++
 	if b.endCount >= b.roundSize {
 		b.endCount = 0
@@ -176,18 +174,20 @@ func (b *barrierGVT) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 // stops the world); a reactivated one only polls until its join is
 // applied, at a round completion it takes no part in.
 func (b *barrierGVT) IdleSteps(tid int) (int, uint64) {
+	th := &b.threads[tid]
 	k := math.MaxInt
-	if b.subscribed[tid] {
-		k = max(0, b.freq-b.iters[tid]-1)
+	if th.subscribed {
+		k = max(0, b.freq-th.iters-1)
 	}
 	return k, b.costs.PhaseCheckCycles
 }
 
 // SkipIdle implements Algorithm.
 func (b *barrierGVT) SkipIdle(tid, n int) {
+	th := &b.threads[tid]
 	b.eng.Peer(tid).Stats.GVTCycles += uint64(n) * b.costs.PhaseCheckCycles
-	if b.subscribed[tid] {
-		b.iters[tid] += n
+	if th.subscribed {
+		th.iters += n
 	}
 }
 
@@ -202,9 +202,9 @@ func (b *barrierGVT) applyJoins() {
 		return
 	}
 	for _, tid := range b.pendingJoins {
-		b.subscribed[tid] = true
+		b.threads[tid].subscribed = true
 		b.participants++
-		b.iters[tid] = 0
+		b.threads[tid].iters = 0
 	}
 	b.pendingJoins = b.pendingJoins[:0]
 	b.resizeAll()
@@ -214,10 +214,11 @@ func (b *barrierGVT) applyJoins() {
 // waiting for the de-scheduled thread. Safe immediately: the leaver is
 // past bar3 of its round, so no in-flight generation counts on it.
 func (b *barrierGVT) Leave(tid int) {
-	if !b.subscribed[tid] {
+	th := &b.threads[tid]
+	if !th.subscribed {
 		panic(fmt.Sprintf("gvt: thread %d left twice", tid))
 	}
-	b.subscribed[tid] = false
+	th.subscribed = false
 	b.participants--
 	// Drop the stale sent-minimum window (receiver scans cover it).
 	b.eng.Peer(tid).TakeMinSent()
@@ -236,7 +237,7 @@ func (b *barrierGVT) Leave(tid int) {
 // Join implements Algorithm: queue the reactivated thread; its
 // subscription takes effect at the next round-completion safe point.
 func (b *barrierGVT) Join(tid int) {
-	if b.subscribed[tid] {
+	if b.threads[tid].subscribed {
 		panic(fmt.Sprintf("gvt: thread %d joined twice", tid))
 	}
 	for _, pj := range b.pendingJoins {

@@ -35,23 +35,22 @@ const (
 // completion is a global event (machine-serialized, like everything
 // here).
 type roundTelemetry struct {
-	clock   func() uint64
-	latency []*telemetry.Histogram
-	rounds  []*telemetry.Counter
-	last    uint64
+	clock func() uint64
+	cells []roundCells
+	last  uint64
+}
+
+// roundCells are one thread's round-completion handles.
+type roundCells struct {
+	latency *telemetry.Histogram
+	rounds  *telemetry.Counter
 }
 
 func newRoundTelemetry(cfg *Config) roundTelemetry {
-	n := len(cfg.Engine.Peers())
-	rt := roundTelemetry{
-		clock:   cfg.Machine.NowCycles,
-		latency: make([]*telemetry.Histogram, n),
-		rounds:  make([]*telemetry.Counter, n),
-	}
-	for tid := 0; tid < n; tid++ {
+	rt := roundTelemetry{clock: cfg.Machine.NowCycles, cells: make([]roundCells, len(cfg.Engine.Peers()))}
+	for tid := range rt.cells {
 		sh := cfg.Telemetry.Shard(tid)
-		rt.latency[tid] = sh.Histogram(MetricRoundLatency)
-		rt.rounds[tid] = sh.Counter(MetricRounds)
+		rt.cells[tid] = roundCells{sh.Histogram(MetricRoundLatency), sh.Counter(MetricRounds)}
 	}
 	return rt
 }
@@ -60,9 +59,9 @@ func newRoundTelemetry(cfg *Config) roundTelemetry {
 // (the run start, for the first one) on the closing thread's shard.
 func (rt *roundTelemetry) roundComplete(tid int) {
 	now := rt.clock()
-	rt.latency[tid].Observe(float64(now - rt.last))
+	rt.cells[tid].latency.Observe(float64(now - rt.last))
 	rt.last = now
-	rt.rounds[tid].Inc()
+	rt.cells[tid].rounds.Inc()
 }
 
 // Kind selects a GVT algorithm.

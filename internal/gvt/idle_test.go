@@ -32,17 +32,25 @@ func printAlg(alg Algorithm, eng *tw.Engine, calls int) algPrint {
 	}
 	switch a := alg.(type) {
 	case *waitFree:
-		pr.iters = slices.Clone(a.iters)
+		threads := slices.Clone(a.threads)
+		for i := range threads {
+			// The charge adapter is scratch: it holds whichever
+			// accumulator the last Step was handed.
+			pr.iters = append(pr.iters, threads[i].iters)
+			threads[i].iters, threads[i].cpu = 0, gvtCPU{}
+		}
 		pr.rest = []any{
-			slices.Clone(a.phase), slices.Clone(a.allowedRound), slices.Clone(a.localMinA), slices.Clone(a.localMinB),
-			slices.Clone(a.cutDone), slices.Clone(a.subscribed), slices.Clone(a.inRound),
-			a.freq, a.round, a.roundParticipants, a.participants, a.pendingJoins,
+			threads, a.freq, a.round, a.roundParticipants, a.participants, a.pendingJoins,
 			a.countA, a.countB, a.countEnd, a.awareTaken, a.rounds, a.rt.last,
 		}
 	case *barrierGVT:
-		pr.iters = slices.Clone(a.iters)
+		threads := slices.Clone(a.threads)
+		for i := range threads {
+			pr.iters = append(pr.iters, threads[i].iters)
+			threads[i].iters, threads[i].cpu = 0, gvtCPU{}
+		}
 		pr.rest = []any{
-			slices.Clone(a.localMin), slices.Clone(a.subscribed), slices.Clone(a.pendingJoins),
+			threads, slices.Clone(a.pendingJoins),
 			a.freq, a.participants, a.roundSize, a.endCount, a.rounds, a.rt.last,
 		}
 	}
@@ -120,9 +128,9 @@ func (w *idleWalk) wake(p *machine.Proc, acc *machine.Acc, all bool) {
 func (w *idleWalk) branch(tid int) string {
 	switch a := w.alg.(type) {
 	case *waitFree:
-		switch a.phase[tid] {
+		switch th := &a.threads[tid]; th.phase {
 		case wfIdle:
-			if a.allowedRound[tid] > a.round {
+			if th.allowedRound > a.round {
 				return "waitfree idle, round still open"
 			}
 			return "waitfree idle, counting"
@@ -132,7 +140,7 @@ func (w *idleWalk) branch(tid int) string {
 			return "waitfree wait-B"
 		}
 	case *barrierGVT:
-		if !a.subscribed[tid] {
+		if !a.threads[tid].subscribed {
 			return "barrier unsubscribed"
 		}
 		return "barrier counting"
@@ -179,8 +187,7 @@ func (w *idleWalk) check(p *machine.Proc, acc *machine.Acc, tid int) {
 		t.Fatalf("%s: %d idle Steps of thread %d added %d GVT cycles, want %d", name, n, tid, got, want)
 	}
 	// Wind the two things back and book the same Steps arithmetically.
-	iters := w.algIters()
-	iters[tid] = before.iters[tid]
+	*w.iters(tid) = before.iters[tid]
 	w.eng.Peer(tid).Stats.GVTCycles = before.peers[tid].GVTCycles
 	w.alg.SkipIdle(tid, n)
 	if skipped := printAlg(w.alg, w.eng, w.calls); !reflect.DeepEqual(stepped, skipped) {
@@ -194,11 +201,12 @@ func (w *idleWalk) check(p *machine.Proc, acc *machine.Acc, tid int) {
 	acc.Work(scratch.Pending())
 }
 
-func (w *idleWalk) algIters() []int {
+// iters is thread tid's iteration count.
+func (w *idleWalk) iters(tid int) *int {
 	if a, ok := w.alg.(*waitFree); ok {
-		return a.iters
+		return &a.threads[tid].iters
 	}
-	return w.alg.(*barrierGVT).iters
+	return &w.alg.(*barrierGVT).threads[tid].iters
 }
 
 // TestIdleStepsAreNoOps walks both algorithms through seeded runs with

@@ -35,19 +35,8 @@ type waitFree struct {
 	costs Costs
 	eng   *tw.Engine
 
-	phase        []wfPhase
-	iters        []int
-	allowedRound []uint64
-	localMinA    []tw.VT
-	localMinB    []tw.VT
-	cutDone      []bool
-	subscribed   []bool
-	// inRound marks threads counted in the currently-open round (set
-	// at Phase A entry, cleared at reset); Leave uses it to decide
-	// whether the open round must shrink.
-	inRound []bool
-	// cpus holds the per-thread engine-charge adapters (see gvtCPU).
-	cpus []gvtCPU
+	// threads holds each thread's protocol state, in one block.
+	threads []wfThread
 
 	freq              int
 	round             uint64
@@ -61,28 +50,37 @@ type waitFree struct {
 	rt                roundTelemetry
 }
 
+// wfThread is one thread's wait-free protocol state.
+type wfThread struct {
+	phase      wfPhase
+	cutDone    bool
+	subscribed bool
+	// inRound marks a thread counted in the currently-open round (set
+	// at Phase A entry, cleared at reset); Leave uses it to decide
+	// whether the open round must shrink.
+	inRound      bool
+	iters        int
+	allowedRound uint64
+	localMinA    tw.VT
+	localMinB    tw.VT
+	// cpu is the thread's engine-charge adapter (see gvtCPU).
+	cpu gvtCPU
+}
+
 func newWaitFree(cfg Config) *waitFree {
 	n := len(cfg.Engine.Peers())
 	w := &waitFree{
 		cfg:               cfg,
 		costs:             cfg.Costs,
 		eng:               cfg.Engine,
-		phase:             make([]wfPhase, n),
-		iters:             make([]int, n),
-		allowedRound:      make([]uint64, n),
-		localMinA:         make([]tw.VT, n),
-		localMinB:         make([]tw.VT, n),
-		cutDone:           make([]bool, n),
-		subscribed:        make([]bool, n),
-		inRound:           make([]bool, n),
-		cpus:              make([]gvtCPU, n),
+		threads:           make([]wfThread, n),
 		freq:              cfg.Frequency,
 		roundParticipants: n,
 		participants:      n,
 		rt:                newRoundTelemetry(&cfg),
 	}
-	for i := range w.subscribed {
-		w.subscribed[i] = true
+	for i := range w.threads {
+		w.threads[i].subscribed = true
 	}
 	return w
 }
@@ -96,17 +94,11 @@ func (w *waitFree) Participants() int { return w.participants }
 // Rounds implements Algorithm.
 func (w *waitFree) Rounds() uint64 { return w.rounds }
 
-// charge books cycles both to the thread (via acc) and to its GVT CPU
-// time counter.
-func (w *waitFree) charge(acc *machine.Acc, tid int, cycles uint64) {
-	acc.Work(cycles)
-	w.eng.Peer(tid).Stats.GVTCycles += cycles
-}
-
-// gvtCPU routes engine-operation charges into GVT accounting. The
-// algorithms keep one per thread and pass it by pointer: converting a
-// two-word struct value to the tw.CPU interface would heap-allocate on
-// every GVT phase step.
+// gvtCPU books cycles both to a thread (via acc) and to its peer's GVT
+// CPU time, its protocol steps' and the engine operations they make.
+// The algorithms keep one per thread, bound at the top of its Step, and
+// pass it by pointer: converting a two-word struct value to the tw.CPU
+// interface would heap-allocate on every GVT phase step.
 type gvtCPU struct {
 	acc  *machine.Acc
 	peer *tw.Peer
@@ -117,21 +109,16 @@ func (g *gvtCPU) Work(c uint64) {
 	g.peer.Stats.GVTCycles += c
 }
 
-// cpu refreshes and returns the thread's charge adapter.
-func (w *waitFree) cpu(acc *machine.Acc, tid int, peer *tw.Peer) *gvtCPU {
-	c := &w.cpus[tid]
-	c.acc, c.peer = acc, peer
-	return c
-}
-
 // Step implements Algorithm.
 func (w *waitFree) Step(p *machine.Proc, acc *machine.Acc, tid int) {
-	peer := w.eng.Peer(tid)
-	switch w.phase[tid] {
+	th := &w.threads[tid]
+	cpu := &th.cpu
+	cpu.acc, cpu.peer = acc, w.eng.Peer(tid)
+	cpu.Work(w.costs.PhaseCheckCycles)
+	switch th.phase {
 	case wfIdle:
-		w.charge(acc, tid, w.costs.PhaseCheckCycles)
-		w.iters[tid]++
-		if w.iters[tid] < w.freq || w.allowedRound[tid] > w.round {
+		th.iters++
+		if th.iters < w.freq || th.allowedRound > w.round {
 			return
 		}
 		// Phase A: record the first cut.
@@ -140,18 +127,16 @@ func (w *waitFree) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 				f(1, w.round)
 			}
 		}
-		w.localMinA[tid] = peer.LocalMin(w.cpu(acc, tid, peer))
-		w.charge(acc, tid, w.costs.PhaseAdvanceCycles)
+		th.localMinA = cpu.peer.LocalMin(cpu)
+		cpu.Work(w.costs.PhaseAdvanceCycles)
 		w.countA++
-		w.inRound[tid] = true
-		w.phase[tid] = wfSend
-		w.stepSend(p, acc, tid, peer)
+		th.inRound = true
+		th.phase = wfSend
+		w.stepSend(p, tid, cpu)
 	case wfSend:
-		w.charge(acc, tid, w.costs.PhaseCheckCycles)
-		w.stepSend(p, acc, tid, peer)
+		w.stepSend(p, tid, cpu)
 	case wfWaitB:
-		w.charge(acc, tid, w.costs.PhaseCheckCycles)
-		w.stepAwareEnd(p, acc, tid, peer)
+		w.stepAwareEnd(p, tid, cpu)
 	}
 }
 
@@ -162,13 +147,14 @@ func (w *waitFree) Step(p *machine.Proc, acc *machine.Acc, tid int) {
 // polls until the last participant records the cut it waits for, and
 // that participant is never the waiting thread itself.
 func (w *waitFree) IdleSteps(tid int) (int, uint64) {
+	th := &w.threads[tid]
 	k := 0
-	switch w.phase[tid] {
+	switch th.phase {
 	case wfIdle:
-		if w.allowedRound[tid] > w.round {
+		if th.allowedRound > w.round {
 			k = math.MaxInt
 		} else {
-			k = max(0, w.freq-w.iters[tid]-1)
+			k = max(0, w.freq-th.iters-1)
 		}
 	case wfSend:
 		if w.countA < w.roundParticipants {
@@ -184,38 +170,33 @@ func (w *waitFree) IdleSteps(tid int) (int, uint64) {
 
 // SkipIdle implements Algorithm.
 func (w *waitFree) SkipIdle(tid, n int) {
+	th := &w.threads[tid]
 	w.eng.Peer(tid).Stats.GVTCycles += uint64(n) * w.costs.PhaseCheckCycles
-	if w.phase[tid] == wfIdle {
-		w.iters[tid] += n
+	if th.phase == wfIdle {
+		th.iters += n
 	}
 }
 
 // stepSend advances A -> B when every participant has recorded cut A.
-func (w *waitFree) stepSend(p *machine.Proc, acc *machine.Acc, tid int, peer *tw.Peer) {
+func (w *waitFree) stepSend(p *machine.Proc, tid int, cpu *gvtCPU) {
 	if w.countA < w.roundParticipants {
 		return
 	}
 	// Phase B: second cut, folding the continuous sent-minimum window.
-	min := w.localMinA[tid]
-	ms, lm := peer.CutMins(w.cpu(acc, tid, peer))
-	if ms < min {
-		min = ms
-	}
-	if lm < min {
-		min = lm
-	}
-	w.localMinB[tid] = min
-	w.cutDone[tid] = true
-	w.charge(acc, tid, w.costs.PhaseAdvanceCycles)
+	th := &w.threads[tid]
+	ms, lm := cpu.peer.CutMins(cpu)
+	th.localMinB = min(th.localMinA, ms, lm)
+	th.cutDone = true
+	cpu.Work(w.costs.PhaseAdvanceCycles)
 	w.countB++
-	w.phase[tid] = wfWaitB
-	w.stepAwareEnd(p, acc, tid, peer)
+	th.phase = wfWaitB
+	w.stepAwareEnd(p, tid, cpu)
 }
 
 // stepAwareEnd performs Phase Aware (pseudo-controller election, GVT
 // publication, activation scan) and Phase End (fossil collection,
 // deactivation point, round bookkeeping) once the B cut is complete.
-func (w *waitFree) stepAwareEnd(p *machine.Proc, acc *machine.Acc, tid int, peer *tw.Peer) {
+func (w *waitFree) stepAwareEnd(p *machine.Proc, tid int, cpu *gvtCPU) {
 	if w.countB < w.roundParticipants {
 		return
 	}
@@ -223,45 +204,39 @@ func (w *waitFree) stepAwareEnd(p *machine.Proc, acc *machine.Acc, tid int, peer
 		// Phase Aware: this thread is the round's pseudo-controller.
 		w.awareTaken = true
 		gmin := math.Inf(1)
-		for i := range w.cutDone {
-			if w.cutDone[i] {
-				if w.localMinB[i] < gmin {
-					gmin = w.localMinB[i]
-				}
+		for i := range w.threads {
+			if th := &w.threads[i]; th.cutDone {
+				gmin = min(gmin, th.localMinB)
 			} else {
 				// Threads without a cut this round (de-scheduled or
 				// waiting to rejoin) are scanned on their behalf:
 				// queues plus their unread sent-minimum window.
 				rm, ms := w.eng.Peer(i).ScanMins()
-				if rm < gmin {
-					gmin = rm
-				}
-				if ms < gmin {
-					gmin = ms
-				}
+				gmin = min(gmin, rm, ms)
 			}
-			w.charge(acc, tid, w.costs.ReduceCyclesPerThread)
+			cpu.Work(w.costs.ReduceCyclesPerThread)
 		}
 		if f := w.cfg.OnCut; f != nil {
 			f(2, w.round)
 		}
 		w.eng.SetGVT(math.Min(gmin, w.eng.EndTime()))
-		w.cfg.Hooks.OnAware(p, acc, tid)
+		w.cfg.Hooks.OnAware(p, cpu.acc, tid)
 	}
 	// Phase End: housekeeping with the freshly published GVT.
-	peer.FossilCollect(w.cpu(acc, tid, peer), w.eng.GVT())
-	peer.Stats.GVTRounds++
+	cpu.peer.FossilCollect(cpu, w.eng.GVT())
+	cpu.peer.Stats.GVTRounds++
 	w.countEnd++
-	w.phase[tid] = wfIdle
-	w.iters[tid] = 0
+	th := &w.threads[tid]
+	th.phase = wfIdle
+	th.iters = 0
 	// Completed this round; only the next one may be entered.
-	w.allowedRound[tid] = w.round + 1
+	th.allowedRound = w.round + 1
 	if w.countEnd == w.roundParticipants {
 		w.resetRound(tid)
-		w.cfg.Hooks.OnRoundComplete(p, acc, tid)
+		w.cfg.Hooks.OnRoundComplete(p, cpu.acc, tid)
 	}
 	// Deactivation point (may block inside; Leave is called first).
-	w.cfg.Hooks.OnEnd(p, acc, tid)
+	w.cfg.Hooks.OnEnd(p, cpu.acc, tid)
 }
 
 func (w *waitFree) resetRound(tid int) {
@@ -273,27 +248,28 @@ func (w *waitFree) resetRound(tid int) {
 	w.participants += w.pendingJoins
 	w.pendingJoins = 0
 	w.roundParticipants = w.participants
-	for i := range w.cutDone {
-		w.cutDone[i] = false
-		w.inRound[i] = false
+	for i := range w.threads {
+		w.threads[i].cutDone = false
+		w.threads[i].inRound = false
 	}
 }
 
 // Leave implements Algorithm: unsubscribe tid before it de-schedules.
 func (w *waitFree) Leave(tid int) {
-	if w.phase[tid] != wfIdle {
-		panic(fmt.Sprintf("gvt: thread %d leaving mid-round (phase %d)", tid, w.phase[tid]))
+	th := &w.threads[tid]
+	if th.phase != wfIdle {
+		panic(fmt.Sprintf("gvt: thread %d leaving mid-round (phase %d)", tid, th.phase))
 	}
-	if !w.subscribed[tid] {
+	if !th.subscribed {
 		panic(fmt.Sprintf("gvt: thread %d left twice", tid))
 	}
-	w.subscribed[tid] = false
+	th.subscribed = false
 	w.participants--
 	// Discard the thread's sent-minimum window: its past sends are
 	// already accounted for by receiver queue scans, and a stale window
 	// read after reactivation would drag the GVT backwards.
 	w.eng.Peer(tid).TakeMinSent()
-	if !w.inRound[tid] {
+	if !th.inRound {
 		// The open round has not counted this thread (it may have been
 		// delayed on a lock between finishing its previous round and
 		// de-scheduling, as in DD-PDES): shrink the round so it does
@@ -317,28 +293,29 @@ func (w *waitFree) Leave(tid int) {
 		w.roundParticipants = w.participants
 		w.countA, w.countB, w.countEnd = 0, 0, 0
 		w.awareTaken = false
-		for i := range w.subscribed {
-			if w.subscribed[i] && w.allowedRound[i] > w.round {
-				w.allowedRound[i] = w.round
+		for i := range w.threads {
+			if w.threads[i].subscribed && w.threads[i].allowedRound > w.round {
+				w.threads[i].allowedRound = w.round
 			}
-			w.cutDone[i] = false
-			w.inRound[i] = false
+			w.threads[i].cutDone = false
+			w.threads[i].inRound = false
 		}
 	}
 	// Block the thread from wandering into a round that no longer
 	// counts it, in case it is reactivated without a Join.
-	w.allowedRound[tid] = math.MaxUint64
+	th.allowedRound = math.MaxUint64
 }
 
 // Join implements Algorithm: resubscribe tid after reactivation; it
 // participates from the next round.
 func (w *waitFree) Join(tid int) {
-	if w.subscribed[tid] {
+	th := &w.threads[tid]
+	if th.subscribed {
 		panic(fmt.Sprintf("gvt: thread %d joined twice", tid))
 	}
-	w.subscribed[tid] = true
+	th.subscribed = true
 	w.pendingJoins++
-	w.allowedRound[tid] = w.round + 1
-	w.iters[tid] = 0
-	w.phase[tid] = wfIdle
+	th.allowedRound = w.round + 1
+	th.iters = 0
+	th.phase = wfIdle
 }

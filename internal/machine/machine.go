@@ -46,10 +46,11 @@ type Machine struct {
 }
 
 // Spare is what a finished machine leaves the next one: its threads'
-// parked coroutines (see coro) and its cores' emptied run queues,
-// running sets and scratch buffers. A checkpointed run builds a machine
-// per segment, and without the set every one of them created a
-// coroutine per thread and regrew its queues from nil; with it, a run
+// parked coroutines (see coro), the array it kept its threads in, and
+// its cores' emptied run queues, running sets and scratch buffers. A
+// checkpointed run builds a machine per segment, and without the set
+// every one of them created a coroutine per thread and regrew its
+// thread array and queues from nil; with it, a run
 // pays for its coroutines once, as the paper's long-lived threads are
 // created once and only ever de-scheduled. The set carries no
 // scheduling state — every CFS field of a machine starts from New —
@@ -57,8 +58,9 @@ type Machine struct {
 // exactly as one that was not. Whoever lends it ends it (End) once no
 // machine will run on it again, on every return path.
 type Spare struct {
-	coros []*coro
-	cores []coreState
+	coros   []*coro
+	threads []*Thread
+	cores   []coreState
 }
 
 // End ends every parked coroutine in the set.
@@ -70,11 +72,13 @@ func (sp *Spare) End() {
 }
 
 // Lend has m run on sp: its threads start on sp's parked coroutines
-// before creating any, its cores take sp's queue capacity, and a
-// thread's coroutine parks in sp when its body returns; when RunContext
-// returns, m leaves its cores' capacity there too. A machine that was
+// before creating any, it keeps them in sp's thread array, its cores
+// take sp's queue capacity, and a thread's coroutine parks in sp when
+// its body returns; when RunContext returns, m leaves its thread array
+// and its cores' capacity there too. The finished m's Threads stay
+// readable until the next machine lent sp spawns. A machine that was
 // lent nothing ends a coroutine as soon as its body returns. Call
-// before Run, and end sp after the last machine lent it has run.
+// before Spawn, and end sp after the last machine lent it has run.
 func (m *Machine) Lend(sp *Spare) { m.spare = sp }
 
 // Metric names the machine registers. Histograms are sampled every
@@ -241,6 +245,10 @@ func (m *Machine) spawn(name string, pin int, body func(*Proc)) *Thread {
 	if m.started {
 		panic("machine: Spawn after Run")
 	}
+	if sp := m.spare; sp != nil && m.threads == nil {
+		clear(sp.threads)
+		m.threads = sp.threads[:0]
+	}
 	t := m.threadSlab.New()
 	*t = Thread{
 		id:         len(m.threads),
@@ -401,9 +409,11 @@ func (m *Machine) abort() {
 // swapQueues swaps the cores' run queues, running sets and scratch
 // buffers with the spare set's: at the start of a run the cores take the
 // capacity a finished machine left, and at its end they leave theirs,
-// emptied. Each core keeps its busy cycles.
+// emptied. Each core keeps its busy cycles. The set holds the machine's
+// thread array from then on, for the next machine's spawn.
 func (m *Machine) swapQueues() {
 	sp := m.spare
+	sp.threads = m.threads
 	if len(sp.cores) != len(m.cores) {
 		sp.cores = make([]coreState, len(m.cores))
 	}

@@ -85,6 +85,7 @@ func TestSpareHandsCoroutinesOn(t *testing.T) {
 		queues[i] = unsafe.SliceData(c.runq)
 	}
 
+	threads := unsafe.SliceData(sp.threads)
 	second := mustNew(t, cfg)
 	second.Lend(&sp)
 	secondIDs := make([]string, n)
@@ -101,6 +102,9 @@ func TestSpareHandsCoroutinesOn(t *testing.T) {
 	}
 	if !sameCoros(parked, sp.coros) {
 		t.Fatal("the second machine parked other coroutines than it was lent")
+	}
+	if unsafe.SliceData(second.Threads()) != threads || unsafe.SliceData(sp.threads) != threads {
+		t.Fatal("the second machine did not keep its threads in the array the set lent it, or did not hand it back")
 	}
 	for i, c := range sp.cores {
 		if unsafe.SliceData(c.runq) != queues[i] {

@@ -166,9 +166,12 @@ func (s *cellSet[C]) get(name string, tid int) *C {
 // cells themselves are internally synchronized).
 
 // counterValuesLocked returns the merged name -> value view: base
-// counters plus every shard cell.
-func (r *Registry) counterValuesLocked() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters)+len(r.counterCells.byName))
+// counters plus every shard cell, in out when it is not nil (and
+// empty), else in a new map. So do the two below.
+func (r *Registry) counterValuesLocked(out map[string]uint64) map[string]uint64 {
+	if out == nil {
+		out = make(map[string]uint64, len(r.counters)+len(r.counterCells.byName))
+	}
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
@@ -187,8 +190,10 @@ func (r *Registry) counterValuesLocked() map[string]uint64 {
 // gaugeStatesLocked returns the merged name -> GaugeState view. A
 // merged gauge is set iff any contributing cell is set; its value is
 // the maximum among set cells (high-water semantics).
-func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
-	out := make(map[string]GaugeState, len(r.gauges)+len(r.gaugeCells.byName))
+func (r *Registry) gaugeStatesLocked(out map[string]GaugeState) map[string]GaugeState {
+	if out == nil {
+		out = make(map[string]GaugeState, len(r.gauges)+len(r.gaugeCells.byName))
+	}
 	merge := func(name string, g *Gauge) {
 		g.mu.Lock()
 		v, set := g.v, g.set
@@ -216,13 +221,16 @@ func (r *Registry) gaugeStatesLocked() map[string]GaugeState {
 }
 
 // histStatesLocked returns the merged name -> HistogramState view,
-// bucket-wise exact across base and shard cells.
-func (r *Registry) histStatesLocked() map[string]HistogramState {
-	out := make(map[string]HistogramState, len(r.histograms)+len(r.histCells.byName))
+// bucket-wise exact across base and shard cells. An entry out holds
+// already, with no count and no buckets, lends its Counts array.
+func (r *Registry) histStatesLocked(out map[string]HistogramState) map[string]HistogramState {
+	if out == nil {
+		out = make(map[string]HistogramState, len(r.histograms)+len(r.histCells.byName))
+	}
 	merge := func(name string, h *Histogram) {
-		st, ok := out[name]
-		if !ok {
-			st = HistogramState{Counts: make([]uint64, histBuckets)}
+		st := out[name]
+		if len(st.Counts) == 0 {
+			st.Counts = append(st.Counts, make([]uint64, histBuckets)...)
 		}
 		h.mu.Lock()
 		for i, n := range h.counts {
@@ -245,8 +253,8 @@ func (r *Registry) histStatesLocked() map[string]HistogramState {
 		merge(name, h)
 	}
 	for name, cells := range r.histCells.byName {
-		if _, ok := out[name]; !ok {
-			out[name] = HistogramState{Counts: make([]uint64, histBuckets)}
+		if st := out[name]; len(st.Counts) == 0 {
+			out[name] = HistogramState{Counts: append(st.Counts, make([]uint64, histBuckets)...)}
 		}
 		for _, cell := range cells {
 			if cell != nil {

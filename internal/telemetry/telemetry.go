@@ -20,6 +20,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -327,7 +328,7 @@ func (r *Registry) Counters() map[string]uint64 {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.counterValuesLocked()
+	return r.counterValuesLocked(nil)
 }
 
 // Gauges returns a name -> value snapshot of the gauges that have been
@@ -340,7 +341,7 @@ func (r *Registry) Gauges() map[string]float64 {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	states := r.gaugeStatesLocked()
+	states := r.gaugeStatesLocked(nil)
 	out := make(map[string]float64, len(states))
 	for name, st := range states {
 		if st.Set {
@@ -358,7 +359,7 @@ func (r *Registry) Histograms() map[string]Summary {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	states := r.histStatesLocked()
+	states := r.histStatesLocked(nil)
 	out := make(map[string]Summary, len(states))
 	for name, st := range states {
 		out[name] = summaryFromState(st)
@@ -399,16 +400,31 @@ type MetricsState struct {
 // histograms — importing the export into a fresh registry reproduces
 // the merged totals exactly.
 func (r *Registry) Export() MetricsState {
-	if r == nil {
-		return MetricsState{}
+	var st MetricsState
+	if r != nil {
+		r.ExportTo(&st)
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return MetricsState{
-		Counters:   r.counterValuesLocked(),
-		Gauges:     r.gaugeStatesLocked(),
-		Histograms: r.histStatesLocked(),
+	return st
+}
+
+// ExportTo is Export into st: it clears st's maps and refills them,
+// reusing each histogram's Counts array, so an export into the same
+// state allocates nothing once the registry has stopped growing. The
+// caller must hold st's previous export unread by anyone else.
+func (r *Registry) ExportTo(st *MetricsState) {
+	clear(st.Counters)
+	clear(st.Gauges)
+	for name, hs := range st.Histograms {
+		st.Histograms[name] = HistogramState{Counts: hs.Counts[:0]}
 	}
+	if r != nil {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		st.Counters, st.Gauges = r.counterValuesLocked(st.Counters), r.gaugeStatesLocked(st.Gauges)
+		st.Histograms = r.histStatesLocked(st.Histograms)
+	}
+	// What is still empty is a name r does not have.
+	maps.DeleteFunc(st.Histograms, func(_ string, hs HistogramState) bool { return len(hs.Counts) == 0 })
 }
 
 // Snapshot is the merged-on-read view of the registry: every base and
@@ -464,15 +480,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	r.mu.RLock()
 	var lines []string
-	for name, v := range r.counterValuesLocked() {
+	for name, v := range r.counterValuesLocked(nil) {
 		lines = append(lines, fmt.Sprintf("counter   %-32s %d", name, v))
 	}
-	for name, st := range r.gaugeStatesLocked() {
+	for name, st := range r.gaugeStatesLocked(nil) {
 		if st.Set {
 			lines = append(lines, fmt.Sprintf("gauge     %-32s %g", name, st.Value))
 		}
 	}
-	for name, st := range r.histStatesLocked() {
+	for name, st := range r.histStatesLocked(nil) {
 		lines = append(lines, fmt.Sprintf("histogram %-32s %s", name, summaryFromState(st)))
 	}
 	r.mu.RUnlock()

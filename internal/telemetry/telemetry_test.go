@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -179,5 +180,40 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 	if got := r.Gauge("g").Value(); got != 999 {
 		t.Fatalf("gauge = %v, want 999", got)
+	}
+}
+
+// ExportTo refills one state in place: it reads as Export does, keeps
+// each histogram's Counts array, drops what the registry does not hold,
+// and allocates nothing once the registry has stopped growing.
+func TestExportToRefillsInPlace(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(3)
+	r.Shard(2).Counter("c").Inc()
+	r.Gauge("g").Set(1.5)
+	r.Shard(1).Histogram("h").Observe(9)
+	st := MetricsState{
+		Counters:   map[string]uint64{"stale": 1},
+		Gauges:     map[string]GaugeState{"stale": {Set: true}},
+		Histograms: map[string]HistogramState{"stale": {Counts: []uint64{4}, Count: 1}},
+	}
+	for round := 0; round < 2; round++ {
+		r.ExportTo(&st)
+		if want := r.Export(); !reflect.DeepEqual(st, want) {
+			t.Fatalf("round %d: ExportTo read\n%+v\nExport reads\n%+v", round, st, want)
+		}
+		r.Histogram("h").Observe(1)
+	}
+	counts := &st.Histograms["h"].Counts[0]
+	if n := testing.AllocsPerRun(10, func() { r.ExportTo(&st) }); n != 0 {
+		t.Errorf("ExportTo into a filled state: %v allocations, want 0", n)
+	}
+	if &st.Histograms["h"].Counts[0] != counts {
+		t.Error("ExportTo replaced a histogram's Counts array")
+	}
+	var nilReg *Registry
+	nilReg.ExportTo(&st)
+	if len(st.Counters)+len(st.Gauges)+len(st.Histograms) != 0 {
+		t.Errorf("a nil registry's ExportTo left %+v", st)
 	}
 }

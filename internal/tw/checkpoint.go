@@ -264,8 +264,10 @@ func (e *Engine) quiesce() {
 	}
 	// The sorted heap is (Ts, Seq) order, the canonical order the capture
 	// serializes, and still a heap, which the successor takes over.
+	// The slice rides to the successor and has room for the whole heap,
+	// so it grows only with the heap's high-water mark, not by append.
 	for _, p := range e.peers {
-		p.quiesced = p.pending.Sort(cancelledEvent, p.quiesced[:0])
+		p.quiesced = p.pending.Sort(cancelledEvent, slices.Grow(p.quiesced[:0], p.pending.Len()))
 	}
 	// Clear the per-round send windows and cycle accumulators.
 	for _, p := range e.peers {

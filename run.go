@@ -133,12 +133,16 @@ type runState struct {
 	// key (see prepare). writing is the snapshot write in flight,
 	// nil when there is none; written counts the files handed to it.
 	// encoded is the buffer the writer encodes into, the run's one, here
-	// while no write is in flight.
-	cfgJSON []byte
-	key     string
-	writing chan writeResult
-	written int
-	encoded []byte
+	// while no write is in flight; exported is the registry export the
+	// run refills for each file, which the writer reads until the join.
+	cfgJSON  []byte
+	key      string
+	writing  chan writeResult
+	written  int
+	encoded  []byte
+	exported telemetry.MetricsState
+	// names are the simulation threads' names, formatted once a run.
+	names []string
 	// spare carries a checkpointed run's finished machine's parked
 	// coroutines and queue capacity to the next segment's
 	// (machine.Spare); segmentLoop ends it on every return path.
@@ -313,6 +317,9 @@ func (rs *runState) buildSegment() (*segment, error) {
 	}
 	if rs.checkpointing() {
 		m.Lend(&rs.spare)
+		if rs.names == nil {
+			rs.names = core.ThreadNames(cfg.Threads)
+		}
 	}
 	if rs.rec != nil {
 		rs.rec.Clock = m.NowCycles
@@ -408,6 +415,7 @@ func (rs *runState) buildSegment() (*segment, error) {
 		Telemetry:            reg,
 		Faults:               threadFaults,
 		GVTOnCut:             onCut,
+		ThreadNames:          rs.names,
 	})
 	if err != nil {
 		return nil, err
@@ -543,8 +551,10 @@ func (rs *runState) commit(seg *segment, est *tw.EngineState) {
 	rs.segments++
 	if rs.persisting() {
 		// Exported here, not by the writer: the next segment records into
-		// this same registry.
-		rs.persist(est, seg.reg.Export())
+		// this same registry. capture joined the writer that read the
+		// previous export.
+		seg.reg.ExportTo(&rs.exported)
+		rs.persist(est, rs.exported)
 	}
 	rs.engine = est
 }

@@ -4,12 +4,11 @@
 #
 #   sh scripts/bench_ab.sh <parent-ref> <workload> [pairs] [ggperf flags...]
 #
-# Checks <parent-ref> out into a temporary git worktree — or, if it
-# names a directory that holds the parent's tree (a `git archive` or a
-# clone, for boxes where worktrees are not to be made), uses that as it
-# is — then runs the repository's benchmark (bench/run.sh) on one
-# workload <pairs> times (default 10) in that tree and in this one,
-# alternating, and swapping
+# Unpacks <parent-ref>, any git commit, into a temporary directory
+# (`git archive | tar -x`: no worktree is made, and the record names the
+# commit whatever the tree holds), then runs the repository's benchmark
+# (bench/run.sh) on one workload <pairs> times (default 10) in that tree
+# and in this one, alternating, and swapping
 # which side goes first from pair to pair so that neither always runs
 # on the warmer machine. Each tree builds its own ggperf from its own
 # source, before the first pair, so no timed run shares the box with a
@@ -24,7 +23,7 @@
 # a seed the change was not written against and `-trace 1` makes the
 # traced run, whose per-layer metrics -compare prints too. OUT=<dir>
 # keeps the result files (a<i>.json parent, b<i>.json change); without
-# it they are deleted with the worktree on exit.
+# it they are deleted with the parent's tree on exit.
 #
 # METRIC=<name> adds, after the table, the two lines a claim is judged
 # by: that metric's value in every pair, parent and change side by side,
@@ -66,20 +65,14 @@ if [ -n "${METRIC:-}" ]; then
         exit 2
     fi
 fi
+commit=$(git -C "$root" rev-parse --short "$parent^{commit}")
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-if [ -f "$parent/bench/run.sh" ]; then
-    ptree=$(cd "$parent" && pwd)
-else
-    git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
-    ptree=$tmp/parent
-fi
+ptree=$tmp/parent
+mkdir "$ptree"
+git -C "$root" archive "$commit" | tar -x -C "$ptree"
 out=${OUT:-$tmp/results}
 mkdir -p "$out"
 
@@ -134,7 +127,7 @@ while [ "$i" -le "$pairs" ]; do
     echo "$i $(value_of "$out/a$i.json") $(value_of "$out/b$i.json")"
     i=$((i + 1))
 done | awk -v metric="$METRIC" -v better="$better" -v workload="$workload" -v flags="$*" \
-    -v parent="$(env_of "$out/a1.json" commit)" -v cpus="$(env_of "$out/b1.json" nproc)" \
+    -v parent="$commit" -v cpus="$(env_of "$out/b1.json" nproc)" \
     -v procs="$(env_of "$out/b1.json" gomaxprocs)" -v gover="$(env_of "$out/b1.json" go_version)" \
     -f "$root/scripts/ab_record.awk"
 exit "$status"

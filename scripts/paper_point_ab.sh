@@ -4,9 +4,9 @@
 #
 #   FLAGS="<ggsim flags>" sh scripts/paper_point_ab.sh <parent-ref> [pairs]
 #
-# Builds ggsim from <parent-ref> — checked out into a temporary git
-# worktree, or, if it names a directory holding the parent's tree, from
-# that as it is — and from this tree, then runs the point <pairs> times
+# Builds ggsim from <parent-ref>, any git commit, unpacked into a
+# temporary directory (`git archive | tar -x`: no worktree is made, and
+# the records name the commit), and from this tree, then runs the point <pairs> times
 # (default 10) with each binary under GOMAXPROCS=1, alternating, and
 # swapping which side goes first from pair to pair. FLAGS is the
 # point's ggsim command line, -v included (the Makefile's PAPER_POINT).
@@ -30,21 +30,14 @@ pairs=${2:-10}
 GO=${GO:-go}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+commit=$(git -C "$root" rev-parse --short "$parent^{commit}")
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 
-if [ -f "$parent/cmd/ggsim/main.go" ]; then
-    ptree=$(cd "$parent" && pwd)
-else
-    git -C "$root" worktree add --detach "$tmp/parent" "$parent" >/dev/null
-    ptree=$tmp/parent
-fi
-commit=$(git -C "$ptree" rev-parse --short HEAD 2>/dev/null || echo "$parent")
+ptree=$tmp/parent
+mkdir "$ptree"
+git -C "$root" archive "$commit" | tar -x -C "$ptree"
 
 echo "paper-point-ab: building $parent and the working tree" >&2
 (cd "$ptree" && $GO build -o "$tmp/a.ggsim" ./cmd/ggsim)
