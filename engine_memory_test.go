@@ -292,9 +292,9 @@ func runAndResumeMiddle(t *testing.T, dir string) uint64 {
 // into one block, 0.120, alone and in the package run alike. With the
 // snapshot header appended by hand, the registry exported into one kept
 // state, the runner's and GVT's per-thread state in one block, thread
-// names formatted once a run, the machine's thread array riding the
-// spare set and the quiesce's dropped slice given the heap's room,
-// 0.075. The ceilings are about 1.25 times 0.075 and 0.036.
+// names cut from one string sized up front, the machine's thread array
+// riding the spare set and the quiesce's dropped slice given the heap's
+// room, 0.076. The ceilings are about 1.25 times 0.075 and 0.036.
 func TestCheckpointedRunAllocsPerCommittedEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")
@@ -401,7 +401,7 @@ func TestPaperPointConstructionAllocs(t *testing.T) {
 // registry export, the snapshot writer (joined at once, so that its
 // file is counted too) and the build of the next segment. The first
 // boundary makes what the later ones refill or reuse — the encode
-// buffer, the kept export, the thread names — and is left out. So are
+// buffer, the kept export — and is left out. So are
 // the segment's run and the engine's capture: what they allocate grows
 // with the rollbacks and queue lengths in flight, which grow with the
 // thread count, and the ceilings of the allocations per committed event
@@ -451,10 +451,12 @@ func boundaryMallocs(t *testing.T, threads, n int) float64 {
 // formatted per thread or an array regrown by append shows here as tens
 // of objects. With the snapshot header marshalled by encoding/json, the
 // registry exported into new maps, the runner's and GVT's per-thread
-// state in one slice per field, thread names formatted per segment and
-// the machine's thread array regrown in each, this read 145 objects
-// at 8 threads and 176 at 32; with all of that done once a run, 52 and
-// 55. The slack is twice the three blocks.
+// state in one slice per field, a thread name formatted per thread and
+// the machine's thread array regrown in each segment, this read 145
+// objects at 8 threads and 176 at 32; with the header appended by hand,
+// one kept export, one block per algorithm, the names cut from one
+// string sized up front and the thread array riding the spare set, 53
+// and 55. The slack is twice the three blocks.
 func TestBoundaryAllocsDoNotScaleWithThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short")

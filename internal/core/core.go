@@ -167,10 +167,6 @@ type Config struct {
 	// Mattern-style cut notification the distributed coordinator uses
 	// to stamp wire traffic with cut generations. Observability only.
 	GVTOnCut func(cut int, round uint64)
-	// ThreadNames names the simulation threads, one per engine peer; nil
-	// has NewRunner format them (see ThreadNames), which a run of many
-	// segments does once instead.
-	ThreadNames []string
 	// Faults, when non-nil, is consulted once per main-loop iteration
 	// (see internal/chaos): a stalled thread burns the iteration without
 	// doing work. That changes scheduling, never what commits. A run
@@ -327,10 +323,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	// them, so no thread needs a closure of its own.
 	first := len(cfg.Machine.Threads())
 	body := func(p *machine.Proc) { r.threadBody(p, p.ID()-first) }
-	if cfg.ThreadNames == nil {
-		cfg.ThreadNames = ThreadNames(n)
-	}
-	for _, name := range cfg.ThreadNames[:n] {
+	for _, name := range threadNames(n) {
 		cfg.Machine.Spawn(name, body)
 	}
 	if controller != nil {
@@ -339,14 +332,17 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// ThreadNames returns the names of n simulation threads, "sim-<tid>",
-// cut from one string.
-func ThreadNames(n int) []string {
-	var b []byte
+// threadNames returns the names of n simulation threads, "sim-<tid>",
+// cut from one string sized up front: two heap objects whatever n is.
+func threadNames(n int) []string {
+	var digits [20]byte
+	var b strings.Builder
+	b.Grow(n * (len(" sim-") + len(strconv.AppendInt(digits[:0], int64(n), 10))))
 	for tid := range n {
-		b = strconv.AppendInt(append(b, " sim-"...), int64(tid), 10)
+		b.WriteString(" sim-")
+		b.Write(strconv.AppendInt(digits[:0], int64(tid), 10))
 	}
-	return strings.Fields(string(b))
+	return strings.Fields(b.String())
 }
 
 // Algorithm returns the GVT algorithm instance (for stats).

@@ -141,8 +141,6 @@ type runState struct {
 	written  int
 	encoded  []byte
 	exported telemetry.MetricsState
-	// names are the simulation threads' names, formatted once a run.
-	names []string
 	// spare carries a checkpointed run's finished machine's parked
 	// coroutines and queue capacity to the next segment's
 	// (machine.Spare); segmentLoop ends it on every return path.
@@ -317,9 +315,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 	}
 	if rs.checkpointing() {
 		m.Lend(&rs.spare)
-		if rs.names == nil {
-			rs.names = core.ThreadNames(cfg.Threads)
-		}
 	}
 	if rs.rec != nil {
 		rs.rec.Clock = m.NowCycles
@@ -415,7 +410,6 @@ func (rs *runState) buildSegment() (*segment, error) {
 		Telemetry:            reg,
 		Faults:               threadFaults,
 		GVTOnCut:             onCut,
-		ThreadNames:          rs.names,
 	})
 	if err != nil {
 		return nil, err
