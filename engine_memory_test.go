@@ -1,6 +1,7 @@
 package ggpdes
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -187,6 +188,52 @@ func TestRunAllocsPerCommittedEvent(t *testing.T) {
 			t.Errorf("%s: %.3f allocations per committed event exceeds %.3f: a pool miss or a history reaches the allocator again (internal/tw/pool.go, lp.go)",
 				tc.name, perEvent, tc.ceiling)
 		}
+	}
+}
+
+// benchDistCfg is the benchmark's phold-dist-2w config
+// (bench/ggperf/w_dist.go), which it runs in process and sharded across
+// two workers.
+func benchDistCfg() Config {
+	return Config{
+		Model: PHOLD{LPsPerThread: 8}, Threads: 16, System: GGPDES, GVT: WaitFree,
+		Affinity: ConstantAffinity, Machine: Machine{Cores: 16, SMTWidth: 2}, EndTime: 60,
+		GVTFrequency: 10, ZeroCounterThreshold: 60, Seed: 1,
+	}
+}
+
+// TestDistributedRunAllocsPerCommittedEvent is the same tripwire for a
+// distributed run: the mallocs of a RunDistributed of the benchmark's
+// phold-dist-2w config over two in-process workers — coordinator,
+// workers and the pipes between them — over its committed events,
+// measured the second time the process makes the run. With a worker
+// engine taking one heap object per pool miss, a wire twin and a wire
+// anti copy per relayed event and never giving back a shadow, this read
+// 1.9; with the worker's events taken from the engine's store and its
+// shadows returned to it, what is left is per-run setup (the workers'
+// config decode, three engine builds, the coroutines): 0.19. The
+// ceiling is about 1.25 times that.
+func TestDistributedRunAllocsPerCommittedEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful under -short")
+	}
+	const ceiling = 0.24
+	cfg := benchDistCfg()
+	run := func() *Results {
+		res, err := RunDistributed(context.Background(), cfg, DistOptions{Workers: 2, Dial: inProcWorkers()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run()
+	var res *Results
+	mallocs := mallocsDuring(func() { res = run() })
+	perEvent := float64(mallocs) / float64(res.CommittedEvents)
+	t.Logf("phold-dist-2w: %.4f allocations per committed event (ceiling %.3f)", perEvent, ceiling)
+	if perEvent > ceiling {
+		t.Errorf("phold-dist-2w: %.3f allocations per committed event exceeds %.3f: a worker engine takes events outside its store or never gives a shadow back (internal/tw/shard.go, pool.go)",
+			perEvent, ceiling)
 	}
 }
 

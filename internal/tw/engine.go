@@ -415,12 +415,14 @@ func (e *Engine) send(from *Peer, cause *Event, dst int, ts VT, kind uint8, a, b
 	} else if dstPeer.foreign {
 		// Cross-shard send: the event travels by wire. The local copy
 		// stays on the cause's sent list as a shadow — rollback targets
-		// it exactly as in-process — while the destination shard
-		// materializes and owns the live twin (see shard.go).
+		// it exactly as in-process — and on the sender's shadow list,
+		// while the destination shard materializes and owns the live
+		// twin (see shard.go).
 		e.outbox = append(e.outbox, WireEvent{
 			Ts: ev.Ts, Seq: ev.Seq, Src: ev.Src, Dst: ev.Dst,
 			Kind: ev.Kind, A: ev.A, B: ev.B,
 		})
+		from.listShadow(ev)
 	} else {
 		dstPeer.inq = append(dstPeer.inq, ev)
 	}
@@ -477,6 +479,9 @@ func (e *Engine) CheckInvariants() error {
 			if ev != nil && ev.state == statePooled {
 				return fmt.Errorf("peer %d input queue holds recycled event %v", p.ID, ev)
 			}
+		}
+		if err := p.checkShadows(); err != nil {
+			return fmt.Errorf("peer %d %w", p.ID, err)
 		}
 	}
 	// Every processed event sits in exactly one history. The count a

@@ -220,6 +220,9 @@ type Peer struct {
 	// distributed run: it holds no event state and sends routed to it
 	// are collected as wire events instead (see shard.go).
 	foreign bool
+	// shadows is the newest of the live shadows this peer's sends to
+	// foreign peers left, linked through prev and next (shard.go).
+	shadows *Event
 
 	// Stats is exported for the harness; do not mutate externally.
 	Stats PeerStats
@@ -482,6 +485,13 @@ func (p *Peer) rollback(lp *LP, upto *Event) int {
 // sendAnti issues one anti-message for s on behalf of LP src.
 func (p *Peer) sendAnti(s *Event, src int) {
 	eng := p.eng
+	p.acc += eng.cfg.Costs.SendCycles
+	p.Stats.AntiSent++
+	p.tel.antiSent.Inc()
+	if t := eng.cfg.Trace; t != nil {
+		t.Add(trace.KindAntiMessage, p.ID, s.Ts, int64(s.Dst))
+	}
+	p.noteSent(s.Ts)
 	anti := p.allocEvent()
 	anti.Ts = s.Ts
 	anti.Seq = eng.nextSeq()
@@ -493,23 +503,19 @@ func (p *Peer) sendAnti(s *Event, src int) {
 	if dst.foreign {
 		// Cross-shard annihilation: the anti travels by wire, carrying
 		// the target's sequence number for the destination shard to
-		// resolve against its twin. The local anti object was allocated
-		// only for its sequence number and pool accounting; nothing
-		// references it again (see shard.go).
+		// resolve against its twin. The local anti was taken only for
+		// its sequence number and pool accounting, and s is a shadow
+		// that nothing references any more: both go back to the store
+		// uncounted (see shard.go).
 		eng.outbox = append(eng.outbox, WireEvent{
 			Ts: anti.Ts, Seq: anti.Seq, Src: anti.Src, Dst: anti.Dst,
 			Anti: true, TargetSeq: s.Seq,
 		})
+		eng.mem.putEvent(anti)
+		p.recycleShadow(s)
 	} else {
 		dst.inq = append(dst.inq, anti)
 	}
-	p.acc += eng.cfg.Costs.SendCycles
-	p.Stats.AntiSent++
-	p.tel.antiSent.Inc()
-	if t := eng.cfg.Trace; t != nil {
-		t.Add(trace.KindAntiMessage, p.ID, s.Ts, int64(s.Dst))
-	}
-	p.noteSent(s.Ts)
 }
 
 // unsend issues anti-messages on behalf of LP src for s and the events
@@ -669,6 +675,14 @@ func (p *Peer) FossilCollect(cpu CPU, gvt VT) int {
 			p.freeEvent(ev)
 			total++
 		}
+	}
+	// A worker's shadows below gvt have committed causes (shard.go).
+	for s := p.shadows; s != nil; {
+		next := s.next
+		if s.Ts < gvt {
+			p.recycleShadow(s)
+		}
+		s = next
 	}
 	p.eng.uncommitted -= total
 	cycles += uint64(total) * costs.FossilPerEventCycles

@@ -170,13 +170,16 @@ func (p *Peer) allocEvent() *Event {
 	} else {
 		p.pool.eventMiss++
 	}
-	e := p.eng
-	m := &e.mem
+	return p.eng.mem.takeEvent()
+}
+
+// takeEvent returns a zeroed event, the newest dead one or one carved
+// from the chunk, without counting it on any peer: allocEvent counts
+// its own, and a twin or anti-message copy materialized from the wire
+// (shard.go) was counted by its sender in another process.
+func (m *memStore) takeEvent() *Event {
 	ev := m.events
 	if ev == nil {
-		if e.sharded() {
-			return &Event{}
-		}
 		return m.carveEvent()
 	}
 	if ev.state != statePooled {
@@ -228,14 +231,12 @@ func (ev *Event) poison() {
 // 8 KiB size class (TestEventChunkIsWholePages). Traffic's 77k events
 // in flight are about 90 chunks.
 //
-// A chunk lives as long as any object carved from it, which is why a
-// sharded worker engine carves no events: the shadow of a cross-shard
-// send and the local copy of a wire anti-message are never freed
-// (shard.go) — the collector takes them one by one once their cause
-// lets go — and inside a chunk whose other events cycle through the
-// store for the rest of the run each would be a slot lost for good,
-// 120 bytes per cross-shard send. Snapshots and queue nodes never
-// leave their engine, so workers carve those like anyone else.
+// A chunk lives as long as any object carved from it, so every event
+// carved must come back to the store when it dies, or its slot is lost
+// for the rest of the run. A sharded worker engine returns its own
+// dead too: the shadow of a cross-shard send and the local copy of an
+// anti-message that left by wire go back uncounted when the shadow is
+// unsent or GVT passes it (shard.go).
 const (
 	chunkMin = 8
 	chunkMax = 1024

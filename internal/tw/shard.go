@@ -32,11 +32,21 @@ import (
 // Cross-shard event identity: a positive send to a foreign peer
 // allocates a local shadow event exactly like an in-process send (same
 // pool counters, same sequence number) and keeps it on the cause's sent
-// list so rollback targets it normally — but the shadow is never
-// delivered or freed locally; the destination shard materializes a
-// twin from the wire and owns its lifecycle from there. Anti-messages
-// travel by TargetSeq; the destination resolves them through
-// remoteIdx, its seq-to-twin table.
+// list so rollback targets it normally. The shadow is never delivered:
+// the destination shard materializes a twin from the wire, owns its
+// lifecycle and counts its free. Anti-messages travel by TargetSeq; the
+// destination resolves them through remoteIdx, its seq-to-twin table.
+//
+// Shadow lifecycle: the sending peer links each shadow on its shadow
+// list through prev and next, which a shadow does not otherwise use,
+// and returns it to the engine's store uncounted when it dies — when
+// its cause rolls back and unsends it (sendAnti, which returns the
+// local copy of the anti-message with it), or when GVT passes its
+// timestamp (FossilCollect): its cause is at or below that timestamp,
+// hence committed, and a committed cause never walks its sent list
+// again. Twins and anti-message copies taken from the wire come from
+// the same store, uncounted too, so every pool counter still sums to
+// the in-process run's.
 
 // RemoteTransport forwards a hollow peer's operations to the worker
 // process hosting the real shard. Implementations perform the
@@ -202,11 +212,11 @@ func QuietSetLen(n int) int { return (n + 7) / 8 }
 func QuietSetHas(set []byte, i int) bool { return set[i>>3]>>(i&7)&1 != 0 }
 
 // InjectRemote materializes a relayed wire event into the owning local
-// peer's input queue. Positive events build a twin of the sender-side
-// shadow (same identity, zero bookkeeping — exactly what an in-process
-// delivery would have enqueued) and register it for future
-// anti-message resolution; antis resolve their target through that
-// table.
+// peer's input queue, in an event taken from the store uncounted.
+// Positive events build a twin of the sender-side shadow (same
+// identity, zero bookkeeping — exactly what an in-process delivery
+// would have enqueued) and register it for future anti-message
+// resolution; antis resolve their target through that table.
 func (e *Engine) InjectRemote(w WireEvent) error {
 	if w.Dst < 0 || w.Dst >= len(e.lps) {
 		return fmt.Errorf("tw: remote event for unknown LP %d", w.Dst)
@@ -220,15 +230,58 @@ func (e *Engine) InjectRemote(w WireEvent) error {
 		if target == nil {
 			return fmt.Errorf("tw: remote anti-message for unknown event seq %d", w.TargetSeq)
 		}
-		anti := &Event{Ts: w.Ts, Seq: w.Seq, Src: w.Src, Dst: w.Dst, Anti: true, Target: target}
+		anti := e.mem.takeEvent()
+		anti.Ts, anti.Seq, anti.Src, anti.Dst, anti.Anti, anti.Target = w.Ts, w.Seq, w.Src, w.Dst, true, target
 		dst.inq = append(dst.inq, anti)
 		return nil
 	}
-	ev := &Event{Ts: w.Ts, Seq: w.Seq, Src: w.Src, Dst: w.Dst, Kind: w.Kind, A: w.A, B: w.B}
+	ev := e.mem.takeEvent()
+	ev.Ts, ev.Seq, ev.Src, ev.Dst, ev.Kind, ev.A, ev.B = w.Ts, w.Seq, w.Src, w.Dst, w.Kind, w.A, w.B
 	if e.remoteIdx == nil {
 		e.remoteIdx = make(map[uint64]*Event)
 	}
 	e.remoteIdx[w.Seq] = ev
 	dst.inq = append(dst.inq, ev)
+	return nil
+}
+
+// listShadow links a cross-shard shadow at the head of p's list.
+func (p *Peer) listShadow(s *Event) {
+	if s.next = p.shadows; s.next != nil {
+		s.next.prev = s
+	}
+	p.shadows = s
+}
+
+// recycleShadow unlinks a dead shadow from p's list and returns it to
+// the store uncounted: its twin's free is counted where the twin lives.
+func (p *Peer) recycleShadow(s *Event) {
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		p.shadows = s.next
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	}
+	p.eng.mem.putEvent(s)
+}
+
+// checkShadows validates p's shadow list: the links agree in both
+// directions, which also ends the walk at a cycle, and every listed
+// shadow is live and bound for a foreign peer.
+func (p *Peer) checkShadows() error {
+	var prev *Event
+	for s := p.shadows; s != nil; prev, s = s, s.next {
+		if s.prev != prev {
+			return fmt.Errorf("shadow links disagree at %v", s)
+		}
+		if s.state == statePooled {
+			return fmt.Errorf("shadow list holds recycled %v", s)
+		}
+		if !p.eng.peers[p.eng.lps[s.Dst].Owner].foreign {
+			return fmt.Errorf("shadow list holds %v, bound for a local peer", s)
+		}
+	}
 	return nil
 }
