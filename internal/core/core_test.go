@@ -249,7 +249,7 @@ func TestDynamicAffinityRepins(t *testing.T) {
 func TestConstantAffinityPinsRoundRobin(t *testing.T) {
 	res := runSim(t, simParams{system: GGPDES, gvtKind: gvt.WaitFree, affinity: AffinityConstant})
 	for tid := 0; tid < 8; tid++ {
-		th := res.m.Thread(tid)
+		th := res.m.Threads()[tid]
 		if th.Pinned() != tid%4 {
 			t.Fatalf("thread %d pinned to %d, want %d", tid, th.Pinned(), tid%4)
 		}

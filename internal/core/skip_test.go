@@ -117,6 +117,9 @@ func runSkipCase(t *testing.T, c skipCase, seed uint64, faults ThreadFaultInject
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	pr := skipPrint{
 		Machine: m.Stats(), WallSeconds: m.WallSeconds(),
 		Sched: r.SchedulingStats(), NumActive: r.NumActive(),

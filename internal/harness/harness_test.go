@@ -237,3 +237,24 @@ func TestVerdictAppearsInNotes(t *testing.T) {
 		t.Fatalf("no verdict note: %v", res.Notes)
 	}
 }
+
+// TestVerdictsAtTinyScale runs every graded experiment at Tiny and
+// pins its grade: a change that flips one has to change this table and
+// say why. The deciding ratios are logged, not pinned.
+func TestVerdictsAtTinyScale(t *testing.T) {
+	want := map[string]string{
+		"fig2": "PARTIAL", "fig3a": "PARTIAL", "fig3b": "PASS", "fig4a": "PASS", "fig4b": "PASS",
+		"fig5a": "PARTIAL", "fig5b": "PASS", "fig6a": "PASS", "fig6b": "PASS", "fig7a": "PASS", "fig7b": "PASS",
+	}
+	for id, grade := range want {
+		res, err := Get(id).Run(Tiny(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := Verdict(res)
+		if got, _, _ := strings.Cut(v, ":"); got != grade {
+			t.Errorf("%s graded %q, want %s", id, v, grade)
+		}
+		t.Logf("%s: %s", id, v)
+	}
+}

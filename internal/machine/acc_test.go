@@ -20,9 +20,7 @@ func TestAccBatchesCharges(t *testing.T) {
 		// Flushing empty is a no-op (no machine call, no charge).
 		acc.Flush()
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	want := 300 + cfg.OpCycles // one Work call carrying the batch
 	if th.Cycles() != want {
 		t.Fatalf("cycles = %d, want %d", th.Cycles(), want)
@@ -38,9 +36,7 @@ func TestAccEmptyFlushMakesNoCall(t *testing.T) {
 			acc.Flush()
 		}
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if th.Cycles() != 0 {
 		t.Fatalf("empty flushes charged %d cycles", th.Cycles())
 	}
@@ -56,12 +52,10 @@ func TestSetAffinityOnBlockedThread(t *testing.T) {
 	})
 	m.SpawnPinned("mover", 1, func(p *Proc) {
 		p.Work(200000) // let the waiter block
-		p.SetAffinity(waiter.ID(), 3)
+		p.SetAffinity(waiter.id, 3)
 		p.SemPost(s)
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if waiter.Pinned() != 3 || waiter.core != 3 {
 		t.Fatalf("waiter pinned=%d core=%d, want 3/3", waiter.Pinned(), waiter.core)
 	}
@@ -74,35 +68,12 @@ func TestUnpinViaAnyCore(t *testing.T) {
 	m := mustNew(t, testCfg(4, 1))
 	var th *Thread
 	th = m.SpawnPinned("t", 2, func(p *Proc) {
-		p.SetAffinity(th.ID(), AnyCore)
+		p.SetAffinity(th.id, AnyCore)
 		p.Work(1000)
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if th.Pinned() != AnyCore {
 		t.Fatalf("pin = %d, want AnyCore", th.Pinned())
-	}
-}
-
-func TestLoadBalanceSkipsPinned(t *testing.T) {
-	// Pile 4 pinned threads on core 0 and leave cores 1-3 idle: the
-	// balancer must not move them.
-	m := mustNew(t, testCfg(4, 1))
-	threads := make([]*Thread, 4)
-	for i := range threads {
-		threads[i] = m.SpawnPinned("p", 0, func(p *Proc) { p.Work(1 << 18) })
-	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, th := range threads {
-		if th.core != 0 {
-			t.Fatalf("pinned thread %d migrated to core %d", i, th.core)
-		}
-	}
-	if m.Stats().Migrations != 0 {
-		t.Fatalf("migrations = %d, want 0", m.Stats().Migrations)
 	}
 }
 
@@ -127,28 +98,9 @@ func TestBarrierResizeGrow(t *testing.T) {
 		p.BarrierWait(b)
 		passed++
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if passed != 3 {
 		t.Fatalf("passed = %d", passed)
-	}
-}
-
-func TestSemValueAndWaitersAccessors(t *testing.T) {
-	m := mustNew(t, testCfg(1, 1))
-	s := m.NewSem("s", 3)
-	if s.Value() != 3 || len(s.waiters) != 0 {
-		t.Fatalf("initial accessors wrong: %d/%d", s.Value(), len(s.waiters))
-	}
-	m.Spawn("w", func(p *Proc) {
-		p.SemWait(s)
-		if s.Value() != 2 {
-			t.Errorf("Value = %d after wait", s.Value())
-		}
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -176,9 +128,7 @@ func TestYieldRotatesFairly(t *testing.T) {
 			}
 		})
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if len(order) != 6 {
 		t.Fatalf("order len = %d", len(order))
 	}

@@ -27,6 +27,20 @@
 // held mutex) de-schedule the thread: it consumes no cycles until
 // woken. Spinning threads keep paying for every loop iteration. This
 // asymmetry is the entire subject of the reproduced paper.
+//
+// # Invariants
+//
+// Machine.CheckInvariants states the bookkeeping once: the cycles
+// charged to threads are the cycles cores consumed, every live thread
+// is in exactly one place (its core's running set, its core's CFS-ordered
+// run queue, or a primitive's waiter list), no core runs more than
+// SMTWidth threads, a pinned thread runs only on its pin, and no
+// wake-up is lost. This package's tests run it at the end of every tick
+// of every machine, and TestMachineGenerated adds what needs the tick
+// before (a blocked thread gains no cycles; a core's min_vruntime never
+// falls across a tick it stayed busy in, outside load balancing and
+// SetAffinity) and laws over generated programs. The engine's oracle
+// and core's skip tests run it after every Run.
 package machine
 
 import (
@@ -144,6 +158,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// HWThreads returns the total number of hardware thread contexts.
-func (c Config) HWThreads() int { return c.Cores * c.SMTWidth }

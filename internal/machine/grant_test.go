@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -27,7 +26,7 @@ func grantCfg(cores, smt int) Config {
 // TestGrantAccounting pins, with hand-computed expectations, where a
 // work segment's cycles land and when the body continues relative to
 // the tick grant: strictly inside it, exactly on it, and beyond it.
-// Each body logs "<name>:<CPUCycles>@<NowCycles>" right after a call
+// Each body logs "<name>:<cycles>@<NowCycles>" right after a call
 // returns, so the log is both the side-effect order across threads and
 // the clock readings within one.
 func TestGrantAccounting(t *testing.T) {
@@ -260,16 +259,14 @@ func TestGrantAccounting(t *testing.T) {
 			m := mustNew(t, cfg)
 			var log []string
 			tc.spawn(m, func(p *Proc, name string) {
-				log = append(log, fmt.Sprintf("%s:%d@%d", name, p.CPUCycles(), p.NowCycles()))
+				log = append(log, fmt.Sprintf("%s:%d@%d", name, p.t.cycles, p.NowCycles()))
 			})
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, m)
 			if got := strings.Join(log, " "); got != tc.wantLog {
 				t.Errorf("log = %q, want %q", got, tc.wantLog)
 			}
 			for i, want := range tc.wantCycles {
-				if got := m.Thread(i).Cycles(); got != want {
+				if got := m.threads[i].cycles; got != want {
 					t.Errorf("thread %d cycles = %d, want %d", i, got, want)
 				}
 			}
@@ -287,105 +284,6 @@ func TestGrantAccounting(t *testing.T) {
 
 // worked names a WorkN log entry after the count it returned.
 func worked(name string, k int) string { return fmt.Sprintf("%s=%d", name, k) }
-
-// TestWorkNMatchesRepeatedWork runs the same seeded programs twice on a
-// machine that preempts, migrates, blocks and wakes: once issuing every
-// group of n equal segments as n Work calls, once as WorkN plus a Work
-// for each segment WorkN left to the scheduler. The side-effect log —
-// every thread's cycle count and the clock after each group and each
-// semaphore call — and all the machine's counters must be the same.
-func TestWorkNMatchesRepeatedWork(t *testing.T) {
-	type result struct {
-		log    []string
-		cycles []uint64
-		busy   []uint64
-		stats  Stats
-		booked int
-	}
-	const threads, groups = 12, 300
-	run := func(seed int64, batched bool) result {
-		cfg := grantCfg(3, 2)
-		cfg.LoadBalancePeriodTicks, cfg.MaxTicks = 4, 1<<20
-		m := mustNew(t, cfg)
-		var res result
-		var ping, pong *Sem
-		for id := 0; id < threads; id++ {
-			id := id
-			// Threads come in pairs that hand a token back and forth, so
-			// they block and are woken; pairs outnumber contexts, so they
-			// are also preempted and migrated.
-			if id%2 == 0 {
-				ping, pong = m.NewSem("ping", 0), m.NewSem("pong", 0)
-			}
-			ping, pong := ping, pong
-			m.Spawn(fmt.Sprintf("t%d", id), func(p *Proc) {
-				rnd := rand.New(rand.NewSource(seed*1000 + int64(id/2)))
-				mine := rand.New(rand.NewSource(seed*1000 + 500 + int64(id)))
-				log := func(what string) {
-					res.log = append(res.log, fmt.Sprintf("t%d %s:%d@%d", id, what, p.CPUCycles(), p.NowCycles()))
-				}
-				for g := 0; g < groups; g++ {
-					c, n := uint64(1+mine.Intn(400)), 1+mine.Intn(40)
-					if !batched {
-						for i := 0; i < n; i++ {
-							p.Work(c)
-						}
-					}
-					for left := n; batched && left > 0; {
-						k := p.WorkN(c, left)
-						res.booked += k
-						if left -= k; left > 0 {
-							p.Work(c) // the one that reaches or crosses the grant
-							left--
-						}
-					}
-					log("work")
-					// Both threads of a pair draw the same hand-over points.
-					if rnd.Intn(8) == 0 {
-						if id%2 == 0 {
-							p.SemPost(ping)
-							p.SemWait(pong)
-						} else {
-							p.SemWait(ping)
-							p.SemPost(pong)
-						}
-						log("sem")
-					}
-				}
-			})
-		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < threads; i++ {
-			res.cycles = append(res.cycles, m.Thread(i).Cycles())
-		}
-		for c := 0; c < cfg.Cores; c++ {
-			res.busy = append(res.busy, m.CoreBusyCycles(c))
-		}
-		res.stats = m.Stats()
-		return res
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		want, got := run(seed, false), run(seed, true)
-		if got.booked == 0 || want.stats.Preempts == 0 || want.stats.Migrations == 0 || want.stats.Wakeups == 0 {
-			t.Fatalf("seed %d: vacuous run: %d segments booked by WorkN, stats %+v", seed, got.booked, want.stats)
-		}
-		got.booked = 0
-		if len(got.log) != len(want.log) {
-			t.Fatalf("seed %d: %d log entries with WorkN, %d without", seed, len(got.log), len(want.log))
-		}
-		for i := range want.log {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: log entry %d is %q with WorkN, %q without", seed, i, got.log[i], want.log[i])
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: with WorkN %+v %v %v, without %+v %v %v", seed,
-				got.stats, got.cycles, got.busy, want.stats, want.cycles, want.busy)
-		}
-	}
-}
 
 // settledGoroutines waits for goroutines that are on their way out and
 // returns the count.
@@ -526,9 +424,7 @@ func TestSteadyStateRunAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if m.Stats().Preempts == 0 {
 		t.Fatal("no preemptions: the run queues were never exercised")
 	}

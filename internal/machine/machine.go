@@ -220,10 +220,9 @@ func (m *Machine) TotalCycles() uint64 {
 // Threads returns the spawned threads in id order.
 func (m *Machine) Threads() []*Thread { return m.threads }
 
-// Thread returns the thread with the given id.
-func (m *Machine) Thread(id int) *Thread { return m.threads[id] }
-
-// CoreBusyCycles returns the cycles consumed on the given core.
+// CoreBusyCycles returns the cycles consumed on the given core. Core's
+// skip tests compare it core by core between a run that books idle
+// iterations and one that executes them, which no invariant replaces.
 func (m *Machine) CoreBusyCycles(core int) uint64 { return m.cores[core].busy }
 
 // Spawn creates a thread that will run body when the machine starts.
@@ -384,6 +383,11 @@ func (m *Machine) RunContext(ctx context.Context) (err error) {
 		}
 		if m.cfg.LoadBalancePeriodTicks > 0 && m.tick%uint64(m.cfg.LoadBalancePeriodTicks) == 0 {
 			m.loadBalance()
+		}
+		if tickCheck != nil {
+			if err := tickCheck(m); err != nil {
+				return err
+			}
 		}
 	}
 	if cancelled {

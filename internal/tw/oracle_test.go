@@ -215,6 +215,9 @@ func (c oracleCase) run(t *testing.T) runStats {
 		if err := eng.CheckInvariants(); err != nil {
 			t.Fatalf("segment %d: %v", st.boundaries, err)
 		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("segment %d: %v", st.boundaries, err)
+		}
 		startTick = m.Stats().Ticks
 		if eng.Paused() {
 			eng.ReleaseStart()
